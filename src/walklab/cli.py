@@ -57,7 +57,7 @@ from .graph import (
     torus2d,
 )
 from .rng import substream
-from .spectral import build_kernel, exact_cover_times, exact_hitting
+from .spectral import COVER_CAP, build_kernel, exact_cover_times, exact_hitting
 from .walks import WalkConfig, simulate, st_connectivity
 from .weighting import SCHEMES, speedup
 
@@ -381,7 +381,7 @@ def _run_product_theorem(spec: dict):
     trials = spec["trials"]
     seed, workers = spec["seed"], spec["workers"]
 
-    if h.n <= 13:
+    if h.n <= COVER_CAP:
         cov_h = float(exact_cover_times(build_kernel(h)).max())
         cov_h_stderr, cov_h_method = 0.0, "exact"
     else:
@@ -389,7 +389,7 @@ def _run_product_theorem(spec: dict):
         cov_h, cov_h_stderr, cov_h_method = est.mean, est.stderr, "mc"
     best = simulate(h, WalkConfig(stop="blanket-cover"), trials, seed + 1, workers=workers)
     bcov_h = best.mean
-    if g.n <= 13:
+    if g.n <= COVER_CAP:
         cov_g = float(exact_cover_times(build_kernel(g)).max())
     else:
         cov_g = simulate(g, WalkConfig(stop="cover"), trials, seed + 2, workers=workers).mean

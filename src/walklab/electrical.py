@@ -27,6 +27,7 @@ from .errors import (
     UnsupportedInputError,
 )
 from .graph import Graph, grid2d
+from .spectral import COVER_CAP, build_kernel, exact_cover_times, exact_hitting
 
 __all__ = [
     "harmonic_number",
@@ -48,7 +49,10 @@ __all__ = [
     "grid_resistance_monitor",
     "rayleigh_monitor",
     "bound_report",
+    "SUBSET_SEARCH_CAP",
 ]
+
+SUBSET_SEARCH_CAP = 16  # matthews_lower without a subset tries them all
 
 
 def harmonic_number(k: int) -> float:
@@ -76,15 +80,12 @@ def _require_connected(g: Graph) -> None:
         raise DisconnectedError(f"{g.name} is disconnected")
 
 
-def effective_resistance(g: Graph, u: int, v: int) -> float:
-    """R(u, v) by the voltage route.
+def _pinned_voltages(g: Graph, u: int, v: int) -> tuple[np.ndarray, float]:
+    """Voltages with W(u) = 1 and W(v) = 0, and the current leaving u.
 
-    Pin W(u) = 1 and W(v) = 0, solve the harmonic conditions at every other
-    vertex, and return 1 over the current that leaves u. The current is read
-    off the unpinned Laplacian row, so Kirchhoff at u is not assumed.
+    Solves the harmonic conditions at every other vertex. The current is
+    read off the unpinned Laplacian row, so Kirchhoff at u is not assumed.
     """
-    if u == v:
-        return 0.0
     _require_connected(g)
     lap = laplacian(g)
     a = lap.copy()
@@ -98,7 +99,14 @@ def effective_resistance(g: Graph, u: int, v: int) -> float:
     strength = float(lap[u] @ voltages)
     if strength <= 0:
         raise ParameterError(f"non-positive current {strength} between {u} and {v}")
-    return 1.0 / strength
+    return voltages, strength
+
+
+def effective_resistance(g: Graph, u: int, v: int) -> float:
+    """R(u, v) by the voltage route: 1 over the current of the pinned solve."""
+    if u == v:
+        return 0.0
+    return 1.0 / _pinned_voltages(g, u, v)[1]
 
 
 def resistance_matrix(g: Graph) -> np.ndarray:
@@ -141,17 +149,7 @@ def unit_current_flow(g: Graph, u: int, v: int) -> np.ndarray:
     """
     if u == v:
         raise ParameterError("flow endpoints must differ")
-    _require_connected(g)
-    lap = laplacian(g)
-    a = lap.copy()
-    b = np.zeros(g.n)
-    a[u, :] = 0.0
-    a[u, u] = 1.0
-    b[u] = 1.0
-    a[v, :] = 0.0
-    a[v, v] = 1.0
-    voltages = np.linalg.solve(a, b)
-    strength = float(lap[u] @ voltages)
+    voltages, strength = _pinned_voltages(g, u, v)
     c = conductance_matrix(g)
     flow = c * (voltages[:, None] - voltages[None, :])
     return flow / strength
@@ -280,8 +278,6 @@ def merst_bound(g: Graph) -> MerstResult:
 
 
 def _hitting_matrix(g: Graph) -> np.ndarray:
-    from .spectral import build_kernel, exact_hitting
-
     return exact_hitting(build_kernel(g))
 
 
@@ -313,7 +309,7 @@ def matthews_lower(
 
     With an explicit subset the bound is evaluated directly. Without one,
     every subset of size 2..max_size is tried, which is only feasible on
-    small graphs (capped at n = 16).
+    small graphs (capped at SUBSET_SEARCH_CAP vertices).
     """
     from itertools import combinations
 
@@ -330,9 +326,9 @@ def matthews_lower(
         if len(members) < 2:
             raise ParameterError("lower bound needs at least two vertices")
         return value(members)
-    if g.n > 16:
+    if g.n > SUBSET_SEARCH_CAP:
         raise SizeCapError(
-            f"exhaustive subset search capped at n=16, got {g.n}; "
+            f"exhaustive subset search capped at n={SUBSET_SEARCH_CAP}, got {g.n}; "
             f"pass an explicit subset"
         )
     best = 0.0
@@ -426,8 +422,6 @@ def rayleigh_monitor(
 
 def bound_report(graphs: list[Graph]) -> str:
     """CSV lines comparing exact cover (when small) with every bound."""
-    from .spectral import build_kernel, exact_cover_times, exact_hitting
-
     out = io.StringIO()
     out.write(
         "graph_id,n,m,exact_cover,matthews_lower,matthews_upper,merst,"
@@ -437,9 +431,9 @@ def bound_report(graphs: list[Graph]) -> str:
         kernel = build_kernel(g)
         hitting = exact_hitting(kernel)
         exact = (
-            repr(float(exact_cover_times(kernel).max())) if g.n <= 13 else ""
+            repr(float(exact_cover_times(kernel).max())) if g.n <= COVER_CAP else ""
         )
-        lower = matthews_lower(g, hitting=hitting) if g.n <= 16 else ""
+        lower = matthews_lower(g, hitting=hitting) if g.n <= SUBSET_SEARCH_CAP else ""
         upper = matthews_upper(g, hitting=hitting)
         merst = merst_bound(g).bound
         if g.is_simple and g.is_unit_weighted:

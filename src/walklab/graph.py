@@ -275,7 +275,12 @@ class Graph:
         head = rows[0].split()
         if len(head) != 2:
             raise ParameterError(f"bad header line {rows[0]!r}, expected 'n m'")
-        n, m = int(head[0]), int(head[1])
+        try:
+            n, m = int(head[0]), int(head[1])
+        except ValueError:
+            raise ParameterError(
+                f"bad header line {rows[0]!r}, expected integers 'n m'"
+            ) from None
         if len(rows) - 1 != m:
             raise ParameterError(
                 f"header promises {m} edges but {len(rows) - 1} lines follow"
@@ -285,7 +290,12 @@ class Graph:
             parts = ln.split()
             if len(parts) != 3:
                 raise ParameterError(f"bad edge line {ln!r}, expected 'u v w'")
-            edges.append((int(parts[0]), int(parts[1]), float(parts[2])))
+            try:
+                edges.append((int(parts[0]), int(parts[1]), float(parts[2])))
+            except ValueError:
+                raise ParameterError(
+                    f"bad edge line {ln!r}, expected integers u v and a number w"
+                ) from None
         return cls(n, edges, name=name)
 
     def with_weights(self, weights: Sequence[float], name: str = "") -> "Graph":

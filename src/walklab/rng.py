@@ -11,7 +11,11 @@ from __future__ import annotations
 
 import numpy as np
 
-__all__ = ["substream", "spawn_many"]
+from .errors import ParameterError
+
+__all__ = ["substream"]
+
+_KEY_WORD = 2**64  # Philox keys are two 64-bit words: (seed, index)
 
 
 def substream(seed: int, index: int = 0) -> np.random.Generator:
@@ -19,15 +23,10 @@ def substream(seed: int, index: int = 0) -> np.random.Generator:
 
     (seed, index) fully determines the stream. Indices must be managed by
     the caller; the convention in this package is index 0 for setup-level
-    choices and index 1+i for trial i.
+    choices and index 1+i for trial i. Both must lie in [0, 2^64).
     """
-    if seed < 0:
-        raise ValueError("seed must be non-negative")
-    if index < 0:
-        raise ValueError("stream index must be non-negative")
+    if not 0 <= seed < _KEY_WORD:
+        raise ParameterError(f"seed must lie in [0, 2^64), got {seed}")
+    if not 0 <= index < _KEY_WORD:
+        raise ParameterError(f"stream index must lie in [0, 2^64), got {index}")
     return np.random.Generator(np.random.Philox(key=[seed, index]))
-
-
-def spawn_many(seed: int, start: int, count: int) -> list[np.random.Generator]:
-    """Generators for streams start .. start+count-1."""
-    return [substream(seed, start + i) for i in range(count)]

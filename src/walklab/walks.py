@@ -13,14 +13,17 @@ a cumulative scan below that; one uniform drives either method.
 from __future__ import annotations
 
 import math
+import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .errors import ParameterError, UnsupportedInputError
+from .electrical import matthews_upper
+from .errors import DisconnectedError, ParameterError, UnsupportedInputError
 from .graph import Graph
 from .rng import substream
+from .spectral import COVER_CAP, build_kernel, exact_cover_times, exact_hitting
 from .weighting import apply_scheme
 
 __all__ = [
@@ -49,8 +52,8 @@ class WalkConfig:
     target:     required for "hit"
     delta:      blanket parameter in [0, 1); 0 degenerates to cover
     reference:  cover-time reference for "blanket-cover"; computed from the
-                graph when omitted (exact below 14 vertices, the max-hitting
-                cover bound above)
+                graph when omitted (exact up to COVER_CAP vertices, the
+                max-hitting cover bound above)
     budget:     hard step cap; trials that reach it are censored
     scheme:     edge weighting applied before walking
     lazy:       walk the lazy kernel (hold with probability 1/2)
@@ -169,16 +172,10 @@ def _stationary(g: Graph, scheme: str) -> np.ndarray:
 
 def blanket_cover_reference(g: Graph, scheme: str = "uniform", lazy: bool = False) -> float:
     """Cover-time reference: exact when feasible, max-hitting bound otherwise."""
-    from .spectral import build_kernel, exact_cover_times, exact_hitting
-
     kernel = build_kernel(g, scheme=scheme, lazy=lazy)
-    if g.n <= 13:
+    if g.n <= COVER_CAP:
         return float(exact_cover_times(kernel).max())
-    return float(exact_hitting(kernel).max()) * _harmonic(g.n)
-
-
-def _harmonic(k: int) -> float:
-    return float(sum(1.0 / i for i in range(1, k + 1)))
+    return matthews_upper(g, hitting=exact_hitting(kernel))
 
 
 def _resolve(g: Graph, config: WalkConfig) -> WalkConfig:
@@ -341,17 +338,22 @@ def simulate(
 
     The result is a function of (graph, config, trials, seed) alone;
     workers only change how chunks get computed, never what they contain.
-    Censored trials are counted but excluded from the moments.
+    Censored trials are counted but excluded from the moments. Disconnected
+    graphs are refused before any walk starts; the pool never gets more
+    processes than there are chunks or CPUs.
     """
     if trials < 1:
         raise ParameterError("need at least one trial")
+    if not g.is_connected:
+        raise DisconnectedError(f"{g.name} is disconnected")
     config = _resolve(g, config)
     text = g.to_text()
     chunks = [
         (text, config, seed, lo, min(lo + CHUNK, trials))
         for lo in range(0, trials, CHUNK)
     ]
-    if workers > 1 and len(chunks) > 1:
+    workers = min(workers, len(chunks), os.cpu_count() or 1)
+    if workers > 1:
         with ProcessPoolExecutor(max_workers=workers) as pool:
             results = list(pool.map(_chunk_stats, chunks))
     else:
@@ -392,27 +394,19 @@ def st_connectivity(g: Graph, s: int, t: int, seed: int, index: int = 0) -> dict
     Walks exactly 8 n m steps from s and reports whether t was reached.
     A "yes" is always correct; on a connected pair the "no" probability is
     at most 1/2 because the budget is twice the 4 n m cover bound. `index`
-    selects an independent repetition under the same seed.
+    selects an independent repetition under the same seed: it is hit-mode
+    trial `index` of `trial_value`. Disconnected graphs are accepted.
     """
     if not (0 <= s < g.n and 0 <= t < g.n):
         raise ParameterError("endpoints out of range")
     budget = 8 * g.n * g.m
     if s == t:
         return {"connected": True, "steps": 0, "budget": budget}
-    tables = _vertex_tables(g, "uniform", lazy=False)
-    rng = substream(seed, 1 + index)
-    pos = s
-    buf: list[float] = []
-    bi = 0
-    for step in range(1, budget + 1):
-        if bi == len(buf):
-            buf = rng.random(BUFFER).tolist()
-            bi = 0
-        pos = _sample(tables[pos], buf[bi])
-        bi += 1
-        if pos == t:
-            return {"connected": True, "steps": step, "budget": budget}
-    return {"connected": False, "steps": None, "budget": budget}
+    config = WalkConfig(stop="hit", start=s, target=t, budget=budget)
+    steps, censored = trial_value(g, config, seed, index)
+    if censored:
+        return {"connected": False, "steps": None, "budget": budget}
+    return {"connected": True, "steps": int(steps), "budget": budget}
 
 
 def empirical_visit_frequencies(

@@ -17,8 +17,6 @@ from __future__ import annotations
 
 import math
 
-import numpy as np
-
 from .errors import UnsupportedInputError
 from .graph import Graph
 from .rng import substream
@@ -26,8 +24,6 @@ from .rng import substream
 __all__ = [
     "SCHEMES",
     "apply_scheme",
-    "ikeda_kernel_formula",
-    "mindeg_kernel_formula",
     "mindeg_invariant_report",
     "speedup",
     "write_graph_with_scheme",
@@ -71,36 +67,6 @@ def apply_scheme(g: Graph, scheme: str) -> Graph:
     else:
         weights = [1.0 / min(d[u], d[v]) for u, v, _ in g.edges]
     return g.with_weights(weights, name=f"{g.name}|{scheme}")
-
-
-def ikeda_kernel_formula(g: Graph) -> np.ndarray:
-    """The ikeda walk matrix written directly from its row definition.
-
-    P[u, v] = (1/sqrt(d(v))) / sum_{x in N(u)} 1/sqrt(d(x)). Used to check
-    that the edge-weight route produces the identical kernel.
-    """
-    _require_schemable(g)
-    d = g.degrees.astype(float)
-    p = np.zeros((g.n, g.n))
-    for u in range(g.n):
-        nbrs = g.neighbors(u)
-        denom = sum(1.0 / math.sqrt(d[x]) for x in nbrs)
-        for v in nbrs:
-            p[u, v] = (1.0 / math.sqrt(d[v])) / denom
-    return p
-
-
-def mindeg_kernel_formula(g: Graph) -> np.ndarray:
-    """Row form of the min-deg walk matrix, same role as the ikeda formula."""
-    _require_schemable(g)
-    d = g.degrees
-    p = np.zeros((g.n, g.n))
-    for u in range(g.n):
-        nbrs = g.neighbors(u)
-        denom = sum(1.0 / min(d[u], d[x]) for x in nbrs)
-        for v in nbrs:
-            p[u, v] = (1.0 / min(d[u], d[v])) / denom
-    return p
 
 
 def mindeg_invariant_report(g: Graph, seed: int = 0, path_pairs: int = 100) -> dict:

@@ -1,9 +1,9 @@
 """Shared test utilities: random graph builders and independent oracles.
 
 The oracles here are deliberately written in the dumbest correct style
-available (forward dynamic programming, dense matrix identities, explicit
-enumeration) so they share no code path with the library implementations
-they check.
+available (forward dynamic programming, one pinned solve per target, row
+formulas, explicit enumeration) so they share no code path with the
+library implementations they check.
 """
 
 from __future__ import annotations
@@ -86,19 +86,53 @@ def forward_dp_hitting(g: Graph, source: int, target: int, tol: float = 1e-12, c
     raise RuntimeError("forward DP did not converge")
 
 
-def z_matrix_hitting(g: Graph) -> np.ndarray:
-    """Hitting times through the fundamental matrix of the chain.
+def pinned_solve_hitting(g: Graph) -> np.ndarray:
+    """Hitting times by one pinned linear solve per target column.
 
-    With Z = (I - P + 1 pi^T)^{-1}, the expected time from i to j is
-    (Z[j, j] - Z[i, j]) / pi[j].
+    Column j solves (I - P) h = 1 with row j replaced by h[j] = 0. This is
+    O(n^4) overall and shares nothing with the library's fundamental-matrix
+    route, which is why it is the reference.
     """
     p = transition_matrix(g)
-    pi = g.weighted_degrees / g.volume
     n = g.n
-    z = np.linalg.inv(np.eye(n) - p + np.outer(np.ones(n), pi))
-    h = (np.diag(z)[None, :] - z) / pi[None, :]
-    np.fill_diagonal(h, 0.0)
+    h = np.zeros((n, n))
+    for j in range(n):
+        a = np.eye(n) - p
+        a[j, :] = 0.0
+        a[j, j] = 1.0
+        b = np.ones(n)
+        b[j] = 0.0
+        h[:, j] = np.linalg.solve(a, b)
     return h
+
+
+def ikeda_kernel_formula(g: Graph) -> np.ndarray:
+    """The ikeda walk matrix written directly from its row definition.
+
+    P[u, v] = (1/sqrt(d(v))) / sum_{x in N(u)} 1/sqrt(d(x)), for a simple
+    unit-weight graph.
+    """
+    d = g.degrees.astype(float)
+    p = np.zeros((g.n, g.n))
+    for u in range(g.n):
+        nbrs = g.neighbors(u)
+        denom = sum(1.0 / np.sqrt(d[x]) for x in nbrs)
+        for v in nbrs:
+            p[u, v] = (1.0 / np.sqrt(d[v])) / denom
+    return p
+
+
+def mindeg_kernel_formula(g: Graph) -> np.ndarray:
+    """Row form of the min-deg walk matrix: P[u, v] proportional to
+    1 / min(d(u), d(v)) over the neighbors of u."""
+    d = g.degrees
+    p = np.zeros((g.n, g.n))
+    for u in range(g.n):
+        nbrs = g.neighbors(u)
+        denom = sum(1.0 / min(d[u], d[x]) for x in nbrs)
+        for v in nbrs:
+            p[u, v] = (1.0 / min(d[u], d[v])) / denom
+    return p
 
 
 def censored_kernel(g: Graph, subset) -> np.ndarray:

@@ -181,6 +181,35 @@ def test_flag_the_experiment_never_reads_is_rejected(runner, tmp_path):
     assert not (tmp_path / "ci.csv").exists()
 
 
+@pytest.mark.parametrize("seed", ["-1", str(2**64)])
+def test_seed_outside_stream_key_range_exits_2(runner, tmp_path, seed):
+    result = _run(
+        runner,
+        ["run", "st-connect-demo", "--trials", "5", "--seed", seed, "--out", str(tmp_path / "st")],
+    )
+    assert result.exit_code == 2
+    assert "input error" in result.output
+    assert not (tmp_path / "st.csv").exists()
+
+
+@pytest.mark.parametrize(
+    "text", ["x 1\n0 1 1.0\n", "2 1\n0 1 abc\n"], ids=["bad-header", "bad-weight"]
+)
+def test_malformed_graph_file_exits_2(runner, tmp_path, text):
+    gfile = tmp_path / "g.txt"
+    gfile.write_text(text)
+    result = _run(
+        runner,
+        [
+            "run", "st-connect-demo", "--graph-file", str(gfile), "--trials", "5",
+            "--seed", "1", "--out", str(tmp_path / "st"),
+        ],
+    )
+    assert result.exit_code == 2
+    assert "input error" in result.output
+    assert "bad " in result.output
+
+
 def test_family_and_graph_file_conflict(runner, tmp_path):
     gfile = tmp_path / "g.txt"
     gfile.write_text("2 1\n0 1 1.0\n")

@@ -20,7 +20,6 @@ from walklab.spectral import (
     exact_hitting,
     first_return,
     harmonic_extension,
-    hitting_to,
     kernel_eigenvalues,
     load_kernel,
     mixing_distance,
@@ -31,9 +30,9 @@ from walklab.spectral import (
 
 from helpers import (
     forward_dp_hitting,
+    pinned_solve_hitting,
     random_connected_graph,
     transition_matrix,
-    z_matrix_hitting,
 )
 
 
@@ -121,19 +120,36 @@ def test_cycle_hitting_r_times_n_minus_r():
                 assert h[i, j] == pytest.approx(r * (n - r), rel=1e-10, abs=1e-9)
 
 
-def test_hitting_to_matches_matrix_column():
+def test_path_hitting_closed_form_at_n_1000():
+    n = 1000
+    h = exact_hitting(build_kernel(path(n)))
+    i, j = np.triu_indices(n, k=1)
+    span = n - 1
+    np.testing.assert_allclose(h[i, j], (j * j - i * i).astype(float), rtol=1e-9, atol=0)
+    mirrored = ((span - i) ** 2 - (span - j) ** 2).astype(float)
+    np.testing.assert_allclose(h[j, i], mirrored, rtol=1e-9, atol=0)
+
+
+def test_cycle_hitting_closed_form_at_n_1000():
+    n = 1000
+    h = exact_hitting(build_kernel(cycle(n)))
+    r = np.subtract.outer(np.arange(n), np.arange(n)) % n
+    off = r != 0
+    np.testing.assert_allclose(h[off], (r * (n - r))[off].astype(float), rtol=1e-9, atol=0)
+
+
+def test_hitting_column_matches_pinned_oracle():
     g = random_connected_graph(np.random.default_rng(11), 8, extra=5, weighted=True)
-    k = build_kernel(g)
-    h = exact_hitting(k)
-    np.testing.assert_allclose(hitting_to(k, 3), h[:, 3], atol=1e-12)
+    h = exact_hitting(build_kernel(g))
+    np.testing.assert_allclose(h[:, 3], pinned_solve_hitting(g)[:, 3], atol=1e-12)
 
 
-def test_hitting_against_fundamental_matrix_oracle():
+def test_hitting_against_pinned_solve_oracle():
     rng = np.random.default_rng(7)
     for _ in range(10):
         g = random_connected_graph(rng, int(rng.integers(3, 12)), extra=4, weighted=True, loops=True)
         k = build_kernel(g)
-        np.testing.assert_allclose(exact_hitting(k), z_matrix_hitting(g), rtol=1e-8, atol=1e-8)
+        np.testing.assert_allclose(exact_hitting(k), pinned_solve_hitting(g), rtol=1e-8, atol=1e-8)
 
 
 def test_hitting_against_forward_dp_oracle():
@@ -396,7 +412,7 @@ def test_property_hitting_matches_oracle(seed):
     rng = np.random.default_rng(seed)
     g = random_connected_graph(rng, int(rng.integers(2, 9)), extra=int(rng.integers(0, 6)), weighted=True, loops=True, parallel=True)
     k = build_kernel(g)
-    np.testing.assert_allclose(exact_hitting(k), z_matrix_hitting(g), rtol=1e-8, atol=1e-8)
+    np.testing.assert_allclose(exact_hitting(k), pinned_solve_hitting(g), rtol=1e-8, atol=1e-8)
 
 
 @given(st.integers(min_value=0, max_value=10**6))

@@ -3,8 +3,9 @@ import math
 import numpy as np
 import pytest
 
-from walklab.errors import ParameterError
-from walklab.graph import Graph, complete, cycle, lollipop, path, star
+from walklab import walks
+from walklab.errors import DisconnectedError, ParameterError
+from walklab.graph import Graph, complete, cycle, family, lollipop, path, star
 from walklab.spectral import build_kernel, exact_cover_time, exact_hitting
 from walklab.walks import (
     EstimateRecord,
@@ -177,6 +178,54 @@ def test_st_connectivity_never_claims_separated_pair():
         assert out["steps"] is None
     same = st_connectivity(g, 2, 2, seed=0)
     assert same["connected"] is True and same["steps"] == 0
+
+
+def test_st_connectivity_keeps_its_recorded_walks():
+    # step counts of the probe before it became a hit-mode trial; star:12
+    # walks through the alias table at its centre
+    for spec, s, t, expected in (
+        ("star:12", 3, 5, [42, 6, 2, 62, 4, 2]),
+        ("lollipop:20", 0, 19, [3667, 3712, 960, 854, 122, 1324]),
+    ):
+        g = family(spec)
+        got = [st_connectivity(g, s, t, seed=4, index=i)["steps"] for i in range(6)]
+        assert got == expected, spec
+
+
+def test_simulate_refuses_disconnected_graph_before_walking():
+    g = Graph(4, [(0, 1), (2, 3)], name="two-parts")
+    with pytest.raises(DisconnectedError):
+        simulate(g, WalkConfig(stop="cover"), trials=3, seed=0)
+
+
+def test_worker_count_is_clamped_to_chunks_and_cpus(monkeypatch):
+    pools = []
+
+    class RecordingPool:
+        def __init__(self, max_workers):
+            pools.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, items):
+            return map(fn, items)
+
+    monkeypatch.setattr(walks, "ProcessPoolExecutor", RecordingPool)
+    g = path(4)
+    cfg = WalkConfig(stop="cover")
+    trials = 3 * walks.CHUNK + 1  # four chunks
+    serial = simulate(g, cfg, trials=trials, seed=2, workers=1)
+    monkeypatch.setattr(walks.os, "cpu_count", lambda: 64)
+    assert simulate(g, cfg, trials=trials, seed=2, workers=100_000) == serial
+    monkeypatch.setattr(walks.os, "cpu_count", lambda: 2)
+    assert simulate(g, cfg, trials=trials, seed=2, workers=100_000) == serial
+    monkeypatch.setattr(walks.os, "cpu_count", lambda: None)
+    assert simulate(g, cfg, trials=trials, seed=2, workers=100_000) == serial
+    assert pools == [4, 2]  # one usable CPU runs in-process
 
 
 def test_visit_frequencies_sum_to_one_and_track_stationary():

@@ -10,14 +10,12 @@ from walklab.graph import Graph, complete, cycle, lollipop, path, star
 from walklab.spectral import build_kernel
 from walklab.weighting import (
     apply_scheme,
-    ikeda_kernel_formula,
     mindeg_invariant_report,
-    mindeg_kernel_formula,
     read_graph_with_scheme,
     write_graph_with_scheme,
 )
 
-from helpers import random_connected_graph
+from helpers import ikeda_kernel_formula, mindeg_kernel_formula, random_connected_graph
 
 
 def test_uniform_scheme_is_identity():
