@@ -192,6 +192,59 @@ def test_st_connectivity_keeps_its_recorded_walks():
         assert got == expected, spec
 
 
+PINNED_TRIALS = {
+    # trial_value(g, config, seed=3, trial_index=i) for i in 0..5; path:10
+    # samples with the cumulative scan only, star:12 uses the alias table
+    # at its centre
+    "path:10": {
+        "cover": [163, 59, 65, 147, 67, 13],
+        "hit": [19, 37, 13, 27, 13, 9],
+        "blanket": [400, 65, 73, 194, 103, 13],
+        "blanket-cover": [338, 205, 291, 206, 125, 220],
+        "lazy-hit": [27, 45, 28, 72, 101, 27],
+        "mindeg-cover": [165, 61, 69, 143, 67, 13],
+    },
+    "star:12": {
+        "cover": [37, 51, 67, 85, 77, 97],
+        "hit": [13, 3, 33, 19, 5, 21],
+        "blanket": [37, 51, 163, 101, 191, 185],
+        "blanket-cover": [103, 129, 163, 113, 185, 165],
+        "lazy-hit": [5, 25, 74, 36, 4, 120],
+        "mindeg-cover": [37, 51, 67, 85, 77, 97],
+    },
+}
+
+PINNED_CONFIGS = {
+    "cover": WalkConfig(stop="cover"),
+    "hit": WalkConfig(stop="hit", target=5),
+    "blanket": WalkConfig(stop="blanket", delta=0.4),
+    "blanket-cover": WalkConfig(stop="blanket-cover"),
+    "lazy-hit": WalkConfig(stop="hit", target=5, lazy=True),
+    "mindeg-cover": WalkConfig(stop="cover", scheme="mindeg"),
+}
+
+
+@pytest.mark.parametrize("spec", sorted(PINNED_TRIALS))
+@pytest.mark.parametrize("mode", sorted(PINNED_CONFIGS))
+def test_trial_values_keep_their_recorded_walks(spec, mode):
+    g = family(spec)
+    got = [trial_value(g, PINNED_CONFIGS[mode], seed=3, trial_index=i) for i in range(6)]
+    assert got == [(float(v), False) for v in PINNED_TRIALS[spec][mode]]
+
+
+@pytest.mark.parametrize(
+    "spec, counts",
+    [
+        ("cycle:8", [105, 117, 139, 119, 118, 129, 147, 127]),
+        ("star:5", [509, 93, 124, 157, 118]),
+    ],
+)
+def test_visit_counts_keep_their_recorded_walk(spec, counts):
+    steps = 1000
+    freq = empirical_visit_frequencies(family(spec), steps=steps, seed=0, lazy=True)
+    assert (freq * (steps + 1)).tolist() == [float(c) for c in counts]
+
+
 def test_simulate_refuses_disconnected_graph_before_walking():
     g = Graph(4, [(0, 1), (2, 3)], name="two-parts")
     with pytest.raises(DisconnectedError):
