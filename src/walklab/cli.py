@@ -7,7 +7,7 @@ and `<out>.json` with the same spec, the check verdicts, and the runtime.
 Wall-clock information appears only in the JSON summary.
 
 Exit codes: 0 every check passed, 1 at least one check failed, 2 bad
-invocation or input, 3 numeric failure or a size cap.
+invocation or input (a size cap too), 3 numeric failure.
 """
 
 from __future__ import annotations

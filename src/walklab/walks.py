@@ -1,19 +1,28 @@
 """Monte Carlo walk engine with reproducible per-trial streams.
 
 Determinism contract: trial i of a run with seed s draws from the
-counter-based stream (s, 1 + i) and from nothing else, so any scheduling
-of trials over workers produces bit-identical estimates. Moments are
-accumulated per fixed-size chunk of trials and the chunk summaries are
-merged left to right; chunk boundaries depend only on trial indices.
+counter-based stream (s, 1 + i) and from nothing else, and `simulate`
+reduces the per-trial step counts once, in trial order, with exact
+integer sums. So any scheduling of trials over workers gives
+bit-identical estimates.
+
+Every walk runs in one loop, `_walk`, driven by per-vertex visit quotas:
+it stops at the first step where each vertex has been visited as often as
+its quota asks (1 everywhere for cover, 1 at the target for hit,
+ceil(reference * pi_v) for blanket-cover), or is censored at its step
+budget. Blanket with delta > 0 adds the check counts[v] > delta * pi_v * t
+on top of the cover quota. Visit frequencies are the same loop with no
+quota, run for a fixed number of steps.
 
 Next-step sampling uses an alias table at vertices of degree above 8 and
-a cumulative scan below that; one uniform drives either method.
+a cumulative-table bisection below that; one uniform drives either method.
 """
 
 from __future__ import annotations
 
 import math
 import os
+from bisect import bisect_left
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace
 
@@ -94,7 +103,11 @@ class EstimateRecord:
 
 
 def _vertex_tables(g: Graph, scheme: str, lazy: bool):
-    """Per-vertex samplers: ("scan", nbrs, cumulative) or ("alias", nbrs, prob, alias)."""
+    """Per-vertex samplers and the stationary distribution of the weighted walk.
+
+    A sampler is ("scan", nbrs, cumulative) or ("alias", nbrs, prob, alias);
+    pi is a list, and laziness does not change it.
+    """
     h = apply_scheme(g, scheme)
     tables = []
     for v in range(h.n):
@@ -125,7 +138,7 @@ def _vertex_tables(g: Graph, scheme: str, lazy: bool):
                 cum.append(acc)
             cum[-1] = 1.0
             tables.append(("scan", nbrs, cum))
-    return tables
+    return tables, (h.weighted_degrees / h.volume).tolist()
 
 
 def _build_alias(probs: list[float]) -> tuple[list[float], list[int]]:
@@ -147,27 +160,49 @@ def _build_alias(probs: list[float]) -> tuple[list[float], list[int]]:
     return prob, alias
 
 
-def _sample(table, u: float) -> int:
-    if table[0] == "alias":
-        _, nbrs, prob, alias = table
-        x = u * len(nbrs)
-        k = int(x)
-        if k >= len(nbrs):  # u == 1.0 guard
-            k = len(nbrs) - 1
-        return nbrs[k] if (x - k) < prob[k] else nbrs[alias[k]]
-    _, nbrs, cum = table
-    for j, edge in enumerate(cum):
-        if u <= edge:
-            return nbrs[j]
-    return nbrs[-1]
+# --- the walk ---
 
 
-# --- single trial ---
+def _walk(tables, pos, rng, budget, counts, need, remaining, delta_pi=None) -> int | None:
+    """Walk from pos until no vertex is below its visit quota; the only stepper.
 
-
-def _stationary(g: Graph, scheme: str) -> np.ndarray:
-    h = apply_scheme(g, scheme)
-    return h.weighted_degrees / h.volume
+    counts (the start position already counted) is updated in place;
+    remaining is the number of vertices v with counts[v] < need[v]. With
+    delta_pi the walk also needs counts[v] > delta_pi[v] * t at every v.
+    Returns the stopping step, or None once budget steps pass without it.
+    """
+    if remaining == 0:
+        return 0
+    blanket = delta_pi is not None
+    buf: list[float] = []
+    bi = 0
+    t = 0
+    while t < budget:
+        if bi == len(buf):
+            buf = rng.random(BUFFER).tolist()
+            bi = 0
+        u = buf[bi]
+        bi += 1
+        table = tables[pos]
+        if table[0] == "alias":
+            _, nbrs, prob, alias = table
+            x = u * len(nbrs)
+            k = int(x)
+            if k >= len(nbrs):  # u == 1.0 guard
+                k = len(nbrs) - 1
+            pos = nbrs[k] if (x - k) < prob[k] else nbrs[alias[k]]
+        else:
+            pos = table[1][bisect_left(table[2], u)]
+        t += 1
+        c = counts[pos] + 1
+        counts[pos] = c
+        if c == need[pos]:
+            remaining -= 1
+        if remaining == 0 and (
+            not blanket or all(m > d * t for m, d in zip(counts, delta_pi))
+        ):
+            return t
+    return None
 
 
 def blanket_cover_reference(g: Graph, scheme: str = "uniform", lazy: bool = False) -> float:
@@ -198,137 +233,52 @@ def _resolve(g: Graph, config: WalkConfig) -> WalkConfig:
     return config
 
 
-def _run_trial(tables, n: int, config: WalkConfig, pi, rng) -> tuple[float | None, bool]:
-    """One walk; returns (stopping time, censored flag)."""
-    pos = config.start
-    stop = config.stop
-    budget = config.budget
+def _plan(g: Graph, config: WalkConfig) -> tuple:
+    """What every trial of a resolved config shares, as picklable lists.
 
-    if stop == "cover" or (stop == "blanket" and config.delta == 0.0):
-        seen = bytearray(n)
-        seen[pos] = 1
-        remaining = n - 1
-        track = "cover"
-    elif stop == "hit":
-        if pos == config.target:
-            return 0.0, False
-        track = "hit"
-        target = config.target
-    elif stop == "blanket-cover":
-        counts = [0] * n
-        counts[pos] = 1
-        need = [max(0, math.ceil(config.reference * float(pi[v]) - 1e-12)) for v in range(n)]
-        remaining = sum(1 for v in range(n) if counts[v] < need[v])
-        if remaining == 0:
-            return 0.0, False
-        track = "bcover"
+    Returns (tables, start, budget, need, delta_pi): the samplers, the visit
+    quota of each vertex, and the blanket thresholds delta * pi_v (None
+    unless blanket with delta > 0).
+    """
+    tables, pi = _vertex_tables(g, config.scheme, config.lazy)
+    delta_pi = None
+    if config.stop == "hit":
+        need = [0] * g.n
+        need[config.target] = 1
+    elif config.stop == "blanket-cover":
+        need = [max(0, math.ceil(config.reference * p - 1e-12)) for p in pi]
     else:
-        counts = [0] * n
-        counts[pos] = 1
-        delta_pi = [config.delta * float(pi[v]) for v in range(n)]
-        track = "blanket"
+        # cover; blanket needs every vertex visited before its check can pass
+        need = [1] * g.n
+        if config.stop == "blanket" and config.delta > 0.0:
+            delta_pi = [config.delta * p for p in pi]
+    return tables, config.start, config.budget, need, delta_pi
 
-    buf: list[float] = []
-    bi = 0
-    t = 0
-    while t < budget:
-        if bi == len(buf):
-            buf = rng.random(BUFFER).tolist()
-            bi = 0
-        u = buf[bi]
-        bi += 1
-        table = tables[pos]
-        if table[0] == "alias":
-            _, nbrs, prob, alias = table
-            x = u * len(nbrs)
-            k = int(x)
-            if k >= len(nbrs):
-                k = len(nbrs) - 1
-            pos = nbrs[k] if (x - k) < prob[k] else nbrs[alias[k]]
-        else:
-            _, nbrs, cum = table
-            pos = nbrs[-1]
-            for j, edge in enumerate(cum):
-                if u <= edge:
-                    pos = nbrs[j]
-                    break
-        t += 1
 
-        if track == "cover":
-            if not seen[pos]:
-                seen[pos] = 1
-                remaining -= 1
-                if remaining == 0:
-                    return float(t), False
-        elif track == "hit":
-            if pos == target:
-                return float(t), False
-        elif track == "bcover":
-            counts[pos] += 1
-            if counts[pos] == need[pos]:
-                remaining -= 1
-                if remaining == 0:
-                    return float(t), False
-        else:
-            counts[pos] += 1
-            ok = True
-            for v in range(n):
-                if counts[v] <= delta_pi[v] * t:
-                    ok = False
-                    break
-            if ok:
-                return float(t), False
-    return None, True
+def _trial_values(args) -> list[int | None]:
+    """Stopping steps (None when censored) of trials lo..hi-1, in index order."""
+    (tables, start, budget, need, delta_pi), seed, lo, hi = args
+    first = [0] * len(need)
+    first[start] = 1
+    remaining = sum(c < q for c, q in zip(first, need))
+    return [
+        _walk(tables, start, substream(seed, 1 + i), budget, first.copy(), need, remaining, delta_pi)
+        for i in range(lo, hi)
+    ]
 
 
 def trial_value(g: Graph, config: WalkConfig, seed: int, trial_index: int) -> tuple[float | None, bool]:
     """Value of one specific trial; what simulate() aggregates.
 
-    Depends on (seed, trial_index) only, never on other trials.
+    Returns (stopping step, censored flag). Depends on (seed, trial_index)
+    only, never on other trials; negative indices are refused because
+    stream (seed, 0) is reserved for setup-level choices.
     """
+    if trial_index < 0:
+        raise ParameterError(f"trial index must be non-negative, got {trial_index}")
     config = _resolve(g, config)
-    tables = _vertex_tables(g, config.scheme, config.lazy)
-    pi = _stationary(g, config.scheme)
-    rng = substream(seed, 1 + trial_index)
-    return _run_trial(tables, g.n, config, pi, rng)
-
-
-def _chunk_stats(args) -> tuple[int, float, float, int]:
-    """(count, mean, M2, censored) over one chunk of trials, in index order."""
-    text, config, seed, lo, hi = args
-    g = Graph.from_text(text)
-    config = _resolve(g, config)
-    tables = _vertex_tables(g, config.scheme, config.lazy)
-    pi = _stationary(g, config.scheme)
-    count = 0
-    mean = 0.0
-    m2 = 0.0
-    censored = 0
-    for i in range(lo, hi):
-        value, was_censored = _run_trial(tables, g.n, config, pi, substream(seed, 1 + i))
-        if was_censored:
-            censored += 1
-            continue
-        count += 1
-        delta = value - mean
-        mean += delta / count
-        m2 += delta * (value - mean)
-    return count, mean, m2, censored
-
-
-def _merge(a, b):
-    """Chan's parallel moment merge; exact for the fixed fold order used."""
-    na, ma, sa = a
-    nb, mb, sb = b
-    if na == 0:
-        return b
-    if nb == 0:
-        return a
-    n = na + nb
-    delta = mb - ma
-    mean = ma + delta * nb / n
-    m2 = sa + sb + delta * delta * na * nb / n
-    return n, mean, m2
+    [value] = _trial_values((_plan(g, config), seed, trial_index, trial_index + 1))
+    return (None, True) if value is None else (float(value), False)
 
 
 def simulate(
@@ -336,41 +286,41 @@ def simulate(
 ) -> EstimateRecord:
     """Run independent trials and return the aggregated estimate.
 
-    The result is a function of (graph, config, trials, seed) alone;
-    workers only change how chunks get computed, never what they contain.
-    Censored trials are counted but excluded from the moments. Disconnected
-    graphs are refused before any walk starts; the pool never gets more
-    processes than there are chunks or CPUs.
+    Each trial yields its stopping step or, at the budget, a censored
+    mark. The uncensored steps are reduced once, in trial order, from the
+    exact integer sums S1 and S2 of k values: mean = S1 / k and sample
+    variance (k S2 - S1^2) / (k (k - 1)), each rounded once. The result is
+    therefore a function of (graph, config, trials, seed) alone; workers
+    only change which process computes which slice of trials. Censored
+    trials are counted but excluded from the moments. Disconnected graphs
+    are refused before any walk starts; the pool never gets more processes
+    than there are chunks of CHUNK trials or CPUs.
     """
     if trials < 1:
         raise ParameterError("need at least one trial")
     if not g.is_connected:
         raise DisconnectedError(f"{g.name} is disconnected")
     config = _resolve(g, config)
-    text = g.to_text()
-    chunks = [
-        (text, config, seed, lo, min(lo + CHUNK, trials))
-        for lo in range(0, trials, CHUNK)
-    ]
+    plan = _plan(g, config)
+    chunks = [(plan, seed, lo, min(lo + CHUNK, trials)) for lo in range(0, trials, CHUNK)]
     workers = min(workers, len(chunks), os.cpu_count() or 1)
     if workers > 1:
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(_chunk_stats, chunks))
+            parts = list(pool.map(_trial_values, chunks))
     else:
-        results = [_chunk_stats(c) for c in chunks]
-    moments = (0, 0.0, 0.0)
-    censored = 0
-    for count, mean, m2, chunk_censored in results:
-        moments = _merge(moments, (count, mean, m2))
-        censored += chunk_censored
-    count, mean, m2 = moments
-    if count == 0:
+        parts = [_trial_values(c) for c in chunks]
+    values = [v for part in parts for v in part if v is not None]
+    k = len(values)
+    s1 = sum(values)
+    s2 = sum(v * v for v in values)
+    if k == 0:
         mean, var, stderr = float("nan"), float("nan"), float("nan")
-    elif count == 1:
-        var, stderr = 0.0, float("nan")
+    elif k == 1:
+        mean, var, stderr = float(s1), 0.0, float("nan")
     else:
-        var = m2 / (count - 1)
-        stderr = math.sqrt(var / count)
+        mean = s1 / k
+        var = (k * s2 - s1 * s1) / (k * (k - 1))
+        stderr = math.sqrt(var / k)
     return EstimateRecord(
         quantity=config.quantity(),
         graph_id=g.name,
@@ -378,10 +328,10 @@ def simulate(
         start=config.start,
         trials=trials,
         seed=seed,
-        mean=float(mean),
-        var=float(var),
-        stderr=float(stderr),
-        censored=censored,
+        mean=mean,
+        var=var,
+        stderr=stderr,
+        censored=trials - k,
     )
 
 
@@ -399,6 +349,8 @@ def st_connectivity(g: Graph, s: int, t: int, seed: int, index: int = 0) -> dict
     """
     if not (0 <= s < g.n and 0 <= t < g.n):
         raise ParameterError("endpoints out of range")
+    if index < 0:
+        raise ParameterError(f"repetition index must be non-negative, got {index}")
     budget = 8 * g.n * g.m
     if s == t:
         return {"connected": True, "steps": 0, "budget": budget}
@@ -417,22 +369,16 @@ def empirical_visit_frequencies(
     The counts include the position at time zero, so they always sum to
     steps + 1 before normalization.
     """
-    tables = _vertex_tables(g, scheme, lazy)
-    rng = substream(seed, 1)
-    counts = np.zeros(g.n, dtype=np.int64)
-    pos = start
-    counts[pos] = 1
-    buf: list[float] = []
-    bi = 0
-    for _ in range(steps):
-        if bi == len(buf):
-            buf = rng.random(BUFFER).tolist()
-            bi = 0
-        pos = _sample(tables[pos], buf[bi])
-        bi += 1
-        counts[pos] += 1
-    assert int(counts.sum()) == steps + 1
-    return counts / float(steps + 1)
+    if steps < 0:
+        raise ParameterError(f"steps must be non-negative, got {steps}")
+    if not 0 <= start < g.n:
+        raise ParameterError(f"start {start} out of range")
+    tables, _ = _vertex_tables(g, scheme, lazy)
+    counts = [0] * g.n
+    counts[start] = 1
+    # no quota: a zero quota is never met after a visit, so all steps run
+    _walk(tables, start, substream(seed, 1), steps, counts, [0] * g.n, g.n)
+    return np.array(counts) / float(steps + 1)
 
 
 def estimates_csv(records: list[EstimateRecord]) -> str:

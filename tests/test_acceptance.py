@@ -18,14 +18,12 @@ import time
 import numpy as np
 
 from helpers import censored_kernel, random_connected_graph
-from walklab.cli import _standard_small_graphs
+from walklab.cli import _connected_simple_sample, _nice_band_sequence, _standard_small_graphs
 from walklab.conductance import conductance_exact, conductance_sweep, jerrum_sinclair_check
 from walklab.configmodel import (
-    check_nice,
     is_simple,
     predicted_cover,
     predicted_p_simple,
-    random_band_sequence,
     regular_sequence,
     sample_configuration,
     sample_simple,
@@ -267,20 +265,8 @@ def test_criterion_09_nice_expanders():
         # the claim's population is nice sequences, so draws that miss the
         # niceness screen (a band draw can top the average-degree cap) are
         # redrawn, never asserted on
-        seq = None
-        for attempt in range(64):
-            candidate = random_band_sequence(20, 3, 6, 909 + i + 33 * attempt)
-            if check_nice(candidate).nice:
-                seq = candidate
-                break
-        assert seq is not None, f"no nice band sequence for slot {i}"
-        graph = None
-        for attempt in range(64):
-            sam = sample_simple(seq, 909 + i + 7919 * attempt)
-            if sam.graph.is_connected:
-                graph = sam.graph
-                break
-        assert graph is not None, f"no connected simple sample for sequence {i}"
+        seq = _nice_band_sequence(20, 3, 6, 909 + i)
+        graph, _ = _connected_simple_sample(seq, 909 + i)
         min_phi = min(min_phi, conductance_exact(build_kernel(graph)).phi)
     # larger size: the sweep value is surveyed, never asserted
     big = sample_simple(regular_sequence(100, 3), 910)
@@ -297,13 +283,7 @@ def test_criterion_10_degseq_cover_ladder():
     ratios = []
     for j, n in enumerate((500, 1000, 2000)):
         seq = regular_sequence(n, 3)
-        graph = None
-        for attempt in range(64):
-            sam = sample_simple(seq, 1 + 101 * j + 7919 * attempt)
-            if sam.graph.is_connected:
-                graph = sam.graph
-                break
-        assert graph is not None
+        graph, _ = _connected_simple_sample(seq, 1 + 101 * j)
         est = simulate(graph, WalkConfig(stop="cover"), 200, 1 + 101 * j)
         assert est.censored == 0
         ratios.append(est.mean / predicted_cover(seq))

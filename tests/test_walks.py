@@ -1,4 +1,5 @@
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -243,6 +244,53 @@ def test_visit_counts_keep_their_recorded_walk(spec, counts):
     steps = 1000
     freq = empirical_visit_frequencies(family(spec), steps=steps, seed=0, lazy=True)
     assert (freq * (steps + 1)).tolist() == [float(c) for c in counts]
+
+
+@pytest.mark.parametrize(
+    "spec, config, trials, seed",
+    [
+        # Welford moments merged per chunk gave mean 9.396999999999998 here
+        ("complete:10", WalkConfig(stop="hit", target=9), 1000, 3),
+        ("path:6", WalkConfig(stop="cover", budget=40), 300, 13),  # partly censored
+        ("star:12", WalkConfig(stop="cover", lazy=True), 2 * walks.CHUNK + 7, 1),
+    ],
+)
+def test_simulate_moments_are_exact_once_rounded(spec, config, trials, seed):
+    g = family(spec)
+    runs = [trial_value(g, config, seed, i) for i in range(trials)]
+    values = [Fraction(int(v)) for v, censored in runs if not censored]
+    k = len(values)
+    mean = sum(values) / k
+    var = sum((v - mean) ** 2 for v in values) / (k - 1)
+    rec = simulate(g, config, trials=trials, seed=seed)
+    assert rec.censored == trials - k
+    assert rec.mean == float(mean)
+    assert rec.var == float(var)
+    assert rec.stderr == math.sqrt(float(var) / k)
+
+
+def test_negative_trial_index_is_refused():
+    # index -1 would draw from stream (seed, 0), which is reserved for
+    # setup-level choices
+    g = path(6)
+    with pytest.raises(ParameterError):
+        trial_value(g, WalkConfig(stop="hit", target=5), seed=7, trial_index=-1)
+    with pytest.raises(ParameterError):
+        st_connectivity(g, 0, 5, seed=7, index=-1)
+    with pytest.raises(ParameterError):
+        st_connectivity(g, 2, 2, seed=7, index=-1)
+
+
+@pytest.mark.parametrize("kwargs", [{"steps": -1}, {"steps": 10, "start": 9}, {"steps": 10, "start": -1}])
+def test_visit_frequencies_refuse_bad_walk_inputs(kwargs):
+    with pytest.raises(ParameterError):
+        empirical_visit_frequencies(path(6), seed=0, **kwargs)
+
+
+def test_visit_frequencies_with_no_steps_sit_at_the_start():
+    assert empirical_visit_frequencies(path(6), steps=0, seed=0, start=2).tolist() == [
+        0.0, 0.0, 1.0, 0.0, 0.0, 0.0
+    ]
 
 
 def test_simulate_refuses_disconnected_graph_before_walking():
