@@ -41,7 +41,7 @@ from .electrical import (
     merst_bound,
     spanning_tree_bound,
 )
-from .errors import InputError, NumericError, ParameterError, RejectionFailure
+from .errors import InputError, NumericError, ParameterError, RejectionFailure, SizeCapError
 from .graph import (
     Graph,
     binary_tree,
@@ -184,6 +184,9 @@ def _run_closed_forms(spec: dict):
     for n in ns:
         if n < 2:
             raise ParameterError(f"--n: closed forms need sizes >= 2, got {n}")
+        if n > COVER_CAP:
+            raise SizeCapError(f"--n: exact cover time capped at n={COVER_CAP}, got {n}")
+    for n in ns:
         kern = build_kernel(complete(n))
         add("complete", n, "hit:0->1", float(exact_hitting(kern)[0, 1]), float(n - 1))
         add(

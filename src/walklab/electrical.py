@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import io
 from dataclasses import dataclass
+from itertools import combinations
 
 import numpy as np
 import scipy.linalg
@@ -299,6 +300,16 @@ def matthews_subset_upper(
     return float(h[np.ix_(sub, sub)].max()) * harmonic_number(len(sub))
 
 
+def _lower_value(h: np.ndarray, subsets: np.ndarray) -> float:
+    """Largest min-pair-hitting over the rows of a (count, k) subset array,
+    times h(k - 1). h(k - 1) > 0 and rounding is monotone, so taking the
+    maximum before the product gives the maximum of the products."""
+    k = subsets.shape[1]
+    blocks = h[subsets[:, :, None], subsets[:, None, :]]
+    off = blocks[:, ~np.eye(k, dtype=bool)]
+    return float(off.min(axis=1).max()) * harmonic_number(k - 1)
+
+
 def matthews_lower(
     g: Graph,
     subset: list[int] | None = None,
@@ -308,24 +319,16 @@ def matthews_lower(
     """Lower cover bound min-pair-hitting(A) * h(|A| - 1).
 
     With an explicit subset the bound is evaluated directly. Without one,
-    every subset of size 2..max_size is tried, which is only feasible on
+    every subset of size 2..max_size is tried, all subsets of one size as
+    one (C(n, k), k, k) gather of hitting blocks; that is only feasible on
     small graphs (capped at SUBSET_SEARCH_CAP vertices).
     """
-    from itertools import combinations
-
     h = _hitting_matrix(g) if hitting is None else hitting
-
-    def value(members: tuple[int, ...]) -> float:
-        sub = np.array(members)
-        block = h[np.ix_(sub, sub)]
-        off = block[~np.eye(len(sub), dtype=bool)]
-        return float(off.min()) * harmonic_number(len(sub) - 1)
-
     if subset is not None:
-        members = tuple(sorted(set(subset)))
+        members = sorted(set(subset))
         if len(members) < 2:
             raise ParameterError("lower bound needs at least two vertices")
-        return value(members)
+        return _lower_value(h, np.array([members]))
     if g.n > SUBSET_SEARCH_CAP:
         raise SizeCapError(
             f"exhaustive subset search capped at n={SUBSET_SEARCH_CAP}, got {g.n}; "
@@ -333,8 +336,8 @@ def matthews_lower(
         )
     best = 0.0
     for size in range(2, min(max_size, g.n) + 1):
-        for members in combinations(range(g.n), size):
-            best = max(best, value(members))
+        subsets = np.array(list(combinations(range(g.n), size)))
+        best = max(best, _lower_value(h, subsets))
     return best
 
 

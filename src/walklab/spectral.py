@@ -4,7 +4,9 @@ Everything in this module is deterministic dense linear algebra. The size
 caps are honest statements about what dense methods can do, not tuning
 knobs: exact hitting stops at n = 5000 (one factorization of an n x n
 matrix; about 9 s and 1 GB at the cap with one BLAS thread) and the exact
-cover-time recursion at COVER_CAP vertices (it enumerates visited sets).
+cover-time recursion at COVER_CAP vertices (it enumerates visited sets,
+with one stacked solve per set size into a (2^n, n) table of about 0.85 MB
+at the cap).
 """
 
 from __future__ import annotations
@@ -279,43 +281,36 @@ def return_count(kernel: TransitionKernel, v: int, horizon: int) -> float:
 # --- exact cover time ---
 
 
-def _cover_remaining(kernel: TransitionKernel, filter_bit: int | None) -> dict[int, np.ndarray]:
-    """Backward recursion over visited sets.
+def _cover_remaining(kernel: TransitionKernel, filter_bit: int | None) -> np.ndarray:
+    """Backward recursion over visited sets, one stacked solve per set size.
 
-    remaining[S][v] is the expected number of further steps to finish
-    covering, given the walk sits at v and has visited exactly S. For a
-    fixed S these values solve a |S| x |S| linear system whose right side
-    pulls in the already-known supersets, so sets are processed by
-    decreasing size. With filter_bit set, only sets containing that vertex
-    are solved (enough when a single start is wanted).
+    remaining[S, v] is the expected number of further steps to finish
+    covering from v, having visited exactly the set S (a bitmask). For fixed
+    S these values solve (I - P[S, S]) x = 1 + sum_{w not in S} P[S, w]
+    remaining[S | w, w], so sets go by decreasing size, all sets of one size
+    in one stacked np.linalg.solve. The right side is summed over ascending
+    w, as a per-set loop would, so every value is the same to the bit. The
+    dense (2^n, n) table is about 0.85 MB at n = COVER_CAP. With filter_bit
+    set, only sets containing that vertex are solved (enough for one start).
     """
     n = kernel.n
     p = kernel.matrix
-    full = (1 << n) - 1
-    remaining: dict[int, np.ndarray] = {full: np.zeros(n)}
-    sets_by_size: list[list[int]] = [[] for _ in range(n + 1)]
-    for s in range(1, full):
-        if filter_bit is None or (s & filter_bit):
-            sets_by_size[bin(s).count("1")].append(s)
-    for size in range(n - 1, 0, -1):
-        for s in sets_by_size[size]:
-            members = [v for v in range(n) if s & (1 << v)]
-            idx = {v: i for i, v in enumerate(members)}
-            a = np.eye(size)
-            b = np.ones(size)
-            for v in members:
-                row = p[v]
-                for w in np.nonzero(row)[0]:
-                    w = int(w)
-                    if s & (1 << w):
-                        a[idx[v], idx[w]] -= row[w]
-                    else:
-                        b[idx[v]] += row[w] * remaining[s | (1 << w)][w]
-            x = np.linalg.solve(a, b)
-            vec = np.zeros(n)
-            for v in members:
-                vec[v] = x[idx[v]]
-            remaining[s] = vec
+    sets = np.arange(1 << n)
+    member = ((sets[:, None] >> np.arange(n)) & 1).astype(bool)
+    size = member.sum(axis=1)
+    remaining = np.zeros((1 << n, n))
+    for k in range(n - 1, 0, -1):
+        s = sets[size == k]
+        if filter_bit is not None:
+            s = s[(s & filter_bit) != 0]
+        idx = np.nonzero(member[s])[1].reshape(len(s), k)
+        a = np.eye(k) - p[idx[:, :, None], idx[:, None, :]]
+        b = np.ones((len(s), k))
+        for w in range(n):
+            # for w in S the row S | w is S itself, still all zero, so the
+            # term adds an exact 0.0 and needs no mask
+            b += p[idx, w] * remaining[s | (1 << w), w][:, None]
+        remaining[s[:, None], idx] = np.linalg.solve(a, b[:, :, None])[:, :, 0]
     return remaining
 
 
@@ -328,8 +323,7 @@ def exact_cover_time(kernel: TransitionKernel, start: int = 0) -> float:
         raise ParameterError(f"start {start} out of range")
     if n == 1:
         return 0.0
-    remaining = _cover_remaining(kernel, 1 << start)
-    return float(remaining[1 << start][start])
+    return float(_cover_remaining(kernel, 1 << start)[1 << start, start])
 
 
 def exact_cover_times(kernel: TransitionKernel) -> np.ndarray:
@@ -339,8 +333,8 @@ def exact_cover_times(kernel: TransitionKernel) -> np.ndarray:
         raise SizeCapError(f"exact cover time capped at n={COVER_CAP}, got {n}")
     if n == 1:
         return np.zeros(1)
-    remaining = _cover_remaining(kernel, None)
-    return np.array([float(remaining[1 << v][v]) for v in range(n)])
+    starts = np.arange(n)
+    return _cover_remaining(kernel, None)[1 << starts, starts]
 
 
 # --- reversibility and round trips ---

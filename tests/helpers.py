@@ -106,6 +106,51 @@ def pinned_solve_hitting(g: Graph) -> np.ndarray:
     return h
 
 
+def per_set_cover_times(g: Graph, lazy: bool = False) -> np.ndarray:
+    """Exact cover time from every start, one small solve per visited set.
+
+    remaining[S][v] is the expected time left to cover from v having
+    visited exactly S; each S solves an |S| x |S| system whose right side
+    reads the already-solved supersets, so sets go by decreasing size.
+    """
+    p = transition_matrix(g, lazy=lazy)
+    n = g.n
+    full = (1 << n) - 1
+    remaining = {full: np.zeros(n)}
+    for s in sorted(range(1, full), key=lambda s: -bin(s).count("1")):
+        members = [v for v in range(n) if s & (1 << v)]
+        idx = {v: i for i, v in enumerate(members)}
+        a = np.eye(len(members))
+        b = np.ones(len(members))
+        for v in members:
+            for w in np.nonzero(p[v])[0]:
+                w = int(w)
+                if s & (1 << w):
+                    a[idx[v], idx[w]] -= p[v, w]
+                else:
+                    b[idx[v]] += p[v, w] * remaining[s | (1 << w)][w]
+        vec = np.zeros(n)
+        vec[members] = np.linalg.solve(a, b)
+        remaining[s] = vec
+    return np.array([remaining[1 << v][v] for v in range(n)]) if n > 1 else np.zeros(1)
+
+
+def per_subset_matthews_lower(hitting: np.ndarray, max_size: int = 12) -> float:
+    """Matthews lower bound by trying every vertex subset one at a time:
+    max over |A| in 2..max_size of min off-diagonal hitting(A) * h(|A| - 1)."""
+    from itertools import combinations
+
+    n = hitting.shape[0]
+    best = 0.0
+    for size in range(2, min(max_size, n) + 1):
+        scale = sum(1.0 / i for i in range(1, size))
+        for members in combinations(range(n), size):
+            block = hitting[np.ix_(members, members)]
+            off = block[~np.eye(size, dtype=bool)]
+            best = max(best, float(off.min()) * scale)
+    return best
+
+
 def ikeda_kernel_formula(g: Graph) -> np.ndarray:
     """The ikeda walk matrix written directly from its row definition.
 

@@ -101,6 +101,20 @@ def test_size_cap_exits_2(runner, tmp_path):
     assert "capped" in result.output
 
 
+@pytest.mark.parametrize("sizes, message", [("2..14", "capped at n=13"), ("5,1", ">= 2")])
+def test_closed_forms_rejects_sizes_before_any_work(runner, tmp_path, monkeypatch, sizes, message):
+    def no_work(*args, **kwargs):
+        raise AssertionError("a kernel was built before the sizes were checked")
+
+    monkeypatch.setattr("walklab.cli.build_kernel", no_work)
+    result = _run(
+        runner,
+        ["run", "closed-forms", "--n", sizes, "--seed", "1", "--out", str(tmp_path / "c")],
+    )
+    assert result.exit_code == 2
+    assert message in result.output
+
+
 def test_degree_pole_exits_2(runner, tmp_path):
     result = _run(
         runner,

@@ -30,7 +30,7 @@ from walklab.electrical import (
 from walklab.graph import Graph, binary_tree, complete, cycle, lollipop, path, star
 from walklab.spectral import build_kernel, exact_cover_times, exact_hitting
 
-from helpers import random_connected_graph
+from helpers import per_subset_matthews_lower, random_connected_graph
 
 
 # --- effective resistance ---
@@ -321,3 +321,14 @@ def test_property_commute_identity(seed):
     np.testing.assert_allclose(
         commute_matrix(g), h + h.T, rtol=1e-6, atol=1e-8
     )
+
+
+@given(st.integers(min_value=0, max_value=10**6), st.booleans())
+@settings(max_examples=25, deadline=None)
+def test_property_matthews_lower_matches_per_subset_oracle(seed, lazy):
+    rng = np.random.default_rng(seed)
+    g = random_connected_graph(rng, int(rng.integers(2, 10)), extra=int(rng.integers(0, 8)), weighted=True, loops=True, parallel=True)
+    h = exact_hitting(build_kernel(g, lazy=lazy))
+    max_size = int(rng.integers(2, g.n + 1))
+    got = matthews_lower(g, max_size=max_size, hitting=h)
+    assert got == pytest.approx(per_subset_matthews_lower(h, max_size), rel=1e-12, abs=0)

@@ -9,7 +9,7 @@ from walklab.errors import (
     SizeCapError,
     UnsupportedInputError,
 )
-from walklab.graph import Graph, complete, cycle, lollipop, path, star
+from walklab.graph import Graph, complete, cycle, family, lollipop, path, star
 from walklab.spectral import (
     TransitionKernel,
     build_kernel,
@@ -17,6 +17,7 @@ from walklab.spectral import (
     detailed_balance_check,
     dump_kernel,
     exact_cover_time,
+    exact_cover_times,
     exact_hitting,
     first_return,
     harmonic_extension,
@@ -30,6 +31,7 @@ from walklab.spectral import (
 
 from helpers import (
     forward_dp_hitting,
+    per_set_cover_times,
     pinned_solve_hitting,
     random_connected_graph,
     transition_matrix,
@@ -312,29 +314,35 @@ def test_return_count_at_least_one():
 
 
 def test_cover_time_complete_graph_coupon_collector():
-    for n in range(2, 8):
-        cov = exact_cover_time(build_kernel(complete(n)), start=0)
-        assert cov == pytest.approx((n - 1) * harmonic_number(n - 1), rel=1e-10)
+    for n in (2, 3, 4, 5, 6, 7, 11, 12, 13):
+        covers = exact_cover_times(build_kernel(complete(n)))
+        np.testing.assert_allclose(covers, (n - 1) * harmonic_number(n - 1), rtol=1e-10, atol=0)
 
 
 def test_cover_time_cycle_quadratic():
-    for n in (3, 5, 8):
-        cov = exact_cover_time(build_kernel(cycle(n)), start=0)
-        assert cov == pytest.approx(n * (n - 1) / 2.0, rel=1e-10)
+    for n in (3, 5, 8, 11, 12, 13):
+        covers = exact_cover_times(build_kernel(cycle(n)))
+        np.testing.assert_allclose(covers, n * (n - 1) / 2.0, rtol=1e-10, atol=0)
 
 
 def test_cover_time_path_endpoint_and_middle():
-    # from an endpoint: L^2; from position k: k(L-k) + L^2
-    for n in (4, 7):
-        k = build_kernel(path(n))
+    # from position k: k(L-k) + L^2, checked from every start; the worst
+    # start sits in the middle
+    for n in (4, 7, 11, 12, 13):
+        covers = exact_cover_times(build_kernel(path(n)))
         length = n - 1
-        assert exact_cover_time(k, 0) == pytest.approx(length**2, rel=1e-10)
-        mid = length // 2
-        expect = mid * (length - mid) + length**2
-        assert exact_cover_time(k, mid) == pytest.approx(expect, rel=1e-10)
-        worst = max(exact_cover_time(k, s) for s in range(n))
+        expect = [k * (length - k) + length**2 for k in range(n)]
+        np.testing.assert_allclose(covers, expect, rtol=1e-10, atol=0)
         band = (5 * length**2) / 4 if length % 2 == 0 else (5 * length**2 - 1) / 4
-        assert worst == pytest.approx(band, rel=1e-10)
+        assert covers.max() == pytest.approx(band, rel=1e-10)
+
+
+@pytest.mark.parametrize("spec", ["lollipop:13", "star:13", "complete:12", "cycle:13", "grid2d:3,4", "path:11"])
+@pytest.mark.parametrize("lazy", [False, True])
+def test_single_start_cover_time_equals_the_all_starts_route(spec, lazy):
+    k = build_kernel(family(spec), lazy=lazy)
+    covers = exact_cover_times(k)
+    assert [exact_cover_time(k, s) for s in range(k.n)] == covers.tolist()
 
 
 def test_cover_time_single_vertex_is_zero():
@@ -423,3 +431,15 @@ def test_property_kernel_matches_direct_normalization(seed):
     lazy = bool(rng.integers(0, 2))
     k = build_kernel(g, lazy=lazy)
     np.testing.assert_allclose(k.matrix, transition_matrix(g, lazy=lazy), atol=1e-14)
+
+
+@given(st.integers(min_value=0, max_value=10**6), st.booleans())
+@settings(max_examples=25, deadline=None)
+def test_property_cover_times_match_per_set_oracle(seed, lazy):
+    rng = np.random.default_rng(seed)
+    g = random_connected_graph(rng, int(rng.integers(2, 10)), extra=int(rng.integers(0, 8)), weighted=True, loops=True, parallel=True)
+    k = build_kernel(g, lazy=lazy)
+    expect = per_set_cover_times(g, lazy=lazy)
+    np.testing.assert_allclose(exact_cover_times(k), expect, rtol=1e-12, atol=0)
+    start = int(rng.integers(0, g.n))
+    assert exact_cover_time(k, start) == pytest.approx(expect[start], rel=1e-12, abs=0)
