@@ -678,7 +678,7 @@ EXPERIMENTS: dict[str, dict] = {
         "(n-1)h(n-1) on the complete graph, hitting j^2-i^2 and cover "
         "k(L-k)+L^2 from vertex k on the path, hitting r(n-r) and cover "
         "n(n-1)/2 on the cycle.",
-        "inputs": "--n size ladder (default 2..10); --seed for bookkeeping only.",
+        "inputs": f"--n size ladder within 2..{COVER_CAP} (default 2..10); --seed for bookkeeping only.",
         "rule": "every value matches its formula to 1e-9 relative error.",
     },
     "bounds-sandwich": {

@@ -321,8 +321,6 @@ def exact_cover_time(kernel: TransitionKernel, start: int = 0) -> float:
         raise SizeCapError(f"exact cover time capped at n={COVER_CAP}, got {n}")
     if not 0 <= start < n:
         raise ParameterError(f"start {start} out of range")
-    if n == 1:
-        return 0.0
     return float(_cover_remaining(kernel, 1 << start)[1 << start, start])
 
 
@@ -331,8 +329,6 @@ def exact_cover_times(kernel: TransitionKernel) -> np.ndarray:
     n = kernel.n
     if n > COVER_CAP:
         raise SizeCapError(f"exact cover time capped at n={COVER_CAP}, got {n}")
-    if n == 1:
-        return np.zeros(1)
     starts = np.arange(n)
     return _cover_remaining(kernel, None)[1 << starts, starts]
 

@@ -8,6 +8,8 @@ library implementations they check.
 
 from __future__ import annotations
 
+from itertools import combinations
+
 import numpy as np
 
 from walklab.graph import Graph
@@ -132,14 +134,12 @@ def per_set_cover_times(g: Graph, lazy: bool = False) -> np.ndarray:
         vec = np.zeros(n)
         vec[members] = np.linalg.solve(a, b)
         remaining[s] = vec
-    return np.array([remaining[1 << v][v] for v in range(n)]) if n > 1 else np.zeros(1)
+    return np.array([remaining[1 << v][v] for v in range(n)])
 
 
 def per_subset_matthews_lower(hitting: np.ndarray, max_size: int = 12) -> float:
     """Matthews lower bound by trying every vertex subset one at a time:
     max over |A| in 2..max_size of min off-diagonal hitting(A) * h(|A| - 1)."""
-    from itertools import combinations
-
     n = hitting.shape[0]
     best = 0.0
     for size in range(2, min(max_size, n) + 1):

@@ -346,8 +346,9 @@ def test_single_start_cover_time_equals_the_all_starts_route(spec, lazy):
 
 
 def test_cover_time_single_vertex_is_zero():
-    g = Graph(1, [(0, 0, 1.0)])
-    assert exact_cover_time(build_kernel(g), 0) == 0.0
+    k = build_kernel(Graph(1, [(0, 0, 1.0)]))
+    assert exact_cover_time(k, 0) == 0.0
+    assert exact_cover_times(k).tolist() == [0.0]
 
 
 def test_cover_time_cap():
