@@ -144,10 +144,7 @@ def sample_configuration(seq: DegreeSequence, seed: int, index: int = 0) -> Grap
     rng = substream(seed, 1 + index)
     stubs = np.repeat(np.arange(seq.n), seq.degrees)
     rng.shuffle(stubs)
-    edges = [
-        (int(stubs[2 * k]), int(stubs[2 * k + 1]), 1.0) for k in range(seq.m)
-    ]
-    return Graph(seq.n, edges, name=f"cm-{seq.n}v-s{seed}i{index}")
+    return Graph(seq.n, stubs.reshape(-1, 2).tolist(), name=f"cm-{seq.n}v-s{seed}i{index}")
 
 
 def is_simple(g: Graph) -> bool:

@@ -14,6 +14,7 @@ Graphs are immutable. Anything that "modifies" a graph builds a new one.
 
 from __future__ import annotations
 
+import math
 from functools import cached_property
 from typing import Iterable, Sequence
 
@@ -69,8 +70,8 @@ class Graph:
             w = float(w)
             if not (0 <= u < n and 0 <= v < n):
                 raise ParameterError(f"edge ({u}, {v}) out of range for n={n}")
-            if not (w > 0.0) or not np.isfinite(w):
-                raise ParameterError(f"edge ({u}, {v}) has non-positive weight {w}")
+            if not 0.0 < w < math.inf:
+                raise ParameterError(f"edge ({u}, {v}) weight {w} is not positive and finite")
             if u > v:
                 u, v = v, u
             normalized.append((u, v, w))

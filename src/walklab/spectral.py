@@ -281,7 +281,7 @@ def return_count(kernel: TransitionKernel, v: int, horizon: int) -> float:
 # --- exact cover time ---
 
 
-def _cover_remaining(kernel: TransitionKernel, filter_bit: int | None) -> np.ndarray:
+def _cover_remaining(kernel: TransitionKernel) -> np.ndarray:
     """Backward recursion over visited sets, one stacked solve per set size.
 
     remaining[S, v] is the expected number of further steps to finish
@@ -290,8 +290,8 @@ def _cover_remaining(kernel: TransitionKernel, filter_bit: int | None) -> np.nda
     remaining[S | w, w], so sets go by decreasing size, all sets of one size
     in one stacked np.linalg.solve. The right side is summed over ascending
     w, as a per-set loop would, so every value is the same to the bit. The
-    dense (2^n, n) table is about 0.85 MB at n = COVER_CAP. With filter_bit
-    set, only sets containing that vertex are solved (enough for one start).
+    dense (2^n, n) table is about 0.85 MB at n = COVER_CAP. It is the one
+    route to exact cover times, from one start or from all.
     """
     n = kernel.n
     p = kernel.matrix
@@ -301,8 +301,6 @@ def _cover_remaining(kernel: TransitionKernel, filter_bit: int | None) -> np.nda
     remaining = np.zeros((1 << n, n))
     for k in range(n - 1, 0, -1):
         s = sets[size == k]
-        if filter_bit is not None:
-            s = s[(s & filter_bit) != 0]
         idx = np.nonzero(member[s])[1].reshape(len(s), k)
         a = np.eye(k) - p[idx[:, :, None], idx[:, None, :]]
         b = np.ones((len(s), k))
@@ -315,22 +313,19 @@ def _cover_remaining(kernel: TransitionKernel, filter_bit: int | None) -> np.nda
 
 
 def exact_cover_time(kernel: TransitionKernel, start: int = 0) -> float:
-    """Expected cover time from `start`. Exponential in n; capped at COVER_CAP."""
-    n = kernel.n
-    if n > COVER_CAP:
-        raise SizeCapError(f"exact cover time capped at n={COVER_CAP}, got {n}")
-    if not 0 <= start < n:
+    """Expected cover time from `start`: its entry of exact_cover_times."""
+    if not 0 <= start < kernel.n:
         raise ParameterError(f"start {start} out of range")
-    return float(_cover_remaining(kernel, 1 << start)[1 << start, start])
+    return float(exact_cover_times(kernel)[start])
 
 
 def exact_cover_times(kernel: TransitionKernel) -> np.ndarray:
-    """Expected cover time from every start vertex at once."""
+    """Expected cover time from every start vertex. Exponential in n; capped at COVER_CAP."""
     n = kernel.n
     if n > COVER_CAP:
         raise SizeCapError(f"exact cover time capped at n={COVER_CAP}, got {n}")
     starts = np.arange(n)
-    return _cover_remaining(kernel, None)[1 << starts, starts]
+    return _cover_remaining(kernel)[1 << starts, starts]
 
 
 # --- reversibility and round trips ---

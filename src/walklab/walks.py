@@ -12,7 +12,9 @@ its quota asks (1 everywhere for cover, 1 at the target for hit,
 ceil(reference * pi_v) for blanket-cover), or is censored at its step
 budget. Blanket with delta > 0 adds the check counts[v] > delta * pi_v * t
 on top of the cover quota. Visit frequencies are the same loop with no
-quota, run for a fixed number of steps.
+quota, run for a fixed number of steps. `_plan` alone decides which
+graphs a run takes: any graph in hit mode, a connected one in the modes
+that put a quota on every vertex, and never an isolated start.
 
 Next-step sampling uses an alias table at vertices of degree above 8 and
 a cumulative-table bisection below that; one uniform drives either method.
@@ -24,7 +26,7 @@ import math
 import os
 from bisect import bisect_left
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -106,7 +108,8 @@ def _vertex_tables(g: Graph, scheme: str, lazy: bool):
     """Per-vertex samplers and the stationary distribution of the weighted walk.
 
     A sampler is ("scan", nbrs, cumulative) or ("alias", nbrs, prob, alias);
-    pi is a list, and laziness does not change it.
+    an isolated vertex has None, since no edge leads to it. pi is a list,
+    and laziness does not change it; it needs g to have an edge.
     """
     h = apply_scheme(g, scheme)
     tables = []
@@ -115,7 +118,8 @@ def _vertex_tables(g: Graph, scheme: str, lazy: bool):
         for other, w in h.incidence[v]:
             pairs[other] = pairs.get(other, 0.0) + w
         if not pairs:
-            raise UnsupportedInputError(f"vertex {v} of {g.name} is isolated")
+            tables.append(None)
+            continue
         nbrs = sorted(pairs)
         weights = [pairs[x] for x in nbrs]
         total = sum(weights)
@@ -213,56 +217,55 @@ def blanket_cover_reference(g: Graph, scheme: str = "uniform", lazy: bool = Fals
     return matthews_upper(g, hitting=exact_hitting(kernel))
 
 
-def _resolve(g: Graph, config: WalkConfig) -> WalkConfig:
+def _plan(g: Graph, config: WalkConfig) -> tuple:
+    """Check config against g; build what every trial of the run shares.
+
+    Outside hit mode a disconnected graph raises DisconnectedError; an
+    isolated start raises UnsupportedInputError before pi divides by the
+    volume. Returns picklable (tables, start, budget, counts, need,
+    remaining, delta_pi): samplers, visit counts at time zero, quotas, how
+    many are unmet at time zero, and the blanket thresholds delta * pi_v.
+    """
     if config.stop not in STOP_MODES:
         raise ParameterError(f"unknown stop mode {config.stop!r}")
     if not 0 <= config.start < g.n:
         raise ParameterError(f"start {config.start} out of range")
-    if config.stop == "hit":
-        if config.target is None or not 0 <= config.target < g.n:
-            raise ParameterError("hit mode needs a target vertex in range")
+    if config.stop == "hit" and (config.target is None or not 0 <= config.target < g.n):
+        raise ParameterError("hit mode needs a target vertex in range")
     if config.stop == "blanket" and not 0.0 <= config.delta < 1.0:
         raise ParameterError("blanket delta must lie in [0, 1)")
     if config.budget < 1:
         raise ParameterError("budget must be positive")
-    if config.stop == "blanket-cover" and config.reference is None:
-        config = replace(
-            config,
-            reference=blanket_cover_reference(g, config.scheme, config.lazy),
-        )
-    return config
-
-
-def _plan(g: Graph, config: WalkConfig) -> tuple:
-    """What every trial of a resolved config shares, as picklable lists.
-
-    Returns (tables, start, budget, need, delta_pi): the samplers, the visit
-    quota of each vertex, and the blanket thresholds delta * pi_v (None
-    unless blanket with delta > 0).
-    """
+    if config.stop != "hit" and not g.is_connected:
+        raise DisconnectedError(f"{g.name} is disconnected; {config.stop} visits every vertex")
+    if not g.incidence[config.start]:
+        raise UnsupportedInputError(f"start {config.start} of {g.name} is isolated")
     tables, pi = _vertex_tables(g, config.scheme, config.lazy)
     delta_pi = None
     if config.stop == "hit":
         need = [0] * g.n
         need[config.target] = 1
     elif config.stop == "blanket-cover":
-        need = [max(0, math.ceil(config.reference * p - 1e-12)) for p in pi]
+        reference = config.reference
+        if reference is None:
+            reference = blanket_cover_reference(g, config.scheme, config.lazy)
+        need = [max(0, math.ceil(reference * p - 1e-12)) for p in pi]
     else:
         # cover; blanket needs every vertex visited before its check can pass
         need = [1] * g.n
         if config.stop == "blanket" and config.delta > 0.0:
             delta_pi = [config.delta * p for p in pi]
-    return tables, config.start, config.budget, need, delta_pi
+    counts = [0] * g.n
+    counts[config.start] = 1
+    remaining = sum(c < q for c, q in zip(counts, need))
+    return tables, config.start, config.budget, counts, need, remaining, delta_pi
 
 
 def _trial_values(args) -> list[int | None]:
     """Stopping steps (None when censored) of trials lo..hi-1, in index order."""
-    (tables, start, budget, need, delta_pi), seed, lo, hi = args
-    first = [0] * len(need)
-    first[start] = 1
-    remaining = sum(c < q for c, q in zip(first, need))
+    (tables, start, budget, counts, need, remaining, delta_pi), seed, lo, hi = args
     return [
-        _walk(tables, start, substream(seed, 1 + i), budget, first.copy(), need, remaining, delta_pi)
+        _walk(tables, start, substream(seed, 1 + i), budget, counts.copy(), need, remaining, delta_pi)
         for i in range(lo, hi)
     ]
 
@@ -272,11 +275,11 @@ def trial_value(g: Graph, config: WalkConfig, seed: int, trial_index: int) -> tu
 
     Returns (stopping step, censored flag). Depends on (seed, trial_index)
     only, never on other trials; negative indices are refused because
-    stream (seed, 0) is reserved for setup-level choices.
+    stream (seed, 0) is reserved for setup-level choices. Graphs and starts
+    are accepted as in `_plan`.
     """
     if trial_index < 0:
         raise ParameterError(f"trial index must be non-negative, got {trial_index}")
-    config = _resolve(g, config)
     [value] = _trial_values((_plan(g, config), seed, trial_index, trial_index + 1))
     return (None, True) if value is None else (float(value), False)
 
@@ -293,14 +296,14 @@ def simulate(
     therefore a function of (graph, config, trials, seed) alone; workers
     only change which process computes which slice of trials. Censored
     trials are counted but excluded from the moments. Disconnected graphs
-    are refused before any walk starts; the pool never gets more processes
-    than there are chunks of CHUNK trials or CPUs.
+    are refused before any walk starts, in hit mode too, and so is an
+    isolated start; the pool never gets more processes than there are
+    chunks of CHUNK trials or CPUs.
     """
     if trials < 1:
         raise ParameterError("need at least one trial")
     if not g.is_connected:
         raise DisconnectedError(f"{g.name} is disconnected")
-    config = _resolve(g, config)
     plan = _plan(g, config)
     chunks = [(plan, seed, lo, min(lo + CHUNK, trials)) for lo in range(0, trials, CHUNK)]
     workers = min(workers, len(chunks), os.cpu_count() or 1)
@@ -345,20 +348,20 @@ def st_connectivity(g: Graph, s: int, t: int, seed: int, index: int = 0) -> dict
     A "yes" is always correct; on a connected pair the "no" probability is
     at most 1/2 because the budget is twice the 4 n m cover bound. `index`
     selects an independent repetition under the same seed: it is hit-mode
-    trial `index` of `trial_value`. Disconnected graphs are accepted.
+    trial `index` of `trial_value`. Any graph is accepted; an isolated s is
+    answered like s == t, without walking: connected only if s == t.
     """
     if not (0 <= s < g.n and 0 <= t < g.n):
         raise ParameterError("endpoints out of range")
     if index < 0:
         raise ParameterError(f"repetition index must be non-negative, got {index}")
     budget = 8 * g.n * g.m
-    if s == t:
-        return {"connected": True, "steps": 0, "budget": budget}
-    config = WalkConfig(stop="hit", start=s, target=t, budget=budget)
-    steps, censored = trial_value(g, config, seed, index)
-    if censored:
-        return {"connected": False, "steps": None, "budget": budget}
-    return {"connected": True, "steps": int(steps), "budget": budget}
+    steps = 0 if s == t else None
+    if s != t and g.incidence[s]:
+        config = WalkConfig(stop="hit", start=s, target=t, budget=budget)
+        steps = trial_value(g, config, seed, index)[0]  # None when censored
+    connected = steps is not None
+    return {"connected": connected, "steps": int(steps) if connected else None, "budget": budget}
 
 
 def empirical_visit_frequencies(
@@ -367,12 +370,14 @@ def empirical_visit_frequencies(
     """Visit frequencies N_v(T) / (T + 1) of one long walk.
 
     The counts include the position at time zero, so they always sum to
-    steps + 1 before normalization.
+    steps + 1 before normalization. Any graph but no isolated start.
     """
     if steps < 0:
         raise ParameterError(f"steps must be non-negative, got {steps}")
     if not 0 <= start < g.n:
         raise ParameterError(f"start {start} out of range")
+    if not g.incidence[start]:
+        raise UnsupportedInputError(f"start {start} of {g.name} is isolated")
     tables, _ = _vertex_tables(g, scheme, lazy)
     counts = [0] * g.n
     counts[start] = 1

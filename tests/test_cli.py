@@ -9,6 +9,7 @@ at toy sizes to pin behavior, exit codes, and output formats.
 from __future__ import annotations
 
 import json
+import warnings
 from pathlib import Path
 
 import pytest
@@ -167,17 +168,33 @@ def test_speedup_passes_on_lollipop(runner, tmp_path):
 
 
 def test_graph_file_input_and_one_sided_error(runner, tmp_path):
-    gfile = tmp_path / "two-islands.txt"
-    gfile.write_text("4 2\n0 1 1.0\n2 3 1.0\n")
-    result = _run(
-        runner,
-        [
-            "run", "st-connect-demo", "--graph-file", str(gfile), "--trials", "50",
-            "--seed", "2", "--out", str(tmp_path / "st"),
-        ],
-    )
-    assert result.exit_code == 0
-    assert "no-false-positives" in result.output
+    # two islands; an isolated target; an isolated start
+    for text in ("4 2\n0 1 1.0\n2 3 1.0\n", "3 1\n0 1 1.0\n", "3 1\n1 2 1.0\n"):
+        gfile = tmp_path / "separated.txt"
+        gfile.write_text(text)
+        result = _run(
+            runner,
+            [
+                "run", "st-connect-demo", "--graph-file", str(gfile), "--trials", "50",
+                "--seed", "2", "--out", str(tmp_path / "st"),
+            ],
+        )
+        assert result.exit_code == 0, text
+        assert "no-false-positives" in result.output
+
+
+def test_walk_from_an_isolated_vertex_exits_2_without_numeric_warnings(runner, tmp_path):
+    # path:1 has no edge, so its volume is 0; the start is refused before
+    # the stationary distribution divides by it
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        result = _run(
+            runner,
+            ["run", "scheme-speedup", "--family", "path:1", "--seed", "1", "--out", str(tmp_path / "s")],
+        )
+    assert result.exit_code == 2
+    assert "input error" in result.output
+    assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
 
 
 def test_flag_the_experiment_never_reads_is_rejected(runner, tmp_path):

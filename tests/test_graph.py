@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -51,6 +53,14 @@ def test_rejects_bad_edges():
         Graph(2, [(0, 1, -1.0)])
     with pytest.raises(ParameterError):
         Graph(0, [])
+
+
+@pytest.mark.parametrize("w", [math.nan, math.inf, -math.inf, 0.0, -1.0])
+def test_rejects_weights_that_are_not_positive_and_finite(w):
+    with pytest.raises(ParameterError, match="positive and finite"):
+        Graph(2, [(0, 1, w)])
+    with pytest.raises(ParameterError, match="positive and finite"):
+        Graph.from_text(f"2 1\n0 1 {w}\n")
 
 
 def test_equality_ignores_edge_order_and_orientation():

@@ -179,6 +179,15 @@ def test_st_connectivity_never_claims_separated_pair():
         assert out["steps"] is None
     same = st_connectivity(g, 2, 2, seed=0)
     assert same["connected"] is True and same["steps"] == 0
+    # vertex 2 is isolated: as a target it is never reached, as a start it
+    # is answered without a walk
+    g = Graph(3, [(0, 1)], name="one-edge")
+    assert st_connectivity(g, 0, 1, seed=0)["connected"] is True
+    for s, t in ((0, 2), (2, 0)):
+        out = st_connectivity(g, s, t, seed=0)
+        assert out["connected"] is False and out["steps"] is None
+    same = st_connectivity(g, 2, 2, seed=0)
+    assert same["connected"] is True and same["steps"] == 0
 
 
 def test_st_connectivity_keeps_its_recorded_walks():
@@ -297,6 +306,18 @@ def test_simulate_refuses_disconnected_graph_before_walking():
     g = Graph(4, [(0, 1), (2, 3)], name="two-parts")
     with pytest.raises(DisconnectedError):
         simulate(g, WalkConfig(stop="cover"), trials=3, seed=0)
+    # a single trial is refused too wherever every vertex carries a quota,
+    # instead of walking to its budget
+    for config in (
+        WalkConfig(stop="cover", budget=1000),
+        WalkConfig(stop="blanket", delta=0.4, budget=1000),
+        WalkConfig(stop="blanket-cover", reference=10.0, budget=1000),
+    ):
+        with pytest.raises(DisconnectedError):
+            trial_value(g, config, seed=0, trial_index=0)
+    # hit mode still runs to its budget when the target is out of reach
+    hit = WalkConfig(stop="hit", start=0, target=3, budget=1000)
+    assert trial_value(g, hit, seed=0, trial_index=0) == (None, True)
 
 
 def test_worker_count_is_clamped_to_chunks_and_cpus(monkeypatch):
