@@ -255,6 +255,36 @@ def test_visit_counts_keep_their_recorded_walk(spec, counts):
     assert (freq * (steps + 1)).tolist() == [float(c) for c in counts]
 
 
+def test_long_walks_keep_their_recorded_values():
+    # walks that read well past 8192 uniforms; cycle:200 takes the scan
+    # sampler only, lollipop:30's clique vertices (degree up to 20) take
+    # the alias table
+    cycle200 = family("cycle:200")
+    got = [trial_value(cycle200, WalkConfig(stop="cover"), seed=3, trial_index=i) for i in range(3)]
+    assert got == [(38446.0, False), (40569.0, False), (15901.0, False)]
+    lollipop30 = family("lollipop:30")
+    blanket = WalkConfig(stop="blanket", delta=0.3)
+    got = [trial_value(lollipop30, blanket, seed=3, trial_index=i) for i in range(2)]
+    assert got == [(2072.0, False), (12537.0, False)]
+
+
+def test_two_chunk_simulate_keeps_its_recorded_estimate():
+    # 300 trials span two chunks; seven of them walk past 4096 steps
+    rec = simulate(family("cycle:60"), WalkConfig(stop="cover"), trials=300, seed=3, workers=1)
+    assert rec == EstimateRecord(
+        quantity="cover",
+        graph_id="cycle:60",
+        scheme="uniform",
+        start=0,
+        trials=300,
+        seed=3,
+        mean=1702.4466666666667,
+        var=829636.9168784838,
+        stderr=52.58760680611874,
+        censored=0,
+    )
+
+
 @pytest.mark.parametrize(
     "spec, config, trials, seed",
     [
@@ -288,6 +318,7 @@ def test_negative_trial_index_is_refused():
         st_connectivity(g, 0, 5, seed=7, index=-1)
     with pytest.raises(ParameterError):
         st_connectivity(g, 2, 2, seed=7, index=-1)
+
 
 
 @pytest.mark.parametrize("kwargs", [{"steps": -1}, {"steps": 10, "start": 9}, {"steps": 10, "start": -1}])
