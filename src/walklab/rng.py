@@ -5,6 +5,11 @@ generator keyed by (seed, stream index). Streams with distinct indices are
 independent, and stream `i` produces the same values no matter how many
 other streams were consumed first, which is what makes trial results
 independent of worker count and scheduling order.
+
+`substream` builds a fresh generator for one stream. The walk engine runs
+many short trials, so it builds one Philox per chunk of trials and resets
+it to key (seed, 1 + i), counter 0, before trial i (`_restart`): the same
+draws as `substream(seed, 1 + i)` without building a generator per trial.
 """
 
 from __future__ import annotations
@@ -16,6 +21,18 @@ from .errors import ParameterError
 __all__ = ["substream"]
 
 _KEY_WORD = 2**64  # Philox keys are two 64-bit words: (seed, index)
+_FRESH = np.zeros(4, dtype=np.uint64)  # counter 0; an empty output buffer
+
+
+def _key(seed: int, index: int) -> np.ndarray:
+    """The Philox key of stream (seed, index), both words checked."""
+    if not 0 <= seed < _KEY_WORD:
+        raise ParameterError(f"seed must lie in [0, 2^64), got {seed}")
+    if not 0 <= index < _KEY_WORD:
+        raise ParameterError(f"stream index must lie in [0, 2^64), got {index}")
+    # an explicit dtype: a bare [seed, index] list mixing words below and
+    # above 2^63 would pass through float64 and lose low bits
+    return np.array([seed, index], dtype=np.uint64)
 
 
 def substream(seed: int, index: int = 0) -> np.random.Generator:
@@ -25,8 +42,20 @@ def substream(seed: int, index: int = 0) -> np.random.Generator:
     the caller; the convention in this package is index 0 for setup-level
     choices and index 1+i for trial i. Both must lie in [0, 2^64).
     """
-    if not 0 <= seed < _KEY_WORD:
-        raise ParameterError(f"seed must lie in [0, 2^64), got {seed}")
-    if not 0 <= index < _KEY_WORD:
-        raise ParameterError(f"stream index must lie in [0, 2^64), got {index}")
-    return np.random.Generator(np.random.Philox(key=[seed, index]))
+    return np.random.Generator(np.random.Philox(key=_key(seed, index)))
+
+
+def _restart(bits: np.random.Philox, seed: int, index: int) -> None:
+    """Put bits at the start of stream (seed, index), as substream builds it.
+
+    Counter 0, no buffered words and no cached 32-bit half, so a Generator
+    over bits draws exactly what `substream(seed, index)` draws.
+    """
+    bits.state = {
+        "bit_generator": "Philox",
+        "state": {"counter": _FRESH, "key": _key(seed, index)},
+        "buffer": _FRESH,
+        "buffer_pos": 4,
+        "has_uint32": 0,
+        "uinteger": 0,
+    }

@@ -6,6 +6,14 @@ reduces the per-trial step counts once, in trial order, with exact
 integer sums. So any scheduling of trials over workers gives
 bit-identical estimates.
 
+Trials are cheap to start: a chunk of trials shares one Philox, reset
+before trial i to key (s, 1 + i) at counter 0 with nothing buffered, which
+is exactly the start of `substream(s, 1 + i)`. A walk draws its uniforms
+in blocks of 64, 128, 256, ... up to BUFFER = 4096, then 4096 at a time,
+so a 30-step walk draws 64 values, not 4096. Philox doubles do not depend
+on how they are blocked, so every step reads the uniform it would read
+from one long draw.
+
 Every walk runs in one loop, `_walk`, driven by per-vertex visit quotas:
 it stops at the first step where each vertex has been visited as often as
 its quota asks (1 everywhere for cover, 1 at the target for hit,
@@ -33,7 +41,7 @@ import numpy as np
 from .electrical import matthews_upper
 from .errors import DisconnectedError, ParameterError, UnsupportedInputError
 from .graph import Graph
-from .rng import substream
+from .rng import _restart, substream
 from .spectral import COVER_CAP, build_kernel, exact_cover_times, exact_hitting
 from .weighting import apply_scheme
 
@@ -51,6 +59,7 @@ __all__ = [
 STOP_MODES = ("cover", "hit", "blanket", "blanket-cover")
 ALIAS_DEGREE = 8
 CHUNK = 256
+FIRST_BLOCK = 64
 BUFFER = 4096
 
 
@@ -174,17 +183,25 @@ def _walk(tables, pos, rng, budget, counts, need, remaining, delta_pi=None) -> i
     remaining is the number of vertices v with counts[v] < need[v]. With
     delta_pi the walk also needs counts[v] > delta_pi[v] * t at every v.
     Returns the stopping step, or None once budget steps pass without it.
+
+    Step t reads the t-th uniform of rng. The uniforms come in blocks of
+    FIRST_BLOCK, then twice as many each time up to BUFFER, then BUFFER
+    each: a short walk pays for few draws, a long one for few calls.
+    Philox doubles drawn in blocks of any sizes equal one draw of their
+    total, so the schedule never changes which uniform a step reads.
     """
     if remaining == 0:
         return 0
     blanket = delta_pi is not None
     buf: list[float] = []
     bi = 0
+    block = FIRST_BLOCK
     t = 0
     while t < budget:
         if bi == len(buf):
-            buf = rng.random(BUFFER).tolist()
+            buf = rng.random(block).tolist()
             bi = 0
+            block = min(2 * block, BUFFER)
         u = buf[bi]
         bi += 1
         table = tables[pos]
@@ -262,12 +279,20 @@ def _plan(g: Graph, config: WalkConfig) -> tuple:
 
 
 def _trial_values(args) -> list[int | None]:
-    """Stopping steps (None when censored) of trials lo..hi-1, in index order."""
+    """Stopping steps (None when censored) of trials lo..hi-1, in index order.
+
+    One Philox serves the chunk: before trial i it is reset to the start
+    of stream (seed, 1 + i), so each trial draws what substream(seed, 1 + i)
+    would, whatever the trial before it left in the generator.
+    """
     (tables, start, budget, counts, need, remaining, delta_pi), seed, lo, hi = args
-    return [
-        _walk(tables, start, substream(seed, 1 + i), budget, counts.copy(), need, remaining, delta_pi)
-        for i in range(lo, hi)
-    ]
+    rng = substream(seed, 1 + lo)
+    bits = rng.bit_generator
+    values = []
+    for i in range(lo, hi):
+        _restart(bits, seed, 1 + i)
+        values.append(_walk(tables, start, rng, budget, counts.copy(), need, remaining, delta_pi))
+    return values
 
 
 def trial_value(g: Graph, config: WalkConfig, seed: int, trial_index: int) -> tuple[float | None, bool]:

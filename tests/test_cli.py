@@ -223,6 +223,20 @@ def test_seed_outside_stream_key_range_exits_2(runner, tmp_path, seed):
     assert not (tmp_path / "st.csv").exists()
 
 
+def test_largest_seed_draws_its_own_streams(runner, tmp_path):
+    # 2^64 - 1 is a valid key word; it must not fold onto seed 0's streams
+    bodies = {}
+    for seed in ("0", str(2**64 - 1)):
+        base = tmp_path / f"st{seed}"
+        result = _run(
+            runner,
+            ["run", "st-connect-demo", "--trials", "5", "--seed", seed, "--out", str(base)],
+        )
+        assert result.exit_code == 0
+        bodies[seed] = base.with_suffix(".csv").read_text().splitlines()[1:]
+    assert bodies["0"] != bodies[str(2**64 - 1)]
+
+
 @pytest.mark.parametrize(
     "text", ["x 1\n0 1 1.0\n", "2 1\n0 1 abc\n"], ids=["bad-header", "bad-weight"]
 )

@@ -7,6 +7,7 @@ import pytest
 from walklab import walks
 from walklab.errors import DisconnectedError, ParameterError
 from walklab.graph import Graph, complete, cycle, family, lollipop, path, star
+from walklab.rng import substream
 from walklab.spectral import build_kernel, exact_cover_time, exact_hitting
 from walklab.walks import (
     EstimateRecord,
@@ -318,6 +319,62 @@ def test_negative_trial_index_is_refused():
         st_connectivity(g, 0, 5, seed=7, index=-1)
     with pytest.raises(ParameterError):
         st_connectivity(g, 2, 2, seed=7, index=-1)
+
+
+def test_trial_index_must_keep_its_stream_key_in_range():
+    # trial i reads stream (seed, 1 + i), and a Philox key word is below 2^64
+    g = path(6)
+    config = WalkConfig(stop="hit", target=5)
+    value, censored = trial_value(g, config, seed=7, trial_index=2**64 - 2)
+    assert value is not None and not censored
+    with pytest.raises(ParameterError):
+        trial_value(g, config, seed=7, trial_index=2**64 - 1)
+
+
+@pytest.mark.parametrize("seed, index", [(0, 1), (7, 2**63), (2**64 - 1, 2**64 - 1)])
+def test_each_trial_of_a_chunk_draws_its_own_substream(monkeypatch, seed, index):
+    # the chunk holds the trial with stream key (seed, index) and its
+    # in-range neighbours; every fake trial reads 10 000 doubles and then
+    # leaves the shared generator part way through a block, with a cached
+    # 32-bit half word, for the next trial to reset
+    drawn = []
+
+    def fake_walk(tables, pos, rng, *rest):
+        drawn.append(rng.random(10_000).tolist())
+        rng.random(37)
+        rng.integers(2**32, dtype=np.uint32)
+        return None
+
+    monkeypatch.setattr(walks, "_walk", fake_walk)
+    plan = walks._plan(path(4), WalkConfig())
+    lo, hi = max(0, index - 2), min(index + 1, 2**64 - 1)
+    assert walks._trial_values((plan, seed, lo, hi)) == [None] * (hi - lo)
+    assert len(drawn) == hi - lo
+    for i, values in zip(range(lo, hi), drawn):
+        assert values == substream(seed, 1 + i).random(10_000).tolist(), i
+
+
+def test_growing_blocks_read_the_uniforms_of_one_draw():
+    sizes = [walks.FIRST_BLOCK]
+    while sizes[-1] < walks.BUFFER:
+        sizes.append(2 * sizes[-1])
+    sizes.append(walks.BUFFER)
+    assert sizes[:2] == [64, 128] and sizes[-2:] == [4096, 4096]
+    blocked = substream(5, 9)
+    parts = [blocked.random(size) for size in sizes]
+    assert np.concatenate(parts).tolist() == substream(5, 9).random(sum(sizes)).tolist()
+
+
+def test_a_chunk_builds_one_generator(monkeypatch):
+    built = []
+
+    def counting_substream(seed, index=0):
+        built.append(index)
+        return substream(seed, index)
+
+    monkeypatch.setattr(walks, "substream", counting_substream)
+    simulate(path(6), WalkConfig(stop="cover"), trials=walks.CHUNK + 44, seed=2)
+    assert built == [1, 1 + walks.CHUNK]
 
 
 
