@@ -253,10 +253,16 @@ def merst_bound(g: Graph) -> MerstResult:
     if n == 1:
         return MerstResult(0.0, 0.0, ())
     r = resistance_matrix(g)
-    pairs = sorted(
-        ((float(r[u, v]), u, v) for u in range(n) for v in range(u + 1, n)),
-        key=lambda t: (t[0], t[1], t[2]),
-    )
+    weight, chosen = _kruskal(n, [(float(r[u, v]), u, v) for u in range(n) for v in range(u + 1, n)])
+    return MerstResult(g.volume * weight, weight, tuple(chosen))
+
+
+def _kruskal(n: int, edges: list[tuple[float, int, int]]) -> tuple[float, list[tuple[int, int]]]:
+    """Minimum spanning forest of (cost, u, v) edges on vertices 0..n-1.
+
+    Edges are taken in (cost, u, v) order; returns the summed cost, added
+    in that order, and the chosen (u, v) pairs.
+    """
     parent = list(range(n))
 
     def find(x: int) -> int:
@@ -267,15 +273,15 @@ def merst_bound(g: Graph) -> MerstResult:
 
     chosen: list[tuple[int, int]] = []
     weight = 0.0
-    for resistance, u, v in pairs:
+    for cost, u, v in sorted(edges):
         ru, rv = find(u), find(v)
         if ru != rv:
             parent[ru] = rv
             chosen.append((u, v))
-            weight += resistance
+            weight += cost
             if len(chosen) == n - 1:
                 break
-    return MerstResult(g.volume * weight, weight, tuple(chosen))
+    return weight, chosen
 
 
 def _hitting_matrix(g: Graph) -> np.ndarray:

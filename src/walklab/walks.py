@@ -38,8 +38,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .electrical import matthews_upper
-from .errors import DisconnectedError, ParameterError, UnsupportedInputError
+from .electrical import _kruskal, matthews_upper
+from .errors import DisconnectedError, ParameterError, SizeCapError, UnsupportedInputError
 from .graph import Graph
 from .rng import _restart, substream
 from .spectral import COVER_CAP, build_kernel, exact_cover_times, exact_hitting
@@ -369,24 +369,54 @@ def simulate(
 def st_connectivity(g: Graph, s: int, t: int, seed: int, index: int = 0) -> dict:
     """One-sided randomized s-t connectivity probe.
 
-    Walks exactly 8 n m steps from s and reports whether t was reached.
-    A "yes" is always correct; on a connected pair the "no" probability is
-    at most 1/2 because the budget is twice the 4 n m cover bound. `index`
-    selects an independent repetition under the same seed: it is hit-mode
-    trial `index` of `trial_value`. Any graph is accepted; an isolated s is
-    answered like s == t, without walking: connected only if s == t.
+    Walks from s for a budget of max(8 n m, 2 vol(C) sum_{e in T} 1/w_e)
+    steps and reports whether t was reached. C is s's component and T the
+    spanning tree of C that minimises sum 1/w_e, with parallel edges merged
+    and loops skipped. Commute time is vol(C) R (Chandra et al.) and
+    R(u, v) <= 1/w(u, v) across an edge, so a walk along T bounds C's cover
+    time by vol(C) sum 1/w_e (Aleliunas et al.). A "yes" is always correct;
+    on a connected pair the "no" probability is at most 1/2 because the
+    budget is at least twice that bound. On unit weights the tree term is
+    4 m_C (n_C - 1) < 8 n m, so the budget is 8 n m. A budget above
+    WalkConfig().budget raises SizeCapError before any walk. `index` selects an independent repetition under the
+    same seed: it is hit-mode trial `index` of `trial_value`. Any graph is
+    accepted; an isolated s is answered like s == t, without walking:
+    connected only if s == t.
     """
+    [answer] = _st_answers(g, s, t, seed, index, index + 1)
+    return answer
+
+
+def _st_answers(g: Graph, s: int, t: int, seed: int, lo: int, hi: int) -> list[dict]:
+    """st_connectivity(g, s, t, seed, i) for repetitions lo..hi-1, from one plan."""
     if not (0 <= s < g.n and 0 <= t < g.n):
         raise ParameterError("endpoints out of range")
-    if index < 0:
-        raise ParameterError(f"repetition index must be non-negative, got {index}")
-    budget = 8 * g.n * g.m
-    steps = 0 if s == t else None
+    if lo < 0:
+        raise ParameterError(f"repetition index must be non-negative, got {lo}")
+    budget = _st_budget(g, s)
     if s != t and g.incidence[s]:
-        config = WalkConfig(stop="hit", start=s, target=t, budget=budget)
-        steps = trial_value(g, config, seed, index)[0]  # None when censored
-    connected = steps is not None
-    return {"connected": connected, "steps": int(steps) if connected else None, "budget": budget}
+        plan = _plan(g, WalkConfig(stop="hit", start=s, target=t, budget=budget))
+        steps = _trial_values((plan, seed, lo, hi))  # None when censored
+    else:
+        steps = [0 if s == t else None] * (hi - lo)
+    return [{"connected": x is not None, "steps": x, "budget": budget} for x in steps]
+
+
+def _st_budget(g: Graph, s: int) -> int:
+    """The probe's step budget from s (see st_connectivity), refused above the cap."""
+    inside = g.bfs_distances(s) >= 0
+    merged: dict[tuple[int, int], float] = {}
+    for u, v, w in g.edges:
+        if u != v and inside[u]:
+            key = (min(u, v), max(u, v))
+            merged[key] = merged.get(key, 0.0) + w
+    tree, _ = _kruskal(g.n, [(1.0 / w, u, v) for (u, v), w in merged.items()])
+    plain = 8 * g.n * g.m
+    weighted = 2.0 * float(g.weighted_degrees[inside].sum()) * tree
+    cap = WalkConfig().budget
+    if max(plain, weighted) > cap:
+        raise SizeCapError(f"s-t probe needs {max(plain, weighted):.4g} steps on {g.name}, above the cap {cap}")
+    return max(plain, math.ceil(weighted))
 
 
 def empirical_visit_frequencies(

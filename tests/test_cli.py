@@ -237,6 +237,23 @@ def test_largest_seed_draws_its_own_streams(runner, tmp_path):
     assert bodies["0"] != bodies[str(2**64 - 1)]
 
 
+def test_probe_budget_past_the_walk_cap_exits_2(runner, tmp_path):
+    # the 1e-300 edge makes the weighted cover bound about 4e300 steps
+    gfile = tmp_path / "light.txt"
+    gfile.write_text("3 2\n0 1 1.0\n1 2 1e-300\n")
+    result = _run(
+        runner,
+        [
+            "run", "st-connect-demo", "--graph-file", str(gfile), "--trials", "5",
+            "--seed", "1", "--out", str(tmp_path / "st"),
+        ],
+    )
+    assert result.exit_code == 2
+    assert "input error" in result.output
+    assert "cap" in result.output
+    assert not (tmp_path / "st.csv").exists()
+
+
 @pytest.mark.parametrize(
     "text", ["x 1\n0 1 1.0\n", "2 1\n0 1 abc\n"], ids=["bad-header", "bad-weight"]
 )

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from walklab import walks
-from walklab.errors import DisconnectedError, ParameterError
+from walklab.errors import DisconnectedError, ParameterError, SizeCapError
 from walklab.graph import Graph, complete, cycle, family, lollipop, path, star
 from walklab.rng import substream
 from walklab.spectral import build_kernel, exact_cover_time, exact_hitting
@@ -201,6 +201,40 @@ def test_st_connectivity_keeps_its_recorded_walks():
         g = family(spec)
         got = [st_connectivity(g, s, t, seed=4, index=i)["steps"] for i in range(6)]
         assert got == expected, spec
+
+
+def test_weighted_st_budget_walks_past_a_light_edge():
+    # cover of this path is dominated by the 1e-3 edge; the unweighted
+    # 8nm = 48 steps almost never cross it
+    g = Graph(3, [(0, 1, 1.0), (1, 2, 1e-3)], name="light-edge")
+    answers = [st_connectivity(g, 0, 2, seed=0, index=i) for i in range(50)]
+    # 2 * volume 2.002 * tree sum (1 + 1000), rounded up
+    assert {a["budget"] for a in answers} == {4009}
+    assert sum(a["connected"] for a in answers) >= 25
+
+
+def test_st_budget_merges_parallel_edges_and_skips_loops():
+    # vertex 3 lies outside s's component and adds nothing; the two 1e-3
+    # edges act as one of weight 2e-3 and the loop adds only volume:
+    # 2 * (1 + 1.002 + 10.002) * (1 + 500)
+    g = Graph(4, [(0, 1, 1.0), (1, 2, 1e-3), (1, 2, 1e-3), (2, 2, 5.0), (3, 3, 1.0)])
+    assert st_connectivity(g, 0, 2, seed=1)["budget"] == math.ceil(2 * 12.004 * 501)
+
+
+def test_st_budget_above_the_walk_cap_is_refused():
+    g = Graph(3, [(0, 1, 1.0), (1, 2, 1e-300)])
+    with pytest.raises(SizeCapError):
+        st_connectivity(g, 0, 2, seed=0)
+    # unweighted, 8nm alone passes the cap at about 11 200 vertices
+    with pytest.raises(SizeCapError):
+        st_connectivity(path(11_200), 0, 1, seed=0)
+
+
+def test_st_repetitions_from_one_plan_match_single_probes():
+    for spec, s, t in (("star:12", 3, 5), ("lollipop:20", 0, 19), ("path:6", 2, 2)):
+        g = family(spec)
+        single = [st_connectivity(g, s, t, seed=4, index=i) for i in range(2, 8)]
+        assert walks._st_answers(g, s, t, 4, 2, 8) == single, spec
 
 
 PINNED_TRIALS = {
