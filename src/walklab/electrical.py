@@ -253,7 +253,8 @@ def merst_bound(g: Graph) -> MerstResult:
     if n == 1:
         return MerstResult(0.0, 0.0, ())
     r = resistance_matrix(g)
-    weight, chosen = _kruskal(n, [(float(r[u, v]), u, v) for u in range(n) for v in range(u + 1, n)])
+    pairs = [(float(r[u, v]), u, v) for u in range(n) for v in range(u + 1, n)]
+    weight, chosen = _kruskal(n, pairs)
     return MerstResult(g.volume * weight, weight, tuple(chosen))
 
 

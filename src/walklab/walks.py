@@ -378,10 +378,10 @@ def st_connectivity(g: Graph, s: int, t: int, seed: int, index: int = 0) -> dict
     on a connected pair the "no" probability is at most 1/2 because the
     budget is at least twice that bound. On unit weights the tree term is
     4 m_C (n_C - 1) < 8 n m, so the budget is 8 n m. A budget above
-    WalkConfig().budget raises SizeCapError before any walk. `index` selects an independent repetition under the
-    same seed: it is hit-mode trial `index` of `trial_value`. Any graph is
-    accepted; an isolated s is answered like s == t, without walking:
-    connected only if s == t.
+    WalkConfig().budget raises SizeCapError before any walk. `index`
+    selects an independent repetition under the same seed: it is hit-mode
+    trial `index` of `trial_value`. Any graph is accepted; an isolated s is
+    answered like s == t, without walking: connected only if s == t.
     """
     [answer] = _st_answers(g, s, t, seed, index, index + 1)
     return answer
@@ -413,9 +413,9 @@ def _st_budget(g: Graph, s: int) -> int:
     tree, _ = _kruskal(g.n, [(1.0 / w, u, v) for (u, v), w in merged.items()])
     plain = 8 * g.n * g.m
     weighted = 2.0 * float(g.weighted_degrees[inside].sum()) * tree
-    cap = WalkConfig().budget
-    if max(plain, weighted) > cap:
-        raise SizeCapError(f"s-t probe needs {max(plain, weighted):.4g} steps on {g.name}, above the cap {cap}")
+    need, cap = max(plain, weighted), WalkConfig().budget
+    if need > cap:
+        raise SizeCapError(f"s-t probe needs {need:.4g} steps on {g.name}, above the cap {cap}")
     return max(plain, math.ceil(weighted))
 
 
