@@ -59,7 +59,6 @@ __all__ = [
 STOP_MODES = ("cover", "hit", "blanket", "blanket-cover")
 ALIAS_DEGREE = 8
 CHUNK = 256
-FIRST_BLOCK = 64
 BUFFER = 4096
 
 
@@ -185,8 +184,8 @@ def _walk(tables, pos, rng, budget, counts, need, remaining, delta_pi=None) -> i
     Returns the stopping step, or None once budget steps pass without it.
 
     Step t reads the t-th uniform of rng. The uniforms come in blocks of
-    FIRST_BLOCK, then twice as many each time up to BUFFER, then BUFFER
-    each: a short walk pays for few draws, a long one for few calls.
+    64, then twice as many each time up to BUFFER, then BUFFER each: a
+    short walk pays for few draws, a long one for few calls.
     Philox doubles drawn in blocks of any sizes equal one draw of their
     total, so the schedule never changes which uniform a step reads.
     """
@@ -195,7 +194,7 @@ def _walk(tables, pos, rng, budget, counts, need, remaining, delta_pi=None) -> i
     blanket = delta_pi is not None
     buf: list[float] = []
     bi = 0
-    block = FIRST_BLOCK
+    block = 64
     t = 0
     while t < budget:
         if bi == len(buf):

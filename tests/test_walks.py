@@ -389,11 +389,9 @@ def test_each_trial_of_a_chunk_draws_its_own_substream(monkeypatch, seed, index)
 
 
 def test_growing_blocks_read_the_uniforms_of_one_draw():
-    sizes = [walks.FIRST_BLOCK]
-    while sizes[-1] < walks.BUFFER:
-        sizes.append(2 * sizes[-1])
-    sizes.append(walks.BUFFER)
-    assert sizes[:2] == [64, 128] and sizes[-2:] == [4096, 4096]
+    # the block sizes _walk draws: 64, 128, ..., 4096, then 4096 again
+    sizes = [64 << k for k in range(7)] + [walks.BUFFER]
+    assert sizes[-2:] == [4096, 4096]
     blocked = substream(5, 9)
     parts = [blocked.random(size) for size in sizes]
     assert np.concatenate(parts).tolist() == substream(5, 9).random(sum(sizes)).tolist()
