@@ -12,6 +12,7 @@ invocation or input (a size cap too), 3 numeric failure.
 
 from __future__ import annotations
 
+import itertools
 import json
 import math
 import time
@@ -22,14 +23,14 @@ import numpy as np
 
 from .conductance import conductance_exact, conductance_sweep, jerrum_sinclair_check
 from .configmodel import (
+    _is_simple_pairing,
+    _pairings,
     check_nice,
-    is_simple,
     predicted_cover,
     predicted_p_simple,
     random_band_sequence,
     read_degree_file,
     regular_sequence,
-    sample_configuration,
     sample_simple,
 )
 from .electrical import (
@@ -582,9 +583,8 @@ def _run_p_simple(spec: dict):
     for k, (r, n) in enumerate([(3, 50), (3, 100), (4, 50), (4, 100)]):
         seq = regular_sequence(n, r)
         cell_seed = seed + 1000 * k
-        simple = sum(
-            is_simple(sample_configuration(seq, cell_seed, index=i)) for i in range(attempts)
-        )
+        pairings = itertools.islice(_pairings(seq, cell_seed), attempts)
+        simple = sum(_is_simple_pairing(pairs, n) for pairs in pairings)
         emp = simple / attempts
         pred = predicted_p_simple(seq)
         gap = abs(emp - pred)

@@ -86,21 +86,26 @@ def conductance_exact(kernel: TransitionKernel) -> ConductanceResult:
     pi = kernel.stationary
     a = q + q.T
     # Subset tables built by doubling: entry index is the bitmask itself.
-    # internal[mask] = total flow with both ends inside the mask.
-    pisum = np.zeros(1)
-    internal = np.zeros(1)
+    # internal[mask] = total flow with both ends inside the mask; the masks
+    # holding b as top bit are filled from those below 2^b, in place.
+    pisum = np.zeros(1 << n)
+    internal = np.zeros(1 << n)
+    cross = np.zeros(1 << (n - 1))  # cross[mask] = flow from mask to b; cross[0] stays 0
     for b in range(n):
-        cross = np.zeros(1)
+        low, high = slice(0, 1 << b), slice(1 << b, 2 << b)
         for x in range(b):
-            cross = np.concatenate([cross, cross + a[x, b]])
-        internal = np.concatenate([internal, internal + cross + q[b, b]])
-        pisum = np.concatenate([pisum, pisum + pi[b]])
-    cut = np.maximum(pisum - internal, 0.0)  # row sums of Q are pi
-    valid = (pisum > 0) & (pisum <= 0.5 + HALF_TOL)
+            np.add(cross[: 1 << x], a[x, b], out=cross[1 << x : 2 << x])
+        np.add(internal[low], cross[low], out=internal[high])
+        internal[high] += q[b, b]
+        np.add(pisum[low], pi[b], out=pisum[high])
+    # row sums of Q are pi; the cut overwrites the spent internal table
+    cut = np.maximum(np.subtract(pisum, internal, out=internal), 0.0, out=internal)
+    valid = pisum > 0
+    valid &= pisum <= 0.5 + HALF_TOL
     valid[0] = False
     if not valid.any():
         raise ParameterError("no subset has stationary mass at most 1/2")
-    ratios = np.where(valid, cut / np.where(pisum > 0, pisum, 1.0), np.inf)
+    ratios = np.divide(cut, pisum, out=np.full(1 << n, np.inf), where=valid)
     best = int(np.argmin(ratios))
     members = [v for v in range(n) if best & (1 << v)]
     return _result(kernel, ratios[best], members, pisum[best], cut[best], "exact")

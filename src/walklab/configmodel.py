@@ -6,6 +6,12 @@ uniform perfect matching. Conditioning on the output being simple makes the
 law uniform over simple graphs with the given degree sequence, so rejection
 sampling is exact.
 
+Attempt i shuffles with stream (seed, 1 + i). Rejection tests simplicity on
+the paired stub array itself (a loop is an equal pair, a parallel edge a
+repeated pair key), so a `Graph` is built only for the accepted pairing.
+The default attempt budget grows as 20 / predicted_p_simple and is refused
+up front above `MAX_DEFAULT_TRIES`.
+
 The niceness conditions checked here are asymptotic in origin; every o(.)
 and O(.) is replaced by an explicit finite-size surrogate whose constants
 are recorded in the report. A report is informational, never an error.
@@ -13,6 +19,7 @@ are recorded in the report. A report is informational, never an error.
 
 from __future__ import annotations
 
+import itertools
 import json
 import math
 from collections import Counter
@@ -21,9 +28,9 @@ from functools import cached_property
 
 import numpy as np
 
-from .errors import ParameterError, RejectionFailure
+from .errors import ParameterError, RejectionFailure, SizeCapError
 from .graph import Graph
-from .rng import substream
+from .rng import _restart, substream
 
 __all__ = [
     "DegreeSequence",
@@ -44,6 +51,7 @@ __all__ = [
 ]
 
 DEFAULT_EFFECTIVE_FRACTION = 0.01
+MAX_DEFAULT_TRIES = 10**6  # the default rejection budget, 20 / p, is refused above this
 
 
 @dataclass(frozen=True)
@@ -139,12 +147,40 @@ def write_degree_file(path, seq: DegreeSequence) -> None:
 # --- sampling ---
 
 
+def _pairings(seq: DegreeSequence, seed: int, start: int = 0):
+    """Yield the (m, 2) stub pairing of attempts start, start + 1, ...
+
+    Attempt i shuffles a copy of the stub array with stream (seed, 1 + i);
+    one Philox serves every attempt and is reset before each (`_restart`).
+    """
+    rng = substream(seed, 1 + start)
+    bits = rng.bit_generator
+    base = np.repeat(np.arange(seq.n), seq.degrees)
+    for i in itertools.count(start):
+        _restart(bits, seed, 1 + i)
+        stubs = base.copy()
+        rng.shuffle(stubs)
+        yield stubs.reshape(-1, 2)
+
+
+def _is_simple_pairing(pairs: np.ndarray, n: int) -> bool:
+    """Graph(n, pairs).is_simple, read off the pair array: no equal pair
+    (loop) and no repeated key min*n + max (parallel edge)."""
+    u, v = pairs[:, 0], pairs[:, 1]
+    if (u == v).any():
+        return False
+    keys = np.minimum(u, v) * n + np.maximum(u, v)
+    keys.sort()
+    return not (keys[1:] == keys[:-1]).any()
+
+
+def _configuration_graph(seq: DegreeSequence, pairs: np.ndarray, seed: int, index: int) -> Graph:
+    return Graph(seq.n, pairs.tolist(), name=f"cm-{seq.n}v-s{seed}i{index}")
+
+
 def sample_configuration(seq: DegreeSequence, seed: int, index: int = 0) -> Graph:
     """One uniform configuration; attempt `index` of the stream keyed by seed."""
-    rng = substream(seed, 1 + index)
-    stubs = np.repeat(np.arange(seq.n), seq.degrees)
-    rng.shuffle(stubs)
-    return Graph(seq.n, stubs.reshape(-1, 2).tolist(), name=f"cm-{seq.n}v-s{seed}i{index}")
+    return _configuration_graph(seq, next(_pairings(seq, seed, index)), seed, index)
 
 
 def is_simple(g: Graph) -> bool:
@@ -158,19 +194,39 @@ class SimpleSample:
 
 
 def default_max_tries(seq: DegreeSequence) -> int:
-    return max(1000, math.ceil(20.0 / predicted_p_simple(seq)))
+    """max(1000, ceil(20 / p)) attempts, p the predicted simple probability.
+
+    Raises SizeCapError when that exceeds MAX_DEFAULT_TRIES, or when p
+    underflows to 0, instead of starting a search that cannot end soon.
+    """
+    p = predicted_p_simple(seq)
+    if p * MAX_DEFAULT_TRIES < 20.0:
+        raise SizeCapError(
+            f"default rejection budget capped at {MAX_DEFAULT_TRIES} attempts; predicted "
+            f"simple probability {p:.4g} on {seq.n} vertices needs 20/p of them"
+        )
+    return max(1000, math.ceil(20.0 / p))
 
 
 def sample_simple(seq: DegreeSequence, seed: int, max_tries: int | None = None) -> SimpleSample:
-    """Rejection-sample a uniform simple graph with the given degrees."""
+    """Rejection-sample a uniform simple graph with the given degrees.
+
+    Attempt i is the pairing `sample_configuration(seq, seed, i)` would
+    return. Each pairing is tested for simplicity on its stub array, and
+    the `Graph` is built only for the first simple one; `attempts` counts
+    the pairings tried. The default budget is `default_max_tries(seq)`,
+    which refuses sequences needing more than MAX_DEFAULT_TRIES attempts;
+    an explicit max_tries is used as given.
+    """
     if max_tries is None:
         max_tries = default_max_tries(seq)
     if max_tries < 1:
         raise ParameterError("max_tries must be positive")
-    for attempt in range(max_tries):
-        g = sample_configuration(seq, seed, index=attempt)
-        if g.is_simple:
-            return SimpleSample(graph=g, attempts=attempt + 1)
+    for attempt, pairs in zip(range(max_tries), _pairings(seq, seed)):
+        if _is_simple_pairing(pairs, seq.n):
+            return SimpleSample(
+                graph=_configuration_graph(seq, pairs, seed, attempt), attempts=attempt + 1
+            )
     raise RejectionFailure(
         f"no simple graph in {max_tries} attempts "
         f"(empirical acceptance 0/{max_tries}, predicted {predicted_p_simple(seq):.4g})"

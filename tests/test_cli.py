@@ -142,6 +142,33 @@ def test_unrealizable_degrees_exit_3(runner, tmp_path):
     assert "numeric failure" in result.output
 
 
+@pytest.mark.parametrize(
+    "degrees", [["regular:15", "--n", "16"], ["file"]], ids=["regular-15", "degrees-1e12"]
+)
+def test_hopeless_rejection_budget_exits_2(runner, tmp_path, monkeypatch, degrees):
+    # p is about 5e-25 for 15-regular on 16 vertices and underflows to 0 for
+    # a file of two degrees 10^12, so the default budget would run for hours
+    # or divide by zero
+    def no_pairing(*args, **kwargs):
+        raise AssertionError("a pairing was drawn before the budget was checked")
+
+    monkeypatch.setattr("walklab.configmodel._pairings", no_pairing)
+    if degrees == ["file"]:
+        degfile = tmp_path / "deg.txt"
+        degfile.write_text("1000000000000\n1000000000000\n")
+        degrees = [str(degfile)]
+    result = _run(
+        runner,
+        [
+            "run", "degseq-cover", "--degseq", *degrees, "--trials", "4",
+            "--seed", "1", "--out", str(tmp_path / "d"),
+        ],
+    )
+    assert result.exit_code == 2
+    assert "capped at" in result.output
+    assert "Traceback" not in result.output
+
+
 def test_failed_check_exits_1_on_regular_graph_speedup(runner, tmp_path):
     result = _run(
         runner,

@@ -1,3 +1,4 @@
+import itertools
 import math
 
 import pytest
@@ -5,8 +6,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from walklab.configmodel import (
+    MAX_DEFAULT_TRIES,
     DegreeSequence,
+    _is_simple_pairing,
+    _pairings,
     check_nice,
+    default_max_tries,
     effective_min_degree,
     is_simple,
     nu,
@@ -19,8 +24,8 @@ from walklab.configmodel import (
     sample_simple,
     write_degree_file,
 )
-from walklab.errors import ParameterError, RejectionFailure
-from walklab.graph import complete, cycle
+from walklab.errors import ParameterError, RejectionFailure, SizeCapError
+from walklab.graph import Graph, complete, cycle
 
 
 def test_degree_sequence_derived_quantities():
@@ -72,12 +77,58 @@ def test_degrees_are_preserved_exactly():
         assert tuple(g.degrees.tolist()) == seq.degrees
 
 
+@pytest.mark.parametrize(
+    "seq",
+    [
+        DegreeSequence((2, 2)),
+        DegreeSequence((1, 3)),
+        DegreeSequence((2, 2, 2)),
+        DegreeSequence((4, 4, 4, 4)),
+        random_band_sequence(20, 3, 6, seed=5),
+        regular_sequence(50, 3),
+    ],
+    ids=["2,2", "1,3", "2,2,2", "4,4,4,4", "band:20,3..6", "regular:3,50"],
+)
+def test_stub_array_simplicity_agrees_with_the_graph(seq):
+    seen = set()
+    for index, pairs in enumerate(itertools.islice(_pairings(seq, 17), 2000)):
+        g = Graph(seq.n, pairs.tolist())
+        assert _is_simple_pairing(pairs, seq.n) == g.is_simple
+        loop = any(u == v for u, v, _ in g.edges)
+        seen.add((loop, len({(u, v) for u, v, _ in g.edges}) < g.m))
+        if index % 97 == 0:
+            assert sample_configuration(seq, 17, index).edges == g.edges
+    # each sequence meets a loop or a parallel edge; the last two also
+    # meet simple pairings and pairings with a parallel edge but no loop
+    assert seen - {(False, False)}
+    if seq.n >= 20:
+        assert {(False, False), (False, True)} <= seen
+
+
 def test_claw_plus_pendant_is_never_simple():
     seq = DegreeSequence((1, 3))
     for index in range(50):
         assert not is_simple(sample_configuration(seq, seed=3, index=index))
     with pytest.raises(RejectionFailure, match="acceptance 0/"):
         sample_simple(seq, seed=3, max_tries=200)
+
+
+def test_default_budget_is_refused_up_front_above_its_cap(monkeypatch):
+    def no_pairing(*args, **kwargs):
+        raise AssertionError("a pairing was drawn before the budget was checked")
+
+    six = regular_sequence(100, 6)  # p = exp(-8.75): about 126 000 attempts, under the cap
+    assert default_max_tries(six) == math.ceil(20 / predicted_p_simple(six)) <= MAX_DEFAULT_TRIES
+    monkeypatch.setattr("walklab.configmodel._pairings", no_pairing)
+    with pytest.raises(SizeCapError, match="capped at"):
+        sample_simple(regular_sequence(16, 15), seed=1)  # p about 5e-25
+    huge = DegreeSequence((10**12, 10**12))
+    assert predicted_p_simple(huge) == 0.0
+    with pytest.raises(SizeCapError, match="capped at"):
+        sample_simple(huge, seed=1)
+    monkeypatch.undo()
+    with pytest.raises(RejectionFailure, match="0/50"):  # an explicit budget is used as given
+        sample_simple(regular_sequence(16, 15), seed=1, max_tries=50)
 
 
 def test_unique_simple_outcomes():
