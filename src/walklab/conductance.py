@@ -90,7 +90,7 @@ def conductance_exact(kernel: TransitionKernel) -> ConductanceResult:
     # holding b as top bit are filled from those below 2^b, in place.
     pisum = np.zeros(1 << n)
     internal = np.zeros(1 << n)
-    cross = np.zeros(1 << (n - 1))  # cross[mask] = flow from mask to b; cross[0] stays 0
+    cross = np.zeros(1 << (n - 1))  # cross[mask] = flow between mask and b; cross[0] stays 0
     for b in range(n):
         low, high = slice(0, 1 << b), slice(1 << b, 2 << b)
         for x in range(b):
