@@ -62,6 +62,28 @@ PINNED_CSV = {
         "stderr,0.5903558050466587\n"
         "z_score,1.3076638936802274\n",
     ),
+    # lollipop:40's clique vertices (degree up to 20) sample their next step
+    # from an alias table; lollipop:10's never exceed degree 8
+    "scheme-speedup --family lollipop:40 --trials 16 --seed 1": (
+        0,
+        "metric,value\n"
+        "graph,lollipop:40\n"
+        "trials,16\n"
+        "seed,1\n"
+        "start,0\n"
+        "uniform_mean,10030.4375\n"
+        "uniform_stderr,1743.7339914886434\n"
+        "mindeg_mean,954.625\n"
+        "mindeg_stderr,212.55342220643416\n"
+        "ratio,10.50720178080398\n"
+        "stderr,2.968125974395598\n"
+        "z_score,3.203099148357387\n",
+    ),
+    "degseq-cover --n 2000 --trials 4 --seed 1": (
+        1,
+        "n,avg_degree,trials,mean_cover,stderr,censored,predicted,ratio,resamples\n"
+        "2000,3.0,4,37812.5,2412.134687367188,0,30403.60983816833,1.2436845559217327,0\n",
+    ),
 }
 
 

@@ -277,6 +277,58 @@ def test_trial_values_keep_their_recorded_walks(spec, mode):
     assert got == [(float(v), False) for v in PINNED_TRIALS[spec][mode]]
 
 
+# trial_value(g, config, seed=3, trial_index=i) for i in 0..5 at vertices
+# of degree above 8: every vertex of complete:12 (degree 12 once lazy),
+# star:40's centre, and the hub of a weighted graph read as a graph file,
+# whose hub has eleven unequal spokes, a doubled spoke and a loop
+HUB_TEXT = """15 28
+0 1 0.25
+0 2 3.0
+0 3 1.0
+0 4 0.5
+0 5 2.5
+0 6 1.75
+0 7 0.125
+0 8 4.0
+0 9 1.5
+0 10 0.75
+0 11 2.0
+0 0 0.6
+0 3 0.9
+1 2 1.0
+2 3 1.0
+3 4 1.0
+4 5 1.0
+5 6 1.0
+6 7 1.0
+7 8 1.0
+8 9 1.0
+9 10 1.0
+10 11 1.0
+11 1 1.0
+11 12 0.3
+6 12 5.0
+12 13 1.0
+13 14 2.0
+"""
+
+PINNED_WIDE_TRIALS = [
+    ("complete:12", WalkConfig(stop="cover", lazy=True), [73, 43, 49, 53, 60, 129]),
+    ("complete:12", WalkConfig(stop="cover", scheme="mindeg"), [27, 39, 23, 33, 18, 23]),
+    ("star:40", WalkConfig(stop="cover", lazy=True), [654, 553, 822, 472, 594, 602]),
+    ("star:40", WalkConfig(stop="cover", scheme="mindeg"), [271, 259, 323, 289, 313, 285]),
+    ("hub", WalkConfig(stop="hit", start=0, target=14), [163, 11, 178, 70, 88, 13]),
+    ("hub", WalkConfig(stop="hit", start=5, target=14, lazy=True), [481, 61, 35, 220, 109, 242]),
+]
+
+
+@pytest.mark.parametrize("spec, config, values", PINNED_WIDE_TRIALS)
+def test_wide_vertex_trials_keep_their_recorded_walks(spec, config, values):
+    g = Graph.from_text(HUB_TEXT, name="hub") if spec == "hub" else family(spec)
+    got = [trial_value(g, config, seed=3, trial_index=i) for i in range(6)]
+    assert got == [(float(v), False) for v in values]
+
+
 @pytest.mark.parametrize(
     "spec, counts",
     [
