@@ -196,9 +196,13 @@ class SimpleSample:
 def default_max_tries(seq: DegreeSequence) -> int:
     """max(1000, ceil(20 / p)) attempts, p the predicted simple probability.
 
-    Raises SizeCapError when that exceeds MAX_DEFAULT_TRIES, or when p
-    underflows to 0, instead of starting a search that cannot end soon.
+    Raises ParameterError when a degree is n or more, since no simple graph
+    has one, and SizeCapError when the budget exceeds MAX_DEFAULT_TRIES, or
+    when p underflows to 0, instead of starting a search that cannot end
+    soon.
     """
+    if seq.maximum >= seq.n:
+        raise ParameterError(f"no simple graph on {seq.n} vertices has a degree of {seq.n} or more")
     p = predicted_p_simple(seq)
     if p * MAX_DEFAULT_TRIES < 20.0:
         raise SizeCapError(

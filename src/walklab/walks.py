@@ -10,22 +10,31 @@ Trials are cheap to start: a chunk of trials shares one Philox, reset
 before trial i to key (s, 1 + i) at counter 0 with nothing buffered, which
 is exactly the start of `substream(s, 1 + i)`. A walk draws its uniforms
 in blocks of 64, 128, 256, ... up to BUFFER = 4096, then 4096 at a time,
-so a 30-step walk draws 64 values, not 4096. Philox doubles do not depend
-on how they are blocked, so every step reads the uniform it would read
-from one long draw.
+never past its budget, so a 30-step walk draws 64 values, not 4096. Philox
+doubles do not depend on how they are blocked, so every step reads the
+uniform it would read from one long draw.
 
 Every walk runs in one loop, `_walk`, driven by per-vertex visit quotas:
 it stops at the first step where each vertex has been visited as often as
 its quota asks (1 everywhere for cover, 1 at the target for hit,
 ceil(reference * pi_v) for blanket-cover), or is censored at its step
 budget. Blanket with delta > 0 adds the check counts[v] > delta * pi_v * t
-on top of the cover quota. Visit frequencies are the same loop with no
-quota, run for a fixed number of steps. `_plan` alone decides which
-graphs a run takes: any graph in hit mode, a connected one in the modes
-that put a quota on every vertex, and never an isolated start.
+on top of the cover quota, run only when a quota is met: a vertex failing
+it gets a quota on its next visit, the one step that can make it pass.
+Visit frequencies are the same loop with no quota, run for a fixed number
+of steps. `_plan` alone decides which graphs a run takes: any graph in hit
+mode, a connected one in the modes that put a quota on every vertex, and
+never an isolated start.
 
-Next-step sampling uses an alias table at vertices of degree above 8 and
-a cumulative-table bisection below that; one uniform drives either method.
+Every step is one bisection, pos = nbrs[pos][bisect_left(cum[pos], u)],
+over two flat per-vertex lists: the step goes to nbrs[v][i] for u in
+(cum[v][i - 1], cum[v][i]]. At a vertex of degree at most 8 these are the
+neighbours and their cumulative probabilities. Above that the next step is
+defined by the alias method (Walker 1977): bucket k = int(u d), then
+neighbour k if u d - k < prob[k], else neighbour alias[k]. That is a step
+function of u with at most 2d breakpoints; `_alias_breakpoints` finds
+each one exactly, as the least double at which the alias pick changes, so
+the table picks what the alias method picks for every double u in [0, 1).
 """
 
 from __future__ import annotations
@@ -35,6 +44,8 @@ import os
 from bisect import bisect_left
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
+from itertools import accumulate
+from operator import length_hint
 
 import numpy as np
 
@@ -113,47 +124,49 @@ class EstimateRecord:
 
 
 def _vertex_tables(g: Graph, scheme: str, lazy: bool):
-    """Per-vertex samplers and the stationary distribution of the weighted walk.
+    """Per-vertex step tables and the stationary distribution of the weighted walk.
 
-    A sampler is ("scan", nbrs, cumulative) or ("alias", nbrs, prob, alias);
-    an isolated vertex has None, since no edge leads to it. pi is a list,
-    and laziness does not change it; it needs g to have an edge.
+    Returns (nbrs, cum, pi): a step from v goes to
+    nbrs[v][bisect_left(cum[v], u)], and cum[v] ends in 1.0. Up to degree
+    ALIAS_DEGREE, nbrs[v] lists the distinct neighbours (v itself last when
+    a lazy walk adds its hold) and cum[v] their cumulative probabilities;
+    above it, the pair is the breakpoint form of v's alias table. An
+    isolated vertex has None in both, since no edge leads to it. pi is a
+    list, and laziness does not change it; it needs g to have an edge.
     """
     h = apply_scheme(g, scheme)
-    tables = []
+    nbrs: list = [None] * h.n
+    cum: list = [None] * h.n
+    wide = {}  # vertex -> (nbrs, prob, alias) above ALIAS_DEGREE
     for v in range(h.n):
         pairs: dict[int, float] = {}
         for other, w in h.incidence[v]:
             pairs[other] = pairs.get(other, 0.0) + w
         if not pairs:
-            tables.append(None)
             continue
-        nbrs = sorted(pairs)
-        weights = [pairs[x] for x in nbrs]
+        out = sorted(pairs)
+        weights = [pairs[x] for x in out]
         total = sum(weights)
         probs = [w / total for w in weights]
         if lazy:
             probs = [0.5 * p for p in probs]
             if v in pairs:
-                probs[nbrs.index(v)] += 0.5
+                probs[out.index(v)] += 0.5
             else:
-                nbrs.append(v)
+                out.append(v)
                 probs.append(0.5)
-        if len(nbrs) > ALIAS_DEGREE:
-            prob, alias = _build_alias(probs)
-            tables.append(("alias", nbrs, prob, alias))
+        if len(out) > ALIAS_DEGREE:
+            wide[v] = (out, *_build_alias(probs))
         else:
-            cum = []
-            acc = 0.0
-            for p in probs:
-                acc += p
-                cum.append(acc)
-            cum[-1] = 1.0
-            tables.append(("scan", nbrs, cum))
-    return tables, (h.weighted_degrees / h.volume).tolist()
+            nbrs[v], cum[v] = out, list(accumulate(probs))
+            cum[v][-1] = 1.0
+    for v, (out, bounds) in zip(wide, _alias_breakpoints(list(wide.values()))):
+        nbrs[v], cum[v] = out, bounds
+    return nbrs, cum, (h.weighted_degrees / h.volume).tolist()
 
 
 def _build_alias(probs: list[float]) -> tuple[list[float], list[int]]:
+    """Walker's alias table: bucket k keeps k with probability prob[k], else alias[k]."""
     n = len(probs)
     prob = [0.0] * n
     alias = [0] * n
@@ -172,57 +185,140 @@ def _build_alias(probs: list[float]) -> tuple[list[float], list[int]]:
     return prob, alias
 
 
+_ONE = np.float64(1.0).view(np.int64)  # doubles in [0, 1] order like their bit patterns
+
+
+def _alias_breakpoints(tables: list) -> list[tuple[list, list[float]]]:
+    """Breakpoint form (outs, cum) of each alias table (nbrs, prob, alias).
+
+    For every double u in [0, 1), outs[bisect_left(cum, u)] is the alias
+    pick: with d = len(nbrs), x = u * d and k = int(x), nbrs[k] when
+    x - k < prob[k], else nbrs[alias[k]]. (x < d whenever u < 1, so k is
+    always a bucket.) Let b_k be the least u with u * d - k >= 0 and a_k
+    the least with u * d - k >= prob[k], each product and difference
+    rounded as the alias pick rounds it, and b_d = 1.0. Both tests are
+    monotone in u, and 0 <= prob[k] <= 1 puts a_k in [b_k, b_k+1], so
+    bucket k picks nbrs[k] on [b_k, a_k) and nbrs[alias[k]] on
+    [a_k, b_k+1). One bisection over the bit patterns of [0, 1] finds every
+    b_k and a_k of every table exactly, starting from a few ulps around
+    (k + prob[k]) / d. Empty intervals are dropped and
+    neighbouring ones with the same pick merged; cum holds the last double
+    of each interval, and 1.0 for the last.
+    """
+    if not tables:
+        return []
+    sizes = np.array([len(nbrs) for nbrs, _, _ in tables])
+    first = np.cumsum(sizes) - sizes  # where each table starts in the flat arrays
+    lengths = 2 * sizes
+    last = np.cumsum(lengths) - 1  # its last interval
+    row = np.arange(len(tables)).repeat(lengths)
+    d = sizes[row].astype(np.float64)
+    k = ((np.arange(last[-1] + 1) - 2 * first[row]) // 2).astype(np.float64)
+    level = np.zeros(len(k))  # b_k at even places, a_k at odd ones
+    level[1::2] = np.concatenate([prob for _, prob, _ in tables])
+
+    def test(bits):
+        return bits.view(np.float64) * d - k >= level
+
+    # the least u passing the test lies in [lo, hi] when u = lo - 1 fails
+    # (or lo = 0) and u = hi passes (or hi is 1.0, which stands for "no
+    # u in [0, 1)"); a few ulps around (k + level) / d bracket it, and
+    # the whole of [0, 1] does where they do not
+    guess = np.minimum((k + level) / d, 1.0).view(np.int64)
+    lo = np.maximum(guess - 16, 0)
+    hi = np.minimum(guess + 16, _ONE)
+    wrong = ((lo > 0) & test(lo - 1)) | ((hi < _ONE) & ~test(hi))
+    lo[wrong], hi[wrong] = 0, _ONE
+    while (open_ := lo < hi).any():
+        mid = (lo + hi) >> 1
+        ok = test(mid)
+        hi = np.where(open_ & ok, mid, hi)
+        lo = np.where(open_ & ~ok, mid + 1, lo)
+    # interval i of a table runs from start[i] to end[i]: b_0, a_0, b_1, ..., 1.0
+    start = hi
+    end = np.roll(hi, -1)
+    end[last] = _ONE
+    nbrs = np.concatenate([nbrs for nbrs, _, _ in tables])
+    alias = np.concatenate([alias for _, _, alias in tables]) + first.repeat(sizes)
+    picks = np.column_stack([nbrs, nbrs[alias]]).ravel()
+    kept = np.flatnonzero(end > start)
+    # a run of kept intervals with one pick becomes its last interval
+    same = picks[kept[:-1]] == picks[kept[1:]]
+    same &= row[kept[:-1]] == row[kept[1:]]
+    kept = kept[np.append(~same, True)]
+    cum = (end[kept] - 1).view(np.float64)  # the last double below each end
+    cum[end[kept] == _ONE] = 1.0
+    splits = np.searchsorted(kept, last[:-1], side="right")
+    return [
+        (o.tolist(), c.tolist())
+        for o, c in zip(np.split(picks[kept], splits), np.split(cum, splits))
+    ]
+
+
 # --- the walk ---
 
 
 def _walk(tables, pos, rng, budget, counts, need, remaining, delta_pi=None) -> int | None:
     """Walk from pos until no vertex is below its visit quota; the only stepper.
 
-    counts (the start position already counted) is updated in place;
-    remaining is the number of vertices v with counts[v] < need[v]. With
-    delta_pi the walk also needs counts[v] > delta_pi[v] * t at every v.
-    Returns the stopping step, or None once budget steps pass without it.
+    tables is the (nbrs, cum) pair of `_vertex_tables`. counts (the start
+    position already counted) is updated in place; remaining is the number
+    of vertices v with counts[v] < need[v]. With delta_pi the walk also
+    needs counts[v] > delta_pi[v] * t at every v. Returns the stopping
+    step, or None once budget steps pass without it.
 
     Step t reads the t-th uniform of rng. The uniforms come in blocks of
-    64, then twice as many each time up to BUFFER, then BUFFER each: a
-    short walk pays for few draws, a long one for few calls.
-    Philox doubles drawn in blocks of any sizes equal one draw of their
-    total, so the schedule never changes which uniform a step reads.
+    64, then twice as many each time up to BUFFER, then BUFFER each, never
+    past the budget: a short walk pays for few draws, a long one for few
+    calls. Philox doubles drawn in blocks of any sizes equal one draw of
+    their total, so the schedule never changes which uniform a step reads.
+    A step does one bisection and one quota test; the step number is read
+    off the block iterator only at a quota event.
+
+    The blanket test runs only at quota events. Once every quota is met it
+    looks for a witness w with counts[w] <= delta_pi[w] * t and, if there
+    is one, puts a quota on w's next visit: until then counts[w] stays and
+    delta_pi[w] * t does not fall, so w keeps failing and no step in
+    between can stop. At that visit w is tested again, and only if it
+    passes are the others. So the walk stops at the first step where every
+    vertex passes, as if all were tested at every step.
     """
     if remaining == 0:
         return 0
-    blanket = delta_pi is not None
-    buf: list[float] = []
-    bi = 0
+    nbrs, cum = tables
+    if delta_pi is not None:
+        need = need.copy()  # witness quotas are this walk's own
+    bisect = bisect_left  # a local name: read once per step
+    t = 0  # steps taken before the current block
     block = 64
-    t = 0
     while t < budget:
-        if bi == len(buf):
-            buf = rng.random(block).tolist()
-            bi = 0
-            block = min(2 * block, BUFFER)
-        u = buf[bi]
-        bi += 1
-        table = tables[pos]
-        if table[0] == "alias":
-            _, nbrs, prob, alias = table
-            x = u * len(nbrs)
-            k = int(x)
-            if k >= len(nbrs):  # u == 1.0 guard
-                k = len(nbrs) - 1
-            pos = nbrs[k] if (x - k) < prob[k] else nbrs[alias[k]]
-        else:
-            pos = table[1][bisect_left(table[2], u)]
-        t += 1
-        c = counts[pos] + 1
-        counts[pos] = c
-        if c == need[pos]:
-            remaining -= 1
-        if remaining == 0 and (
-            not blanket or all(m > d * t for m, d in zip(counts, delta_pi))
-        ):
-            return t
+        us = rng.random(min(block, budget - t)).tolist()
+        rest = iter(us)
+        for u in rest:
+            pos = nbrs[pos][bisect(cum[pos], u)]
+            c = counts[pos] + 1
+            counts[pos] = c
+            if c == need[pos]:
+                remaining -= 1
+                if remaining == 0:
+                    step = t + len(us) - length_hint(rest)
+                    if delta_pi is None:
+                        return step
+                    w = _blanket_witness(counts, delta_pi, step, pos)
+                    if w is None:
+                        return step
+                    need[w] = counts[w] + 1
+                    remaining = 1
+        t += len(us)
+        block = min(2 * block, BUFFER)
     return None
+
+
+def _blanket_witness(counts, delta_pi, t, last) -> int | None:
+    """A vertex v with counts[v] <= delta_pi[v] * t, vertex last tried first; None if none."""
+    if not counts[last] > delta_pi[last] * t:
+        return last
+    return next((v for v, (m, d) in enumerate(zip(counts, delta_pi)) if not m > d * t), None)
 
 
 def blanket_cover_reference(g: Graph, scheme: str = "uniform", lazy: bool = False) -> float:
@@ -239,8 +335,8 @@ def _plan(g: Graph, config: WalkConfig) -> tuple:
     Outside hit mode a disconnected graph raises DisconnectedError; an
     isolated start raises UnsupportedInputError before pi divides by the
     volume. Returns picklable (tables, start, budget, counts, need,
-    remaining, delta_pi): samplers, visit counts at time zero, quotas, how
-    many are unmet at time zero, and the blanket thresholds delta * pi_v.
+    remaining, delta_pi): step tables, visit counts at time zero, quotas,
+    how many are unmet at time zero, and the blanket thresholds delta * pi_v.
     """
     if config.stop not in STOP_MODES:
         raise ParameterError(f"unknown stop mode {config.stop!r}")
@@ -256,7 +352,7 @@ def _plan(g: Graph, config: WalkConfig) -> tuple:
         raise DisconnectedError(f"{g.name} is disconnected; {config.stop} visits every vertex")
     if not g.incidence[config.start]:
         raise UnsupportedInputError(f"start {config.start} of {g.name} is isolated")
-    tables, pi = _vertex_tables(g, config.scheme, config.lazy)
+    nbrs, cum, pi = _vertex_tables(g, config.scheme, config.lazy)
     delta_pi = None
     if config.stop == "hit":
         need = [0] * g.n
@@ -274,7 +370,7 @@ def _plan(g: Graph, config: WalkConfig) -> tuple:
     counts = [0] * g.n
     counts[config.start] = 1
     remaining = sum(c < q for c, q in zip(counts, need))
-    return tables, config.start, config.budget, counts, need, remaining, delta_pi
+    return (nbrs, cum), config.start, config.budget, counts, need, remaining, delta_pi
 
 
 def _trial_values(args) -> list[int | None]:
@@ -432,11 +528,11 @@ def empirical_visit_frequencies(
         raise ParameterError(f"start {start} out of range")
     if not g.incidence[start]:
         raise UnsupportedInputError(f"start {start} of {g.name} is isolated")
-    tables, _ = _vertex_tables(g, scheme, lazy)
+    nbrs, cum, _ = _vertex_tables(g, scheme, lazy)
     counts = [0] * g.n
     counts[start] = 1
     # no quota: a zero quota is never met after a visit, so all steps run
-    _walk(tables, start, substream(seed, 1), steps, counts, [0] * g.n, g.n)
+    _walk((nbrs, cum), start, substream(seed, 1), steps, counts, [0] * g.n, g.n)
     return np.array(counts) / float(steps + 1)
 
 

@@ -129,8 +129,9 @@ def test_degree_pole_exits_2(runner, tmp_path):
 
 
 def test_unrealizable_degrees_exit_3(runner, tmp_path):
+    # every degree is below n, yet the two 3s need the 1s to have degree 2
     degfile = tmp_path / "deg.txt"
-    degfile.write_text("5\n5\n5\n5\n")
+    degfile.write_text("3\n3\n1\n1\n")
     result = _run(
         runner,
         [
@@ -143,12 +144,18 @@ def test_unrealizable_degrees_exit_3(runner, tmp_path):
 
 
 @pytest.mark.parametrize(
-    "degrees", [["regular:15", "--n", "16"], ["file"]], ids=["regular-15", "degrees-1e12"]
+    "degrees, message",
+    [
+        (["regular:15", "--n", "16"], "capped at"),
+        (["file"], "has a degree of 2 or more"),
+        (["regular:60", "--n", "62"], "capped at"),
+    ],
+    ids=["regular-15", "degrees-1e12", "regular-60"],
 )
-def test_hopeless_rejection_budget_exits_2(runner, tmp_path, monkeypatch, degrees):
+def test_hopeless_rejection_budget_exits_2(runner, tmp_path, monkeypatch, degrees, message):
     # p is about 5e-25 for 15-regular on 16 vertices and underflows to 0 for
-    # a file of two degrees 10^12, so the default budget would run for hours
-    # or divide by zero
+    # 60-regular on 62, so the default budget would run for hours or divide
+    # by zero; no simple graph has a file's two degrees 10^12 on 2 vertices
     def no_pairing(*args, **kwargs):
         raise AssertionError("a pairing was drawn before the budget was checked")
 
@@ -165,7 +172,32 @@ def test_hopeless_rejection_budget_exits_2(runner, tmp_path, monkeypatch, degree
         ],
     )
     assert result.exit_code == 2
-    assert "capped at" in result.output
+    assert message in result.output
+    assert "Traceback" not in result.output
+
+
+@pytest.mark.parametrize(
+    "degrees", ["5\n5\n5\n5\n", f"{10**400}\n{10**400}\n"], ids=["degree-n", "degree-401-digits"]
+)
+def test_degree_of_n_or_more_exits_2_in_one_line(runner, tmp_path, monkeypatch, degrees):
+    # no simple graph has such a degree; a 401-digit one also overflowed
+    # the float in the predicted simple probability
+    def no_pairing(*args, **kwargs):
+        raise AssertionError("a pairing was drawn for a degree sequence no simple graph has")
+
+    monkeypatch.setattr("walklab.configmodel._pairings", no_pairing)
+    degfile = tmp_path / "deg.txt"
+    degfile.write_text(degrees)
+    result = _run(
+        runner,
+        [
+            "run", "degseq-cover", "--degseq", str(degfile), "--trials", "4",
+            "--seed", "1", "--out", str(tmp_path / "d"),
+        ],
+    )
+    assert result.exit_code == 2
+    assert result.output.count("\n") == 1
+    assert "or more" in result.output
     assert "Traceback" not in result.output
 
 

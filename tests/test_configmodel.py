@@ -122,10 +122,14 @@ def test_default_budget_is_refused_up_front_above_its_cap(monkeypatch):
     monkeypatch.setattr("walklab.configmodel._pairings", no_pairing)
     with pytest.raises(SizeCapError, match="capped at"):
         sample_simple(regular_sequence(16, 15), seed=1)  # p about 5e-25
-    huge = DegreeSequence((10**12, 10**12))
-    assert predicted_p_simple(huge) == 0.0
+    sixty = regular_sequence(62, 60)
+    assert predicted_p_simple(sixty) == 0.0
     with pytest.raises(SizeCapError, match="capped at"):
-        sample_simple(huge, seed=1)
+        sample_simple(sixty, seed=1)
+    # no simple graph has a degree of n or more, however large
+    for degrees in [(10**12, 10**12), (10**400, 10**400), (5, 5, 5, 5)]:
+        with pytest.raises(ParameterError, match="or more"):
+            sample_simple(DegreeSequence(degrees), seed=1)
     monkeypatch.undo()
     with pytest.raises(RejectionFailure, match="0/50"):  # an explicit budget is used as given
         sample_simple(regular_sequence(16, 15), seed=1, max_tries=50)

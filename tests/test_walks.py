@@ -1,14 +1,18 @@
 import math
+from bisect import bisect_left
 from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from walklab import walks
 from walklab.errors import DisconnectedError, ParameterError, SizeCapError
 from walklab.graph import Graph, complete, cycle, family, lollipop, path, star
 from walklab.rng import substream
 from walklab.spectral import build_kernel, exact_cover_time, exact_hitting
+from helpers import alias_pick
 from walklab.walks import (
     EstimateRecord,
     WalkConfig,
@@ -327,6 +331,100 @@ def test_wide_vertex_trials_keep_their_recorded_walks(spec, config, values):
     g = Graph.from_text(HUB_TEXT, name="hub") if spec == "hub" else family(spec)
     got = [trial_value(g, config, seed=3, trial_index=i) for i in range(6)]
     assert got == [(float(v), False) for v in values]
+
+
+def _probes(cum: list[float], d: int) -> list[float]:
+    """Every double within 4 ulps of a breakpoint or a bucket edge k/d, and 0 and 1 - 2^-53."""
+    centres = np.concatenate([cum, np.arange(d + 1) / d, [0.0, 1.0 - 2.0**-53]])
+    up = down = centres
+    points = [centres]
+    for _ in range(4):
+        up, down = np.nextafter(up, 2.0), np.nextafter(down, -1.0)
+        points += [up, down]
+    u = np.concatenate(points)
+    return np.unique(u[(u >= 0.0) & (u < 1.0)]).tolist()
+
+
+def _assert_breakpoints_pick_as_alias(tables):
+    converted = walks._alias_breakpoints(tables)
+    assert len(converted) == len(tables)
+    for (nbrs, prob, alias), (outs, cum) in zip(tables, converted):
+        assert cum == sorted(cum) and cum[-1] == 1.0 and len(outs) == len(cum) <= 2 * len(nbrs)
+        for u in _probes(cum, len(nbrs)):
+            assert outs[bisect_left(cum, u)] == alias_pick(nbrs, prob, alias, u), (u, nbrs, prob, alias)
+
+
+def _walk_probabilities(weights: list[float], lazy: bool) -> list[float]:
+    total = sum(weights)
+    probs = [w / total for w in weights]
+    return [0.5 * p for p in probs] + [0.5] if lazy else probs
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.lists(
+        st.tuples(
+            st.lists(st.floats(1e-3, 1e3) | st.integers(1, 5).map(float), min_size=9, max_size=48),
+            st.booleans(),
+        ),
+        min_size=1,
+        max_size=4,
+    )
+)
+def test_breakpoint_tables_pick_as_the_alias_method_on_walk_weights(rows):
+    # the alias tables _vertex_tables builds, lazy holds included; several
+    # tables at once, as one plan converts all its wide vertices together
+    tables = []
+    for weights, lazy in rows:
+        probs = _walk_probabilities(weights, lazy)
+        tables.append((list(range(100, 100 + len(probs))), *walks._build_alias(probs)))
+    _assert_breakpoints_pick_as_alias(tables)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.lists(
+        st.integers(9, 40).flatmap(
+            lambda d: st.tuples(
+                st.lists(st.sampled_from([0.0, 1.0]) | st.floats(0.0, 1.0), min_size=d, max_size=d),
+                st.lists(st.integers(0, d - 1), min_size=d, max_size=d),
+            )
+        ),
+        min_size=1,
+        max_size=3,
+    )
+)
+def test_breakpoint_tables_pick_as_the_alias_method_on_any_table(rows):
+    # any prob in [0, 1] and any alias, prob[k] = 0 and 1 included: the
+    # conversion assumes nothing of how _build_alias fills them
+    tables = [(list(range(len(prob))), prob, alias) for prob, alias in rows]
+    _assert_breakpoints_pick_as_alias(tables)
+
+
+def test_alias_bucket_reaches_its_clamp_only_at_one():
+    # u * d rounds below d for every double u < 1: d (1 - 2^-53) lies more
+    # than half an ulp under d, or is exact when d is a power of two
+    u = 1.0 - 2.0**-53
+    assert all(int(u * d) == d - 1 for d in range(1, 100_001))
+
+
+def test_wide_vertex_tables_pick_as_the_alias_method():
+    # the tables of a plan at every wide vertex: complete:12 lazy (degree 12
+    # with the hold) and the weighted hub with its loop and doubled spoke
+    for g, lazy in [(family("complete:12"), True), (Graph.from_text(HUB_TEXT), False)]:
+        nbrs, cum, _ = walks._vertex_tables(g, "uniform", lazy)
+        for v in range(g.n):
+            merged: dict[int, float] = {}
+            for other, w in g.incidence[v]:
+                merged[other] = merged.get(other, 0.0) + w
+            assert not (lazy and v in merged)  # no loop to fold the hold into
+            out = sorted(merged) + ([v] if lazy else [])
+            if len(out) <= walks.ALIAS_DEGREE:
+                continue
+            probs = _walk_probabilities([merged[x] for x in sorted(merged)], lazy)
+            prob, alias = walks._build_alias(probs)
+            for u in _probes(cum[v], len(out)):
+                assert nbrs[v][bisect_left(cum[v], u)] == alias_pick(out, prob, alias, u)
 
 
 @pytest.mark.parametrize(
