@@ -201,9 +201,9 @@ def _alias_breakpoints(tables: list) -> list[tuple[list, list[float]]]:
     bucket k picks nbrs[k] on [b_k, a_k) and nbrs[alias[k]] on
     [a_k, b_k+1). One bisection over the bit patterns of [0, 1] finds every
     b_k and a_k of every table exactly, starting from a few ulps around
-    (k + prob[k]) / d. Empty intervals are dropped and
-    neighbouring ones with the same pick merged; cum holds the last double
-    of each interval, and 1.0 for the last.
+    (k + prob[k]) / d. Empty intervals are dropped and neighbouring ones
+    with the same pick merged; cum holds the last double of each interval,
+    and 1.0 for the last.
     """
     if not tables:
         return []
@@ -238,9 +238,9 @@ def _alias_breakpoints(tables: list) -> list[tuple[list, list[float]]]:
     start = hi
     end = np.roll(hi, -1)
     end[last] = _ONE
-    nbrs = np.concatenate([nbrs for nbrs, _, _ in tables])
+    targets = np.concatenate([nbrs for nbrs, _, _ in tables])
     alias = np.concatenate([alias for _, _, alias in tables]) + first.repeat(sizes)
-    picks = np.column_stack([nbrs, nbrs[alias]]).ravel()
+    picks = np.column_stack([targets, targets[alias]]).ravel()
     kept = np.flatnonzero(end > start)
     # a run of kept intervals with one pick becomes its last interval
     same = picks[kept[:-1]] == picks[kept[1:]]
@@ -288,7 +288,7 @@ def _walk(tables, pos, rng, budget, counts, need, remaining, delta_pi=None) -> i
     nbrs, cum = tables
     if delta_pi is not None:
         need = need.copy()  # witness quotas are this walk's own
-    bisect = bisect_left  # a local name: read once per step
+    bisect = bisect_left  # a local: looked up at every step, faster than a global
     t = 0  # steps taken before the current block
     block = 64
     while t < budget:
