@@ -440,6 +440,37 @@ def test_visit_counts_keep_their_recorded_walk(spec, counts):
     assert (freq * (steps + 1)).tolist() == [float(c) for c in counts]
 
 
+# lollipop:30's clique vertices (degree 19 and 20) step through alias
+# tables; 50 000 steps from vertex 0 at seed 0
+PINNED_LONG_VISITS = [
+    (
+        {"lazy": True},
+        [2431, 2447, 2552, 2427, 2368, 2401, 2432, 2452, 2393, 2329, 2460, 2499, 2459, 2334, 2490,
+         2390, 2373, 2396, 2464, 2374, 206, 220, 207, 143, 153, 128, 102, 135, 157, 79],
+    ),
+    (
+        {"scheme": "mindeg"},
+        [1625, 1662, 1595, 1674, 1621, 1559, 1615, 1644, 1598, 1684, 1603, 1640, 1622, 1602, 1668,
+         1606, 1582, 1598, 1583, 2381, 1608, 1626, 1571, 1557, 1542, 1534, 1553, 1595, 2540, 1713],
+    ),
+]
+
+
+@pytest.mark.parametrize("kwargs, counts", PINNED_LONG_VISITS)
+def test_long_visit_counts_keep_their_recorded_walk(kwargs, counts):
+    steps = 50_000
+    freq = empirical_visit_frequencies(family("lollipop:30"), steps=steps, seed=0, **kwargs)
+    assert freq.tolist() == (np.array(counts) / float(steps + 1)).tolist()
+
+
+def test_hub_of_thousands_keeps_its_recorded_hit_walks():
+    # star:3000's centre has a 2999-entry step table
+    g = family("star:3000")
+    config = WalkConfig(stop="hit", start=1, target=2)
+    got = [trial_value(g, config, seed=3, trial_index=i) for i in range(6)]
+    assert got == [(float(v), False) for v in [5020, 652, 1836, 5406, 5428, 7398]]
+
+
 def test_long_walks_keep_their_recorded_values():
     # walks that read well past 8192 uniforms; cycle:200 takes the scan
     # sampler only, lollipop:30's clique vertices (degree up to 20) take
@@ -451,6 +482,22 @@ def test_long_walks_keep_their_recorded_values():
     blanket = WalkConfig(stop="blanket", delta=0.3)
     got = [trial_value(lollipop30, blanket, seed=3, trial_index=i) for i in range(2)]
     assert got == [(2072.0, False), (12537.0, False)]
+
+
+@pytest.mark.parametrize(
+    "spec, delta, start, values",
+    [
+        ("path:4", 0.9, 0, [3, 405, 3, 5, 16, 9]),
+        ("star:4", 0.9, 3, [46, 18, 12, 52, 4, 156]),
+        ("complete:4", 0.7, 3, [15, 15, 4, 5, 4, 4]),
+    ],
+)
+def test_blanket_walks_count_the_start_at_time_zero(spec, delta, start, values):
+    # high delta on tiny graphs: the start's visit at time zero decides
+    # several stopping steps
+    config = WalkConfig(stop="blanket", delta=delta, start=start)
+    got = [trial_value(family(spec), config, seed=3, trial_index=i) for i in range(6)]
+    assert got == [(float(v), False) for v in values]
 
 
 def test_two_chunk_simulate_keeps_its_recorded_estimate():
