@@ -48,7 +48,8 @@ class Graph:
         Number of vertices, at least 1.
     edges : iterable of (u, v) or (u, v, weight)
         Endpoints in range(n); omitted weights default to 1.0. Weights must
-        be positive and finite. Loops (u == v) and repeated pairs are kept.
+        be positive and finite, and so must the volume, twice their sum.
+        Loops (u == v) and repeated pairs are kept.
     name : str, optional
         Free-form label used in reports; ignored by equality.
     """
@@ -57,6 +58,7 @@ class Graph:
         if n < 1:
             raise ParameterError(f"graph needs at least one vertex, got n={n}")
         normalized: list[tuple[int, int, float]] = []
+        total = 0.0  # the weight sum; twice it is the volume
         for e in edges:
             if len(e) == 2:
                 u, v = e
@@ -75,9 +77,12 @@ class Graph:
             if u > v:
                 u, v = v, u
             normalized.append((u, v, w))
+            total += w
         self._n = n
         self._edges = tuple(normalized)
         self.name = name or f"graph(n={n},m={len(normalized)})"
+        if not math.isfinite(2.0 * total):
+            raise ParameterError(f"volume of {self.name}, twice its weight sum, is not finite")
 
     # --- basic accessors ---
 

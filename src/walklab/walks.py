@@ -18,16 +18,21 @@ Every walk runs in one loop, `_walk`, driven by per-vertex visit quotas:
 it stops at the first step where each vertex has been visited as often as
 its quota asks (1 everywhere for cover, 1 at the target for hit,
 ceil(reference * pi_v) for blanket-cover), or is censored at its step
-budget. Blanket with delta > 0 adds the check counts[v] > delta * pi_v * t
-on top of the cover quota, run only when a quota is met: a vertex failing
-it gets a quota on its next visit, the one step that can make it pass.
+budget. The loop counts quotas down: left[v] is the number of visits v
+still owes, and a step that lands where left is 0 costs one list read.
+Blanket with delta > 0 adds the check count(v) > delta * pi_v * t on top
+of the cover quota, run only when no quota is left: a vertex failing it
+gets a quota on its next visit, the one step that can make it pass.
 Visit frequencies are the same loop with no quota, run for a fixed number
-of steps. `_plan` alone decides which graphs a run takes: any graph in hit
-mode, a connected one in the modes that put a quota on every vertex, and
-never an isolated start.
+of steps. These two need true counts; they keep them in left as
+-(count + 1), so every step that lands on a counted vertex takes the
+branch a quota event takes. `_plan` alone decides which graphs a run
+takes: any graph in hit mode, a connected one in the modes that put a
+quota on every vertex, and never an isolated start; budgets above
+WalkConfig().budget are refused.
 
-Every step is one bisection, pos = nbrs[pos][bisect_left(cum[pos], u)],
-over two flat per-vertex lists: the step goes to nbrs[v][i] for u in
+A step from v with uniform u goes to nbrs[v][bisect_left(cum[v], u)],
+over two flat per-vertex lists: to nbrs[v][i] for u in
 (cum[v][i - 1], cum[v][i]]. At a vertex of degree at most 8 these are the
 neighbours and their cumulative probabilities. Above that the next step is
 defined by the alias method (Walker 1977): bucket k = int(u d), then
@@ -35,6 +40,13 @@ neighbour k if u d - k < prob[k], else neighbour alias[k]. That is a step
 function of u with at most 2d breakpoints; `_alias_breakpoints` finds
 each one exactly, as the least double at which the alias pick changes, so
 the table picks what the alias method picks for every double u in [0, 1).
+
+The walk seldom bisects. Each vertex also has a bucket row of R entries,
+R a power of two chosen from the plan's tables: rows[v][int(u R)] is the
+step for every u in that bucket, or None where a breakpoint of cum[v]
+splits the bucket, and only then does the step bisect. int(u R) is an
+exact floor, and the row is built from exact comparisons, so the lookup
+picks what the bisection picks for every double u.
 """
 
 from __future__ import annotations
@@ -71,6 +83,7 @@ STOP_MODES = ("cover", "hit", "blanket", "blanket-cover")
 ALIAS_DEGREE = 8
 CHUNK = 256
 BUFFER = 4096
+_SLOTS = 2**18  # bucket-row entries one plan may hold, 2 MB of list slots
 
 
 @dataclass(frozen=True)
@@ -84,7 +97,7 @@ class WalkConfig:
     reference:  cover-time reference for "blanket-cover"; computed from the
                 graph when omitted (exact up to COVER_CAP vertices, the
                 max-hitting cover bound above)
-    budget:     hard step cap; trials that reach it are censored
+    budget:     hard step cap, at most 10**9; trials that reach it are censored
     scheme:     edge weighting applied before walking
     lazy:       walk the lazy kernel (hold with probability 1/2)
     """
@@ -133,6 +146,7 @@ def _vertex_tables(g: Graph, scheme: str, lazy: bool):
     above it, the pair is the breakpoint form of v's alias table. An
     isolated vertex has None in both, since no edge leads to it. pi is a
     list, and laziness does not change it; it needs g to have an edge.
+    `_bucket_rows` turns the pair into the lookup rows a walk steps by.
     """
     h = apply_scheme(g, scheme)
     nbrs: list = [None] * h.n
@@ -255,29 +269,86 @@ def _alias_breakpoints(tables: list) -> list[tuple[list, list[float]]]:
     ]
 
 
+# --- bucket rows ---
+
+
+def _resolution(cum: list) -> int:
+    """Bucket count R of a plan's rows: a power of two, from its tables alone.
+
+    The least power of two at least 16 times the longest cum row, kept in
+    [32, 1024], then halved while the rows would hold more than _SLOTS
+    entries in all. A row of length L has at most L - 1 impure buckets,
+    so at 16 L buckets at most one in 16 is impure.
+    """
+    longest = max((len(c) for c in cum if c is not None), default=1)
+    r = 32
+    while r < 16 * longest and r < 1024:
+        r *= 2
+    while r > 1 and len(cum) * r > _SLOTS:
+        r //= 2
+    return r
+
+
+def _bucket_rows(nbrs: list, cum: list, r: int) -> list:
+    """Per-vertex lookup rows: rows[v][k] is where every u in [k/r, (k+1)/r) steps from v.
+
+    r is a power of two, so k = int(u * r) exactly for every double u in
+    [0, 1), and bucket k holds the doubles from k/r up to the one just
+    below (k + 1)/r. The step nbrs[v][bisect_left(cum[v], u)] changes only
+    where u passes an entry c of cum[v], from u = c to the next double. So
+    bucket k picks one vertex for all its u unless some c lies in it other
+    than its last double; then rows[v][k] is None and the step bisects.
+    One pass over cum[v] in order fills the buckets below each entry's
+    bucket int(c * r) with that entry's vertex, then settles the entry's
+    own bucket unless an earlier entry already did. Entries from 1.0 up
+    lie past the last bucket. Isolated vertices have no row.
+    """
+    rows = [None] * len(cum)
+    for v, (outs, bounds) in enumerate(zip(nbrs, cum)):
+        if bounds is None:
+            continue
+        row = []
+        for o, c in zip(outs, bounds):
+            x = c * r  # exact: r is a power of two
+            k = min(int(x), r)
+            if k > len(row):
+                row += [o] * (k - len(row))
+            if k == len(row) < r:
+                row.append(o if x == math.nextafter(k + 1.0, 0.0) else None)
+        rows[v] = row
+    return rows
+
+
 # --- the walk ---
 
 
-def _walk(tables, pos, rng, budget, counts, need, remaining, delta_pi=None) -> int | None:
-    """Walk from pos until no vertex is below its visit quota; the only stepper.
+def _walk(tables, pos, rng, budget, left, remaining, delta_pi=None) -> int | None:
+    """Walk from pos until no vertex owes a visit; the only stepper.
 
-    tables is the (nbrs, cum) pair of `_vertex_tables`. counts (the start
-    position already counted) is updated in place; remaining is the number
-    of vertices v with counts[v] < need[v]. With delta_pi the walk also
-    needs counts[v] > delta_pi[v] * t at every v. Returns the stopping
-    step, or None once budget steps pass without it.
+    tables is (nbrs, cum, rows, r) from `_vertex_tables` and `_bucket_rows`.
+    left[v] > 0 is the number of visits v still owes, and remaining the
+    number of vertices that owe any; left[v] < 0 marks a vertex that keeps
+    counting, with -(left[v] + 1) visits so far, the start's visit at time
+    zero included. left is updated in place. With delta_pi the walk also
+    needs count(v) > delta_pi[v] * t at every v. Returns the stopping step,
+    or None once budget steps pass without it.
 
     Step t reads the t-th uniform of rng. The uniforms come in blocks of
     64, then twice as many each time up to BUFFER, then BUFFER each, never
     past the budget: a short walk pays for few draws, a long one for few
     calls. Philox doubles drawn in blocks of any sizes equal one draw of
     their total, so the schedule never changes which uniform a step reads.
-    A step does one bisection and one quota test; the step number is read
-    off the block iterator only at a quota event.
+    Each block is turned into bucket keys int(u r) at once. A step reads
+    rows[pos][key] and bisects cum[pos] only where that bucket is impure;
+    then one list read tests left. The step number is read off the key
+    iterator only at a bisection or a quota event.
 
-    The blanket test runs only at quota events. Once every quota is met it
-    looks for a witness w with counts[w] <= delta_pi[w] * t and, if there
-    is one, puts a quota on w's next visit: until then counts[w] stays and
+    Counting costs nothing in cover, hit and blanket-cover walks. A blanket
+    walk with delta_pi counts every vertex once its quota is met; visit
+    frequencies count every vertex from the start. The blanket test runs
+    only when no quota is left. It then looks for a witness w with
+    count(w) <= delta_pi[w] * t and, if there is one, puts a quota on w's
+    next visit, keeping its count aside: until then the count stays and
     delta_pi[w] * t does not fall, so w keeps failing and no step in
     between can stop. At that visit w is tested again, and only if it
     passes are the others. So the walk stops at the first step where every
@@ -285,40 +356,48 @@ def _walk(tables, pos, rng, budget, counts, need, remaining, delta_pi=None) -> i
     """
     if remaining == 0:
         return 0
-    nbrs, cum = tables
-    if delta_pi is not None:
-        need = need.copy()  # witness quotas are this walk's own
-    bisect = bisect_left  # a local: looked up at every step, faster than a global
+    nbrs, cum, rows, r = tables
+    held = 0  # blanket: the count of a vertex from before it was made to owe a visit
+    bisect = bisect_left  # a local: faster than a global lookup
     t = 0  # steps taken before the current block
-    block = 64
+    size = 64
     while t < budget:
-        us = rng.random(min(block, budget - t)).tolist()
-        rest = iter(us)
-        for u in rest:
-            pos = nbrs[pos][bisect(cum[pos], u)]
-            c = counts[pos] + 1
-            counts[pos] = c
-            if c == need[pos]:
-                remaining -= 1
-                if remaining == 0:
-                    step = t + len(us) - length_hint(rest)
-                    if delta_pi is None:
-                        return step
-                    w = _blanket_witness(counts, delta_pi, step, pos)
-                    if w is None:
-                        return step
-                    need[w] = counts[w] + 1
-                    remaining = 1
-        t += len(us)
-        block = min(2 * block, BUFFER)
+        block = rng.random(min(size, budget - t))
+        keys = (block * r).astype(np.intp).tolist()
+        rest = iter(keys)
+        for k in rest:
+            nxt = rows[pos][k]
+            if nxt is None:
+                u = block.item(len(keys) - length_hint(rest) - 1)
+                nxt = nbrs[pos][bisect(cum[pos], u)]
+            pos = nxt
+            if left[pos]:
+                c = left[pos] - 1
+                left[pos] = c
+                if c == 0:
+                    if delta_pi is not None:
+                        left[pos] = -held - 2
+                    remaining -= 1
+                    if remaining == 0:
+                        step = t + len(keys) - length_hint(rest)
+                        if delta_pi is None:
+                            return step
+                        w = _blanket_witness(left, delta_pi, step, pos)
+                        if w is None:
+                            return step
+                        held = -left[w] - 1
+                        left[w] = 1
+                        remaining = 1
+        t += len(keys)
+        size = min(2 * size, BUFFER)
     return None
 
 
-def _blanket_witness(counts, delta_pi, t, last) -> int | None:
-    """A vertex v with counts[v] <= delta_pi[v] * t, vertex last tried first; None if none."""
-    if not counts[last] > delta_pi[last] * t:
+def _blanket_witness(left, delta_pi, t, last) -> int | None:
+    """A vertex v with count -(left[v] + 1) <= delta_pi[v] * t, last tried first; None if none."""
+    if not -left[last] - 1 > delta_pi[last] * t:
         return last
-    return next((v for v, (m, d) in enumerate(zip(counts, delta_pi)) if not m > d * t), None)
+    return next((v for v, (c, d) in enumerate(zip(left, delta_pi)) if not -c - 1 > d * t), None)
 
 
 def blanket_cover_reference(g: Graph, scheme: str = "uniform", lazy: bool = False) -> float:
@@ -334,9 +413,10 @@ def _plan(g: Graph, config: WalkConfig) -> tuple:
 
     Outside hit mode a disconnected graph raises DisconnectedError; an
     isolated start raises UnsupportedInputError before pi divides by the
-    volume. Returns picklable (tables, start, budget, counts, need,
-    remaining, delta_pi): step tables, visit counts at time zero, quotas,
-    how many are unmet at time zero, and the blanket thresholds delta * pi_v.
+    volume. A budget above WalkConfig().budget raises SizeCapError.
+    Returns picklable (tables, start, budget, left, remaining, delta_pi):
+    step tables and bucket rows, the visits each vertex owes at time zero,
+    how many vertices owe any, and the blanket thresholds delta * pi_v.
     """
     if config.stop not in STOP_MODES:
         raise ParameterError(f"unknown stop mode {config.stop!r}")
@@ -348,29 +428,33 @@ def _plan(g: Graph, config: WalkConfig) -> tuple:
         raise ParameterError("blanket delta must lie in [0, 1)")
     if config.budget < 1:
         raise ParameterError("budget must be positive")
+    if config.budget > WalkConfig().budget:
+        raise SizeCapError(f"budget {config.budget} is above the cap {WalkConfig().budget}")
     if config.stop != "hit" and not g.is_connected:
         raise DisconnectedError(f"{g.name} is disconnected; {config.stop} visits every vertex")
     if not g.incidence[config.start]:
         raise UnsupportedInputError(f"start {config.start} of {g.name} is isolated")
     nbrs, cum, pi = _vertex_tables(g, config.scheme, config.lazy)
+    r = _resolution(cum)
+    tables = (nbrs, cum, _bucket_rows(nbrs, cum, r), r)
     delta_pi = None
     if config.stop == "hit":
-        need = [0] * g.n
-        need[config.target] = 1
+        left = [0] * g.n
+        left[config.target] = 1
     elif config.stop == "blanket-cover":
         reference = config.reference
         if reference is None:
             reference = blanket_cover_reference(g, config.scheme, config.lazy)
-        need = [max(0, math.ceil(reference * p - 1e-12)) for p in pi]
+        left = [max(0, math.ceil(reference * p - 1e-12)) for p in pi]
     else:
         # cover; blanket needs every vertex visited before its check can pass
-        need = [1] * g.n
+        left = [1] * g.n
         if config.stop == "blanket" and config.delta > 0.0:
             delta_pi = [config.delta * p for p in pi]
-    counts = [0] * g.n
-    counts[config.start] = 1
-    remaining = sum(c < q for c, q in zip(counts, need))
-    return (nbrs, cum), config.start, config.budget, counts, need, remaining, delta_pi
+    # the visit at time zero; a blanket start counts on from it
+    left[config.start] = -2 if delta_pi is not None else max(0, left[config.start] - 1)
+    remaining = sum(q > 0 for q in left)
+    return tables, config.start, config.budget, left, remaining, delta_pi
 
 
 def _trial_values(args) -> list[int | None]:
@@ -380,13 +464,13 @@ def _trial_values(args) -> list[int | None]:
     of stream (seed, 1 + i), so each trial draws what substream(seed, 1 + i)
     would, whatever the trial before it left in the generator.
     """
-    (tables, start, budget, counts, need, remaining, delta_pi), seed, lo, hi = args
+    (tables, start, budget, left, remaining, delta_pi), seed, lo, hi = args
     rng = substream(seed, 1 + lo)
     bits = rng.bit_generator
     values = []
     for i in range(lo, hi):
         _restart(bits, seed, 1 + i)
-        values.append(_walk(tables, start, rng, budget, counts.copy(), need, remaining, delta_pi))
+        values.append(_walk(tables, start, rng, budget, left.copy(), remaining, delta_pi))
     return values
 
 
@@ -520,20 +604,24 @@ def empirical_visit_frequencies(
     """Visit frequencies N_v(T) / (T + 1) of one long walk.
 
     The counts include the position at time zero, so they always sum to
-    steps + 1 before normalization. Any graph but no isolated start.
+    steps + 1 before normalization. Any graph but no isolated start;
+    steps above WalkConfig().budget raise SizeCapError.
     """
     if steps < 0:
         raise ParameterError(f"steps must be non-negative, got {steps}")
+    if steps > WalkConfig().budget:
+        raise SizeCapError(f"{steps} steps is above the cap {WalkConfig().budget}")
     if not 0 <= start < g.n:
         raise ParameterError(f"start {start} out of range")
     if not g.incidence[start]:
         raise UnsupportedInputError(f"start {start} of {g.name} is isolated")
     nbrs, cum, _ = _vertex_tables(g, scheme, lazy)
-    counts = [0] * g.n
-    counts[start] = 1
-    # no quota: a zero quota is never met after a visit, so all steps run
-    _walk((nbrs, cum), start, substream(seed, 1), steps, counts, [0] * g.n, g.n)
-    return np.array(counts) / float(steps + 1)
+    r = _resolution(cum)
+    # every vertex counts and owes nothing, so all steps run
+    left = [-1] * g.n
+    left[start] = -2
+    _walk((nbrs, cum, _bucket_rows(nbrs, cum, r), r), start, substream(seed, 1), steps, left, 1)
+    return np.array([-c - 1 for c in left]) / float(steps + 1)
 
 
 def estimates_csv(records: list[EstimateRecord]) -> str:

@@ -313,6 +313,24 @@ def test_probe_budget_past_the_walk_cap_exits_2(runner, tmp_path):
     assert not (tmp_path / "st.csv").exists()
 
 
+def test_graph_file_whose_volume_overflows_exits_2(runner, tmp_path):
+    # every weight is finite, but twice their sum is not: pi would be NaN
+    # and each trial would walk the whole step budget
+    gfile = tmp_path / "heavy.txt"
+    gfile.write_text("3 3\n0 1 1e308\n0 1 1e308\n1 2 1\n")
+    result = _run(
+        runner,
+        [
+            "run", "scheme-speedup", "--graph-file", str(gfile), "--trials", "3",
+            "--seed", "1", "--out", str(tmp_path / "heavy"),
+        ],
+    )
+    assert result.exit_code == 2
+    assert "input error" in result.output
+    assert "not finite" in result.output
+    assert not (tmp_path / "heavy.csv").exists()
+
+
 @pytest.mark.parametrize(
     "text", ["x 1\n0 1 1.0\n", "2 1\n0 1 abc\n"], ids=["bad-header", "bad-weight"]
 )

@@ -63,6 +63,17 @@ def test_rejects_weights_that_are_not_positive_and_finite(w):
         Graph.from_text(f"2 1\n0 1 {w}\n")
 
 
+def test_rejects_weights_whose_volume_is_not_finite():
+    # each weight is finite, but pi and the walk tables divide by the volume
+    with pytest.raises(ParameterError, match="volume .* is not finite"):
+        Graph(3, [(0, 1, 1e308), (0, 1, 1e308), (1, 2, 1.0)])
+    with pytest.raises(ParameterError, match="volume .* is not finite"):
+        Graph.from_text("3 3\n0 1 1e308\n0 1 1e308\n1 2 1\n")
+    with pytest.raises(ParameterError, match="volume .* is not finite"):
+        Graph(1, [(0, 0, 1e308)])
+    assert Graph(2, [(0, 1, 8e307)]).volume == 1.6e308
+
+
 def test_equality_ignores_edge_order_and_orientation():
     a = Graph(3, [(0, 1), (1, 2, 2.0)])
     b = Graph(3, [(2, 1, 2.0), (1, 0)])

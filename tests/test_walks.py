@@ -427,6 +427,74 @@ def test_wide_vertex_tables_pick_as_the_alias_method():
                 assert nbrs[v][bisect_left(cum[v], u)] == alias_pick(out, prob, alias, u)
 
 
+def _hub_graph(spokes: list[list[float]]) -> Graph:
+    """One star per weight list, hubs first: hub h has a spoke of each weight."""
+    hubs = len(spokes)
+    edges, leaf = [], hubs
+    for h, weights in enumerate(spokes):
+        for w in weights:
+            edges.append((h, leaf, w))
+            leaf += 1
+    return Graph(leaf, edges)
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    st.lists(
+        st.lists(st.floats(1e-3, 1e3) | st.integers(1, 5).map(float), min_size=1, max_size=40),
+        min_size=1,
+        max_size=3,
+    ),
+    st.booleans(),
+    st.integers(0, 2**32 - 1),
+)
+def test_bucket_rows_pick_as_the_bisection(spokes, lazy, seed):
+    # the hubs take the scan table up to degree 8 and the breakpoint form of
+    # their alias table above it, the lazy hold included; every resolution
+    # the rule can pick, from 1 to 1024
+    nbrs, cum, _ = walks._vertex_tables(_hub_graph(spokes), "uniform", lazy)
+    interior = np.random.default_rng(seed)
+    for r in [2**j for j in range(11)]:
+        rows = walks._bucket_rows(nbrs, cum, r)
+        for v in range(len(spokes)):
+            row = rows[v]
+            assert len(row) == r
+            assert row.count(None) <= len(cum[v]) - 1
+            edges = np.arange(r + 1) / r
+            probes = [edges[:-1], np.nextafter(edges[1:], 0.0)]
+            probes.append((np.arange(r) + interior.random(r)) / r)
+            up = down = np.array(cum[v])
+            for _ in range(4):
+                up, down = np.nextafter(up, 2.0), np.nextafter(down, -1.0)
+                probes += [up, down]
+            u = np.concatenate(probes)
+            u = u[(u >= 0.0) & (u < 1.0)]
+            keys = (u * r).astype(np.intp).tolist()  # as the walk reads them
+            for x, k in zip(u.tolist(), keys):
+                assert k / r <= x < (k + 1) / r
+                assert row[k] is None or row[k] == nbrs[v][bisect_left(cum[v], x)], (v, r, x)
+
+
+@pytest.mark.parametrize(
+    "spec, scheme, r",
+    [
+        ("path:10", "uniform", 32),  # at most two entries a row
+        ("torus2d:50,40", "uniform", 64),  # four entries at n = 2000
+        ("lollipop:40", "uniform", 512),
+        ("lollipop:40", "mindeg", 1024),
+        ("star:3000", "uniform", 64),  # 1024 would hold 3 M slots
+    ],
+)
+def test_resolution_follows_the_longest_row_and_the_slot_cap(spec, scheme, r):
+    _, cum, _ = walks._vertex_tables(family(spec), scheme, False)
+    assert walks._resolution(cum) == r
+
+
+def test_resolution_halves_down_to_one_on_huge_graphs():
+    assert walks._resolution([[1.0]] * 100_000) == 2
+    assert walks._resolution([[1.0]] * (walks._SLOTS + 1)) == 1
+
+
 @pytest.mark.parametrize(
     "spec, counts",
     [
@@ -635,6 +703,24 @@ def test_simulate_refuses_disconnected_graph_before_walking():
     # hit mode still runs to its budget when the target is out of reach
     hit = WalkConfig(stop="hit", start=0, target=3, budget=1000)
     assert trial_value(g, hit, seed=0, trial_index=0) == (None, True)
+
+
+def test_budgets_above_the_cap_are_refused_before_walking(monkeypatch):
+    cap = WalkConfig().budget
+    assert trial_value(path(4), WalkConfig(budget=cap), seed=0, trial_index=0) == (3.0, False)
+
+    def no_walk(*args):
+        raise AssertionError("walked")
+
+    monkeypatch.setattr(walks, "_walk", no_walk)
+    # a hit walk to a target in another component would walk its whole budget
+    apart = Graph(4, [(0, 1), (2, 3)], name="two-parts")
+    with pytest.raises(SizeCapError, match="cap"):
+        trial_value(apart, WalkConfig(stop="hit", target=3, budget=10**15), seed=0, trial_index=0)
+    with pytest.raises(SizeCapError, match="cap"):
+        simulate(path(4), WalkConfig(budget=cap + 1), trials=1, seed=0)
+    with pytest.raises(SizeCapError, match="cap"):
+        empirical_visit_frequencies(path(4), steps=cap + 1, seed=0)
 
 
 def test_worker_count_is_clamped_to_chunks_and_cpus(monkeypatch):
