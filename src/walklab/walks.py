@@ -19,7 +19,7 @@ it stops at the first step where each vertex has been visited as often as
 its quota asks (1 everywhere for cover, 1 at the target for hit,
 ceil(reference * pi_v) for blanket-cover), or is censored at its step
 budget. The loop counts quotas down: left[v] is the number of visits v
-still owes, and a step that lands where left is 0 costs one list read.
+still owes, and at a vertex where left is 0 the quota work is one read.
 Blanket with delta > 0 adds the check count(v) > delta * pi_v * t on top
 of the cover quota, run only when no quota is left: a vertex failing it
 gets a quota on its next visit, the one step that can make it pass.
