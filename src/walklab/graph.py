@@ -58,7 +58,6 @@ class Graph:
         if n < 1:
             raise ParameterError(f"graph needs at least one vertex, got n={n}")
         normalized: list[tuple[int, int, float]] = []
-        total = 0.0  # the weight sum; twice it is the volume
         for e in edges:
             if len(e) == 2:
                 u, v = e
@@ -77,11 +76,10 @@ class Graph:
             if u > v:
                 u, v = v, u
             normalized.append((u, v, w))
-            total += w
         self._n = n
         self._edges = tuple(normalized)
         self.name = name or f"graph(n={n},m={len(normalized)})"
-        if not math.isfinite(2.0 * total):
+        if not math.isfinite(self.volume):
             raise ParameterError(f"volume of {self.name}, twice its weight sum, is not finite")
 
     # --- basic accessors ---

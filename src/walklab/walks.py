@@ -43,10 +43,14 @@ the table picks what the alias method picks for every double u in [0, 1).
 
 The walk seldom bisects. Each vertex also has a bucket row of R entries,
 R a power of two chosen from the plan's tables: rows[v][int(u R)] is the
-step for every u in that bucket, or None where a breakpoint of cum[v]
-splits the bucket, and only then does the step bisect. int(u R) is an
-exact floor, and the row is built from exact comparisons, so the lookup
-picks what the bisection picks for every double u.
+index bisect_left(cum[v], u) for every u in that bucket, or None where a
+breakpoint of cum[v] splits the bucket, and only then does the step
+bisect. int(u R) is an exact floor, and the row is built from exact
+comparisons, so the lookup picks what the bisection picks for every
+double u. Rows hold indices, not vertices, so vertices with equal cum
+lists share one row: a plan holds a row per distinct list (one on a
+regular graph walked uniformly), not per vertex, and R need not shrink as
+the graph grows.
 """
 
 from __future__ import annotations
@@ -83,7 +87,7 @@ STOP_MODES = ("cover", "hit", "blanket", "blanket-cover")
 ALIAS_DEGREE = 8
 CHUNK = 256
 BUFFER = 4096
-_SLOTS = 2**18  # bucket-row entries one plan may hold, 2 MB of list slots
+_SLOTS = 2**18  # bucket-row entries a plan's rows may hold above 32 buckets a row
 
 
 @dataclass(frozen=True)
@@ -146,7 +150,7 @@ def _vertex_tables(g: Graph, scheme: str, lazy: bool):
     above it, the pair is the breakpoint form of v's alias table. An
     isolated vertex has None in both, since no edge leads to it. pi is a
     list, and laziness does not change it; it needs g to have an edge.
-    `_bucket_rows` turns the pair into the lookup rows a walk steps by.
+    `_step_tables` adds the bucket rows a walk steps by.
     """
     h = apply_scheme(g, scheme)
     nbrs: list = [None] * h.n
@@ -272,51 +276,53 @@ def _alias_breakpoints(tables: list) -> list[tuple[list, list[float]]]:
 # --- bucket rows ---
 
 
-def _resolution(cum: list) -> int:
-    """Bucket count R of a plan's rows: a power of two, from its tables alone.
+def _step_tables(nbrs: list, cum: list) -> tuple:
+    """The tables a walk steps by: (nbrs, cum, rows, r).
 
-    The least power of two at least 16 times the longest cum row, kept in
-    [32, 1024], then halved while the rows would hold more than _SLOTS
-    entries in all. A row of length L has at most L - 1 impure buckets,
-    so at 16 L buckets at most one in 16 is impure.
+    rows[v] is the bucket row of cum[v] (see `_bucket_row`) at r buckets,
+    one row shared by every vertex with an equal cum list; an isolated
+    vertex has None. r is a power of two picked from the distinct rows
+    alone: the least one at least 16 times the longest, kept in [32, 1024],
+    then halved while the distinct rows would hold more than _SLOTS
+    entries, but never below 32. A row of length L has at most L - 1 impure
+    buckets, so at 32 buckets the row of a vertex up to ALIAS_DEGREE, at
+    most ALIAS_DEGREE entries with the lazy hold, is more than three
+    quarters pure.
     """
-    longest = max((len(c) for c in cum if c is not None), default=1)
+    shared = {tuple(c): None for c in cum if c is not None}
+    longest = max(map(len, shared), default=1)
     r = 32
     while r < 16 * longest and r < 1024:
         r *= 2
-    while r > 1 and len(cum) * r > _SLOTS:
+    while r > 32 and len(shared) * r > _SLOTS:
         r //= 2
-    return r
+    for bounds in shared:
+        shared[bounds] = _bucket_row(bounds, r)
+    return nbrs, cum, [None if c is None else shared[tuple(c)] for c in cum], r
 
 
-def _bucket_rows(nbrs: list, cum: list, r: int) -> list:
-    """Per-vertex lookup rows: rows[v][k] is where every u in [k/r, (k+1)/r) steps from v.
+def _bucket_row(bounds, r: int) -> list:
+    """row[k] is the index bisect_left(bounds, u) for every u in [k/r, (k+1)/r), or None.
 
     r is a power of two, so k = int(u * r) exactly for every double u in
     [0, 1), and bucket k holds the doubles from k/r up to the one just
-    below (k + 1)/r. The step nbrs[v][bisect_left(cum[v], u)] changes only
-    where u passes an entry c of cum[v], from u = c to the next double. So
-    bucket k picks one vertex for all its u unless some c lies in it other
-    than its last double; then rows[v][k] is None and the step bisects.
-    One pass over cum[v] in order fills the buckets below each entry's
-    bucket int(c * r) with that entry's vertex, then settles the entry's
-    own bucket unless an earlier entry already did. Entries from 1.0 up
-    lie past the last bucket. Isolated vertices have no row.
+    below (k + 1)/r. bisect_left(bounds, u) changes only where u passes an
+    entry c of bounds, from u = c to the next double. So bucket k has one
+    index for all its u unless some c lies in it other than its last
+    double; then row[k] is None and the step bisects. One pass over bounds
+    in order fills the buckets below each entry's bucket int(c * r) with
+    that entry's index, then settles the entry's own bucket unless an
+    earlier entry already did. Entries from 1.0 up lie past the last bucket.
     """
-    rows = [None] * len(cum)
-    for v, (outs, bounds) in enumerate(zip(nbrs, cum)):
-        if bounds is None:
-            continue
-        row = []
-        for o, c in zip(outs, bounds):
-            x = c * r  # exact: r is a power of two
-            k = min(int(x), r)
-            if k > len(row):
-                row += [o] * (k - len(row))
-            if k == len(row) < r:
-                row.append(o if x == math.nextafter(k + 1.0, 0.0) else None)
-        rows[v] = row
-    return rows
+    row = []
+    for i, c in enumerate(bounds):
+        x = c * r  # exact: r is a power of two
+        k = min(int(x), r)
+        if k > len(row):
+            row += [i] * (k - len(row))
+        if k == len(row) < r:
+            row.append(i if x == math.nextafter(k + 1.0, 0.0) else None)
+    return row
 
 
 # --- the walk ---
@@ -325,7 +331,7 @@ def _bucket_rows(nbrs: list, cum: list, r: int) -> list:
 def _walk(tables, pos, rng, budget, left, remaining, delta_pi=None) -> int | None:
     """Walk from pos until no vertex owes a visit; the only stepper.
 
-    tables is (nbrs, cum, rows, r) from `_vertex_tables` and `_bucket_rows`.
+    tables is (nbrs, cum, rows, r) from `_step_tables`.
     left[v] > 0 is the number of visits v still owes, and remaining the
     number of vertices that owe any; left[v] < 0 marks a vertex that keeps
     counting, with -(left[v] + 1) visits so far, the start's visit at time
@@ -339,8 +345,8 @@ def _walk(tables, pos, rng, budget, left, remaining, delta_pi=None) -> int | Non
     calls. Philox doubles drawn in blocks of any sizes equal one draw of
     their total, so the schedule never changes which uniform a step reads.
     Each block is turned into bucket keys int(u r) at once. A step reads
-    rows[pos][key] and bisects cum[pos] only where that bucket is impure;
-    then one list read tests left. The step number is read off the key
+    its index in nbrs[pos] off rows[pos][key], and bisects cum[pos] only
+    where that bucket is impure; then one list read tests left. The step number is read off the key
     iterator only at a bisection or a quota event.
 
     Counting costs nothing in cover, hit and blanket-cover walks. A blanket
@@ -366,11 +372,10 @@ def _walk(tables, pos, rng, budget, left, remaining, delta_pi=None) -> int | Non
         keys = (block * r).astype(np.intp).tolist()
         rest = iter(keys)
         for k in rest:
-            nxt = rows[pos][k]
-            if nxt is None:
-                u = block.item(len(keys) - length_hint(rest) - 1)
-                nxt = nbrs[pos][bisect(cum[pos], u)]
-            pos = nxt
+            i = rows[pos][k]
+            if i is None:
+                i = bisect(cum[pos], block.item(len(keys) - length_hint(rest) - 1))
+            pos = nbrs[pos][i]
             if left[pos]:
                 c = left[pos] - 1
                 left[pos] = c
@@ -435,8 +440,7 @@ def _plan(g: Graph, config: WalkConfig) -> tuple:
     if not g.incidence[config.start]:
         raise UnsupportedInputError(f"start {config.start} of {g.name} is isolated")
     nbrs, cum, pi = _vertex_tables(g, config.scheme, config.lazy)
-    r = _resolution(cum)
-    tables = (nbrs, cum, _bucket_rows(nbrs, cum, r), r)
+    tables = _step_tables(nbrs, cum)
     delta_pi = None
     if config.stop == "hit":
         left = [0] * g.n
@@ -616,11 +620,10 @@ def empirical_visit_frequencies(
     if not g.incidence[start]:
         raise UnsupportedInputError(f"start {start} of {g.name} is isolated")
     nbrs, cum, _ = _vertex_tables(g, scheme, lazy)
-    r = _resolution(cum)
     # every vertex counts and owes nothing, so all steps run
     left = [-1] * g.n
     left[start] = -2
-    _walk((nbrs, cum, _bucket_rows(nbrs, cum, r), r), start, substream(seed, 1), steps, left, 1)
+    _walk(_step_tables(nbrs, cum), start, substream(seed, 1), steps, left, 1)
     return np.array([-c - 1 for c in left]) / float(steps + 1)
 
 

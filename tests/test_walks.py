@@ -450,14 +450,13 @@ def _hub_graph(spokes: list[list[float]]) -> Graph:
 )
 def test_bucket_rows_pick_as_the_bisection(spokes, lazy, seed):
     # the hubs take the scan table up to degree 8 and the breakpoint form of
-    # their alias table above it, the lazy hold included; every resolution
-    # the rule can pick, from 1 to 1024
+    # their alias table above it, the lazy hold included; every power of two
+    # from 1 to 1024, the resolutions the plan picks among them
     nbrs, cum, _ = walks._vertex_tables(_hub_graph(spokes), "uniform", lazy)
     interior = np.random.default_rng(seed)
     for r in [2**j for j in range(11)]:
-        rows = walks._bucket_rows(nbrs, cum, r)
         for v in range(len(spokes)):
-            row = rows[v]
+            row = walks._bucket_row(cum[v], r)
             assert len(row) == r
             assert row.count(None) <= len(cum[v]) - 1
             edges = np.arange(r + 1) / r
@@ -472,7 +471,26 @@ def test_bucket_rows_pick_as_the_bisection(spokes, lazy, seed):
             keys = (u * r).astype(np.intp).tolist()  # as the walk reads them
             for x, k in zip(u.tolist(), keys):
                 assert k / r <= x < (k + 1) / r
-                assert row[k] is None or row[k] == nbrs[v][bisect_left(cum[v], x)], (v, r, x)
+                assert row[k] is None or row[k] == bisect_left(cum[v], x), (v, r, x)
+
+
+def test_step_tables_share_one_row_per_distinct_cum_list():
+    g = Graph.from_text(HUB_TEXT)
+    nbrs, cum, _ = walks._vertex_tables(g, "uniform", True)
+    tables = walks._step_tables(nbrs, cum)
+    assert tables[:2] == (nbrs, cum)
+    rows, r = tables[2:]
+    for v in range(g.n):
+        assert rows[v] == walks._bucket_row(cum[v], r)
+        for w in range(v):
+            assert (rows[v] is rows[w]) == (cum[v] == cum[w])
+    # a regular graph walked uniformly holds one row however large it is
+    rows = walks._step_tables(*walks._vertex_tables(family("cycle:5000"), "uniform", False)[:2])[2]
+    assert all(row is rows[0] for row in rows)
+
+
+def _resolution(cum):
+    return walks._step_tables([None] * len(cum), cum)[3]
 
 
 @pytest.mark.parametrize(
@@ -482,17 +500,23 @@ def test_bucket_rows_pick_as_the_bisection(spokes, lazy, seed):
         ("torus2d:50,40", "uniform", 64),  # four entries at n = 2000
         ("lollipop:40", "uniform", 512),
         ("lollipop:40", "mindeg", 1024),
-        ("star:3000", "uniform", 64),  # 1024 would hold 3 M slots
+        ("star:3000", "uniform", 1024),  # two distinct rows, one of 2999 entries
     ],
 )
 def test_resolution_follows_the_longest_row_and_the_slot_cap(spec, scheme, r):
     _, cum, _ = walks._vertex_tables(family(spec), scheme, False)
-    assert walks._resolution(cum) == r
+    assert _resolution(cum) == r
 
 
-def test_resolution_halves_down_to_one_on_huge_graphs():
-    assert walks._resolution([[1.0]] * 100_000) == 2
-    assert walks._resolution([[1.0]] * (walks._SLOTS + 1)) == 1
+def test_resolution_halves_for_many_distinct_rows_down_to_32():
+    def wide(count):  # distinct rows of 20 entries, for which 16 x 20 asks 512
+        return [[k / 2**20 + j / 64 for j in range(19)] + [1.0] for k in range(count)]
+
+    assert _resolution(wide(500)) == 512
+    assert _resolution(wide(1000)) == 256  # 512 would pass _SLOTS
+    assert _resolution(wide(9000)) == 32  # past _SLOTS / 32 rows the floor holds
+    # one distinct row, however many vertices share it
+    assert _resolution([[0.5, 1.0]] * 100_000) == 32
 
 
 @pytest.mark.parametrize(
