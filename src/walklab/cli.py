@@ -57,6 +57,7 @@ from .graph import (
     star,
     torus2d,
 )
+from .product import theorem_main_bounds
 from .rng import substream
 from .spectral import COVER_CAP, build_kernel, exact_cover_times, exact_hitting
 from .walks import WalkConfig, _st_answers, simulate
@@ -397,8 +398,6 @@ def _run_product_theorem(spec: dict):
         cov_g = float(exact_cover_times(build_kernel(g)).max())
     else:
         cov_g = simulate(g, WalkConfig(stop="cover"), trials, seed + 2, workers=workers).mean
-
-    from .product import theorem_main_bounds
 
     bounds = theorem_main_bounds(g, h, cov_h=cov_h, bcov_h=bcov_h, cov_g=cov_g)
     prod = cartesian_product(g, h)
@@ -866,6 +865,10 @@ def run_command(
             raise ParameterError("--trials must be positive")
         if workers < 1:
             raise ParameterError("--workers must be positive")
+        # checked here, not at the first stream: an experiment that draws
+        # none would otherwise accept the seed and write it into its spec
+        if not 0 <= seed < 2**64:
+            raise ParameterError(f"seed must lie in [0, 2^64), got {seed}")
         base = out or f"walklab-{experiment}"
         # the spec records exactly the parameters that can influence a
         # computed value; destination, format, and worker count cannot

@@ -9,6 +9,10 @@ which is what links resistance back to commute times:
 
 The bound functions all return plain floats so reports can serialize them
 without ceremony.
+
+resistance_matrix imports scipy.linalg where it is called, as the dense
+routines of spectral do, so that importing this module does not load scipy:
+the deferral saves start-up time and does not mark an import cycle.
 """
 
 from __future__ import annotations
@@ -18,7 +22,6 @@ from dataclasses import dataclass
 from itertools import combinations
 
 import numpy as np
-import scipy.linalg
 
 from .errors import (
     DisconnectedError,
@@ -117,6 +120,8 @@ def resistance_matrix(g: Graph) -> np.ndarray:
     every pair from the Green's function: R(u, v) = G[u,u] + G[v,v] - 2G[u,v]
     with the grounded row and column identically zero.
     """
+    import scipy.linalg
+
     _require_connected(g)
     n = g.n
     if n == 1:

@@ -19,6 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .electrical import resistance_matrix
 from .errors import (
     DisconnectedError,
     ParameterError,
@@ -26,6 +27,7 @@ from .errors import (
     UnsupportedInputError,
 )
 from .graph import Graph, cartesian_product
+from .spectral import build_kernel
 
 __all__ = [
     "LocalObservation",
@@ -124,8 +126,6 @@ def local_observation(g: Graph, subset) -> LocalObservation:
         {u for u, v, _ in g.edges if in_subset[u] != in_subset[v]} & set(s_list)
         | {v for u, v, _ in g.edges if in_subset[u] != in_subset[v]} & set(s_list)
     )
-
-    from .spectral import build_kernel
 
     p = build_kernel(g).matrix
     pxx = p[np.ix_(exterior, exterior)]
@@ -434,8 +434,6 @@ def product_resistance_monitor(g: Graph, h: Graph) -> dict:
         raise SizeCapError(
             f"product has {g.n * h.n} vertices; monitor cap is {MONITOR_CAP}"
         )
-    from .electrical import resistance_matrix
-
     product = cartesian_product(g, h)
     resist = resistance_matrix(product)
     r_max = float(resist.max())

@@ -7,6 +7,12 @@ matrix; about 9 s and 1 GB at the cap with one BLAS thread) and the exact
 cover-time recursion at COVER_CAP vertices (it enumerates visited sets,
 with one stacked solve per set size into a (2^n, n) table of about 0.85 MB
 at the cap).
+
+scipy.linalg is imported inside the three functions that call it
+(exact_hitting, kernel_eigenvalues, load_kernel), not at the top: the
+import costs about 0.3 s of process start-up, and an experiment that never
+makes a dense solve should not pay it. The deferral saves start-up time
+only; it does not mark an import cycle.
 """
 
 from __future__ import annotations
@@ -15,7 +21,6 @@ from dataclasses import dataclass, field
 from typing import Mapping
 
 import numpy as np
-import scipy.linalg
 
 from .errors import (
     DisconnectedError,
@@ -149,6 +154,8 @@ def exact_hitting(kernel: TransitionKernel) -> np.ndarray:
     n = kernel.n
     if n > 5000:
         raise SizeCapError(f"exact hitting capped at n=5000 (one dense factorization), got {n}")
+    import scipy.linalg
+
     pi = kernel.stationary
     lu = scipy.linalg.lu_factor(np.eye(n) - kernel.matrix + pi[None, :], overwrite_a=True)
     z = scipy.linalg.lu_solve(lu, np.eye(n), overwrite_b=True)
@@ -189,6 +196,8 @@ def kernel_eigenvalues(kernel: TransitionKernel, tol: float = 1e-8) -> np.ndarra
     Conjugating by sqrt(pi) turns a reversible kernel into a symmetric
     matrix with the same spectrum, so eigh applies.
     """
+    import scipy.linalg
+
     gap = detailed_balance_check(kernel)
     if gap > tol:
         raise UnsupportedInputError(
@@ -388,6 +397,8 @@ def load_kernel(text: str, name: str = "kernel") -> TransitionKernel:
     rows = [np.array([float(x) for x in ln.split(",")]) for ln in lines[1:]]
     if len(rows) != n or any(r.shape != (n,) for r in rows):
         raise ParameterError("kernel body does not match the declared size")
+    import scipy.linalg
+
     p = np.vstack(rows)
     # stationary recovered as the left fixed vector
     w, vl = scipy.linalg.eig(p, left=True, right=False)

@@ -58,7 +58,6 @@ from __future__ import annotations
 import math
 import os
 from bisect import bisect_left
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from itertools import accumulate
 from operator import length_hint
@@ -516,6 +515,10 @@ def simulate(
     chunks = [(plan, seed, lo, min(lo + CHUNK, trials)) for lo in range(0, trials, CHUNK)]
     workers = min(workers, len(chunks), os.cpu_count() or 1)
     if workers > 1:
+        # imported here: the pool machinery takes about 20 ms to load, and
+        # most runs are serial
+        from concurrent.futures import ProcessPoolExecutor
+
         with ProcessPoolExecutor(max_workers=workers) as pool:
             parts = list(pool.map(_trial_values, chunks))
     else:

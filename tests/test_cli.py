@@ -282,6 +282,19 @@ def test_seed_outside_stream_key_range_exits_2(runner, tmp_path, seed):
     assert not (tmp_path / "st.csv").exists()
 
 
+@pytest.mark.parametrize("seed", ["-1", str(2**64)])
+@pytest.mark.parametrize("experiment", sorted(EXPERIMENTS))
+def test_every_experiment_refuses_a_seed_outside_the_key_range(runner, tmp_path, experiment, seed):
+    # refused before the runner starts, so an experiment that draws no
+    # stream cannot write the seed into its spec line
+    base = tmp_path / "out"
+    result = _run(runner, ["run", experiment, "--seed", seed, "--out", str(base)])
+    assert result.exit_code == 2
+    assert "seed must lie in [0, 2^64)" in result.output
+    assert not base.with_suffix(".csv").exists()
+    assert not base.with_suffix(".json").exists()
+
+
 def test_largest_seed_draws_its_own_streams(runner, tmp_path):
     # 2^64 - 1 is a valid key word; it must not fold onto seed 0's streams
     bodies = {}

@@ -1,0 +1,81 @@
+"""What a fresh interpreter loads when it imports walklab.
+
+scipy.linalg costs about 0.3 s to import and the process-pool machinery
+about 20 ms, so both load only when a run first needs them: scipy at the
+first dense solve, the pool when a run starts more than one worker. Each
+check runs in its own interpreter, since the test process has long since
+loaded both.
+"""
+
+from __future__ import annotations
+
+import os
+import subprocess
+import sys
+import textwrap
+from pathlib import Path
+
+import walklab
+
+SRC = str(Path(walklab.__file__).resolve().parents[1])
+
+
+def _fresh(code: str, tmp_path: Path) -> None:
+    result = subprocess.run(
+        [sys.executable, "-c", textwrap.dedent(code)],
+        cwd=tmp_path,
+        env={**os.environ, "PYTHONPATH": SRC, "OPENBLAS_NUM_THREADS": "1"},
+        capture_output=True,
+        text=True,
+        timeout=120,
+    )
+    assert result.returncode == 0, result.stdout + result.stderr
+
+
+def test_import_loads_neither_scipy_nor_the_process_pool(tmp_path):
+    _fresh(
+        """
+        import sys
+        import walklab, walklab.cli
+        assert "scipy" not in sys.modules
+        assert "concurrent.futures.process" not in sys.modules
+        """,
+        tmp_path,
+    )
+
+
+def test_experiments_without_a_dense_solve_never_load_scipy(tmp_path):
+    _fresh(
+        """
+        import sys
+        from walklab.cli import main
+
+        runs = [
+            ["st-connect-demo", "--family", "path:8", "--trials", "20"],
+            ["p-simple", "--trials", "800"],
+        ]
+        for args in runs:
+            try:
+                main(["run", *args, "--seed", "11", "--out", args[0]])
+            except SystemExit as exc:
+                assert exc.code == 0, (args, exc.code)
+            assert "scipy" not in sys.modules, args
+        """,
+        tmp_path,
+    )
+
+
+def test_first_dense_solve_loads_scipy_and_matches_the_closed_form(tmp_path):
+    _fresh(
+        """
+        import sys
+        from walklab import build_kernel, exact_hitting, family
+
+        assert "scipy" not in sys.modules
+        h = exact_hitting(build_kernel(family("cycle:6")))
+        assert "scipy.linalg" in sys.modules
+        for r in range(6):
+            assert abs(h[0, r] - r * (6 - r)) <= 1e-9, (r, h[0, r])
+        """,
+        tmp_path,
+    )

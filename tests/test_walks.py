@@ -1,3 +1,4 @@
+import concurrent.futures
 import math
 from bisect import bisect_left
 from fractions import Fraction
@@ -763,7 +764,8 @@ def test_worker_count_is_clamped_to_chunks_and_cpus(monkeypatch):
         def map(self, fn, items):
             return map(fn, items)
 
-    monkeypatch.setattr(walks, "ProcessPoolExecutor", RecordingPool)
+    # simulate imports the pool class from concurrent.futures when it needs one
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingPool)
     g = path(4)
     cfg = WalkConfig(stop="cover")
     trials = 3 * walks.CHUNK + 1  # four chunks
