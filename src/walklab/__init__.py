@@ -41,12 +41,7 @@ from .errors import (
     WalklabError,
 )
 from .graph import Graph, cartesian_product, family, random_connected_graph
-from .product import (
-    block_decomposition,
-    local_observation,
-    product_resistance_monitor,
-    theorem_main_bounds,
-)
+from .product import local_observation, theorem_main_bounds
 from .rng import substream
 from .spectral import (
     TransitionKernel,
@@ -57,8 +52,8 @@ from .spectral import (
     mixing_time,
     spectral_gap,
 )
-from .walks import WalkConfig, simulate, st_connectivity
-from .weighting import apply_scheme, speedup
+from .walks import WalkConfig, simulate, speedup, st_connectivity
+from .weighting import apply_scheme
 
 __version__ = "0.1.0"
 
@@ -78,7 +73,6 @@ __all__ = [
     "WalklabError",
     "__version__",
     "apply_scheme",
-    "block_decomposition",
     "build_kernel",
     "cartesian_product",
     "check_nice",
@@ -99,7 +93,6 @@ __all__ = [
     "mixing_time",
     "predicted_cover",
     "predicted_p_simple",
-    "product_resistance_monitor",
     "random_connected_graph",
     "regular_sequence",
     "resistance_matrix",

@@ -60,8 +60,8 @@ from .graph import (
 from .product import theorem_main_bounds
 from .rng import substream
 from .spectral import COVER_CAP, build_kernel, exact_cover_times, exact_hitting
-from .walks import WalkConfig, _st_answers, simulate
-from .weighting import SCHEMES, speedup
+from .walks import WalkConfig, _st_answers, simulate, speedup
+from .weighting import SCHEMES
 
 __all__ = ["main"]
 

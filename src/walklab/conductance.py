@@ -21,15 +21,13 @@ import numpy as np
 
 from .errors import ParameterError, SizeCapError
 from .graph import Graph
-from .spectral import TransitionKernel, build_kernel, kernel_eigenvalues, mixing_time
+from .spectral import TransitionKernel, build_kernel, kernel_eigenvalues
 
 __all__ = [
     "ConductanceResult",
     "conductance_exact",
     "conductance_sweep",
     "jerrum_sinclair_check",
-    "mixing_from_conductance",
-    "weighted_conductance_comparison",
 ]
 
 EXACT_CAP = 22
@@ -168,64 +166,4 @@ def jerrum_sinclair_check(g: Graph, scheme: str = "uniform") -> dict:
         "lower_margin": lower_margin,
         "upper_margin": upper_margin,
         "passed": bool(lower_margin >= -1e-9 and upper_margin >= -1e-9),
-    }
-
-
-def mixing_from_conductance(
-    g: Graph, scheme: str = "uniform", threshold: float | None = None
-) -> dict:
-    """Compare the conductance mixing bound with the exact mixing time.
-
-    The bound is the smallest t with sqrt(pi_max / pi_min) (1 - Phi^2/2)^t
-    below the threshold (default n^-3), on the lazy kernel. The exact time
-    is computed when the graph is small enough (n <= 200) and must never
-    exceed the bound.
-    """
-    kernel = build_kernel(g, scheme=scheme, lazy=True)
-    n = kernel.n
-    if threshold is None:
-        threshold = float(n) ** -3
-    phi = conductance_exact(kernel).phi
-    pi = kernel.stationary
-    prefactor = math.sqrt(float(pi.max()) / float(pi.min()))
-    decay = 1.0 - phi * phi / 2.0
-    if decay <= 0:
-        t_bound = 1
-    else:
-        t_bound = max(1, math.ceil(math.log(threshold / prefactor) / math.log(decay)))
-    result = {
-        "graph": g.name,
-        "scheme": scheme,
-        "threshold": threshold,
-        "phi_lazy": phi,
-        "t_bound": int(t_bound),
-    }
-    if n <= 200:
-        t_exact = mixing_time(kernel, threshold)
-        result["t_exact"] = int(t_exact)
-        result["passed"] = bool(t_exact <= t_bound)
-    else:
-        result["t_exact"] = None
-        result["passed"] = None
-    return result
-
-
-def weighted_conductance_comparison(g: Graph, scheme: str = "mindeg") -> dict:
-    """Phi under a degree weighting versus Phi(uniform) / max-degree.
-
-    The weighted walk's conductance can drop below the unweighted one, but
-    never by more than a max-degree factor.
-    """
-    uniform_phi = conductance_exact(build_kernel(g)).phi
-    weighted_phi = conductance_exact(build_kernel(g, scheme=scheme)).phi
-    delta = int(g.degrees.max())
-    floor = uniform_phi / delta
-    return {
-        "graph": g.name,
-        "scheme": scheme,
-        "phi_uniform": uniform_phi,
-        "phi_weighted": weighted_phi,
-        "max_degree": delta,
-        "floor": floor,
-        "passed": bool(weighted_phi >= floor - 1e-9),
     }

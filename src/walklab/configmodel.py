@@ -39,7 +39,6 @@ __all__ = [
     "regular_sequence",
     "random_band_sequence",
     "read_degree_file",
-    "write_degree_file",
     "sample_configuration",
     "is_simple",
     "sample_simple",
@@ -137,11 +136,6 @@ def read_degree_file(path) -> DegreeSequence:
                         f"degree file {path}: expected an integer, got {token!r}"
                     ) from None
     return DegreeSequence(tuple(degrees))
-
-
-def write_degree_file(path, seq: DegreeSequence) -> None:
-    with open(path, "w", encoding="utf-8") as handle:
-        handle.write("\n".join(str(d) for d in seq.degrees) + "\n")
 
 
 # --- sampling ---

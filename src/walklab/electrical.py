@@ -1,4 +1,4 @@
-"""Electrical-network machinery: resistances, flows, cover-time bounds.
+"""Electrical-network machinery: resistances and cover-time bounds.
 
 A weighted graph is read as a resistor network with edge conductances equal
 to the edge weights. Self-loops never carry current, so they are invisible
@@ -17,21 +17,14 @@ the deferral saves start-up time and does not mark an import cycle.
 
 from __future__ import annotations
 
-import io
 from dataclasses import dataclass
 from itertools import combinations
 
 import numpy as np
 
-from .errors import (
-    DisconnectedError,
-    FlowValidationError,
-    ParameterError,
-    SizeCapError,
-    UnsupportedInputError,
-)
+from .errors import DisconnectedError, ParameterError, SizeCapError, UnsupportedInputError
 from .graph import Graph, grid2d
-from .spectral import COVER_CAP, build_kernel, exact_cover_times, exact_hitting
+from .spectral import build_kernel, exact_hitting
 
 __all__ = [
     "harmonic_number",
@@ -41,18 +34,12 @@ __all__ = [
     "resistance_matrix",
     "commute_time",
     "commute_matrix",
-    "unit_current_flow",
-    "flow_energy",
-    "thomson_gap",
     "spanning_tree_bound",
     "MerstResult",
     "merst_bound",
     "matthews_upper",
-    "matthews_subset_upper",
     "matthews_lower",
     "grid_resistance_monitor",
-    "rayleigh_monitor",
-    "bound_report",
     "SUBSET_SEARCH_CAP",
 ]
 
@@ -144,81 +131,6 @@ def commute_matrix(g: Graph) -> np.ndarray:
     return g.volume * resistance_matrix(g)
 
 
-# --- flows ---
-
-
-def unit_current_flow(g: Graph, u: int, v: int) -> np.ndarray:
-    """The unit current flow from u to v as an antisymmetric matrix.
-
-    Entry [x, y] is the net current pushed from x to y across the pooled
-    edge (x, y). This is the energy minimizer among unit flows.
-    """
-    if u == v:
-        raise ParameterError("flow endpoints must differ")
-    voltages, strength = _pinned_voltages(g, u, v)
-    c = conductance_matrix(g)
-    flow = c * (voltages[:, None] - voltages[None, :])
-    return flow / strength
-
-
-def flow_energy(
-    g: Graph, flow: np.ndarray, source: int, sink: int, tol: float = 1e-9
-) -> float:
-    """Energy of a unit flow, after validating the flow laws.
-
-    Raises FlowValidationError naming the violated law: antisymmetry,
-    support (current on a non-edge), conservation at an interior vertex,
-    or source strength different from 1.
-    """
-    flow = np.asarray(flow, dtype=float)
-    n = g.n
-    if flow.shape != (n, n):
-        raise ParameterError(f"flow must be an ({n}, {n}) matrix")
-    if source == sink:
-        raise ParameterError("flow endpoints must differ")
-    anti = float(np.abs(flow + flow.T).max())
-    if anti > tol:
-        i, j = np.unravel_index(np.abs(flow + flow.T).argmax(), flow.shape)
-        raise FlowValidationError(
-            f"antisymmetry violated at edge ({i}, {j}) by {anti:.3e}"
-        )
-    c = conductance_matrix(g)
-    off_support = np.abs(flow[c == 0])
-    if off_support.size and float(off_support.max()) > tol:
-        raise FlowValidationError(
-            f"support violated: current {float(off_support.max()):.3e} "
-            f"on a non-edge"
-        )
-    net = flow.sum(axis=1)
-    for x in range(n):
-        if x in (source, sink):
-            continue
-        if abs(net[x]) > tol:
-            raise FlowValidationError(
-                f"conservation violated at vertex {x} by {net[x]:.3e}"
-            )
-    if abs(net[source] - 1.0) > tol:
-        raise FlowValidationError(
-            f"source strength is {net[source]}, expected 1 within {tol}"
-        )
-    if abs(net[sink] + 1.0) > tol:
-        raise FlowValidationError(
-            f"sink strength is {net[sink]}, expected -1 within {tol}"
-        )
-    upper = np.triu_indices(n, k=1)
-    mask = c[upper] > 0
-    return float(np.sum(flow[upper][mask] ** 2 / c[upper][mask]))
-
-
-def thomson_gap(g: Graph, u: int, v: int, flow: np.ndarray) -> float:
-    """Energy of the candidate flow minus R(u, v).
-
-    Non-negative for every valid unit flow (up to solver noise); equality
-    picks out the current flow.
-    """
-    return flow_energy(g, flow, u, v) - effective_resistance(g, u, v)
-
-
 # --- cover-time bounds ---
 
 
@@ -300,18 +212,6 @@ def matthews_upper(g: Graph, hitting: np.ndarray | None = None) -> float:
     return float(h.max()) * harmonic_number(g.n)
 
 
-def matthews_subset_upper(
-    g: Graph, subset: list[int], hitting: np.ndarray | None = None
-) -> float:
-    """Cover bound for a vertex subset: max pair hitting inside it times
-    h(|subset|)."""
-    if len(set(subset)) < 2:
-        raise ParameterError("subset version needs at least two vertices")
-    h = _hitting_matrix(g) if hitting is None else hitting
-    sub = np.array(sorted(set(subset)))
-    return float(h[np.ix_(sub, sub)].max()) * harmonic_number(len(sub))
-
-
 def _lower_value(h: np.ndarray, subsets: np.ndarray) -> float:
     """Largest min-pair-hitting over the rows of a (count, k) subset array,
     times h(k - 1). h(k - 1) > 0 and rounding is monotone, so taking the
@@ -373,92 +273,3 @@ def grid_resistance_monitor(k: int) -> dict:
         "bound": bound,
         "passed": bool(observed < bound),
     }
-
-
-def _component_resistance(g: Graph, u: int, v: int) -> float | None:
-    """R(u, v) inside u's component; None when v lives elsewhere."""
-    dist = g.bfs_distances(u)
-    if dist[v] < 0:
-        return None
-    component = [x for x in range(g.n) if dist[x] >= 0]
-    sub, labels = g.induced_subgraph(component)
-    index = {orig: i for i, orig in enumerate(labels)}
-    return effective_resistance(sub, index[u], index[v])
-
-
-def rayleigh_monitor(
-    g: Graph,
-    edge_indices: list[int] | None = None,
-    pairs: list[tuple[int, int]] | None = None,
-    tol: float = 1e-9,
-) -> dict:
-    """Deleting an edge must not lower any effective resistance.
-
-    Each listed edge is removed in turn and the resistances of the probe
-    pairs recomputed. Pairs separated by the deletion report resistance
-    None (there is no finite value, and no sentinel float pretends there
-    is); such pairs satisfy the monotonicity check vacuously.
-    """
-    _require_connected(g)
-    if edge_indices is None:
-        edge_indices = list(range(g.m))
-    if pairs is None:
-        pairs = [(u, v) for u in range(g.n) for v in range(u + 1, g.n)]
-    base = resistance_matrix(g)
-    deletions = []
-    violations = 0
-    for idx in edge_indices:
-        if not 0 <= idx < g.m:
-            raise ParameterError(f"edge index {idx} out of range")
-        kept = [e for j, e in enumerate(g.edges) if j != idx]
-        sub = Graph(g.n, kept, name=f"{g.name}-minus-{idx}")
-        connected = sub.is_connected
-        rsub = resistance_matrix(sub) if connected else None
-        results = []
-        for u, v in pairs:
-            before = float(base[u, v])
-            if connected:
-                after: float | None = float(rsub[u, v])
-            else:
-                after = _component_resistance(sub, u, v)
-            # a separated pair has no finite resistance; monotone vacuously
-            ok = True if after is None else after >= before - tol
-            if not ok:
-                violations += 1
-            results.append({"pair": [u, v], "before": before, "after": after, "ok": ok})
-        deletions.append({"edge_index": idx, "edge": list(g.edges[idx][:2]), "pairs": results})
-    return {
-        "graph": g.name,
-        "violations": violations,
-        "passed": violations == 0,
-        "deletions": deletions,
-    }
-
-
-def bound_report(graphs: list[Graph]) -> str:
-    """CSV lines comparing exact cover (when small) with every bound."""
-    out = io.StringIO()
-    out.write(
-        "graph_id,n,m,exact_cover,matthews_lower,matthews_upper,merst,"
-        "spanning_tree_4mn\n"
-    )
-    for g in graphs:
-        kernel = build_kernel(g)
-        hitting = exact_hitting(kernel)
-        exact = (
-            repr(float(exact_cover_times(kernel).max())) if g.n <= COVER_CAP else ""
-        )
-        lower = matthews_lower(g, hitting=hitting) if g.n <= SUBSET_SEARCH_CAP else ""
-        upper = matthews_upper(g, hitting=hitting)
-        merst = merst_bound(g).bound
-        if g.is_simple and g.is_unit_weighted:
-            st = spanning_tree_bound(g)[1]
-            st_cell = repr(float(st))
-        else:
-            st_cell = ""
-        lower_cell = repr(float(lower)) if lower != "" else ""
-        out.write(
-            f"{g.name},{g.n},{g.m},{exact},{lower_cell},"
-            f"{repr(float(upper))},{repr(float(merst))},{st_cell}\n"
-        )
-    return out.getvalue()

@@ -41,13 +41,5 @@ class NumericTimeout(NumericError):
     """An iterative computation hit its step or time cap before converging."""
 
 
-class FlowValidationError(NumericError):
-    """A candidate flow violated one of the named flow laws.
-
-    The message always says which law failed (antisymmetry, conservation,
-    source strength) and at which vertex or edge.
-    """
-
-
 class RejectionFailure(NumericError):
     """Rejection sampling exhausted its attempt budget."""

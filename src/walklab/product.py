@@ -1,4 +1,4 @@
-"""Locally observed walks, block decompositions, and product cover bounds.
+"""Locally observed walks and product cover bounds.
 
 A walk watched only while inside a vertex set S looks like a weighted walk
 on a multigraph over S: excursions through the exterior collapse into
@@ -8,43 +8,29 @@ virtual conductances come from one absorbing-chain solve on the exterior.
 Convention note: an exterior self-connection contributes its conductance
 to the vertex weight once, unlike an ordinary loop which counts twice.
 The lowered Graph therefore stores exterior loops at half conductance, and
-serialization keeps the true value alongside an interior/exterior tag.
+the observation keeps the true value alongside an interior/exterior tag.
 """
 
 from __future__ import annotations
 
 import math
-from collections import deque
 from dataclasses import dataclass
 
 import numpy as np
 
-from .electrical import resistance_matrix
-from .errors import (
-    DisconnectedError,
-    ParameterError,
-    SizeCapError,
-    UnsupportedInputError,
-)
-from .graph import Graph, cartesian_product
+from .errors import DisconnectedError, ParameterError, UnsupportedInputError
+from .graph import Graph
 from .spectral import build_kernel
 
 __all__ = [
     "LocalObservation",
     "local_observation",
-    "serialize_observation",
-    "parse_observation",
-    "BlockDecomposition",
-    "block_decomposition",
-    "validate_decomposition",
     "ProductBoundReport",
     "theorem_main_bounds",
-    "product_resistance_monitor",
 ]
 
 EXTERIOR_EPS = 1e-12
 SYMMETRY_TOL = 1e-9
-MONITOR_CAP = 2500
 
 
 @dataclass(frozen=True)
@@ -174,166 +160,6 @@ def local_observation(g: Graph, subset) -> LocalObservation:
     )
 
 
-def serialize_observation(obs: LocalObservation) -> str:
-    head = (
-        f"# local-observation base={obs.base_name or '-'} "
-        f"subset={','.join(str(v) for v in obs.subset)} "
-        f"degrees={','.join(repr(d) for d in obs.base_degrees)}"
-    )
-    lines = [head, f"{obs.graph.n} {len(obs.graph.edges)}"]
-    for (u, v, _), tag, c in zip(obs.graph.edges, obs.tags, obs.conductances):
-        lines.append(f"{u} {v} {repr(c)} {tag}")
-    return "\n".join(lines) + "\n"
-
-
-def parse_observation(text: str) -> LocalObservation:
-    lines = [ln for ln in text.strip().split("\n")]
-    head = lines[0]
-    if not head.startswith("# local-observation "):
-        raise ParameterError("missing local-observation header")
-    fields = dict(
-        part.split("=", 1) for part in head[len("# local-observation "):].split(" ")
-    )
-    base = "" if fields["base"] == "-" else fields["base"]
-    subset = tuple(int(x) for x in fields["subset"].split(","))
-    degrees = tuple(float(x) for x in fields["degrees"].split(","))
-    n, m = (int(x) for x in lines[1].split())
-    edges = []
-    tags = []
-    trues = []
-    for ln in lines[2 : 2 + m]:
-        u_s, v_s, c_s, tag = ln.split()
-        u, v, c = int(u_s), int(v_s), float(c_s)
-        if tag not in ("interior", "exterior"):
-            raise ParameterError(f"unknown edge tag {tag!r}")
-        stored = c / 2.0 if (tag == "exterior" and u == v) else c
-        edges.append((u, v, stored))
-        tags.append(tag)
-        trues.append(c)
-    lowered = Graph(n, edges, name=f"{base}|loc{n}")
-    boundary = tuple(
-        sorted({subset[u] for (u, v, _), t in zip(edges, tags) if t == "exterior"}
-               | {subset[v] for (u, v, _), t in zip(edges, tags) if t == "exterior"})
-    )
-    return LocalObservation(
-        base_name=base,
-        subset=subset,
-        boundary=boundary,
-        graph=lowered,
-        tags=tuple(tags),
-        conductances=tuple(trues),
-        labels=subset,
-        base_degrees=degrees,
-    )
-
-
-# --- block decomposition ---
-
-
-@dataclass(frozen=True)
-class BlockDecomposition:
-    blocks: tuple[tuple[int, ...], ...]
-    k: int
-
-
-def block_decomposition(h: Graph, k: int) -> BlockDecomposition:
-    """Partition-with-overlaps of a connected graph into low-diameter blocks.
-
-    Grows a BFS tree of depth at most k over still-unclaimed vertices,
-    then continues from each leaf. A continuation tree with fewer than k
-    vertices gets appended to the block it grew from; larger trees start
-    their own block, whose root stays in the previous block too, so blocks
-    may overlap in single vertices. Deterministic: root 0, lowest labels
-    first, leaves processed in the order discovered.
-    """
-    if k < 1:
-        raise ParameterError("k must be at least 1")
-    if not h.is_connected:
-        raise DisconnectedError("block decomposition needs a connected graph")
-    n = h.n
-    if k > n:
-        return BlockDecomposition(blocks=(tuple(range(n)),), k=k)
-
-    adjacency = [sorted(h._adjacency_sets[v]) for v in range(n)]
-    assigned = [False] * n
-    blocks: list[set[int]] = []
-    queue: deque[tuple[int, int]] = deque()
-
-    def grow(root: int) -> tuple[list[int], list[int]]:
-        depth = {root: 0}
-        order = [root]
-        children = {root: 0}
-        frontier = [root]
-        while frontier:
-            level = []
-            for u in frontier:
-                if depth[u] == k:
-                    continue
-                for w in adjacency[u]:
-                    if w in depth or assigned[w]:
-                        continue
-                    depth[w] = depth[u] + 1
-                    children[u] = children[u] + 1
-                    children[w] = 0
-                    order.append(w)
-                    level.append(w)
-            frontier = sorted(level)
-        leaves = sorted(u for u in order if children[u] == 0)
-        return order, leaves
-
-    order, leaves = grow(0)
-    for v in order:
-        assigned[v] = True
-    blocks.append(set(order))
-    for leaf in leaves:
-        queue.append((leaf, 0))
-
-    while queue:
-        root, parent = queue.popleft()
-        order, leaves = grow(root)
-        newly = [v for v in order if not assigned[v]]
-        if not newly:
-            continue
-        for v in newly:
-            assigned[v] = True
-        if len(order) < k:
-            blocks[parent].update(newly)
-        else:
-            index = len(blocks)
-            blocks.append(set(order))
-            for leaf in leaves:
-                queue.append((leaf, index))
-
-    return BlockDecomposition(
-        blocks=tuple(tuple(sorted(b)) for b in blocks), k=k
-    )
-
-
-def validate_decomposition(h: Graph, dec: BlockDecomposition) -> dict:
-    """Check coverage, minimum size, connectivity, and the 4k diameter cap."""
-    union = set()
-    sizes_ok = True
-    connected_ok = True
-    diameter_ok = True
-    for block in dec.blocks:
-        union.update(block)
-        if len(block) < min(dec.k, h.n):
-            sizes_ok = False
-        sub, _ = h.induced_subgraph(block)
-        if not sub.is_connected:
-            connected_ok = False
-            continue
-        if sub.diameter > 4 * dec.k:
-            diameter_ok = False
-    return {
-        "covers": union == set(range(h.n)),
-        "sizes_ok": sizes_ok,
-        "connected_ok": connected_ok,
-        "diameter_ok": diameter_ok,
-        "count": len(dec.blocks),
-    }
-
-
 # --- product cover bounds ---
 
 
@@ -420,34 +246,3 @@ def theorem_main_bounds(
         precondition_ok=True,
         details=details,
     )
-
-
-def product_resistance_monitor(g: Graph, h: Graph) -> dict:
-    """Largest pairwise resistance on the product against its log bound.
-
-    The bound holds up to an unknown universal factor, so the ratio is
-    reported for trend inspection, never asserted.
-    """
-    _require_product_factor(g, "first factor")
-    _require_product_factor(h, "second factor")
-    if g.n * h.n > MONITOR_CAP:
-        raise SizeCapError(
-            f"product has {g.n * h.n} vertices; monitor cap is {MONITOR_CAP}"
-        )
-    product = cartesian_product(g, h)
-    resist = resistance_matrix(product)
-    r_max = float(resist.max())
-    diam_g = g.diameter
-    alpha = h.n / (diam_g + 1)
-    admissible = h.n >= diam_g + 1
-    ratio = r_max / (alpha * math.log(diam_g + 1)) if diam_g >= 1 else None
-    return {
-        "first": g.name,
-        "second": h.name,
-        "product_vertices": product.n,
-        "r_max": r_max,
-        "alpha": alpha,
-        "admissible": admissible,
-        "ratio": ratio,
-        "note": "bound is the ratio denominator times an unknown universal constant",
-    }

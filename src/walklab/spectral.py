@@ -8,17 +8,19 @@ cover-time recursion at COVER_CAP vertices (it enumerates visited sets,
 with one stacked solve per set size into a (2^n, n) table of about 0.85 MB
 at the cap).
 
-scipy.linalg is imported inside the three functions that call it
-(exact_hitting, kernel_eigenvalues, load_kernel), not at the top: the
-import costs about 0.3 s of process start-up, and an experiment that never
-makes a dense solve should not pay it. The deferral saves start-up time
-only; it does not mark an import cycle.
+scipy.linalg is imported inside the two functions that call it
+(exact_hitting, kernel_eigenvalues), not at the top: the import costs
+about 0.3 s of process start-up, and an experiment that never makes a
+dense solve should not pay it. The deferral saves start-up time only; it
+does not mark an import cycle.
+
+mindeg_invariant_report checks the min-degree weighting's guarantees on
+one graph; its hitting-time bound needs the exact hitting solve here.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Mapping
 
 import numpy as np
 
@@ -30,25 +32,20 @@ from .errors import (
     UnsupportedInputError,
 )
 from .graph import Graph
-from .weighting import apply_scheme
+from .rng import substream
+from .weighting import _require_schemable, apply_scheme
 
 __all__ = [
     "TransitionKernel",
     "build_kernel",
     "exact_hitting",
-    "first_return",
-    "harmonic_extension",
     "kernel_eigenvalues",
     "spectral_gap",
     "mixing_time",
-    "mixing_distance",
-    "return_count",
     "exact_cover_time",
     "exact_cover_times",
     "detailed_balance_check",
-    "chain_to_graph",
-    "dump_kernel",
-    "load_kernel",
+    "mindeg_invariant_report",
     "COVER_CAP",
 ]
 
@@ -138,7 +135,7 @@ def build_kernel(g: Graph, scheme: str = "uniform", lazy: bool = False) -> Trans
     )
 
 
-# --- hitting and return times ---
+# --- hitting times ---
 
 
 def exact_hitting(kernel: TransitionKernel) -> np.ndarray:
@@ -160,31 +157,6 @@ def exact_hitting(kernel: TransitionKernel) -> np.ndarray:
     lu = scipy.linalg.lu_factor(np.eye(n) - kernel.matrix + pi[None, :], overwrite_a=True)
     z = scipy.linalg.lu_solve(lu, np.eye(n), overwrite_b=True)
     return (np.diag(z)[None, :] - z) / pi[None, :]
-
-
-def first_return(kernel: TransitionKernel) -> np.ndarray:
-    """Expected first-return times, the closed form 1 / pi."""
-    return 1.0 / kernel.stationary
-
-
-def harmonic_extension(kernel: TransitionKernel, boundary: Mapping[int, float]) -> np.ndarray:
-    """Extend boundary values to the unique function harmonic elsewhere.
-
-    f(u) = sum_v P[u, v] f(v) for u outside the boundary; f equals the
-    given values on the boundary.
-    """
-    if not boundary:
-        raise ParameterError("harmonic extension needs a non-empty boundary")
-    n = kernel.n
-    a = np.eye(n) - kernel.matrix
-    b = np.zeros(n)
-    for v, value in boundary.items():
-        if not 0 <= v < n:
-            raise ParameterError(f"boundary vertex {v} out of range")
-        a[v, :] = 0.0
-        a[v, v] = 1.0
-        b[v] = float(value)
-    return np.linalg.solve(a, b)
 
 
 # --- spectrum and mixing ---
@@ -212,12 +184,6 @@ def kernel_eigenvalues(kernel: TransitionKernel, tol: float = 1e-8) -> np.ndarra
 def spectral_gap(kernel: TransitionKernel) -> float:
     """1 - lambda_2 of a reversible kernel."""
     return float(1.0 - kernel_eigenvalues(kernel)[1])
-
-
-def mixing_distance(kernel: TransitionKernel, t: int) -> float:
-    """max_{u, x} |P^t[u, x] - pi_x| by exact matrix powers."""
-    power = np.linalg.matrix_power(kernel.matrix, t)
-    return float(np.abs(power - kernel.stationary[None, :]).max())
 
 
 def mixing_time(
@@ -270,23 +236,6 @@ def mixing_time(
     return hi
 
 
-def return_count(kernel: TransitionKernel, v: int, horizon: int) -> float:
-    """Expected visits to v in the first `horizon` steps of the walk from v.
-
-    Counts the visit at time 0, so the value is always at least 1:
-    R_v(T) = sum_{t=0}^{T-1} P^t[v, v].
-    """
-    if horizon < 1:
-        raise ParameterError("horizon must be at least 1")
-    row = np.zeros(kernel.n)
-    row[v] = 1.0
-    total = 0.0
-    for _ in range(horizon):
-        total += float(row[v])
-        row = row @ kernel.matrix
-    return total
-
-
 # --- exact cover time ---
 
 
@@ -337,7 +286,7 @@ def exact_cover_times(kernel: TransitionKernel) -> np.ndarray:
     return _cover_remaining(kernel)[1 << starts, starts]
 
 
-# --- reversibility and round trips ---
+# --- reversibility ---
 
 
 def detailed_balance_check(kernel: TransitionKernel) -> float:
@@ -346,63 +295,84 @@ def detailed_balance_check(kernel: TransitionKernel) -> float:
     return float(np.abs(flow - flow.T).max())
 
 
-def chain_to_graph(kernel: TransitionKernel, tol: float = 1e-9, name: str = "") -> Graph:
-    """Reconstruct the weighted graph whose walk is the given kernel.
+# --- the min-degree scheme ---
 
-    Edge (i, j) gets conductance pi_i P[i, j] for i != j and a self-loop
-    gets pi_i P[i, i] / 2 (the loop's weight is double-counted back by the
-    walk). Only reversible kernels correspond to graphs.
+
+def mindeg_invariant_report(g: Graph, seed: int = 0, path_pairs: int = 100) -> dict:
+    """Check the min-deg scheme's structural guarantees on one graph.
+
+    Checks, each reported with observed value, bound, and a pass flag:
+
+    - total weight w(G) within [n, 2n]
+    - every vertex weight w(u) within [1, d(u)]
+    - every stationary probability within [1/(2n), d(u)/n]
+    - maximum exact hitting time at most 6 n^2
+    - degree sums along `path_pairs` random shortest paths at most 3n
+
+    The cover-time guarantee of the scheme is asymptotic (it assumes the
+    maximum degree grows slower than some power of the growth parameter),
+    so it is noted but never enforced here.
     """
-    gap = detailed_balance_check(kernel)
-    if gap > tol:
-        raise UnsupportedInputError(
-            f"kernel is not reversible (detailed balance off by {gap:.3e}); "
-            f"no weighted graph induces it"
-        )
+    _require_schemable(g)
+    n = g.n
+    weighted = apply_scheme(g, "mindeg")
+    total = weighted.volume
+    wvec = weighted.weighted_degrees
+    d = g.degrees.astype(float)
+
+    kernel = build_kernel(weighted)
     pi = kernel.stationary
-    p = kernel.matrix
-    n = kernel.n
-    edges = []
-    for i in range(n):
-        if p[i, i] > 0:
-            edges.append((i, i, pi[i] * p[i, i] / 2.0))
-        for j in range(i + 1, n):
-            w = 0.5 * (pi[i] * p[i, j] + pi[j] * p[j, i])
-            if w > 0:
-                edges.append((i, j, w))
-    return Graph(n, edges, name=name or f"from-kernel({kernel.name})")
+    hitting = exact_hitting(kernel)
+    max_hit = float(hitting.max())
 
+    rng = substream(seed, 0)
+    max_path_sum = 0
+    for _ in range(path_pairs):
+        u = int(rng.integers(0, n))
+        v = int(rng.integers(0, n))
+        route = g.shortest_path(u, v)
+        max_path_sum = max(max_path_sum, int(sum(g.degree(x) for x in route)))
 
-# --- serialization ---
-
-
-def dump_kernel(kernel: TransitionKernel) -> str:
-    """CSV with a `# kernel` header comment; entries use repr floats."""
-    lines = [f"# kernel n={kernel.n} scheme={kernel.scheme} lazy={int(kernel.lazy)}"]
-    for row in kernel.matrix:
-        lines.append(",".join(repr(float(x)) for x in row))
-    return "\n".join(lines) + "\n"
-
-
-def load_kernel(text: str, name: str = "kernel") -> TransitionKernel:
-    lines = [ln.strip() for ln in text.splitlines() if ln.strip()]
-    if not lines or not lines[0].startswith("# kernel"):
-        raise ParameterError("kernel text must start with a '# kernel' header")
-    fields = dict(
-        part.split("=", 1) for part in lines[0].removeprefix("# kernel").split()
-    )
-    n = int(fields["n"])
-    scheme = fields.get("scheme", "uniform")
-    lazy = bool(int(fields.get("lazy", "0")))
-    rows = [np.array([float(x) for x in ln.split(",")]) for ln in lines[1:]]
-    if len(rows) != n or any(r.shape != (n,) for r in rows):
-        raise ParameterError("kernel body does not match the declared size")
-    import scipy.linalg
-
-    p = np.vstack(rows)
-    # stationary recovered as the left fixed vector
-    w, vl = scipy.linalg.eig(p, left=True, right=False)
-    k = int(np.argmin(np.abs(w - 1.0)))
-    pi = np.real(vl[:, k])
-    pi = pi / pi.sum()
-    return TransitionKernel(matrix=p, stationary=pi, lazy=lazy, scheme=scheme, name=name)
+    checks = {
+        "total_weight": {
+            "observed": total,
+            "bounds": [float(n), float(2 * n)],
+            "passed": bool(n - 1e-9 <= total <= 2 * n + 1e-9),
+        },
+        "vertex_weights": {
+            "observed_min": float(wvec.min()),
+            "observed_max_excess": float((wvec - d).max()),
+            "passed": bool(wvec.min() >= 1.0 - 1e-9 and (wvec <= d + 1e-9).all()),
+        },
+        "stationary_band": {
+            "observed_min": float(pi.min()),
+            "observed_max_ratio": float((pi * n / d).max()),
+            "passed": bool(
+                pi.min() >= 1.0 / (2 * n) - 1e-12 and (pi <= d / n + 1e-12).all()
+            ),
+        },
+        "max_hitting": {
+            "observed": max_hit,
+            "bound": float(6 * n * n),
+            "passed": bool(max_hit <= 6 * n * n + 1e-6),
+        },
+        "path_degree_sums": {
+            "pairs": path_pairs,
+            "observed_max": max_path_sum,
+            "bound": 3 * n,
+            "passed": bool(max_path_sum <= 3 * n),
+        },
+    }
+    return {
+        "graph": g.name,
+        "n": n,
+        "m": g.m,
+        "scheme": "mindeg",
+        "seed": seed,
+        "checks": checks,
+        "all_passed": all(c["passed"] for c in checks.values()),
+        "note": (
+            "cover-time guarantee of the scheme is asymptotic in n and "
+            "restricted to slowly growing maximum degree; reported only"
+        ),
+    }

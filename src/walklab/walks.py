@@ -23,8 +23,7 @@ still owes, and at a vertex where left is 0 the quota work is one read.
 Blanket with delta > 0 adds the check count(v) > delta * pi_v * t on top
 of the cover quota, run only when no quota is left: a vertex failing it
 gets a quota on its next visit, the one step that can make it pass.
-Visit frequencies are the same loop with no quota, run for a fixed number
-of steps. These two need true counts; they keep them in left as
+That check needs true counts; a blanket walk keeps them in left as
 -(count + 1), so every step that lands on a counted vertex takes the
 branch a quota event takes. `_plan` alone decides which graphs a run
 takes: any graph in hit mode, a connected one in the modes that put a
@@ -75,11 +74,9 @@ __all__ = [
     "WalkConfig",
     "EstimateRecord",
     "simulate",
-    "trial_value",
     "st_connectivity",
-    "empirical_visit_frequencies",
+    "speedup",
     "blanket_cover_reference",
-    "estimates_csv",
 ]
 
 STOP_MODES = ("cover", "hit", "blanket", "blanket-cover")
@@ -349,8 +346,9 @@ def _walk(tables, pos, rng, budget, left, remaining, delta_pi=None) -> int | Non
     iterator only at a bisection or a quota event.
 
     Counting costs nothing in cover, hit and blanket-cover walks. A blanket
-    walk with delta_pi counts every vertex once its quota is met; visit
-    frequencies count every vertex from the start. The blanket test runs
+    walk with delta_pi counts every vertex once its quota is met; a walk
+    that starts with every vertex counting and remaining = 1 runs its whole
+    budget and counts every visit. The blanket test runs
     only when no quota is left. It then looks for a witness w with
     count(w) <= delta_pi[w] * t and, if there is one, puts a quota on w's
     next visit, keeping its count aside: until then the count stays and
@@ -477,20 +475,6 @@ def _trial_values(args) -> list[int | None]:
     return values
 
 
-def trial_value(g: Graph, config: WalkConfig, seed: int, trial_index: int) -> tuple[float | None, bool]:
-    """Value of one specific trial; what simulate() aggregates.
-
-    Returns (stopping step, censored flag). Depends on (seed, trial_index)
-    only, never on other trials; negative indices are refused because
-    stream (seed, 0) is reserved for setup-level choices. Graphs and starts
-    are accepted as in `_plan`.
-    """
-    if trial_index < 0:
-        raise ParameterError(f"trial index must be non-negative, got {trial_index}")
-    [value] = _trial_values((_plan(g, config), seed, trial_index, trial_index + 1))
-    return (None, True) if value is None else (float(value), False)
-
-
 def simulate(
     g: Graph, config: WalkConfig, trials: int, seed: int, workers: int = 1
 ) -> EstimateRecord:
@@ -552,6 +536,39 @@ def simulate(
 # --- applications ---
 
 
+def speedup(g: Graph, trials: int, seed: int, start: int = 0) -> dict:
+    """Ratio of estimated cover times, unweighted walk over min-degree walk.
+
+    Both estimates run the same trial seeds. The ratio's spread comes from
+    the delta method treating the two means as independent; on a regular
+    graph the kernels coincide, the trajectories are identical, and the
+    ratio is exactly 1 with z-score 0.
+    """
+    plain = simulate(g, WalkConfig(stop="cover", start=start), trials, seed)
+    weighted = simulate(
+        g, WalkConfig(stop="cover", start=start, scheme="mindeg"), trials, seed
+    )
+    ratio = plain.mean / weighted.mean
+    rel = math.hypot(
+        plain.stderr / plain.mean, weighted.stderr / weighted.mean
+    )
+    stderr = ratio * rel
+    z = (ratio - 1.0) / stderr if stderr > 0 else 0.0
+    return {
+        "graph": g.name,
+        "trials": trials,
+        "seed": seed,
+        "start": start,
+        "uniform_mean": plain.mean,
+        "uniform_stderr": plain.stderr,
+        "mindeg_mean": weighted.mean,
+        "mindeg_stderr": weighted.stderr,
+        "ratio": ratio,
+        "stderr": stderr,
+        "z_score": z,
+    }
+
+
 def st_connectivity(g: Graph, s: int, t: int, seed: int, index: int = 0) -> dict:
     """One-sided randomized s-t connectivity probe.
 
@@ -565,8 +582,9 @@ def st_connectivity(g: Graph, s: int, t: int, seed: int, index: int = 0) -> dict
     budget is at least twice that bound. On unit weights the tree term is
     4 m_C (n_C - 1) < 8 n m, so the budget is 8 n m. A budget above
     WalkConfig().budget raises SizeCapError before any walk. `index`
-    selects an independent repetition under the same seed: it is hit-mode
-    trial `index` of `trial_value`. Any graph is accepted; an isolated s is
+    selects an independent repetition under the same seed: it walks as
+    trial `index` of a hit-mode run from s to t with this budget, on stream
+    (seed, 1 + index). Any graph is accepted; an isolated s is
     answered like s == t, without walking: connected only if s == t.
     """
     [answer] = _st_answers(g, s, t, seed, index, index + 1)
@@ -603,38 +621,3 @@ def _st_budget(g: Graph, s: int) -> int:
     if need > cap:
         raise SizeCapError(f"s-t probe needs {need:.4g} steps on {g.name}, above the cap {cap}")
     return max(plain, math.ceil(weighted))
-
-
-def empirical_visit_frequencies(
-    g: Graph, steps: int, seed: int, scheme: str = "uniform", lazy: bool = False, start: int = 0
-) -> np.ndarray:
-    """Visit frequencies N_v(T) / (T + 1) of one long walk.
-
-    The counts include the position at time zero, so they always sum to
-    steps + 1 before normalization. Any graph but no isolated start;
-    steps above WalkConfig().budget raise SizeCapError.
-    """
-    if steps < 0:
-        raise ParameterError(f"steps must be non-negative, got {steps}")
-    if steps > WalkConfig().budget:
-        raise SizeCapError(f"{steps} steps is above the cap {WalkConfig().budget}")
-    if not 0 <= start < g.n:
-        raise ParameterError(f"start {start} out of range")
-    if not g.incidence[start]:
-        raise UnsupportedInputError(f"start {start} of {g.name} is isolated")
-    nbrs, cum, _ = _vertex_tables(g, scheme, lazy)
-    # every vertex counts and owes nothing, so all steps run
-    left = [-1] * g.n
-    left[start] = -2
-    _walk(_step_tables(nbrs, cum), start, substream(seed, 1), steps, left, 1)
-    return np.array([-c - 1 for c in left]) / float(steps + 1)
-
-
-def estimates_csv(records: list[EstimateRecord]) -> str:
-    lines = ["quantity,graph_id,scheme,start,trials,seed,mean,stderr,censored"]
-    for r in records:
-        lines.append(
-            f"{r.quantity},{r.graph_id},{r.scheme},{r.start},{r.trials},"
-            f"{r.seed},{repr(r.mean)},{repr(r.stderr)},{r.censored}"
-        )
-    return "\n".join(lines) + "\n"

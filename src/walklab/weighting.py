@@ -1,4 +1,4 @@
-"""Degree-based edge weighting schemes and their invariant reports.
+"""Degree-based edge weighting schemes.
 
 Two non-trivial schemes are supported, both computable from the degrees of
 an edge's endpoints alone:
@@ -11,6 +11,9 @@ an ikeda-weighted graph steps to neighbor v with probability proportional
 to 1/sqrt(d(v)); the min-deg walk keeps every vertex weight w(u) between 1
 and d(u), which pins the total weight w(G) between n and 2n and caps every
 hitting time at 6 n^2.
+
+spectral.mindeg_invariant_report checks those guarantees on one graph,
+and walks.speedup estimates the cover-time ratio of the two walks.
 """
 
 from __future__ import annotations
@@ -19,16 +22,8 @@ import math
 
 from .errors import UnsupportedInputError
 from .graph import Graph
-from .rng import substream
 
-__all__ = [
-    "SCHEMES",
-    "apply_scheme",
-    "mindeg_invariant_report",
-    "speedup",
-    "write_graph_with_scheme",
-    "read_graph_with_scheme",
-]
+__all__ = ["SCHEMES", "apply_scheme"]
 
 SCHEMES = ("uniform", "ikeda", "mindeg")
 
@@ -67,135 +62,3 @@ def apply_scheme(g: Graph, scheme: str) -> Graph:
     else:
         weights = [1.0 / min(d[u], d[v]) for u, v, _ in g.edges]
     return g.with_weights(weights, name=f"{g.name}|{scheme}")
-
-
-def mindeg_invariant_report(g: Graph, seed: int = 0, path_pairs: int = 100) -> dict:
-    """Check the min-deg scheme's structural guarantees on one graph.
-
-    Checks, each reported with observed value, bound, and a pass flag:
-
-    - total weight w(G) within [n, 2n]
-    - every vertex weight w(u) within [1, d(u)]
-    - every stationary probability within [1/(2n), d(u)/n]
-    - maximum exact hitting time at most 6 n^2
-    - degree sums along `path_pairs` random shortest paths at most 3n
-
-    The cover-time guarantee of the scheme is asymptotic (it assumes the
-    maximum degree grows slower than some power of the growth parameter),
-    so it is noted but never enforced here.
-    """
-    from .spectral import build_kernel, exact_hitting  # late import, avoids a cycle
-
-    _require_schemable(g)
-    n = g.n
-    weighted = apply_scheme(g, "mindeg")
-    total = weighted.volume
-    wvec = weighted.weighted_degrees
-    d = g.degrees.astype(float)
-
-    kernel = build_kernel(weighted)
-    pi = kernel.stationary
-    hitting = exact_hitting(kernel)
-    max_hit = float(hitting.max())
-
-    rng = substream(seed, 0)
-    max_path_sum = 0
-    for _ in range(path_pairs):
-        u = int(rng.integers(0, n))
-        v = int(rng.integers(0, n))
-        route = g.shortest_path(u, v)
-        max_path_sum = max(max_path_sum, int(sum(g.degree(x) for x in route)))
-
-    checks = {
-        "total_weight": {
-            "observed": total,
-            "bounds": [float(n), float(2 * n)],
-            "passed": bool(n - 1e-9 <= total <= 2 * n + 1e-9),
-        },
-        "vertex_weights": {
-            "observed_min": float(wvec.min()),
-            "observed_max_excess": float((wvec - d).max()),
-            "passed": bool(wvec.min() >= 1.0 - 1e-9 and (wvec <= d + 1e-9).all()),
-        },
-        "stationary_band": {
-            "observed_min": float(pi.min()),
-            "observed_max_ratio": float((pi * n / d).max()),
-            "passed": bool(
-                pi.min() >= 1.0 / (2 * n) - 1e-12 and (pi <= d / n + 1e-12).all()
-            ),
-        },
-        "max_hitting": {
-            "observed": max_hit,
-            "bound": float(6 * n * n),
-            "passed": bool(max_hit <= 6 * n * n + 1e-6),
-        },
-        "path_degree_sums": {
-            "pairs": path_pairs,
-            "observed_max": max_path_sum,
-            "bound": 3 * n,
-            "passed": bool(max_path_sum <= 3 * n),
-        },
-    }
-    return {
-        "graph": g.name,
-        "n": n,
-        "m": g.m,
-        "scheme": "mindeg",
-        "seed": seed,
-        "checks": checks,
-        "all_passed": all(c["passed"] for c in checks.values()),
-        "note": (
-            "cover-time guarantee of the scheme is asymptotic in n and "
-            "restricted to slowly growing maximum degree; reported only"
-        ),
-    }
-
-
-def speedup(g: Graph, trials: int, seed: int, start: int = 0) -> dict:
-    """Ratio of estimated cover times, unweighted walk over min-degree walk.
-
-    Both estimates run the same trial seeds. The ratio's spread comes from
-    the delta method treating the two means as independent; on a regular
-    graph the kernels coincide, the trajectories are identical, and the
-    ratio is exactly 1 with z-score 0.
-    """
-    from .walks import WalkConfig, simulate
-
-    plain = simulate(g, WalkConfig(stop="cover", start=start), trials, seed)
-    weighted = simulate(
-        g, WalkConfig(stop="cover", start=start, scheme="mindeg"), trials, seed
-    )
-    ratio = plain.mean / weighted.mean
-    rel = math.hypot(
-        plain.stderr / plain.mean, weighted.stderr / weighted.mean
-    )
-    stderr = ratio * rel
-    z = (ratio - 1.0) / stderr if stderr > 0 else 0.0
-    return {
-        "graph": g.name,
-        "trials": trials,
-        "seed": seed,
-        "start": start,
-        "uniform_mean": plain.mean,
-        "uniform_stderr": plain.stderr,
-        "mindeg_mean": weighted.mean,
-        "mindeg_stderr": weighted.stderr,
-        "ratio": ratio,
-        "stderr": stderr,
-        "z_score": z,
-    }
-
-
-def write_graph_with_scheme(g: Graph, scheme: str) -> str:
-    """Graph text with a `# scheme=` header comment recording provenance."""
-    return f"# scheme={scheme}\n" + g.to_text()
-
-
-def read_graph_with_scheme(text: str, name: str = "") -> tuple[Graph, str]:
-    scheme = "uniform"
-    for ln in text.splitlines():
-        ln = ln.strip()
-        if ln.startswith("# scheme="):
-            scheme = ln.split("=", 1)[1].strip()
-            break
-    return Graph.from_text(text, name=name), scheme

@@ -2,8 +2,8 @@
 
 The oracles here are deliberately written in the dumbest correct style
 available (forward dynamic programming, one pinned solve per target, row
-formulas, explicit enumeration) so they share no code path with the
-library implementations they check.
+formulas, explicit enumeration, a Laplacian pseudo-inverse) so they share
+no code path with the library implementations they check.
 """
 
 from __future__ import annotations
@@ -135,6 +135,64 @@ def per_set_cover_times(g: Graph, lazy: bool = False) -> np.ndarray:
         vec[members] = np.linalg.solve(a, b)
         remaining[s] = vec
     return np.array([remaining[1 << v][v] for v in range(n)])
+
+
+def mixing_distance(kernel, t: int) -> float:
+    """max_{u, x} |P^t[u, x] - pi_x| by one matrix power, not the library's squarings."""
+    power = np.linalg.matrix_power(kernel.matrix, t)
+    return float(np.abs(power - kernel.stationary[None, :]).max())
+
+
+def edge_conductances(g: Graph) -> np.ndarray:
+    """Symmetric pooled conductances straight from g.edges; loops carry no current."""
+    c = np.zeros((g.n, g.n))
+    for u, v, w in g.edges:
+        if u != v:
+            c[u, v] += w
+            c[v, u] += w
+    return c
+
+
+def unit_current_flow(g: Graph, source: int, sink: int) -> np.ndarray:
+    """The unit current flow from source to sink as an antisymmetric matrix.
+
+    Potentials come from the Laplacian pseudo-inverse applied to
+    e_source - e_sink, so the flow has strength exactly 1 and shares no
+    route with the library's pinned-voltage or grounded solves. Entry
+    [x, y] is the net current from x to y across the pooled edge (x, y).
+    """
+    c = edge_conductances(g)
+    lap = np.diag(c.sum(axis=1)) - c
+    demand = np.zeros(g.n)
+    demand[source], demand[sink] = 1.0, -1.0
+    phi = np.linalg.pinv(lap) @ demand
+    return c * (phi[:, None] - phi[None, :])
+
+
+def flow_energy(g: Graph, flow: np.ndarray, source: int, sink: int, tol: float = 1e-9) -> float:
+    """Energy sum_e i_e^2 / c_e of a unit flow, after checking the flow laws.
+
+    Raises ValueError naming the violated law: antisymmetry, support
+    (current on a non-edge), conservation at an interior vertex, or a
+    source or sink strength other than 1 and -1.
+    """
+    flow = np.asarray(flow, dtype=float)
+    skew = np.abs(flow + flow.T)
+    if skew.max() > tol:
+        i, j = np.unravel_index(skew.argmax(), flow.shape)
+        raise ValueError(f"antisymmetry violated at edge ({i}, {j}) by {skew.max():.3e}")
+    c = edge_conductances(g)
+    stray = np.abs(flow[c == 0])
+    if stray.size and stray.max() > tol:
+        raise ValueError(f"support violated: current {stray.max():.3e} on a non-edge")
+    net = flow.sum(axis=1)
+    for x in range(g.n):
+        if x not in (source, sink) and abs(net[x]) > tol:
+            raise ValueError(f"conservation violated at vertex {x} by {net[x]:.3e}")
+    if abs(net[source] - 1.0) > tol or abs(net[sink] + 1.0) > tol:
+        raise ValueError(f"source strength is {net[source]} and sink {net[sink]}, expected 1 and -1")
+    upper = np.triu(c > 0, k=1)
+    return float(np.sum(flow[upper] ** 2 / c[upper]))
 
 
 def per_subset_matthews_lower(hitting: np.ndarray, max_size: int = 12) -> float:

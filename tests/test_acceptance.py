@@ -55,9 +55,9 @@ from walklab.spectral import (
     exact_cover_time,
     exact_cover_times,
     exact_hitting,
+    mindeg_invariant_report,
 )
-from walklab.walks import WalkConfig, simulate
-from walklab.weighting import mindeg_invariant_report, speedup
+from walklab.walks import WalkConfig, simulate, speedup
 
 
 def _verdict(num: int, name: str, ok: bool, detail: str) -> bool:

@@ -22,7 +22,6 @@ from walklab.configmodel import (
     regular_sequence,
     sample_configuration,
     sample_simple,
-    write_degree_file,
 )
 from walklab.errors import ParameterError, RejectionFailure, SizeCapError
 from walklab.graph import Graph, complete, cycle
@@ -264,7 +263,7 @@ def test_random_band_sequence_properties():
 def test_degree_file_round_trip(tmp_path):
     seq = DegreeSequence((3, 4, 5, 4))
     path = tmp_path / "degrees.txt"
-    write_degree_file(path, seq)
+    path.write_text("3\n4\n5\n4\n")
     assert read_degree_file(path) == seq
     path.write_text("# comment\n3\n\n3\n")
     assert read_degree_file(path) == DegreeSequence((3, 3))

@@ -6,25 +6,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from helpers import censored_kernel, random_connected_graph, transition_matrix
-from walklab.errors import (
-    DisconnectedError,
-    ParameterError,
-    SizeCapError,
-    UnsupportedInputError,
-)
-from walklab.graph import Graph, complete, cycle, grid2d, lollipop, path, torus2d
-from walklab.product import (
-    block_decomposition,
-    local_observation,
-    parse_observation,
-    product_resistance_monitor,
-    serialize_observation,
-    theorem_main_bounds,
-    validate_decomposition,
-)
+from walklab.errors import DisconnectedError, ParameterError, UnsupportedInputError
+from walklab.graph import Graph, cartesian_product, complete, cycle, lollipop, path
+from walklab.product import local_observation, theorem_main_bounds
 from walklab.rng import substream
 from walklab.spectral import build_kernel, exact_cover_times
-from walklab.electrical import harmonic_number
+from walklab.electrical import harmonic_number, resistance_matrix
 
 
 # --- local observation ---
@@ -162,19 +149,6 @@ def test_observation_rejects_bad_inputs():
         local_observation(path(4), [0, 9])
 
 
-def test_observation_serialization_round_trip():
-    g = lollipop(9)
-    obs = local_observation(g, [0, 1, 2, 5, 6, 8])
-    text = serialize_observation(obs)
-    again = parse_observation(text)
-    assert again == obs
-    assert serialize_observation(again) == text
-    # loop halving restored: stored weight is half the recorded conductance
-    for (u, v, w), tag, c in zip(again.graph.edges, again.tags, again.conductances):
-        if tag == "exterior" and u == v:
-            assert w == pytest.approx(c / 2)
-
-
 @settings(max_examples=40, deadline=None)
 @given(st.integers(min_value=0, max_value=10**6), st.data())
 def test_observation_invariants_on_random_graphs(seed, data):
@@ -187,62 +161,6 @@ def test_observation_invariants_on_random_graphs(seed, data):
     expected = censored_kernel(g, subset)
     got = build_kernel(obs.graph).matrix
     assert np.abs(got - expected).max() <= 1e-8
-    assert parse_observation(serialize_observation(obs)) == obs
-
-
-# --- block decomposition ---
-
-
-def test_path_blocks_follow_the_append_rule():
-    dec = block_decomposition(path(10), k=4)
-    assert dec.blocks == ((0, 1, 2, 3, 4), (4, 5, 6, 7, 8, 9))
-    report = validate_decomposition(path(10), dec)
-    assert all(report[key] for key in ("covers", "sizes_ok", "connected_ok", "diameter_ok"))
-
-
-def test_cycle_blocks_trace():
-    dec = block_decomposition(cycle(12), k=3)
-    assert dec.blocks == ((0, 1, 2, 3, 9, 10, 11), (3, 4, 5, 6), (7, 8, 9))
-    report = validate_decomposition(cycle(12), dec)
-    assert all(report[key] for key in ("covers", "sizes_ok", "connected_ok", "diameter_ok"))
-
-
-def test_blocks_may_overlap_at_roots():
-    dec = block_decomposition(path(10), k=4)
-    first, second = (set(b) for b in dec.blocks)
-    assert first & second == {4}
-
-
-def test_oversized_k_gives_single_block():
-    g = cycle(6)
-    dec = block_decomposition(g, k=10)
-    assert dec.blocks == (tuple(range(6)),)
-
-
-def test_block_invariants_across_families_and_depths():
-    graphs = [path(17), cycle(14), torus2d(4, 5), grid2d(5, 5), lollipop(15), complete(8)]
-    for g in graphs:
-        for k in (1, 2, 3, 5):
-            dec = block_decomposition(g, k=k)
-            report = validate_decomposition(g, dec)
-            assert report["covers"], (g.name, k)
-            assert report["sizes_ok"], (g.name, k)
-            assert report["connected_ok"], (g.name, k)
-            assert report["diameter_ok"], (g.name, k)
-            assert all(len(b) >= min(k, g.n) for b in dec.blocks)
-
-
-def test_block_decomposition_is_deterministic():
-    a = block_decomposition(torus2d(4, 4), k=2)
-    b = block_decomposition(torus2d(4, 4), k=2)
-    assert a == b
-
-
-def test_block_decomposition_rejects_bad_inputs():
-    with pytest.raises(ParameterError):
-        block_decomposition(path(5), k=0)
-    with pytest.raises(DisconnectedError):
-        block_decomposition(Graph(4, [(0, 1), (2, 3)]), k=1)
 
 
 # --- product bounds ---
@@ -282,8 +200,6 @@ def test_lower_bound_respects_exact_product_cover():
         cov_h = float(exact_cover_times(build_kernel(h)).max())
         cov_g = float(exact_cover_times(build_kernel(g)).max())
         report = theorem_main_bounds(g, h, cov_h=cov_h, bcov_h=cov_h, cov_g=cov_g)
-        from walklab.graph import cartesian_product
-
         product = cartesian_product(g, h)
         exact = float(exact_cover_times(build_kernel(product)).max())
         assert report.lower <= exact + 1e-9
@@ -296,31 +212,15 @@ def test_bounds_reject_weighted_or_trivial_factors():
         theorem_main_bounds(Graph(1, [], name="dot"), path(5), 1.0, 1.0)
 
 
-# --- resistance monitor ---
+# --- product resistances ---
 
 
 def test_square_product_of_edges_is_a_four_cycle():
-    out = product_resistance_monitor(complete(2), complete(2))
-    assert out["product_vertices"] == 4
-    assert out["r_max"] == pytest.approx(1.0)
-    assert out["alpha"] == pytest.approx(1.0)
-    assert out["ratio"] == pytest.approx(1.0 / math.log(2))
-    assert out["admissible"]
+    square = cartesian_product(complete(2), complete(2))
+    assert square.n == 4
+    assert float(resistance_matrix(square).max()) == pytest.approx(1.0)
 
 
 def test_grid_monitor_stays_below_harmonic_bound():
     for k in (3, 5):
-        out = product_resistance_monitor(path(k), path(k))
-        assert out["r_max"] < 8 * harmonic_number(k)
-
-
-def test_torus_monitor_reports_finite_ratio():
-    out = product_resistance_monitor(cycle(8), cycle(8))
-    assert out["admissible"]
-    assert out["ratio"] > 0
-    assert math.isfinite(out["ratio"])
-
-
-def test_monitor_size_cap():
-    with pytest.raises(SizeCapError):
-        product_resistance_monitor(path(51), path(50))
+        assert float(resistance_matrix(cartesian_product(path(k), path(k))).max()) < 8 * harmonic_number(k)

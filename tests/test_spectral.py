@@ -13,24 +13,18 @@ from walklab.graph import Graph, complete, cycle, family, lollipop, path, star
 from walklab.spectral import (
     TransitionKernel,
     build_kernel,
-    chain_to_graph,
     detailed_balance_check,
-    dump_kernel,
     exact_cover_time,
     exact_cover_times,
     exact_hitting,
-    first_return,
-    harmonic_extension,
     kernel_eigenvalues,
-    load_kernel,
-    mixing_distance,
     mixing_time,
-    return_count,
     spectral_gap,
 )
 
 from helpers import (
     forward_dp_hitting,
+    mixing_distance,
     per_set_cover_times,
     pinned_solve_hitting,
     random_connected_graph,
@@ -195,9 +189,10 @@ def _fake_big_kernel(n: int) -> TransitionKernel:
 
 
 def test_first_return_closed_forms():
-    ret = first_return(build_kernel(complete(6)))
+    # the expected first return to v is 1 / pi_v
+    ret = 1.0 / build_kernel(complete(6)).stationary
     np.testing.assert_allclose(ret, 6.0, rtol=1e-12)
-    ret = first_return(build_kernel(path(7)))
+    ret = 1.0 / build_kernel(path(7)).stationary
     assert ret[0] == pytest.approx(2 * 6, rel=1e-12)  # endpoint: 2(n-1)
     assert ret[3] == pytest.approx(12 / 2, rel=1e-12)
 
@@ -209,35 +204,9 @@ def test_first_return_one_step_identity():
         g = random_connected_graph(rng, int(rng.integers(2, 10)), extra=4, weighted=True, loops=True, parallel=True)
         k = build_kernel(g)
         h = exact_hitting(k)
-        ret = first_return(k)
+        ret = 1.0 / k.stationary
         recon = 1.0 + np.einsum("vw,wv->v", k.matrix, h)
         np.testing.assert_allclose(ret, recon, rtol=1e-8, atol=1e-8)
-
-
-# --- harmonic extension ---
-
-
-def test_harmonic_extension_on_four_cycle():
-    k = build_kernel(cycle(4))
-    f = harmonic_extension(k, {0: 0.0, 2: 1.0})
-    assert f[1] == pytest.approx(0.5, abs=1e-12)
-    assert f[3] == pytest.approx(0.5, abs=1e-12)
-
-
-def test_harmonic_extension_respects_boundary_and_mean_property():
-    g = random_connected_graph(np.random.default_rng(5), 10, extra=6, weighted=True)
-    k = build_kernel(g)
-    f = harmonic_extension(k, {0: -2.0, 7: 3.0})
-    assert f[0] == -2.0 and f[7] == 3.0
-    interior = [v for v in range(10) if v not in (0, 7)]
-    np.testing.assert_allclose(f[interior], (k.matrix @ f)[interior], atol=1e-10)
-    # maximum principle: values within boundary range
-    assert f.min() >= -2.0 - 1e-10 and f.max() <= 3.0 + 1e-10
-
-
-def test_harmonic_extension_needs_boundary():
-    with pytest.raises(ParameterError):
-        harmonic_extension(build_kernel(path(3)), {})
 
 
 # --- spectrum ---
@@ -290,24 +259,6 @@ def test_mixing_time_bipartite_never_converges():
     k = build_kernel(path(2))  # period 2
     with pytest.raises(NumericTimeout):
         mixing_time(k, 1e-3, cap=4096)
-
-
-# --- return counts ---
-
-
-def test_return_count_counts_time_zero():
-    k = build_kernel(complete(2))
-    assert return_count(k, 0, 1) == pytest.approx(1.0)
-    # K_2 returns deterministically every 2 steps
-    assert return_count(k, 0, 4) == pytest.approx(2.0)
-
-
-def test_return_count_at_least_one():
-    rng = np.random.default_rng(2)
-    g = random_connected_graph(rng, 9, extra=5, loops=True)
-    k = build_kernel(g, lazy=True)
-    for horizon in (1, 3, 17):
-        assert return_count(k, 4, horizon) >= 1.0
 
 
 # --- exact cover time ---
@@ -372,44 +323,6 @@ def test_detailed_balance_for_graph_kernels():
     for _ in range(6):
         g = random_connected_graph(rng, int(rng.integers(2, 11)), extra=5, weighted=True, loops=True, parallel=True)
         assert detailed_balance_check(build_kernel(g)) <= 1e-12
-
-
-def test_chain_to_graph_round_trip():
-    rng = np.random.default_rng(37)
-    for _ in range(8):
-        g = random_connected_graph(rng, int(rng.integers(2, 10)), extra=4, weighted=True, loops=True)
-        k = build_kernel(g)
-        back = chain_to_graph(k)
-        k2 = build_kernel(back)
-        np.testing.assert_allclose(k2.matrix, k.matrix, atol=1e-9)
-
-
-def test_chain_to_graph_rejects_nonreversible():
-    p = np.array([[0.0, 0.9, 0.1], [0.1, 0.0, 0.9], [0.9, 0.1, 0.0]])
-    k = TransitionKernel(matrix=p, stationary=np.full(3, 1 / 3))
-    with pytest.raises(UnsupportedInputError):
-        chain_to_graph(k)
-
-
-# --- serialization ---
-
-
-def test_kernel_dump_header_and_round_trip():
-    k = build_kernel(cycle(5), scheme="uniform", lazy=True)
-    text = dump_kernel(k)
-    assert text.splitlines()[0] == "# kernel n=5 scheme=uniform lazy=1"
-    back = load_kernel(text)
-    np.testing.assert_allclose(back.matrix, k.matrix, atol=0)
-    np.testing.assert_allclose(back.stationary, k.stationary, atol=1e-10)
-    assert back.lazy and back.scheme == "uniform"
-    assert dump_kernel(back) == text
-
-
-def test_load_kernel_validates():
-    with pytest.raises(ParameterError):
-        load_kernel("no header\n1.0\n")
-    with pytest.raises(ParameterError):
-        load_kernel("# kernel n=2 scheme=uniform lazy=0\n1.0,0.0\n")
 
 
 # --- properties ---

@@ -18,12 +18,33 @@ from walklab.walks import (
     EstimateRecord,
     WalkConfig,
     blanket_cover_reference,
-    empirical_visit_frequencies,
-    estimates_csv,
     simulate,
     st_connectivity,
-    trial_value,
 )
+
+
+def trial_value(g, config, seed, trial_index):
+    """(stopping step, censored flag) of trial `trial_index` of a simulate run."""
+    plan = walks._plan(g, config)
+    [value] = walks._trial_values((plan, seed, trial_index, trial_index + 1))
+    return (None, True) if value is None else (float(value), False)
+
+
+def visit_frequencies(g, steps, seed, scheme="uniform", lazy=False, start=0):
+    """Visit frequencies N_v(T) / (T + 1) of one walk of T = steps steps.
+
+    `_plan` builds the tables and checks the start, and it checks T + 1 as a
+    budget, so a negative T or one above the cap is refused and T = 0 is
+    not. A hit set-up whose target is its start owes no visit; `_walk` then
+    counts every vertex, the start at time zero included, for all T steps
+    of stream (seed, 1).
+    """
+    config = WalkConfig(stop="hit", start=start, target=start, budget=steps + 1, scheme=scheme, lazy=lazy)
+    tables = walks._plan(g, config)[0]
+    left = [-1] * g.n
+    left[start] = -2
+    walks._walk(tables, start, substream(seed, 1), steps, left, 1)
+    return np.array([-c - 1 for c in left]) / float(steps + 1)
 
 
 def test_simulate_is_reproducible():
@@ -529,7 +550,7 @@ def test_resolution_halves_for_many_distinct_rows_down_to_32():
 )
 def test_visit_counts_keep_their_recorded_walk(spec, counts):
     steps = 1000
-    freq = empirical_visit_frequencies(family(spec), steps=steps, seed=0, lazy=True)
+    freq = visit_frequencies(family(spec), steps=steps, seed=0, lazy=True)
     assert (freq * (steps + 1)).tolist() == [float(c) for c in counts]
 
 
@@ -552,7 +573,7 @@ PINNED_LONG_VISITS = [
 @pytest.mark.parametrize("kwargs, counts", PINNED_LONG_VISITS)
 def test_long_visit_counts_keep_their_recorded_walk(kwargs, counts):
     steps = 50_000
-    freq = empirical_visit_frequencies(family("lollipop:30"), steps=steps, seed=0, **kwargs)
+    freq = visit_frequencies(family("lollipop:30"), steps=steps, seed=0, **kwargs)
     assert freq.tolist() == (np.array(counts) / float(steps + 1)).tolist()
 
 
@@ -638,8 +659,6 @@ def test_negative_trial_index_is_refused():
     # setup-level choices
     g = path(6)
     with pytest.raises(ParameterError):
-        trial_value(g, WalkConfig(stop="hit", target=5), seed=7, trial_index=-1)
-    with pytest.raises(ParameterError):
         st_connectivity(g, 0, 5, seed=7, index=-1)
     with pytest.raises(ParameterError):
         st_connectivity(g, 2, 2, seed=7, index=-1)
@@ -703,11 +722,11 @@ def test_a_chunk_builds_one_generator(monkeypatch):
 @pytest.mark.parametrize("kwargs", [{"steps": -1}, {"steps": 10, "start": 9}, {"steps": 10, "start": -1}])
 def test_visit_frequencies_refuse_bad_walk_inputs(kwargs):
     with pytest.raises(ParameterError):
-        empirical_visit_frequencies(path(6), seed=0, **kwargs)
+        visit_frequencies(path(6), seed=0, **kwargs)
 
 
 def test_visit_frequencies_with_no_steps_sit_at_the_start():
-    assert empirical_visit_frequencies(path(6), steps=0, seed=0, start=2).tolist() == [
+    assert visit_frequencies(path(6), steps=0, seed=0, start=2).tolist() == [
         0.0, 0.0, 1.0, 0.0, 0.0, 0.0
     ]
 
@@ -745,7 +764,7 @@ def test_budgets_above_the_cap_are_refused_before_walking(monkeypatch):
     with pytest.raises(SizeCapError, match="cap"):
         simulate(path(4), WalkConfig(budget=cap + 1), trials=1, seed=0)
     with pytest.raises(SizeCapError, match="cap"):
-        empirical_visit_frequencies(path(4), steps=cap + 1, seed=0)
+        visit_frequencies(path(4), steps=cap + 1, seed=0)
 
 
 def test_worker_count_is_clamped_to_chunks_and_cpus(monkeypatch):
@@ -781,7 +800,7 @@ def test_worker_count_is_clamped_to_chunks_and_cpus(monkeypatch):
 
 def test_visit_frequencies_sum_to_one_and_track_stationary():
     g = cycle(8)
-    freq = empirical_visit_frequencies(g, steps=10**6, seed=0, lazy=True)
+    freq = visit_frequencies(g, steps=10**6, seed=0, lazy=True)
     assert freq.sum() == pytest.approx(1.0)
     pi = np.full(8, 1 / 8)
     tv = 0.5 * np.abs(freq - pi).sum()
@@ -791,7 +810,7 @@ def test_visit_frequencies_sum_to_one_and_track_stationary():
 def test_visit_frequencies_weighted_stationary():
     g = star(5)
     kernel = build_kernel(g, lazy=True)
-    freq = empirical_visit_frequencies(g, steps=2 * 10**5, seed=1, lazy=True)
+    freq = visit_frequencies(g, steps=2 * 10**5, seed=1, lazy=True)
     tv = 0.5 * np.abs(freq - kernel.stationary).sum()
     assert tv <= 0.02
 
@@ -825,17 +844,3 @@ def test_quantity_labels():
     assert WalkConfig(stop="blanket", delta=0.25).quantity() == "blanket:0.25"
     assert WalkConfig(stop="cover").quantity() == "cover"
     assert WalkConfig(stop="blanket-cover").quantity() == "blanket-cover"
-
-
-def test_estimates_csv_round_trip():
-    g = complete(4)
-    rec = simulate(g, WalkConfig(stop="cover"), trials=64, seed=5)
-    text = estimates_csv([rec])
-    lines = text.strip().split("\n")
-    assert lines[0] == "quantity,graph_id,scheme,start,trials,seed,mean,stderr,censored"
-    cells = lines[1].split(",")
-    assert cells[0] == "cover"
-    assert cells[1] == g.name
-    assert float(cells[6]) == rec.mean
-    assert float(cells[7]) == rec.stderr
-    assert text == estimates_csv([simulate(g, WalkConfig(stop="cover"), trials=64, seed=5)])

@@ -7,13 +7,9 @@ from hypothesis import strategies as st
 
 from walklab.errors import UnsupportedInputError
 from walklab.graph import Graph, complete, cycle, lollipop, path, star
-from walklab.spectral import build_kernel
-from walklab.weighting import (
-    apply_scheme,
-    mindeg_invariant_report,
-    read_graph_with_scheme,
-    write_graph_with_scheme,
-)
+from walklab.spectral import build_kernel, mindeg_invariant_report
+from walklab.walks import speedup
+from walklab.weighting import apply_scheme
 
 from helpers import ikeda_kernel_formula, mindeg_kernel_formula, random_connected_graph
 
@@ -84,15 +80,6 @@ def test_mindeg_invariant_report_on_families():
         assert report["checks"]["max_hitting"]["observed"] <= 6 * n * n
 
 
-def test_scheme_header_round_trip():
-    g = apply_scheme(cycle(5), "mindeg")
-    text = write_graph_with_scheme(g, "mindeg")
-    assert text.splitlines()[0] == "# scheme=mindeg"
-    back, scheme = read_graph_with_scheme(text)
-    assert scheme == "mindeg"
-    assert back == g
-
-
 @given(st.integers(min_value=0, max_value=10**6))
 @settings(max_examples=30, deadline=None)
 def test_property_mindeg_vertex_weights_in_band(seed):
@@ -119,16 +106,12 @@ def test_property_ikeda_edge_weight_sandwich(seed):
 
 
 def test_speedup_is_exactly_one_on_regular_graphs():
-    from walklab.weighting import speedup
-
     out = speedup(cycle(8), trials=40, seed=3)
     assert out["ratio"] == 1.0
     assert out["z_score"] == 0.0
 
 
 def test_speedup_favors_mindeg_on_lollipop():
-    from walklab.weighting import speedup
-
     out = speedup(lollipop(24), trials=150, seed=7)
     assert out["ratio"] > 1.0
     assert out["z_score"] > 3.0
