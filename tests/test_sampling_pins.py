@@ -1,5 +1,7 @@
 """Rejection samples, p-simple counts and exact conductances recorded from
-the Graph-per-attempt sampler and the concatenating subset tables.
+the Graph-per-attempt sampler and the concatenating subset tables; the
+n = 21 and 22 conductances were recorded from the whole-table doubling
+enumeration, the last one to hold 2^n entries.
 
 Simple samples come from stub shuffles and integer tests, and conductances
 from elementwise sums and one division per subset (no BLAS), so every value
@@ -17,6 +19,7 @@ from walklab.conductance import conductance_exact
 from walklab.configmodel import random_band_sequence, regular_sequence, sample_simple
 from walklab.graph import Graph, family
 from walklab.spectral import build_kernel
+from walklab.weighting import apply_scheme
 
 SEQUENCES = {
     "regular:3,50": regular_sequence(50, 3),
@@ -173,6 +176,11 @@ WEIGHTED_LOOPS_7 = Graph(
     name="w7",
 )
 
+def _mindeg_with_loop(spec, loop):
+    h = apply_scheme(family(spec), "mindeg")
+    return Graph(h.n, list(h.edges) + [loop], name=f"{h.name}+loop")
+
+
 KERNELS = {
     "lollipop:12": lambda: build_kernel(family("lollipop:12")),
     "cycle:9 lazy": lambda: build_kernel(family("cycle:9"), lazy=True),
@@ -181,6 +189,12 @@ KERNELS = {
     "band-sample lazy": lambda: build_kernel(_band_sample(), lazy=True),
     "band-sample mindeg lazy": lambda: build_kernel(_band_sample(), scheme="mindeg", lazy=True),
     "weighted-loops:7": lambda: build_kernel(WEIGHTED_LOOPS_7),
+    "path:22": lambda: build_kernel(family("path:22")),
+    "binary-tree:21 lazy": lambda: build_kernel(family("binary-tree:21"), lazy=True),
+    "lollipop:22 mindeg+loop": lambda: build_kernel(_mindeg_with_loop("lollipop:22", (3, 3, 0.75))),
+    "grid2d:3,7 mindeg+loop lazy": lambda: build_kernel(
+        _mindeg_with_loop("grid2d:3,7", (10, 10, 0.5)), lazy=True
+    ),
 }
 
 # kernel -> (phi, subset, pi_mass, cut_flow) of conductance_exact
@@ -192,6 +206,10 @@ PINNED_CONDUCTANCE = {
     "band-sample lazy": (0.12162162162162125, (0, 1, 3, 6, 10, 11, 14, 16, 18), 0.4512195121951219, 0.05487804878048763),
     "band-sample mindeg lazy": (0.1115107913669065, (0, 3, 6, 10, 11, 14, 16, 18), 0.39376770538243616, 0.043909348441926344),
     "weighted-loops:7": (0.23999999999999994, (4, 5, 6), 0.4716981132075472, 0.1132075471698113),
+    "path:22": (0.04761904761904757, (0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10), 0.49999999999999994, 0.02380952380952378),
+    "binary-tree:21 lazy": (0.033333333333333354, (0, 2, 5, 6, 11, 12, 13, 14), 0.3750000000000001, 0.012500000000000011),
+    "lollipop:22 mindeg+loop": (0.06666666666666654, (15, 16, 17, 18, 19, 20, 21), 0.3061224489795919, 0.02040816326530609),
+    "grid2d:3,7 mindeg+loop lazy": (0.04545454545454524, (4, 5, 6, 11, 12, 13, 18, 19, 20), 0.41438356164383555, 0.018835616438356073),
 }
 
 
