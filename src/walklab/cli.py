@@ -142,10 +142,25 @@ def _resolve_graph(spec: dict, default: str | None = None) -> Graph:
     return g
 
 
-def _connected_simple_sample(seq, seed: int) -> tuple[Graph, int]:
+def _sub_seed(seed: int, offset: int) -> int:
+    """The seed `offset` past --seed, refused by naming both if it passes 2^64 - 1.
+
+    Runners derive their streams' seeds by adding fixed offsets to --seed,
+    so a --seed near the top of the range can be refused midway; the rng's
+    own message would name the sum, a seed the user never gave.
+    """
+    if seed + offset >= 2**64:
+        raise ParameterError(
+            f"--seed {seed} plus sub-seed offset {offset} passes 2^64 - 1; "
+            "choose a smaller --seed"
+        )
+    return seed + offset
+
+
+def _connected_simple_sample(seq, seed: int, offset: int = 0) -> tuple[Graph, int]:
     """Simple sample resampled until connected; index of the try that won."""
     for attempt in range(64):
-        sam = sample_simple(seq, seed + 7919 * attempt)
+        sam = sample_simple(seq, _sub_seed(seed, offset + 7919 * attempt))
         if sam.graph.is_connected:
             return sam.graph, attempt
     raise RejectionFailure(
@@ -153,7 +168,7 @@ def _connected_simple_sample(seq, seed: int) -> tuple[Graph, int]:
     )
 
 
-def _nice_band_sequence(n: int, low: int, high: int, seed: int):
+def _nice_band_sequence(n: int, low: int, high: int, seed: int, offset: int = 0):
     """Band-degree sequence resampled until it clears the niceness screen.
 
     A band draw can land just over the average-degree cap, and those
@@ -161,7 +176,7 @@ def _nice_band_sequence(n: int, low: int, high: int, seed: int):
     redrawn rather than asserted on.
     """
     for attempt in range(64):
-        seq = random_band_sequence(n, low, high, seed + 33 * attempt)
+        seq = random_band_sequence(n, low, high, _sub_seed(seed, offset + 33 * attempt))
         if check_nice(seq).nice:
             return seq
     raise RejectionFailure(
@@ -392,16 +407,20 @@ def _run_product_theorem(spec: dict):
     else:
         est = simulate(h, WalkConfig(stop="cover"), trials, seed, workers=workers)
         cov_h, cov_h_stderr, cov_h_method = est.mean, est.stderr, "mc"
-    best = simulate(h, WalkConfig(stop="blanket-cover"), trials, seed + 1, workers=workers)
+    best = simulate(
+        h, WalkConfig(stop="blanket-cover"), trials, _sub_seed(seed, 1), workers=workers
+    )
     bcov_h = best.mean
     if g.n <= COVER_CAP:
         cov_g = float(exact_cover_times(build_kernel(g)).max())
     else:
-        cov_g = simulate(g, WalkConfig(stop="cover"), trials, seed + 2, workers=workers).mean
+        cov_g = simulate(
+            g, WalkConfig(stop="cover"), trials, _sub_seed(seed, 2), workers=workers
+        ).mean
 
     bounds = theorem_main_bounds(g, h, cov_h=cov_h, bcov_h=bcov_h, cov_g=cov_g)
     prod = cartesian_product(g, h)
-    mc = simulate(prod, WalkConfig(stop="cover"), trials, seed + 3, workers=workers)
+    mc = simulate(prod, WalkConfig(stop="cover"), trials, _sub_seed(seed, 3), workers=workers)
 
     rows = [
         ["first-factor", g.name],
@@ -466,13 +485,13 @@ def _run_degseq_cover(spec: dict):
     ratios: list[float] = []
     checks: list[dict] = []
     for j, (n, seq) in enumerate(seqs):
-        graph, resamples = _connected_simple_sample(seq, seed + 101 * j)
+        graph, resamples = _connected_simple_sample(seq, seed, 101 * j)
         predicted = predicted_cover(seq)
         est = simulate(
             graph,
             WalkConfig(stop="cover", scheme=spec["scheme"], lazy=spec["lazy"]),
             trials,
-            seed + 101 * j,
+            _sub_seed(seed, 101 * j),
             workers=workers,
         )
         ratio = est.mean / predicted
@@ -521,8 +540,8 @@ def _run_conductance_survey(spec: dict):
     min_margin = math.inf
     sweep_ok = True
     for i in range(count):
-        seq = _nice_band_sequence(20, 3, 6, seed + 1000 + i)
-        graph, _ = _connected_simple_sample(seq, seed + i)
+        seq = _nice_band_sequence(20, 3, 6, seed, 1000 + i)
+        graph, _ = _connected_simple_sample(seq, seed, i)
         kern = build_kernel(graph)
         exact = conductance_exact(kern)
         sweep = conductance_sweep(kern)
@@ -545,7 +564,7 @@ def _run_conductance_survey(spec: dict):
     # larger sizes use the sweep value alone; surveyed, never asserted
     for j, big in enumerate((100, 200)):
         seq = regular_sequence(big, 3)
-        graph, _ = _connected_simple_sample(seq, seed + 500 + j)
+        graph, _ = _connected_simple_sample(seq, seed, 500 + j)
         sweep = conductance_sweep(build_kernel(graph))
         rows.append([count + j, graph.n, graph.m, "sweep-only", None, sweep.phi, None, None])
     checks = [
@@ -581,7 +600,7 @@ def _run_p_simple(spec: dict):
     worst = 0.0
     for k, (r, n) in enumerate([(3, 50), (3, 100), (4, 50), (4, 100)]):
         seq = regular_sequence(n, r)
-        cell_seed = seed + 1000 * k
+        cell_seed = _sub_seed(seed, 1000 * k)
         pairings = itertools.islice(_pairings(seq, cell_seed), attempts)
         simple = sum(_is_simple_pairing(pairs, n) for pairs in pairings)
         emp = simple / attempts

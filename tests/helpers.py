@@ -269,3 +269,35 @@ def alias_pick(nbrs: list, prob: list[float], alias: list[int], u: float):
     if k >= d:  # u == 1.0 guard: for u < 1, u * d rounds below d
         k = d - 1
     return nbrs[k] if (x - k) < prob[k] else nbrs[alias[k]]
+
+
+def doubling_conductance(kernel) -> tuple[float, tuple[int, ...], float, float]:
+    """(phi, subset, pi_mass, cut_flow) from whole 2^n-entry subset tables.
+
+    The tables are built by doubling, the entry index being the bitmask:
+    the masks holding b as top bit are those below 2^b plus vertex b.
+    Every entry gets its additions in bit order, so a blocked enumeration
+    that keeps that order must match this with ==, ties going to the
+    smallest mask as np.argmin over the whole table gives them.
+    """
+    n = kernel.n
+    pi = kernel.stationary
+    q = pi[:, None] * kernel.matrix
+    a = q + q.T
+    pisum = np.zeros(1 << n)
+    internal = np.zeros(1 << n)
+    cross = np.zeros(1 << (n - 1))  # flow between a mask and vertex b
+    for b in range(n):
+        low, high = slice(0, 1 << b), slice(1 << b, 2 << b)
+        for x in range(b):
+            np.add(cross[: 1 << x], a[x, b], out=cross[1 << x : 2 << x])
+        np.add(internal[low], cross[low], out=internal[high])
+        internal[high] += q[b, b]
+        np.add(pisum[low], pi[b], out=pisum[high])
+    cut = np.maximum(pisum - internal, 0.0)
+    valid = (pisum > 0) & (pisum <= 0.5 + 1e-12)
+    valid[0] = False
+    ratios = np.divide(cut, pisum, out=np.full(1 << n, np.inf), where=valid)
+    best = int(np.argmin(ratios))
+    members = tuple(v for v in range(n) if best & (1 << v))
+    return float(ratios[best]), members, float(pisum[best]), float(cut[best])

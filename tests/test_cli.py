@@ -309,6 +309,42 @@ def test_largest_seed_draws_its_own_streams(runner, tmp_path):
     assert bodies["0"] != bodies[str(2**64 - 1)]
 
 
+TOP_SEED = 2**64 - 1
+
+# experiment, toy arguments, the first offset past --seed that overflows
+SUB_SEED_OVERFLOWS = [
+    ("p-simple", ["--trials", "2"], 1000),
+    ("conductance-survey", ["--trials", "1"], 1000),
+    ("product-theorem", ["--trials", "2"], 1),
+    ("degseq-cover", ["--n", "10,12", "--trials", "2"], 101),
+]
+
+
+@pytest.mark.parametrize(
+    "experiment, args, offset", SUB_SEED_OVERFLOWS, ids=[case[0] for case in SUB_SEED_OVERFLOWS]
+)
+def test_sub_seed_overflow_names_the_given_seed_and_offset(runner, tmp_path, experiment, args, offset):
+    # the runner adds offsets to --seed; the refusal must name what the user
+    # gave, not the sum, which no one typed
+    base = tmp_path / "out"
+    result = _run(runner, ["run", experiment, *args, "--seed", str(TOP_SEED), "--out", str(base)])
+    assert result.exit_code == 2
+    assert f"--seed {TOP_SEED} plus sub-seed offset {offset} passes 2^64 - 1" in result.output
+    assert str(TOP_SEED + offset) not in result.output
+    assert not base.with_suffix(".csv").exists()
+
+
+def test_seed_whose_offsets_all_fit_is_accepted(runner, tmp_path):
+    # product-theorem on cycle:4,cycle:16 adds offsets 1 and 3 at most
+    result = _run(
+        runner,
+        ["run", "product-theorem", "--trials", "2", "--seed", str(TOP_SEED - 3),
+         "--out", str(tmp_path / "pt")],
+    )
+    assert result.exit_code in (0, 1)
+    assert (tmp_path / "pt.csv").exists()
+
+
 def test_probe_budget_past_the_walk_cap_exits_2(runner, tmp_path):
     # the 1e-300 edge makes the weighted cover bound about 4e300 steps
     gfile = tmp_path / "light.txt"

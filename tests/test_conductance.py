@@ -1,12 +1,14 @@
 import itertools
 import json
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from walklab import conductance
 from walklab.conductance import (
     conductance_exact,
     conductance_sweep,
@@ -16,7 +18,7 @@ from walklab.errors import NumericTimeout, SizeCapError
 from walklab.graph import Graph, complete, cycle, grid2d, lollipop, path, star, torus2d
 from walklab.spectral import build_kernel, kernel_eigenvalues, mixing_time
 
-from helpers import random_connected_graph
+from helpers import doubling_conductance, random_connected_graph
 
 
 def brute_conductance(kernel):
@@ -89,6 +91,63 @@ def test_exact_matches_brute_force_oracle():
         assert conductance_exact(k).phi == pytest.approx(
             brute_conductance(k), rel=1e-10
         )
+
+
+def _as_tuple(res):
+    return res.phi, res.subset, res.pi_mass, res.cut_flow
+
+
+@given(st.integers(min_value=0, max_value=10**6), st.integers(min_value=1, max_value=3))
+@settings(max_examples=40, deadline=None)
+def test_property_blocks_match_the_doubling_tables(seed, bits):
+    # with blocks of 2^bits subsets every graph past `bits` vertices walks
+    # the high-bit patterns depth first, so each block step is exercised
+    rng = np.random.default_rng(seed)
+    g = random_connected_graph(
+        rng, int(rng.integers(2, 11)), extra=int(rng.integers(0, 8)),
+        weighted=True, loops=True, parallel=True,
+    )
+    k = build_kernel(g, lazy=bool(rng.integers(0, 2)))
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(conductance, "BLOCK_BITS", bits)
+        assert _as_tuple(conductance_exact(k)) == doubling_conductance(k)
+
+
+# cycle:8 and an 8-cycle visiting 0, 1, 3, 4, 2, 5, 6, 7: every arc of four
+# vertices ties at 2/8 with its complement. In the second, the smallest tied
+# mask {0, 1, 3, 4} lacks vertex 2, so with 2-bit blocks the depth-first walk
+# scores the tied {1, 2, 3, 4} first; only the mask comparison picks right.
+TIED_CYCLES = {
+    "cycle:8": (cycle(8), (0, 1, 2, 3)),
+    "cycle:8 relabelled": (
+        Graph(8, [(0, 1), (1, 3), (3, 4), (4, 2), (2, 5), (5, 6), (6, 7), (7, 0)]),
+        (0, 1, 3, 4),
+    ),
+}
+
+
+@pytest.mark.parametrize("bits", [1, 2, 3, 8, 12])
+@pytest.mark.parametrize("lazy", [False, True], ids=["plain", "lazy"])
+@pytest.mark.parametrize("case", sorted(TIED_CYCLES))
+def test_tied_minimisers_go_to_the_smallest_mask(monkeypatch, case, bits, lazy):
+    g, first = TIED_CYCLES[case]
+    monkeypatch.setattr(conductance, "BLOCK_BITS", bits)
+    k = build_kernel(g, lazy=lazy)
+    res = conductance_exact(k)
+    assert _as_tuple(res) == doubling_conductance(k)
+    assert res.subset == first
+
+
+def test_exact_memory_stays_within_blocks():
+    # whole 2^20-entry tables peaked at 29 MB here
+    k = build_kernel(grid2d(4, 5))
+    tracemalloc.start()
+    try:
+        conductance_exact(k)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 8 * 2**20
 
 
 def test_size_cap():
