@@ -12,7 +12,7 @@ eigenvector and is an upper bound by construction.
 
 The enumeration scores 4096 subsets at a time. On a 2-core Xeon VM one
 exact call takes about 14 ms and peaks at 2.2 MiB of arrays at n = 20, and
-about 45 ms and 2.9 MiB at the cap, n = 22.
+about 50 ms and 2.9 MiB at the cap, n = 22.
 """
 
 from __future__ import annotations
@@ -82,7 +82,7 @@ def conductance_exact(kernel: TransitionKernel) -> ConductanceResult:
 
     Subsets are scored in blocks of 2^BLOCK_BITS, so no array holds 2^n
     entries. On a 2-core Xeon VM (tracemalloc peaks) a call takes about
-    14 ms and 2.2 MiB at n = 20, and 45 ms and 2.9 MiB at n = EXACT_CAP =
+    14 ms and 2.2 MiB at n = 20, and 50 ms and 2.9 MiB at n = EXACT_CAP =
     22; whole 2^n-entry tables took 26 ms and 29 MiB, and 90 ms and
     116 MiB. Time doubles with each vertex; memory grows with n^2.
     """
@@ -141,10 +141,20 @@ def conductance_exact(kernel: TransitionKernel) -> ConductanceResult:
         if ratio < best[0] or (ratio == best[0] and mask < best[1]):
             best[:] = ratio, mask, pis[i], cut[i]
 
-    def descend(base, top, pis, inner, crosses, d) -> None:
-        # crosses[k] is the cross block of vertex top + 1 + k
-        for k, b in enumerate(range(top + 1, n)):
-            child_pis, child_inner, child_crosses = blocks[d]
+    with np.errstate(divide="ignore", invalid="ignore"):  # empty and massless sets are masked
+        score(0, pisum, internal)
+        # A frame holds a pattern's mask, its child bits b numbered by their
+        # row k in its cross blocks, and its pisum and internal blocks. The
+        # frames sit on a list: a recursive closure would be a reference
+        # cycle, holding every buffer until the next garbage collection.
+        stack = [(0, enumerate(range(low, n)), pisum, internal, cross[low:])]
+        while stack:
+            base, children, pis, inner, crosses = stack[-1]
+            k, b = next(children, (None, None))
+            if b is None:
+                stack.pop()
+                continue
+            child_pis, child_inner, child_crosses = blocks[len(stack) - 1]
             np.add(pis, pi[b], out=child_pis)
             np.add(inner, crosses[k], out=child_inner)
             child_inner += q[b, b]
@@ -152,11 +162,7 @@ def conductance_exact(kernel: TransitionKernel) -> ConductanceResult:
             np.add(crosses[k + 1 :], a[b, b + 1 :, None], out=rest)
             child = base | (1 << b)
             score(child, child_pis, child_inner)
-            descend(child, b, child_pis, child_inner, rest, d + 1)
-
-    with np.errstate(divide="ignore", invalid="ignore"):  # empty and massless sets are masked
-        score(0, pisum, internal)
-        descend(0, low - 1, pisum, internal, cross[low:], 0)
+            stack.append((child, enumerate(range(b + 1, n)), child_pis, child_inner, rest))
     if not found:
         raise ParameterError("no subset has stationary mass at most 1/2")
     ratio, mask, mass, flow = best

@@ -1,3 +1,4 @@
+import gc
 import itertools
 import json
 import math
@@ -139,15 +140,19 @@ def test_tied_minimisers_go_to_the_smallest_mask(monkeypatch, case, bits, lazy):
 
 
 def test_exact_memory_stays_within_blocks():
-    # whole 2^20-entry tables peaked at 29 MB here
+    # whole 2^20-entry tables peaked at 29 MB here; the blocks must also be
+    # freed on return, not left in a reference cycle for the collector
     k = build_kernel(grid2d(4, 5))
+    gc.disable()
     tracemalloc.start()
     try:
         conductance_exact(k)
-        peak = tracemalloc.get_traced_memory()[1]
+        held, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
+        gc.enable()
     assert peak <= 8 * 2**20
+    assert held <= 2**18
 
 
 def test_size_cap():
