@@ -140,8 +140,8 @@ def test_tied_minimisers_go_to_the_smallest_mask(monkeypatch, case, bits, lazy):
 
 
 def test_exact_memory_stays_within_blocks():
-    # whole 2^20-entry tables peaked at 29 MB here; the blocks must also be
-    # freed on return, not left in a reference cycle for the collector
+    # whole 2^20-entry tables peaked at 29 MB on this graph; the blocks must
+    # also be freed on return, not left in a reference cycle for the collector
     k = build_kernel(grid2d(4, 5))
     gc.disable()
     tracemalloc.start()
