@@ -6,11 +6,21 @@ uniform perfect matching. Conditioning on the output being simple makes the
 law uniform over simple graphs with the given degree sequence, so rejection
 sampling is exact.
 
-Attempt i shuffles with stream (seed, 1 + i). Rejection tests simplicity on
-the paired stub array itself (a loop is an equal pair, a parallel edge a
-repeated pair key), so a `Graph` is built only for the accepted pairing.
-The default attempt budget grows as 20 / predicted_p_simple and is refused
-up front above `MAX_DEFAULT_TRIES`.
+Attempt i shuffles with stream (seed, 1 + i). Attempts are drawn in
+blocks: one (rows, 2m) stub array whose row j is attempt start + j, so
+each shuffle is the one a lone attempt would make. A block holds at most
+`BLOCK_STUBS` = 2^16 stubs (0.5 MiB) and at least one row, so memory does
+not grow with the number of attempts and a sequence with more stubs gets
+one row a block. One vectorised test gives every row's verdict on the
+stub array itself (a loop is an equal pair, a parallel edge a repeated
+pair key), and a `Graph` is built only for the accepted pairing.
+
+`sample_simple` starts with about a quarter of the expected 1/p attempts
+in its first block (at least one row) and doubles from there. It accepts
+the first simple row in attempt order, so the graph, the attempt count
+and a failure's text are those of testing one attempt at a time. The
+default attempt budget grows as 20 / predicted_p_simple and is refused up
+front above `MAX_DEFAULT_TRIES`.
 
 The niceness conditions checked here are asymptotic in origin; every o(.)
 and O(.) is replaced by an explicit finite-size surrogate whose constants
@@ -19,7 +29,6 @@ are recorded in the report. A report is informational, never an error.
 
 from __future__ import annotations
 
-import itertools
 import json
 import math
 from collections import Counter
@@ -30,7 +39,7 @@ import numpy as np
 
 from .errors import ParameterError, RejectionFailure, SizeCapError
 from .graph import Graph
-from .rng import _restart, substream
+from .rng import _stream_starts, substream
 
 __all__ = [
     "DegreeSequence",
@@ -51,6 +60,7 @@ __all__ = [
 
 DEFAULT_EFFECTIVE_FRACTION = 0.01
 MAX_DEFAULT_TRIES = 10**6  # the default rejection budget, 20 / p, is refused above this
+BLOCK_STUBS = 2**16  # a pairing block holds at most this many stubs, or one row
 
 
 @dataclass(frozen=True)
@@ -141,31 +151,42 @@ def read_degree_file(path) -> DegreeSequence:
 # --- sampling ---
 
 
-def _pairings(seq: DegreeSequence, seed: int, start: int = 0):
-    """Yield the (m, 2) stub pairing of attempts start, start + 1, ...
+def _pairing_block(seq: DegreeSequence, seed: int, start: int, rows: int) -> np.ndarray:
+    """The (rows, 2m) stub arrays of attempts start, ..., start + rows - 1.
 
-    Attempt i shuffles a copy of the stub array with stream (seed, 1 + i);
-    one Philox serves every attempt and is reset before each (`_restart`).
+    Row i is the stub array shuffled with stream (seed, 1 + start + i); one
+    Philox serves the block and is reset before each row. Consecutive
+    entries of a row are its pairs.
     """
-    rng = substream(seed, 1 + start)
-    bits = rng.bit_generator
-    base = np.repeat(np.arange(seq.n), seq.degrees)
-    for i in itertools.count(start):
-        _restart(bits, seed, 1 + i)
-        stubs = base.copy()
-        rng.shuffle(stubs)
-        yield stubs.reshape(-1, 2)
+    block = np.tile(np.repeat(np.arange(seq.n), seq.degrees), (rows, 1))
+    rngs = _stream_starts(substream(seed, 1 + start), seed, 1 + start, rows)
+    for row, rng in zip(block, rngs):
+        rng.shuffle(row)
+    return block
 
 
-def _is_simple_pairing(pairs: np.ndarray, n: int) -> bool:
-    """Graph(n, pairs).is_simple, read off the pair array: no equal pair
-    (loop) and no repeated key min*n + max (parallel edge)."""
-    u, v = pairs[:, 0], pairs[:, 1]
-    if (u == v).any():
-        return False
+def _simple_rows(block: np.ndarray, n: int) -> np.ndarray:
+    """Per row, Graph(n, row pairs).is_simple, read off the stub array: no
+    equal pair (loop) and no repeated key min*n + max (parallel edge)."""
+    u, v = block[:, 0::2], block[:, 1::2]
     keys = np.minimum(u, v) * n + np.maximum(u, v)
-    keys.sort()
-    return not (keys[1:] == keys[:-1]).any()
+    keys.sort(axis=1)
+    return ~((u == v).any(axis=1) | (keys[:, 1:] == keys[:, :-1]).any(axis=1))
+
+
+def _pairing_blocks(seq: DegreeSequence, seed: int, budget: int, rows: int):
+    """Yield (start, block) covering attempts 0, ..., budget - 1 in order.
+
+    The first block has `rows` rows and each next one twice as many, all
+    capped by the budget left and by BLOCK_STUBS stubs (one row at least).
+    """
+    cap = max(1, BLOCK_STUBS // (2 * seq.m))
+    start = 0
+    while start < budget:
+        size = min(rows, cap, budget - start)
+        yield start, _pairing_block(seq, seed, start, size)
+        start += size
+        rows *= 2
 
 
 def _configuration_graph(seq: DegreeSequence, pairs: np.ndarray, seed: int, index: int) -> Graph:
@@ -174,7 +195,8 @@ def _configuration_graph(seq: DegreeSequence, pairs: np.ndarray, seed: int, inde
 
 def sample_configuration(seq: DegreeSequence, seed: int, index: int = 0) -> Graph:
     """One uniform configuration; attempt `index` of the stream keyed by seed."""
-    return _configuration_graph(seq, next(_pairings(seq, seed, index)), seed, index)
+    pairs = _pairing_block(seq, seed, index, 1).reshape(-1, 2)
+    return _configuration_graph(seq, pairs, seed, index)
 
 
 def is_simple(g: Graph) -> bool:
@@ -210,9 +232,10 @@ def sample_simple(seq: DegreeSequence, seed: int, max_tries: int | None = None) 
     """Rejection-sample a uniform simple graph with the given degrees.
 
     Attempt i is the pairing `sample_configuration(seq, seed, i)` would
-    return. Each pairing is tested for simplicity on its stub array, and
-    the `Graph` is built only for the first simple one; `attempts` counts
-    the pairings tried. The default budget is `default_max_tries(seq)`,
+    return. Pairings are drawn and tested in blocks of growing size, and
+    the `Graph` is built only for the first simple one in attempt order;
+    `attempts` counts the attempts up to and including it, as if they had
+    been tried one at a time. The default budget is `default_max_tries(seq)`,
     which refuses sequences needing more than MAX_DEFAULT_TRIES attempts;
     an explicit max_tries is used as given.
     """
@@ -220,14 +243,22 @@ def sample_simple(seq: DegreeSequence, seed: int, max_tries: int | None = None) 
         max_tries = default_max_tries(seq)
     if max_tries < 1:
         raise ParameterError("max_tries must be positive")
-    for attempt, pairs in zip(range(max_tries), _pairings(seq, seed)):
-        if _is_simple_pairing(pairs, seq.n):
+    # a first block of a quarter of 1/p rows holds a simple row with
+    # probability about 1 - e^(-1/4) = 0.22; doubling keeps the rows drawn
+    # past the first simple one fewer than those before it plus one block
+    p = predicted_p_simple(seq)
+    rows = max_tries if 4.0 * p * max_tries <= 1.0 else max(1, int(0.25 / p))
+    for start, block in _pairing_blocks(seq, seed, max_tries, rows):
+        simple = np.flatnonzero(_simple_rows(block, seq.n))
+        if simple.size:
+            attempt = start + int(simple[0])
+            pairs = block[simple[0]].reshape(-1, 2)
             return SimpleSample(
                 graph=_configuration_graph(seq, pairs, seed, attempt), attempts=attempt + 1
             )
     raise RejectionFailure(
         f"no simple graph in {max_tries} attempts "
-        f"(empirical acceptance 0/{max_tries}, predicted {predicted_p_simple(seq):.4g})"
+        f"(empirical acceptance 0/{max_tries}, predicted {p:.4g})"
     )
 
 

@@ -6,10 +6,11 @@ independent, and stream `i` produces the same values no matter how many
 other streams were consumed first, which is what makes trial results
 independent of worker count and scheduling order.
 
-`substream` builds a fresh generator for one stream. The walk engine runs
-many short trials, so it builds one Philox per chunk of trials and resets
-it to key (seed, 1 + i), counter 0, before trial i (`_restart`): the same
-draws as `substream(seed, 1 + i)` without building a generator per trial.
+`substream` builds a fresh generator for one stream. The walk engine and
+the configuration model run many short trials, so they build one generator
+per block of trials and `_stream_starts` resets its Philox to key
+(seed, 1 + i), counter 0, before trial i: the same draws as
+`substream(seed, 1 + i)` without building a generator per trial.
 """
 
 from __future__ import annotations
@@ -45,17 +46,32 @@ def substream(seed: int, index: int = 0) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(key=_key(seed, index)))
 
 
-def _restart(bits: np.random.Philox, seed: int, index: int) -> None:
-    """Put bits at the start of stream (seed, index), as substream builds it.
+def _stream_starts(rng: np.random.Generator, seed: int, first: int, count: int):
+    """Yield rng `count` times, at the start of streams (seed, first), ...
 
-    Counter 0, no buffered words and no cached 32-bit half, so a Generator
-    over bits draws exactly what `substream(seed, index)` draws.
+    Before the j-th yield rng's Philox is put at the start of stream
+    (seed, first + j) as substream builds it: counter 0, no buffered words
+    and no cached 32-bit half, so it draws exactly what
+    `substream(seed, first + j)` draws. The keys are built as one block and
+    its first and last index checked once, when iteration starts; the
+    resets share one state dict.
     """
-    bits.state = {
+    keys = np.empty((count, 2), dtype=np.uint64)
+    keys[:] = _key(seed, first)
+    if count:
+        _key(seed, first + count - 1)
+        keys[:, 1] += np.arange(count, dtype=np.uint64)
+    bits = rng.bit_generator
+    start = {"counter": _FRESH}
+    state = {
         "bit_generator": "Philox",
-        "state": {"counter": _FRESH, "key": _key(seed, index)},
+        "state": start,
         "buffer": _FRESH,
         "buffer_pos": 4,
         "has_uint32": 0,
         "uinteger": 0,
     }
+    for key in keys:
+        start["key"] = key
+        bits.state = state
+        yield rng

@@ -66,7 +66,7 @@ import numpy as np
 from .electrical import _kruskal, matthews_upper
 from .errors import DisconnectedError, ParameterError, SizeCapError, UnsupportedInputError
 from .graph import Graph
-from .rng import _restart, substream
+from .rng import _stream_starts, substream
 from .spectral import COVER_CAP, build_kernel, exact_cover_times, exact_hitting
 from .weighting import apply_scheme
 
@@ -466,13 +466,10 @@ def _trial_values(args) -> list[int | None]:
     would, whatever the trial before it left in the generator.
     """
     (tables, start, budget, left, remaining, delta_pi), seed, lo, hi = args
-    rng = substream(seed, 1 + lo)
-    bits = rng.bit_generator
-    values = []
-    for i in range(lo, hi):
-        _restart(bits, seed, 1 + i)
-        values.append(_walk(tables, start, rng, budget, left.copy(), remaining, delta_pi))
-    return values
+    return [
+        _walk(tables, start, rng, budget, left.copy(), remaining, delta_pi)
+        for rng in _stream_starts(substream(seed, 1 + lo), seed, 1 + lo, hi - lo)
+    ]
 
 
 def simulate(

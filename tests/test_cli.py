@@ -159,7 +159,7 @@ def test_hopeless_rejection_budget_exits_2(runner, tmp_path, monkeypatch, degree
     def no_pairing(*args, **kwargs):
         raise AssertionError("a pairing was drawn before the budget was checked")
 
-    monkeypatch.setattr("walklab.configmodel._pairings", no_pairing)
+    monkeypatch.setattr("walklab.configmodel._pairing_block", no_pairing)
     if degrees == ["file"]:
         degfile = tmp_path / "deg.txt"
         degfile.write_text("1000000000000\n1000000000000\n")
@@ -185,7 +185,7 @@ def test_degree_of_n_or_more_exits_2_in_one_line(runner, tmp_path, monkeypatch, 
     def no_pairing(*args, **kwargs):
         raise AssertionError("a pairing was drawn for a degree sequence no simple graph has")
 
-    monkeypatch.setattr("walklab.configmodel._pairings", no_pairing)
+    monkeypatch.setattr("walklab.configmodel._pairing_block", no_pairing)
     degfile = tmp_path / "deg.txt"
     degfile.write_text(degrees)
     result = _run(

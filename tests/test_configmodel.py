@@ -1,4 +1,3 @@
-import itertools
 import math
 
 import pytest
@@ -6,10 +5,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from walklab.configmodel import (
+    BLOCK_STUBS,
     MAX_DEFAULT_TRIES,
     DegreeSequence,
-    _is_simple_pairing,
-    _pairings,
+    _pairing_blocks,
+    _simple_rows,
     check_nice,
     default_max_tries,
     effective_min_degree,
@@ -89,14 +89,19 @@ def test_degrees_are_preserved_exactly():
     ids=["2,2", "1,3", "2,2,2", "4,4,4,4", "band:20,3..6", "regular:3,50"],
 )
 def test_stub_array_simplicity_agrees_with_the_graph(seq):
+    # blocks of 1, 2, 4, ... rows up to the stub cap: 2000 attempts cross
+    # at least ten block boundaries on every sequence
     seen = set()
-    for index, pairs in enumerate(itertools.islice(_pairings(seq, 17), 2000)):
-        g = Graph(seq.n, pairs.tolist())
-        assert _is_simple_pairing(pairs, seq.n) == g.is_simple
-        loop = any(u == v for u, v, _ in g.edges)
-        seen.add((loop, len({(u, v) for u, v, _ in g.edges}) < g.m))
-        if index % 97 == 0:
-            assert sample_configuration(seq, 17, index).edges == g.edges
+    blocks = list(_pairing_blocks(seq, 17, 2000, 1))
+    assert len(blocks) >= 10 and sum(len(block) for _, block in blocks) == 2000
+    for start, block in blocks:
+        for i, (row, simple) in enumerate(zip(block, _simple_rows(block, seq.n))):
+            g = Graph(seq.n, row.reshape(-1, 2).tolist())
+            assert simple == g.is_simple
+            loop = any(u == v for u, v, _ in g.edges)
+            seen.add((loop, len({(u, v) for u, v, _ in g.edges}) < g.m))
+            if (start + i) % 97 == 0:
+                assert sample_configuration(seq, 17, start + i).edges == g.edges
     # each sequence meets a loop or a parallel edge; the last two also
     # meet simple pairings and pairings with a parallel edge but no loop
     assert seen - {(False, False)}
@@ -118,7 +123,7 @@ def test_default_budget_is_refused_up_front_above_its_cap(monkeypatch):
 
     six = regular_sequence(100, 6)  # p = exp(-8.75): about 126 000 attempts, under the cap
     assert default_max_tries(six) == math.ceil(20 / predicted_p_simple(six)) <= MAX_DEFAULT_TRIES
-    monkeypatch.setattr("walklab.configmodel._pairings", no_pairing)
+    monkeypatch.setattr("walklab.configmodel._pairing_block", no_pairing)
     with pytest.raises(SizeCapError, match="capped at"):
         sample_simple(regular_sequence(16, 15), seed=1)  # p about 5e-25
     sixty = regular_sequence(62, 60)
@@ -132,6 +137,50 @@ def test_default_budget_is_refused_up_front_above_its_cap(monkeypatch):
     monkeypatch.undo()
     with pytest.raises(RejectionFailure, match="0/50"):  # an explicit budget is used as given
         sample_simple(regular_sequence(16, 15), seed=1, max_tries=50)
+
+
+@pytest.mark.parametrize(
+    "seq",
+    [random_band_sequence(20, 3, 6, seed=5), regular_sequence(50, 4), DegreeSequence((2, 2, 2))],
+    ids=["band:20,3..6", "regular:4,50", "2,2,2"],
+)
+@pytest.mark.parametrize("seed", range(6))
+def test_a_budget_ending_mid_block_keeps_attempts_and_graph(seq, seed):
+    # sample_simple's first block has about a quarter of 1/p rows (28 on
+    # the band sequence, 10 on regular:4,50, 1 on 2,2,2) and each next one
+    # twice as many, so most budgets just before, at and past the first
+    # simple attempt (14-539 on the band, 19-114 on regular:4,50) end
+    # inside a block; the reference tests one attempt at a time
+    k = next(i for i in range(2000) if sample_configuration(seq, seed, i).is_simple)
+    if k > 0:
+        with pytest.raises(RejectionFailure) as failure:
+            sample_simple(seq, seed, max_tries=k)
+        assert str(failure.value) == (
+            f"no simple graph in {k} attempts "
+            f"(empirical acceptance 0/{k}, predicted {predicted_p_simple(seq):.4g})"
+        )
+    accepted = sample_configuration(seq, seed, k)
+    for budget in (k + 1, k + 3, None):
+        out = sample_simple(seq, seed, max_tries=budget)
+        assert out.attempts == k + 1
+        assert (out.graph, out.graph.name) == (accepted, accepted.name)
+
+
+def test_blocks_are_capped_at_the_stub_limit():
+    small = regular_sequence(50, 3)  # 150 stubs: 436 rows a block
+    sizes = [len(block) for _, block in _pairing_blocks(small, 4, 2000, 300)]
+    assert sizes == [300, 436, 436, 436, 392]
+    assert all(block.size <= BLOCK_STUBS for _, block in _pairing_blocks(small, 4, 2000, 300))
+    # more than BLOCK_STUBS stubs: one row a block, whatever the first size
+    big = regular_sequence(22_000, 3)
+    assert 2 * big.m > BLOCK_STUBS
+    blocks = list(_pairing_blocks(big, 4, 3, 8))
+    assert [(start, block.shape) for start, block in blocks] == [
+        (0, (1, 66_000)), (1, (1, 66_000)), (2, (1, 66_000))
+    ]
+    for start, block in blocks:
+        pairs = block[0].reshape(-1, 2).tolist()
+        assert Graph(big.n, pairs).edges == sample_configuration(big, 4, start).edges
 
 
 def test_unique_simple_outcomes():

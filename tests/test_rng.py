@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from walklab.errors import ParameterError
-from walklab.rng import _restart, substream
+from walklab.rng import _stream_starts, substream
 
 KEYS = [(0, 1), (7, 2**63), (7, 2**64 - 1), (2**64 - 1, 1), (2**64 - 1, 2**64 - 1)]
 
@@ -24,22 +24,42 @@ def test_substream_refuses_keys_outside_two_words(seed, index):
 
 @pytest.mark.parametrize("seed, index", KEYS)
 def test_restart_draws_what_substream_draws(seed, index):
+    # a block of up to three streams ending at (seed, index); before each
+    # reset the generator is left part way through a 64-value block, with
+    # buffered Philox words and a cached 32-bit half word
+    first = max(0, index - 2)
     rng = substream(3, 4)
-    # leave the generator part way through a 64-value block, with buffered
-    # Philox words and a cached 32-bit half word
     rng.random(37)
     rng.integers(2**32, dtype=np.uint32)
-    _restart(rng.bit_generator, seed, index)
-    fresh = substream(seed, index)
-    assert rng.random(10_000).tolist() == fresh.random(10_000).tolist()
-    # the stale half word is gone too
-    assert rng.integers(2**32, size=3, dtype=np.uint32).tolist() == fresh.integers(
-        2**32, size=3, dtype=np.uint32
-    ).tolist()
+    count = 0
+    for yielded in _stream_starts(rng, seed, first, index - first + 1):
+        assert yielded is rng
+        fresh = substream(seed, first + count)
+        assert rng.random(10_000).tolist() == fresh.random(10_000).tolist()
+        # the stale half word is gone too
+        assert rng.integers(2**32, size=3, dtype=np.uint32).tolist() == fresh.integers(
+            2**32, size=3, dtype=np.uint32
+        ).tolist()
+        rng.random(37)
+        count += 1
+    assert count == index - first + 1
 
 
 def test_restart_checks_the_key_like_substream():
-    bits = substream(0, 1).bit_generator
-    for seed, index in ((2**64, 1), (0, 2**64), (-1, 1)):
-        with pytest.raises(ParameterError):
-            _restart(bits, seed, index)
+    # a block is checked at its first and last index, with substream's
+    # words, before any reset; a block ending at 2^64 - 1 is accepted
+    refusals = [
+        (2**64, 1, 1, "seed must lie in [0, 2^64), got 18446744073709551616"),
+        (-1, 1, 1, "seed must lie in [0, 2^64), got -1"),
+        (0, -1, 2, "stream index must lie in [0, 2^64), got -1"),
+        (0, 2**64, 1, "stream index must lie in [0, 2^64), got 18446744073709551616"),
+        (0, 2**64 - 2, 3, "stream index must lie in [0, 2^64), got 18446744073709551616"),
+        (5, 2**64 - 3, 10, "stream index must lie in [0, 2^64), got 18446744073709551622"),
+    ]
+    rng = substream(0, 1)
+    for seed, first, count, refused in refusals:
+        with pytest.raises(ParameterError) as refusal:
+            next(_stream_starts(rng, seed, first, count))
+        assert str(refusal.value) == refused
+        assert rng.bit_generator.state["state"]["key"].tolist() == [0, 1]
+    assert len(list(_stream_starts(rng, 0, 2**64 - 2, 2))) == 2

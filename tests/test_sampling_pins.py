@@ -11,11 +11,12 @@ bit, including the number of attempts a rejection sample took.
 
 from __future__ import annotations
 
+import numpy as np
 import pytest
 from click.testing import CliRunner
 
 from walklab.cli import main
-from walklab.conductance import conductance_exact
+from walklab.conductance import _pair_flow, conductance_exact, jerrum_sinclair_check
 from walklab.configmodel import random_band_sequence, regular_sequence, sample_simple
 from walklab.graph import Graph, family
 from walklab.spectral import build_kernel
@@ -217,3 +218,26 @@ PINNED_CONDUCTANCE = {
 def test_exact_conductance_keeps_its_recorded_values(case):
     res = conductance_exact(KERNELS[case]())
     assert (res.phi, res.subset, res.pi_mass, res.cut_flow) == PINNED_CONDUCTANCE[case]
+
+
+@pytest.mark.parametrize(
+    "graph, scheme",
+    [
+        (_band_sample, "uniform"),
+        (_band_sample, "mindeg"),
+        (lambda: _mindeg_with_loop("grid2d:3,7", (10, 10, 0.5)), "uniform"),
+    ],
+    ids=["band-sample", "band-sample mindeg", "grid2d:3,7 mindeg+loop"],
+)
+def test_lazy_conductance_is_half_the_plain_one(graph, scheme):
+    # (P + I) / 2 keeps pi, so every off-diagonal lazy flow is exactly half
+    # the plain one; jerrum_sinclair_check enumerates the plain kernel once
+    g = graph()
+    plain = build_kernel(g, scheme=scheme)
+    lazy = build_kernel(g, scheme=scheme, lazy=True)
+    off = ~np.eye(g.n, dtype=bool)
+    assert (_pair_flow(lazy)[off] == 0.5 * _pair_flow(plain)[off]).all()
+    rep = jerrum_sinclair_check(g, scheme)
+    assert rep["phi"] == conductance_exact(plain).phi
+    assert rep["phi_lazy"] == rep["phi"] / 2
+    assert rep["phi_lazy"] == pytest.approx(conductance_exact(lazy).phi, rel=1e-12, abs=0)
