@@ -209,6 +209,11 @@ class SimpleSample:
     attempts: int
 
 
+def _require_degrees_below_n(seq: DegreeSequence) -> None:
+    if seq.maximum >= seq.n:
+        raise ParameterError(f"no simple graph on {seq.n} vertices has a degree of {seq.n} or more")
+
+
 def default_max_tries(seq: DegreeSequence) -> int:
     """max(1000, ceil(20 / p)) attempts, p the predicted simple probability.
 
@@ -217,8 +222,7 @@ def default_max_tries(seq: DegreeSequence) -> int:
     when p underflows to 0, instead of starting a search that cannot end
     soon.
     """
-    if seq.maximum >= seq.n:
-        raise ParameterError(f"no simple graph on {seq.n} vertices has a degree of {seq.n} or more")
+    _require_degrees_below_n(seq)
     p = predicted_p_simple(seq)
     if p * MAX_DEFAULT_TRIES < 20.0:
         raise SizeCapError(
@@ -237,8 +241,10 @@ def sample_simple(seq: DegreeSequence, seed: int, max_tries: int | None = None) 
     `attempts` counts the attempts up to and including it, as if they had
     been tried one at a time. The default budget is `default_max_tries(seq)`,
     which refuses sequences needing more than MAX_DEFAULT_TRIES attempts;
-    an explicit max_tries is used as given.
+    an explicit max_tries is used as given. A degree of n or more is
+    refused before any draw, whatever the budget.
     """
+    _require_degrees_below_n(seq)
     if max_tries is None:
         max_tries = default_max_tries(seq)
     if max_tries < 1:

@@ -18,7 +18,6 @@ the deferral saves start-up time and does not mark an import cycle.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import combinations
 
 import numpy as np
 
@@ -231,9 +230,14 @@ def matthews_lower(
     """Lower cover bound min-pair-hitting(A) * h(|A| - 1).
 
     With an explicit subset the bound is evaluated directly. Without one,
-    every subset of size 2..max_size is tried, all subsets of one size as
-    one (C(n, k), k, k) gather of hitting blocks; that is only feasible on
-    small graphs (capped at SUBSET_SEARCH_CAP vertices).
+    every subset of size 2..max_size is tried, which is only feasible on
+    small graphs (capped at SUBSET_SEARCH_CAP vertices). With
+    M = min(H, H^T), least[S] = min of M over the pairs in S is built by
+    doubling over the top vertex j of S:
+    least[S | 2^j] = min(least[S], min of M[u, j] over u in S), the inner
+    minimum doubled the same way. Each size's largest least is multiplied
+    once by h(k - 1); min and max never round, so this is the same to the
+    bit as scoring every subset on its own.
     """
     h = _hitting_matrix(g) if hitting is None else hitting
     if subset is not None:
@@ -241,15 +245,24 @@ def matthews_lower(
         if len(members) < 2:
             raise ParameterError("lower bound needs at least two vertices")
         return _lower_value(h, np.array([members]))
-    if g.n > SUBSET_SEARCH_CAP:
+    n = g.n
+    if n > SUBSET_SEARCH_CAP:
         raise SizeCapError(
-            f"exhaustive subset search capped at n={SUBSET_SEARCH_CAP}, got {g.n}; "
+            f"exhaustive subset search capped at n={SUBSET_SEARCH_CAP}, got {n}; "
             f"pass an explicit subset"
         )
+    m = np.minimum(h, h.T)
+    least = np.full(1 << n, np.inf)
+    size = np.zeros(1 << n, dtype=np.int8)
+    to_j = np.full(1 << (n - 1), np.inf)  # to_j[S] = min of M[u, j] over u in S
+    for j in range(n):
+        for i in range(j):
+            to_j[1 << i : 2 << i] = np.minimum(to_j[: 1 << i], m[i, j])
+        least[1 << j : 2 << j] = np.minimum(least[: 1 << j], to_j[: 1 << j])
+        size[1 << j : 2 << j] = size[: 1 << j] + 1
     best = 0.0
-    for size in range(2, min(max_size, g.n) + 1):
-        subsets = np.array(list(combinations(range(g.n), size)))
-        best = max(best, _lower_value(h, subsets))
+    for k in range(2, min(max_size, n) + 1):
+        best = max(best, float(least[size == k].max()) * harmonic_number(k - 1))
     return best
 
 

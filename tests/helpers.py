@@ -137,6 +137,32 @@ def per_set_cover_times(g: Graph, lazy: bool = False) -> np.ndarray:
     return np.array([remaining[1 << v][v] for v in range(n)])
 
 
+def all_sets_cover_times(matrix: np.ndarray) -> np.ndarray:
+    """Exact cover time from every start by solving every one of the 2^n
+    visited sets, connected or not, one stacked solve per set size.
+
+    This is the recursion the library ran before it solved connected sets
+    only. It builds the same matrices and right sides, summing over
+    ascending w, so the two must agree to the bit.
+    """
+    p = np.asarray(matrix, dtype=float)
+    n = p.shape[0]
+    sets = np.arange(1 << n)
+    member = ((sets[:, None] >> np.arange(n)) & 1).astype(bool)
+    size = member.sum(axis=1)
+    remaining = np.zeros((1 << n, n))
+    for k in range(n - 1, 0, -1):
+        s = sets[size == k]
+        idx = np.nonzero(member[s])[1].reshape(len(s), k)
+        a = np.eye(k) - p[idx[:, :, None], idx[:, None, :]]
+        b = np.ones((len(s), k))
+        for w in range(n):
+            b += p[idx, w] * remaining[s | (1 << w), w][:, None]
+        remaining[s[:, None], idx] = np.linalg.solve(a, b[:, :, None])[:, :, 0]
+    starts = np.arange(n)
+    return remaining[1 << starts, starts]
+
+
 def mixing_distance(kernel, t: int) -> float:
     """max_{u, x} |P^t[u, x] - pi_x| by one matrix power, not the library's squarings."""
     power = np.linalg.matrix_power(kernel.matrix, t)

@@ -113,8 +113,29 @@ def test_claw_plus_pendant_is_never_simple():
     seq = DegreeSequence((1, 3))
     for index in range(50):
         assert not is_simple(sample_configuration(seq, seed=3, index=index))
-    with pytest.raises(RejectionFailure, match="acceptance 0/"):
+    # a degree of n or more is refused up front, whatever the budget
+    with pytest.raises(ParameterError, match="or more"):
         sample_simple(seq, seed=3, max_tries=200)
+    # degrees below n that no simple graph has (Erdos-Gallai fails at k = 2)
+    # still spend the whole explicit budget
+    never = DegreeSequence((3, 3, 1, 1))
+    for index in range(50):
+        assert not is_simple(sample_configuration(never, seed=3, index=index))
+    with pytest.raises(RejectionFailure, match="acceptance 0/200"):
+        sample_simple(never, seed=3, max_tries=200)
+
+
+@pytest.mark.parametrize(
+    "degrees", [(3, 3), (10**12, 10**12), (10**400, 10**400)], ids=["3,3", "1e12", "1e400"]
+)
+@pytest.mark.parametrize("max_tries", [1, 3, 10**6])
+def test_explicit_budget_refuses_a_degree_of_n_or_more_before_any_draw(monkeypatch, degrees, max_tries):
+    def no_pairing(*args, **kwargs):
+        raise AssertionError("a pairing was drawn before the degrees were checked")
+
+    monkeypatch.setattr("walklab.configmodel._pairing_block", no_pairing)
+    with pytest.raises(ParameterError, match="or more"):
+        sample_simple(DegreeSequence(degrees), seed=1, max_tries=max_tries)
 
 
 def test_default_budget_is_refused_up_front_above_its_cap(monkeypatch):

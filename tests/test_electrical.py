@@ -1,3 +1,6 @@
+import gc
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -5,6 +8,7 @@ from hypothesis import strategies as st
 
 from walklab.errors import DisconnectedError, SizeCapError, UnsupportedInputError
 from walklab.electrical import (
+    SUBSET_SEARCH_CAP,
     commute_matrix,
     commute_time,
     effective_resistance,
@@ -215,6 +219,37 @@ def test_matthews_lower_search_cap():
         matthews_lower(path(17))
 
 
+def test_matthews_lower_full_search_at_the_cap():
+    g = path(SUBSET_SEARCH_CAP)
+    h = exact_hitting(build_kernel(g))
+    got = matthews_lower(g, max_size=SUBSET_SEARCH_CAP, hitting=h)
+    assert got == per_subset_matthews_lower(h, SUBSET_SEARCH_CAP)
+    # the two ends win: (n - 1)^2 each way, times h(1) = 1
+    assert got == pytest.approx((SUBSET_SEARCH_CAP - 1) ** 2, rel=1e-12)
+
+
+def test_matthews_lower_at_sixteen_vertices_matches_the_oracle():
+    rng = np.random.default_rng(16)
+    g = random_connected_graph(rng, 16, extra=10, weighted=True, loops=True, parallel=True)
+    h = exact_hitting(build_kernel(g))
+    assert matthews_lower(g, max_size=4, hitting=h) == per_subset_matthews_lower(h, 4)
+
+
+def test_matthews_lower_memory_stays_small_at_the_cap():
+    # one (C(16, k), k, k) gather of hitting blocks per size peaked at 14.8 MiB
+    g = path(SUBSET_SEARCH_CAP)
+    h = exact_hitting(build_kernel(g))
+    gc.disable()
+    tracemalloc.start()
+    try:
+        matthews_lower(g, hitting=h)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+        gc.enable()
+    assert peak <= 4 * 2**20
+
+
 def test_sandwich_on_small_families():
     for g in (path(6), cycle(8), complete(7), star(9), binary_tree(7), lollipop(9)):
         kernel = build_kernel(g)
@@ -304,4 +339,4 @@ def test_property_matthews_lower_matches_per_subset_oracle(seed, lazy):
     h = exact_hitting(build_kernel(g, lazy=lazy))
     max_size = int(rng.integers(2, g.n + 1))
     got = matthews_lower(g, max_size=max_size, hitting=h)
-    assert got == pytest.approx(per_subset_matthews_lower(h, max_size), rel=1e-12, abs=0)
+    assert got == per_subset_matthews_lower(h, max_size)

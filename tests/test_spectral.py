@@ -1,3 +1,6 @@
+import gc
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -11,7 +14,10 @@ from walklab.errors import (
 )
 from walklab.graph import Graph, complete, cycle, family, lollipop, path, star
 from walklab.spectral import (
+    COVER_CAP,
     TransitionKernel,
+    _connected_sets,
+    _cover_remaining,
     build_kernel,
     detailed_balance_check,
     exact_cover_time,
@@ -23,6 +29,7 @@ from walklab.spectral import (
 )
 
 from helpers import (
+    all_sets_cover_times,
     forward_dp_hitting,
     mixing_distance,
     per_set_cover_times,
@@ -315,6 +322,71 @@ def test_cover_dominates_worst_hitting():
     assert cov >= h[0].max() - 1e-9
 
 
+@pytest.mark.parametrize("n", [14, 16])
+def test_cover_recursion_meets_the_closed_forms_past_the_cap(n):
+    # the cap stays at COVER_CAP; the recursion itself is checked beyond it
+    assert n > COVER_CAP
+    starts = np.arange(n)
+    length = n - 1
+    on_path = _cover_remaining(build_kernel(path(n)))[1 << starts, starts]
+    expect = [k * (length - k) + length**2 for k in range(n)]
+    np.testing.assert_allclose(on_path, expect, rtol=1e-10, atol=0)
+    on_cycle = _cover_remaining(build_kernel(cycle(n)))[1 << starts, starts]
+    np.testing.assert_allclose(on_cycle, n * (n - 1) / 2.0, rtol=1e-10, atol=0)
+
+
+@pytest.mark.parametrize(
+    "spec, count",
+    [
+        ("path:13", 13 * 14 // 2),  # the intervals
+        ("cycle:13", 13 * 12 + 1),  # the arcs, and the whole cycle
+        ("star:13", 2**12 + 12),  # sets holding the centre, and the leaves alone
+        ("complete:9", 2**9 - 1),
+    ],
+)
+def test_connected_sets_are_counted_by_their_shapes(spec, count):
+    support = build_kernel(family(spec)).matrix != 0
+    sets, size = _connected_sets(support | support.T)
+    assert len(sets) == count
+    assert (np.diff(sets) > 0).all() and sets[0] >= 1
+    assert size.tolist() == [bin(int(s)).count("1") for s in sets]
+
+
+def test_cover_counts_a_tiny_negative_entry_as_a_link():
+    # P[0, 2] = -1e-15 is the most negative entry a kernel admits; the set
+    # {0, 2} is connected only through it, and its term moves the last bits
+    p = np.array([[0.0, 1.0 + 1e-15, -1e-15], [0.5, 0.0, 0.5], [0.0, 1.0, 0.0]])
+    k = TransitionKernel(matrix=p, stationary=np.array([0.25, 0.5, 0.25]))
+    assert exact_cover_times(k).tolist() == all_sets_cover_times(p).tolist()
+
+
+def test_reducible_kernel_still_fails_its_solve():
+    # two disjoint 2-cycles: each cycle is a closed class, so its set's
+    # system is singular whether or not the other sets are solved
+    p = np.zeros((4, 4))
+    p[0, 1] = p[1, 0] = p[2, 3] = p[3, 2] = 1.0
+    k = TransitionKernel(matrix=p, stationary=np.full(4, 0.25))
+    with pytest.raises(np.linalg.LinAlgError):
+        exact_cover_times(k)
+    with pytest.raises(np.linalg.LinAlgError):
+        all_sets_cover_times(p)
+
+
+def test_cover_memory_stays_near_the_table():
+    # the (2^13, 13) table is 0.85 MB; solving every set, with a (2^n, n)
+    # membership table beside it, peaked at 3.3 MiB on this graph
+    k = build_kernel(cycle(13))
+    gc.disable()
+    tracemalloc.start()
+    try:
+        exact_cover_times(k)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+        gc.enable()
+    assert peak <= 2 * 2**20
+
+
 # --- reversibility round trip ---
 
 
@@ -357,3 +429,12 @@ def test_property_cover_times_match_per_set_oracle(seed, lazy):
     np.testing.assert_allclose(exact_cover_times(k), expect, rtol=1e-12, atol=0)
     start = int(rng.integers(0, g.n))
     assert exact_cover_time(k, start) == pytest.approx(expect[start], rel=1e-12, abs=0)
+
+
+@given(st.integers(min_value=0, max_value=10**6), st.booleans())
+@settings(max_examples=40, deadline=None)
+def test_property_connected_sets_match_the_all_sets_recursion(seed, lazy):
+    rng = np.random.default_rng(seed)
+    g = random_connected_graph(rng, int(rng.integers(2, 11)), extra=int(rng.integers(0, 8)), weighted=True, loops=True, parallel=True)
+    k = build_kernel(g, lazy=lazy)
+    assert exact_cover_times(k).tolist() == all_sets_cover_times(k.matrix).tolist()
