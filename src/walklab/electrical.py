@@ -211,14 +211,11 @@ def matthews_upper(g: Graph, hitting: np.ndarray | None = None) -> float:
     return float(h.max()) * harmonic_number(g.n)
 
 
-def _lower_value(h: np.ndarray, subsets: np.ndarray) -> float:
-    """Largest min-pair-hitting over the rows of a (count, k) subset array,
-    times h(k - 1). h(k - 1) > 0 and rounding is monotone, so taking the
-    maximum before the product gives the maximum of the products."""
-    k = subsets.shape[1]
-    blocks = h[subsets[:, :, None], subsets[:, None, :]]
-    off = blocks[:, ~np.eye(k, dtype=bool)]
-    return float(off.min(axis=1).max()) * harmonic_number(k - 1)
+def _lower_value(h: np.ndarray, members: list[int]) -> float:
+    """Min-pair-hitting over the ordered pairs of one subset, times h(k - 1)."""
+    k = len(members)
+    block = h[np.ix_(members, members)]
+    return float(block[~np.eye(k, dtype=bool)].min()) * harmonic_number(k - 1)
 
 
 def matthews_lower(
@@ -244,7 +241,7 @@ def matthews_lower(
         members = sorted(set(subset))
         if len(members) < 2:
             raise ParameterError("lower bound needs at least two vertices")
-        return _lower_value(h, np.array([members]))
+        return _lower_value(h, members)
     n = g.n
     if n > SUBSET_SEARCH_CAP:
         raise SizeCapError(
