@@ -9,10 +9,6 @@ which is what links resistance back to commute times:
 
 The bound functions all return plain floats so reports can serialize them
 without ceremony.
-
-resistance_matrix imports scipy.linalg where it is called, as the dense
-routines of spectral do, so that importing this module does not load scipy:
-the deferral saves start-up time and does not mark an import cycle.
 """
 
 from __future__ import annotations
@@ -106,16 +102,13 @@ def resistance_matrix(g: Graph) -> np.ndarray:
     every pair from the Green's function: R(u, v) = G[u,u] + G[v,v] - 2G[u,v]
     with the grounded row and column identically zero.
     """
-    import scipy.linalg
-
     _require_connected(g)
     n = g.n
     if n == 1:
         return np.zeros((1, 1))
     lap = laplacian(g)
-    lu, piv = scipy.linalg.lu_factor(lap[: n - 1, : n - 1])
     green = np.zeros((n, n))
-    green[: n - 1, : n - 1] = scipy.linalg.lu_solve((lu, piv), np.eye(n - 1))
+    green[: n - 1, : n - 1] = np.linalg.inv(lap[: n - 1, : n - 1])
     diag = np.diag(green)
     r = diag[:, None] + diag[None, :] - green - green.T
     return 0.5 * (r + r.T)

@@ -3,19 +3,14 @@
 Everything in this module is deterministic dense linear algebra. The size
 caps are honest statements about what dense methods can do, not tuning
 knobs: exact hitting stops at n = 5000 (one factorization of an n x n
-matrix; about 9 s and 1 GB at the cap with one BLAS thread) and the exact
-cover-time recursion at COVER_CAP vertices (it enumerates visited sets,
-with one stacked solve per set size into a (2^n, n) table of about 0.85 MB
-at the cap). A walk's visited set is always connected in the support of
-P, and a term P[S, w] that would leave a connected S for a disconnected
-S | w is exactly 0, so the recursion solves the connected sets only: 90
-of the 8190 proper nonempty sets on path:13, all of them on complete:13.
-
-scipy.linalg is imported inside the two functions that call it
-(exact_hitting, kernel_eigenvalues), not at the top: the import costs
-about 0.3 s of process start-up, and an experiment that never makes a
-dense solve should not pay it. The deferral saves start-up time only; it
-does not mark an import cycle.
+matrix, O(n^3) time and O(n^2) memory; n = 3000 takes about 2.6 s and
+285 MB with one BLAS thread) and the exact cover-time recursion at
+COVER_CAP vertices (it enumerates visited sets, with one stacked solve per
+set size into a (2^n, n) table of about 0.85 MB at the cap). A walk's
+visited set is always connected in the support of P, and a term P[S, w]
+that would leave a connected S for a disconnected S | w is exactly 0, so
+the recursion solves the connected sets only: 90 of the 8190 proper
+nonempty sets on path:13, all of them on complete:13.
 
 mindeg_invariant_report checks the min-degree weighting's guarantees on
 one graph; its hitting-time bound needs the exact hitting solve here.
@@ -88,6 +83,8 @@ class TransitionKernel:
         p = np.asarray(self.matrix, dtype=float)
         if p.ndim != 2 or p.shape[0] != p.shape[1]:
             raise ParameterError("kernel matrix must be square")
+        if not np.isfinite(p).all():
+            raise ParameterError("kernel matrix has non-finite entries")
         if (p < -1e-15).any():
             raise ParameterError("kernel has negative entries")
         rows = p.sum(axis=1)
@@ -97,6 +94,8 @@ class TransitionKernel:
         pi = np.asarray(self.stationary, dtype=float)
         if pi.shape != (p.shape[0],):
             raise ParameterError("stationary vector has wrong shape")
+        if not np.isfinite(pi).all():
+            raise ParameterError("stationary vector has non-finite entries")
         if abs(float(pi.sum()) - 1.0) > STATIONARY_TOL or (pi <= 0).any():
             raise ParameterError("stationary vector is not a positive distribution")
         drift = float(np.abs(pi @ p - pi).max())
@@ -122,6 +121,8 @@ def build_kernel(g: Graph, scheme: str = "uniform", lazy: bool = False) -> Trans
     """
     if not g.is_connected:
         raise DisconnectedError(f"{g.name} is disconnected")
+    if g.m == 0:
+        raise UnsupportedInputError(f"{g.name} has no edges, so no walk can move")
     h = apply_scheme(g, scheme)
     n = h.n
     p = np.zeros((n, n))
@@ -145,20 +146,18 @@ def exact_hitting(kernel: TransitionKernel) -> np.ndarray:
     """Hitting-time matrix H[u, v] = expected steps from u to v.
 
     Kemeny-Snell fundamental-matrix identity: with Z = (I - P + 1 pi^T)^-1,
-    H[u, v] = (Z[v, v] - Z[u, v]) / pi[v]. One LU factorization of
-    I - P + 1 pi^T per kernel, solved against the identity: O(n^3) time and
-    a few n x n arrays. Capped at n = 5000, where it takes about 9 s and
-    1 GB with one BLAS thread. Against the path and cycle closed forms the
-    relative error is at most 6e-10 up to n = 2000.
+    H[u, v] = (Z[v, v] - Z[u, v]) / pi[v]. np.linalg.inv runs LAPACK's gesv:
+    one LU factorization of I - P + 1 pi^T per kernel, solved against the
+    identity, in O(n^3) time and a few n x n arrays. Capped at n = 5000; on
+    cycle:3000 it takes about 2.6 s and raises the peak by 285 MB with one
+    BLAS thread. Against the path and cycle closed forms the relative error
+    is at most 6e-10 up to n = 2000.
     """
     n = kernel.n
     if n > 5000:
         raise SizeCapError(f"exact hitting capped at n=5000 (one dense factorization), got {n}")
-    import scipy.linalg
-
     pi = kernel.stationary
-    lu = scipy.linalg.lu_factor(np.eye(n) - kernel.matrix + pi[None, :], overwrite_a=True)
-    z = scipy.linalg.lu_solve(lu, np.eye(n), overwrite_b=True)
+    z = np.linalg.inv(np.eye(n) - kernel.matrix + pi[None, :])
     return (np.diag(z)[None, :] - z) / pi[None, :]
 
 
@@ -169,10 +168,8 @@ def kernel_eigenvalues(kernel: TransitionKernel, tol: float = 1e-8) -> np.ndarra
     """Eigenvalues of the kernel, descending. Requires reversibility.
 
     Conjugating by sqrt(pi) turns a reversible kernel into a symmetric
-    matrix with the same spectrum, so eigh applies.
+    matrix with the same spectrum, so LAPACK's symmetric solver applies.
     """
-    import scipy.linalg
-
     gap = detailed_balance_check(kernel)
     if gap > tol:
         raise UnsupportedInputError(
@@ -181,7 +178,7 @@ def kernel_eigenvalues(kernel: TransitionKernel, tol: float = 1e-8) -> np.ndarra
     root = np.sqrt(kernel.stationary)
     sym = kernel.matrix * (root[:, None] / root[None, :])
     sym = 0.5 * (sym + sym.T)
-    return scipy.linalg.eigh(sym, eigvals_only=True)[::-1]
+    return np.linalg.eigvalsh(sym)[::-1]
 
 
 def spectral_gap(kernel: TransitionKernel) -> float:

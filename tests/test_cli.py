@@ -256,6 +256,22 @@ def test_walk_from_an_isolated_vertex_exits_2_without_numeric_warnings(runner, t
     assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
 
 
+def test_edgeless_product_factor_exits_2_without_numeric_warnings(runner, tmp_path):
+    # complete:1 has no edge; its kernel is refused before c(v) = 0 divides
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        result = _run(
+            runner,
+            [
+                "run", "product-theorem", "--product", "complete:1,cycle:4",
+                "--seed", "1", "--out", str(tmp_path / "pt"),
+            ],
+        )
+    assert result.exit_code == 2
+    assert "input error" in result.output
+    assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
+
+
 def test_flag_the_experiment_never_reads_is_rejected(runner, tmp_path):
     result = _run(
         runner,

@@ -88,6 +88,28 @@ def test_kernel_rejects_wrong_stationary():
         TransitionKernel(matrix=p, stationary=np.array([0.9, 0.1]))
 
 
+@pytest.mark.parametrize(
+    "matrix, stationary",
+    [
+        ([[np.nan, 1.0], [1.0, 0.0]], [0.5, 0.5]),
+        ([[0.0, 1.0], [1.0, 0.0]], [np.nan, 0.5]),
+        ([[np.nan]], [np.nan]),  # what an edgeless vertex's kernel would hold
+    ],
+)
+def test_kernel_rejects_nan(matrix, stationary):
+    # every other check is a comparison, and a comparison with NaN is False
+    with pytest.raises(ParameterError, match="non-finite"):
+        TransitionKernel(matrix=np.array(matrix), stationary=np.array(stationary))
+
+
+@pytest.mark.parametrize("g", [complete(1), Graph(1, [])])
+@pytest.mark.parametrize("lazy", [False, True])
+def test_build_kernel_refuses_an_edgeless_graph(g, lazy):
+    # refused before c(v) = 0 divides anything, so no RuntimeWarning either
+    with pytest.raises(UnsupportedInputError, match="no edges"):
+        build_kernel(g, lazy=lazy)
+
+
 def test_kernel_matrix_is_readonly():
     k = build_kernel(path(3))
     with pytest.raises(ValueError):
@@ -370,6 +392,9 @@ def test_reducible_kernel_still_fails_its_solve():
         exact_cover_times(k)
     with pytest.raises(np.linalg.LinAlgError):
         all_sets_cover_times(p)
+    # so is I - P + 1 pi^T: the hitting solve raises rather than return inf
+    with pytest.raises(np.linalg.LinAlgError):
+        exact_hitting(k)
 
 
 def test_cover_memory_stays_near_the_table():

@@ -1,11 +1,12 @@
 """What a fresh interpreter loads when it imports walklab.
 
-scipy.linalg costs about 0.3 s to import and the process-pool machinery
-about 20 ms, so both load only when a run first needs them: scipy at the
-first dense solve, the pool when a run starts more than one worker. Each
-check runs in its own interpreter, since the test process has long since
-loaded both. The source checks read the modules with ast: no other import
-hides inside a function, and every name a module exports exists.
+Every dense solve goes through numpy.linalg, so walklab never imports
+scipy, not even at its first hitting, resistance or eigenvalue solve. The
+process-pool machinery costs about 20 ms to import and loads only when a
+run starts more than one worker. Each check runs in its own interpreter,
+since the test process may have loaded either. The source checks read the
+modules with ast: no other import hides inside a function, and every name
+a module exports exists.
 """
 
 from __future__ import annotations
@@ -46,16 +47,13 @@ def test_import_loads_neither_scipy_nor_the_process_pool(tmp_path):
     )
 
 
-def test_experiments_without_a_dense_solve_never_load_scipy(tmp_path):
+def _runs_without_scipy(runs: list[list[str]], tmp_path: Path) -> None:
     _fresh(
-        """
+        f"""
         import sys
         from walklab.cli import main
 
-        runs = [
-            ["st-connect-demo", "--family", "path:8", "--trials", "20"],
-            ["p-simple", "--trials", "800"],
-        ]
+        runs = {runs!r}
         for args in runs:
             try:
                 main(["run", *args, "--seed", "11", "--out", args[0]])
@@ -67,15 +65,38 @@ def test_experiments_without_a_dense_solve_never_load_scipy(tmp_path):
     )
 
 
-def test_first_dense_solve_loads_scipy_and_matches_the_closed_form(tmp_path):
+def test_experiments_without_a_dense_solve_never_load_scipy(tmp_path):
+    runs = [
+        ["st-connect-demo", "--family", "path:8", "--trials", "20"],
+        ["p-simple", "--trials", "800"],
+    ]
+    _runs_without_scipy(runs, tmp_path)
+
+
+def test_experiments_with_a_dense_solve_never_load_scipy(tmp_path):
+    # exact hitting, the cover recursion, resistances and the lazy spectrum
+    runs = [
+        ["closed-forms", "--n", "2..6"],
+        ["commute-identity", "--trials", "3"],
+        ["grid-resistance", "--n", "2..4"],
+        ["conductance-survey", "--trials", "1"],
+    ]
+    _runs_without_scipy(runs, tmp_path)
+
+
+def test_dense_solves_leave_scipy_unloaded_and_match_the_closed_form(tmp_path):
     _fresh(
         """
         import sys
         from walklab import build_kernel, exact_hitting, family
+        from walklab.electrical import resistance_matrix
+        from walklab.spectral import kernel_eigenvalues
 
+        g = family("cycle:6")
+        h = exact_hitting(build_kernel(g))
+        resistance_matrix(g)
+        kernel_eigenvalues(build_kernel(g, lazy=True))
         assert "scipy" not in sys.modules
-        h = exact_hitting(build_kernel(family("cycle:6")))
-        assert "scipy.linalg" in sys.modules
         for r in range(6):
             assert abs(h[0, r] - r * (6 - r)) <= 1e-9, (r, h[0, r])
         """,
@@ -84,7 +105,7 @@ def test_first_dense_solve_loads_scipy_and_matches_the_closed_form(tmp_path):
 
 
 SOURCES = sorted(Path(walklab.__file__).parent.glob("*.py"))
-DEFERRED = {"scipy.linalg", "concurrent.futures.ProcessPoolExecutor"}
+DEFERRED = {"concurrent.futures.ProcessPoolExecutor"}
 
 
 def _imported(node: ast.Import | ast.ImportFrom) -> list[str]:
@@ -94,7 +115,7 @@ def _imported(node: ast.Import | ast.ImportFrom) -> list[str]:
     return [f"{module}.{alias.name}" for alias in node.names]
 
 
-def test_only_scipy_and_the_process_pool_import_below_module_level():
+def test_only_the_process_pool_imports_below_module_level():
     assert SOURCES
     nested = []
     for path in SOURCES:
