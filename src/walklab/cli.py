@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import json
 import math
+import os
 import time
 from pathlib import Path
 
@@ -886,6 +887,13 @@ def run_command(
         if not 0 <= seed < 2**64:
             raise ParameterError(f"seed must lie in [0, 2^64), got {seed}")
         base = out or f"walklab-{experiment}"
+        # checked here, not at the write: a run can take minutes, and its
+        # result would be lost to a typo in the destination
+        folder = Path(base).parent
+        if not folder.is_dir():
+            raise ParameterError(f"--out needs an existing directory; {folder} is not one")
+        if not os.access(folder, os.W_OK | os.X_OK):
+            raise ParameterError(f"--out directory {folder} is not writable")
         # the spec records exactly the parameters that can influence a
         # computed value; destination, format, and worker count cannot
         # (estimates are worker-invariant by construction), so they stay out
@@ -914,14 +922,20 @@ def run_command(
 
     runtime = time.perf_counter() - started
     summary = {"spec": spec, "checks": checks, "runtime_seconds": runtime}
+    artifacts = []
     if fmt in ("csv", "both"):
-        csv_path = Path(f"{base}.csv")
-        csv_path.write_text(_csv_body(spec, header, rows))
-        click.echo(f"wrote {csv_path}")
+        artifacts.append((Path(f"{base}.csv"), _csv_body(spec, header, rows)))
     if fmt in ("json", "both"):
-        json_path = Path(f"{base}.json")
-        json_path.write_text(json.dumps(summary, indent=2, sort_keys=True) + "\n")
-        click.echo(f"wrote {json_path}")
+        artifacts.append((Path(f"{base}.json"), json.dumps(summary, indent=2, sort_keys=True) + "\n"))
+    for path, text in artifacts:
+        try:
+            path.write_text(text)
+        except OSError as exc:
+            # the directory passed its check, but the file itself can still
+            # be refused: a directory of that name, a full disk
+            click.echo(f"input error: cannot write {path}: {exc.strerror or exc}", err=True)
+            raise SystemExit(2)
+        click.echo(f"wrote {path}")
 
     for ch in checks:
         status = "PASS" if ch["passed"] else "FAIL"

@@ -266,42 +266,46 @@ def _connected_sets(support: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return sets[connected], size[connected]
 
 
-def _cover_remaining(kernel: TransitionKernel) -> np.ndarray:
+def _cover_remaining(kernel: TransitionKernel) -> tuple[np.ndarray, np.ndarray]:
     """Backward recursion over connected visited sets, one stacked solve per set size.
 
-    remaining[S, v] is the expected number of further steps to finish
-    covering from v, having visited exactly the set S (a bitmask). For fixed
-    S these values solve (I - P[S, S]) x = 1 + sum_{w not in S} P[S, w]
-    remaining[S | w, w], so sets go by decreasing size, all sets of one size
-    in one stacked np.linalg.solve. The right side is summed over ascending
-    w, as a per-set loop would, so every value is the same to the bit.
+    Returns (remaining, row): remaining[row[S], v] is the expected number of
+    further steps to finish covering from v, having visited exactly the set
+    S (a bitmask). For fixed S these values solve (I - P[S, S]) x =
+    1 + sum_{w not in S} P[S, w] remaining[row[S | w], w], so sets go by
+    decreasing size, all sets of one size in one stacked np.linalg.solve.
+    The right side is summed over ascending w, as a per-set loop would, so
+    every value is the same to the bit.
 
     A walk's visited set is connected in the support of P (the nonzero
     entries of P or P^T; a tiny negative entry the kernel admits is a
-    link), so only connected sets are solved. That loses nothing: for a
-    connected S and w outside it, either S | w is connected, and so already
-    solved, or every P[S, w] is exactly 0, so its term adds 0 whether the
-    row it reads was solved or never written. The dense (2^n, n) table is
-    about 0.85 MB at n = COVER_CAP. It is the one route to exact cover
-    times, from one start or from all.
+    link), so only connected sets are solved, and only they get a row of
+    remaining; row maps every other mask of the 2^n to row 0, which stays
+    zero. That loses nothing: for a connected S and w outside it, either
+    S | w is connected, and so already solved, or every P[S, w] is exactly
+    0, so its term adds 0 whichever row it reads. It is the one route to
+    exact cover times, from one start or from all.
     """
     n = kernel.n
     p = kernel.matrix
     support = p != 0
     sets, size = _connected_sets(support | support.T)
     bits = np.arange(n, dtype=np.int64)
-    remaining = np.zeros((1 << n, n))
+    row = np.zeros(1 << n, dtype=np.int64)
+    row[sets] = np.arange(1, len(sets) + 1)
+    remaining = np.zeros((len(sets) + 1, n))
     for k in range(n - 1, 0, -1):
         s = sets[size == k]
         idx = np.nonzero((s[:, None] >> bits) & 1)[1].reshape(len(s), k)
         a = np.eye(k) - p[idx[:, :, None], idx[:, None, :]]
         b = np.ones((len(s), k))
+        # remaining[row[S | w], w] for every w in one read; for w in S the
+        # row is S's own, still all zero, so its term adds an exact 0.0
+        after = remaining[row[s[:, None] | (1 << bits)], bits]
         for w in range(n):
-            # for w in S the row S | w is S itself, still all zero, so the
-            # term adds an exact 0.0 and needs no mask
-            b += p[idx, w] * remaining[s | (1 << w), w][:, None]
-        remaining[s[:, None], idx] = np.linalg.solve(a, b[:, :, None])[:, :, 0]
-    return remaining
+            b += p[idx, w] * after[:, w, None]
+        remaining[row[s][:, None], idx] = np.linalg.solve(a, b[:, :, None])[:, :, 0]
+    return remaining, row
 
 
 def exact_cover_time(kernel: TransitionKernel, start: int = 0) -> float:
@@ -317,7 +321,8 @@ def exact_cover_times(kernel: TransitionKernel) -> np.ndarray:
     if n > COVER_CAP:
         raise SizeCapError(f"exact cover time capped at n={COVER_CAP}, got {n}")
     starts = np.arange(n)
-    return _cover_remaining(kernel)[1 << starts, starts]
+    remaining, row = _cover_remaining(kernel)
+    return remaining[row[1 << starts], starts]
 
 
 # --- reversibility ---

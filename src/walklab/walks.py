@@ -8,11 +8,13 @@ bit-identical estimates.
 
 Trials are cheap to start: a chunk of trials shares one Philox, reset
 before trial i to key (s, 1 + i) at counter 0 with nothing buffered, which
-is exactly the start of `substream(s, 1 + i)`. A walk draws its uniforms
-in blocks of 64, 128, 256, ... up to BUFFER = 4096, then 4096 at a time,
-never past its budget, so a 30-step walk draws 64 values, not 4096. Philox
-doubles do not depend on how they are blocked, so every step reads the
-uniform it would read from one long draw.
+is exactly the start of `substream(s, 1 + i)`. A walk draws raw 64-bit
+Philox words, in blocks of 64, 128, 256, ... up to BUFFER = 4096, then 4096
+at a time, never past its budget, so a 30-step walk draws 64 words, not
+4096. Philox is counter-based: each word depends only on the key and its
+counter, so blocks of any sizes read the words of one long draw, and step
+t reads word t. Its uniform is the double rng.random makes of that word w,
+u = (w >> 11) 2^-53.
 
 Every walk runs in one loop, `_walk`, driven by per-vertex visit quotas:
 it stops at the first step where each vertex has been visited as often as
@@ -41,15 +43,17 @@ each one exactly, as the least double at which the alias pick changes, so
 the table picks what the alias method picks for every double u in [0, 1).
 
 The walk seldom bisects. Each vertex also has a bucket row of R entries,
-R a power of two chosen from the plan's tables: rows[v][int(u R)] is the
-index bisect_left(cum[v], u) for every u in that bucket, or None where a
+R = 2^b chosen from the plan's tables: rows[v][int(u R)] is the index
+bisect_left(cum[v], u) for every u in that bucket, or None where a
 breakpoint of cum[v] splits the bucket, and only then does the step
-bisect. int(u R) is an exact floor, and the row is built from exact
-comparisons, so the lookup picks what the bisection picks for every
-double u. Rows hold indices, not vertices, so vertices with equal cum
-lists share one row: a plan holds a row per distinct list (one on a
-regular graph walked uniformly), not per vertex, and R need not shrink as
-the graph grows.
+bisect, on u rebuilt from w. int(u R) is an exact floor, and the row is
+built from exact comparisons, so the lookup picks what the bisection picks
+for every double u. The walk reads the key off the word: u R is
+(w >> 11) 2^(b - 53) exactly, so int(u R) = w >> (64 - b), the top b bits
+of w. Rows hold indices, not vertices, so vertices with equal cum lists
+share one row: a plan holds a row per distinct list (one on a regular
+graph walked uniformly), not per vertex, and R need not shrink as the
+graph grows.
 """
 
 from __future__ import annotations
@@ -84,6 +88,7 @@ ALIAS_DEGREE = 8
 CHUNK = 256
 BUFFER = 4096
 _SLOTS = 2**18  # bucket-row entries a plan's rows may hold above 32 buckets a row
+_ULP = 2.0**-53  # the uniform of a raw Philox word w is (w >> 11) * _ULP
 
 
 @dataclass(frozen=True)
@@ -273,16 +278,17 @@ def _alias_breakpoints(tables: list) -> list[tuple[list, list[float]]]:
 
 
 def _step_tables(nbrs: list, cum: list) -> tuple:
-    """The tables a walk steps by: (nbrs, cum, rows, r).
+    """The tables a walk steps by: (nbrs, cum, rows, shift).
 
     rows[v] is the bucket row of cum[v] (see `_bucket_row`) at r buckets,
     one row shared by every vertex with an equal cum list; an isolated
-    vertex has None. r is a power of two picked from the distinct rows
-    alone: the least one at least 16 times the longest, kept in [32, 1024],
-    then halved while the distinct rows would hold more than _SLOTS
-    entries, but never below 32. A row of length L has at most L - 1 impure
-    buckets, so at 32 buckets the row of a vertex up to ALIAS_DEGREE, at
-    most ALIAS_DEGREE entries with the lazy hold, is more than three
+    vertex has None. shift = 64 - log2 r, a 0-d uint64 array, puts a raw
+    Philox word w in bucket w >> shift. r is a power of two picked from the
+    distinct rows alone: the least one at least 16 times the longest, kept
+    in [32, 1024], then halved while the distinct rows would hold more than
+    _SLOTS entries, but never below 32. A row of length L has at most L - 1
+    impure buckets, so at 32 buckets the row of a vertex up to ALIAS_DEGREE,
+    at most ALIAS_DEGREE entries with the lazy hold, is more than three
     quarters pure.
     """
     shared = {tuple(c): None for c in cum if c is not None}
@@ -294,7 +300,10 @@ def _step_tables(nbrs: list, cum: list) -> tuple:
         r //= 2
     for bounds in shared:
         shared[bounds] = _bucket_row(bounds, r)
-    return nbrs, cum, [None if c is None else shared[tuple(c)] for c in cum], r
+    rows = [None if c is None else shared[tuple(c)] for c in cum]
+    # a 0-d uint64 array: numpy shifts a block by it in about half the time
+    # it takes to shift by a Python int
+    return nbrs, cum, rows, np.array(65 - r.bit_length(), dtype=np.uint64)
 
 
 def _bucket_row(bounds, r: int) -> list:
@@ -327,7 +336,7 @@ def _bucket_row(bounds, r: int) -> list:
 def _walk(tables, pos, rng, budget, left, remaining, delta_pi=None) -> int | None:
     """Walk from pos until no vertex owes a visit; the only stepper.
 
-    tables is (nbrs, cum, rows, r) from `_step_tables`.
+    tables is (nbrs, cum, rows, shift) from `_step_tables`.
     left[v] > 0 is the number of visits v still owes, and remaining the
     number of vertices that owe any; left[v] < 0 marks a vertex that keeps
     counting, with -(left[v] + 1) visits so far, the start's visit at time
@@ -335,15 +344,17 @@ def _walk(tables, pos, rng, budget, left, remaining, delta_pi=None) -> int | Non
     needs count(v) > delta_pi[v] * t at every v. Returns the stopping step,
     or None once budget steps pass without it.
 
-    Step t reads the t-th uniform of rng. The uniforms come in blocks of
-    64, then twice as many each time up to BUFFER, then BUFFER each, never
-    past the budget: a short walk pays for few draws, a long one for few
-    calls. Philox doubles drawn in blocks of any sizes equal one draw of
-    their total, so the schedule never changes which uniform a step reads.
-    Each block is turned into bucket keys int(u r) at once. A step reads
-    its index in nbrs[pos] off rows[pos][key], and bisects cum[pos] only
-    where that bucket is impure; then one list read tests left. The step number is read off the key
-    iterator only at a bisection or a quota event.
+    Step t reads the t-th raw word w of rng's Philox, whose uniform is the
+    double rng.random makes of it, u = (w >> 11) 2^-53. The words come in
+    blocks of 64, then twice as many each time up to BUFFER, then BUFFER
+    each, never past the budget: a short walk pays for few draws, a long
+    one for few calls. Philox words drawn in blocks of any sizes equal one
+    draw of their total, so the schedule never changes which word a step
+    reads. Each block is turned into bucket keys w >> shift at once, which
+    equal int(u r). A step reads its index in nbrs[pos] off
+    rows[pos][key], and bisects cum[pos] on u, rebuilt from w, only where
+    that bucket is impure; then one list read tests left. The step number
+    is read off the key iterator only at a bisection or a quota event.
 
     Counting costs nothing in cover, hit and blanket-cover walks. A blanket
     walk with delta_pi counts every vertex once its quota is met; a walk
@@ -359,19 +370,21 @@ def _walk(tables, pos, rng, budget, left, remaining, delta_pi=None) -> int | Non
     """
     if remaining == 0:
         return 0
-    nbrs, cum, rows, r = tables
+    nbrs, cum, rows, shift = tables
+    draw = rng.bit_generator.random_raw
     held = 0  # blanket: the count of a vertex from before it was made to owe a visit
     bisect = bisect_left  # a local: faster than a global lookup
     t = 0  # steps taken before the current block
     size = 64
     while t < budget:
-        block = rng.random(min(size, budget - t))
-        keys = (block * r).astype(np.intp).tolist()
+        block = draw(min(size, budget - t))
+        keys = (block >> shift).tolist()
         rest = iter(keys)
         for k in rest:
             i = rows[pos][k]
             if i is None:
-                i = bisect(cum[pos], block.item(len(keys) - length_hint(rest) - 1))
+                w = block.item(len(keys) - length_hint(rest) - 1)
+                i = bisect(cum[pos], (w >> 11) * _ULP)
             pos = nbrs[pos][i]
             if left[pos]:
                 c = left[pos] - 1

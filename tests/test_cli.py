@@ -287,6 +287,37 @@ def test_flag_the_experiment_never_reads_is_rejected(runner, tmp_path):
     assert not (tmp_path / "ci.csv").exists()
 
 
+@pytest.mark.parametrize("missing", ["no-such-dir/x", "a-file/x"])
+def test_out_into_a_missing_directory_exits_2_before_any_work(runner, tmp_path, monkeypatch, missing):
+    def no_work(*args, **kwargs):
+        raise AssertionError("a kernel was built before the destination was checked")
+
+    monkeypatch.setattr("walklab.cli.build_kernel", no_work)
+    (tmp_path / "a-file").write_text("")
+    base = tmp_path / missing
+    result = _run(runner, ["run", "closed-forms", "--seed", "1", "--out", str(base)])
+    assert result.exit_code == 2
+    assert f"input error: --out needs an existing directory; {base.parent} is not one" in result.output
+
+
+def test_out_into_an_unwritable_directory_exits_2(runner, tmp_path, monkeypatch):
+    # a permission bit cannot refuse root, so the access check is stood in for
+    monkeypatch.setattr("walklab.cli.os.access", lambda path, mode: False)
+    result = _run(runner, ["run", "closed-forms", "--seed", "1", "--out", str(tmp_path / "c")])
+    assert result.exit_code == 2
+    assert f"input error: --out directory {tmp_path} is not writable" in result.output
+
+
+def test_artifact_that_cannot_be_written_exits_2(runner, tmp_path):
+    # the directory exists, but a directory stands where the CSV would go
+    base = tmp_path / "c"
+    (tmp_path / "c.csv").mkdir()
+    result = _run(runner, ["run", "closed-forms", "--n", "2..4", "--seed", "1", "--out", str(base)])
+    assert result.exit_code == 2
+    assert f"input error: cannot write {base}.csv: Is a directory" in result.output
+    assert not (tmp_path / "c.json").exists()
+
+
 @pytest.mark.parametrize("seed", ["-1", str(2**64)])
 def test_seed_outside_stream_key_range_exits_2(runner, tmp_path, seed):
     result = _run(

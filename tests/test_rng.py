@@ -45,6 +45,28 @@ def test_restart_draws_what_substream_draws(seed, index):
     assert count == index - first + 1
 
 
+@pytest.mark.parametrize("seed, index", KEYS)
+def test_restart_leaves_the_state_substream_builds(seed, index):
+    # the reset hands Philox plain ints; read back, every field holds the
+    # uint64 words and flags of a fresh substream, keys at and above 2^63
+    # included
+    first = max(0, index - 2)
+    rng = substream(3, 4)
+    for j, _ in enumerate(_stream_starts(rng, seed, first, index - first + 1)):
+        got = rng.bit_generator.state
+        fresh = substream(seed, first + j).bit_generator.state
+        for field in ("counter", "key"):
+            assert got["state"][field].dtype == fresh["state"][field].dtype == np.uint64
+            assert got["state"][field].tolist() == fresh["state"][field].tolist()
+        assert got["buffer"].dtype == np.uint64
+        assert got["buffer"].tolist() == fresh["buffer"].tolist()
+        for field in ("buffer_pos", "has_uint32", "uinteger"):
+            assert got[field] == fresh[field]
+        # leave buffered words and a cached half word for the next reset
+        rng.random(37)
+        rng.integers(2**32, dtype=np.uint32)
+
+
 def test_restart_checks_the_key_like_substream():
     # a block is checked at its first and last index, with substream's
     # words, before any reset; a block ending at 2^64 - 1 is accepted

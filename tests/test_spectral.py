@@ -350,11 +350,23 @@ def test_cover_recursion_meets_the_closed_forms_past_the_cap(n):
     assert n > COVER_CAP
     starts = np.arange(n)
     length = n - 1
-    on_path = _cover_remaining(build_kernel(path(n)))[1 << starts, starts]
+    remaining, row = _cover_remaining(build_kernel(path(n)))
+    on_path = remaining[row[1 << starts], starts]
     expect = [k * (length - k) + length**2 for k in range(n)]
     np.testing.assert_allclose(on_path, expect, rtol=1e-10, atol=0)
-    on_cycle = _cover_remaining(build_kernel(cycle(n)))[1 << starts, starts]
+    remaining, row = _cover_remaining(build_kernel(cycle(n)))
+    on_cycle = remaining[row[1 << starts], starts]
     np.testing.assert_allclose(on_cycle, n * (n - 1) / 2.0, rtol=1e-10, atol=0)
+
+
+@pytest.mark.parametrize("spec, count", [("path:13", 13 * 14 // 2), ("cycle:13", 13 * 12 + 1)])
+def test_cover_table_holds_a_row_per_connected_set_and_one_zero_row(spec, count):
+    remaining, row = _cover_remaining(build_kernel(family(spec)))
+    assert remaining.shape == (count + 1, 13)
+    assert row.shape == (2**13,)
+    assert not remaining[0].any()
+    # the connected sets take rows 1..count in mask order; every other mask reads row 0
+    assert row[row > 0].tolist() == list(range(1, count + 1))
 
 
 @pytest.mark.parametrize(

@@ -490,7 +490,7 @@ def test_bucket_rows_pick_as_the_bisection(spokes, lazy, seed):
                 probes += [up, down]
             u = np.concatenate(probes)
             u = u[(u >= 0.0) & (u < 1.0)]
-            keys = (u * r).astype(np.intp).tolist()  # as the walk reads them
+            keys = (u * r).astype(np.intp).tolist()  # the walk's keys w >> shift, for u from w
             for x, k in zip(u.tolist(), keys):
                 assert k / r <= x < (k + 1) / r
                 assert row[k] is None or row[k] == bisect_left(cum[v], x), (v, r, x)
@@ -501,7 +501,8 @@ def test_step_tables_share_one_row_per_distinct_cum_list():
     nbrs, cum, _ = walks._vertex_tables(g, "uniform", True)
     tables = walks._step_tables(nbrs, cum)
     assert tables[:2] == (nbrs, cum)
-    rows, r = tables[2:]
+    rows, shift = tables[2:]
+    r = 2 ** (64 - int(shift))
     for v in range(g.n):
         assert rows[v] == walks._bucket_row(cum[v], r)
         for w in range(v):
@@ -512,7 +513,7 @@ def test_step_tables_share_one_row_per_distinct_cum_list():
 
 
 def _resolution(cum):
-    return walks._step_tables([None] * len(cum), cum)[3]
+    return 2 ** (64 - int(walks._step_tables([None] * len(cum), cum)[3]))
 
 
 @pytest.mark.parametrize(
@@ -677,13 +678,13 @@ def test_trial_index_must_keep_its_stream_key_in_range():
 @pytest.mark.parametrize("seed, index", [(0, 1), (7, 2**63), (2**64 - 1, 2**64 - 1)])
 def test_each_trial_of_a_chunk_draws_its_own_substream(monkeypatch, seed, index):
     # the chunk holds the trial with stream key (seed, index) and its
-    # in-range neighbours; every fake trial reads 10 000 doubles and then
+    # in-range neighbours; every fake trial reads 10 000 raw words and then
     # leaves the shared generator part way through a block, with a cached
     # 32-bit half word, for the next trial to reset
     drawn = []
 
     def fake_walk(tables, pos, rng, *rest):
-        drawn.append(rng.random(10_000).tolist())
+        drawn.append(rng.bit_generator.random_raw(10_000).tolist())
         rng.random(37)
         rng.integers(2**32, dtype=np.uint32)
         return None
@@ -694,16 +695,44 @@ def test_each_trial_of_a_chunk_draws_its_own_substream(monkeypatch, seed, index)
     assert walks._trial_values((plan, seed, lo, hi)) == [None] * (hi - lo)
     assert len(drawn) == hi - lo
     for i, values in zip(range(lo, hi), drawn):
-        assert values == substream(seed, 1 + i).random(10_000).tolist(), i
+        assert values == substream(seed, 1 + i).bit_generator.random_raw(10_000).tolist(), i
 
 
 def test_growing_blocks_read_the_uniforms_of_one_draw():
-    # the block sizes _walk draws: 64, 128, ..., 4096, then 4096 again
+    # the block sizes _walk draws: 64, 128, ..., 4096, then 4096 again, of
+    # raw Philox words, each the source of one uniform
     sizes = [64 << k for k in range(7)] + [walks.BUFFER]
     assert sizes[-2:] == [4096, 4096]
-    blocked = substream(5, 9)
-    parts = [blocked.random(size) for size in sizes]
-    assert np.concatenate(parts).tolist() == substream(5, 9).random(sum(sizes)).tolist()
+    blocked = substream(5, 9).bit_generator
+    parts = [blocked.random_raw(size) for size in sizes]
+    whole = substream(5, 9).bit_generator.random_raw(sum(sizes))
+    assert np.concatenate(parts).tolist() == whole.tolist()
+
+
+@pytest.mark.parametrize("seed, index", [(5, 9), (7, 2**64 - 1)])
+def test_each_word_makes_the_double_random_returns(seed, index):
+    words = substream(seed, index).bit_generator.random_raw(10_000).tolist()
+    doubles = substream(seed, index).random(10_000).tolist()
+    assert [(w >> 11) * 2**-53 for w in words] == doubles
+
+
+@pytest.mark.parametrize("b", range(5, 11))
+def test_top_bits_of_a_word_are_its_bucket(b):
+    # w >> (64 - b) is int(u 2^b) for the double u of w, at both ends of the
+    # word range and on each side of every bucket edge: the words whose
+    # double is k / 2^b (the first 2^11 above k 2^(64 - b)) and the last
+    # 2^11 below it, whose double is the one just below the edge
+    edges = [k << (64 - b) for k in range(2**b + 1)]
+    words = {0, 2**64 - 1}
+    for e in edges:
+        words.update({e - 2048, e - 1, e, e + 2047})
+    words = sorted(w for w in words if 0 <= w < 2**64)
+    doubles = [(w >> 11) * 2**-53 for w in words]
+    assert [w >> (64 - b) for w in words] == [int(u * 2**b) for u in doubles]
+    # and what numpy computes from a block, as the walk reads it
+    block = np.array(words, dtype=np.uint64)
+    keys = block >> np.array(64 - b, dtype=np.uint64)
+    assert keys.tolist() == (np.array(doubles) * 2**b).astype(np.intp).tolist()
 
 
 def test_a_chunk_builds_one_generator(monkeypatch):
