@@ -21,8 +21,6 @@ from .configmodel import (
 )
 from .electrical import (
     commute_matrix,
-    commute_time,
-    effective_resistance,
     matthews_lower,
     matthews_upper,
     merst_bound,
@@ -33,7 +31,6 @@ from .errors import (
     DisconnectedError,
     InputError,
     NumericError,
-    NumericTimeout,
     ParameterError,
     RejectionFailure,
     SizeCapError,
@@ -49,10 +46,8 @@ from .spectral import (
     exact_cover_time,
     exact_cover_times,
     exact_hitting,
-    mixing_time,
-    spectral_gap,
 )
-from .walks import WalkConfig, simulate, speedup, st_connectivity
+from .walks import WalkConfig, simulate, speedup
 from .weighting import apply_scheme
 
 __version__ = "0.1.0"
@@ -63,7 +58,6 @@ __all__ = [
     "Graph",
     "InputError",
     "NumericError",
-    "NumericTimeout",
     "ParameterError",
     "RejectionFailure",
     "SizeCapError",
@@ -77,10 +71,8 @@ __all__ = [
     "cartesian_product",
     "check_nice",
     "commute_matrix",
-    "commute_time",
     "conductance_exact",
     "conductance_sweep",
-    "effective_resistance",
     "exact_cover_time",
     "exact_cover_times",
     "exact_hitting",
@@ -90,7 +82,6 @@ __all__ = [
     "matthews_lower",
     "matthews_upper",
     "merst_bound",
-    "mixing_time",
     "predicted_cover",
     "predicted_p_simple",
     "random_connected_graph",
@@ -100,9 +91,7 @@ __all__ = [
     "sample_simple",
     "simulate",
     "spanning_tree_bound",
-    "spectral_gap",
     "speedup",
-    "st_connectivity",
     "substream",
     "theorem_main_bounds",
 ]

@@ -34,6 +34,7 @@ from .configmodel import (
     sample_simple,
 )
 from .electrical import (
+    _GRID_CAP,
     commute_matrix,
     grid_resistance_monitor,
     harmonic_number,
@@ -93,6 +94,8 @@ def _csv_body(spec: dict, header: list[str], rows: list[list]) -> str:
 def _check(name: str, passed: bool, observed, expected: str, tolerance=None) -> dict:
     if isinstance(observed, (np.floating, np.integer, np.bool_)):
         observed = observed.item()
+    if isinstance(observed, float) and not math.isfinite(observed):
+        observed = _cell(observed)  # strict JSON has no NaN or infinity
     return {
         "name": name,
         "passed": bool(passed),
@@ -102,8 +105,8 @@ def _check(name: str, passed: bool, observed, expected: str, tolerance=None) -> 
     }
 
 
-def _parse_sizes(text: str | None, field: str) -> list[int] | None:
-    """Accept '8', '2..10' (inclusive), or '500,1000,2000'."""
+def _parse_sizes(text: str | None, field: str) -> range | list[int] | None:
+    """Accept '8', '2..10' (inclusive, as a range), or '500,1000,2000'."""
     if text is None:
         return None
     text = text.strip()
@@ -113,7 +116,7 @@ def _parse_sizes(text: str | None, field: str) -> list[int] | None:
             lo, hi = int(lo_s), int(hi_s)
             if lo > hi:
                 raise ValueError
-            return list(range(lo, hi + 1))
+            return range(lo, hi + 1)
         if "," in text:
             return [int(p) for p in text.split(",") if p.strip()]
         return [int(text)]
@@ -121,6 +124,20 @@ def _parse_sizes(text: str | None, field: str) -> list[int] | None:
         raise ParameterError(
             f"{field}: expected an int, 'a..b', or a comma list, got {text!r}"
         ) from exc
+
+
+def _ladder(ns: range | list[int], low: int, cap: int, what: str) -> list[int]:
+    """The sizes as a list, once every one lies in low..cap.
+
+    A range is checked at its ends, so a long a..b is refused before it is
+    expanded.
+    """
+    least, most = (ns[0], ns[-1]) if isinstance(ns, range) else (min(ns), max(ns))
+    if least < low:
+        raise ParameterError(f"--n: {what} needs sizes >= {low}, got {least}")
+    if most > cap:
+        raise SizeCapError(f"--n: {what} capped at n={cap}, got {most}")
+    return list(ns)
 
 
 def _resolve_graph(spec: dict, default: str | None = None) -> Graph:
@@ -188,8 +205,7 @@ def _nice_band_sequence(n: int, low: int, high: int, seed: int, offset: int = 0)
 
 
 def _run_closed_forms(spec: dict):
-    ns = spec["n"] or list(range(2, 11))
-    spec["n"] = ns
+    ns = spec["n"] = _ladder(spec["n"] or range(2, 11), 2, COVER_CAP, "exact cover time")
     rows: list[list] = []
     worst: dict[str, float] = {"complete": 0.0, "path": 0.0, "cycle": 0.0}
 
@@ -198,11 +214,6 @@ def _run_closed_forms(spec: dict):
         worst[fam] = max(worst[fam], rel)
         rows.append([fam, n, qty, obs, exp, rel])
 
-    for n in ns:
-        if n < 2:
-            raise ParameterError(f"--n: closed forms need sizes >= 2, got {n}")
-        if n > COVER_CAP:
-            raise SizeCapError(f"--n: exact cover time capped at n={COVER_CAP}, got {n}")
     for n in ns:
         kern = build_kernel(complete(n))
         add("complete", n, "hit:0->1", float(exact_hitting(kern)[0, 1]), float(n - 1))
@@ -366,8 +377,7 @@ def _run_commute_identity(spec: dict):
 
 
 def _run_grid_resistance(spec: dict):
-    ks = spec["n"] or list(range(2, 21))
-    spec["n"] = ks
+    ks = spec["n"] = _ladder(spec["n"] or range(2, 21), 2, _GRID_CAP, "grid monitor")
     rows = []
     all_ok = True
     for k in ks:
@@ -479,7 +489,7 @@ def _run_degseq_cover(spec: dict):
         seq = read_degree_file(p)
         ns = [seq.n]
         seqs = [(seq.n, seq)]
-    spec["n"] = ns
+    spec["n"] = list(ns)
 
     rows: list[list] = []
     ratios: list[float] = []
@@ -926,7 +936,8 @@ def run_command(
     if fmt in ("csv", "both"):
         artifacts.append((Path(f"{base}.csv"), _csv_body(spec, header, rows)))
     if fmt in ("json", "both"):
-        artifacts.append((Path(f"{base}.json"), json.dumps(summary, indent=2, sort_keys=True) + "\n"))
+        text = json.dumps(summary, indent=2, sort_keys=True, allow_nan=False)
+        artifacts.append((Path(f"{base}.json"), text + "\n"))
     for path, text in artifacts:
         try:
             path.write_text(text)

@@ -17,9 +17,8 @@ about 50 ms and 2.9 MiB at the cap, n = 22.
 
 from __future__ import annotations
 
-import json
 import math
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -50,9 +49,6 @@ class ConductanceResult:
     scheme: str
     lazy: bool
     n: int
-
-    def to_json(self) -> str:
-        return json.dumps(asdict(self), indent=2, sort_keys=True)
 
 
 def _pair_flow(kernel: TransitionKernel) -> np.ndarray:

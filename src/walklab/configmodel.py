@@ -29,7 +29,6 @@ are recorded in the report. A report is informational, never an error.
 
 from __future__ import annotations
 
-import json
 import math
 from collections import Counter
 from dataclasses import dataclass
@@ -49,7 +48,6 @@ __all__ = [
     "random_band_sequence",
     "read_degree_file",
     "sample_configuration",
-    "is_simple",
     "sample_simple",
     "nu",
     "predicted_p_simple",
@@ -59,6 +57,11 @@ __all__ = [
 ]
 
 DEFAULT_EFFECTIVE_FRACTION = 0.01
+# finite-size constants of the niceness conditions (see check_nice)
+NICE_ALPHA = 0.01
+NICE_KAPPA = 1.0 / 12.0  # below 1/11
+NICE_BIG_O = 10.0
+NICE_AVERAGE_SLACK = 3.0
 MAX_DEFAULT_TRIES = 10**6  # the default rejection budget, 20 / p, is refused above this
 BLOCK_STUBS = 2**16  # a pairing block holds at most this many stubs, or one row
 
@@ -100,9 +103,6 @@ class DegreeSequence:
     @cached_property
     def counts(self) -> dict[int, int]:
         return dict(Counter(self.degrees))
-
-    def effective_minimum(self, fraction: float = DEFAULT_EFFECTIVE_FRACTION) -> int:
-        return effective_min_degree(self, fraction)
 
 
 def regular_sequence(n: int, r: int) -> DegreeSequence:
@@ -197,10 +197,6 @@ def sample_configuration(seq: DegreeSequence, seed: int, index: int = 0) -> Grap
     """One uniform configuration; attempt `index` of the stream keyed by seed."""
     pairs = _pairing_block(seq, seed, index, 1).reshape(-1, 2)
     return _configuration_graph(seq, pairs, seed, index)
-
-
-def is_simple(g: Graph) -> bool:
-    return g.is_simple
 
 
 @dataclass(frozen=True)
@@ -306,46 +302,23 @@ class NicenessReport:
     effective_minimum: int
     parameters: dict
 
-    def to_json(self) -> str:
-        return json.dumps(
-            {
-                "nice": self.nice,
-                "effective_minimum": self.effective_minimum,
-                "parameters": self.parameters,
-                "conditions": self.conditions,
-            },
-            indent=2,
-            sort_keys=True,
-        )
 
-
-def check_nice(
-    seq: DegreeSequence,
-    alpha: float = 0.01,
-    kappa: float = 1.0 / 12.0,
-    gamma: float | None = None,
-    big_o: float = 10.0,
-    average_slack: float = 3.0,
-    fraction: float = DEFAULT_EFFECTIVE_FRACTION,
-) -> NicenessReport:
+def check_nice(seq: DegreeSequence) -> NicenessReport:
     """Evaluate the six niceness conditions with explicit finite-size constants.
 
-    kappa must stay below 1/11. gamma defaults to max(2, ln ln n), the
-    slowest-growing reading of "gamma tends to infinity" that is still
-    usable at small n.
+    alpha, kappa, big_o and average_slack are the NICE_* constants, and
+    the effective minimum degree takes DEFAULT_EFFECTIVE_FRACTION. gamma is
+    max(2, ln ln n), the slowest-growing reading of "gamma tends to
+    infinity" that is still usable at small n. The report's parameters
+    record all six.
     """
-    if not 0 < alpha < 1:
-        raise ParameterError("alpha must lie in (0, 1)")
-    if not 0 < kappa < 1.0 / 11.0:
-        raise ParameterError("kappa must lie in (0, 1/11)")
     n = seq.n
-    if gamma is None:
-        gamma = max(2.0, math.log(math.log(n))) if n >= 3 else 2.0
-    d = effective_min_degree(seq, fraction)
+    gamma = max(2.0, math.log(math.log(n))) if n >= 3 else 2.0
+    d = effective_min_degree(seq)
     theta = seq.theta
     counts = seq.counts
 
-    avg_cap = average_slack * math.sqrt(math.log(n)) if n >= 2 else float("inf")
+    avg_cap = NICE_AVERAGE_SLACK * math.sqrt(math.log(n)) if n >= 2 else float("inf")
     cond_i = theta <= avg_cap
 
     cond_ii = seq.minimum >= 3
@@ -353,12 +326,12 @@ def check_nice(
     low_range = {
         i: counts.get(i, 0) for i in range(seq.minimum, d)
     }
-    low_caps = {i: big_o * n ** (kappa * i / d) for i in low_range}
+    low_caps = {i: NICE_BIG_O * n ** (NICE_KAPPA * i / d) for i in low_range}
     cond_iii = all(low_range[i] <= low_caps[i] for i in low_range)
 
-    cond_iv = counts.get(d, 0) >= alpha * n
+    cond_iv = counts.get(d, 0) >= NICE_ALPHA * n
 
-    high_cap = big_o * n ** (kappa * (d - 1) / d)
+    high_cap = NICE_BIG_O * n ** (NICE_KAPPA * (d - 1) / d)
     cond_v = seq.maximum <= high_cap
 
     tail_start = gamma * theta
@@ -383,7 +356,7 @@ def check_nice(
         "iv_effective_degree_mass": {
             "passed": bool(cond_iv),
             "count": counts.get(d, 0),
-            "required": alpha * n,
+            "required": NICE_ALPHA * n,
         },
         "v_maximum_degree": {
             "passed": bool(cond_v),
@@ -403,23 +376,23 @@ def check_nice(
         nice=nice,
         effective_minimum=d,
         parameters={
-            "alpha": alpha,
-            "kappa": kappa,
+            "alpha": NICE_ALPHA,
+            "kappa": NICE_KAPPA,
             "gamma": gamma,
-            "big_o": big_o,
-            "average_slack": average_slack,
-            "fraction": fraction,
+            "big_o": NICE_BIG_O,
+            "average_slack": NICE_AVERAGE_SLACK,
+            "fraction": DEFAULT_EFFECTIVE_FRACTION,
         },
     )
 
 
-def predicted_cover(seq: DegreeSequence, fraction: float = DEFAULT_EFFECTIVE_FRACTION) -> float:
+def predicted_cover(seq: DegreeSequence) -> float:
     """Leading-order cover time (d-1)/(d-2) * theta/d * n ln n.
 
     d is the effective minimum degree; the formula has a pole at d = 2,
     so d >= 3 is required.
     """
-    d = effective_min_degree(seq, fraction)
+    d = effective_min_degree(seq)
     if d < 3:
         raise ParameterError(
             f"cover prediction needs effective minimum degree >= 3, got {d}"

@@ -25,9 +25,7 @@ __all__ = [
     "harmonic_number",
     "conductance_matrix",
     "laplacian",
-    "effective_resistance",
     "resistance_matrix",
-    "commute_time",
     "commute_matrix",
     "spanning_tree_bound",
     "MerstResult",
@@ -39,6 +37,7 @@ __all__ = [
 ]
 
 SUBSET_SEARCH_CAP = 16  # matthews_lower without a subset tries them all
+_GRID_CAP = 40  # grid_resistance_monitor's largest side k
 
 
 def harmonic_number(k: int) -> float:
@@ -66,35 +65,6 @@ def _require_connected(g: Graph) -> None:
         raise DisconnectedError(f"{g.name} is disconnected")
 
 
-def _pinned_voltages(g: Graph, u: int, v: int) -> tuple[np.ndarray, float]:
-    """Voltages with W(u) = 1 and W(v) = 0, and the current leaving u.
-
-    Solves the harmonic conditions at every other vertex. The current is
-    read off the unpinned Laplacian row, so Kirchhoff at u is not assumed.
-    """
-    _require_connected(g)
-    lap = laplacian(g)
-    a = lap.copy()
-    b = np.zeros(g.n)
-    a[u, :] = 0.0
-    a[u, u] = 1.0
-    b[u] = 1.0
-    a[v, :] = 0.0
-    a[v, v] = 1.0
-    voltages = np.linalg.solve(a, b)
-    strength = float(lap[u] @ voltages)
-    if strength <= 0:
-        raise ParameterError(f"non-positive current {strength} between {u} and {v}")
-    return voltages, strength
-
-
-def effective_resistance(g: Graph, u: int, v: int) -> float:
-    """R(u, v) by the voltage route: 1 over the current of the pinned solve."""
-    if u == v:
-        return 0.0
-    return 1.0 / _pinned_voltages(g, u, v)[1]
-
-
 def resistance_matrix(g: Graph) -> np.ndarray:
     """All-pairs effective resistances from one grounded factorization.
 
@@ -112,11 +82,6 @@ def resistance_matrix(g: Graph) -> np.ndarray:
     diag = np.diag(green)
     r = diag[:, None] + diag[None, :] - green - green.T
     return 0.5 * (r + r.T)
-
-
-def commute_time(g: Graph, u: int, v: int) -> float:
-    """Expected round trip u -> v -> u; the volume-resistance identity."""
-    return g.volume * effective_resistance(g, u, v)
 
 
 def commute_matrix(g: Graph) -> np.ndarray:
@@ -263,8 +228,8 @@ def grid_resistance_monitor(k: int) -> dict:
     """Check max R on the k x k grid against the 8 h(k) ceiling."""
     if k < 2:
         raise ParameterError("grid monitor needs k >= 2")
-    if k > 40:
-        raise SizeCapError(f"grid monitor capped at k=40, got {k}")
+    if k > _GRID_CAP:
+        raise SizeCapError(f"grid monitor capped at k={_GRID_CAP}, got {k}")
     g = grid2d(k, k)
     r = resistance_matrix(g)
     observed = float(r.max())

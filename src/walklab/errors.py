@@ -37,9 +37,5 @@ class NumericError(WalklabError):
     """Numerical failure or resource blowout (exit code 3)."""
 
 
-class NumericTimeout(NumericError):
-    """An iterative computation hit its step or time cap before converging."""
-
-
 class RejectionFailure(NumericError):
     """Rejection sampling exhausted its attempt budget."""

@@ -118,18 +118,10 @@ class Graph:
             c[v] += w
         return c
 
-    def weighted_degree(self, u: int) -> float:
-        return float(self.weighted_degrees[u])
-
-    @property
-    def weight_sum(self) -> float:
-        """Sum of edge weights."""
-        return float(sum(w for _, _, w in self._edges))
-
     @property
     def volume(self) -> float:
-        """Sum of weighted degrees, which is twice the weight sum."""
-        return 2.0 * self.weight_sum
+        """Sum of weighted degrees, which is twice the sum of edge weights."""
+        return 2.0 * float(sum(w for _, _, w in self._edges))
 
     @cached_property
     def _adjacency_sets(self) -> list[list[int]]:
@@ -257,18 +249,12 @@ class Graph:
 
     # --- serialization ---
 
-    def to_text(self) -> str:
-        """Plain text form: a header line `n m`, then one `u v w` per edge.
-
-        Weights use repr so a round-trip reproduces the bytes exactly.
-        """
-        lines = [f"{self._n} {self.m}"]
-        for u, v, w in self._edges:
-            lines.append(f"{u} {v} {w!r}")
-        return "\n".join(lines) + "\n"
-
     @classmethod
     def from_text(cls, text: str, name: str = "") -> "Graph":
+        """Parse the text form: a header line `n m`, then one `u v w` per edge.
+
+        Blank lines and lines starting with # are skipped.
+        """
         rows = [
             ln
             for ln in (s.strip() for s in text.splitlines())
@@ -308,25 +294,6 @@ class Graph:
             raise ParameterError("need one weight per edge")
         edges = [(u, v, float(w)) for (u, v, _), w in zip(self._edges, weights)]
         return Graph(self._n, edges, name=name or self.name)
-
-    def induced_subgraph(self, vertices: Sequence[int]) -> tuple["Graph", list[int]]:
-        """Subgraph on the given vertices, relabeled 0..k-1 in sorted order.
-
-        Returns the subgraph and the list mapping new labels back to the
-        original ones. Keeps every edge (loops included) with both ends
-        inside the set.
-        """
-        keep = sorted(set(vertices))
-        if not keep:
-            raise ParameterError("induced subgraph needs at least one vertex")
-        index = {v: i for i, v in enumerate(keep)}
-        edges = [
-            (index[u], index[v], w)
-            for u, v, w in self._edges
-            if u in index and v in index
-        ]
-        sub = Graph(len(keep), edges, name=f"{self.name}[{len(keep)}]")
-        return sub, keep
 
 
 # --- families ---

@@ -1,4 +1,4 @@
-"""Exact chain-level computations: kernels, hitting, cover, mixing.
+"""Exact chain-level computations: kernels, hitting, cover, spectrum.
 
 Everything in this module is deterministic dense linear algebra. The size
 caps are honest statements about what dense methods can do, not tuning
@@ -22,13 +22,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import (
-    DisconnectedError,
-    NumericTimeout,
-    ParameterError,
-    SizeCapError,
-    UnsupportedInputError,
-)
+from .errors import DisconnectedError, ParameterError, SizeCapError, UnsupportedInputError
 from .graph import Graph
 from .rng import substream
 from .weighting import _require_schemable, apply_scheme
@@ -38,8 +32,6 @@ __all__ = [
     "build_kernel",
     "exact_hitting",
     "kernel_eigenvalues",
-    "spectral_gap",
-    "mixing_time",
     "exact_cover_time",
     "exact_cover_times",
     "detailed_balance_check",
@@ -161,7 +153,7 @@ def exact_hitting(kernel: TransitionKernel) -> np.ndarray:
     return (np.diag(z)[None, :] - z) / pi[None, :]
 
 
-# --- spectrum and mixing ---
+# --- spectrum ---
 
 
 def kernel_eigenvalues(kernel: TransitionKernel, tol: float = 1e-8) -> np.ndarray:
@@ -179,61 +171,6 @@ def kernel_eigenvalues(kernel: TransitionKernel, tol: float = 1e-8) -> np.ndarra
     sym = kernel.matrix * (root[:, None] / root[None, :])
     sym = 0.5 * (sym + sym.T)
     return np.linalg.eigvalsh(sym)[::-1]
-
-
-def spectral_gap(kernel: TransitionKernel) -> float:
-    """1 - lambda_2 of a reversible kernel."""
-    return float(1.0 - kernel_eigenvalues(kernel)[1])
-
-
-def mixing_time(
-    kernel: TransitionKernel, threshold: float | None = None, cap: int = 10**6
-) -> int:
-    """Smallest t with max_{u,x} |P^t[u, x] - pi_x| below the threshold.
-
-    The default threshold is n^-3. Found by doubling t until the distance
-    drops below the threshold, then binary searching the bracket; powers
-    are assembled exactly from the stored squarings. Raises NumericTimeout
-    past the step cap (a bipartite non-lazy chain never gets there).
-    """
-    n = kernel.n
-    if threshold is None:
-        threshold = float(n) ** -3
-    pi = kernel.stationary[None, :]
-
-    def dist(mat: np.ndarray) -> float:
-        return float(np.abs(mat - pi).max())
-
-    squarings = [kernel.matrix]  # squarings[k] = P^(2^k)
-    t = 1
-    while dist(squarings[-1]) > threshold:
-        if 2 * t > cap:
-            raise NumericTimeout(
-                f"mixing time exceeded cap {cap} at threshold {threshold:.3e}"
-            )
-        squarings.append(squarings[-1] @ squarings[-1])
-        t *= 2
-    if t == 1:
-        return 1
-
-    def power(steps: int) -> np.ndarray:
-        out = None
-        k = 0
-        while steps:
-            if steps & 1:
-                out = squarings[k] if out is None else out @ squarings[k]
-            steps >>= 1
-            k += 1
-        return out
-
-    lo, hi = t // 2, t  # dist(lo) > threshold >= dist(hi)
-    while hi - lo > 1:
-        mid = (lo + hi) // 2
-        if dist(power(mid)) <= threshold:
-            hi = mid
-        else:
-            lo = mid
-    return hi
 
 
 # --- exact cover time ---

@@ -22,15 +22,9 @@ its quota asks (1 everywhere for cover, 1 at the target for hit,
 ceil(reference * pi_v) for blanket-cover), or is censored at its step
 budget. The loop counts quotas down: left[v] is the number of visits v
 still owes, and at a vertex where left is 0 the quota work is one read.
-Blanket with delta > 0 adds the check count(v) > delta * pi_v * t on top
-of the cover quota, run only when no quota is left: a vertex failing it
-gets a quota on its next visit, the one step that can make it pass.
-That check needs true counts; a blanket walk keeps them in left as
--(count + 1), so every step that lands on a counted vertex takes the
-branch a quota event takes. `_plan` alone decides which graphs a run
-takes: any graph in hit mode, a connected one in the modes that put a
-quota on every vertex, and never an isolated start; budgets above
-WalkConfig().budget are refused.
+`_plan` alone decides which graphs a run takes: any graph in hit mode, a
+connected one in the modes that put a quota on every vertex, and never an
+isolated start; budgets above WalkConfig().budget are refused.
 
 A step from v with uniform u goes to nbrs[v][bisect_left(cum[v], u)],
 over two flat per-vertex lists: to nbrs[v][i] for u in
@@ -78,12 +72,11 @@ __all__ = [
     "WalkConfig",
     "EstimateRecord",
     "simulate",
-    "st_connectivity",
     "speedup",
     "blanket_cover_reference",
 ]
 
-STOP_MODES = ("cover", "hit", "blanket", "blanket-cover")
+STOP_MODES = ("cover", "hit", "blanket-cover")
 ALIAS_DEGREE = 8
 CHUNK = 256
 BUFFER = 4096
@@ -95,10 +88,9 @@ _ULP = 2.0**-53  # the uniform of a raw Philox word w is (w >> 11) * _ULP
 class WalkConfig:
     """What one trial does and when it stops.
 
-    stop:       "cover", "hit", "blanket", or "blanket-cover"
+    stop:       "cover", "hit", or "blanket-cover"
     start:      starting vertex
     target:     required for "hit"
-    delta:      blanket parameter in [0, 1); 0 degenerates to cover
     reference:  cover-time reference for "blanket-cover"; computed from the
                 graph when omitted (exact up to COVER_CAP vertices, the
                 max-hitting cover bound above)
@@ -110,7 +102,6 @@ class WalkConfig:
     stop: str = "cover"
     start: int = 0
     target: int | None = None
-    delta: float = 0.0
     reference: float | None = None
     budget: int = 10**9
     scheme: str = "uniform"
@@ -119,8 +110,6 @@ class WalkConfig:
     def quantity(self) -> str:
         if self.stop == "hit":
             return f"hit:{self.target}"
-        if self.stop == "blanket":
-            return f"blanket:{self.delta:g}"
         return self.stop
 
 
@@ -333,16 +322,15 @@ def _bucket_row(bounds, r: int) -> list:
 # --- the walk ---
 
 
-def _walk(tables, pos, rng, budget, left, remaining, delta_pi=None) -> int | None:
+def _walk(tables, pos, rng, budget, left, remaining) -> int | None:
     """Walk from pos until no vertex owes a visit; the only stepper.
 
     tables is (nbrs, cum, rows, shift) from `_step_tables`.
     left[v] > 0 is the number of visits v still owes, and remaining the
     number of vertices that owe any; left[v] < 0 marks a vertex that keeps
     counting, with -(left[v] + 1) visits so far, the start's visit at time
-    zero included. left is updated in place. With delta_pi the walk also
-    needs count(v) > delta_pi[v] * t at every v. Returns the stopping step,
-    or None once budget steps pass without it.
+    zero included. left is updated in place. Returns the stopping step, or
+    None once budget steps pass without it.
 
     Step t reads the t-th raw word w of rng's Philox, whose uniform is the
     double rng.random makes of it, u = (w >> 11) 2^-53. The words come in
@@ -356,23 +344,13 @@ def _walk(tables, pos, rng, budget, left, remaining, delta_pi=None) -> int | Non
     that bucket is impure; then one list read tests left. The step number
     is read off the key iterator only at a bisection or a quota event.
 
-    Counting costs nothing in cover, hit and blanket-cover walks. A blanket
-    walk with delta_pi counts every vertex once its quota is met; a walk
-    that starts with every vertex counting and remaining = 1 runs its whole
-    budget and counts every visit. The blanket test runs
-    only when no quota is left. It then looks for a witness w with
-    count(w) <= delta_pi[w] * t and, if there is one, puts a quota on w's
-    next visit, keeping its count aside: until then the count stays and
-    delta_pi[w] * t does not fall, so w keeps failing and no step in
-    between can stop. At that visit w is tested again, and only if it
-    passes are the others. So the walk stops at the first step where every
-    vertex passes, as if all were tested at every step.
+    A walk that starts with every vertex counting and remaining = 1 runs
+    its whole budget and counts every visit.
     """
     if remaining == 0:
         return 0
     nbrs, cum, rows, shift = tables
     draw = rng.bit_generator.random_raw
-    held = 0  # blanket: the count of a vertex from before it was made to owe a visit
     bisect = bisect_left  # a local: faster than a global lookup
     t = 0  # steps taken before the current block
     size = 64
@@ -390,29 +368,12 @@ def _walk(tables, pos, rng, budget, left, remaining, delta_pi=None) -> int | Non
                 c = left[pos] - 1
                 left[pos] = c
                 if c == 0:
-                    if delta_pi is not None:
-                        left[pos] = -held - 2
                     remaining -= 1
                     if remaining == 0:
-                        step = t + len(keys) - length_hint(rest)
-                        if delta_pi is None:
-                            return step
-                        w = _blanket_witness(left, delta_pi, step, pos)
-                        if w is None:
-                            return step
-                        held = -left[w] - 1
-                        left[w] = 1
-                        remaining = 1
+                        return t + len(keys) - length_hint(rest)
         t += len(keys)
         size = min(2 * size, BUFFER)
     return None
-
-
-def _blanket_witness(left, delta_pi, t, last) -> int | None:
-    """A vertex v with count -(left[v] + 1) <= delta_pi[v] * t, last tried first; None if none."""
-    if not -left[last] - 1 > delta_pi[last] * t:
-        return last
-    return next((v for v, (c, d) in enumerate(zip(left, delta_pi)) if not -c - 1 > d * t), None)
 
 
 def blanket_cover_reference(g: Graph, scheme: str = "uniform", lazy: bool = False) -> float:
@@ -429,9 +390,9 @@ def _plan(g: Graph, config: WalkConfig) -> tuple:
     Outside hit mode a disconnected graph raises DisconnectedError; an
     isolated start raises UnsupportedInputError before pi divides by the
     volume. A budget above WalkConfig().budget raises SizeCapError.
-    Returns picklable (tables, start, budget, left, remaining, delta_pi):
-    step tables and bucket rows, the visits each vertex owes at time zero,
-    how many vertices owe any, and the blanket thresholds delta * pi_v.
+    Returns picklable (tables, start, budget, left, remaining): step tables
+    and bucket rows, the visits each vertex owes at time zero, and how many
+    vertices owe any.
     """
     if config.stop not in STOP_MODES:
         raise ParameterError(f"unknown stop mode {config.stop!r}")
@@ -439,8 +400,6 @@ def _plan(g: Graph, config: WalkConfig) -> tuple:
         raise ParameterError(f"start {config.start} out of range")
     if config.stop == "hit" and (config.target is None or not 0 <= config.target < g.n):
         raise ParameterError("hit mode needs a target vertex in range")
-    if config.stop == "blanket" and not 0.0 <= config.delta < 1.0:
-        raise ParameterError("blanket delta must lie in [0, 1)")
     if config.budget < 1:
         raise ParameterError("budget must be positive")
     if config.budget > WalkConfig().budget:
@@ -451,7 +410,6 @@ def _plan(g: Graph, config: WalkConfig) -> tuple:
         raise UnsupportedInputError(f"start {config.start} of {g.name} is isolated")
     nbrs, cum, pi = _vertex_tables(g, config.scheme, config.lazy)
     tables = _step_tables(nbrs, cum)
-    delta_pi = None
     if config.stop == "hit":
         left = [0] * g.n
         left[config.target] = 1
@@ -461,14 +419,10 @@ def _plan(g: Graph, config: WalkConfig) -> tuple:
             reference = blanket_cover_reference(g, config.scheme, config.lazy)
         left = [max(0, math.ceil(reference * p - 1e-12)) for p in pi]
     else:
-        # cover; blanket needs every vertex visited before its check can pass
         left = [1] * g.n
-        if config.stop == "blanket" and config.delta > 0.0:
-            delta_pi = [config.delta * p for p in pi]
-    # the visit at time zero; a blanket start counts on from it
-    left[config.start] = -2 if delta_pi is not None else max(0, left[config.start] - 1)
+    left[config.start] = max(0, left[config.start] - 1)  # the visit at time zero
     remaining = sum(q > 0 for q in left)
-    return tables, config.start, config.budget, left, remaining, delta_pi
+    return tables, config.start, config.budget, left, remaining
 
 
 def _trial_values(args) -> list[int | None]:
@@ -478,9 +432,9 @@ def _trial_values(args) -> list[int | None]:
     of stream (seed, 1 + i), so each trial draws what substream(seed, 1 + i)
     would, whatever the trial before it left in the generator.
     """
-    (tables, start, budget, left, remaining, delta_pi), seed, lo, hi = args
+    (tables, start, budget, left, remaining), seed, lo, hi = args
     return [
-        _walk(tables, start, rng, budget, left.copy(), remaining, delta_pi)
+        _walk(tables, start, rng, budget, left.copy(), remaining)
         for rng in _stream_starts(substream(seed, 1 + lo), seed, 1 + lo, hi - lo)
     ]
 
@@ -579,30 +533,24 @@ def speedup(g: Graph, trials: int, seed: int, start: int = 0) -> dict:
     }
 
 
-def st_connectivity(g: Graph, s: int, t: int, seed: int, index: int = 0) -> dict:
-    """One-sided randomized s-t connectivity probe.
-
-    Walks from s for a budget of max(8 n m, 2 vol(C) sum_{e in T} 1/w_e)
-    steps and reports whether t was reached. C is s's component and T the
-    spanning tree of C that minimises sum 1/w_e, with parallel edges merged
-    and loops skipped. Commute time is vol(C) R (Chandra et al.) and
-    R(u, v) <= 1/w(u, v) across an edge, so a walk along T bounds C's cover
-    time by vol(C) sum 1/w_e (Aleliunas et al.). A "yes" is always correct;
-    on a connected pair the "no" probability is at most 1/2 because the
-    budget is at least twice that bound. On unit weights the tree term is
-    4 m_C (n_C - 1) < 8 n m, so the budget is 8 n m. A budget above
-    WalkConfig().budget raises SizeCapError before any walk. `index`
-    selects an independent repetition under the same seed: it walks as
-    trial `index` of a hit-mode run from s to t with this budget, on stream
-    (seed, 1 + index). Any graph is accepted; an isolated s is
-    answered like s == t, without walking: connected only if s == t.
-    """
-    [answer] = _st_answers(g, s, t, seed, index, index + 1)
-    return answer
-
-
 def _st_answers(g: Graph, s: int, t: int, seed: int, lo: int, hi: int) -> list[dict]:
-    """st_connectivity(g, s, t, seed, i) for repetitions lo..hi-1, from one plan."""
+    """One-sided randomized s-t connectivity probe, repetitions lo..hi-1.
+
+    Each repetition walks from s for a budget of max(8 n m, 2 vol(C) sum_{e
+    in T} 1/w_e) steps and reports whether t was reached. C is s's
+    component and T the spanning tree of C that minimises sum 1/w_e, with
+    parallel edges merged and loops skipped. Commute time is vol(C) R
+    (Chandra et al.) and R(u, v) <= 1/w(u, v) across an edge, so a walk
+    along T bounds C's cover time by vol(C) sum 1/w_e (Aleliunas et al.).
+    A "yes" is always correct; on a connected pair the "no" probability is
+    at most 1/2 because the budget is at least twice that bound. On unit
+    weights the tree term is 4 m_C (n_C - 1) < 8 n m, so the budget is
+    8 n m. A budget above WalkConfig().budget raises SizeCapError before
+    any walk. Repetition i walks as trial i of a hit-mode run from s to t
+    with this budget, on stream (seed, 1 + i), and all of them share one
+    plan. Any graph is accepted; an isolated s is answered like s == t,
+    without walking: connected only if s == t.
+    """
     if not (0 <= s < g.n and 0 <= t < g.n):
         raise ParameterError("endpoints out of range")
     if lo < 0:
@@ -617,7 +565,7 @@ def _st_answers(g: Graph, s: int, t: int, seed: int, lo: int, hi: int) -> list[d
 
 
 def _st_budget(g: Graph, s: int) -> int:
-    """The probe's step budget from s (see st_connectivity), refused above the cap."""
+    """The probe's step budget from s (see _st_answers), refused above the cap."""
     inside = g.bfs_distances(s) >= 0
     merged: dict[tuple[int, int], float] = {}
     for u, v, w in g.edges:

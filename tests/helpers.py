@@ -1,9 +1,9 @@
 """Shared test utilities: random graph builders and independent oracles.
 
 The oracles here are deliberately written in the dumbest correct style
-available (forward dynamic programming, one pinned solve per target, row
-formulas, explicit enumeration, a Laplacian pseudo-inverse) so they share
-no code path with the library implementations they check.
+available (forward dynamic programming, one pinned solve per target or
+pair, row formulas, explicit enumeration, a Laplacian pseudo-inverse) so
+they share no code path with the library implementations they check.
 """
 
 from __future__ import annotations
@@ -164,9 +164,18 @@ def all_sets_cover_times(matrix: np.ndarray) -> np.ndarray:
 
 
 def mixing_distance(kernel, t: int) -> float:
-    """max_{u, x} |P^t[u, x] - pi_x| by one matrix power, not the library's squarings."""
+    """max_{u, x} |P^t[u, x] - pi_x| by one matrix power."""
     power = np.linalg.matrix_power(kernel.matrix, t)
     return float(np.abs(power - kernel.stationary[None, :]).max())
+
+
+def linear_mixing_oracle(kernel, threshold: float) -> int:
+    """Smallest t >= 1 with mixing_distance(kernel, t) <= threshold, by a linear scan."""
+    t = 1
+    while mixing_distance(kernel, t) > threshold:
+        t += 1
+        assert t < 10**5
+    return t
 
 
 def edge_conductances(g: Graph) -> np.ndarray:
@@ -179,12 +188,35 @@ def edge_conductances(g: Graph) -> np.ndarray:
     return c
 
 
+def effective_resistance(g: Graph, u: int, v: int) -> float:
+    """R(u, v) by one pinned solve: 1 over the current leaving u at W(u) = 1, W(v) = 0.
+
+    The harmonic conditions hold at every other vertex, and the current is
+    read off the unpinned Laplacian row, so Kirchhoff at u is not assumed.
+    This is the pair solver the library's grounded all-pairs route is
+    checked against.
+    """
+    if u == v:
+        return 0.0
+    c = edge_conductances(g)
+    lap = np.diag(c.sum(axis=1)) - c
+    a = lap.copy()
+    b = np.zeros(g.n)
+    a[u, :] = 0.0
+    a[u, u] = 1.0
+    b[u] = 1.0
+    a[v, :] = 0.0
+    a[v, v] = 1.0
+    voltages = np.linalg.solve(a, b)
+    return 1.0 / float(lap[u] @ voltages)
+
+
 def unit_current_flow(g: Graph, source: int, sink: int) -> np.ndarray:
     """The unit current flow from source to sink as an antisymmetric matrix.
 
     Potentials come from the Laplacian pseudo-inverse applied to
     e_source - e_sink, so the flow has strength exactly 1 and shares no
-    route with the library's pinned-voltage or grounded solves. Entry
+    route with the pinned-voltage or grounded solves. Entry
     [x, y] is the net current from x to y across the pooled edge (x, y).
     """
     c = edge_conductances(g)

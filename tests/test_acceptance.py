@@ -21,7 +21,6 @@ from helpers import censored_kernel, random_connected_graph
 from walklab.cli import _connected_simple_sample, _nice_band_sequence, _standard_small_graphs
 from walklab.conductance import conductance_exact, conductance_sweep, jerrum_sinclair_check
 from walklab.configmodel import (
-    is_simple,
     predicted_cover,
     predicted_p_simple,
     regular_sequence,
@@ -248,7 +247,7 @@ def test_criterion_08_p_simple():
     for k, (r, n) in enumerate([(3, 50), (3, 100), (4, 50), (4, 100)]):
         seq = regular_sequence(n, r)
         simple = sum(
-            is_simple(sample_configuration(seq, 808 + 1000 * k, index=i))
+            sample_configuration(seq, 808 + 1000 * k, index=i).is_simple
             for i in range(10_000)
         )
         emp = simple / 10_000

@@ -9,6 +9,7 @@ at toy sizes to pin behavior, exit codes, and output formats.
 from __future__ import annotations
 
 import json
+import time
 import warnings
 from pathlib import Path
 
@@ -114,6 +115,47 @@ def test_closed_forms_rejects_sizes_before_any_work(runner, tmp_path, monkeypatc
     )
     assert result.exit_code == 2
     assert message in result.output
+
+
+@pytest.mark.parametrize(
+    "experiment, sizes, message, heavy",
+    [
+        ("closed-forms", "2..100000000", "capped at n=13", "build_kernel"),
+        ("grid-resistance", "2..41", "capped at n=40", "grid_resistance_monitor"),
+    ],
+)
+def test_a_long_ladder_is_refused_before_it_is_expanded(
+    runner, tmp_path, monkeypatch, experiment, sizes, message, heavy
+):
+    # the whole ladder is checked at its ends before the first size is solved
+    def no_work(*args, **kwargs):
+        raise AssertionError("work started before the sizes were checked")
+
+    monkeypatch.setattr(f"walklab.cli.{heavy}", no_work)
+    started = time.perf_counter()
+    result = _run(
+        runner, ["run", experiment, "--n", sizes, "--seed", "1", "--out", str(tmp_path / "x")]
+    )
+    assert time.perf_counter() - started < 1.0
+    assert result.exit_code == 2
+    assert message in result.output
+
+
+def test_summary_with_an_undefined_check_value_is_strict_json(runner, tmp_path):
+    # one trial has no standard error, so the lower-bound margin is NaN; the
+    # summary writes it as its CSV cell, and parses without NaN or Infinity
+    def refuse(name):
+        raise ValueError(f"{name} in a strict JSON summary")
+
+    base = tmp_path / "pt"
+    result = _run(
+        runner, ["run", "product-theorem", "--trials", "1", "--seed", "0", "--out", str(base)]
+    )
+    assert result.exit_code == 1  # NaN >= 0 is false
+    summary = json.loads(base.with_suffix(".json").read_text(), parse_constant=refuse)
+    observed = {ch["name"]: ch["observed"] for ch in summary["checks"]}
+    assert observed["lower-below-mc-cover"] == "nan"
+    assert "observed=nan" in result.output
 
 
 def test_degree_pole_exits_2(runner, tmp_path):

@@ -6,7 +6,8 @@ process-pool machinery costs about 20 ms to import and loads only when a
 run starts more than one worker. Each check runs in its own interpreter,
 since the test process may have loaded either. The source checks read the
 modules with ast: no other import hides inside a function, and every name
-a module exports exists.
+a module exports exists. The benchmark's workloads are read the same way,
+so a name they take from walklab cannot be removed unnoticed.
 """
 
 from __future__ import annotations
@@ -149,3 +150,23 @@ def test_every_exported_name_exists():
         missing = sorted(set(exported) - bound)
         assert not missing, f"{path.name} exports undefined names {missing}"
     assert "__init__" in exporters
+
+
+def test_every_name_the_benchmark_reads_exists():
+    # perfbench/workloads.py imports walklab as wl and WalkConfig from it
+    source = Path(__file__).resolve().parents[1] / "perfbench" / "workloads.py"
+    tree = ast.parse(source.read_text(encoding="utf-8"))
+    names = {
+        node.attr
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name) and node.value.id == "wl"
+    }
+    names |= {
+        alias.name
+        for node in ast.walk(tree)
+        if isinstance(node, ast.ImportFrom) and node.module == "walklab"
+        for alias in node.names
+    }
+    assert {"family", "simulate", "WalkConfig"} <= names
+    missing = sorted(name for name in names if not hasattr(walklab, name))
+    assert not missing, f"perfbench/workloads.py reads walklab names that do not exist: {missing}"

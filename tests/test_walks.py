@@ -19,7 +19,6 @@ from walklab.walks import (
     WalkConfig,
     blanket_cover_reference,
     simulate,
-    st_connectivity,
 )
 
 
@@ -28,6 +27,12 @@ def trial_value(g, config, seed, trial_index):
     plan = walks._plan(g, config)
     [value] = walks._trial_values((plan, seed, trial_index, trial_index + 1))
     return (None, True) if value is None else (float(value), False)
+
+
+def st_answer(g, s, t, seed, index=0):
+    """Repetition `index` of the s-t probe, from a plan of its own."""
+    [answer] = walks._st_answers(g, s, t, seed, index, index + 1)
+    return answer
 
 
 def visit_frequencies(g, steps, seed, scheme="uniform", lazy=False, start=0):
@@ -80,26 +85,6 @@ def test_trials_use_disjoint_streams():
     cfg = WalkConfig(stop="hit", target=5)
     values = [trial_value(g, cfg, seed=7, trial_index=i)[0] for i in range(5)]
     assert len(set(values)) > 1
-
-
-def test_blanket_delta_zero_equals_cover_trialwise():
-    g = cycle(7)
-    for i in range(10):
-        cover_value, _ = trial_value(g, WalkConfig(stop="cover"), seed=21, trial_index=i)
-        blanket_value, _ = trial_value(
-            g, WalkConfig(stop="blanket", delta=0.0), seed=21, trial_index=i
-        )
-        assert blanket_value == cover_value
-
-
-def test_blanket_dominates_cover_trialwise():
-    g = complete(4)
-    for i in range(10):
-        cover_value, _ = trial_value(g, WalkConfig(stop="cover"), seed=5, trial_index=i)
-        blanket_value, _ = trial_value(
-            g, WalkConfig(stop="blanket", delta=0.4), seed=5, trial_index=i
-        )
-        assert blanket_value >= cover_value
 
 
 def test_blanket_cover_dominates_cover_trialwise():
@@ -190,7 +175,7 @@ def test_st_connectivity_budget_and_one_sided_error():
     budget = 8 * g.n * g.m
     hits = 0
     for seed in range(20):
-        out = st_connectivity(g, 0, 5, seed=seed)
+        out = st_answer(g, 0, 5, seed=seed)
         assert out["budget"] == budget
         if out["connected"]:
             assert out["steps"] <= budget
@@ -201,19 +186,19 @@ def test_st_connectivity_budget_and_one_sided_error():
 def test_st_connectivity_never_claims_separated_pair():
     g = Graph(4, [(0, 1), (2, 3)], name="two-parts")
     for seed in range(5):
-        out = st_connectivity(g, 0, 3, seed=seed)
+        out = st_answer(g, 0, 3, seed=seed)
         assert out["connected"] is False
         assert out["steps"] is None
-    same = st_connectivity(g, 2, 2, seed=0)
+    same = st_answer(g, 2, 2, seed=0)
     assert same["connected"] is True and same["steps"] == 0
     # vertex 2 is isolated: as a target it is never reached, as a start it
     # is answered without a walk
     g = Graph(3, [(0, 1)], name="one-edge")
-    assert st_connectivity(g, 0, 1, seed=0)["connected"] is True
+    assert st_answer(g, 0, 1, seed=0)["connected"] is True
     for s, t in ((0, 2), (2, 0)):
-        out = st_connectivity(g, s, t, seed=0)
+        out = st_answer(g, s, t, seed=0)
         assert out["connected"] is False and out["steps"] is None
-    same = st_connectivity(g, 2, 2, seed=0)
+    same = st_answer(g, 2, 2, seed=0)
     assert same["connected"] is True and same["steps"] == 0
 
 
@@ -225,7 +210,7 @@ def test_st_connectivity_keeps_its_recorded_walks():
         ("lollipop:20", 0, 19, [3667, 3712, 960, 854, 122, 1324]),
     ):
         g = family(spec)
-        got = [st_connectivity(g, s, t, seed=4, index=i)["steps"] for i in range(6)]
+        got = [st_answer(g, s, t, seed=4, index=i)["steps"] for i in range(6)]
         assert got == expected, spec
 
 
@@ -233,7 +218,7 @@ def test_weighted_st_budget_walks_past_a_light_edge():
     # cover of this path is dominated by the 1e-3 edge; the unweighted
     # 8nm = 48 steps almost never cross it
     g = Graph(3, [(0, 1, 1.0), (1, 2, 1e-3)], name="light-edge")
-    answers = [st_connectivity(g, 0, 2, seed=0, index=i) for i in range(50)]
+    answers = [st_answer(g, 0, 2, seed=0, index=i) for i in range(50)]
     # 2 * volume 2.002 * tree sum (1 + 1000), rounded up
     assert {a["budget"] for a in answers} == {4009}
     assert sum(a["connected"] for a in answers) >= 25
@@ -244,22 +229,22 @@ def test_st_budget_merges_parallel_edges_and_skips_loops():
     # edges act as one of weight 2e-3 and the loop adds only volume:
     # 2 * (1 + 1.002 + 10.002) * (1 + 500)
     g = Graph(4, [(0, 1, 1.0), (1, 2, 1e-3), (1, 2, 1e-3), (2, 2, 5.0), (3, 3, 1.0)])
-    assert st_connectivity(g, 0, 2, seed=1)["budget"] == math.ceil(2 * 12.004 * 501)
+    assert st_answer(g, 0, 2, seed=1)["budget"] == math.ceil(2 * 12.004 * 501)
 
 
 def test_st_budget_above_the_walk_cap_is_refused():
     g = Graph(3, [(0, 1, 1.0), (1, 2, 1e-300)])
     with pytest.raises(SizeCapError):
-        st_connectivity(g, 0, 2, seed=0)
+        st_answer(g, 0, 2, seed=0)
     # unweighted, 8nm alone passes the cap at about 11 200 vertices
     with pytest.raises(SizeCapError):
-        st_connectivity(path(11_200), 0, 1, seed=0)
+        st_answer(path(11_200), 0, 1, seed=0)
 
 
 def test_st_repetitions_from_one_plan_match_single_probes():
     for spec, s, t in (("star:12", 3, 5), ("lollipop:20", 0, 19), ("path:6", 2, 2)):
         g = family(spec)
-        single = [st_connectivity(g, s, t, seed=4, index=i) for i in range(2, 8)]
+        single = [st_answer(g, s, t, seed=4, index=i) for i in range(2, 8)]
         assert walks._st_answers(g, s, t, 4, 2, 8) == single, spec
 
 
@@ -270,7 +255,6 @@ PINNED_TRIALS = {
     "path:10": {
         "cover": [163, 59, 65, 147, 67, 13],
         "hit": [19, 37, 13, 27, 13, 9],
-        "blanket": [400, 65, 73, 194, 103, 13],
         "blanket-cover": [338, 205, 291, 206, 125, 220],
         "lazy-hit": [27, 45, 28, 72, 101, 27],
         "mindeg-cover": [165, 61, 69, 143, 67, 13],
@@ -278,7 +262,6 @@ PINNED_TRIALS = {
     "star:12": {
         "cover": [37, 51, 67, 85, 77, 97],
         "hit": [13, 3, 33, 19, 5, 21],
-        "blanket": [37, 51, 163, 101, 191, 185],
         "blanket-cover": [103, 129, 163, 113, 185, 165],
         "lazy-hit": [5, 25, 74, 36, 4, 120],
         "mindeg-cover": [37, 51, 67, 85, 77, 97],
@@ -288,7 +271,6 @@ PINNED_TRIALS = {
 PINNED_CONFIGS = {
     "cover": WalkConfig(stop="cover"),
     "hit": WalkConfig(stop="hit", target=5),
-    "blanket": WalkConfig(stop="blanket", delta=0.4),
     "blanket-cover": WalkConfig(stop="blanket-cover"),
     "lazy-hit": WalkConfig(stop="hit", target=5, lazy=True),
     "mindeg-cover": WalkConfig(stop="cover", scheme="mindeg"),
@@ -587,32 +569,15 @@ def test_hub_of_thousands_keeps_its_recorded_hit_walks():
 
 
 def test_long_walks_keep_their_recorded_values():
-    # walks that read well past 8192 uniforms; cycle:200 takes the scan
-    # sampler only, lollipop:30's clique vertices (degree up to 20) take
-    # the alias table
+    # walks that read past 8192 uniforms, into the full BUFFER blocks;
+    # cycle:200 takes the scan sampler only, lollipop:30's clique vertices
+    # (degree up to 20) take the alias table
     cycle200 = family("cycle:200")
     got = [trial_value(cycle200, WalkConfig(stop="cover"), seed=3, trial_index=i) for i in range(3)]
     assert got == [(38446.0, False), (40569.0, False), (15901.0, False)]
     lollipop30 = family("lollipop:30")
-    blanket = WalkConfig(stop="blanket", delta=0.3)
-    got = [trial_value(lollipop30, blanket, seed=3, trial_index=i) for i in range(2)]
-    assert got == [(2072.0, False), (12537.0, False)]
-
-
-@pytest.mark.parametrize(
-    "spec, delta, start, values",
-    [
-        ("path:4", 0.9, 0, [3, 405, 3, 5, 16, 9]),
-        ("star:4", 0.9, 3, [46, 18, 12, 52, 4, 156]),
-        ("complete:4", 0.7, 3, [15, 15, 4, 5, 4, 4]),
-    ],
-)
-def test_blanket_walks_count_the_start_at_time_zero(spec, delta, start, values):
-    # high delta on tiny graphs: the start's visit at time zero decides
-    # several stopping steps
-    config = WalkConfig(stop="blanket", delta=delta, start=start)
-    got = [trial_value(family(spec), config, seed=3, trial_index=i) for i in range(6)]
-    assert got == [(float(v), False) for v in values]
+    got = [trial_value(lollipop30, WalkConfig(stop="cover"), seed=3, trial_index=i) for i in range(4)]
+    assert got == [(2070.0, False), (4942.0, False), (7399.0, False), (8862.0, False)]
 
 
 def test_two_chunk_simulate_keeps_its_recorded_estimate():
@@ -660,9 +625,9 @@ def test_negative_trial_index_is_refused():
     # setup-level choices
     g = path(6)
     with pytest.raises(ParameterError):
-        st_connectivity(g, 0, 5, seed=7, index=-1)
+        st_answer(g, 0, 5, seed=7, index=-1)
     with pytest.raises(ParameterError):
-        st_connectivity(g, 2, 2, seed=7, index=-1)
+        st_answer(g, 2, 2, seed=7, index=-1)
 
 
 def test_trial_index_must_keep_its_stream_key_in_range():
@@ -768,7 +733,6 @@ def test_simulate_refuses_disconnected_graph_before_walking():
     # instead of walking to its budget
     for config in (
         WalkConfig(stop="cover", budget=1000),
-        WalkConfig(stop="blanket", delta=0.4, budget=1000),
         WalkConfig(stop="blanket-cover", reference=10.0, budget=1000),
     ):
         with pytest.raises(DisconnectedError):
@@ -853,8 +817,6 @@ def test_config_validation():
     with pytest.raises(ParameterError):
         simulate(g, WalkConfig(stop="hit", target=9), trials=1, seed=0)
     with pytest.raises(ParameterError):
-        simulate(g, WalkConfig(stop="blanket", delta=1.0), trials=1, seed=0)
-    with pytest.raises(ParameterError):
         simulate(g, WalkConfig(budget=0), trials=1, seed=0)
     with pytest.raises(ParameterError):
         simulate(g, WalkConfig(start=4), trials=1, seed=0)
@@ -870,6 +832,5 @@ def test_hit_own_start_is_zero():
 
 def test_quantity_labels():
     assert WalkConfig(stop="hit", target=3).quantity() == "hit:3"
-    assert WalkConfig(stop="blanket", delta=0.25).quantity() == "blanket:0.25"
     assert WalkConfig(stop="cover").quantity() == "cover"
     assert WalkConfig(stop="blanket-cover").quantity() == "blanket-cover"
