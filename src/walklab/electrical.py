@@ -34,10 +34,11 @@ __all__ = [
     "matthews_lower",
     "grid_resistance_monitor",
     "SUBSET_SEARCH_CAP",
+    "GRID_CAP",
 ]
 
 SUBSET_SEARCH_CAP = 16  # matthews_lower without a subset tries them all
-_GRID_CAP = 40  # grid_resistance_monitor's largest side k
+GRID_CAP = 40  # grid_resistance_monitor's largest side k
 
 
 def harmonic_number(k: int) -> float:
@@ -48,10 +49,9 @@ def harmonic_number(k: int) -> float:
 def conductance_matrix(g: Graph) -> np.ndarray:
     """Symmetric pooled edge conductances, loops dropped."""
     c = np.zeros((g.n, g.n))
-    for u, v, w in g.edges:
-        if u != v:
-            c[u, v] += w
-            c[v, u] += w
+    rows, cols, weights = g.pooled
+    c[rows, cols] = weights
+    np.fill_diagonal(c, 0.0)  # a loop carries no current
     return c
 
 
@@ -228,8 +228,8 @@ def grid_resistance_monitor(k: int) -> dict:
     """Check max R on the k x k grid against the 8 h(k) ceiling."""
     if k < 2:
         raise ParameterError("grid monitor needs k >= 2")
-    if k > _GRID_CAP:
-        raise SizeCapError(f"grid monitor capped at k={_GRID_CAP}, got {k}")
+    if k > GRID_CAP:
+        raise SizeCapError(f"grid monitor capped at k={GRID_CAP}, got {k}")
     g = grid2d(k, k)
     r = resistance_matrix(g)
     observed = float(r.max())

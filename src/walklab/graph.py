@@ -8,6 +8,10 @@ Conventions used everywhere downstream:
   weighted degree does the same with weights: a loop of weight w adds 2w.
 - The volume of a graph is the sum of weighted degrees, i.e. twice the sum
   of all edge weights.
+- Parallel edges pool: `Graph.pooled` is the one place that adds an
+  edge's weight into its ordered pairs, (u, v) and then (v, u), in edge
+  order, so a loop of weight w adds 2w at (u, u). Kernels, conductances
+  and walk tables all read it.
 
 Graphs are immutable. Anything that "modifies" a graph builds a new one.
 """
@@ -98,13 +102,15 @@ class Graph:
         return self._edges
 
     @cached_property
+    def _ends(self) -> tuple[np.ndarray, np.ndarray]:
+        # edge ends u0, v0, u1, v1, ... in edge order, each with its weight
+        ends = np.array([(u, v) for u, v, _ in self._edges], dtype=np.int64).ravel()
+        return ends, np.array([w for _, _, w in self._edges]).repeat(2)
+
+    @cached_property
     def degrees(self) -> np.ndarray:
         """Integer edge-end counts; loops count twice."""
-        d = np.zeros(self._n, dtype=np.int64)
-        for u, v, _ in self._edges:
-            d[u] += 1
-            d[v] += 1
-        return d
+        return np.bincount(self._ends[0], minlength=self._n)
 
     def degree(self, u: int) -> int:
         return int(self.degrees[u])
@@ -112,11 +118,10 @@ class Graph:
     @cached_property
     def weighted_degrees(self) -> np.ndarray:
         """Weighted edge-end sums; a loop of weight w contributes 2w."""
-        c = np.zeros(self._n, dtype=float)
-        for u, v, w in self._edges:
-            c[u] += w
-            c[v] += w
-        return c
+        # bincount adds in input order, so each sum runs in edge order; with
+        # no edges it returns integers
+        ends, weights = self._ends
+        return np.bincount(ends, weights=weights, minlength=self._n).astype(float, copy=False)
 
     @property
     def volume(self) -> float:
@@ -124,42 +129,41 @@ class Graph:
         return 2.0 * float(sum(w for _, _, w in self._edges))
 
     @cached_property
+    def pooled(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """(rows, cols, weights): the pooled weight of every ordered pair an edge joins.
+
+        Pairs come in ascending (row, col) order. Edge (u, v, w) adds w at
+        (u, v) and then at (v, u), so a loop adds 2w at (u, u), and parallel
+        edges add in edge order: each weight is the sum a loop over the
+        edges would build, to the bit.
+        """
+        ends, weights = self._ends
+        others = ends.reshape(-1, 2)[:, ::-1].ravel()  # v0, u0, v1, u1, ...
+        keys, where = np.unique(ends * self._n + others, return_inverse=True)
+        pooled = np.zeros(len(keys))
+        np.add.at(pooled, where, weights)
+        table = keys // self._n, keys % self._n, pooled
+        for column in table:
+            column.setflags(write=False)  # every reader shares this one table
+        return table
+
+    @cached_property
     def _adjacency_sets(self) -> list[list[int]]:
         # distinct neighbors, self excluded, each list sorted ascending
-        sets: list[set[int]] = [set() for _ in range(self._n)]
-        for u, v, _ in self._edges:
-            if u != v:
-                sets[u].add(v)
-                sets[v].add(u)
-        return [sorted(s) for s in sets]
+        rows, cols, _ = self.pooled
+        apart = rows != cols
+        starts = np.searchsorted(rows[apart], np.arange(self._n + 1)).tolist()
+        cols = cols[apart].tolist()
+        return [cols[a:b] for a, b in zip(starts, starts[1:])]
 
     def neighbors(self, u: int) -> list[int]:
         """Distinct non-self neighbors of u in ascending order."""
         return list(self._adjacency_sets[u])
 
-    @cached_property
-    def incidence(self) -> list[list[tuple[int, float]]]:
-        """Per-vertex list of (other endpoint, weight), loops listed twice.
-
-        Listing a loop twice at its vertex makes the list lengths equal to
-        the degrees, so sampling an entry uniformly (or weight-proportionally)
-        is exactly one step of the walk.
-        """
-        inc: list[list[tuple[int, float]]] = [[] for _ in range(self._n)]
-        for u, v, w in self._edges:
-            inc[u].append((v, w))
-            inc[v].append((u, w))
-        return inc
-
     @property
     def is_simple(self) -> bool:
-        """No loops and no parallel edges."""
-        seen = set()
-        for u, v, _ in self._edges:
-            if u == v or (u, v) in seen:
-                return False
-            seen.add((u, v))
-        return True
+        """No loops and no parallel edges: every edge adds two pairs of its own."""
+        return len(self.pooled[0]) == 2 * self.m
 
     @property
     def is_unit_weighted(self) -> bool:
@@ -169,7 +173,7 @@ class Graph:
 
     def bfs_distances(self, source: int) -> np.ndarray:
         """Hop distances from source; -1 marks unreachable vertices."""
-        dist = np.full(self._n, -1, dtype=np.int64)
+        dist = [-1] * self._n
         dist[source] = 0
         frontier = [source]
         adj = self._adjacency_sets
@@ -181,7 +185,7 @@ class Graph:
                         dist[v] = dist[u] + 1
                         nxt.append(v)
             frontier = nxt
-        return dist
+        return np.array(dist, dtype=np.int64)
 
     @cached_property
     def is_connected(self) -> bool:
@@ -190,33 +194,20 @@ class Graph:
     def shortest_path(self, source: int, target: int) -> list[int]:
         """One shortest path as a vertex list, lowest-label tie-break.
 
-        Among equal-length paths this returns the one whose predecessor at
-        every vertex has the smallest label, which is what a BFS that scans
-        neighbors in ascending order produces.
+        Walking back from the target, each step goes to the lowest-labelled
+        neighbour one hop nearer the source. That is the path a BFS scanning
+        its frontier and each neighbour list in ascending order records.
         """
-        if source == target:
-            return [source]
-        dist = np.full(self._n, -1, dtype=np.int64)
-        parent = np.full(self._n, -1, dtype=np.int64)
-        dist[source] = 0
-        frontier = [source]
-        adj = self._adjacency_sets
-        while frontier and dist[target] < 0:
-            nxt = []
-            for u in sorted(frontier):
-                for v in adj[u]:
-                    if dist[v] < 0:
-                        dist[v] = dist[u] + 1
-                        parent[v] = u
-                        nxt.append(v)
-            frontier = nxt
+        dist = self.bfs_distances(source).tolist()
         if dist[target] < 0:
             raise DisconnectedError(
                 f"no path from {source} to {target} in {self.name}"
             )
+        adj = self._adjacency_sets
         out = [target]
         while out[-1] != source:
-            out.append(int(parent[out[-1]]))
+            v = out[-1]
+            out.append(next(u for u in adj[v] if dist[u] == dist[v] - 1))
         return out[::-1]
 
     @cached_property
@@ -428,28 +419,24 @@ def random_connected_graph(
         raise ParameterError("random graph needs at least one vertex")
     edges: list[list] = []
     seen = set()
-    for v in range(1, n):
-        u = int(rng.integers(0, v))
+    # one array draw per kind reads the generator as the scalar draws
+    # (one per parent, then u and v per extra pair, one per weight) do
+    for v, u in enumerate(rng.integers(0, np.arange(1, n)).tolist(), start=1):
         edges.append([u, v, 1.0])
         seen.add((u, v))
-    made = 0
-    while made < extra:
-        u = int(rng.integers(0, n))
-        v = int(rng.integers(0, n))
+    pairs = rng.integers(0, n, size=2 * extra).tolist()
+    for u, v in zip(pairs[::2], pairs[1::2]):
         if u > v:
             u, v = v, u
         if u == v and not loops:
-            made += 1
             continue
         if not parallel and u != v and (u, v) in seen:
-            made += 1
             continue
         edges.append([u, v, 1.0])
         seen.add((u, v))
-        made += 1
     if weighted:
-        for e in edges:
-            e[2] = float(rng.uniform(0.1, 4.0))
+        for e, w in zip(edges, rng.uniform(0.1, 4.0, size=len(edges)).tolist()):
+            e[2] = w
     return Graph(n, edges, name=f"random:{n}")
 
 

@@ -118,9 +118,8 @@ def build_kernel(g: Graph, scheme: str = "uniform", lazy: bool = False) -> Trans
     h = apply_scheme(g, scheme)
     n = h.n
     p = np.zeros((n, n))
-    for u, v, w in h.edges:
-        p[u, v] += w
-        p[v, u] += w  # a loop lands here twice, doubling its weight
+    rows, cols, weights = h.pooled
+    p[rows, cols] = weights
     c = h.weighted_degrees
     p /= c[:, None]
     if lazy:

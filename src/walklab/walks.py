@@ -134,31 +134,32 @@ def _vertex_tables(g: Graph, scheme: str, lazy: bool):
     """Per-vertex step tables and the stationary distribution of the weighted walk.
 
     Returns (nbrs, cum, pi): a step from v goes to
-    nbrs[v][bisect_left(cum[v], u)], and cum[v] ends in 1.0. Up to degree
-    ALIAS_DEGREE, nbrs[v] lists the distinct neighbours (v itself last when
-    a lazy walk adds its hold) and cum[v] their cumulative probabilities;
-    above it, the pair is the breakpoint form of v's alias table. An
-    isolated vertex has None in both, since no edge leads to it. pi is a
-    list, and laziness does not change it; it needs g to have an edge.
-    `_step_tables` adds the bucket rows a walk steps by.
+    nbrs[v][bisect_left(cum[v], u)], and cum[v] ends in 1.0. Row v of
+    `Graph.pooled` lists v's distinct neighbours, ascending, with their
+    pooled weights; each is picked with its weight over the row's sum. Up
+    to degree ALIAS_DEGREE, nbrs[v] is that row (v itself last when a lazy
+    walk adds its hold) and cum[v] the cumulative probabilities; above it,
+    the pair is the breakpoint form of v's alias table. An isolated vertex
+    has None in both, since no edge leads to it. pi is a list, and laziness
+    does not change it; it needs g to have an edge. `_step_tables` adds
+    the bucket rows a walk steps by.
     """
     h = apply_scheme(g, scheme)
+    rows, cols, weights = h.pooled
+    starts = np.searchsorted(rows, np.arange(h.n + 1)).tolist()
+    cols, weights = cols.tolist(), weights.tolist()
     nbrs: list = [None] * h.n
     cum: list = [None] * h.n
     wide = {}  # vertex -> (nbrs, prob, alias) above ALIAS_DEGREE
-    for v in range(h.n):
-        pairs: dict[int, float] = {}
-        for other, w in h.incidence[v]:
-            pairs[other] = pairs.get(other, 0.0) + w
-        if not pairs:
+    for v, a, b in zip(range(h.n), starts, starts[1:]):
+        if a == b:
             continue
-        out = sorted(pairs)
-        weights = [pairs[x] for x in out]
-        total = sum(weights)
-        probs = [w / total for w in weights]
+        out = cols[a:b]
+        total = sum(weights[a:b])
+        probs = [w / total for w in weights[a:b]]
         if lazy:
             probs = [0.5 * p for p in probs]
-            if v in pairs:
+            if v in out:
                 probs[out.index(v)] += 0.5
             else:
                 out.append(v)
@@ -406,7 +407,7 @@ def _plan(g: Graph, config: WalkConfig) -> tuple:
         raise SizeCapError(f"budget {config.budget} is above the cap {WalkConfig().budget}")
     if config.stop != "hit" and not g.is_connected:
         raise DisconnectedError(f"{g.name} is disconnected; {config.stop} visits every vertex")
-    if not g.incidence[config.start]:
+    if not g.degrees[config.start]:
         raise UnsupportedInputError(f"start {config.start} of {g.name} is isolated")
     nbrs, cum, pi = _vertex_tables(g, config.scheme, config.lazy)
     tables = _step_tables(nbrs, cum)
@@ -556,7 +557,7 @@ def _st_answers(g: Graph, s: int, t: int, seed: int, lo: int, hi: int) -> list[d
     if lo < 0:
         raise ParameterError(f"repetition index must be non-negative, got {lo}")
     budget = _st_budget(g, s)
-    if s != t and g.incidence[s]:
+    if s != t and g.degrees[s]:
         plan = _plan(g, WalkConfig(stop="hit", start=s, target=t, budget=budget))
         steps = _trial_values((plan, seed, lo, hi))  # None when censored
     else:
@@ -567,12 +568,10 @@ def _st_answers(g: Graph, s: int, t: int, seed: int, lo: int, hi: int) -> list[d
 def _st_budget(g: Graph, s: int) -> int:
     """The probe's step budget from s (see _st_answers), refused above the cap."""
     inside = g.bfs_distances(s) >= 0
-    merged: dict[tuple[int, int], float] = {}
-    for u, v, w in g.edges:
-        if u != v and inside[u]:
-            key = (min(u, v), max(u, v))
-            merged[key] = merged.get(key, 0.0) + w
-    tree, _ = _kruskal(g.n, [(1.0 / w, u, v) for (u, v), w in merged.items()])
+    rows, cols, weights = g.pooled
+    keep = (rows < cols) & inside[rows]  # each pooled pair of C once, loops skipped
+    pairs = zip(rows[keep].tolist(), cols[keep].tolist(), weights[keep].tolist())
+    tree, _ = _kruskal(g.n, [(1.0 / w, u, v) for u, v, w in pairs])
     plain = 8 * g.n * g.m
     weighted = 2.0 * float(g.weighted_degrees[inside].sum()) * tree
     need, cap = max(plain, weighted), WalkConfig().budget

@@ -52,13 +52,87 @@ def random_simple_connected_graph(rng: np.random.Generator, n: int, extra: int =
     return random_connected_graph(rng, n, extra=extra)
 
 
-def transition_matrix(g: Graph, lazy: bool = False) -> np.ndarray:
-    """Row-stochastic walk matrix built straight from the incidence lists."""
-    p = np.zeros((g.n, g.n))
+def scalar_draw_edges(
+    rng: np.random.Generator,
+    n: int,
+    extra: int = 0,
+    weighted: bool = False,
+    loops: bool = False,
+    parallel: bool = False,
+) -> list[tuple[int, int, float]]:
+    """The edges walklab.graph.random_connected_graph makes, one scalar draw a value.
+
+    A parent per vertex v > 0 from rng.integers(0, v), then u and v of each
+    extra pair from rng.integers(0, n), then a weight per kept edge from
+    rng.uniform(0.1, 4.0).
+    """
+    edges: list[list] = []
+    seen = set()
+    for v in range(1, n):
+        u = int(rng.integers(0, v))
+        edges.append([u, v, 1.0])
+        seen.add((u, v))
+    for _ in range(extra):
+        u = int(rng.integers(0, n))
+        v = int(rng.integers(0, n))
+        u, v = min(u, v), max(u, v)
+        if (u == v and not loops) or (not parallel and u != v and (u, v) in seen):
+            continue
+        edges.append([u, v, 1.0])
+        seen.add((u, v))
+    if weighted:
+        for e in edges:
+            e[2] = float(rng.uniform(0.1, 4.0))
+    return [tuple(e) for e in edges]
+
+
+def pooled_pairs(g: Graph) -> dict[tuple[int, int], float]:
+    """Pooled weight of each ordered pair, adding every edge's weight at (u, v), then (v, u), in edge order."""
+    pooled: dict[tuple[int, int], float] = {}
     for u, v, w in g.edges:
-        p[u, v] += w
-        p[v, u] += w
-    c = g.weighted_degrees
+        for pair in ((u, v), (v, u)):  # a loop adds twice
+            pooled[pair] = pooled.get(pair, 0.0) + w
+    return pooled
+
+
+def sorted_frontier_path(g: Graph, source: int, target: int) -> list[int] | None:
+    """Shortest path by a BFS that scans its frontier and each neighbour list in ascending order.
+
+    A vertex's parent is the first frontier vertex that reaches it; None
+    when the target is unreachable.
+    """
+    adj = [set() for _ in range(g.n)]
+    for u, v, _ in g.edges:
+        if u != v:
+            adj[u].add(v)
+            adj[v].add(u)
+    parent = {source: source}
+    frontier = [source]
+    while frontier and target not in parent:
+        nxt = []
+        for u in sorted(frontier):
+            for v in sorted(adj[u]):
+                if v not in parent:
+                    parent[v] = u
+                    nxt.append(v)
+        frontier = nxt
+    if target not in parent:
+        return None
+    out = [target]
+    while out[-1] != source:
+        out.append(parent[out[-1]])
+    return out[::-1]
+
+
+def transition_matrix(g: Graph, lazy: bool = False) -> np.ndarray:
+    """Row-stochastic walk matrix built straight from g.edges, weighted degrees included."""
+    p = np.zeros((g.n, g.n))
+    c = np.zeros(g.n)
+    for (u, v), w in pooled_pairs(g).items():
+        p[u, v] = w
+    for u, v, w in g.edges:
+        c[u] += w
+        c[v] += w
     p = p / c[:, None]
     if lazy:
         p = 0.5 * p + 0.5 * np.eye(g.n)
@@ -181,10 +255,9 @@ def linear_mixing_oracle(kernel, threshold: float) -> int:
 def edge_conductances(g: Graph) -> np.ndarray:
     """Symmetric pooled conductances straight from g.edges; loops carry no current."""
     c = np.zeros((g.n, g.n))
-    for u, v, w in g.edges:
+    for (u, v), w in pooled_pairs(g).items():
         if u != v:
-            c[u, v] += w
-            c[v, u] += w
+            c[u, v] = w
     return c
 
 

@@ -17,6 +17,7 @@ import pytest
 from click.testing import CliRunner
 
 from walklab.cli import EXPERIMENTS, main
+from walklab.configmodel import regular_sequence
 
 
 @pytest.fixture()
@@ -122,6 +123,7 @@ def test_closed_forms_rejects_sizes_before_any_work(runner, tmp_path, monkeypatc
     [
         ("closed-forms", "2..100000000", "capped at n=13", "build_kernel"),
         ("grid-resistance", "2..41", "capped at n=40", "grid_resistance_monitor"),
+        ("degseq-cover", "4..100000000", "capped at n=1000000", "regular_sequence"),
     ],
 )
 def test_a_long_ladder_is_refused_before_it_is_expanded(
@@ -139,6 +141,93 @@ def test_a_long_ladder_is_refused_before_it_is_expanded(
     assert time.perf_counter() - started < 1.0
     assert result.exit_code == 2
     assert message in result.output
+
+
+@pytest.mark.parametrize(
+    "experiment, heavy",
+    [
+        ("closed-forms", "build_kernel"),
+        ("grid-resistance", "grid_resistance_monitor"),
+        ("degseq-cover", "regular_sequence"),
+    ],
+)
+def test_a_size_list_with_no_sizes_is_refused(runner, tmp_path, monkeypatch, experiment, heavy):
+    # an empty list would otherwise fall back to the default ladder
+    def no_work(*args, **kwargs):
+        raise AssertionError("work started on an empty size list")
+
+    monkeypatch.setattr(f"walklab.cli.{heavy}", no_work)
+    result = _run(
+        runner, ["run", experiment, "--n", ",", "--seed", "1", "--out", str(tmp_path / "x")]
+    )
+    assert result.exit_code == 2
+    assert "--n: expected an int" in result.output
+
+
+def test_degseq_cover_refuses_a_huge_regular_ladder_at_once(runner, tmp_path, monkeypatch):
+    def no_work(*args, **kwargs):
+        raise AssertionError("a degree sequence was built before the sizes were checked")
+
+    monkeypatch.setattr("walklab.cli.regular_sequence", no_work)
+    started = time.perf_counter()
+    result = _run(
+        runner,
+        [
+            "run", "degseq-cover", "--degseq", "regular:4", "--n", "2..100000000",
+            "--seed", "0", "--out", str(tmp_path / "d"),
+        ],
+    )
+    assert time.perf_counter() - started < 1.0
+    assert result.exit_code == 2
+    assert "needs sizes >= 5" in result.output
+
+
+def test_degseq_cover_refuses_an_odd_degree_sum_before_any_walk(runner, tmp_path, monkeypatch):
+    def no_work(*args, **kwargs):
+        raise AssertionError("sampling started before every rung was checked")
+
+    monkeypatch.setattr("walklab.cli._connected_simple_sample", no_work)
+    result = _run(
+        runner, ["run", "degseq-cover", "--n", "10,11", "--seed", "0", "--out", str(tmp_path / "d")]
+    )
+    assert result.exit_code == 2
+    assert "3-regular on 11 vertices has odd degree sum" in result.output
+
+
+def test_degseq_cover_caps_a_degree_file(runner, tmp_path, monkeypatch):
+    def no_work(*args, **kwargs):
+        raise AssertionError("sampling started before the size was checked")
+
+    monkeypatch.setattr("walklab.cli._DEGSEQ_CAP", 5)
+    monkeypatch.setattr("walklab.cli._connected_simple_sample", no_work)
+    degfile = tmp_path / "six.txt"
+    degfile.write_text("3 3 3 3 3 3\n")
+    result = _run(
+        runner,
+        ["run", "degseq-cover", "--degseq", str(degfile), "--seed", "0", "--out", str(tmp_path / "d")],
+    )
+    assert result.exit_code == 2
+    assert "capped at n=5, got 6" in result.output
+
+
+def test_degseq_cover_builds_each_sequence_when_its_rung_runs(runner, tmp_path, monkeypatch):
+    built = []
+
+    def counted(n, r):
+        built.append(n)
+        return regular_sequence(n, r)
+
+    def stop(*args, **kwargs):
+        raise AssertionError("stop at the first rung")
+
+    monkeypatch.setattr("walklab.cli.regular_sequence", counted)
+    monkeypatch.setattr("walklab.cli._connected_simple_sample", stop)
+    with pytest.raises(AssertionError, match="first rung"):
+        _run(
+            runner,
+            ["run", "degseq-cover", "--n", "10,12,14", "--seed", "0", "--out", str(tmp_path / "d")],
+        )
+    assert built == [10]
 
 
 def test_summary_with_an_undefined_check_value_is_strict_json(runner, tmp_path):

@@ -5,6 +5,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from walklab import graph
+from walklab.electrical import conductance_matrix
 from walklab.errors import DisconnectedError, ParameterError
 from walklab.graph import (
     Graph,
@@ -19,8 +21,35 @@ from walklab.graph import (
     star,
     torus2d,
 )
+from walklab.spectral import build_kernel
 
-from helpers import random_connected_graph
+from helpers import (
+    edge_conductances,
+    pooled_pairs,
+    random_connected_graph,
+    scalar_draw_edges,
+    sorted_frontier_path,
+    transition_matrix,
+)
+
+FAMILY_SPECS = [
+    "path:7", "cycle:8", "star:6", "complete:6", "binary-tree:9",
+    "grid2d:3,4", "torus2d:3,4", "lollipop:10",
+]
+
+
+def _multigraphs(count: int = 30) -> list[Graph]:
+    """Seeded connected weighted multigraphs with loops and parallel edges."""
+    graphs = []
+    for seed in range(count):
+        rng = np.random.default_rng(seed)
+        n = int(rng.integers(2, 10))
+        graphs.append(
+            random_connected_graph(
+                rng, n, extra=int(rng.integers(0, 12)), weighted=True, loops=True, parallel=True
+            )
+        )
+    return graphs
 
 
 def test_degree_counts_loop_twice():
@@ -265,3 +294,66 @@ def test_bfs_distances_match_path_lengths(seed):
     t = int(rng.integers(0, n))
     dist = g.bfs_distances(s)
     assert len(g.shortest_path(s, t)) - 1 == dist[t]
+
+
+# --- the pooled edge table and the code that reads it ---
+
+
+def test_pooled_table_is_the_dict_pooled_over_the_edges():
+    extra = [
+        Graph(1, []),
+        Graph(4, [(0, 1), (2, 3)]),
+        Graph(3, [(2, 2, 0.1), (0, 1, 0.1), (1, 0, 0.2), (2, 2, 0.7), (0, 1, 0.3)]),
+    ]
+    for g in [family(s) for s in FAMILY_SPECS] + _multigraphs() + extra:
+        rows, cols, weights = g.pooled
+        reference = pooled_pairs(g)
+        assert list(zip(rows.tolist(), cols.tolist())) == sorted(reference), g.name
+        assert weights.tolist() == [reference[pair] for pair in sorted(reference)], g.name
+        counts = [0] * g.n
+        for u, v, _ in g.edges:
+            counts[u] += 1
+            counts[v] += 1
+        assert g.degrees.tolist() == counts
+        pairs = [(u, v) for u, v, _ in g.edges]
+        assert g.is_simple == (len(set(pairs)) == len(pairs) and all(u != v for u, v in pairs))
+
+
+@pytest.mark.parametrize("lazy", [False, True])
+def test_kernels_and_conductances_read_the_pooled_table(lazy):
+    for g in [family(s) for s in FAMILY_SPECS] + _multigraphs():
+        assert np.array_equal(build_kernel(g, lazy=lazy).matrix, transition_matrix(g, lazy)), g.name
+        assert np.array_equal(conductance_matrix(g), edge_conductances(g)), g.name
+
+
+def test_shortest_path_is_the_sorted_frontier_path():
+    graphs = [family(s) for s in FAMILY_SPECS] + _multigraphs()
+    graphs.append(Graph(6, [(0, 1), (1, 2), (0, 2), (3, 4), (4, 4), (3, 4)]))
+    for g in graphs:
+        for s in range(g.n):
+            for t in range(g.n):
+                expected = sorted_frontier_path(g, s, t)
+                if expected is None:
+                    with pytest.raises(DisconnectedError):
+                        g.shortest_path(s, t)
+                else:
+                    assert g.shortest_path(s, t) == expected, (g.name, s, t)
+
+
+@pytest.mark.parametrize("weighted, loops, parallel", [
+    (False, False, False), (True, False, False), (True, True, True), (False, True, False),
+])
+def test_random_connected_graph_reads_the_generator_as_scalar_draws(weighted, loops, parallel):
+    # array draws must make the edges one scalar draw a value makes, and
+    # leave the generator where those draws leave it
+    for seed in range(12):
+        for n, extra in [(1, 0), (1, 3), (2, 1), (7, 0), (9, 14), (40, 25)]:
+            ours, theirs = np.random.default_rng(seed), np.random.default_rng(seed)
+            g = graph.random_connected_graph(
+                ours, n, extra=extra, weighted=weighted, loops=loops, parallel=parallel
+            )
+            expected = scalar_draw_edges(
+                theirs, n, extra=extra, weighted=weighted, loops=loops, parallel=parallel
+            )
+            assert g.edges == tuple(expected), (seed, n, extra)
+            assert ours.bit_generator.state == theirs.bit_generator.state

@@ -419,8 +419,10 @@ def test_wide_vertex_tables_pick_as_the_alias_method():
         nbrs, cum, _ = walks._vertex_tables(g, "uniform", lazy)
         for v in range(g.n):
             merged: dict[int, float] = {}
-            for other, w in g.incidence[v]:
-                merged[other] = merged.get(other, 0.0) + w
+            for a, b, w in g.edges:
+                for end, other in ((a, b), (b, a)):  # a loop adds twice
+                    if end == v:
+                        merged[other] = merged.get(other, 0.0) + w
             assert not (lazy and v in merged)  # no loop to fold the hold into
             out = sorted(merged) + ([v] if lazy else [])
             if len(out) <= walks.ALIAS_DEGREE:
