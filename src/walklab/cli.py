@@ -491,6 +491,8 @@ def _run_degseq_cover(spec: dict):
             raise ParameterError(f"--n: {r}-regular on {odd[0]} vertices has odd degree sum")
         seqs = (regular_sequence(n, r) for n in ns)  # each built when its rung runs
     else:
+        if spec["n"] is not None:
+            raise ParameterError("--n does not apply with a degree file in --degseq; the file fixes n")
         p = Path(dspec)
         if not p.is_file():
             raise ParameterError(
@@ -769,8 +771,8 @@ EXPERIMENTS: dict[str, dict] = {
         "growth, where d is the effective minimum degree and theta the "
         "average degree; for random 3-regular graphs this is 2 n ln n.",
         "inputs": "--degseq regular:r or a degree file (default regular:3); "
-        "--n ladder within r+1..1000000 (default 500,1000,2000); --trials per "
-        "size (default 200).",
+        "--n ladder within r+1..1000000 (default 500,1000,2000), refused with "
+        "a degree file, which fixes n; --trials per size (default 200).",
         "rule": "mean cover / predicted lands in [0.8, 1.2] at every size and "
         "the largest size is no farther from 1 than the smallest.",
     },

@@ -238,8 +238,10 @@ def _cover_remaining(kernel: TransitionKernel) -> tuple[np.ndarray, np.ndarray]:
         # remaining[row[S | w], w] for every w in one read; for w in S the
         # row is S's own, still all zero, so its term adds an exact 0.0
         after = remaining[row[s[:, None] | (1 << bits)], bits]
-        for w in range(n):
-            b += p[idx, w] * after[:, w, None]
+        # every product p[idx, w] after[:, w] at once, w leading, then
+        # added onto the ones in ascending w
+        for term in p.T[:, idx] * after.T[:, :, None]:
+            b += term
         remaining[row[s][:, None], idx] = np.linalg.solve(a, b[:, :, None])[:, :, 0]
     return remaining, row
 

@@ -28,13 +28,10 @@ isolated start; budgets above WalkConfig().budget are refused.
 
 A step from v with uniform u goes to nbrs[v][bisect_left(cum[v], u)],
 over two flat per-vertex lists: to nbrs[v][i] for u in
-(cum[v][i - 1], cum[v][i]]. At a vertex of degree at most 8 these are the
-neighbours and their cumulative probabilities. Above that the next step is
-defined by the alias method (Walker 1977): bucket k = int(u d), then
-neighbour k if u d - k < prob[k], else neighbour alias[k]. That is a step
-function of u with at most 2d breakpoints; `_alias_breakpoints` finds
-each one exactly, as the least double at which the alias pick changes, so
-the table picks what the alias method picks for every double u in [0, 1).
+(cum[v][i - 1], cum[v][i]]. At every vertex these are its distinct
+neighbours, ascending, with the lazy hold last, and the running sums of
+their probabilities, the last sum set to 1.0; so the walk picks exactly as
+bisection over the cumulative weights, at every degree.
 
 The walk seldom bisects. Each vertex also has a bucket row of R entries,
 R = 2^b chosen from the plan's tables: rows[v][int(u R)] is the index
@@ -77,7 +74,6 @@ __all__ = [
 ]
 
 STOP_MODES = ("cover", "hit", "blanket-cover")
-ALIAS_DEGREE = 8
 CHUNK = 256
 BUFFER = 4096
 _SLOTS = 2**18  # bucket-row entries a plan's rows may hold above 32 buckets a row
@@ -136,11 +132,10 @@ def _vertex_tables(g: Graph, scheme: str, lazy: bool):
     Returns (nbrs, cum, pi): a step from v goes to
     nbrs[v][bisect_left(cum[v], u)], and cum[v] ends in 1.0. Row v of
     `Graph.pooled` lists v's distinct neighbours, ascending, with their
-    pooled weights; each is picked with its weight over the row's sum. Up
-    to degree ALIAS_DEGREE, nbrs[v] is that row (v itself last when a lazy
-    walk adds its hold) and cum[v] the cumulative probabilities; above it,
-    the pair is the breakpoint form of v's alias table. An isolated vertex
-    has None in both, since no edge leads to it. pi is a list, and laziness
+    pooled weights; each is picked with its weight over the row's sum.
+    nbrs[v] is that row (v itself last when a lazy walk adds its hold) and
+    cum[v] the running sums of the probabilities, whatever v's degree. An
+    isolated vertex has None in both, since no edge leads to it. pi is a list, and laziness
     does not change it; it needs g to have an edge. `_step_tables` adds
     the bucket rows a walk steps by.
     """
@@ -150,7 +145,6 @@ def _vertex_tables(g: Graph, scheme: str, lazy: bool):
     cols, weights = cols.tolist(), weights.tolist()
     nbrs: list = [None] * h.n
     cum: list = [None] * h.n
-    wide = {}  # vertex -> (nbrs, prob, alias) above ALIAS_DEGREE
     for v, a, b in zip(range(h.n), starts, starts[1:]):
         if a == b:
             continue
@@ -164,104 +158,9 @@ def _vertex_tables(g: Graph, scheme: str, lazy: bool):
             else:
                 out.append(v)
                 probs.append(0.5)
-        if len(out) > ALIAS_DEGREE:
-            wide[v] = (out, *_build_alias(probs))
-        else:
-            nbrs[v], cum[v] = out, list(accumulate(probs))
-            cum[v][-1] = 1.0
-    for v, (out, bounds) in zip(wide, _alias_breakpoints(list(wide.values()))):
-        nbrs[v], cum[v] = out, bounds
+        nbrs[v], cum[v] = out, list(accumulate(probs))
+        cum[v][-1] = 1.0
     return nbrs, cum, (h.weighted_degrees / h.volume).tolist()
-
-
-def _build_alias(probs: list[float]) -> tuple[list[float], list[int]]:
-    """Walker's alias table: bucket k keeps k with probability prob[k], else alias[k]."""
-    n = len(probs)
-    prob = [0.0] * n
-    alias = [0] * n
-    scaled = [p * n for p in probs]
-    small = [i for i, s in enumerate(scaled) if s < 1.0]
-    large = [i for i, s in enumerate(scaled) if s >= 1.0]
-    while small and large:
-        s = small.pop()
-        l = large.pop()
-        prob[s] = scaled[s]
-        alias[s] = l
-        scaled[l] = scaled[l] - (1.0 - scaled[s])
-        (small if scaled[l] < 1.0 else large).append(l)
-    for i in large + small:
-        prob[i] = 1.0
-    return prob, alias
-
-
-_ONE = np.float64(1.0).view(np.int64)  # doubles in [0, 1] order like their bit patterns
-
-
-def _alias_breakpoints(tables: list) -> list[tuple[list, list[float]]]:
-    """Breakpoint form (outs, cum) of each alias table (nbrs, prob, alias).
-
-    For every double u in [0, 1), outs[bisect_left(cum, u)] is the alias
-    pick: with d = len(nbrs), x = u * d and k = int(x), nbrs[k] when
-    x - k < prob[k], else nbrs[alias[k]]. (x < d whenever u < 1, so k is
-    always a bucket.) Let b_k be the least u with u * d - k >= 0 and a_k
-    the least with u * d - k >= prob[k], each product and difference
-    rounded as the alias pick rounds it, and b_d = 1.0. Both tests are
-    monotone in u, and 0 <= prob[k] <= 1 puts a_k in [b_k, b_k+1], so
-    bucket k picks nbrs[k] on [b_k, a_k) and nbrs[alias[k]] on
-    [a_k, b_k+1). One bisection over the bit patterns of [0, 1] finds every
-    b_k and a_k of every table exactly, starting from a few ulps around
-    (k + prob[k]) / d. Empty intervals are dropped and neighbouring ones
-    with the same pick merged; cum holds the last double of each interval,
-    and 1.0 for the last.
-    """
-    if not tables:
-        return []
-    sizes = np.array([len(nbrs) for nbrs, _, _ in tables])
-    first = np.cumsum(sizes) - sizes  # where each table starts in the flat arrays
-    lengths = 2 * sizes
-    last = np.cumsum(lengths) - 1  # its last interval
-    row = np.arange(len(tables)).repeat(lengths)
-    d = sizes[row].astype(np.float64)
-    k = ((np.arange(last[-1] + 1) - 2 * first[row]) // 2).astype(np.float64)
-    level = np.zeros(len(k))  # b_k at even places, a_k at odd ones
-    level[1::2] = np.concatenate([prob for _, prob, _ in tables])
-
-    def test(bits):
-        return bits.view(np.float64) * d - k >= level
-
-    # the least u passing the test lies in [lo, hi] when u = lo - 1 fails
-    # (or lo = 0) and u = hi passes (or hi is 1.0, which stands for "no
-    # u in [0, 1)"); a few ulps around (k + level) / d bracket it, and
-    # the whole of [0, 1] does where they do not
-    guess = np.minimum((k + level) / d, 1.0).view(np.int64)
-    lo = np.maximum(guess - 16, 0)
-    hi = np.minimum(guess + 16, _ONE)
-    wrong = ((lo > 0) & test(lo - 1)) | ((hi < _ONE) & ~test(hi))
-    lo[wrong], hi[wrong] = 0, _ONE
-    while (open_ := lo < hi).any():
-        mid = (lo + hi) >> 1
-        ok = test(mid)
-        hi = np.where(open_ & ok, mid, hi)
-        lo = np.where(open_ & ~ok, mid + 1, lo)
-    # interval i of a table runs from start[i] to end[i]: b_0, a_0, b_1, ..., 1.0
-    start = hi
-    end = np.roll(hi, -1)
-    end[last] = _ONE
-    targets = np.concatenate([nbrs for nbrs, _, _ in tables])
-    alias = np.concatenate([alias for _, _, alias in tables]) + first.repeat(sizes)
-    picks = np.column_stack([targets, targets[alias]]).ravel()
-    kept = np.flatnonzero(end > start)
-    # a run of kept intervals with one pick becomes its last interval
-    same = picks[kept[:-1]] == picks[kept[1:]]
-    same &= row[kept[:-1]] == row[kept[1:]]
-    kept = kept[np.append(~same, True)]
-    cum = (end[kept] - 1).view(np.float64)  # the last double below each end
-    cum[end[kept] == _ONE] = 1.0
-    splits = np.searchsorted(kept, last[:-1], side="right")
-    return [
-        (o.tolist(), c.tolist())
-        for o, c in zip(np.split(picks[kept], splits), np.split(cum, splits))
-    ]
 
 
 # --- bucket rows ---
@@ -277,9 +176,9 @@ def _step_tables(nbrs: list, cum: list) -> tuple:
     distinct rows alone: the least one at least 16 times the longest, kept
     in [32, 1024], then halved while the distinct rows would hold more than
     _SLOTS entries, but never below 32. A row of length L has at most L - 1
-    impure buckets, so at 32 buckets the row of a vertex up to ALIAS_DEGREE,
-    at most ALIAS_DEGREE entries with the lazy hold, is more than three
-    quarters pure.
+    impure buckets, one per breakpoint but the last, so at 32 buckets the
+    row of a vertex with at most 8 entries, lazy hold included, is more
+    than three quarters pure.
     """
     shared = {tuple(c): None for c in cum if c is not None}
     longest = max(map(len, shared), default=1)

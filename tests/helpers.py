@@ -387,21 +387,6 @@ def censored_kernel(g: Graph, subset) -> np.ndarray:
     return pss + psx @ np.linalg.solve(np.eye(len(x)) - pxx, pxs)
 
 
-def alias_pick(nbrs: list, prob: list[float], alias: list[int], u: float):
-    """Neighbour the alias method (Walker 1977) picks for the uniform u.
-
-    Bucket k = int(u d) keeps nbrs[k] when u d - k < prob[k] and otherwise
-    hands the step to nbrs[alias[k]]; u d - k is exact (Sterbenz), so the
-    test reads the rounded product itself.
-    """
-    d = len(nbrs)
-    x = u * d
-    k = int(x)
-    if k >= d:  # u == 1.0 guard: for u < 1, u * d rounds below d
-        k = d - 1
-    return nbrs[k] if (x - k) < prob[k] else nbrs[alias[k]]
-
-
 def doubling_conductance(kernel) -> tuple[float, tuple[int, ...], float, float]:
     """(phi, subset, pi_mass, cut_flow) from whole 2^n-entry subset tables.
 

@@ -418,6 +418,26 @@ def test_flag_the_experiment_never_reads_is_rejected(runner, tmp_path):
     assert not (tmp_path / "ci.csv").exists()
 
 
+def test_degseq_cover_refuses_sizes_beside_a_degree_file(runner, tmp_path, monkeypatch):
+    # the file fixes n, so --n could not change the result
+    def no_work(*args, **kwargs):
+        raise AssertionError("sampling started before --n was refused")
+
+    monkeypatch.setattr("walklab.cli._connected_simple_sample", no_work)
+    degfile = tmp_path / "ten.txt"
+    degfile.write_text("3 " * 10 + "\n")
+    result = _run(
+        runner,
+        [
+            "run", "degseq-cover", "--degseq", str(degfile), "--n", "500,1000",
+            "--trials", "2", "--seed", "0", "--out", str(tmp_path / "d"),
+        ],
+    )
+    assert result.exit_code == 2
+    assert "--n does not apply" in result.output and "--degseq" in result.output
+    assert not (tmp_path / "d.csv").exists()
+
+
 @pytest.mark.parametrize("missing", ["no-such-dir/x", "a-file/x"])
 def test_out_into_a_missing_directory_exits_2_before_any_work(runner, tmp_path, monkeypatch, missing):
     def no_work(*args, **kwargs):

@@ -13,7 +13,6 @@ from walklab.errors import DisconnectedError, ParameterError, SizeCapError
 from walklab.graph import Graph, complete, cycle, family, lollipop, path, star
 from walklab.rng import substream
 from walklab.spectral import build_kernel, exact_cover_time, exact_hitting
-from helpers import alias_pick
 from walklab.walks import (
     EstimateRecord,
     WalkConfig,
@@ -122,11 +121,29 @@ def test_cover_estimate_matches_exact_value():
     assert abs(rec.mean - exact) <= 5 * rec.stderr
 
 
-def test_alias_sampled_walk_matches_exact_cover():
-    # center degree 11 exercises the alias path; leaves stay on the scan path
-    g = star(12)
-    exact = exact_cover_time(build_kernel(g), start=0)
-    rec = simulate(g, WalkConfig(stop="cover"), trials=4000, seed=6)
+@pytest.mark.parametrize(
+    "spec, config, trials, seed",
+    [
+        # star:12's centre has eleven equal entries
+        ("star:12", WalkConfig(stop="cover"), 4000, 6),
+        # lollipop:40's clique vertices have up to 20 unequal entries
+        ("lollipop:40", WalkConfig(stop="hit", target=39, scheme="mindeg"), 3000, 12),
+        # the hub of HUB_TEXT has 12 weighted entries, its hold folded into its loop
+        ("hub", WalkConfig(stop="hit", start=5, target=14, lazy=True), 3000, 14),
+    ],
+    ids=["star:12-cover", "lollipop:40-mindeg-hit", "hub-lazy-hit"],
+)
+def test_wide_vertex_walks_match_exact_values(spec, config, trials, seed):
+    # walks through vertices of more than 8 table entries against the exact
+    # cover or hitting time of their kernel
+    g = Graph.from_text(HUB_TEXT, name="hub") if spec == "hub" else family(spec)
+    kernel = build_kernel(g, scheme=config.scheme, lazy=config.lazy)
+    if config.stop == "cover":
+        exact = exact_cover_time(kernel, start=config.start)
+    else:
+        exact = exact_hitting(kernel)[config.start, config.target]
+    rec = simulate(g, config, trials=trials, seed=seed)
+    assert rec.censored == 0
     assert abs(rec.mean - exact) <= 5 * rec.stderr
 
 
@@ -204,7 +221,7 @@ def test_st_connectivity_never_claims_separated_pair():
 
 def test_st_connectivity_keeps_its_recorded_walks():
     # step counts of the probe before it became a hit-mode trial; star:12
-    # walks through the alias table at its centre
+    # walks through an eleven-entry table at its centre
     for spec, s, t, expected in (
         ("star:12", 3, 5, [42, 6, 2, 62, 4, 2]),
         ("lollipop:20", 0, 19, [3667, 3712, 960, 854, 122, 1324]),
@@ -250,8 +267,8 @@ def test_st_repetitions_from_one_plan_match_single_probes():
 
 PINNED_TRIALS = {
     # trial_value(g, config, seed=3, trial_index=i) for i in 0..5; path:10
-    # samples with the cumulative scan only, star:12 uses the alias table
-    # at its centre
+    # has at most three entries a table, star:12 eleven or twelve at its
+    # centre
     "path:10": {
         "cover": [163, 59, 65, 147, 67, 13],
         "hit": [19, 37, 13, 27, 13, 9],
@@ -337,100 +354,29 @@ def test_wide_vertex_trials_keep_their_recorded_walks(spec, config, values):
     assert got == [(float(v), False) for v in values]
 
 
-def _probes(cum: list[float], d: int) -> list[float]:
-    """Every double within 4 ulps of a breakpoint or a bucket edge k/d, and 0 and 1 - 2^-53."""
-    centres = np.concatenate([cum, np.arange(d + 1) / d, [0.0, 1.0 - 2.0**-53]])
-    up = down = centres
-    points = [centres]
-    for _ in range(4):
-        up, down = np.nextafter(up, 2.0), np.nextafter(down, -1.0)
-        points += [up, down]
-    u = np.concatenate(points)
-    return np.unique(u[(u >= 0.0) & (u < 1.0)]).tolist()
-
-
-def _assert_breakpoints_pick_as_alias(tables):
-    converted = walks._alias_breakpoints(tables)
-    assert len(converted) == len(tables)
-    for (nbrs, prob, alias), (outs, cum) in zip(tables, converted):
-        assert cum == sorted(cum) and cum[-1] == 1.0 and len(outs) == len(cum) <= 2 * len(nbrs)
-        for u in _probes(cum, len(nbrs)):
-            assert outs[bisect_left(cum, u)] == alias_pick(nbrs, prob, alias, u), (u, nbrs, prob, alias)
-
-
-def _walk_probabilities(weights: list[float], lazy: bool) -> list[float]:
-    total = sum(weights)
-    probs = [w / total for w in weights]
-    return [0.5 * p for p in probs] + [0.5] if lazy else probs
-
-
-@settings(max_examples=60, deadline=None)
-@given(
-    st.lists(
-        st.tuples(
-            st.lists(st.floats(1e-3, 1e3) | st.integers(1, 5).map(float), min_size=9, max_size=48),
-            st.booleans(),
-        ),
-        min_size=1,
-        max_size=4,
-    )
-)
-def test_breakpoint_tables_pick_as_the_alias_method_on_walk_weights(rows):
-    # the alias tables _vertex_tables builds, lazy holds included; several
-    # tables at once, as one plan converts all its wide vertices together
-    tables = []
-    for weights, lazy in rows:
-        probs = _walk_probabilities(weights, lazy)
-        tables.append((list(range(100, 100 + len(probs))), *walks._build_alias(probs)))
-    _assert_breakpoints_pick_as_alias(tables)
-
-
-@settings(max_examples=60, deadline=None)
-@given(
-    st.lists(
-        st.integers(9, 40).flatmap(
-            lambda d: st.tuples(
-                st.lists(st.sampled_from([0.0, 1.0]) | st.floats(0.0, 1.0), min_size=d, max_size=d),
-                st.lists(st.integers(0, d - 1), min_size=d, max_size=d),
-            )
-        ),
-        min_size=1,
-        max_size=3,
-    )
-)
-def test_breakpoint_tables_pick_as_the_alias_method_on_any_table(rows):
-    # any prob in [0, 1] and any alias, prob[k] = 0 and 1 included: the
-    # conversion assumes nothing of how _build_alias fills them
-    tables = [(list(range(len(prob))), prob, alias) for prob, alias in rows]
-    _assert_breakpoints_pick_as_alias(tables)
-
-
-def test_alias_bucket_reaches_its_clamp_only_at_one():
-    # u * d rounds below d for every double u < 1: d (1 - 2^-53) lies more
-    # than half an ulp under d, or is exact when d is a power of two
-    u = 1.0 - 2.0**-53
-    assert all(int(u * d) == d - 1 for d in range(1, 100_001))
-
-
 def test_wide_vertex_tables_pick_as_the_alias_method():
-    # the tables of a plan at every wide vertex: complete:12 lazy (degree 12
-    # with the hold) and the weighted hub with its loop and doubled spoke
+    # every vertex's table, wide or not, against exact running sums of the
+    # weights merged from g.edges: complete:12 lazy (degree 12 with the
+    # hold) and the weighted hub with its loop and doubled spoke
     for g, lazy in [(family("complete:12"), True), (Graph.from_text(HUB_TEXT), False)]:
         nbrs, cum, _ = walks._vertex_tables(g, "uniform", lazy)
         for v in range(g.n):
-            merged: dict[int, float] = {}
+            merged: dict[int, Fraction] = {}
             for a, b, w in g.edges:
                 for end, other in ((a, b), (b, a)):  # a loop adds twice
                     if end == v:
-                        merged[other] = merged.get(other, 0.0) + w
+                        merged[other] = merged.get(other, 0) + Fraction(w)
             assert not (lazy and v in merged)  # no loop to fold the hold into
-            out = sorted(merged) + ([v] if lazy else [])
-            if len(out) <= walks.ALIAS_DEGREE:
-                continue
-            probs = _walk_probabilities([merged[x] for x in sorted(merged)], lazy)
-            prob, alias = walks._build_alias(probs)
-            for u in _probes(cum[v], len(out)):
-                assert nbrs[v][bisect_left(cum[v], u)] == alias_pick(out, prob, alias, u)
+            out = sorted(merged)
+            probs = [merged[x] / sum(merged.values()) for x in out]
+            if lazy:
+                out, probs = out + [v], [p / 2 for p in probs] + [Fraction(1, 2)]
+            assert nbrs[v] == out
+            assert cum[v][-1] == 1.0
+            running = Fraction(0)
+            for c, p in zip(cum[v], probs):
+                running += p
+                assert abs(Fraction(c) - running) <= len(out) * Fraction(2) ** -52, (v, c)
 
 
 def _hub_graph(spokes: list[list[float]]) -> Graph:
@@ -455,8 +401,7 @@ def _hub_graph(spokes: list[list[float]]) -> Graph:
     st.integers(0, 2**32 - 1),
 )
 def test_bucket_rows_pick_as_the_bisection(spokes, lazy, seed):
-    # the hubs take the scan table up to degree 8 and the breakpoint form of
-    # their alias table above it, the lazy hold included; every power of two
+    # hubs of up to 40 spokes, the lazy hold included; every power of two
     # from 1 to 1024, the resolutions the plan picks among them
     nbrs, cum, _ = walks._vertex_tables(_hub_graph(spokes), "uniform", lazy)
     interior = np.random.default_rng(seed)
@@ -539,8 +484,8 @@ def test_visit_counts_keep_their_recorded_walk(spec, counts):
     assert (freq * (steps + 1)).tolist() == [float(c) for c in counts]
 
 
-# lollipop:30's clique vertices (degree 19 and 20) step through alias
-# tables; 50 000 steps from vertex 0 at seed 0
+# lollipop:30's clique vertices have tables of 19 to 21 entries; 50 000
+# steps from vertex 0 at seed 0
 PINNED_LONG_VISITS = [
     (
         {"lazy": True},
@@ -572,8 +517,8 @@ def test_hub_of_thousands_keeps_its_recorded_hit_walks():
 
 def test_long_walks_keep_their_recorded_values():
     # walks that read past 8192 uniforms, into the full BUFFER blocks;
-    # cycle:200 takes the scan sampler only, lollipop:30's clique vertices
-    # (degree up to 20) take the alias table
+    # cycle:200's tables have two entries, lollipop:30's clique vertices up
+    # to 20
     cycle200 = family("cycle:200")
     got = [trial_value(cycle200, WalkConfig(stop="cover"), seed=3, trial_index=i) for i in range(3)]
     assert got == [(38446.0, False), (40569.0, False), (15901.0, False)]
