@@ -73,11 +73,11 @@ PINNED_CSV = {
         "start,0\n"
         "uniform_mean,10030.4375\n"
         "uniform_stderr,1743.7339914886434\n"
-        "mindeg_mean,954.625\n"
-        "mindeg_stderr,212.55342220643416\n"
-        "ratio,10.50720178080398\n"
-        "stderr,2.968125974395598\n"
-        "z_score,3.203099148357387\n",
+        "mindeg_mean,735.5625\n"
+        "mindeg_stderr,133.94342614047918\n"
+        "ratio,13.636417707536749\n"
+        "stderr,3.433047622602528\n"
+        "z_score,3.6808163173563324\n",
     ),
     "degseq-cover --n 2000 --trials 4 --seed 1": (
         1,
