@@ -135,9 +135,9 @@ def _vertex_tables(g: Graph, scheme: str, lazy: bool):
     pooled weights; each is picked with its weight over the row's sum.
     nbrs[v] is that row (v itself last when a lazy walk adds its hold) and
     cum[v] the running sums of the probabilities, whatever v's degree. An
-    isolated vertex has None in both, since no edge leads to it. pi is a list, and laziness
-    does not change it; it needs g to have an edge. `_step_tables` adds
-    the bucket rows a walk steps by.
+    isolated vertex has None in both, since no edge leads to it. pi is a
+    list, and laziness does not change it; it needs g to have an edge.
+    `_step_tables` adds the bucket rows a walk steps by.
     """
     h = apply_scheme(g, scheme)
     rows, cols, weights = h.pooled
@@ -176,9 +176,8 @@ def _step_tables(nbrs: list, cum: list) -> tuple:
     distinct rows alone: the least one at least 16 times the longest, kept
     in [32, 1024], then halved while the distinct rows would hold more than
     _SLOTS entries, but never below 32. A row of length L has at most L - 1
-    impure buckets, one per breakpoint but the last, so at 32 buckets the
-    row of a vertex with at most 8 entries, lazy hold included, is more
-    than three quarters pure.
+    impure buckets, so at 32 buckets the row of a vertex with at most 8
+    entries, lazy hold included, is more than three quarters pure.
     """
     shared = {tuple(c): None for c in cum if c is not None}
     longest = max(map(len, shared), default=1)
