@@ -62,8 +62,8 @@ PINNED_CSV = {
         "stderr,0.5903558050466587\n"
         "z_score,1.3076638936802274\n",
     ),
-    # lollipop:40's clique vertices (degree up to 20) step through tables of
-    # more than 8 entries; lollipop:10's never exceed degree 8
+    # lollipop:40's clique vertices (degree 26 and 27) step through tables
+    # of more than 8 entries; lollipop:10's never exceed degree 8
     "scheme-speedup --family lollipop:40 --trials 16 --seed 1": (
         0,
         "metric,value\n"

@@ -126,7 +126,8 @@ def test_cover_estimate_matches_exact_value():
     [
         # star:12's centre has eleven equal entries
         ("star:12", WalkConfig(stop="cover"), 4000, 6),
-        # lollipop:40's clique vertices have up to 20 unequal entries
+        # lollipop:40's clique vertices have 26 or 27 entries, unequal at the
+        # one that joins the path
         ("lollipop:40", WalkConfig(stop="hit", target=39, scheme="mindeg"), 3000, 12),
         # the hub of HUB_TEXT has 12 weighted entries, its hold folded into its loop
         ("hub", WalkConfig(stop="hit", start=5, target=14, lazy=True), 3000, 14),
