@@ -155,7 +155,11 @@ def _resolve_graph(spec: dict, default: str | None = None) -> Graph:
         p = Path(path_arg)
         if not p.is_file():
             raise ParameterError(f"--graph-file: no such file {path_arg!r}")
-        g = Graph.from_text(p.read_text(), name=p.stem)
+        try:
+            text = p.read_text(encoding="utf-8")
+        except UnicodeDecodeError:
+            raise ParameterError(f"--graph-file: {path_arg!r} is not UTF-8 text") from None
+        g = Graph.from_text(text, name=p.stem)
     elif fam:
         g = family(fam)
     elif default is not None:
@@ -412,11 +416,10 @@ def _parse_product(text: str) -> tuple[Graph, Graph]:
     return family(parts[0].strip()), family(parts[1].strip())
 
 
-def _run_product_theorem(spec: dict):
+def _run_product_theorem(spec: dict, workers: int):
     g, h = _parse_product(spec["product"] or "cycle:4,cycle:16")
     spec["product"] = f"{g.name},{h.name}"
-    trials = spec["trials"]
-    seed, workers = spec["seed"], spec["workers"]
+    trials, seed = spec["trials"], spec["seed"]
 
     if h.n <= COVER_CAP:
         cov_h = float(exact_cover_times(build_kernel(h)).max())
@@ -476,10 +479,10 @@ def _run_product_theorem(spec: dict):
     return ["metric", "value"], rows, checks
 
 
-def _run_degseq_cover(spec: dict):
+def _run_degseq_cover(spec: dict, workers: int):
     dspec = spec["degseq"] or "regular:3"
     spec["degseq"] = dspec
-    trials, seed, workers = spec["trials"], spec["seed"], spec["workers"]
+    trials, seed = spec["trials"], spec["seed"]
     if dspec.startswith("regular:"):
         try:
             r = int(dspec.split(":", 1)[1])
@@ -752,7 +755,7 @@ EXPERIMENTS: dict[str, dict] = {
     },
     "product-theorem": {
         "runner": _run_product_theorem,
-        "params": frozenset({"product", "trials"}),
+        "params": frozenset({"product", "trials", "workers"}),
         "trials": 300,
         "claim": "Cover-time bounds for a Cartesian product, computed from "
         "factor statistics alone, bracket a Monte Carlo estimate of the "
@@ -764,7 +767,7 @@ EXPERIMENTS: dict[str, dict] = {
     },
     "degseq-cover": {
         "runner": _run_degseq_cover,
-        "params": frozenset({"degseq", "n", "trials", "scheme", "lazy"}),
+        "params": frozenset({"degseq", "n", "trials", "scheme", "lazy", "workers"}),
         "trials": 200,
         "claim": "Cover times of random graphs with a prescribed degree "
         "sequence track the predicted (d-1)/(d-2) * (theta/d) * n ln n "
@@ -772,7 +775,7 @@ EXPERIMENTS: dict[str, dict] = {
         "average degree; for random 3-regular graphs this is 2 n ln n.",
         "inputs": "--degseq regular:r or a degree file (default regular:3); "
         "--n ladder within r+1..1000000 (default 500,1000,2000), refused with "
-        "a degree file, which fixes n; --trials per size (default 200).",
+        "a degree file, which fixes n; --trials per size (default 200); --workers.",
         "rule": "mean cover / predicted lands in [0.8, 1.2] at every size and "
         "the largest size is no farther from 1 than the smallest.",
     },
@@ -801,7 +804,7 @@ EXPERIMENTS: dict[str, dict] = {
     },
     "scheme-speedup": {
         "runner": _run_scheme_speedup,
-        "params": frozenset({"family", "graph-file", "trials"}),
+        "params": frozenset({"family", "graph_file", "trials"}),
         "trials": 150,
         "claim": "Weighting every edge by the inverse smaller endpoint degree "
         "speeds up covering graphs with degree imbalance; on a regular graph "
@@ -813,7 +816,7 @@ EXPERIMENTS: dict[str, dict] = {
     },
     "st-connect-demo": {
         "runner": _run_st_connect,
-        "params": frozenset({"family", "graph-file", "trials"}),
+        "params": frozenset({"family", "graph_file", "trials"}),
         "trials": 200,
         "claim": "A random walk of 8 n m steps, or of twice the weighted "
         "spanning-tree cover bound when that is larger, decides s-t "
@@ -827,31 +830,23 @@ EXPERIMENTS: dict[str, dict] = {
     },
 }
 
-# flag name on the command line -> click parameter name
-_EXPERIMENT_FLAGS = (
-    ("family", "family_spec"),
-    ("graph-file", "graph_file"),
-    ("product", "product_spec"),
-    ("degseq", "degseq"),
-    ("scheme", "scheme"),
-    ("lazy", "lazy"),
-    ("trials", "trials"),
-    ("n", "n_spec"),
-)
-
 
 def _reject_unused_flags(ctx: click.Context, experiment: str, accepted: frozenset) -> None:
     # a flag the experiment never reads could not change any result, so
-    # accepting it would put a dead value in the embedded spec; refuse instead
+    # accepting it would put a dead value in the embedded spec; refuse instead.
+    # Every experiment takes the four parameters left out here.
     given = {
-        flag
-        for flag, param in _EXPERIMENT_FLAGS
-        if ctx.get_parameter_source(param) is click.core.ParameterSource.COMMANDLINE
+        name
+        for name in ctx.params.keys() - {"experiment", "seed", "out", "fmt"}
+        if ctx.get_parameter_source(name) is click.core.ParameterSource.COMMANDLINE
     }
     extras = sorted(given - accepted)
     if extras:
-        takes = ", ".join(f"--{p}" for p in sorted(accepted)) or "no experiment flags"
-        raise ParameterError(f"--{extras[0]} does not apply to {experiment}; it takes {takes}")
+        flags = [f"--{name.replace('_', '-')}" for name in sorted(accepted)]
+        takes = ", ".join(flags) or "no experiment flags"
+        raise ParameterError(
+            f"--{extras[0].replace('_', '-')} does not apply to {experiment}; it takes {takes}"
+        )
 
 
 # --- commands ---
@@ -865,14 +860,14 @@ def main() -> None:
 @main.command(name="run")
 @click.argument("experiment")
 @click.option("--seed", required=True, type=int, help="Master seed; every result is a function of it.")
-@click.option("--family", "family_spec", default=None, help="Graph family, e.g. cycle:12 or grid2d:4,5.")
+@click.option("--family", default=None, help="Graph family, e.g. cycle:12 or grid2d:4,5.")
 @click.option("--graph-file", default=None, help="Path to an edge-list graph file.")
-@click.option("--product", "product_spec", default=None, help="Two families joined by a comma, e.g. cycle:4,cycle:16.")
+@click.option("--product", default=None, help="Two families joined by a comma, e.g. cycle:4,cycle:16.")
 @click.option("--degseq", default=None, help="Degree input: regular:r or a path to a degree file.")
 @click.option("--scheme", type=click.Choice(SCHEMES), default="uniform", help="Edge weighting applied before walking.")
 @click.option("--lazy", is_flag=True, default=False, help="Walk the lazy kernel (hold with probability 1/2).")
 @click.option("--trials", type=int, default=None, help="Trials, attempts, or graph count; experiment-specific.")
-@click.option("--n", "n_spec", default=None, help="Size or ladder: 8, 2..10, or 500,1000,2000.")
+@click.option("--n", default=None, help="Size or ladder: 8, 2..10, or 500,1000,2000.")
 @click.option("--out", default=None, help="Output base path; writes <out>.csv and <out>.json.")
 @click.option("--format", "fmt", type=click.Choice(["csv", "json", "both"]), default="both", help="Which artifacts to write.")
 @click.option("--workers", type=int, default=1, help="Worker processes for Monte Carlo chunks.")
@@ -881,17 +876,10 @@ def run_command(
     ctx: click.Context,
     experiment: str,
     seed: int,
-    family_spec: str | None,
-    graph_file: str | None,
-    product_spec: str | None,
-    degseq: str | None,
-    scheme: str,
-    lazy: bool,
-    trials: int | None,
-    n_spec: str | None,
     out: str | None,
     fmt: str,
     workers: int,
+    **flags,
 ) -> None:
     """Run one experiment; write CSV rows and a JSON summary."""
     started = time.perf_counter()
@@ -901,9 +889,9 @@ def run_command(
             raise ParameterError(f"unknown experiment {experiment!r}; known: {known}")
         entry = EXPERIMENTS[experiment]
         _reject_unused_flags(ctx, experiment, entry["params"])
-        if trials is None:
-            trials = entry["trials"]
-        if trials is not None and trials < 1:
+        if flags["trials"] is None:
+            flags["trials"] = entry["trials"]
+        if flags["trials"] is not None and flags["trials"] < 1:
             raise ParameterError("--trials must be positive")
         if workers < 1:
             raise ParameterError("--workers must be positive")
@@ -923,21 +911,12 @@ def run_command(
         # computed value; destination, format, and worker count cannot
         # (estimates are worker-invariant by construction), so they stay out
         # and re-runs to a different path are still byte-identical
-        spec = {
-            "experiment": experiment,
-            "seed": seed,
-            "family": family_spec,
-            "graph_file": graph_file,
-            "product": product_spec,
-            "degseq": degseq,
-            "scheme": scheme,
-            "lazy": lazy,
-            "trials": trials,
-            "n": _parse_sizes(n_spec, "--n"),
-        }
-        spec["workers"] = workers  # consumed by runners, removed before output
-        header, rows, checks = entry["runner"](spec)
-        del spec["workers"]
+        spec = {"experiment": experiment, "seed": seed, **flags}
+        spec["n"] = _parse_sizes(spec["n"], "--n")
+        if "workers" in entry["params"]:
+            header, rows, checks = entry["runner"](spec, workers)
+        else:
+            header, rows, checks = entry["runner"](spec)
     except InputError as exc:
         click.echo(f"input error: {exc}", err=True)
         raise SystemExit(2)

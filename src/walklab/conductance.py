@@ -45,27 +45,19 @@ class ConductanceResult:
     pi_mass: float
     cut_flow: float
     method: str  # "exact" or "sweep"
-    kernel_name: str
-    scheme: str
-    lazy: bool
-    n: int
 
 
 def _pair_flow(kernel: TransitionKernel) -> np.ndarray:
     return kernel.stationary[:, None] * kernel.matrix
 
 
-def _result(kernel, phi, mask_vertices, pi_mass, cut, method) -> ConductanceResult:
+def _result(phi, mask_vertices, pi_mass, cut, method) -> ConductanceResult:
     return ConductanceResult(
         phi=float(phi),
         subset=tuple(int(v) for v in mask_vertices),
         pi_mass=float(pi_mass),
         cut_flow=float(cut),
         method=method,
-        kernel_name=kernel.name,
-        scheme=kernel.scheme,
-        lazy=kernel.lazy,
-        n=kernel.n,
     )
 
 
@@ -163,7 +155,7 @@ def conductance_exact(kernel: TransitionKernel) -> ConductanceResult:
         raise ParameterError("no subset has stationary mass at most 1/2")
     ratio, mask, mass, flow = best
     members = [v for v in range(n) if mask & (1 << v)]
-    return _result(kernel, ratio, members, mass, flow, "exact")
+    return _result(ratio, members, mass, flow, "exact")
 
 
 def conductance_sweep(kernel: TransitionKernel) -> ConductanceResult:
@@ -201,7 +193,7 @@ def conductance_sweep(kernel: TransitionKernel) -> ConductanceResult:
             best = (ratio, members, mass, cut)
     if not np.isfinite(best[0]):
         raise ParameterError("no sweep prefix had stationary mass at most 1/2")
-    return _result(kernel, best[0], best[1], best[2], best[3], "sweep")
+    return _result(*best, "sweep")
 
 
 def jerrum_sinclair_check(g: Graph, scheme: str = "uniform") -> dict:

@@ -132,19 +132,23 @@ def random_band_sequence(n: int, low: int, high: int, seed: int) -> DegreeSequen
 
 def read_degree_file(path) -> DegreeSequence:
     # one degree per line or several per line; blank lines and # comments skipped
+    try:
+        with open(path, encoding="utf-8") as handle:
+            lines = handle.read().split("\n")
+    except UnicodeDecodeError:
+        raise ParameterError(f"degree file {path}: not UTF-8 text") from None
     degrees = []
-    with open(path, encoding="utf-8") as handle:
-        for raw in handle:
-            line = raw.strip()
-            if not line or line.startswith("#"):
-                continue
-            for token in line.split():
-                try:
-                    degrees.append(int(token))
-                except ValueError:
-                    raise ParameterError(
-                        f"degree file {path}: expected an integer, got {token!r}"
-                    ) from None
+    for raw in lines:
+        line = raw.strip()
+        if not line or line.startswith("#"):
+            continue
+        for token in line.split():
+            try:
+                degrees.append(int(token))
+            except ValueError:
+                raise ParameterError(
+                    f"degree file {path}: expected an integer, got {token!r}"
+                ) from None
     return DegreeSequence(tuple(degrees))
 
 

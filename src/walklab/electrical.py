@@ -24,7 +24,6 @@ from .spectral import build_kernel, exact_hitting
 __all__ = [
     "harmonic_number",
     "conductance_matrix",
-    "laplacian",
     "resistance_matrix",
     "commute_matrix",
     "spanning_tree_bound",
@@ -55,11 +54,6 @@ def conductance_matrix(g: Graph) -> np.ndarray:
     return c
 
 
-def laplacian(g: Graph) -> np.ndarray:
-    c = conductance_matrix(g)
-    return np.diag(c.sum(axis=1)) - c
-
-
 def _require_connected(g: Graph) -> None:
     if not g.is_connected:
         raise DisconnectedError(f"{g.name} is disconnected")
@@ -76,7 +70,9 @@ def resistance_matrix(g: Graph) -> np.ndarray:
     n = g.n
     if n == 1:
         return np.zeros((1, 1))
-    lap = laplacian(g)
+    # rebound, so the conductance matrix is freed before the solve
+    lap = conductance_matrix(g)
+    lap = np.diag(lap.sum(axis=1)) - lap
     green = np.zeros((n, n))
     green[: n - 1, : n - 1] = np.linalg.inv(lap[: n - 1, : n - 1])
     diag = np.diag(green)

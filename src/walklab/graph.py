@@ -440,7 +440,7 @@ def random_connected_graph(
     return Graph(n, edges, name=f"random:{n}")
 
 
-def cartesian_product(g: Graph, h: Graph, name: str = "") -> Graph:
+def cartesian_product(g: Graph, h: Graph) -> Graph:
     """Cartesian product of two simple unweighted graphs.
 
     Vertex (a, x) of the product is numbered a * h.n + x. Two product
@@ -462,5 +462,4 @@ def cartesian_product(g: Graph, h: Graph, name: str = "") -> Graph:
     for a, b, _ in g.edges:
         for x in range(nh):
             edges.append((a * nh + x, b * nh + x))
-    label = name or f"({g.name})x({h.name})"
-    return Graph(g.n * nh, edges, name=label)
+    return Graph(g.n * nh, edges, name=f"({g.name})x({h.name})")

@@ -40,16 +40,14 @@ class LocalObservation:
     graph:         lowered multigraph on 0..|subset|-1 (exterior loops halved)
     tags:          "interior" or "exterior", aligned with graph.edges
     conductances:  true conductance per edge (exterior loops unhalved)
-    labels:        new label -> original vertex
+    subset:        new label -> original vertex
     """
 
-    base_name: str
     subset: tuple[int, ...]
     boundary: tuple[int, ...]
     graph: Graph
     tags: tuple[str, ...]
     conductances: tuple[float, ...]
-    labels: tuple[int, ...]
     base_degrees: tuple[float, ...]
 
     def conservation_gap(self) -> float:
@@ -93,13 +91,11 @@ def local_observation(g: Graph, subset) -> LocalObservation:
     degrees = g.degrees
     if len(s_list) == g.n:
         return LocalObservation(
-            base_name=g.name,
             subset=tuple(s_list),
             boundary=(),
             graph=g,
             tags=("interior",) * len(g.edges),
             conductances=tuple(w for _, _, w in g.edges),
-            labels=tuple(range(g.n)),
             base_degrees=tuple(float(d) for d in degrees),
         )
 
@@ -149,13 +145,11 @@ def local_observation(g: Graph, subset) -> LocalObservation:
 
     lowered = Graph(k, edges, name=f"{g.name}|loc{k}")
     return LocalObservation(
-        base_name=g.name,
         subset=tuple(s_list),
         boundary=tuple(boundary),
         graph=lowered,
         tags=tuple(tags),
         conductances=tuple(trues),
-        labels=tuple(s_list),
         base_degrees=tuple(float(degrees[v]) for v in s_list),
     )
 
@@ -169,7 +163,6 @@ class ProductBoundReport:
     upper_value: float | None
     upper_symbolic: str | None
     precondition_ok: bool
-    details: dict
 
 
 def _require_product_factor(g: Graph, label: str) -> None:
@@ -210,39 +203,21 @@ def theorem_main_bounds(
         lower = max(lower, (1.0 + delta_h / max_g) * cov_g)
 
     precondition_ok = h.n >= diam_g + 1
-    details = {
-        "delta_g": delta_g,
-        "max_g": max_g,
-        "delta_h": delta_h,
-        "max_h": max_h,
-        "diameter_g": diam_g,
-        "n_g": g.n,
-        "m_g": g.m,
-        "n_h": h.n,
-        "m_h": h.m,
-        "cov_h": cov_h,
-        "bcov_h": bcov_h,
-        "cov_g": cov_g,
-    }
     if not precondition_ok:
         return ProductBoundReport(
             lower=lower,
             upper_value=None,
             upper_symbolic=None,
             precondition_ok=False,
-            details=details,
         )
     product_edges = g.n * h.m + h.n * g.m
     ell = math.log(diam_g + 1) * math.log(g.n * diam_g)
     upper = (1.0 + max_g / delta_h) * bcov_h + (
         product_edges * g.m * h.m * h.n * ell * ell / (cov_h * diam_g)
     )
-    details["product_edges"] = product_edges
-    details["ell"] = ell
     return ProductBoundReport(
         lower=lower,
         upper_value=upper,
         upper_symbolic=f"{repr(upper)} x K",
         precondition_ok=True,
-        details=details,
     )

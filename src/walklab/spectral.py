@@ -18,7 +18,7 @@ one graph; its hitting-time bound needs the exact hitting solve here.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -57,19 +57,11 @@ class TransitionKernel:
         For kernels built from a graph this is the closed form c(v)/c(G).
     lazy : bool
         True if the kernel was built as (P + I) / 2.
-    scheme : str
-        Weighting scheme identifier recorded for reports.
-    name : str
-    graph : Graph or None
-        Source graph when the kernel came from one.
     """
 
     matrix: np.ndarray
     stationary: np.ndarray
     lazy: bool = False
-    scheme: str = "uniform"
-    name: str = "kernel"
-    graph: Graph | None = field(default=None, compare=False)
 
     def __post_init__(self) -> None:
         p = np.asarray(self.matrix, dtype=float)
@@ -125,9 +117,7 @@ def build_kernel(g: Graph, scheme: str = "uniform", lazy: bool = False) -> Trans
     if lazy:
         p = 0.5 * p + 0.5 * np.eye(n)
     pi = c / c.sum()
-    return TransitionKernel(
-        matrix=p, stationary=pi, lazy=lazy, scheme=scheme, name=h.name, graph=h
-    )
+    return TransitionKernel(matrix=p, stationary=pi, lazy=lazy)
 
 
 # --- hitting times ---
@@ -155,14 +145,14 @@ def exact_hitting(kernel: TransitionKernel) -> np.ndarray:
 # --- spectrum ---
 
 
-def kernel_eigenvalues(kernel: TransitionKernel, tol: float = 1e-8) -> np.ndarray:
-    """Eigenvalues of the kernel, descending. Requires reversibility.
+def kernel_eigenvalues(kernel: TransitionKernel) -> np.ndarray:
+    """Eigenvalues of the kernel, descending. Requires detailed balance to 1e-8.
 
     Conjugating by sqrt(pi) turns a reversible kernel into a symmetric
     matrix with the same spectrum, so LAPACK's symmetric solver applies.
     """
     gap = detailed_balance_check(kernel)
-    if gap > tol:
+    if gap > 1e-8:
         raise UnsupportedInputError(
             f"kernel is not reversible (detailed balance off by {gap:.3e})"
         )

@@ -56,9 +56,16 @@ def test_rerun_is_byte_identical_even_across_destinations(runner, tmp_path):
     a, b = tmp_path / "a", tmp_path / "b"
     args = ["run", "st-connect-demo", "--family", "path:12", "--trials", "40", "--seed", "3"]
     r1 = _run(runner, args + ["--out", str(a)])
-    r2 = _run(runner, args + ["--out", str(b), "--workers", "2"])
+    r2 = _run(runner, args + ["--out", str(b)])
     assert r1.exit_code == 0 and r2.exit_code == 0
     assert a.with_suffix(".csv").read_bytes() == b.with_suffix(".csv").read_bytes()
+    # 300 trials make two chunks of 256, so the second run starts a real pool
+    c, d = tmp_path / "c", tmp_path / "d"
+    args = ["run", "product-theorem", "--trials", "300", "--seed", "3"]
+    r3 = _run(runner, args + ["--out", str(c)])
+    r4 = _run(runner, args + ["--out", str(d), "--workers", "2"])
+    assert r3.exit_code == 0 and r4.exit_code == 0
+    assert c.with_suffix(".csv").read_bytes() == d.with_suffix(".csv").read_bytes()
 
 
 def test_format_flag_selects_artifacts(runner, tmp_path):
@@ -403,19 +410,24 @@ def test_edgeless_product_factor_exits_2_without_numeric_warnings(runner, tmp_pa
     assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
 
 
-def test_flag_the_experiment_never_reads_is_rejected(runner, tmp_path):
-    result = _run(
-        runner,
-        [
-            "run", "commute-identity", "--family", "path:6",
-            "--seed", "1", "--out", str(tmp_path / "ci"),
-        ],
-    )
+@pytest.mark.parametrize(
+    "experiment, flag, takes",
+    [
+        ("commute-identity", ["--family", "path:6"], "--trials"),
+        ("closed-forms", ["--workers", "2"], "--n"),
+        ("st-connect-demo", ["--workers", "2"], "--graph-file"),
+        ("scheme-speedup", ["--workers", "2"], "--graph-file"),
+    ],
+    ids=["commute-identity-family", "closed-forms-workers", "st-connect-demo-workers",
+         "scheme-speedup-workers"],
+)
+def test_flag_the_experiment_never_reads_is_rejected(runner, tmp_path, experiment, flag, takes):
+    result = _run(runner, ["run", experiment, *flag, "--seed", "1", "--out", str(tmp_path / "x")])
     assert result.exit_code == 2
-    assert "does not apply" in result.output
-    assert "--trials" in result.output  # the message names what the experiment takes
+    assert f"{flag[0]} does not apply" in result.output
+    assert takes in result.output  # the message names what the experiment takes
     # nothing was written
-    assert not (tmp_path / "ci.csv").exists()
+    assert not list(tmp_path.iterdir())
 
 
 def test_degseq_cover_refuses_sizes_beside_a_degree_file(runner, tmp_path, monkeypatch):
@@ -594,6 +606,25 @@ def test_malformed_graph_file_exits_2(runner, tmp_path, text):
     assert result.exit_code == 2
     assert "input error" in result.output
     assert "bad " in result.output
+
+
+@pytest.mark.parametrize(
+    "experiment, flag", [("st-connect-demo", "--graph-file"), ("degseq-cover", "--degseq")]
+)
+def test_non_utf8_input_file_exits_2(runner, tmp_path, experiment, flag):
+    path = tmp_path / "bin.txt"
+    path.write_bytes(b"\xff\xfe\n")
+    result = _run(
+        runner,
+        [
+            "run", experiment, flag, str(path), "--trials", "2",
+            "--seed", "0", "--out", str(tmp_path / "out"),
+        ],
+    )
+    assert result.exit_code == 2
+    assert "input error" in result.output
+    assert "UTF-8" in result.output and "bin.txt" in result.output
+    assert not (tmp_path / "out.csv").exists()
 
 
 def test_family_and_graph_file_conflict(runner, tmp_path):

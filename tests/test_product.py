@@ -120,7 +120,7 @@ def test_observed_transitions_match_kernel_empirically():
     subset = [0, 1, 2]
     obs = local_observation(g, subset)
     kernel = build_kernel(obs.graph).matrix
-    pos_of = {old: new for new, old in enumerate(obs.labels)}
+    pos_of = {old: new for new, old in enumerate(obs.subset)}
 
     p = transition_matrix(g)
     cumulative = np.cumsum(p, axis=1)

@@ -355,7 +355,7 @@ def test_wide_vertex_trials_keep_their_recorded_walks(spec, config, values):
     assert got == [(float(v), False) for v in values]
 
 
-def test_wide_vertex_tables_pick_as_the_alias_method():
+def test_vertex_tables_hold_running_sums_of_merged_weights():
     # every vertex's table, wide or not, against exact running sums of the
     # weights merged from g.edges: complete:12 lazy (degree 12 with the
     # hold) and the weighted hub with its loop and doubled spoke
