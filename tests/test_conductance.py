@@ -16,9 +16,9 @@ from walklab.conductance import (
     conductance_sweep,
     jerrum_sinclair_check,
 )
-from walklab.errors import SizeCapError
+from walklab.errors import ParameterError, SizeCapError
 from walklab.graph import Graph, complete, cycle, grid2d, lollipop, path, star, torus2d
-from walklab.spectral import build_kernel, kernel_eigenvalues
+from walklab.spectral import TransitionKernel, build_kernel, kernel_eigenvalues
 
 from helpers import doubling_conductance, linear_mixing_oracle, mixing_distance, random_connected_graph
 
@@ -154,6 +154,15 @@ def test_exact_memory_stays_within_blocks():
         gc.enable()
     assert peak <= 8 * 2**20
     assert held <= 2**18
+
+
+@pytest.mark.parametrize("method", [conductance_exact, conductance_sweep])
+def test_no_light_subset_raises(method):
+    # each vertex carries 0.5 + 4e-11, within the kernel's 1e-10 tolerance on
+    # the total but above 1/2 + HALF_TOL, so no side of any cut qualifies
+    kernel = TransitionKernel(np.array([[0.0, 1.0], [1.0, 0.0]]), np.array([0.5 + 4e-11] * 2))
+    with pytest.raises(ParameterError, match="stationary mass at most 1/2"):
+        method(kernel)
 
 
 def test_size_cap():

@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 from walklab.errors import DisconnectedError, SizeCapError, UnsupportedInputError
 from walklab.electrical import (
     SUBSET_SEARCH_CAP,
+    MerstResult,
     commute_matrix,
     grid_resistance_monitor,
     harmonic_number,
@@ -63,6 +64,13 @@ def test_loops_are_electrically_invisible():
     plain = path(4)
     loopy = Graph(4, list(plain.edges) + [(2, 2, 5.0)])
     np.testing.assert_allclose(resistance_matrix(loopy), resistance_matrix(plain), rtol=0, atol=1e-12)
+
+
+@pytest.mark.parametrize("edges", [[], [(0, 0, 2.0)]], ids=["bare", "loop"])
+def test_single_vertex_has_zero_resistance_and_merst_bound(edges):
+    g = Graph(1, edges)
+    assert resistance_matrix(g).tolist() == [[0.0]]
+    assert merst_bound(g) == MerstResult(0.0, 0.0, ())
 
 
 def test_resistance_matrix_matches_pair_solver():

@@ -84,6 +84,51 @@ PINNED_CSV = {
         "n,avg_degree,trials,mean_cover,stderr,censored,predicted,ratio,resamples\n"
         "2000,3.0,4,37812.5,2412.134687367188,0,30403.60983816833,1.2436845559217327,0\n",
     ),
+    # both factors exceed the exact cover cap, so both cover times are walked
+    "product-theorem --product cycle:14,cycle:16 --trials 20 --seed 3": (
+        0,
+        "metric,value\n"
+        "first-factor,cycle:14\n"
+        "second-factor,cycle:16\n"
+        "product-vertices,224\n"
+        "cov-h,132.25\n"
+        "cov-h-stderr,19.43624869047252\n"
+        "cov-h-method,mc\n"
+        "bcov-h,506.1\n"
+        "bcov-h-stderr,43.117275814738235\n"
+        "cov-g,80.45\n"
+        "lower,264.5\n"
+        "upper-value,158671.0102508244\n"
+        "upper-symbolic,158671.0102508244 x K\n"
+        "precondition-ok,true\n"
+        "mc-cover-mean,2369.45\n"
+        "mc-cover-stderr,108.17594038855114\n"
+        "mc-trials,20\n"
+        "mc-censored,0\n",
+    ),
+    # path:20 has diameter 19 and cycle:16 only 16 vertices, so the upper
+    # bracket is withheld
+    "product-theorem --product path:20,cycle:16 --trials 10 --seed 3": (
+        0,
+        "metric,value\n"
+        "first-factor,path:20\n"
+        "second-factor,cycle:16\n"
+        "product-vertices,320\n"
+        "cov-h,117.3\n"
+        "cov-h-stderr,21.711261798635494\n"
+        "cov-h-method,mc\n"
+        "bcov-h,550.6\n"
+        "bcov-h-stderr,83.80045080759146\n"
+        "cov-g,482.0\n"
+        "lower,964.0\n"
+        "upper-value,\n"
+        "upper-symbolic,\n"
+        "precondition-ok,false\n"
+        "mc-cover-mean,4948.6\n"
+        "mc-cover-stderr,549.2775092994635\n"
+        "mc-trials,10\n"
+        "mc-censored,0\n",
+    ),
 }
 
 
