@@ -147,7 +147,7 @@ def _ladder(ns: range | list[int], low: int, cap: int, what: str) -> list[int]:
     return list(ns)
 
 
-def _resolve_graph(spec: dict, default: str | None = None) -> Graph:
+def _resolve_graph(spec: dict, default: str) -> Graph:
     fam, path_arg = spec.get("family"), spec.get("graph_file")
     if fam and path_arg:
         raise ParameterError("give at most one of --family and --graph-file")
@@ -160,12 +160,8 @@ def _resolve_graph(spec: dict, default: str | None = None) -> Graph:
         except UnicodeDecodeError:
             raise ParameterError(f"--graph-file: {path_arg!r} is not UTF-8 text") from None
         g = Graph.from_text(text, name=p.stem)
-    elif fam:
-        g = family(fam)
-    elif default is not None:
-        g = family(default)
     else:
-        raise ParameterError("this experiment needs --family or --graph-file")
+        g = family(fam or default)
     spec["graph"] = g.name
     return g
 
@@ -421,22 +417,18 @@ def _run_product_theorem(spec: dict, workers: int):
     spec["product"] = f"{g.name},{h.name}"
     trials, seed = spec["trials"], spec["seed"]
 
-    if h.n <= COVER_CAP:
-        cov_h = float(exact_cover_times(build_kernel(h)).max())
-        cov_h_stderr, cov_h_method = 0.0, "exact"
-    else:
-        est = simulate(h, WalkConfig(stop="cover"), trials, seed, workers=workers)
-        cov_h, cov_h_stderr, cov_h_method = est.mean, est.stderr, "mc"
+    def cover(f: Graph, offset: int) -> tuple[float, float, str]:
+        if f.n <= COVER_CAP:
+            return float(exact_cover_times(build_kernel(f)).max()), 0.0, "exact"
+        est = simulate(f, WalkConfig(stop="cover"), trials, _sub_seed(seed, offset), workers=workers)
+        return est.mean, est.stderr, "mc"
+
+    cov_h, cov_h_stderr, cov_h_method = cover(h, 0)
     best = simulate(
         h, WalkConfig(stop="blanket-cover"), trials, _sub_seed(seed, 1), workers=workers
     )
     bcov_h = best.mean
-    if g.n <= COVER_CAP:
-        cov_g = float(exact_cover_times(build_kernel(g)).max())
-    else:
-        cov_g = simulate(
-            g, WalkConfig(stop="cover"), trials, _sub_seed(seed, 2), workers=workers
-        ).mean
+    cov_g = cover(g, 2)[0]
 
     bounds = theorem_main_bounds(g, h, cov_h=cov_h, bcov_h=bcov_h, cov_g=cov_g)
     prod = cartesian_product(g, h)
@@ -649,20 +641,7 @@ def _run_p_simple(spec: dict):
 def _run_scheme_speedup(spec: dict):
     g = _resolve_graph(spec, default="lollipop:90")
     rep = speedup(g, spec["trials"], spec["seed"])
-    order = [
-        "graph",
-        "trials",
-        "seed",
-        "start",
-        "uniform_mean",
-        "uniform_stderr",
-        "mindeg_mean",
-        "mindeg_stderr",
-        "ratio",
-        "stderr",
-        "z_score",
-    ]
-    rows = [[key, rep[key]] for key in order]
+    rows = [[key, value] for key, value in rep.items()]
     checks = [
         _check(
             "three-sigma-speedup",

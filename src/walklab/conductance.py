@@ -24,7 +24,7 @@ import numpy as np
 
 from .errors import ParameterError, SizeCapError
 from .graph import Graph
-from .spectral import TransitionKernel, build_kernel, kernel_eigenvalues
+from .spectral import TransitionKernel, _symmetrized, build_kernel, kernel_eigenvalues
 
 __all__ = [
     "ConductanceResult",
@@ -112,17 +112,12 @@ def conductance_exact(kernel: TransitionKernel) -> ConductanceResult:
     invalid = np.empty(size, dtype=bool)
     heavy = np.empty(size, dtype=bool)
     best = [math.inf, 0, 0.0, 0.0]  # ratio, mask, pi mass, cut; mask 0 wins an all-inf tie
-    found = False
 
     def score(base: int, pis: np.ndarray, inner: np.ndarray) -> None:
-        nonlocal found
         # row sums of Q are pi, so the cut is the mass minus the internal flow
         np.maximum(np.subtract(pis, inner, out=cut), 0.0, out=cut)
         np.less_equal(pis, 0, out=invalid)
         np.logical_or(invalid, np.greater(pis, 0.5 + HALF_TOL, out=heavy), out=invalid)
-        if base == 0:
-            invalid[0] = True
-        found = found or not invalid.all()
         np.putmask(np.divide(cut, pis, out=ratios), invalid, np.inf)
         i = int(ratios.argmin())
         ratio, mask = ratios[i], base | i
@@ -151,7 +146,8 @@ def conductance_exact(kernel: TransitionKernel) -> ConductanceResult:
             child = base | (1 << b)
             score(child, child_pis, child_inner)
             stack.append((child, enumerate(range(b + 1, n)), child_pis, child_inner, rest))
-    if not found:
+    # every subset of positive mass at most 1/2 scores a finite ratio
+    if best[0] == math.inf:
         raise ParameterError("no subset has stationary mass at most 1/2")
     ratio, mask, mass, flow = best
     members = [v for v in range(n) if mask & (1 << v)]
@@ -171,9 +167,7 @@ def conductance_sweep(kernel: TransitionKernel) -> ConductanceResult:
     if n < 2:
         raise ParameterError("conductance needs at least two vertices")
     pi = kernel.stationary
-    root = np.sqrt(pi)
-    sym = kernel.matrix * (root[:, None] / root[None, :])
-    sym = 0.5 * (sym + sym.T)
+    sym, root = _symmetrized(kernel)
     eigvals, eigvecs = np.linalg.eigh(sym)
     f = eigvecs[:, -2] / root  # second-largest eigenvalue's eigenvector
     order = sorted(range(n), key=lambda v: (f[v], v))

@@ -68,8 +68,6 @@ def resistance_matrix(g: Graph) -> np.ndarray:
     """
     _require_connected(g)
     n = g.n
-    if n == 1:
-        return np.zeros((1, 1))
     # rebound, so the conductance matrix is freed before the solve
     lap = conductance_matrix(g)
     lap = np.diag(lap.sum(axis=1)) - lap
@@ -120,8 +118,6 @@ def merst_bound(g: Graph) -> MerstResult:
         raise SizeCapError(f"merst bound capped at n=2000, got {g.n}")
     _require_connected(g)
     n = g.n
-    if n == 1:
-        return MerstResult(0.0, 0.0, ())
     r = resistance_matrix(g)
     pairs = [(float(r[u, v]), u, v) for u in range(n) for v in range(u + 1, n)]
     weight, chosen = _kruskal(n, pairs)

@@ -203,21 +203,16 @@ def theorem_main_bounds(
         lower = max(lower, (1.0 + delta_h / max_g) * cov_g)
 
     precondition_ok = h.n >= diam_g + 1
-    if not precondition_ok:
-        return ProductBoundReport(
-            lower=lower,
-            upper_value=None,
-            upper_symbolic=None,
-            precondition_ok=False,
+    upper = None
+    if precondition_ok:
+        product_edges = g.n * h.m + h.n * g.m
+        ell = math.log(diam_g + 1) * math.log(g.n * diam_g)
+        upper = (1.0 + max_g / delta_h) * bcov_h + (
+            product_edges * g.m * h.m * h.n * ell * ell / (cov_h * diam_g)
         )
-    product_edges = g.n * h.m + h.n * g.m
-    ell = math.log(diam_g + 1) * math.log(g.n * diam_g)
-    upper = (1.0 + max_g / delta_h) * bcov_h + (
-        product_edges * g.m * h.m * h.n * ell * ell / (cov_h * diam_g)
-    )
     return ProductBoundReport(
         lower=lower,
         upper_value=upper,
-        upper_symbolic=f"{repr(upper)} x K",
-        precondition_ok=True,
+        upper_symbolic=None if upper is None else f"{repr(upper)} x K",
+        precondition_ok=precondition_ok,
     )

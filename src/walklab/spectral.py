@@ -156,10 +156,15 @@ def kernel_eigenvalues(kernel: TransitionKernel) -> np.ndarray:
         raise UnsupportedInputError(
             f"kernel is not reversible (detailed balance off by {gap:.3e})"
         )
+    return np.linalg.eigvalsh(_symmetrized(kernel)[0])[::-1]
+
+
+def _symmetrized(kernel: TransitionKernel) -> tuple[np.ndarray, np.ndarray]:
+    """(S, sqrt(pi)): S = D P D^-1 with D = diag(sqrt(pi)), averaged with its transpose."""
     root = np.sqrt(kernel.stationary)
     sym = kernel.matrix * (root[:, None] / root[None, :])
     sym = 0.5 * (sym + sym.T)
-    return np.linalg.eigvalsh(sym)[::-1]
+    return sym, root
 
 
 # --- exact cover time ---
