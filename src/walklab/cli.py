@@ -45,6 +45,7 @@ from .electrical import (
 )
 from .errors import InputError, NumericError, ParameterError, RejectionFailure, SizeCapError
 from .graph import (
+    _VERTEX_CAP,
     Graph,
     binary_tree,
     cartesian_product,
@@ -65,10 +66,6 @@ from .walks import WalkConfig, _st_answers, simulate, speedup
 from .weighting import SCHEMES
 
 __all__ = ["main"]
-
-# degseq-cover's largest n, ten times the largest measured: a mixed 3/5
-# sequence at n = 100 000 sampled in 5.4 s and built 28.8 MB of walk tables
-_DEGSEQ_CAP = 10**6
 
 
 # --- output plumbing ---
@@ -149,9 +146,9 @@ def _ladder(ns: range | list[int], low: int, cap: int, what: str) -> list[int]:
 
 def _resolve_graph(spec: dict, default: str) -> Graph:
     fam, path_arg = spec.get("family"), spec.get("graph_file")
-    if fam and path_arg:
+    if fam is not None and path_arg is not None:
         raise ParameterError("give at most one of --family and --graph-file")
-    if path_arg:
+    if path_arg is not None:
         p = Path(path_arg)
         if not p.is_file():
             raise ParameterError(f"--graph-file: no such file {path_arg!r}")
@@ -159,9 +156,11 @@ def _resolve_graph(spec: dict, default: str) -> Graph:
             text = p.read_text(encoding="utf-8")
         except UnicodeDecodeError:
             raise ParameterError(f"--graph-file: {path_arg!r} is not UTF-8 text") from None
+        except OSError as exc:
+            raise ParameterError(f"--graph-file: cannot read {path_arg!r}: {exc.strerror or exc}") from None
         g = Graph.from_text(text, name=p.stem)
     else:
-        g = family(fam or default)
+        g = family(default if fam is None else fam)
     spec["graph"] = g.name
     return g
 
@@ -413,9 +412,10 @@ def _parse_product(text: str) -> tuple[Graph, Graph]:
 
 
 def _run_product_theorem(spec: dict, workers: int):
-    g, h = _parse_product(spec["product"] or "cycle:4,cycle:16")
+    g, h = _parse_product("cycle:4,cycle:16" if spec["product"] is None else spec["product"])
     spec["product"] = f"{g.name},{h.name}"
     trials, seed = spec["trials"], spec["seed"]
+    prod = cartesian_product(g, h)  # refused above the graph caps before any factor walks
 
     def cover(f: Graph, offset: int) -> tuple[float, float, str]:
         if f.n <= COVER_CAP:
@@ -431,7 +431,6 @@ def _run_product_theorem(spec: dict, workers: int):
     cov_g = cover(g, 2)[0]
 
     bounds = theorem_main_bounds(g, h, cov_h=cov_h, bcov_h=bcov_h, cov_g=cov_g)
-    prod = cartesian_product(g, h)
     mc = simulate(prod, WalkConfig(stop="cover"), trials, _sub_seed(seed, 3), workers=workers)
 
     rows = [
@@ -472,7 +471,7 @@ def _run_product_theorem(spec: dict, workers: int):
 
 
 def _run_degseq_cover(spec: dict, workers: int):
-    dspec = spec["degseq"] or "regular:3"
+    dspec = "regular:3" if spec["degseq"] is None else spec["degseq"]
     spec["degseq"] = dspec
     trials, seed = spec["trials"], spec["seed"]
     if dspec.startswith("regular:"):
@@ -480,7 +479,7 @@ def _run_degseq_cover(spec: dict, workers: int):
             r = int(dspec.split(":", 1)[1])
         except ValueError as exc:
             raise ParameterError(f"--degseq: bad regular spec {dspec!r}") from exc
-        ns = _ladder(spec["n"] or [500, 1000, 2000], r + 1, _DEGSEQ_CAP, "degseq-cover")
+        ns = _ladder(spec["n"] or [500, 1000, 2000], r + 1, _VERTEX_CAP, "degseq-cover")
         odd = [n for n in ns if n * r % 2]
         if odd:
             raise ParameterError(f"--n: {r}-regular on {odd[0]} vertices has odd degree sum")
@@ -494,8 +493,8 @@ def _run_degseq_cover(spec: dict, workers: int):
                 f"--degseq: expected 'regular:r' or a degree file, got {dspec!r}"
             )
         seq = read_degree_file(p)
-        if seq.n > _DEGSEQ_CAP:
-            raise SizeCapError(f"--degseq: degseq-cover capped at n={_DEGSEQ_CAP}, got {seq.n}")
+        if seq.n > _VERTEX_CAP:
+            raise SizeCapError(f"--degseq: degseq-cover capped at n={_VERTEX_CAP}, got {seq.n}")
         ns = [seq.n]
         seqs = [seq]
     spec["n"] = ns

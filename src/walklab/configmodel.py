@@ -137,6 +137,8 @@ def read_degree_file(path) -> DegreeSequence:
             lines = handle.read().split("\n")
     except UnicodeDecodeError:
         raise ParameterError(f"degree file {path}: not UTF-8 text") from None
+    except OSError as exc:
+        raise ParameterError(f"degree file {path}: cannot read it: {exc.strerror or exc}") from None
     degrees = []
     for raw in lines:
         line = raw.strip()

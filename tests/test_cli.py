@@ -205,7 +205,7 @@ def test_degseq_cover_caps_a_degree_file(runner, tmp_path, monkeypatch):
     def no_work(*args, **kwargs):
         raise AssertionError("sampling started before the size was checked")
 
-    monkeypatch.setattr("walklab.cli._DEGSEQ_CAP", 5)
+    monkeypatch.setattr("walklab.cli._VERTEX_CAP", 5)
     monkeypatch.setattr("walklab.cli._connected_simple_sample", no_work)
     degfile = tmp_path / "six.txt"
     degfile.write_text("3 3 3 3 3 3\n")
@@ -609,11 +609,24 @@ def test_malformed_graph_file_exits_2(runner, tmp_path, text):
 
 
 @pytest.mark.parametrize(
-    "experiment, flag", [("st-connect-demo", "--graph-file"), ("degseq-cover", "--degseq")]
+    "experiment, flag, unreadable",
+    [
+        pytest.param("st-connect-demo", "--graph-file", False, id="st-connect-demo---graph-file"),
+        pytest.param("degseq-cover", "--degseq", False, id="degseq-cover---degseq"),
+        pytest.param("st-connect-demo", "--graph-file", True, id="st-connect-demo---graph-file-unreadable"),
+        pytest.param("degseq-cover", "--degseq", True, id="degseq-cover---degseq-unreadable"),
+    ],
 )
-def test_non_utf8_input_file_exits_2(runner, tmp_path, experiment, flag):
+def test_non_utf8_input_file_exits_2(runner, tmp_path, monkeypatch, experiment, flag, unreadable):
     path = tmp_path / "bin.txt"
     path.write_bytes(b"\xff\xfe\n")
+    if unreadable:
+        # root reads through chmod 000, so each reader's open fails by hand
+        def refuse(*args, **kwargs):
+            raise PermissionError(13, "Permission denied")
+
+        monkeypatch.setattr(Path, "read_text", refuse)
+        monkeypatch.setattr("walklab.configmodel.open", refuse, raising=False)
     result = _run(
         runner,
         [
@@ -623,8 +636,56 @@ def test_non_utf8_input_file_exits_2(runner, tmp_path, experiment, flag):
     )
     assert result.exit_code == 2
     assert "input error" in result.output
-    assert "UTF-8" in result.output and "bin.txt" in result.output
+    assert ("Permission denied" if unreadable else "UTF-8") in result.output
+    assert "bin.txt" in result.output
     assert not (tmp_path / "out.csv").exists()
+
+
+@pytest.mark.parametrize(
+    "experiment, flag, message",
+    [
+        ("scheme-speedup", "--family", "unknown family ''"),
+        ("st-connect-demo", "--graph-file", "no such file ''"),
+        ("product-theorem", "--product", "expected two family specs"),
+        ("degseq-cover", "--degseq", "or a degree file, got ''"),
+    ],
+    ids=["family", "graph-file", "product", "degseq"],
+)
+def test_an_empty_flag_value_is_refused_not_defaulted(runner, tmp_path, experiment, flag, message):
+    result = _run(runner, ["run", experiment, flag, "", "--seed", "0", "--out", str(tmp_path / "out")])
+    assert result.exit_code == 2
+    assert message in result.output
+    assert not (tmp_path / "out.csv").exists()
+
+
+@pytest.mark.parametrize(
+    "experiment, args, edge_cap, message",
+    [
+        ("st-connect-demo", ["--family", "grid2d:1001,1000"], None, "capped at 1000000 vertices"),
+        ("scheme-speedup", ["--graph-file", "{header}"], None, "capped at 1000000 vertices, got n=1000001"),
+        ("st-connect-demo", ["--family", "lollipop:30"], 100, "capped at 100 edges"),
+        ("product-theorem", ["--product", "cycle:1000,cycle:1001"], None, "passes the graph caps"),
+    ],
+    ids=["family", "graph-file", "edges", "product"],
+)
+def test_oversize_graphs_are_refused_before_any_walk(
+    runner, tmp_path, monkeypatch, experiment, args, edge_cap, message
+):
+    def no_work(*args, **kwargs):
+        raise AssertionError("a walk started before the graph was checked")
+
+    for name in ("simulate", "speedup", "_st_answers"):
+        monkeypatch.setattr(f"walklab.cli.{name}", no_work)
+    if edge_cap is not None:
+        monkeypatch.setattr("walklab.graph._EDGE_CAP", edge_cap)
+    header = tmp_path / "huge.txt"
+    header.write_text("1000001 0\n")
+    args = [a.format(header=header) for a in args]
+    started = time.perf_counter()
+    result = _run(runner, ["run", experiment, *args, "--seed", "0", "--out", str(tmp_path / "out")])
+    assert time.perf_counter() - started < 1.0
+    assert result.exit_code == 2
+    assert message in result.output
 
 
 def test_family_and_graph_file_conflict(runner, tmp_path):

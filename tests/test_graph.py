@@ -1,3 +1,4 @@
+import itertools
 import math
 
 import numpy as np
@@ -7,7 +8,7 @@ from hypothesis import strategies as st
 
 from walklab import graph
 from walklab.electrical import conductance_matrix
-from walklab.errors import DisconnectedError, ParameterError
+from walklab.errors import DisconnectedError, ParameterError, SizeCapError
 from walklab.graph import (
     Graph,
     binary_tree,
@@ -251,6 +252,29 @@ def test_family_dispatcher():
         family("path:3,4")
     with pytest.raises(ParameterError):
         family("path:x")
+
+
+def test_graphs_are_refused_above_the_vertex_cap_before_they_are_built():
+    with pytest.raises(SizeCapError, match="capped at 1000000 vertices"):
+        Graph(10**6 + 1, [])
+    # the family's vertex count is the product of its parameters
+    for spec in ("path:1000001", "grid2d:1001,1000", "torus2d:2000,2000"):
+        with pytest.raises(SizeCapError, match="capped at 1000000 vertices"):
+            family(spec)
+    with pytest.raises(ParameterError, match="grid2d needs rows"):
+        family("grid2d:-2000,-2000")
+    with pytest.raises(SizeCapError, match="passes the graph caps"):
+        cartesian_product(path(1001), path(1000))
+
+
+def test_edges_are_counted_against_the_cap_as_they_are_read(monkeypatch):
+    monkeypatch.setattr(graph, "_EDGE_CAP", 10)
+    with pytest.raises(SizeCapError, match="capped at 10 edges"):
+        Graph(2, itertools.repeat((0, 1)))  # endless, so read no further than the cap
+    assert complete(5).m == 10
+    for build in (lambda: complete(6), lambda: lollipop(8), lambda: cartesian_product(path(3), path(3))):
+        with pytest.raises(SizeCapError):
+            build()
 
 
 def test_with_weights():

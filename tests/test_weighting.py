@@ -111,6 +111,18 @@ def test_speedup_is_exactly_one_on_regular_graphs():
     assert out["z_score"] == 0.0
 
 
+@pytest.mark.parametrize(
+    "edges", [[(0, 1, 2.0), (1, 2, 1.0)], [(0, 1), (1, 2), (1, 2)]], ids=["weighted", "multi"]
+)
+def test_speedup_refuses_an_unschemable_graph_before_walking(monkeypatch, edges):
+    def no_walk(*args, **kwargs):
+        raise AssertionError("a walk ran before the scheme refused the graph")
+
+    monkeypatch.setattr("walklab.walks._trial_values", no_walk)
+    with pytest.raises(UnsupportedInputError):
+        speedup(Graph(3, edges), trials=5, seed=0)
+
+
 def test_speedup_favors_mindeg_on_lollipop():
     out = speedup(lollipop(24), trials=150, seed=7)
     assert out["ratio"] > 1.0
