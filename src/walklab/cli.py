@@ -485,13 +485,13 @@ def _run_degseq_cover(spec: dict, workers: int):
             raise ParameterError(f"--n: {r}-regular on {odd[0]} vertices has odd degree sum")
         seqs = (regular_sequence(n, r) for n in ns)  # each built when its rung runs
     else:
-        if spec["n"] is not None:
-            raise ParameterError("--n does not apply with a degree file in --degseq; the file fixes n")
         p = Path(dspec)
         if not p.is_file():
             raise ParameterError(
                 f"--degseq: expected 'regular:r' or a degree file, got {dspec!r}"
             )
+        if spec["n"] is not None:
+            raise ParameterError("--n does not apply with a degree file in --degseq; the file fixes n")
         seq = read_degree_file(p)
         if seq.n > _VERTEX_CAP:
             raise SizeCapError(f"--degseq: degseq-cover capped at n={_VERTEX_CAP}, got {seq.n}")
@@ -505,13 +505,8 @@ def _run_degseq_cover(spec: dict, workers: int):
     for j, (n, seq) in enumerate(zip(ns, seqs)):
         graph, resamples = _connected_simple_sample(seq, seed, 101 * j)
         predicted = predicted_cover(seq)
-        est = simulate(
-            graph,
-            WalkConfig(stop="cover", scheme=spec["scheme"], lazy=spec["lazy"]),
-            trials,
-            _sub_seed(seed, 101 * j),
-            workers=workers,
-        )
+        config = WalkConfig(stop="cover", scheme=spec["scheme"])
+        est = simulate(graph, config, trials, _sub_seed(seed, 101 * j), workers=workers)
         ratio = est.mean / predicted
         ratios.append(ratio)
         rows.append(
@@ -745,7 +740,7 @@ EXPERIMENTS: dict[str, dict] = {
     },
     "degseq-cover": {
         "runner": _run_degseq_cover,
-        "params": frozenset({"degseq", "n", "trials", "scheme", "lazy", "workers"}),
+        "params": frozenset({"degseq", "n", "trials", "scheme", "workers"}),
         "trials": 200,
         "claim": "Cover times of random graphs with a prescribed degree "
         "sequence track the predicted (d-1)/(d-2) * (theta/d) * n ln n "
@@ -843,7 +838,6 @@ def main() -> None:
 @click.option("--product", default=None, help="Two families joined by a comma, e.g. cycle:4,cycle:16.")
 @click.option("--degseq", default=None, help="Degree input: regular:r or a path to a degree file.")
 @click.option("--scheme", type=click.Choice(SCHEMES), default="uniform", help="Edge weighting applied before walking.")
-@click.option("--lazy", is_flag=True, default=False, help="Walk the lazy kernel (hold with probability 1/2).")
 @click.option("--trials", type=int, default=None, help="Trials, attempts, or graph count; experiment-specific.")
 @click.option("--n", default=None, help="Size or ladder: 8, 2..10, or 500,1000,2000.")
 @click.option("--out", default=None, help="Output base path; writes <out>.csv and <out>.json.")

@@ -190,23 +190,23 @@ def conductance_sweep(kernel: TransitionKernel) -> ConductanceResult:
     return _result(*best, "sweep")
 
 
-def jerrum_sinclair_check(g: Graph, scheme: str = "uniform") -> dict:
+def jerrum_sinclair_check(g: Graph) -> dict:
     """Sandwich the lazy spectral gap between Phi^2/2 and 2 Phi.
 
     The gap is computed on the lazy kernel. The conductance is enumerated
     once, on the plain kernel, and reported as `phi`; the lazy kernel
     (P + I) / 2 keeps pi and halves every off-diagonal flow exactly, so
-    `phi_lazy` is phi / 2. Margins are reported signed; the check passes
-    when both clear -1e-9.
+    `phi_lazy` is phi / 2. Both kernels walk g's own edge weights, so a
+    weighting is checked on apply_scheme(g, scheme). Margins are reported
+    signed; the check passes when both clear -1e-9.
     """
-    phi = conductance_exact(build_kernel(g, scheme=scheme)).phi
+    phi = conductance_exact(build_kernel(g)).phi
     phi_lazy = phi / 2.0
-    gap = float(1.0 - kernel_eigenvalues(build_kernel(g, scheme=scheme, lazy=True))[1])
+    gap = float(1.0 - kernel_eigenvalues(build_kernel(g, lazy=True))[1])
     lower_margin = gap - phi_lazy * phi_lazy / 2.0
     upper_margin = 2.0 * phi_lazy - gap
     return {
         "graph": g.name,
-        "scheme": scheme,
         "phi": phi,
         "phi_lazy": phi_lazy,
         "gap_lazy": gap,

@@ -285,15 +285,13 @@ def predicted_p_simple(seq: DegreeSequence) -> float:
 # --- niceness ---
 
 
-def effective_min_degree(seq: DegreeSequence, fraction: float = DEFAULT_EFFECTIVE_FRACTION) -> int:
-    """Smallest degree held by at least fraction*n vertices.
+def effective_min_degree(seq: DegreeSequence) -> int:
+    """Smallest degree held by at least DEFAULT_EFFECTIVE_FRACTION * n vertices.
 
     Finite-size surrogate for "occurs order n times". If no degree reaches
     the threshold the most frequent one (smallest on ties) is returned.
     """
-    if not 0 < fraction <= 1:
-        raise ParameterError("fraction must lie in (0, 1]")
-    threshold = fraction * seq.n
+    threshold = DEFAULT_EFFECTIVE_FRACTION * seq.n
     qualifying = [j for j, c in seq.counts.items() if c >= threshold]
     if qualifying:
         return min(qualifying)

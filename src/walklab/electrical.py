@@ -36,7 +36,8 @@ __all__ = [
     "GRID_CAP",
 ]
 
-SUBSET_SEARCH_CAP = 16  # matthews_lower without a subset tries them all
+SUBSET_SEARCH_CAP = 16  # matthews_lower tries every subset, so n is capped
+LOWER_MAX_SIZE = 12  # the largest subset size matthews_lower scores
 GRID_CAP = 40  # grid_resistance_monitor's largest side k
 
 
@@ -161,24 +162,11 @@ def matthews_upper(g: Graph, hitting: np.ndarray | None = None) -> float:
     return float(h.max()) * harmonic_number(g.n)
 
 
-def _lower_value(h: np.ndarray, members: list[int]) -> float:
-    """Min-pair-hitting over the ordered pairs of one subset, times h(k - 1)."""
-    k = len(members)
-    block = h[np.ix_(members, members)]
-    return float(block[~np.eye(k, dtype=bool)].min()) * harmonic_number(k - 1)
+def matthews_lower(g: Graph, hitting: np.ndarray | None = None) -> float:
+    """Lower cover bound: the largest min-pair-hitting(A) * h(|A| - 1).
 
-
-def matthews_lower(
-    g: Graph,
-    subset: list[int] | None = None,
-    max_size: int = 12,
-    hitting: np.ndarray | None = None,
-) -> float:
-    """Lower cover bound min-pair-hitting(A) * h(|A| - 1).
-
-    With an explicit subset the bound is evaluated directly. Without one,
-    every subset of size 2..max_size is tried, which is only feasible on
-    small graphs (capped at SUBSET_SEARCH_CAP vertices). With
+    Every subset A of size 2..LOWER_MAX_SIZE is tried, which is only
+    feasible on small graphs (capped at SUBSET_SEARCH_CAP vertices). With
     M = min(H, H^T), least[S] = min of M over the pairs in S is built by
     doubling over the top vertex j of S:
     least[S | 2^j] = min(least[S], min of M[u, j] over u in S), the inner
@@ -187,17 +175,9 @@ def matthews_lower(
     bit as scoring every subset on its own.
     """
     h = _hitting_matrix(g) if hitting is None else hitting
-    if subset is not None:
-        members = sorted(set(subset))
-        if len(members) < 2:
-            raise ParameterError("lower bound needs at least two vertices")
-        return _lower_value(h, members)
     n = g.n
     if n > SUBSET_SEARCH_CAP:
-        raise SizeCapError(
-            f"exhaustive subset search capped at n={SUBSET_SEARCH_CAP}, got {n}; "
-            f"pass an explicit subset"
-        )
+        raise SizeCapError(f"exhaustive subset search capped at n={SUBSET_SEARCH_CAP}, got {n}")
     m = np.minimum(h, h.T)
     least = np.full(1 << n, np.inf)
     size = np.zeros(1 << n, dtype=np.int8)
@@ -208,7 +188,7 @@ def matthews_lower(
         least[1 << j : 2 << j] = np.minimum(least[: 1 << j], to_j[: 1 << j])
         size[1 << j : 2 << j] = size[: 1 << j] + 1
     best = 0.0
-    for k in range(2, min(max_size, n) + 1):
+    for k in range(2, min(LOWER_MAX_SIZE, n) + 1):
         best = max(best, float(least[size == k].max()) * harmonic_number(k - 1))
     return best
 

@@ -318,9 +318,17 @@ def cycle(n: int) -> Graph:
     return Graph(n, [(i, (i + 1) % n) for i in range(n)], name=f"cycle:{n}")
 
 
+def _refuse_edge_count(m: int, name: str) -> None:
+    # a family whose edge count is a closed form is refused before it
+    # builds, not after Graph has normalised _EDGE_CAP edges
+    if m > _EDGE_CAP:
+        raise SizeCapError(f"{name} has {m} edges; graphs are capped at {_EDGE_CAP} edges")
+
+
 def complete(n: int) -> Graph:
     if n < 1:
         raise ParameterError("complete needs n >= 1")
+    _refuse_edge_count(n * (n - 1) // 2, f"complete:{n}")
     edges = ((i, j) for i in range(n) for j in range(i + 1, n))
     return Graph(n, edges, name=f"complete:{n}")
 
@@ -381,6 +389,7 @@ def lollipop(n: int) -> Graph:
     if n < 4:
         raise ParameterError("lollipop needs n >= 4")
     k = (2 * n + 1) // 3
+    _refuse_edge_count(k * (k - 1) // 2 + n - k, f"lollipop:{n}")
     clique = ((i, j) for i in range(k) for j in range(i + 1, k))
     tail = ((i, i + 1) for i in range(k - 1, n - 1))
     return Graph(n, chain(clique, tail), name=f"lollipop:{n}")

@@ -87,9 +87,6 @@ class WalkConfig:
     stop:       "cover", "hit", or "blanket-cover"
     start:      starting vertex
     target:     required for "hit"
-    reference:  cover-time reference for "blanket-cover"; computed from the
-                graph when omitted (exact up to COVER_CAP vertices, the
-                max-hitting cover bound above)
     budget:     hard step cap, at most 10**9; trials that reach it are censored
     scheme:     edge weighting applied before walking
     lazy:       walk the lazy kernel (hold with probability 1/2)
@@ -98,7 +95,6 @@ class WalkConfig:
     stop: str = "cover"
     start: int = 0
     target: int | None = None
-    reference: float | None = None
     budget: int = 10**9
     scheme: str = "uniform"
     lazy: bool = False
@@ -313,9 +309,7 @@ def _plan(g: Graph, config: WalkConfig) -> tuple:
         left = [0] * g.n
         left[config.target] = 1
     elif config.stop == "blanket-cover":
-        reference = config.reference
-        if reference is None:
-            reference = blanket_cover_reference(g, config.scheme, config.lazy)
+        reference = blanket_cover_reference(g, config.scheme, config.lazy)
         left = [max(0, math.ceil(reference * p - 1e-12)) for p in pi]
     else:
         left = [1] * g.n
@@ -464,15 +458,19 @@ def _st_answers(g: Graph, s: int, t: int, seed: int, lo: int, hi: int) -> list[d
 
 
 def _st_budget(g: Graph, s: int) -> int:
-    """The probe's step budget from s (see _st_answers), refused above the cap."""
-    inside = g.bfs_distances(s) >= 0
-    rows, cols, weights = g.pooled
-    keep = (rows < cols) & inside[rows]  # each pooled pair of C once, loops skipped
-    pairs = zip(rows[keep].tolist(), cols[keep].tolist(), weights[keep].tolist())
-    tree, _ = _kruskal(g.n, [(1.0 / w, u, v) for u, v, w in pairs])
-    plain = 8 * g.n * g.m
-    weighted = 2.0 * float(g.weighted_degrees[inside].sum()) * tree
-    need, cap = max(plain, weighted), WalkConfig().budget
+    """The probe's step budget from s (see _st_answers), refused above the cap.
+
+    The plain 8nm is refused first, from n and m alone, so an oversize graph
+    pays for neither the BFS nor the spanning tree.
+    """
+    need, cap = 8 * g.n * g.m, WalkConfig().budget
+    if need <= cap:
+        inside = g.bfs_distances(s) >= 0
+        rows, cols, weights = g.pooled
+        keep = (rows < cols) & inside[rows]  # each pooled pair of C once, loops skipped
+        pairs = zip(rows[keep].tolist(), cols[keep].tolist(), weights[keep].tolist())
+        tree, _ = _kruskal(g.n, [(1.0 / w, u, v) for u, v, w in pairs])
+        need = max(need, math.ceil(2.0 * float(g.weighted_degrees[inside].sum()) * tree))
     if need > cap:
         raise SizeCapError(f"s-t probe needs {need:.4g} steps on {g.name}, above the cap {cap}")
-    return max(plain, math.ceil(weighted))
+    return need

@@ -430,6 +430,53 @@ def test_flag_the_experiment_never_reads_is_rejected(runner, tmp_path, experimen
     assert not list(tmp_path.iterdir())
 
 
+def test_degseq_cover_has_no_lazy_flag(runner, tmp_path):
+    # a lazy walk's cover time is twice the simple walk's, which
+    # predicted_cover gives, so the flag failed every cover-ratio check
+    result = _run(runner, ["run", "degseq-cover", "--lazy", "--seed", "0", "--out", str(tmp_path / "d")])
+    assert result.exit_code == 2
+    assert "--lazy" in result.output
+    assert not list(tmp_path.iterdir())
+
+
+def _degseq_cover_bodies(runner, tmp_path, degrees):
+    degfile = tmp_path / "deg.txt"
+    degfile.write_text(" ".join(map(str, degrees)) + "\n")
+    bodies, codes = {}, {}
+    for scheme in ("uniform", "mindeg", "ikeda"):
+        base = tmp_path / scheme
+        result = _run(
+            runner,
+            [
+                "run", "degseq-cover", "--degseq", str(degfile), "--scheme", scheme,
+                "--trials", "20", "--seed", "0", "--out", str(base),
+            ],
+        )
+        codes[scheme] = result.exit_code
+        first, *rest = base.with_suffix(".csv").read_text().splitlines()
+        assert json.loads(first[len("# spec ") :])["scheme"] == scheme
+        bodies[scheme] = rest
+    return bodies, codes
+
+
+def test_degseq_cover_walks_each_scheme_on_a_degree_file(runner, tmp_path):
+    bodies, codes = _degseq_cover_bodies(runner, tmp_path, [3] * 20 + [5] * 20)
+    # the 40-vertex graph sits outside the cover-ratio band under any scheme
+    # (an open finding), so exit 1 is a verdict, not an error
+    assert set(codes.values()) <= {0, 1}
+    means = {}
+    for scheme, (header, row) in bodies.items():
+        means[scheme] = float(row.split(",")[header.split(",").index("mean_cover")])
+    assert means == {"uniform": 243.25, "mindeg": 225.6, "ikeda": 232.05}
+
+
+def test_degseq_cover_schemes_agree_on_a_regular_degree_file(runner, tmp_path):
+    # every scheme weights a regular graph uniformly, so the walks coincide
+    bodies, codes = _degseq_cover_bodies(runner, tmp_path, [3] * 40)
+    assert codes["mindeg"] == codes["ikeda"] == codes["uniform"]
+    assert bodies["mindeg"] == bodies["ikeda"] == bodies["uniform"]
+
+
 def test_degseq_cover_refuses_sizes_beside_a_degree_file(runner, tmp_path, monkeypatch):
     # the file fixes n, so --n could not change the result
     def no_work(*args, **kwargs):
@@ -642,17 +689,20 @@ def test_non_utf8_input_file_exits_2(runner, tmp_path, monkeypatch, experiment, 
 
 
 @pytest.mark.parametrize(
-    "experiment, flag, message",
+    "experiment, flags, message",
     [
-        ("scheme-speedup", "--family", "unknown family ''"),
-        ("st-connect-demo", "--graph-file", "no such file ''"),
-        ("product-theorem", "--product", "expected two family specs"),
-        ("degseq-cover", "--degseq", "or a degree file, got ''"),
+        ("scheme-speedup", ["--family", ""], "unknown family ''"),
+        ("st-connect-demo", ["--graph-file", ""], "no such file ''"),
+        ("product-theorem", ["--product", ""], "expected two family specs"),
+        ("degseq-cover", ["--degseq", ""], "or a degree file, got ''"),
+        # the empty value gives no degree file, so "the file fixes n" would
+        # name one that does not exist
+        ("degseq-cover", ["--degseq", "", "--n", "100"], "or a degree file, got ''"),
     ],
-    ids=["family", "graph-file", "product", "degseq"],
+    ids=["family", "graph-file", "product", "degseq", "degseq-with-n"],
 )
-def test_an_empty_flag_value_is_refused_not_defaulted(runner, tmp_path, experiment, flag, message):
-    result = _run(runner, ["run", experiment, flag, "", "--seed", "0", "--out", str(tmp_path / "out")])
+def test_an_empty_flag_value_is_refused_not_defaulted(runner, tmp_path, experiment, flags, message):
+    result = _run(runner, ["run", experiment, *flags, "--seed", "0", "--out", str(tmp_path / "out")])
     assert result.exit_code == 2
     assert message in result.output
     assert not (tmp_path / "out.csv").exists()

@@ -255,13 +255,15 @@ def test_sampled_cubic_graphs_are_usually_connected():
 def test_effective_min_degree_threshold():
     seq = DegreeSequence((3,) + (5,) * 199)
     assert effective_min_degree(seq) == 5  # one vertex of degree 3 is below 1%
-    assert effective_min_degree(seq, fraction=0.004) == 3
+    assert effective_min_degree(DegreeSequence((3, 3) + (5,) * 198)) == 3  # two reach it
     assert effective_min_degree(regular_sequence(10, 3)) == 3
 
 
 def test_effective_min_degree_fallback_when_nothing_qualifies():
-    seq = DegreeSequence((3, 3, 4, 4, 5, 5))
-    assert effective_min_degree(seq, fraction=0.9) == 3
+    # on 200 vertices no degree is held by two, so the most frequent
+    # degrees tie and the smallest of them wins
+    seq = DegreeSequence(tuple(range(1, 201)))
+    assert effective_min_degree(seq) == 1
 
 
 def test_regular_sequences_are_nice():

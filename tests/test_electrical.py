@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 
 from walklab.errors import DisconnectedError, SizeCapError, UnsupportedInputError
 from walklab.electrical import (
+    LOWER_MAX_SIZE,
     SUBSET_SEARCH_CAP,
     MerstResult,
     commute_matrix,
@@ -210,11 +211,12 @@ def test_matthews_lower_complete_graph_is_tight():
     assert got == pytest.approx(exact, rel=1e-12)
 
 
-def test_matthews_lower_explicit_subset():
+def test_matthews_lower_on_a_path_is_its_two_ends():
     g = path(10)
     h = exact_hitting(build_kernel(g))
-    # ends of the path: min pair hitting is 81 both ways
-    got = matthews_lower(g, subset=[0, 9], hitting=h)
+    # ends of the path: min pair hitting is 81 both ways, and no larger set
+    # scores more
+    got = matthews_lower(g, hitting=h)
     assert got == pytest.approx(81.0 * harmonic_number(1), rel=1e-12)
 
 
@@ -226,8 +228,8 @@ def test_matthews_lower_search_cap():
 def test_matthews_lower_full_search_at_the_cap():
     g = path(SUBSET_SEARCH_CAP)
     h = exact_hitting(build_kernel(g))
-    got = matthews_lower(g, max_size=SUBSET_SEARCH_CAP, hitting=h)
-    assert got == per_subset_matthews_lower(h, SUBSET_SEARCH_CAP)
+    got = matthews_lower(g, hitting=h)
+    assert got == per_subset_matthews_lower(h, LOWER_MAX_SIZE)
     # the two ends win: (n - 1)^2 each way, times h(1) = 1
     assert got == pytest.approx((SUBSET_SEARCH_CAP - 1) ** 2, rel=1e-12)
 
@@ -236,7 +238,7 @@ def test_matthews_lower_at_sixteen_vertices_matches_the_oracle():
     rng = np.random.default_rng(16)
     g = random_connected_graph(rng, 16, extra=10, weighted=True, loops=True, parallel=True)
     h = exact_hitting(build_kernel(g))
-    assert matthews_lower(g, max_size=4, hitting=h) == per_subset_matthews_lower(h, 4)
+    assert matthews_lower(g, hitting=h) == per_subset_matthews_lower(h, LOWER_MAX_SIZE)
 
 
 def test_matthews_lower_memory_stays_small_at_the_cap():
@@ -342,6 +344,5 @@ def test_property_matthews_lower_matches_per_subset_oracle(seed, lazy):
     rng = np.random.default_rng(seed)
     g = random_connected_graph(rng, int(rng.integers(2, 10)), extra=int(rng.integers(0, 8)), weighted=True, loops=True, parallel=True)
     h = exact_hitting(build_kernel(g, lazy=lazy))
-    max_size = int(rng.integers(2, g.n + 1))
-    got = matthews_lower(g, max_size=max_size, hitting=h)
-    assert got == per_subset_matthews_lower(h, max_size)
+    got = matthews_lower(g, hitting=h)
+    assert got == per_subset_matthews_lower(h, LOWER_MAX_SIZE)

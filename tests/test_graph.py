@@ -277,6 +277,24 @@ def test_edges_are_counted_against_the_cap_as_they_are_read(monkeypatch):
             build()
 
 
+@pytest.mark.parametrize(
+    "build, fits, refused",
+    [(complete, 2828, 2829), (lollipop, 4242, 4243)],
+    ids=["complete", "lollipop"],
+)
+def test_dense_families_are_refused_above_the_edge_cap_before_they_are_built(
+    monkeypatch, build, fits, refused
+):
+    # n(n - 1)/2 edges, and k(k - 1)/2 + n - k with k = (2n + 1) // 3
+    built = []
+    monkeypatch.setattr(graph, "Graph", lambda n, edges, name="": built.append(name))
+    build(fits)
+    assert built == [f"{build.__name__}:{fits}"]
+    with pytest.raises(SizeCapError, match="capped at 4000000 edges"):
+        build(refused)
+    assert len(built) == 1
+
+
 def test_with_weights():
     g = path(3)
     h = g.with_weights([2.0, 3.0])

@@ -250,13 +250,21 @@ def test_st_budget_merges_parallel_edges_and_skips_loops():
     assert st_answer(g, 0, 2, seed=1)["budget"] == math.ceil(2 * 12.004 * 501)
 
 
-def test_st_budget_above_the_walk_cap_is_refused():
+def test_st_budget_above_the_walk_cap_is_refused(monkeypatch):
     g = Graph(3, [(0, 1, 1.0), (1, 2, 1e-300)])
     with pytest.raises(SizeCapError):
         st_answer(g, 0, 2, seed=0)
-    # unweighted, 8nm alone passes the cap at about 11 200 vertices
-    with pytest.raises(SizeCapError):
-        st_answer(path(11_200), 0, 1, seed=0)
+
+    # unweighted, 8nm alone passes the cap at about 11 200 vertices, and is
+    # refused from n and m before the BFS and the spanning tree are built
+    def no_work(*args, **kwargs):
+        raise AssertionError("the budget built a search before checking 8nm")
+
+    monkeypatch.setattr(walks, "_kruskal", no_work)
+    monkeypatch.setattr(Graph, "bfs_distances", no_work)
+    for g in (path(11_200), cycle(11_200)):
+        with pytest.raises(SizeCapError, match="above the cap"):
+            st_answer(g, 0, 1, seed=0)
 
 
 def test_st_repetitions_from_one_plan_match_single_probes():
@@ -681,7 +689,7 @@ def test_simulate_refuses_disconnected_graph_before_walking():
     # instead of walking to its budget
     for config in (
         WalkConfig(stop="cover", budget=1000),
-        WalkConfig(stop="blanket-cover", reference=10.0, budget=1000),
+        WalkConfig(stop="blanket-cover", budget=1000),
     ):
         with pytest.raises(DisconnectedError):
             trial_value(g, config, seed=0, trial_index=0)
