@@ -19,9 +19,10 @@ u = (w >> 11) 2^-53.
 Every walk runs in one loop, `_walk`, driven by per-vertex visit quotas:
 it stops at the first step where each vertex has been visited as often as
 its quota asks (1 everywhere for cover, 1 at the target for hit,
-ceil(reference * pi_v) for blanket-cover), or is censored at its step
-budget. The loop counts quotas down: left[v] is the number of visits v
-still owes, and at a vertex where left is 0 the quota work is one read.
+ceil(C * pi_v) for blanket-cover, C the graph's blanket_cover_reference),
+or is censored at its step budget. The loop counts quotas down: left[v]
+is the number of visits v still owes, and at a vertex where left is 0 the
+quota work is one read.
 `_plan` alone decides which graphs a run takes: any graph in hit mode, a
 connected one in the modes that put a quota on every vertex, and never an
 isolated start; budgets above WalkConfig().budget are refused.
@@ -463,14 +464,16 @@ def _st_budget(g: Graph, s: int) -> int:
     The plain 8nm is refused first, from n and m alone, so an oversize graph
     pays for neither the BFS nor the spanning tree.
     """
-    need, cap = 8 * g.n * g.m, WalkConfig().budget
-    if need <= cap:
+    plain, cap = 8 * g.n * g.m, WalkConfig().budget
+    weighted = 0.0  # may overflow to inf, so it is compared before it is rounded
+    if plain <= cap:
         inside = g.bfs_distances(s) >= 0
         rows, cols, weights = g.pooled
         keep = (rows < cols) & inside[rows]  # each pooled pair of C once, loops skipped
         pairs = zip(rows[keep].tolist(), cols[keep].tolist(), weights[keep].tolist())
         tree, _ = _kruskal(g.n, [(1.0 / w, u, v) for u, v, w in pairs])
-        need = max(need, math.ceil(2.0 * float(g.weighted_degrees[inside].sum()) * tree))
+        weighted = 2.0 * float(g.weighted_degrees[inside].sum()) * tree
+    need = max(plain, weighted)
     if need > cap:
         raise SizeCapError(f"s-t probe needs {need:.4g} steps on {g.name}, above the cap {cap}")
-    return need
+    return max(plain, math.ceil(weighted))

@@ -251,9 +251,12 @@ def test_st_budget_merges_parallel_edges_and_skips_loops():
 
 
 def test_st_budget_above_the_walk_cap_is_refused(monkeypatch):
-    g = Graph(3, [(0, 1, 1.0), (1, 2, 1e-300)])
-    with pytest.raises(SizeCapError):
-        st_answer(g, 0, 2, seed=0)
+    # with a 1e-308 edge the weighted budget overflows to inf, and is
+    # refused rather than rounded
+    for light in (1e-300, 1e-308):
+        g = Graph(3, [(0, 1, 1.0), (1, 2, light)])
+        with pytest.raises(SizeCapError):
+            st_answer(g, 0, 2, seed=0)
 
     # unweighted, 8nm alone passes the cap at about 11 200 vertices, and is
     # refused from n and m before the BFS and the spanning tree are built
