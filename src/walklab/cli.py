@@ -211,7 +211,7 @@ def _nice_band_sequence(n: int, low: int, high: int, seed: int, offset: int = 0)
 
 
 def _run_closed_forms(spec: dict):
-    ns = spec["n"] = _ladder(spec["n"] or range(2, 11), 2, COVER_CAP, "exact cover time")
+    ns = spec["n"] = _ladder(spec["n"], 2, COVER_CAP, "exact cover time")
     rows: list[list] = []
     worst: dict[str, float] = {"complete": 0.0, "path": 0.0, "cycle": 0.0}
 
@@ -383,7 +383,7 @@ def _run_commute_identity(spec: dict):
 
 
 def _run_grid_resistance(spec: dict):
-    ks = spec["n"] = _ladder(spec["n"] or range(2, 21), 2, GRID_CAP, "grid monitor")
+    ks = spec["n"] = _ladder(spec["n"], 2, GRID_CAP, "grid monitor")
     rows = []
     all_ok = True
     for k in ks:
@@ -412,8 +412,11 @@ def _parse_product(text: str) -> tuple[Graph, Graph]:
 
 
 def _run_product_theorem(spec: dict, workers: int):
-    g, h = _parse_product("cycle:4,cycle:16" if spec["product"] is None else spec["product"])
+    g, h = _parse_product(spec["product"])
     spec["product"] = f"{g.name},{h.name}"
+    for f in (g, h):  # refused here, before the other factor walks
+        if f.n < 2:
+            raise ParameterError(f"--product: factor {f.name} needs at least two vertices")
     trials, seed = spec["trials"], spec["seed"]
     prod = cartesian_product(g, h)  # refused above the graph caps before any factor walks
 
@@ -471,8 +474,7 @@ def _run_product_theorem(spec: dict, workers: int):
 
 
 def _run_degseq_cover(spec: dict, workers: int):
-    dspec = "regular:3" if spec["degseq"] is None else spec["degseq"]
-    spec["degseq"] = dspec
+    dspec = spec["degseq"]
     trials, seed = spec["trials"], spec["seed"]
     if dspec.startswith("regular:"):
         try:
@@ -686,8 +688,7 @@ def _run_st_connect(spec: dict):
 EXPERIMENTS: dict[str, dict] = {
     "closed-forms": {
         "runner": _run_closed_forms,
-        "params": frozenset({"n"}),
-        "trials": None,
+        "flags": {"n": "2..10"},
         "claim": "Exact hitting and cover times on complete graphs, paths, and "
         "cycles match their closed-form expressions: hitting n-1 and cover "
         "(n-1)h(n-1) on the complete graph, hitting j^2-i^2 and cover "
@@ -698,8 +699,7 @@ EXPERIMENTS: dict[str, dict] = {
     },
     "bounds-sandwich": {
         "runner": _run_bounds_sandwich,
-        "params": frozenset(),
-        "trials": None,
+        "flags": {},
         "claim": "On every built-in graph with at most 13 vertices, the exact "
         "worst-start cover time sits between the best subset lower bound and "
         "the smallest of three upper bounds: max-hitting times harmonic, the "
@@ -709,8 +709,7 @@ EXPERIMENTS: dict[str, dict] = {
     },
     "commute-identity": {
         "runner": _run_commute_identity,
-        "params": frozenset({"trials"}),
-        "trials": 200,
+        "flags": {"trials": 200},
         "claim": "Round-trip commute time between two vertices equals the graph "
         "volume times the effective resistance between them, on random "
         "weighted multigraphs with loops and parallel edges.",
@@ -719,8 +718,7 @@ EXPERIMENTS: dict[str, dict] = {
     },
     "grid-resistance": {
         "runner": _run_grid_resistance,
-        "params": frozenset({"n"}),
-        "trials": None,
+        "flags": {"n": "2..20"},
         "claim": "On the k-by-k grid the largest pairwise effective resistance "
         "stays below eight times the k-th harmonic number.",
         "inputs": "--n ladder of k values (default 2..20); --seed unused.",
@@ -728,8 +726,7 @@ EXPERIMENTS: dict[str, dict] = {
     },
     "product-theorem": {
         "runner": _run_product_theorem,
-        "params": frozenset({"product", "trials", "workers"}),
-        "trials": 300,
+        "flags": {"product": "cycle:4,cycle:16", "trials": 300, "workers": 1},
         "claim": "Cover-time bounds for a Cartesian product, computed from "
         "factor statistics alone, bracket a Monte Carlo estimate of the "
         "product's cover time. The upper bracket holds up to an unknown "
@@ -740,8 +737,8 @@ EXPERIMENTS: dict[str, dict] = {
     },
     "degseq-cover": {
         "runner": _run_degseq_cover,
-        "params": frozenset({"degseq", "n", "trials", "scheme", "workers"}),
-        "trials": 200,
+        # the --n ladder's default is the runner's: a degree file fixes n
+        "flags": {"degseq": "regular:3", "n": None, "trials": 200, "scheme": "uniform", "workers": 1},
         "claim": "Cover times of random graphs with a prescribed degree "
         "sequence track the predicted (d-1)/(d-2) * (theta/d) * n ln n "
         "growth, where d is the effective minimum degree and theta the "
@@ -754,8 +751,7 @@ EXPERIMENTS: dict[str, dict] = {
     },
     "conductance-survey": {
         "runner": _run_conductance_survey,
-        "params": frozenset({"trials"}),
-        "trials": 50,
+        "flags": {"trials": 50},
         "claim": "Random simple graphs on 20 vertices with degrees between 3 "
         "and 6 are expanders: the exact conductance exceeds 1/100 and the "
         "lazy spectral gap sits between phi^2/2 and 2 phi. Larger sizes are "
@@ -766,8 +762,7 @@ EXPERIMENTS: dict[str, dict] = {
     },
     "p-simple": {
         "runner": _run_p_simple,
-        "params": frozenset({"trials"}),
-        "trials": 10000,
+        "flags": {"trials": 10000},
         "claim": "The fraction of degree-stub pairings that produce a simple "
         "graph matches exp(-nu/2 - nu^2/4), where nu is the sum of d(d-1) "
         "over vertices divided by the edge count.",
@@ -777,8 +772,8 @@ EXPERIMENTS: dict[str, dict] = {
     },
     "scheme-speedup": {
         "runner": _run_scheme_speedup,
-        "params": frozenset({"family", "graph_file", "trials"}),
-        "trials": 150,
+        # the default graph is the runner's: --family and --graph-file exclude each other
+        "flags": {"family": None, "graph_file": None, "trials": 150},
         "claim": "Weighting every edge by the inverse smaller endpoint degree "
         "speeds up covering graphs with degree imbalance; on a regular graph "
         "the scheme changes nothing and the ratio is exactly 1.",
@@ -789,8 +784,7 @@ EXPERIMENTS: dict[str, dict] = {
     },
     "st-connect-demo": {
         "runner": _run_st_connect,
-        "params": frozenset({"family", "graph_file", "trials"}),
-        "trials": 200,
+        "flags": {"family": None, "graph_file": None, "trials": 200},
         "claim": "A random walk of 8 n m steps, or of twice the weighted "
         "spanning-tree cover bound when that is larger, decides s-t "
         "connectivity with one-sided error: a yes answer is always correct, "
@@ -804,21 +798,16 @@ EXPERIMENTS: dict[str, dict] = {
 }
 
 
-def _reject_unused_flags(ctx: click.Context, experiment: str, accepted: frozenset) -> None:
+def _reject_unused_flags(experiment: str, given: dict, takes: dict) -> None:
     # a flag the experiment never reads could not change any result, so
     # accepting it would put a dead value in the embedded spec; refuse instead.
-    # Every experiment takes the four parameters left out here.
-    given = {
-        name
-        for name in ctx.params.keys() - {"experiment", "seed", "out", "fmt"}
-        if ctx.get_parameter_source(name) is click.core.ParameterSource.COMMANDLINE
-    }
-    extras = sorted(given - accepted)
+    # `given` holds every flag but --seed, --out and --format, None unless given.
+    extras = sorted(name for name, value in given.items() if value is not None and name not in takes)
     if extras:
-        flags = [f"--{name.replace('_', '-')}" for name in sorted(accepted)]
-        takes = ", ".join(flags) or "no experiment flags"
+        flags = [f"--{name.replace('_', '-')}" for name in sorted(takes)]
+        listed = ", ".join(flags) or "no experiment flags"
         raise ParameterError(
-            f"--{extras[0].replace('_', '-')} does not apply to {experiment}; it takes {takes}"
+            f"--{extras[0].replace('_', '-')} does not apply to {experiment}; it takes {listed}"
         )
 
 
@@ -837,22 +826,13 @@ def main() -> None:
 @click.option("--graph-file", default=None, help="Path to an edge-list graph file.")
 @click.option("--product", default=None, help="Two families joined by a comma, e.g. cycle:4,cycle:16.")
 @click.option("--degseq", default=None, help="Degree input: regular:r or a path to a degree file.")
-@click.option("--scheme", type=click.Choice(SCHEMES), default="uniform", help="Edge weighting applied before walking.")
+@click.option("--scheme", type=click.Choice(SCHEMES), default=None, help="Edge weighting applied before walking.")
 @click.option("--trials", type=int, default=None, help="Trials, attempts, or graph count; experiment-specific.")
 @click.option("--n", default=None, help="Size or ladder: 8, 2..10, or 500,1000,2000.")
 @click.option("--out", default=None, help="Output base path; writes <out>.csv and <out>.json.")
 @click.option("--format", "fmt", type=click.Choice(["csv", "json", "both"]), default="both", help="Which artifacts to write.")
-@click.option("--workers", type=int, default=1, help="Worker processes for Monte Carlo chunks.")
-@click.pass_context
-def run_command(
-    ctx: click.Context,
-    experiment: str,
-    seed: int,
-    out: str | None,
-    fmt: str,
-    workers: int,
-    **flags,
-) -> None:
+@click.option("--workers", type=int, default=None, help="Worker processes for Monte Carlo chunks.")
+def run_command(experiment: str, seed: int, out: str | None, fmt: str, **flags) -> None:
     """Run one experiment; write CSV rows and a JSON summary."""
     started = time.perf_counter()
     try:
@@ -860,11 +840,18 @@ def run_command(
             known = ", ".join(sorted(EXPERIMENTS))
             raise ParameterError(f"unknown experiment {experiment!r}; known: {known}")
         entry = EXPERIMENTS[experiment]
-        _reject_unused_flags(ctx, experiment, entry["params"])
-        if flags["trials"] is None:
-            flags["trials"] = entry["trials"]
-        if flags["trials"] is not None and flags["trials"] < 1:
+        _reject_unused_flags(experiment, flags, entry["flags"])
+        # the spec records exactly the flags the experiment takes, each at
+        # its given or default value, and so every parameter that can
+        # influence a computed value; destination, format, and worker count
+        # cannot (estimates are worker-invariant by construction), so they
+        # stay out and re-runs to a different path are still byte-identical
+        spec = {"experiment": experiment, "seed": seed}
+        for name, default in entry["flags"].items():
+            spec[name] = default if flags[name] is None else flags[name]
+        if spec.get("trials", 1) < 1:
             raise ParameterError("--trials must be positive")
+        workers = spec.pop("workers", 1)
         if workers < 1:
             raise ParameterError("--workers must be positive")
         # checked here, not at the first stream: an experiment that draws
@@ -879,13 +866,9 @@ def run_command(
             raise ParameterError(f"--out needs an existing directory; {folder} is not one")
         if not os.access(folder, os.W_OK | os.X_OK):
             raise ParameterError(f"--out directory {folder} is not writable")
-        # the spec records exactly the parameters that can influence a
-        # computed value; destination, format, and worker count cannot
-        # (estimates are worker-invariant by construction), so they stay out
-        # and re-runs to a different path are still byte-identical
-        spec = {"experiment": experiment, "seed": seed, **flags}
-        spec["n"] = _parse_sizes(spec["n"], "--n")
-        if "workers" in entry["params"]:
+        if "n" in spec:
+            spec["n"] = _parse_sizes(spec["n"], "--n")
+        if "workers" in entry["flags"]:
             header, rows, checks = entry["runner"](spec, workers)
         else:
             header, rows, checks = entry["runner"](spec)

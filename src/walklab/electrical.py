@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DisconnectedError, ParameterError, SizeCapError, UnsupportedInputError
+from .errors import ParameterError, SizeCapError
 from .graph import Graph, grid2d
 from .spectral import build_kernel, exact_hitting
 
@@ -55,11 +55,6 @@ def conductance_matrix(g: Graph) -> np.ndarray:
     return c
 
 
-def _require_connected(g: Graph) -> None:
-    if not g.is_connected:
-        raise DisconnectedError(f"{g.name} is disconnected")
-
-
 def resistance_matrix(g: Graph) -> np.ndarray:
     """All-pairs effective resistances from one grounded factorization.
 
@@ -67,7 +62,7 @@ def resistance_matrix(g: Graph) -> np.ndarray:
     every pair from the Green's function: R(u, v) = G[u,u] + G[v,v] - 2G[u,v]
     with the grounded row and column identically zero.
     """
-    _require_connected(g)
+    g.require("resistance", "connected")
     n = g.n
     # rebound, so the conductance matrix is freed before the solve
     lap = conductance_matrix(g)
@@ -92,11 +87,7 @@ def spanning_tree_bound(g: Graph) -> tuple[float, float]:
     Stated for simple unweighted connected graphs; the first number is the
     sharp form of the argument, the second its usual rounding.
     """
-    if not (g.is_simple and g.is_unit_weighted):
-        raise UnsupportedInputError(
-            "spanning tree bound applies to simple unweighted graphs"
-        )
-    _require_connected(g)
+    g.require("the spanning tree bound", "simple", "unweighted", "connected")
     n, m = g.n, g.m
     return 2.0 * m * (2 * n - 2), 4.0 * m * n
 
@@ -117,7 +108,6 @@ def merst_bound(g: Graph) -> MerstResult:
     """
     if g.n > 2000:
         raise SizeCapError(f"merst bound capped at n=2000, got {g.n}")
-    _require_connected(g)
     n = g.n
     r = resistance_matrix(g)
     pairs = [(float(r[u, v]), u, v) for u in range(n) for v in range(u + 1, n)]

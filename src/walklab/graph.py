@@ -3,7 +3,8 @@
 Conventions used everywhere downstream:
 
 - Edges are unordered pairs with a strictly positive weight. Self-loops and
-  parallel edges are allowed unless an operation says otherwise.
+  parallel edges are allowed unless an operation refuses them through
+  `Graph.require`, the one check of which graphs an operation takes.
 - The degree of a vertex counts edge ends, so a self-loop adds 2. The
   weighted degree does the same with weights: a loop of weight w adds 2w.
 - The volume of a graph is the sum of weighted degrees, i.e. twice the sum
@@ -25,7 +26,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .errors import DisconnectedError, ParameterError, SizeCapError
+from .errors import DisconnectedError, ParameterError, SizeCapError, UnsupportedInputError
 
 __all__ = [
     "Graph",
@@ -184,6 +185,21 @@ class Graph:
     @property
     def is_unit_weighted(self) -> bool:
         return all(w == 1.0 for _, _, w in self._edges)
+
+    def require(self, what: str, *properties: str) -> None:
+        """Refuse this graph for `what` unless it has each named property, in order.
+
+        "simple" (no loops or parallel edges) and "unweighted" (every weight
+        1) raise UnsupportedInputError; "connected" raises DisconnectedError.
+        """
+        for prop in properties:
+            attr, error, fault = {
+                "simple": ("is_simple", UnsupportedInputError, "has loops or parallel edges"),
+                "unweighted": ("is_unit_weighted", UnsupportedInputError, "is weighted"),
+                "connected": ("is_connected", DisconnectedError, "is disconnected"),
+            }[prop]
+            if not getattr(self, attr):
+                raise error(f"{what} takes only {prop} graphs; {self.name} {fault}")
 
     # --- traversal ---
 
@@ -475,12 +491,8 @@ def cartesian_product(g: Graph, h: Graph) -> Graph:
     vertices are adjacent when they agree in one coordinate and are
     adjacent in the other.
     """
-    for side, gr in (("left", g), ("right", h)):
-        if not gr.is_simple or not gr.is_unit_weighted:
-            raise ParameterError(
-                f"cartesian product needs simple unweighted factors; "
-                f"{side} factor {gr.name} is not"
-            )
+    for f in (g, h):
+        f.require("a cartesian product", "simple", "unweighted")
     if g.n * h.n > _VERTEX_CAP or g.n * h.m + h.n * g.m > _EDGE_CAP:
         raise SizeCapError(f"product of {g.name} and {h.name} passes the graph caps, {_VERTEX_CAP} vertices or {_EDGE_CAP} edges")
     nh = h.n

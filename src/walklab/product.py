@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DisconnectedError, ParameterError, UnsupportedInputError
+from .errors import ParameterError, UnsupportedInputError
 from .graph import Graph
 from .spectral import build_kernel
 
@@ -78,10 +78,7 @@ def local_observation(g: Graph, subset) -> LocalObservation:
     a step out of u returns to the subset at v, computed by absorbing the
     exterior chain on the subset.
     """
-    if not g.is_connected:
-        raise DisconnectedError("local observation needs a connected base graph")
-    if not g.is_unit_weighted:
-        raise UnsupportedInputError("local observation expects unit edge weights")
+    g.require("local observation", "connected", "unweighted")
     s_list = sorted(set(int(v) for v in subset))
     if not s_list:
         raise ParameterError("subset must be nonempty")
@@ -165,15 +162,6 @@ class ProductBoundReport:
     precondition_ok: bool
 
 
-def _require_product_factor(g: Graph, label: str) -> None:
-    if not (g.is_simple and g.is_unit_weighted):
-        raise UnsupportedInputError(f"{label} must be simple and unweighted")
-    if not g.is_connected:
-        raise DisconnectedError(f"{label} must be connected")
-    if g.n < 2:
-        raise ParameterError(f"{label} needs at least two vertices")
-
-
 def theorem_main_bounds(
     g: Graph,
     h: Graph,
@@ -190,8 +178,10 @@ def theorem_main_bounds(
             universal constant bounds the cover time; requires h to have
             at least diameter(g) + 1 vertices, otherwise withheld.
     """
-    _require_product_factor(g, "first factor")
-    _require_product_factor(h, "second factor")
+    for label, f in (("first factor", g), ("second factor", h)):
+        f.require("a product bound", "simple", "unweighted", "connected")
+        if f.n < 2:
+            raise ParameterError(f"{label} needs at least two vertices")
     dg = np.asarray(g.degrees, dtype=float)
     dh = np.asarray(h.degrees, dtype=float)
     delta_g, max_g = float(dg.min()), float(dg.max())

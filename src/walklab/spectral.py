@@ -22,10 +22,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DisconnectedError, ParameterError, SizeCapError, UnsupportedInputError
+from .errors import ParameterError, SizeCapError, UnsupportedInputError
 from .graph import Graph
 from .rng import substream
-from .weighting import _require_schemable, apply_scheme
+from .weighting import apply_scheme
 
 __all__ = [
     "TransitionKernel",
@@ -103,8 +103,7 @@ def build_kernel(g: Graph, scheme: str = "uniform", lazy: bool = False) -> Trans
     With lazy=True the kernel is (P + I) / 2; the stationary law is
     unchanged by laziness.
     """
-    if not g.is_connected:
-        raise DisconnectedError(f"{g.name} is disconnected")
+    g.require("a walk kernel", "connected")
     if g.m == 0:
         raise UnsupportedInputError(f"{g.name} has no edges, so no walk can move")
     h = apply_scheme(g, scheme)
@@ -285,7 +284,6 @@ def mindeg_invariant_report(g: Graph, seed: int = 0, path_pairs: int = 100) -> d
     maximum degree grows slower than some power of the growth parameter),
     so it is noted but never enforced here.
     """
-    _require_schemable(g)
     n = g.n
     weighted = apply_scheme(g, "mindeg")
     total = weighted.volume

@@ -60,7 +60,7 @@ from operator import length_hint
 import numpy as np
 
 from .electrical import _kruskal, matthews_upper
-from .errors import DisconnectedError, ParameterError, SizeCapError, UnsupportedInputError
+from .errors import ParameterError, SizeCapError, UnsupportedInputError
 from .graph import Graph
 from .rng import _stream_starts, substream
 from .spectral import COVER_CAP, build_kernel, exact_cover_times, exact_hitting
@@ -300,8 +300,8 @@ def _plan(g: Graph, config: WalkConfig) -> tuple:
         raise ParameterError("budget must be positive")
     if config.budget > WalkConfig().budget:
         raise SizeCapError(f"budget {config.budget} is above the cap {WalkConfig().budget}")
-    if config.stop != "hit" and not g.is_connected:
-        raise DisconnectedError(f"{g.name} is disconnected; {config.stop} visits every vertex")
+    if config.stop != "hit":
+        g.require(f"a {config.stop} walk", "connected")
     if not g.degrees[config.start]:
         raise UnsupportedInputError(f"start {config.start} of {g.name} is isolated")
     nbrs, cum, pi = _vertex_tables(g, config.scheme, config.lazy)
@@ -351,8 +351,7 @@ def simulate(
     """
     if trials < 1:
         raise ParameterError("need at least one trial")
-    if not g.is_connected:
-        raise DisconnectedError(f"{g.name} is disconnected")
+    g.require("a simulation", "connected")
     plan = _plan(g, config)
     chunks = [(plan, seed, lo, min(lo + CHUNK, trials)) for lo in range(0, trials, CHUNK)]
     workers = min(workers, len(chunks), os.cpu_count() or 1)

@@ -28,21 +28,6 @@ __all__ = ["SCHEMES", "apply_scheme"]
 SCHEMES = ("uniform", "ikeda", "mindeg")
 
 
-def _require_schemable(g: Graph) -> None:
-    if not g.is_simple:
-        raise UnsupportedInputError(
-            f"weighting schemes need a simple graph; {g.name} has loops or "
-            f"parallel edges"
-        )
-    if not g.is_unit_weighted:
-        raise UnsupportedInputError(
-            f"weighting schemes start from unit weights; {g.name} is already "
-            f"weighted"
-        )
-    if not g.is_connected:
-        raise UnsupportedInputError(f"{g.name} is disconnected")
-
-
 def apply_scheme(g: Graph, scheme: str) -> Graph:
     """Return g reweighted under the named scheme.
 
@@ -55,7 +40,7 @@ def apply_scheme(g: Graph, scheme: str) -> Graph:
         raise UnsupportedInputError(
             f"unknown scheme {scheme!r}; known: {', '.join(SCHEMES)}"
         )
-    _require_schemable(g)
+    g.require("weighting", "simple", "unweighted", "connected")
     d = g.degrees
     if scheme == "ikeda":
         weights = [1.0 / math.sqrt(d[u] * d[v]) for u, v, _ in g.edges]

@@ -430,6 +430,41 @@ def test_flag_the_experiment_never_reads_is_rejected(runner, tmp_path, experimen
     assert not list(tmp_path.iterdir())
 
 
+@pytest.mark.parametrize("experiment", sorted(EXPERIMENTS))
+def test_spec_holds_exactly_the_flags_the_experiment_takes(runner, tmp_path, experiment):
+    # a key the experiment never reads would make the CSV look like a
+    # function of a value it ignores; small sizes change values, not keys
+    flags = EXPERIMENTS[experiment]["flags"]
+    args = ["--trials", "2"] if "trials" in flags else []
+    if "n" in flags:
+        args += ["--n", "10,12" if experiment == "degseq-cover" else "2..3"]
+    base = tmp_path / "out"
+    result = _run(runner, ["run", experiment, *args, "--seed", "0", "--out", str(base)])
+    assert result.exit_code in (0, 1)
+    expected = {"experiment", "seed"} | (flags.keys() - {"workers"})
+    if "family" in flags:
+        expected.add("graph")
+    first = base.with_suffix(".csv").read_text().splitlines()[0]
+    assert set(json.loads(first[len("# spec ") :])) == expected
+    assert set(json.loads(base.with_suffix(".json").read_text())["spec"]) == expected
+
+
+def test_product_factor_of_one_vertex_is_refused_before_any_walk(runner, tmp_path, monkeypatch):
+    # the second factor's walks took seconds before the first factor was refused
+    def no_walk(*args, **kwargs):
+        raise AssertionError("a walk ran before the factor was refused")
+
+    monkeypatch.setattr("walklab.cli.simulate", no_walk)
+    for product in ("path:1,cycle:200", "cycle:200,path:1"):
+        result = _run(
+            runner,
+            ["run", "product-theorem", "--product", product, "--seed", "0", "--out", str(tmp_path / "pt")],
+        )
+        assert result.exit_code == 2
+        assert "factor path:1 needs at least two vertices" in result.output
+        assert not list(tmp_path.iterdir())
+
+
 def test_degseq_cover_has_no_lazy_flag(runner, tmp_path):
     # a lazy walk's cover time is twice the simple walk's, which
     # predicted_cover gives, so the flag failed every cover-ratio check

@@ -7,8 +7,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from walklab import graph
-from walklab.electrical import conductance_matrix
-from walklab.errors import DisconnectedError, ParameterError, SizeCapError
+from walklab.electrical import conductance_matrix, resistance_matrix, spanning_tree_bound
+from walklab.errors import DisconnectedError, ParameterError, SizeCapError, UnsupportedInputError
 from walklab.graph import (
     Graph,
     binary_tree,
@@ -22,7 +22,10 @@ from walklab.graph import (
     star,
     torus2d,
 )
-from walklab.spectral import build_kernel
+from walklab.product import local_observation, theorem_main_bounds
+from walklab.spectral import build_kernel, mindeg_invariant_report
+from walklab.walks import WalkConfig, simulate
+from walklab.weighting import apply_scheme
 
 from helpers import (
     edge_conductances,
@@ -197,10 +200,51 @@ def test_product_commutes_up_to_relabeling():
 def test_product_rejects_weighted_or_multi_factors():
     weighted = Graph(2, [(0, 1, 2.0)])
     multi = Graph(2, [(0, 1), (0, 1)])
-    with pytest.raises(ParameterError):
+    with pytest.raises(UnsupportedInputError):
         cartesian_product(weighted, path(2))
-    with pytest.raises(ParameterError):
+    with pytest.raises(UnsupportedInputError):
         cartesian_product(path(2), multi)
+
+
+# every operation that checks its graph through Graph.require, with the
+# faults it refuses; a weighted multigraph is fine for a kernel or a walk
+GUARDED = {
+    "build_kernel": (build_kernel, {"disconnected"}),
+    "resistance_matrix": (resistance_matrix, {"disconnected"}),
+    "simulate": (lambda g: simulate(g, WalkConfig(), 2, 0), {"disconnected"}),
+    "spanning_tree_bound": (spanning_tree_bound, {"disconnected", "weighted", "multi"}),
+    "apply_scheme-mindeg": (lambda g: apply_scheme(g, "mindeg"), {"disconnected", "weighted", "multi"}),
+    "apply_scheme-ikeda": (lambda g: apply_scheme(g, "ikeda"), {"disconnected", "weighted", "multi"}),
+    "mindeg_invariant_report": (mindeg_invariant_report, {"disconnected", "weighted", "multi"}),
+    "local_observation": (lambda g: local_observation(g, [0, 1]), {"disconnected", "weighted"}),
+    "theorem_main_bounds-first": (
+        lambda g: theorem_main_bounds(g, path(5), 1.0, 1.0), {"disconnected", "weighted", "multi"}
+    ),
+    "theorem_main_bounds-second": (
+        lambda g: theorem_main_bounds(path(5), g, 1.0, 1.0), {"disconnected", "weighted", "multi"}
+    ),
+    "cartesian_product": (lambda g: cartesian_product(path(2), g), {"weighted", "multi"}),
+}
+FAULTY = {
+    "disconnected": (Graph(4, [(0, 1), (2, 3)], name="two-dashes"), DisconnectedError),
+    "weighted": (path(4).with_weights([2.0, 1.0, 1.0]), UnsupportedInputError),
+    "multi": (Graph(4, [(0, 1), (1, 2), (1, 2), (2, 3)], name="doubled"), UnsupportedInputError),
+}
+
+
+@pytest.mark.parametrize(
+    "operation, fault",
+    [(op, fault) for op, (_, faults) in GUARDED.items() for fault in sorted(faults)],
+)
+def test_every_guarded_operation_refuses_with_one_error_class(operation, fault):
+    # a disconnected graph is always DisconnectedError, a weighted graph or a
+    # multigraph always UnsupportedInputError itself, whichever operation refuses it
+    call, _ = GUARDED[operation]
+    g, error = FAULTY[fault]
+    with pytest.raises(UnsupportedInputError) as caught:
+        call(g)
+    assert type(caught.value) is error
+    assert g.name in str(caught.value)
 
 
 def test_shortest_path_lowest_label_tie_break():
