@@ -6,11 +6,13 @@ knobs: exact hitting stops at n = 5000 (one factorization of an n x n
 matrix, O(n^3) time and O(n^2) memory; n = 3000 takes about 2.6 s and
 285 MB with one BLAS thread) and the exact cover-time recursion at
 COVER_CAP vertices (it enumerates visited sets, with one stacked solve per
-set size into a (2^n, n) table of about 0.85 MB at the cap). A walk's
-visited set is always connected in the support of P, and a term P[S, w]
-that would leave a connected S for a disconnected S | w is exactly 0, so
-the recursion solves the connected sets only: 90 of the 8190 proper
-nonempty sets on path:13, all of them on complete:13.
+set size into a table of one n-vector per connected visited set plus a
+zero row, read through a 2^n int64 row index; the table reaches about
+0.85 MB at the cap only on complete:13, where every set is connected).
+A walk's visited set is always connected in the support of P, and a term
+P[S, w] that would leave a connected S for a disconnected S | w is
+exactly 0, so the recursion solves the connected sets only: 90 of the
+8190 proper nonempty sets on path:13, all of them on complete:13.
 
 mindeg_invariant_report checks the min-degree weighting's guarantees on
 one graph; its hitting-time bound needs the exact hitting solve here.

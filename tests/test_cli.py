@@ -9,6 +9,7 @@ at toy sizes to pin behavior, exit codes, and output formats.
 from __future__ import annotations
 
 import json
+import re
 import time
 import warnings
 from pathlib import Path
@@ -446,7 +447,18 @@ def test_spec_holds_exactly_the_flags_the_experiment_takes(runner, tmp_path, exp
         expected.add("graph")
     first = base.with_suffix(".csv").read_text().splitlines()[0]
     assert set(json.loads(first[len("# spec ") :])) == expected
-    assert set(json.loads(base.with_suffix(".json").read_text())["spec"]) == expected
+    summary = json.loads(base.with_suffix(".json").read_text())
+    assert set(summary["spec"]) == expected
+    # every declared check is judged, in declared order, and a `*` name once
+    # per rung; no-false-positives applies only to a separated pair
+    rungs = {"*-closed-forms": ["complete", "path", "cycle"], "cover-ratio-n*": summary["spec"].get("n")}
+    names = [
+        name.replace("*", str(rung))
+        for name in EXPERIMENTS[experiment]["checks"]
+        if name != "no-false-positives"
+        for rung in rungs.get(name, [""])
+    ]
+    assert [ch["name"] for ch in summary["checks"]] == names
 
 
 def test_product_factor_of_one_vertex_is_refused_before_any_walk(runner, tmp_path, monkeypatch):
@@ -836,4 +848,24 @@ def test_describe_lists_and_details(runner):
 
 def test_every_experiment_has_documentation():
     for name, entry in EXPERIMENTS.items():
-        assert entry["claim"] and entry["inputs"] and entry["rule"], name
+        assert entry["claim"] and entry["inputs"] and entry["checks"], name
+
+
+@pytest.mark.parametrize("experiment", sorted(EXPERIMENTS))
+def test_describe_prints_each_threshold_and_default_from_the_tables(runner, experiment):
+    entry = EXPERIMENTS[experiment]
+    result = _run(runner, ["describe", experiment])
+    assert result.exit_code == 0
+    lines = result.output.splitlines()
+    for name, (statistic, comparison, threshold) in entry["checks"].items():
+        (line,) = [line for line in lines if line.strip().startswith(f"{name}: ")]
+        assert statistic in line and comparison in line
+        for bound in threshold if comparison == "in" else [] if threshold is None else [threshold]:
+            assert str(bound) in line, (name, bound)
+    (inputs,) = [line for line in lines if line.startswith("  inputs: ")]
+    # a default is stated by the table alone, never again in the prose
+    prose = {word.strip(".,") for word in re.split(r"[\s;()]+", entry["inputs"])}
+    for flag, default in entry["flags"].items():
+        if default is not None:
+            assert f"--{flag.replace('_', '-')} {default}" in inputs, flag
+            assert str(default) not in prose, flag
