@@ -86,6 +86,11 @@ def scalar_draw_edges(
     return [tuple(e) for e in edges]
 
 
+def edge_list(g: Graph) -> list[tuple[int, int, float]]:
+    """The (u, v, w) triples of g in edge order."""
+    return list(g.edges)
+
+
 def pooled_pairs(g: Graph) -> dict[tuple[int, int], float]:
     """Pooled weight of each ordered pair, adding every edge's weight at (u, v), then (v, u), in edge order."""
     pooled: dict[tuple[int, int], float] = {}
