@@ -196,7 +196,7 @@ def _pairing_blocks(seq: DegreeSequence, seed: int, budget: int, rows: int):
 
 
 def _configuration_graph(seq: DegreeSequence, pairs: np.ndarray, seed: int, index: int) -> Graph:
-    return Graph(seq.n, pairs.tolist(), name=f"cm-{seq.n}v-s{seed}i{index}")
+    return Graph(seq.n, pairs, name=f"cm-{seq.n}v-s{seed}i{index}")
 
 
 def sample_configuration(seq: DegreeSequence, seed: int, index: int = 0) -> Graph:

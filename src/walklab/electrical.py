@@ -186,20 +186,10 @@ def matthews_lower(g: Graph, hitting: np.ndarray | None = None) -> float:
 # --- monitors ---
 
 
-def grid_resistance_monitor(k: int) -> dict:
-    """Check max R on the k x k grid against the 8 h(k) ceiling."""
+def grid_resistance_monitor(k: int) -> float:
+    """The largest pairwise effective resistance on the k x k grid."""
     if k < 2:
         raise ParameterError("grid monitor needs k >= 2")
     if k > GRID_CAP:
         raise SizeCapError(f"grid monitor capped at k={GRID_CAP}, got {k}")
-    g = grid2d(k, k)
-    r = resistance_matrix(g)
-    observed = float(r.max())
-    bound = 8.0 * harmonic_number(k)
-    return {
-        "k": k,
-        "n": g.n,
-        "max_resistance": observed,
-        "bound": bound,
-        "passed": bool(observed < bound),
-    }
+    return float(resistance_matrix(grid2d(k, k)).max())

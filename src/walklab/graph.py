@@ -1,14 +1,24 @@
 """Weighted undirected multigraphs and the standard graph families.
 
+A graph holds its edges once, as three read-only arrays with one entry per
+edge: `u` and `v` (int64, u <= v) and `w` (float64). Every builder here
+hands the constructor a table, never one Python object per edge, and the
+constructor checks the table in vector form.
+
 Conventions used everywhere downstream:
 
 - Edges are unordered pairs with a strictly positive weight. Self-loops and
   parallel edges are allowed unless an operation refuses them through
   `Graph.require`, the one check of which graphs an operation takes.
+- Edges keep the order they were given in, and each builder's order is part
+  of its output: `pooled` adds in it, and `with_weights`, `apply_scheme`
+  and `local_observation`'s tags align by edge index. An edge given as
+  (v, u) with u < v, a cycle's wrap edge for one, is stored as (u, v).
 - The degree of a vertex counts edge ends, so a self-loop adds 2. The
   weighted degree does the same with weights: a loop of weight w adds 2w.
 - The volume of a graph is the sum of weighted degrees, i.e. twice the sum
-  of all edge weights.
+  of all edge weights, added left to right in edge order as Python's sum
+  adds them; numpy's pairwise sum can differ in the last bits.
 - Parallel edges pool: `Graph.pooled` is the one place that adds an
   edge's weight into its ordered pairs, (u, v) and then (v, u), in edge
   order, so a loop of weight w adds 2w at (u, u). Kernels, conductances
@@ -21,7 +31,7 @@ from __future__ import annotations
 
 import math
 from functools import cached_property
-from itertools import chain, islice
+from itertools import islice
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -39,7 +49,7 @@ __all__ = [
     "torus2d",
     "lollipop",
     "family",
-    "FAMILY_NAMES",
+    "family_size",
     "cartesian_product",
     "random_connected_graph",
 ]
@@ -55,6 +65,23 @@ _VERTEX_CAP = 10**6
 _EDGE_CAP = 4 * 10**6
 
 
+def _table(edges: Iterable[Sequence]) -> np.ndarray:
+    """At most _EDGE_CAP + 1 edges as a 2-D table, one (u, v) or (u, v, w) row an edge."""
+    if isinstance(edges, np.ndarray) and edges.ndim == 2 and edges.shape[1] in (2, 3):
+        return edges[: _EDGE_CAP + 1]
+    rows = list(islice(edges, _EDGE_CAP + 1))
+    try:
+        table = np.array(rows) if rows else np.empty((0, 2), dtype=np.int64)
+        if table.ndim == 2 and table.shape[1] in (2, 3):
+            return table
+    except ValueError:  # ragged: pairs and triples mixed, or an edge of another length
+        pass
+    for e in rows:
+        if len(e) not in (2, 3):
+            raise ParameterError(f"edge {e!r} is not a pair or weighted triple")
+    return np.array([e if len(e) == 3 else (*e, 1.0) for e in rows])
+
+
 class Graph:
     """An immutable weighted undirected multigraph on vertices 0..n-1.
 
@@ -62,13 +89,18 @@ class Graph:
     ----------
     n : int
         Number of vertices, from 1 to _VERTEX_CAP.
-    edges : iterable of (u, v) or (u, v, weight)
+    edges : iterable of (u, v) or (u, v, weight), or a 2-D array of such rows
         Endpoints in range(n); omitted weights default to 1.0. Weights must
         be positive and finite, and so must the volume, twice their sum.
         Loops (u == v) and repeated pairs are kept. At most _EDGE_CAP
         edges are read; one more is refused.
     name : str, optional
         Free-form label used in reports; ignored by equality.
+
+    Attributes
+    ----------
+    u, v, w : read-only arrays
+        Edge i joins u[i] <= v[i] (int64) at weight w[i] (float64).
     """
 
     def __init__(self, n: int, edges: Iterable[Sequence], name: str = "") -> None:
@@ -76,30 +108,24 @@ class Graph:
             raise ParameterError(f"graph needs at least one vertex, got n={n}")
         if n > _VERTEX_CAP:
             raise SizeCapError(f"graphs are capped at {_VERTEX_CAP} vertices, got n={n}")
-        normalized: list[tuple[int, int, float]] = []
-        for e in islice(edges, _EDGE_CAP + 1):
-            if len(e) == 2:
-                u, v = e
-                w = 1.0
-            elif len(e) == 3:
-                u, v, w = e
-            else:
-                raise ParameterError(f"edge {e!r} is not a pair or weighted triple")
-            u = int(u)
-            v = int(v)
-            w = float(w)
-            if not (0 <= u < n and 0 <= v < n):
-                raise ParameterError(f"edge ({u}, {v}) out of range for n={n}")
-            if not 0.0 < w < math.inf:
-                raise ParameterError(f"edge ({u}, {v}) weight {w} is not positive and finite")
-            if u > v:
-                u, v = v, u
-            normalized.append((u, v, w))
-        if len(normalized) > _EDGE_CAP:
+        table = _table(edges)
+        u = table[:, 0].astype(np.int64)
+        v = table[:, 1].astype(np.int64)
+        w = table[:, 2].astype(float) if table.shape[1] == 3 else np.ones(len(table))
+        lo, hi = np.minimum(u, v), np.maximum(u, v)
+        bad = (lo < 0) | (hi >= n) | ~((w > 0.0) & (w < math.inf))
+        if bad.any():  # name the first faulty edge, as given
+            i = int(bad.argmax())
+            if not (0 <= lo[i] and hi[i] < n):
+                raise ParameterError(f"edge ({u[i]}, {v[i]}) out of range for n={n}")
+            raise ParameterError(f"edge ({u[i]}, {v[i]}) weight {w[i]} is not positive and finite")
+        if len(w) > _EDGE_CAP:
             raise SizeCapError(f"graphs are capped at {_EDGE_CAP} edges")
+        for column in (lo, hi, w):
+            column.setflags(write=False)
         self._n = n
-        self._edges = tuple(normalized)
-        self.name = name or f"graph(n={n},m={len(normalized)})"
+        self.u, self.v, self.w = lo, hi, w
+        self.name = name or f"graph(n={n},m={len(w)})"
         if not math.isfinite(self.volume):
             raise ParameterError(f"volume of {self.name}, twice its weight sum, is not finite")
 
@@ -112,22 +138,12 @@ class Graph:
     @property
     def m(self) -> int:
         """Number of edges; a loop counts as one edge."""
-        return len(self._edges)
-
-    @property
-    def edges(self) -> tuple[tuple[int, int, float], ...]:
-        return self._edges
-
-    @cached_property
-    def _ends(self) -> tuple[np.ndarray, np.ndarray]:
-        # edge ends u0, v0, u1, v1, ... in edge order, each with its weight
-        ends = np.array([(u, v) for u, v, _ in self._edges], dtype=np.int64).ravel()
-        return ends, np.array([w for _, _, w in self._edges]).repeat(2)
+        return len(self.w)
 
     @cached_property
     def degrees(self) -> np.ndarray:
         """Integer edge-end counts; loops count twice."""
-        return np.bincount(self._ends[0], minlength=self._n)
+        return np.bincount(self.u, minlength=self._n) + np.bincount(self.v, minlength=self._n)
 
     def degree(self, u: int) -> int:
         return int(self.degrees[u])
@@ -135,15 +151,19 @@ class Graph:
     @cached_property
     def weighted_degrees(self) -> np.ndarray:
         """Weighted edge-end sums; a loop of weight w contributes 2w."""
-        # bincount adds in input order, so each sum runs in edge order; with
-        # no edges it returns integers
-        ends, weights = self._ends
-        return np.bincount(ends, weights=weights, minlength=self._n).astype(float, copy=False)
+        # bincount adds in input order, so over the ends u0, v0, u1, v1, ...
+        # each sum runs in edge order; with no edges it returns integers
+        ends = np.column_stack((self.u, self.v)).ravel()
+        return np.bincount(ends, weights=self.w.repeat(2), minlength=self._n).astype(float, copy=False)
 
-    @property
+    @cached_property
     def volume(self) -> float:
-        """Sum of weighted degrees, which is twice the sum of edge weights."""
-        return 2.0 * float(sum(w for _, _, w in self._edges))
+        """Sum of weighted degrees, which is twice the sum of edge weights.
+
+        The weights add left to right in edge order: numpy's pairwise sum
+        differs in the last bits.
+        """
+        return 2.0 * float(sum(self.w.tolist()))
 
     @cached_property
     def pooled(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -154,11 +174,12 @@ class Graph:
         edges add in edge order: each weight is the sum a loop over the
         edges would build, to the bit.
         """
-        ends, weights = self._ends
-        others = ends.reshape(-1, 2)[:, ::-1].ravel()  # v0, u0, v1, u1, ...
-        keys, where = np.unique(ends * self._n + others, return_inverse=True)
+        keys = np.empty(2 * self.m, dtype=np.int64)  # (u0, v0), (v0, u0), (u1, v1), ...
+        keys[0::2] = self.u * self._n + self.v
+        keys[1::2] = self.v * self._n + self.u
+        keys, where = np.unique(keys, return_inverse=True)
         pooled = np.zeros(len(keys))
-        np.add.at(pooled, where, weights)
+        np.add.at(pooled, where, self.w.repeat(2))
         table = keys // self._n, keys % self._n, pooled
         for column in table:
             column.setflags(write=False)  # every reader shares this one table
@@ -182,9 +203,9 @@ class Graph:
         """No loops and no parallel edges: every edge adds two pairs of its own."""
         return len(self.pooled[0]) == 2 * self.m
 
-    @property
+    @cached_property
     def is_unit_weighted(self) -> bool:
-        return all(w == 1.0 for _, _, w in self._edges)
+        return bool((self.w == 1.0).all())
 
     def require(self, what: str, *properties: str) -> None:
         """Refuse this graph for `what` unless it has each named property, in order.
@@ -256,7 +277,9 @@ class Graph:
     # --- identity ---
 
     def _key(self) -> tuple:
-        multiset = tuple(sorted((u, v, round(w, 12)) for u, v, w in self._edges))
+        # Python's round: numpy's rounds differently in the last bits
+        weights = [round(w, 12) for w in self.w.tolist()]
+        multiset = tuple(sorted(zip(self.u.tolist(), self.v.tolist(), weights)))
         return (self._n, multiset)
 
     def __eq__(self, other: object) -> bool:
@@ -298,84 +321,99 @@ class Graph:
             raise ParameterError(
                 f"header promises {m} edges but {len(rows) - 1} lines follow"
             )
-        edges = []
-        for ln in rows[1:]:
-            parts = ln.split()
-            if len(parts) != 3:
-                raise ParameterError(f"bad edge line {ln!r}, expected 'u v w'")
-            try:
-                edges.append((int(parts[0]), int(parts[1]), float(parts[2])))
-            except ValueError:
-                raise ParameterError(
-                    f"bad edge line {ln!r}, expected integers u v and a number w"
-                ) from None
+        if not m:
+            return cls(n, [], name=name)
+        try:
+            line = [("u", np.int64), ("v", np.int64), ("w", float)]
+            lines = np.loadtxt(rows[1:], dtype=line, comments=None, ndmin=1)
+            edges = np.column_stack((lines["u"], lines["v"], lines["w"]))
+        except (ValueError, OverflowError):
+            # numpy names no line, and int() and float() take a few forms
+            # it refuses, so the lines are read again one at a time
+            edges = []
+            for ln in rows[1:]:
+                parts = ln.split()
+                if len(parts) != 3:
+                    raise ParameterError(f"bad edge line {ln!r}, expected 'u v w'")
+                try:
+                    edges.append((int(parts[0]), int(parts[1]), float(parts[2])))
+                except ValueError:
+                    raise ParameterError(f"bad edge line {ln!r}, expected integers u v and a number w") from None
         return cls(n, edges, name=name)
 
     def with_weights(self, weights: Sequence[float], name: str = "") -> "Graph":
         """Copy with the i-th edge reweighted to weights[i]."""
         if len(weights) != self.m:
             raise ParameterError("need one weight per edge")
-        edges = [(u, v, float(w)) for (u, v, _), w in zip(self._edges, weights)]
+        edges = np.column_stack((self.u, self.v, np.asarray(weights, dtype=float)))
         return Graph(self._n, edges, name=name or self.name)
 
 
 # --- families ---
 
 
+def _shape(kind: str, *params: int) -> tuple[str, int, int]:
+    """(name, n, m) of a family member in closed form, refused past either
+    graph cap, or for a parameter below its least, before any edge exists."""
+    _, _, least, size = _FAMILIES[kind]
+    if min(params) < least:
+        raise ParameterError(f"{kind} needs {'n' if len(params) == 1 else 'rows, cols'} >= {least}")
+    name = f"{kind}:{','.join(map(str, params))}"
+    n, m = size(*params)
+    if n > _VERTEX_CAP:
+        raise SizeCapError(f"family {name!r}: graphs are capped at {_VERTEX_CAP} vertices")
+    if m > _EDGE_CAP:
+        raise SizeCapError(f"{name} has {m} edges; graphs are capped at {_EDGE_CAP} edges")
+    return name, n, m
+
+
 def path(n: int) -> Graph:
-    if n < 1:
-        raise ParameterError("path needs n >= 1")
-    return Graph(n, [(i, i + 1) for i in range(n - 1)], name=f"path:{n}")
+    name, n, m = _shape("path", n)
+    i = np.arange(m)
+    return Graph(n, np.column_stack((i, i + 1)), name=name)
 
 
 def cycle(n: int) -> Graph:
-    if n < 3:
-        raise ParameterError("cycle needs n >= 3")
-    return Graph(n, [(i, (i + 1) % n) for i in range(n)], name=f"cycle:{n}")
-
-
-def _refuse_edge_count(m: int, name: str) -> None:
-    # a family whose edge count is a closed form is refused before it
-    # builds, not after Graph has normalised _EDGE_CAP edges
-    if m > _EDGE_CAP:
-        raise SizeCapError(f"{name} has {m} edges; graphs are capped at {_EDGE_CAP} edges")
+    name, n, _ = _shape("cycle", n)
+    i = np.arange(n)
+    return Graph(n, np.column_stack((i, (i + 1) % n)), name=name)
 
 
 def complete(n: int) -> Graph:
-    if n < 1:
-        raise ParameterError("complete needs n >= 1")
-    _refuse_edge_count(n * (n - 1) // 2, f"complete:{n}")
-    edges = ((i, j) for i in range(n) for j in range(i + 1, n))
-    return Graph(n, edges, name=f"complete:{n}")
+    name, n, _ = _shape("complete", n)
+    return Graph(n, np.column_stack(np.triu_indices(n, 1)), name=name)
 
 
 def star(n: int) -> Graph:
     """Center 0 joined to leaves 1..n-1."""
-    if n < 2:
-        raise ParameterError("star needs n >= 2")
-    return Graph(n, [(0, i) for i in range(1, n)], name=f"star:{n}")
+    name, n, m = _shape("star", n)
+    return Graph(n, np.column_stack((np.zeros(m, dtype=np.int64), np.arange(1, n))), name=name)
 
 
 def binary_tree(n: int) -> Graph:
     """Heap-shaped binary tree: vertex i > 0 hangs under (i - 1) // 2."""
-    if n < 1:
-        raise ParameterError("binary-tree needs n >= 1")
-    return Graph(n, [(i, (i - 1) // 2) for i in range(1, n)], name=f"binary-tree:{n}")
+    name, n, _ = _shape("binary-tree", n)
+    i = np.arange(1, n)
+    return Graph(n, np.column_stack((i, (i - 1) // 2)), name=name)
+
+
+def _lattice(rows: int, cols: int, wrap: bool) -> np.ndarray:
+    # vertex (i, j) = i * cols + j, in order, each joined to its right and
+    # then its lower neighbour, which a grid keeps only inside its bounds
+    v = np.arange(rows * cols)
+    i, j = np.divmod(v, cols)
+    right = i * cols + (j + 1) % cols
+    down = (i + 1) % rows * cols + j
+    edges = np.column_stack((v, right, v, down)).reshape(-1, 2)
+    if wrap:
+        return edges
+    return edges[np.column_stack((j + 1 < cols, i + 1 < rows)).ravel()]
 
 
 def grid2d(rows: int, cols: int) -> Graph:
     """rows x cols grid; vertex (i, j) is numbered i * cols + j."""
-    if rows < 1 or cols < 1:
-        raise ParameterError("grid2d needs rows, cols >= 1")
-    edges = []
-    for i in range(rows):
-        for j in range(cols):
-            v = i * cols + j
-            if j + 1 < cols:
-                edges.append((v, v + 1))
-            if i + 1 < rows:
-                edges.append((v, v + cols))
-    return Graph(rows * cols, edges, name=f"grid2d:{rows},{cols}")
+    name, n, _ = _shape("grid2d", rows, cols)
+    return Graph(n, _lattice(rows, cols, wrap=False), name=name)
 
 
 def torus2d(rows: int, cols: int) -> Graph:
@@ -384,15 +422,8 @@ def torus2d(rows: int, cols: int) -> Graph:
     Smaller sizes would create parallel edges and leave the product
     identities used in tests false, so they are rejected.
     """
-    if rows < 3 or cols < 3:
-        raise ParameterError("torus2d needs rows, cols >= 3")
-    edges = []
-    for i in range(rows):
-        for j in range(cols):
-            v = i * cols + j
-            edges.append((v, i * cols + (j + 1) % cols))
-            edges.append((v, ((i + 1) % rows) * cols + j))
-    return Graph(rows * cols, edges, name=f"torus2d:{rows},{cols}")
+    name, n, _ = _shape("torus2d", rows, cols)
+    return Graph(n, _lattice(rows, cols, wrap=True), name=name)
 
 
 def lollipop(n: int) -> Graph:
@@ -402,46 +433,51 @@ def lollipop(n: int) -> Graph:
     k..n-1 and hangs off clique vertex k-1. lollipop(9) is a 6-clique plus
     a 3-vertex path, 18 edges in all.
     """
-    if n < 4:
-        raise ParameterError("lollipop needs n >= 4")
+    name, n, _ = _shape("lollipop", n)
     k = (2 * n + 1) // 3
-    _refuse_edge_count(k * (k - 1) // 2 + n - k, f"lollipop:{n}")
-    clique = ((i, j) for i in range(k) for j in range(i + 1, k))
-    tail = ((i, i + 1) for i in range(k - 1, n - 1))
-    return Graph(n, chain(clique, tail), name=f"lollipop:{n}")
+    tail = np.arange(k - 1, n - 1)
+    clique = np.column_stack(np.triu_indices(k, 1))
+    return Graph(n, np.concatenate((clique, np.column_stack((tail, tail + 1)))), name=name)
 
 
-FAMILY_NAMES = {
-    "path": (path, 1),
-    "cycle": (cycle, 1),
-    "complete": (complete, 1),
-    "star": (star, 1),
-    "binary-tree": (binary_tree, 1),
-    "grid2d": (grid2d, 2),
-    "torus2d": (torus2d, 2),
-    "lollipop": (lollipop, 1),
+# name: (builder, parameter count, least parameter, (n, m) from the parameters)
+_FAMILIES = {
+    "path": (path, 1, 1, lambda n: (n, n - 1)),
+    "cycle": (cycle, 1, 3, lambda n: (n, n)),
+    "complete": (complete, 1, 1, lambda n: (n, math.comb(n, 2))),
+    "star": (star, 1, 2, lambda n: (n, n - 1)),
+    "binary-tree": (binary_tree, 1, 1, lambda n: (n, n - 1)),
+    "grid2d": (grid2d, 2, 1, lambda rows, cols: (rows * cols, rows * (cols - 1) + (rows - 1) * cols)),
+    "torus2d": (torus2d, 2, 3, lambda rows, cols: (rows * cols, 2 * rows * cols)),
+    "lollipop": (lollipop, 1, 4, lambda n: (n, math.comb((2 * n + 1) // 3, 2) + n - (2 * n + 1) // 3)),
 }
 
 
-def family(spec: str) -> Graph:
-    """Build a family member from a 'name:p1[,p2]' string, e.g. 'cycle:12'."""
+def _parse_family(spec: str) -> tuple[str, list[int]]:
     name, _, raw = spec.partition(":")
     name = name.strip()
-    if name not in FAMILY_NAMES:
-        known = ", ".join(sorted(FAMILY_NAMES))
-        raise ParameterError(f"unknown family {name!r}; known: {known}")
-    fn, arity = FAMILY_NAMES[name]
+    if name not in _FAMILIES:
+        raise ParameterError(f"unknown family {name!r}; known: {', '.join(sorted(_FAMILIES))}")
+    arity = _FAMILIES[name][1]
     parts = [p for p in raw.split(",") if p.strip()]
     if len(parts) != arity:
         raise ParameterError(f"family {name!r} takes {arity} integer parameter(s)")
     try:
-        args = [int(p) for p in parts]
+        return name, [int(p) for p in parts]
     except ValueError as exc:
         raise ParameterError(f"bad family parameters {raw!r}") from exc
-    # every family has the product of its parameters as vertex count
-    if math.prod(max(a, 1) for a in args) > _VERTEX_CAP:
-        raise SizeCapError(f"family {spec!r}: graphs are capped at {_VERTEX_CAP} vertices")
-    return fn(*args)
+
+
+def family(spec: str) -> Graph:
+    """Build a family member from a 'name:p1[,p2]' string, e.g. 'cycle:12'."""
+    name, params = _parse_family(spec)
+    return _FAMILIES[name][0](*params)
+
+
+def family_size(spec: str) -> tuple[str, int, int]:
+    """(name, n, m) of the graph family(spec) builds, checked against the caps without building it."""
+    name, params = _parse_family(spec)
+    return _shape(name, *params)
 
 
 def random_connected_graph(
@@ -461,27 +497,24 @@ def random_connected_graph(
     """
     if n < 1:
         raise ParameterError("random graph needs at least one vertex")
-    edges: list[list] = []
-    seen = set()
     # one array draw per kind reads the generator as the scalar draws
     # (one per parent, then u and v per extra pair, one per weight) do
-    for v, u in enumerate(rng.integers(0, np.arange(1, n)).tolist(), start=1):
-        edges.append([u, v, 1.0])
-        seen.add((u, v))
-    pairs = rng.integers(0, n, size=2 * extra).tolist()
-    for u, v in zip(pairs[::2], pairs[1::2]):
-        if u > v:
-            u, v = v, u
-        if u == v and not loops:
-            continue
-        if not parallel and u != v and (u, v) in seen:
-            continue
-        edges.append([u, v, 1.0])
-        seen.add((u, v))
-    if weighted:
-        for e, w in zip(edges, rng.uniform(0.1, 4.0, size=len(edges)).tolist()):
-            e[2] = w
-    return Graph(n, edges, name=f"random:{n}")
+    children = np.arange(1, n)
+    parents = rng.integers(0, children)
+    pairs = rng.integers(0, n, size=(extra, 2))
+    lo, hi = pairs.min(axis=1), pairs.max(axis=1)
+    keep = (lo != hi) | loops
+    if not parallel:
+        # a pair is dropped when its tree edge or an earlier kept copy has it;
+        # loops are never checked against earlier edges
+        keys = lo * n + hi
+        first = np.zeros(extra, dtype=bool)
+        first[np.unique(keys, return_index=True)[1]] = True
+        keep &= (lo == hi) | (first & ~np.isin(keys, parents * n + children))
+    u = np.concatenate((parents, lo[keep]))
+    v = np.concatenate((children, hi[keep]))
+    w = rng.uniform(0.1, 4.0, size=len(u)) if weighted else np.ones(len(u))
+    return Graph(n, np.column_stack((u, v, w)), name=f"random:{n}")
 
 
 def cartesian_product(g: Graph, h: Graph) -> Graph:
@@ -489,19 +522,16 @@ def cartesian_product(g: Graph, h: Graph) -> Graph:
 
     Vertex (a, x) of the product is numbered a * h.n + x. Two product
     vertices are adjacent when they agree in one coordinate and are
-    adjacent in the other.
+    adjacent in the other. The edges come as h's edges inside each a in
+    turn, then, for each edge (a, b) of g in turn, (a, x)-(b, x) for each x.
     """
     for f in (g, h):
         f.require("a cartesian product", "simple", "unweighted")
     if g.n * h.n > _VERTEX_CAP or g.n * h.m + h.n * g.m > _EDGE_CAP:
         raise SizeCapError(f"product of {g.name} and {h.name} passes the graph caps, {_VERTEX_CAP} vertices or {_EDGE_CAP} edges")
     nh = h.n
-    edges = []
-    for a in range(g.n):
-        base = a * nh
-        for x, y, _ in h.edges:
-            edges.append((base + x, base + y))
-    for a, b, _ in g.edges:
-        for x in range(nh):
-            edges.append((a * nh + x, b * nh + x))
-    return Graph(g.n * nh, edges, name=f"({g.name})x({h.name})")
+    base = np.arange(g.n)[:, None] * nh
+    x = np.arange(nh)
+    u = np.concatenate(((base + h.u).ravel(), (g.u[:, None] * nh + x).ravel()))
+    v = np.concatenate(((base + h.v).ravel(), (g.v[:, None] * nh + x).ravel()))
+    return Graph(g.n * nh, np.column_stack((u, v)), name=f"({g.name})x({h.name})")

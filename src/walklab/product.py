@@ -38,7 +38,7 @@ class LocalObservation:
     """A graph as seen from inside the subset that produced it.
 
     graph:         lowered multigraph on 0..|subset|-1 (exterior loops halved)
-    tags:          "interior" or "exterior", aligned with graph.edges
+    tags:          "interior" or "exterior", aligned with the graph's edges
     conductances:  true conductance per edge (exterior loops unhalved)
     subset:        new label -> original vertex
     """
@@ -57,7 +57,8 @@ class LocalObservation:
         exterior conductance counts once, loops included.
         """
         totals = [0.0] * self.graph.n
-        for (u, v, w), tag, c in zip(self.graph.edges, self.tags, self.conductances):
+        g = self.graph
+        for u, v, w, tag, c in zip(g.u.tolist(), g.v.tolist(), g.w.tolist(), self.tags, self.conductances):
             if tag == "interior":
                 totals[u] += w
                 totals[v] += w
@@ -91,20 +92,19 @@ def local_observation(g: Graph, subset) -> LocalObservation:
             subset=tuple(s_list),
             boundary=(),
             graph=g,
-            tags=("interior",) * len(g.edges),
-            conductances=tuple(w for _, _, w in g.edges),
+            tags=("interior",) * g.m,
+            conductances=tuple(g.w.tolist()),
             base_degrees=tuple(float(d) for d in degrees),
         )
 
     in_subset = np.zeros(g.n, dtype=bool)
     in_subset[s_list] = True
     exterior = [v for v in range(g.n) if not in_subset[v]]
-    pos = {old: new for new, old in enumerate(s_list)}
+    relabel = np.cumsum(in_subset) - 1  # original vertex -> its label in the subset
 
-    boundary = sorted(
-        {u for u, v, _ in g.edges if in_subset[u] != in_subset[v]} & set(s_list)
-        | {v for u, v, _ in g.edges if in_subset[u] != in_subset[v]} & set(s_list)
-    )
+    crossing = in_subset[g.u] != in_subset[g.v]
+    ends = np.concatenate((g.u[crossing], g.v[crossing]))
+    boundary = np.unique(ends[in_subset[ends]]).tolist()
 
     p = build_kernel(g).matrix
     pxx = p[np.ix_(exterior, exterior)]
@@ -115,7 +115,7 @@ def local_observation(g: Graph, subset) -> LocalObservation:
     cond = np.zeros((k, k))
     for u in boundary:
         escape = p[u, exterior]
-        cond[pos[u], :] = degrees[u] * (escape @ absorb)
+        cond[relabel[u], :] = degrees[u] * (escape @ absorb)
     skew = float(np.abs(cond - cond.T).max())
     if skew > SYMMETRY_TOL:
         raise UnsupportedInputError(
@@ -123,30 +123,23 @@ def local_observation(g: Graph, subset) -> LocalObservation:
         )
     cond = 0.5 * (cond + cond.T)
 
-    edges = []
-    tags = []
-    trues = []
-    for u, v, w in g.edges:
-        if in_subset[u] and in_subset[v]:
-            edges.append((pos[u], pos[v], w))
-            tags.append("interior")
-            trues.append(w)
-    for i in range(k):
-        for j in range(i, k):
-            c = float(cond[i, j])
-            if c <= EXTERIOR_EPS:
-                continue
-            edges.append((i, j, c / 2.0 if i == j else c))
-            tags.append("exterior")
-            trues.append(c)
-
+    # interior edges in edge order, relabelled, then each exterior pair
+    # i <= j with a conductance above EXTERIOR_EPS in row-major order
+    inside = in_subset[g.u] & in_subset[g.v]
+    i, j = np.nonzero(np.triu(cond > EXTERIOR_EPS))
+    c = cond[i, j]
+    edges = np.column_stack((
+        np.concatenate((relabel[g.u[inside]], i)),
+        np.concatenate((relabel[g.v[inside]], j)),
+        np.concatenate((g.w[inside], np.where(i == j, c / 2.0, c))),
+    ))
     lowered = Graph(k, edges, name=f"{g.name}|loc{k}")
     return LocalObservation(
         subset=tuple(s_list),
         boundary=tuple(boundary),
         graph=lowered,
-        tags=tuple(tags),
-        conductances=tuple(trues),
+        tags=("interior",) * int(inside.sum()) + ("exterior",) * len(c),
+        conductances=tuple(g.w[inside].tolist() + c.tolist()),
         base_degrees=tuple(float(degrees[v]) for v in s_list),
     )
 

@@ -457,22 +457,25 @@ def _st_answers(g: Graph, s: int, t: int, seed: int, lo: int, hi: int) -> list[d
     return [{"connected": x is not None, "steps": x, "budget": budget} for x in steps]
 
 
-def _st_budget(g: Graph, s: int) -> int:
-    """The probe's step budget from s (see _st_answers), refused above the cap.
+def _st_plain_budget(name: str, n: int, m: int) -> int:
+    """The probe's plain 8 n m steps, refused above the cap from n and m alone: an
+    oversize graph pays for no BFS or spanning tree, and a family is not even built."""
+    plain, cap = 8 * n * m, WalkConfig().budget
+    if plain > cap:
+        raise SizeCapError(f"s-t probe needs {plain:.4g} steps on {name}, above the cap {cap}")
+    return plain
 
-    The plain 8nm is refused first, from n and m alone, so an oversize graph
-    pays for neither the BFS nor the spanning tree.
-    """
-    plain, cap = 8 * g.n * g.m, WalkConfig().budget
-    weighted = 0.0  # may overflow to inf, so it is compared before it is rounded
-    if plain <= cap:
-        inside = g.bfs_distances(s) >= 0
-        rows, cols, weights = g.pooled
-        keep = (rows < cols) & inside[rows]  # each pooled pair of C once, loops skipped
-        pairs = zip(rows[keep].tolist(), cols[keep].tolist(), weights[keep].tolist())
-        tree, _ = _kruskal(g.n, [(1.0 / w, u, v) for u, v, w in pairs])
-        weighted = 2.0 * float(g.weighted_degrees[inside].sum()) * tree
-    need = max(plain, weighted)
-    if need > cap:
-        raise SizeCapError(f"s-t probe needs {need:.4g} steps on {g.name}, above the cap {cap}")
+
+def _st_budget(g: Graph, s: int) -> int:
+    """The probe's step budget from s (see _st_answers), refused above the cap."""
+    plain, cap = _st_plain_budget(g.name, g.n, g.m), WalkConfig().budget
+    inside = g.bfs_distances(s) >= 0
+    rows, cols, weights = g.pooled
+    keep = (rows < cols) & inside[rows]  # each pooled pair of C once, loops skipped
+    pairs = zip(rows[keep].tolist(), cols[keep].tolist(), weights[keep].tolist())
+    tree, _ = _kruskal(g.n, [(1.0 / w, u, v) for u, v, w in pairs])
+    # may overflow to inf, so it is compared before it is rounded
+    weighted = 2.0 * float(g.weighted_degrees[inside].sum()) * tree
+    if weighted > cap:
+        raise SizeCapError(f"s-t probe needs {weighted:.4g} steps on {g.name}, above the cap {cap}")
     return max(plain, math.ceil(weighted))

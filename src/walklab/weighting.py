@@ -18,7 +18,7 @@ and walks.speedup estimates the cover-time ratio of the two walks.
 
 from __future__ import annotations
 
-import math
+import numpy as np
 
 from .errors import UnsupportedInputError
 from .graph import Graph
@@ -41,9 +41,9 @@ def apply_scheme(g: Graph, scheme: str) -> Graph:
             f"unknown scheme {scheme!r}; known: {', '.join(SCHEMES)}"
         )
     g.require("weighting", "simple", "unweighted", "connected")
-    d = g.degrees
+    du, dv = g.degrees[g.u], g.degrees[g.v]
     if scheme == "ikeda":
-        weights = [1.0 / math.sqrt(d[u] * d[v]) for u, v, _ in g.edges]
+        weights = 1.0 / np.sqrt(du * dv)
     else:
-        weights = [1.0 / min(d[u], d[v]) for u, v, _ in g.edges]
+        weights = 1.0 / np.minimum(du, dv)
     return g.with_weights(weights, name=f"{g.name}|{scheme}")

@@ -88,13 +88,13 @@ def scalar_draw_edges(
 
 def edge_list(g: Graph) -> list[tuple[int, int, float]]:
     """The (u, v, w) triples of g in edge order."""
-    return list(g.edges)
+    return list(zip(g.u.tolist(), g.v.tolist(), g.w.tolist()))
 
 
 def pooled_pairs(g: Graph) -> dict[tuple[int, int], float]:
     """Pooled weight of each ordered pair, adding every edge's weight at (u, v), then (v, u), in edge order."""
     pooled: dict[tuple[int, int], float] = {}
-    for u, v, w in g.edges:
+    for u, v, w in edge_list(g):
         for pair in ((u, v), (v, u)):  # a loop adds twice
             pooled[pair] = pooled.get(pair, 0.0) + w
     return pooled
@@ -107,7 +107,7 @@ def sorted_frontier_path(g: Graph, source: int, target: int) -> list[int] | None
     when the target is unreachable.
     """
     adj = [set() for _ in range(g.n)]
-    for u, v, _ in g.edges:
+    for u, v, _ in edge_list(g):
         if u != v:
             adj[u].add(v)
             adj[v].add(u)
@@ -130,12 +130,12 @@ def sorted_frontier_path(g: Graph, source: int, target: int) -> list[int] | None
 
 
 def transition_matrix(g: Graph, lazy: bool = False) -> np.ndarray:
-    """Row-stochastic walk matrix built straight from g.edges, weighted degrees included."""
+    """Row-stochastic walk matrix built straight from g's edges, weighted degrees included."""
     p = np.zeros((g.n, g.n))
     c = np.zeros(g.n)
     for (u, v), w in pooled_pairs(g).items():
         p[u, v] = w
-    for u, v, w in g.edges:
+    for u, v, w in edge_list(g):
         c[u] += w
         c[v] += w
     p = p / c[:, None]
@@ -258,7 +258,7 @@ def linear_mixing_oracle(kernel, threshold: float) -> int:
 
 
 def edge_conductances(g: Graph) -> np.ndarray:
-    """Symmetric pooled conductances straight from g.edges; loops carry no current."""
+    """Symmetric pooled conductances straight from g's edges; loops carry no current."""
     c = np.zeros((g.n, g.n))
     for (u, v), w in pooled_pairs(g).items():
         if u != v:

@@ -11,6 +11,7 @@ from __future__ import annotations
 import json
 import re
 import time
+import tracemalloc
 import warnings
 from pathlib import Path
 
@@ -784,6 +785,24 @@ def test_oversize_graphs_are_refused_before_any_walk(
     assert time.perf_counter() - started < 1.0
     assert result.exit_code == 2
     assert message in result.output
+
+
+def test_an_over_budget_probe_is_refused_before_its_family_is_built(runner, tmp_path):
+    # path:1000000 fits both graph caps, but its 8 n m steps pass the walk
+    # budget cap; its closed-form size refuses it with no edge built
+    out = tmp_path / "out"
+    tracemalloc.start()
+    try:
+        result = _run(
+            runner, ["run", "st-connect-demo", "--family", "path:1000000", "--seed", "0", "--out", str(out)]
+        )
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert result.exit_code == 2
+    assert "input error: s-t probe needs 8e+12 steps on path:1000000, above the cap 1000000000" in result.output
+    assert peak < 5 * 2**20
+    assert not out.with_suffix(".csv").exists()
 
 
 def test_family_and_graph_file_conflict(runner, tmp_path):

@@ -20,10 +20,11 @@ from walklab.electrical import (
     resistance_matrix,
     spanning_tree_bound,
 )
-from walklab.graph import Graph, binary_tree, complete, cycle, lollipop, path, star
+from walklab.graph import Graph, binary_tree, complete, cycle, grid2d, lollipop, path, star
 from walklab.spectral import build_kernel, exact_cover_times, exact_hitting
 
 from helpers import (
+    edge_list,
     effective_resistance,
     flow_energy,
     per_subset_matthews_lower,
@@ -63,7 +64,7 @@ def test_parallel_edges_halve_resistance():
 
 def test_loops_are_electrically_invisible():
     plain = path(4)
-    loopy = Graph(4, list(plain.edges) + [(2, 2, 5.0)])
+    loopy = Graph(4, edge_list(plain) + [(2, 2, 5.0)])
     np.testing.assert_allclose(resistance_matrix(loopy), resistance_matrix(plain), rtol=0, atol=1e-12)
 
 
@@ -274,9 +275,9 @@ def test_sandwich_on_small_families():
 
 def test_grid_resistance_monitor_small_sizes():
     for k in (2, 3, 5, 8):
-        rep = grid_resistance_monitor(k)
-        assert rep["passed"], rep
-        assert rep["max_resistance"] < 8 * harmonic_number(k)
+        largest = grid_resistance_monitor(k)
+        assert largest == float(resistance_matrix(grid2d(k, k)).max())
+        assert largest < 8 * harmonic_number(k)
     with pytest.raises(SizeCapError):
         grid_resistance_monitor(41)
 
@@ -286,8 +287,8 @@ def test_rayleigh_monitor_on_cycle():
     # raises the one across it from 5/6 to 5
     g = cycle(6)
     before = resistance_matrix(g)
-    for idx, (u, v, _) in enumerate(g.edges):
-        after = resistance_matrix(Graph(g.n, [e for j, e in enumerate(g.edges) if j != idx]))
+    for idx, (u, v, _) in enumerate(edge_list(g)):
+        after = resistance_matrix(Graph(g.n, [e for j, e in enumerate(edge_list(g)) if j != idx]))
         assert (after >= before - 1e-9).all(), idx
         assert after[u, v] == pytest.approx(5.0) and before[u, v] == pytest.approx(5 / 6)
 
@@ -298,12 +299,12 @@ def test_rayleigh_monitor_reports_absent_for_separated_pairs():
     # no resistance falls
     g = path(4)
     before = resistance_matrix(g)
-    cut = Graph(4, [e for j, e in enumerate(g.edges) if j != 1])
+    cut = Graph(4, [e for j, e in enumerate(edge_list(g)) if j != 1])
     with pytest.raises(DisconnectedError):
         resistance_matrix(cut)
     for a, b in ([0, 1], [2, 3]):
         # the part's own graph, its vertices a, b relabelled 0, 1
-        part = Graph(2, [(u - a, v - a, w) for u, v, w in cut.edges if {u, v} <= {a, b}])
+        part = Graph(2, [(u - a, v - a, w) for u, v, w in edge_list(cut) if {u, v} <= {a, b}])
         after = resistance_matrix(part)
         assert after[0, 1] == pytest.approx(1.0)
         assert after[0, 1] >= before[a, b] - 1e-9

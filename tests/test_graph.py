@@ -1,5 +1,6 @@
 import itertools
 import math
+import re
 
 import numpy as np
 import pytest
@@ -29,6 +30,7 @@ from walklab.weighting import apply_scheme
 
 from helpers import (
     edge_conductances,
+    edge_list,
     pooled_pairs,
     random_connected_graph,
     scalar_draw_edges,
@@ -77,14 +79,27 @@ def test_parallel_edges_kept():
 
 
 def test_rejects_bad_edges():
-    with pytest.raises(ParameterError):
-        Graph(2, [(0, 2)])
-    with pytest.raises(ParameterError):
-        Graph(2, [(0, 1, 0.0)])
-    with pytest.raises(ParameterError):
-        Graph(2, [(0, 1, -1.0)])
-    with pytest.raises(ParameterError):
-        Graph(0, [])
+    # the first faulty edge is named, as given, with a range fault before a weight fault
+    refused = [
+        (2, [(0, 2)], "edge (0, 2) out of range for n=2"),
+        (2, [(0, 1, 0.0)], "edge (0, 1) weight 0.0 is not positive and finite"),
+        (2, [(0, 1, -1.0)], "edge (0, 1) weight -1.0 is not positive and finite"),
+        (0, [], "graph needs at least one vertex, got n=0"),
+        (3, [(0, 1), (2, 1, 0.5), (5, 1), (1, 1, -2.0)], "edge (5, 1) out of range for n=3"),
+        (3, [(0, 1), (2, 1, -0.5), (5, 1)], "edge (2, 1) weight -0.5 is not positive and finite"),
+        (3, [(1, 0, -1.0), (3, 1, 1.0)], "edge (1, 0) weight -1.0 is not positive and finite"),
+        (3, [(-1, 1)], "edge (-1, 1) out of range for n=3"),
+        (2, [(0, 1, 1.0, 2.0)], "edge (0, 1, 1.0, 2.0) is not a pair or weighted triple"),
+        (2, [(0,)], "edge (0,) is not a pair or weighted triple"),
+        (3, [(0, 1), (1, 2, 2.0), [2, 0, 1.0, 1.0]], "edge [2, 0, 1.0, 1.0] is not a pair or weighted triple"),
+        (3, np.array([[0, 1], [3, 0]]), "edge (3, 0) out of range for n=3"),
+        (3, np.array([[0, 1, 1.0], [1, 2, math.nan]]), "edge (1, 2) weight nan is not positive and finite"),
+    ]
+    for n, edges, message in refused:
+        with pytest.raises(ParameterError, match=re.escape(message)):
+            Graph(n, edges)
+    # pairs and triples mixed in one list, the pairs at weight 1
+    assert Graph(3, [(0, 1), (2, 1, 2.0), [1, 1]]) == Graph(3, [(0, 1, 1.0), (1, 2, 2.0), (1, 1, 1.0)])
 
 
 @pytest.mark.parametrize("w", [math.nan, math.inf, -math.inf, 0.0, -1.0])
@@ -121,11 +136,22 @@ def test_equality_rounds_weights_to_12_decimals():
     assert a != c
 
 
-def test_edges_are_immutable_tuple():
-    g = path(4)
-    assert isinstance(g.edges, tuple)
-    with pytest.raises((TypeError, AttributeError)):
-        g.edges[0] = (0, 2, 1.0)  # type: ignore[index]
+def test_edge_arrays_refuse_writes():
+    for g in (path(4), Graph(3, [(2, 0, 0.5), (1, 1)]), path(3).with_weights([2.0, 3.0])):
+        assert (g.u.dtype, g.v.dtype, g.w.dtype) == (np.int64, np.int64, np.float64)
+        assert (g.u <= g.v).all()
+        for column in (g.u, g.v, g.w):
+            with pytest.raises(ValueError, match="read-only"):
+                column[0] = 1
+
+
+def test_volume_adds_the_weights_left_to_right():
+    # pi and every CSV read the volume, so it is the sum Python's sum builds
+    # in edge order; numpy's pairwise sum differs here in the last bits
+    weights = np.random.default_rng(0).uniform(0.1, 4.0, 10000)
+    g = path(10001).with_weights(weights)
+    assert g.volume == 2.0 * sum(weights.tolist())
+    assert float(np.sum(weights)) != sum(weights.tolist())
 
 
 def test_family_diameters():
@@ -193,7 +219,7 @@ def test_product_commutes_up_to_relabeling():
     b = cartesian_product(h, g)
     # relabel (x, a) -> (a, x)
     perm = {x * g.n + aa: aa * h.n + x for aa in range(g.n) for x in range(h.n)}
-    relabeled = Graph(b.n, [(perm[u], perm[v], w) for u, v, w in b.edges])
+    relabeled = Graph(b.n, [(perm[u], perm[v], w) for u, v, w in edge_list(b)])
     assert relabeled == a
 
 
@@ -268,23 +294,36 @@ def test_text_round_trip_is_byte_identical():
     # weights written with repr parse back to the same doubles, so the text
     # written from the parsed graph is the text read
     def to_text(g):
-        return "".join([f"{g.n} {g.m}\n"] + [f"{u} {v} {w!r}\n" for u, v, w in g.edges])
+        return "".join([f"{g.n} {g.m}\n"] + [f"{u} {v} {w!r}\n" for u, v, w in edge_list(g)])
 
     g = Graph(4, [(0, 1, 0.1), (1, 2, 1.0), (3, 3, 2.5), (1, 2, 1.0 / 3.0)])
     text = to_text(g)
     again = Graph.from_text(text)
-    assert again == g and again.edges == g.edges
+    assert again == g and edge_list(again) == edge_list(g)
     assert to_text(again) == text
     assert text.splitlines()[0] == "4 4"
 
 
 def test_from_text_validates():
-    with pytest.raises(ParameterError):
-        Graph.from_text("")
-    with pytest.raises(ParameterError):
-        Graph.from_text("2 2\n0 1 1.0\n")  # promised 2 edges, gave 1
-    with pytest.raises(ParameterError):
-        Graph.from_text("2 1\n0 1\n")  # missing weight column
+    refused = [
+        ("", "empty graph text"),
+        ("# only a comment\n\n", "empty graph text"),
+        ("2\n", "bad header line '2', expected 'n m'"),
+        ("2 x\n", "bad header line '2 x', expected integers 'n m'"),
+        ("2 2\n0 1 1.0\n", "header promises 2 edges but 1 lines follow"),
+        ("2 1\n0 1\n", "bad edge line '0 1', expected 'u v w'"),
+        ("3 2\n0 1 1.0\n1 2 1.0 # note\n", "bad edge line '1 2 1.0 # note', expected 'u v w'"),
+        ("2 1\n0 1.0 1.0\n", "bad edge line '0 1.0 1.0', expected integers u v and a number w"),
+        ("3 2\n0 1 1\n 1 2 x \n", "bad edge line '1 2 x', expected integers u v and a number w"),
+        ("3 2\n0 1 1.0\n1 3 1.0\n", "edge (1, 3) out of range for n=3"),
+        ("2 1\n1 0 -1\n", "edge (1, 0) weight -1.0 is not positive and finite"),
+        ("0 0\n", "graph needs at least one vertex, got n=0"),
+    ]
+    for text, message in refused:
+        with pytest.raises(ParameterError, match=re.escape(message)):
+            Graph.from_text(text)
+    # int() and float() take underscores, which numpy's parser refuses
+    assert Graph.from_text("11 1\n0 1_0 2_5.0\n") == Graph(11, [(0, 10, 25.0)])
 
 
 def test_family_dispatcher():
@@ -342,8 +381,8 @@ def test_dense_families_are_refused_above_the_edge_cap_before_they_are_built(
 def test_with_weights():
     g = path(3)
     h = g.with_weights([2.0, 3.0])
-    assert h.edges == ((0, 1, 2.0), (1, 2, 3.0))
-    assert g.edges == ((0, 1, 1.0), (1, 2, 1.0))  # original untouched
+    assert edge_list(h) == [(0, 1, 2.0), (1, 2, 3.0)]
+    assert edge_list(g) == [(0, 1, 1.0), (1, 2, 1.0)]  # original untouched
     with pytest.raises(ParameterError):
         g.with_weights([1.0])
 
@@ -364,7 +403,7 @@ def test_equality_survives_random_edge_permutation(seed):
     rng = np.random.default_rng(seed)
     n = int(rng.integers(2, 10))
     g = random_connected_graph(rng, n, extra=3, weighted=True, loops=True, parallel=True)
-    shuffled = list(g.edges)
+    shuffled = edge_list(g)
     rng.shuffle(shuffled)
     flipped = [(v, u, w) for u, v, w in shuffled]
     assert Graph(g.n, flipped) == g
@@ -397,11 +436,11 @@ def test_pooled_table_is_the_dict_pooled_over_the_edges():
         assert list(zip(rows.tolist(), cols.tolist())) == sorted(reference), g.name
         assert weights.tolist() == [reference[pair] for pair in sorted(reference)], g.name
         counts = [0] * g.n
-        for u, v, _ in g.edges:
+        for u, v, _ in edge_list(g):
             counts[u] += 1
             counts[v] += 1
         assert g.degrees.tolist() == counts
-        pairs = [(u, v) for u, v, _ in g.edges]
+        pairs = [(u, v) for u, v, _ in edge_list(g)]
         assert g.is_simple == (len(set(pairs)) == len(pairs) and all(u != v for u, v in pairs))
 
 
@@ -441,5 +480,5 @@ def test_random_connected_graph_reads_the_generator_as_scalar_draws(weighted, lo
             expected = scalar_draw_edges(
                 theirs, n, extra=extra, weighted=weighted, loops=loops, parallel=parallel
             )
-            assert g.edges == tuple(expected), (seed, n, extra)
+            assert edge_list(g) == expected, (seed, n, extra)
             assert ours.bit_generator.state == theirs.bit_generator.state

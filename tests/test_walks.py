@@ -20,6 +20,8 @@ from walklab.walks import (
     simulate,
 )
 
+from helpers import edge_list
+
 
 def trial_value(g, config, seed, trial_index):
     """(stopping step, censored flag) of trial `trial_index` of a simulate run."""
@@ -368,13 +370,13 @@ def test_wide_vertex_trials_keep_their_recorded_walks(spec, config, values):
 
 def test_vertex_tables_hold_running_sums_of_merged_weights():
     # every vertex's table, wide or not, against exact running sums of the
-    # weights merged from g.edges: complete:12 lazy (degree 12 with the
+    # weights merged from g's edges: complete:12 lazy (degree 12 with the
     # hold) and the weighted hub with its loop and doubled spoke
     for g, lazy in [(family("complete:12"), True), (Graph.from_text(HUB_TEXT), False)]:
         nbrs, cum, _ = walks._vertex_tables(g, "uniform", lazy)
         for v in range(g.n):
             merged: dict[int, Fraction] = {}
-            for a, b, w in g.edges:
+            for a, b, w in edge_list(g):
                 for end, other in ((a, b), (b, a)):  # a loop adds twice
                     if end == v:
                         merged[other] = merged.get(other, 0) + Fraction(w)

@@ -11,7 +11,7 @@ from walklab.spectral import build_kernel, mindeg_invariant_report
 from walklab.walks import speedup
 from walklab.weighting import apply_scheme
 
-from helpers import ikeda_kernel_formula, mindeg_kernel_formula, random_connected_graph
+from helpers import edge_list, ikeda_kernel_formula, mindeg_kernel_formula, random_connected_graph
 
 
 def test_uniform_scheme_is_identity():
@@ -37,17 +37,17 @@ def test_schemes_reject_multigraphs_and_weighted_input():
 def test_ikeda_weights_on_star():
     g = star(5)  # center degree 4, leaves degree 1
     w = apply_scheme(g, "ikeda")
-    for _, _, weight in w.edges:
+    for _, _, weight in edge_list(w):
         assert weight == pytest.approx(1.0 / math.sqrt(4.0), rel=1e-15)
 
 
 def test_mindeg_weights_use_smaller_degree():
     g = star(4)
     w = apply_scheme(g, "mindeg")
-    assert all(weight == 1.0 for _, _, weight in w.edges)
+    assert all(weight == 1.0 for _, _, weight in edge_list(w))
     h = apply_scheme(path(4), "mindeg")
-    assert h.edges[0][2] == 1.0  # endpoint edge: min(1, 2)
-    assert h.edges[1][2] == 0.5  # interior edge: min(2, 2)
+    assert h.w[0] == 1.0  # endpoint edge: min(1, 2)
+    assert h.w[1] == 0.5  # interior edge: min(2, 2)
 
 
 def test_ikeda_kernel_matches_row_formula():
@@ -101,7 +101,7 @@ def test_property_ikeda_edge_weight_sandwich(seed):
     g = random_connected_graph(rng, int(rng.integers(2, 12)), extra=4)
     w = apply_scheme(g, "ikeda")
     d = g.degrees
-    for u, v, weight in w.edges:
+    for u, v, weight in edge_list(w):
         assert weight == pytest.approx(1.0 / math.sqrt(d[u] * d[v]), rel=1e-15)
 
 
