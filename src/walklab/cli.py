@@ -184,8 +184,7 @@ def _ladder(ns: range | list[int], low: int, cap: int, what: str) -> list[int]:
 
 
 def _resolve_graph(spec: dict, default: str, screen=None) -> Graph:
-    """The graph --family or --graph-file names, else the default family; screen(name, n, m)
-    runs on a family's closed-form size before it is built."""
+    """The --family or --graph-file graph, else the default; screen(name, n, m) sees a family's size first."""
     fam, path_arg = spec.get("family"), spec.get("graph_file")
     if fam is not None and path_arg is not None:
         raise ParameterError("give at most one of --family and --graph-file")

@@ -109,16 +109,17 @@ class Graph:
         if n > _VERTEX_CAP:
             raise SizeCapError(f"graphs are capped at {_VERTEX_CAP} vertices, got n={n}")
         table = _table(edges)
-        u = table[:, 0].astype(np.int64)
-        v = table[:, 1].astype(np.int64)
+        lo, hi = np.minimum(table[:, 0], table[:, 1]), np.maximum(table[:, 0], table[:, 1])
         w = table[:, 2].astype(float) if table.shape[1] == 3 else np.ones(len(table))
-        lo, hi = np.minimum(u, v), np.maximum(u, v)
-        bad = (lo < 0) | (hi >= n) | ~((w > 0.0) & (w < math.inf))
+        # int(x) is in range when -1 < x < n: checked before a cast could wrap a huge or NaN end
+        bad = ~((lo > -1) & (hi < n) & (w > 0.0) & (w < math.inf))
         if bad.any():  # name the first faulty edge, as given
             i = int(bad.argmax())
-            if not (0 <= lo[i] and hi[i] < n):
-                raise ParameterError(f"edge ({u[i]}, {v[i]}) out of range for n={n}")
-            raise ParameterError(f"edge ({u[i]}, {v[i]}) weight {w[i]} is not positive and finite")
+            u, v = int(table[i, 0]), int(table[i, 1])
+            if not (0 <= u < n and 0 <= v < n):
+                raise ParameterError(f"edge ({u}, {v}) out of range for n={n}")
+            raise ParameterError(f"edge ({u}, {v}) weight {w[i]} is not positive and finite")
+        lo, hi = lo.astype(np.int64, copy=False), hi.astype(np.int64, copy=False)
         if len(w) > _EDGE_CAP:
             raise SizeCapError(f"graphs are capped at {_EDGE_CAP} edges")
         for column in (lo, hi, w):

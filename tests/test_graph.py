@@ -94,12 +94,15 @@ def test_rejects_bad_edges():
         (3, [(0, 1), (1, 2, 2.0), [2, 0, 1.0, 1.0]], "edge [2, 0, 1.0, 1.0] is not a pair or weighted triple"),
         (3, np.array([[0, 1], [3, 0]]), "edge (3, 0) out of range for n=3"),
         (3, np.array([[0, 1, 1.0], [1, 2, math.nan]]), "edge (1, 2) weight nan is not positive and finite"),
+        (3, [(0, 1e30)], "edge (0, 1000000000000000019884624838656) out of range for n=3"),
+        (3, [(2.5, -1.0)], "edge (2, -1) out of range for n=3"),
     ]
     for n, edges, message in refused:
         with pytest.raises(ParameterError, match=re.escape(message)):
             Graph(n, edges)
-    # pairs and triples mixed in one list, the pairs at weight 1
+    # pairs and triples mixed in one list, the pairs at weight 1; an end is read as int() reads it
     assert Graph(3, [(0, 1), (2, 1, 2.0), [1, 1]]) == Graph(3, [(0, 1, 1.0), (1, 2, 2.0), (1, 1, 1.0)])
+    assert Graph(3, [(-0.5, 2.9)]) == Graph(3, [(0, 2)])
 
 
 @pytest.mark.parametrize("w", [math.nan, math.inf, -math.inf, 0.0, -1.0])
