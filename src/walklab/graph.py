@@ -66,20 +66,19 @@ _EDGE_CAP = 4 * 10**6
 
 
 def _table(edges: Iterable[Sequence]) -> np.ndarray:
-    """At most _EDGE_CAP + 1 edges as a 2-D table, one (u, v) or (u, v, w) row an edge."""
+    """At most _EDGE_CAP + 1 edges as a 2-D table, one (u, v) or (u, v, w) row an edge.
+
+    An array passes through. Python rows are read as int(u), int(v) and
+    float(w), into an object table that keeps an end of any size exact.
+    """
     if isinstance(edges, np.ndarray) and edges.ndim == 2 and edges.shape[1] in (2, 3):
         return edges[: _EDGE_CAP + 1]
-    rows = list(islice(edges, _EDGE_CAP + 1))
-    try:
-        table = np.array(rows) if rows else np.empty((0, 2), dtype=np.int64)
-        if table.ndim == 2 and table.shape[1] in (2, 3):
-            return table
-    except ValueError:  # ragged: pairs and triples mixed, or an edge of another length
-        pass
-    for e in rows:
+    rows = []
+    for e in islice(edges, _EDGE_CAP + 1):
         if len(e) not in (2, 3):
             raise ParameterError(f"edge {e!r} is not a pair or weighted triple")
-    return np.array([e if len(e) == 3 else (*e, 1.0) for e in rows])
+        rows.append((int(e[0]), int(e[1]), float(e[2]) if len(e) == 3 else 1.0))
+    return np.array(rows, dtype=object).reshape(-1, 3)
 
 
 class Graph:
@@ -327,6 +326,8 @@ class Graph:
         try:
             line = [("u", np.int64), ("v", np.int64), ("w", float)]
             lines = np.loadtxt(rows[1:], dtype=line, comments=None, ndmin=1)
+            if max(abs(lines["u"]).max(), abs(lines["v"]).max()) >= 2**53:
+                raise ValueError("a float table would round an end")
             edges = np.column_stack((lines["u"], lines["v"], lines["w"]))
         except (ValueError, OverflowError):
             # numpy names no line, and int() and float() take a few forms

@@ -103,6 +103,7 @@ def test_rejects_bad_edges():
     # pairs and triples mixed in one list, the pairs at weight 1; an end is read as int() reads it
     assert Graph(3, [(0, 1), (2, 1, 2.0), [1, 1]]) == Graph(3, [(0, 1, 1.0), (1, 2, 2.0), (1, 1, 1.0)])
     assert Graph(3, [(-0.5, 2.9)]) == Graph(3, [(0, 2)])
+    assert Graph(3, [("0", "1"), (2, 1, "2.5")]) == Graph(3, [(0, 1), (1, 2, 2.5)])
 
 
 @pytest.mark.parametrize("w", [math.nan, math.inf, -math.inf, 0.0, -1.0])
