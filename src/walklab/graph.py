@@ -508,11 +508,12 @@ def random_connected_graph(
     keep = (lo != hi) | loops
     if not parallel:
         # a pair is dropped when its tree edge or an earlier kept copy has it;
-        # loops are never checked against earlier edges
-        keys = lo * n + hi
+        # loops are never checked against earlier edges; each v > 0 has one
+        # tree edge, to its parent, so (lo, hi) is on the tree when hi's
+        # parent is lo
         first = np.zeros(extra, dtype=bool)
-        first[np.unique(keys, return_index=True)[1]] = True
-        keep &= (lo == hi) | (first & ~np.isin(keys, parents * n + children))
+        first[np.unique(lo * n + hi, return_index=True)[1]] = True
+        keep &= (lo == hi) | (first & (np.concatenate(([-1], parents))[hi] != lo))
     u = np.concatenate((parents, lo[keep]))
     v = np.concatenate((children, hi[keep]))
     w = rng.uniform(0.1, 4.0, size=len(u)) if weighted else np.ones(len(u))
