@@ -60,6 +60,7 @@ from .graph import (
     path,
     random_connected_graph,
     star,
+    text_header,
     torus2d,
 )
 from .product import theorem_main_bounds
@@ -184,7 +185,11 @@ def _ladder(ns: range | list[int], low: int, cap: int, what: str) -> list[int]:
 
 
 def _resolve_graph(spec: dict, default: str, screen=None) -> Graph:
-    """The --family or --graph-file graph, else the default; screen(name, n, m) sees a family's size first."""
+    """The --family or --graph-file graph, else the default.
+
+    screen(name, n, m) sees the graph's size first: a family's closed form,
+    or a graph file's header line, read before the rest of the file.
+    """
     fam, path_arg = spec.get("family"), spec.get("graph_file")
     if fam is not None and path_arg is not None:
         raise ParameterError("give at most one of --family and --graph-file")
@@ -193,6 +198,9 @@ def _resolve_graph(spec: dict, default: str, screen=None) -> Graph:
         if not p.is_file():
             raise ParameterError(f"--graph-file: no such file {path_arg!r}")
         try:
+            if screen is not None:
+                with p.open(encoding="utf-8") as handle:
+                    screen(p.stem, *text_header(handle))
             text = p.read_text(encoding="utf-8")
         except UnicodeDecodeError:
             raise ParameterError(f"--graph-file: {path_arg!r} is not UTF-8 text") from None
@@ -563,9 +571,9 @@ def _run_p_simple(spec: dict):
     return header, rows, {"simple-probability": worst}
 
 
-def _run_scheme_speedup(spec: dict):
+def _run_scheme_speedup(spec: dict, workers: int):
     g = _resolve_graph(spec, default="lollipop:90")
-    rep = speedup(g, spec["trials"], spec["seed"])
+    rep = speedup(g, spec["trials"], spec["seed"], workers=workers)
     rows = [[key, value] for key, value in rep.items()]
     return ["metric", "value"], rows, {"three-sigma-speedup": rep["z_score"]}
 
@@ -689,12 +697,12 @@ EXPERIMENTS: dict[str, dict] = {
     "scheme-speedup": {
         "runner": _run_scheme_speedup,
         # the default graph is the runner's: --family and --graph-file exclude each other
-        "flags": {"family": None, "graph_file": None, "trials": 150},
+        "flags": {"family": None, "graph_file": None, "trials": 150, "workers": 1},
         "claim": "Weighting every edge by the inverse smaller endpoint degree "
         "speeds up covering graphs with degree imbalance; on a regular graph "
         "the scheme changes nothing and the ratio is exactly 1.",
         "inputs": "--family or --graph-file (default lollipop:90); --trials "
-        "cover trials per scheme; --seed.",
+        "cover trials per scheme; --seed; --workers.",
         "checks": {"three-sigma-speedup": ("z-score (ratio - 1) / stderr, ratio uniform / mindeg cover", ">", 3.0)},
     },
     "st-connect-demo": {

@@ -52,6 +52,7 @@ __all__ = [
     "family_size",
     "cartesian_product",
     "random_connected_graph",
+    "text_header",
 ]
 
 # Every graph is refused above these caps before its edge list is built in
@@ -306,17 +307,7 @@ class Graph:
             for ln in (s.strip() for s in text.splitlines())
             if ln and not ln.startswith("#")
         ]
-        if not rows:
-            raise ParameterError("empty graph text")
-        head = rows[0].split()
-        if len(head) != 2:
-            raise ParameterError(f"bad header line {rows[0]!r}, expected 'n m'")
-        try:
-            n, m = int(head[0]), int(head[1])
-        except ValueError:
-            raise ParameterError(
-                f"bad header line {rows[0]!r}, expected integers 'n m'"
-            ) from None
+        n, m = text_header(rows[:1])
         if len(rows) - 1 != m:
             raise ParameterError(
                 f"header promises {m} edges but {len(rows) - 1} lines follow"
@@ -349,6 +340,28 @@ class Graph:
             raise ParameterError("need one weight per edge")
         edges = np.column_stack((self.u, self.v, np.asarray(weights, dtype=float)))
         return Graph(self._n, edges, name=name or self.name)
+
+
+def text_header(lines: Iterable[str]) -> tuple[int, int]:
+    """(n, m) from the header of a graph text, given as its lines.
+
+    The header is the first line that is not blank or a comment (see
+    `Graph.from_text`); the lines are read no further, so a caller can size
+    a graph file before its body is read.
+    """
+    for line in lines:
+        for row in line.splitlines():
+            row = row.strip()
+            if not row or row.startswith("#"):
+                continue
+            head = row.split()
+            if len(head) != 2:
+                raise ParameterError(f"bad header line {row!r}, expected 'n m'")
+            try:
+                return int(head[0]), int(head[1])
+            except ValueError:
+                raise ParameterError(f"bad header line {row!r}, expected integers 'n m'") from None
+    raise ParameterError("empty graph text")
 
 
 # --- families ---

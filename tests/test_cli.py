@@ -8,7 +8,9 @@ at toy sizes to pin behavior, exit codes, and output formats.
 
 from __future__ import annotations
 
+import concurrent.futures
 import json
+import os
 import re
 import time
 import tracemalloc
@@ -68,6 +70,27 @@ def test_rerun_is_byte_identical_even_across_destinations(runner, tmp_path):
     r4 = _run(runner, args + ["--out", str(d), "--workers", "2"])
     assert r3.exit_code == 0 and r4.exit_code == 0
     assert c.with_suffix(".csv").read_bytes() == d.with_suffix(".csv").read_bytes()
+
+
+def test_scheme_speedup_csv_is_the_same_for_any_worker_count(runner, tmp_path, monkeypatch):
+    # 300 trials make two chunks of 256 for each scheme, so at --workers 2
+    # both walks start a real pool
+    pools = []
+    real = concurrent.futures.ProcessPoolExecutor
+
+    def counted(*args, **kwargs):
+        pools.append(kwargs["max_workers"])
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", counted)
+    args = ["run", "scheme-speedup", "--family", "lollipop:12", "--trials", "300", "--seed", "3"]
+    one, two = tmp_path / "one", tmp_path / "two"
+    r1 = _run(runner, args + ["--out", str(one)])
+    assert pools == []
+    r2 = _run(runner, args + ["--out", str(two), "--workers", "2"])
+    assert r1.exit_code == r2.exit_code == 0
+    assert pools == ([2, 2] if (os.cpu_count() or 1) > 1 else [])
+    assert one.with_suffix(".csv").read_bytes() == two.with_suffix(".csv").read_bytes()
 
 
 def test_format_flag_selects_artifacts(runner, tmp_path):
@@ -418,10 +441,10 @@ def test_edgeless_product_factor_exits_2_without_numeric_warnings(runner, tmp_pa
         ("commute-identity", ["--family", "path:6"], "--trials"),
         ("closed-forms", ["--workers", "2"], "--n"),
         ("st-connect-demo", ["--workers", "2"], "--graph-file"),
-        ("scheme-speedup", ["--workers", "2"], "--graph-file"),
+        ("scheme-speedup", ["--n", "5"], "--workers"),
     ],
     ids=["commute-identity-family", "closed-forms-workers", "st-connect-demo-workers",
-         "scheme-speedup-workers"],
+         "scheme-speedup-n"],
 )
 def test_flag_the_experiment_never_reads_is_rejected(runner, tmp_path, experiment, flag, takes):
     result = _run(runner, ["run", experiment, *flag, "--seed", "1", "--out", str(tmp_path / "x")])
@@ -803,6 +826,43 @@ def test_an_over_budget_probe_is_refused_before_its_family_is_built(runner, tmp_
     assert "input error: s-t probe needs 8e+12 steps on path:1000000, above the cap 1000000000" in result.output
     assert peak < 5 * 2**20
     assert not out.with_suffix(".csv").exists()
+
+
+def test_an_over_budget_probe_is_refused_from_its_graph_files_header(runner, tmp_path):
+    # a 10^6-vertex path file: its header's n and m refuse the probe's
+    # 8 n m steps before the body is read
+    n = 10**6
+    gfile = tmp_path / "long.txt"
+    gfile.write_text(f"# a long path\n{n} {n - 1}\n" + "".join(f"{i} {i + 1} 1\n" for i in range(n - 1)))
+    out = tmp_path / "out"
+    tracemalloc.start()
+    try:
+        result = _run(runner, ["run", "st-connect-demo", "--graph-file", str(gfile), "--seed", "0", "--out", str(out)])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert result.exit_code == 2
+    assert "input error: s-t probe needs 8e+12 steps on long, above the cap 1000000000" in result.output
+    assert peak < 5 * 2**20
+    assert not out.with_suffix(".csv").exists()
+
+
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        ("", "empty graph text"),
+        ("# a comment\n\n", "empty graph text"),
+        ("1000000\n0 1 1\n", "bad header line '1000000', expected 'n m'"),
+        ("1000000 x\n0 1 1\n", "bad header line '1000000 x', expected integers 'n m'"),
+    ],
+    ids=["empty", "comment-only", "one-field", "not-integers"],
+)
+def test_a_screened_graph_file_keeps_its_header_messages(runner, tmp_path, text, message):
+    gfile = tmp_path / "g.txt"
+    gfile.write_text(text)
+    result = _run(runner, ["run", "st-connect-demo", "--graph-file", str(gfile), "--seed", "0", "--out", str(tmp_path / "st")])
+    assert result.exit_code == 2
+    assert f"input error: {message}\n" in result.output
 
 
 def test_family_and_graph_file_conflict(runner, tmp_path):
