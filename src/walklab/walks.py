@@ -36,16 +36,23 @@ bisection over the cumulative weights, at every degree.
 
 The walk seldom bisects. Each vertex also has a bucket row of R entries,
 R = 2^b chosen from the plan's tables: rows[v][int(u R)] is the index
-bisect_left(cum[v], u) for every u in that bucket, or None where a
-breakpoint of cum[v] splits the bucket, and only then does the step
-bisect, on u rebuilt from w. int(u R) is an exact floor, and the row is
-built from exact comparisons, so the lookup picks what the bisection picks
-for every double u. The walk reads the key off the word: u R is
-(w >> 11) 2^(b - 53) exactly, so int(u R) = w >> (64 - b), the top b bits
-of w. Rows hold indices, not vertices, so vertices with equal cum lists
-share one row: a plan holds a row per distinct list (one on a regular
-graph walked uniformly), not per vertex, and R need not shrink as the
-graph grows.
+bisect_left(cum[v], u) for every u in that bucket, or L_v = len(cum[v])
+where a breakpoint of cum[v] splits the bucket. nbrs[v] ends in a
+sentinel at index L_v, the number n + v, so every step is one expression,
+pos = nbrs[pos][rows[pos][int(u R)]]. left has n trailing truthy markers,
+so a step onto a sentinel takes the quota test's rare branch, which
+bisects cum[v] on u, rebuilt from w, and steps on from there. int(u R) is
+an exact floor, and the row is built from exact comparisons, so the
+lookup picks what the bisection picks for every double u. The walk reads
+the key off the word: u R is (w >> 11) 2^(b - 53) exactly, so
+int(u R) = w >> (64 - b), the top b bits of w. R is sized by the
+stationary share of steps that can bisect: a row of length L has at most
+L - 1 impure buckets, so that share is at most sum_v pi_v (L_v - 1) / R,
+and R is the least power of two from 32 up that holds it to 1/_SHARE,
+capped at _MAX_BUCKETS. Rows hold indices, not vertices, so vertices with
+equal cum lists share one row: a plan holds a row per distinct list (one
+on a regular graph walked uniformly), not per vertex, and R need not
+shrink as the graph grows.
 """
 
 from __future__ import annotations
@@ -78,6 +85,13 @@ STOP_MODES = ("cover", "hit", "blanket-cover")
 CHUNK = 256
 BUFFER = 4096
 _SLOTS = 2**18  # bucket-row entries a plan's rows may hold above 32 buckets a row
+_MAX_BUCKETS = 2**14  # buckets a row may have
+# a stationary step lands in an impure bucket, and bisects, with probability
+# at most 1/_SHARE. At 1/128 a 3-regular graph has 256 buckets a row, whose
+# keys are ints below 256 that tolist() does not allocate: its walk took
+# 67-72 ns a step against 72-112 at 1/64 and 82-85 at 1/256, and lollipop:40
+# took 74-101 ns against 86-151 at 1/64 (2-core Xeon VM, Python 3.11)
+_SHARE = 128
 _ULP = 2.0**-53  # the uniform of a raw Philox word w is (w >> 11) * _ULP
 
 
@@ -126,23 +140,37 @@ class EstimateRecord:
 def _vertex_tables(g: Graph, scheme: str, lazy: bool):
     """Per-vertex step tables and the stationary distribution of the weighted walk.
 
-    Returns (nbrs, cum, pi): a step from v goes to
+    Returns (nbrs, cum, pi, cuts): a step from v goes to
     nbrs[v][bisect_left(cum[v], u)], and cum[v] ends in 1.0. Row v of
     `Graph.pooled` lists v's distinct neighbours, ascending, with their
     pooled weights; each is picked with its weight over the row's sum.
-    nbrs[v] is that row (v itself last when a lazy walk adds its hold) and
-    cum[v] the running sums of the probabilities, whatever v's degree. An
-    isolated vertex has None in both, since no edge leads to it. pi is a
-    list, and laziness does not change it; it needs g to have an edge.
-    `_step_tables` adds the bucket rows a walk steps by.
+    nbrs[v] is that row (v itself last when a lazy walk adds its hold),
+    then the sentinel n + v at index L_v = len(cum[v]), and cum[v] holds
+    the running sums of the probabilities, whatever v's degree. Equal cum
+    lists are one list object. An isolated vertex has None in both, since
+    no edge leads to it. pi is a list, and laziness does not change it; it
+    needs g to have an edge. cuts = sum_v pi_v (L_v - 1), from pi and the
+    pooled row lengths, counts the entries of cum[v] below its last, each
+    of which can split one bucket of v's row; `_step_tables` sizes the rows
+    by it and adds them.
     """
     h = apply_scheme(g, scheme)
+    n = h.n
     rows, cols, weights = h.pooled
-    starts = np.searchsorted(rows, np.arange(h.n + 1)).tolist()
-    cols, weights = cols.tolist(), weights.tolist()
-    nbrs: list = [None] * h.n
-    cum: list = [None] * h.n
-    for v, a, b in zip(range(h.n), starts, starts[1:]):
+    starts = np.searchsorted(rows, np.arange(n + 1))
+    lengths = np.diff(starts)
+    if lazy:  # the hold is one more entry, unless a loop already leads to v
+        held = np.ones(n, dtype=lengths.dtype)
+        held[rows[rows == cols]] = 0
+        lengths += held
+    # summed before dividing by the volume, so that a unit-weight d-regular
+    # graph has cuts = d - 1 exactly
+    cuts = float(np.sum(h.weighted_degrees * (lengths - 1))) / h.volume
+    starts, cols, weights = starts.tolist(), cols.tolist(), weights.tolist()
+    nbrs: list = [None] * n
+    cum: list = [None] * n
+    distinct: dict = {}
+    for v, a, b in zip(range(n), starts, starts[1:]):
         if a == b:
             continue
         out = cols[a:b]
@@ -155,64 +183,55 @@ def _vertex_tables(g: Graph, scheme: str, lazy: bool):
             else:
                 out.append(v)
                 probs.append(0.5)
-        nbrs[v], cum[v] = out, list(accumulate(probs))
-        cum[v][-1] = 1.0
-    return nbrs, cum, (h.weighted_degrees / h.volume).tolist()
+        out.append(n + v)
+        sums = list(accumulate(probs))
+        sums[-1] = 1.0
+        nbrs[v], cum[v] = out, distinct.setdefault(tuple(sums), sums)
+    return nbrs, cum, (h.weighted_degrees / h.volume).tolist(), cuts
 
 
 # --- bucket rows ---
 
 
-def _step_tables(nbrs: list, cum: list) -> tuple:
+def _step_tables(nbrs: list, cum: list, cuts: float) -> tuple:
     """The tables a walk steps by: (nbrs, cum, rows, shift).
 
-    rows[v] is the bucket row of cum[v] (see `_bucket_row`) at r buckets,
-    one row shared by every vertex with an equal cum list; an isolated
+    rows[v] is the bucket row of cum[v] at r buckets: rows[v][k] is the
+    index bisect_left(cum[v], u) for every double u in [k/r, (k+1)/r), or
+    L_v = len(cum[v]), the index of nbrs[v]'s sentinel, where an entry of
+    cum[v] splits the bucket. One row serves every vertex whose cum list is
+    the same object, as `_vertex_tables` makes equal lists; an isolated
     vertex has None. shift = 64 - log2 r, a 0-d uint64 array, puts a raw
-    Philox word w in bucket w >> shift. r is a power of two picked from the
-    distinct rows alone: the least one at least 16 times the longest, kept
-    in [32, 1024], then halved while the distinct rows would hold more than
-    _SLOTS entries, but never below 32. A row of length L has at most L - 1
-    impure buckets, so at 32 buckets the row of a vertex with at most 8
-    entries, lazy hold included, is more than three quarters pure.
+    Philox word w in bucket w >> shift.
+
+    A row of length L has at most L - 1 impure buckets, each of probability
+    1/r, so a stationary step lands in one with probability at most
+    cuts / r (see `_vertex_tables`). r is the least power of two from 32 up
+    with cuts / r at most 1/_SHARE, capped at _MAX_BUCKETS, then halved
+    while the distinct rows would hold more than _SLOTS entries, but never
+    below 32.
+
+    Each row comes from two searches of cum[v]: bucket k is pure when its
+    first double k/r and its last, the one just below (k + 1)/r, have the
+    same index, since bisect_left only grows with u. r is a power of two,
+    so k/r and (k + 1)/r are exact.
     """
-    shared = {tuple(c): None for c in cum if c is not None}
-    longest = max(map(len, shared), default=1)
+    shared = {id(c): c for c in cum if c is not None}
     r = 32
-    while r < 16 * longest and r < 1024:
+    while cuts > r / _SHARE and r < _MAX_BUCKETS:
         r *= 2
     while r > 32 and len(shared) * r > _SLOTS:
         r //= 2
-    for bounds in shared:
-        shared[bounds] = _bucket_row(bounds, r)
-    rows = [None if c is None else shared[tuple(c)] for c in cum]
+    first = np.arange(r) / r
+    last = np.nextafter(first + 1 / r, 0.0)
+    for key, bounds in shared.items():
+        table = np.array(bounds)
+        lo = np.searchsorted(table, first)
+        shared[key] = np.where(lo == np.searchsorted(table, last), lo, len(bounds)).tolist()
+    rows = [None if c is None else shared[id(c)] for c in cum]
     # a 0-d uint64 array: numpy shifts a block by it in about half the time
     # it takes to shift by a Python int
     return nbrs, cum, rows, np.array(65 - r.bit_length(), dtype=np.uint64)
-
-
-def _bucket_row(bounds, r: int) -> list:
-    """row[k] is the index bisect_left(bounds, u) for every u in [k/r, (k+1)/r), or None.
-
-    r is a power of two, so k = int(u * r) exactly for every double u in
-    [0, 1), and bucket k holds the doubles from k/r up to the one just
-    below (k + 1)/r. bisect_left(bounds, u) changes only where u passes an
-    entry c of bounds, from u = c to the next double. So bucket k has one
-    index for all its u unless some c lies in it other than its last
-    double; then row[k] is None and the step bisects. One pass over bounds
-    in order fills the buckets below each entry's bucket int(c * r) with
-    that entry's index, then settles the entry's own bucket unless an
-    earlier entry already did. Entries from 1.0 up lie past the last bucket.
-    """
-    row = []
-    for i, c in enumerate(bounds):
-        x = c * r  # exact: r is a power of two
-        k = min(int(x), r)
-        if k > len(row):
-            row += [i] * (k - len(row))
-        if k == len(row) < r:
-            row.append(i if x == math.nextafter(k + 1.0, 0.0) else None)
-    return row
 
 
 # --- the walk ---
@@ -221,12 +240,13 @@ def _bucket_row(bounds, r: int) -> list:
 def _walk(tables, pos, rng, budget, left, remaining) -> int | None:
     """Walk from pos until no vertex owes a visit; the only stepper.
 
-    tables is (nbrs, cum, rows, shift) from `_step_tables`.
-    left[v] > 0 is the number of visits v still owes, and remaining the
-    number of vertices that owe any; left[v] < 0 marks a vertex that keeps
-    counting, with -(left[v] + 1) visits so far, the start's visit at time
-    zero included. left is updated in place. Returns the stopping step, or
-    None once budget steps pass without it.
+    tables is (nbrs, cum, rows, shift) from `_step_tables`, over n
+    vertices. left[v] > 0 is the number of visits v still owes, and
+    remaining the number of vertices that owe any; left[v] < 0 marks a
+    vertex that keeps counting, with -(left[v] + 1) visits so far, the
+    start's visit at time zero included. left is updated in place. Its
+    entries n..2n-1 are truthy markers for the sentinels, never changed.
+    Returns the stopping step, or None once budget steps pass without it.
 
     Step t reads the t-th raw word w of rng's Philox, whose uniform is the
     double rng.random makes of it, u = (w >> 11) 2^-53. The words come in
@@ -235,9 +255,11 @@ def _walk(tables, pos, rng, budget, left, remaining) -> int | None:
     one for few calls. Philox words drawn in blocks of any sizes equal one
     draw of their total, so the schedule never changes which word a step
     reads. Each block is turned into bucket keys w >> shift at once, which
-    equal int(u r). A step reads its index in nbrs[pos] off
-    rows[pos][key], and bisects cum[pos] on u, rebuilt from w, only where
-    that bucket is impure; then one list read tests left. The step number
+    equal int(u r). A step is pos = nbrs[pos][rows[pos][key]], then one
+    list read tests left. In a pure bucket that is the step. In an impure
+    one it lands on v's sentinel n + v, whose marker in left is truthy, so
+    the test's branch bisects cum[v] on u, rebuilt from w, steps to the
+    neighbour it picks and does that vertex's quota work. The step number
     is read off the key iterator only at a bisection or a quota event.
 
     A walk that starts with every vertex counting and remaining = 1 runs
@@ -246,6 +268,7 @@ def _walk(tables, pos, rng, budget, left, remaining) -> int | None:
     if remaining == 0:
         return 0
     nbrs, cum, rows, shift = tables
+    n = len(nbrs)
     draw = rng.bit_generator.random_raw
     bisect = bisect_left  # a local: faster than a global lookup
     t = 0  # steps taken before the current block
@@ -255,12 +278,14 @@ def _walk(tables, pos, rng, budget, left, remaining) -> int | None:
         keys = (block >> shift).tolist()
         rest = iter(keys)
         for k in rest:
-            i = rows[pos][k]
-            if i is None:
-                w = block.item(len(keys) - length_hint(rest) - 1)
-                i = bisect(cum[pos], (w >> 11) * _ULP)
-            pos = nbrs[pos][i]
+            pos = nbrs[pos][rows[pos][k]]
             if left[pos]:
+                if pos >= n:  # a sentinel: the bucket was impure
+                    v = pos - n
+                    w = block.item(len(keys) - length_hint(rest) - 1)
+                    pos = nbrs[v][bisect(cum[v], (w >> 11) * _ULP)]
+                    if not left[pos]:
+                        continue
                 c = left[pos] - 1
                 left[pos] = c
                 if c == 0:
@@ -287,8 +312,8 @@ def _plan(g: Graph, config: WalkConfig) -> tuple:
     isolated start raises UnsupportedInputError before pi divides by the
     volume. A budget above WalkConfig().budget raises SizeCapError.
     Returns picklable (tables, start, budget, left, remaining): step tables
-    and bucket rows, the visits each vertex owes at time zero, and how many
-    vertices owe any.
+    and bucket rows, the visits each vertex owes at time zero followed by n
+    truthy sentinel markers (see `_walk`), and how many vertices owe any.
     """
     if config.stop not in STOP_MODES:
         raise ParameterError(f"unknown stop mode {config.stop!r}")
@@ -304,8 +329,8 @@ def _plan(g: Graph, config: WalkConfig) -> tuple:
         g.require(f"a {config.stop} walk", "connected")
     if not g.degrees[config.start]:
         raise UnsupportedInputError(f"start {config.start} of {g.name} is isolated")
-    nbrs, cum, pi = _vertex_tables(g, config.scheme, config.lazy)
-    tables = _step_tables(nbrs, cum)
+    nbrs, cum, pi, cuts = _vertex_tables(g, config.scheme, config.lazy)
+    tables = _step_tables(nbrs, cum, cuts)
     if config.stop == "hit":
         left = [0] * g.n
         left[config.target] = 1
@@ -316,6 +341,7 @@ def _plan(g: Graph, config: WalkConfig) -> tuple:
         left = [1] * g.n
     left[config.start] = max(0, left[config.start] - 1)  # the visit at time zero
     remaining = sum(q > 0 for q in left)
+    left += [True] * g.n
     return tables, config.start, config.budget, left, remaining
 
 

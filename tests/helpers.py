@@ -2,17 +2,21 @@
 
 The oracles here are deliberately written in the dumbest correct style
 available (forward dynamic programming, one pinned solve per target or
-pair, row formulas, explicit enumeration, a Laplacian pseudo-inverse) so
-they share no code path with the library implementations they check.
+pair, row formulas, explicit enumeration, a Laplacian pseudo-inverse, a
+walker that draws one double a step and bisects) so they share no code
+path with the library implementations they check.
 """
 
 from __future__ import annotations
 
+import math
+from bisect import bisect_left
 from itertools import combinations
 
 import numpy as np
 
 from walklab.graph import Graph
+from walklab.rng import substream
 
 
 def random_connected_graph(
@@ -98,6 +102,81 @@ def pooled_pairs(g: Graph) -> dict[tuple[int, int], float]:
         for pair in ((u, v), (v, u)):  # a loop adds twice
             pooled[pair] = pooled.get(pair, 0.0) + w
     return pooled
+
+
+def reference_walk(
+    g: Graph, seed: int, index: int, start: int, target: int | None = None, lazy: bool = False, budget: int = 10**6
+) -> int | None:
+    """Stopping step of one walk from `start`, or None past `budget` steps.
+
+    The walk covers g when target is None and hits target otherwise. It is
+    trial `index` of a run with `seed`: step t draws the t-th double of
+    substream(seed, 1 + index) with rng.random(). A step from v goes to its
+    neighbour at bisect_left(cum, u), over v's distinct neighbours from
+    `pooled_pairs`, ascending, and cum the running sums, left to right, of
+    each pooled weight over their `sum`, the last set to 1.0. A lazy walk
+    halves them and holds with probability 1/2: on v's loop when it has
+    one, else as one more neighbour, v itself, last.
+    """
+    rows: dict[int, list[tuple[int, float]]] = {}
+    for (u, v), w in sorted(pooled_pairs(g).items()):
+        rows.setdefault(u, []).append((v, w))
+    nbrs, cums = {}, {}
+    for v, row in rows.items():
+        out = [x for x, _ in row]
+        total = sum(w for _, w in row)
+        probs = [w / total for _, w in row]
+        if lazy:
+            probs = [p / 2 for p in probs]
+            if v in out:
+                probs[out.index(v)] += 0.5
+            else:
+                out.append(v)
+                probs.append(0.5)
+        cum, running = [], 0.0
+        for p in probs:
+            running += p
+            cum.append(running)
+        cum[-1] = 1.0
+        nbrs[v], cums[v] = out, cum
+    rng = substream(seed, 1 + index)
+    pos, seen = start, {start}
+
+    def done() -> bool:
+        return len(seen) == g.n if target is None else pos == target
+
+    for step in range(budget + 1):
+        if done():
+            return step
+        if step == budget:
+            return None
+        pos = nbrs[pos][bisect_left(cums[pos], rng.random())]
+        seen.add(pos)
+    return None
+
+
+def bucket_row(bounds, r: int) -> list:
+    """row[k] is the index bisect_left(bounds, u) for every u in [k/r, (k+1)/r), or None.
+
+    r is a power of two, so k = int(u * r) exactly for every double u in
+    [0, 1), and bucket k holds the doubles from k/r up to the one just
+    below (k + 1)/r. bisect_left(bounds, u) changes only where u passes an
+    entry c of bounds, from u = c to the next double. So bucket k has one
+    index for all its u unless some c lies in it other than its last
+    double; then row[k] is None. One pass over bounds in order fills the
+    buckets below each entry's bucket int(c * r) with that entry's index,
+    then settles the entry's own bucket unless an earlier entry already
+    did. Entries from 1.0 up lie past the last bucket.
+    """
+    row = []
+    for i, c in enumerate(bounds):
+        x = c * r  # exact: r is a power of two
+        k = min(int(x), r)
+        if k > len(row):
+            row += [i] * (k - len(row))
+        if k == len(row) < r:
+            row.append(i if x == math.nextafter(k + 1.0, 0.0) else None)
+    return row
 
 
 def sorted_frontier_path(g: Graph, source: int, target: int) -> list[int] | None:

@@ -745,6 +745,7 @@ def test_non_utf8_input_file_exits_2(runner, tmp_path, monkeypatch, experiment, 
             raise PermissionError(13, "Permission denied")
 
         monkeypatch.setattr(Path, "read_text", refuse)
+        monkeypatch.setattr(Path, "open", refuse)  # a graph file's header is read first
         monkeypatch.setattr("walklab.configmodel.open", refuse, raising=False)
     result = _run(
         runner,

@@ -9,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from walklab import walks
+from walklab.configmodel import regular_sequence, sample_simple
 from walklab.errors import DisconnectedError, ParameterError, SizeCapError
 from walklab.graph import Graph, complete, cycle, family, lollipop, path, star
 from walklab.rng import substream
@@ -20,7 +21,7 @@ from walklab.walks import (
     simulate,
 )
 
-from helpers import edge_list
+from helpers import bucket_row, edge_list, random_connected_graph, reference_walk
 
 
 def trial_value(g, config, seed, trial_index):
@@ -43,14 +44,16 @@ def visit_frequencies(g, steps, seed, scheme="uniform", lazy=False, start=0):
     budget, so a negative T or one above the cap is refused and T = 0 is
     not. A hit set-up whose target is its start owes no visit; `_walk` then
     counts every vertex, the start at time zero included, for all T steps
-    of stream (seed, 1).
+    of stream (seed, 1). The n sentinel markers follow the counts in left,
+    as `_plan` lays them out.
     """
     config = WalkConfig(stop="hit", start=start, target=start, budget=steps + 1, scheme=scheme, lazy=lazy)
-    tables = walks._plan(g, config)[0]
-    left = [-1] * g.n
+    tables, _, _, planned, _ = walks._plan(g, config)
+    left = [-1] * g.n + planned[g.n :]
     left[start] = -2
     walks._walk(tables, start, substream(seed, 1), steps, left, 1)
-    return np.array([-c - 1 for c in left]) / float(steps + 1)
+    assert left[g.n :] == [True] * g.n
+    return np.array([-c - 1 for c in left[: g.n]]) / float(steps + 1)
 
 
 def test_simulate_is_reproducible():
@@ -368,12 +371,53 @@ def test_wide_vertex_trials_keep_their_recorded_walks(spec, config, values):
     assert got == [(float(v), False) for v in values]
 
 
+@settings(max_examples=60, deadline=None)
+@given(
+    st.integers(0, 2**32 - 1),
+    st.integers(2, 9),
+    st.integers(0, 12),
+    st.booleans(),
+    st.sampled_from(["cover", "hit"]),
+    st.integers(0, 2**63),
+)
+def test_trials_walk_as_the_reference_walker(graph_seed, n, extra, lazy, stop, seed):
+    # weighted multigraphs with loops and parallel edges, walked plain and
+    # lazy, against a walker that bisects at every step
+    g = random_connected_graph(
+        np.random.default_rng(graph_seed), n, extra=extra, weighted=True, loops=True, parallel=True
+    )
+    target = n - 1 if stop == "hit" else None
+    plan = walks._plan(g, WalkConfig(stop=stop, target=target, lazy=lazy, budget=20_000))
+    got = walks._trial_values((plan, seed, 0, 3))
+    assert got == [reference_walk(g, seed, i, 0, target, lazy, budget=20_000) for i in range(3)]
+
+
+@settings(max_examples=30, deadline=None)
+@given(
+    st.lists(
+        st.lists(st.floats(1e-3, 1e3) | st.integers(1, 5).map(float), min_size=1, max_size=40),
+        min_size=1,
+        max_size=3,
+    ),
+    st.booleans(),
+    st.integers(0, 2**63),
+)
+def test_hub_trials_walk_as_the_reference_walker(spokes, lazy, seed):
+    # hubs of up to 40 unequal spokes, whose rows have many impure buckets;
+    # hit walks from the first hub to its last leaf, censored at 2000 steps
+    g = _hub_graph(spokes)
+    target = len(spokes) + len(spokes[0]) - 1
+    plan = walks._plan(g, WalkConfig(stop="hit", target=target, lazy=lazy, budget=2000))
+    got = walks._trial_values((plan, seed, 0, 3))
+    assert got == [reference_walk(g, seed, i, 0, target, lazy, budget=2000) for i in range(3)]
+
+
 def test_vertex_tables_hold_running_sums_of_merged_weights():
     # every vertex's table, wide or not, against exact running sums of the
     # weights merged from g's edges: complete:12 lazy (degree 12 with the
     # hold) and the weighted hub with its loop and doubled spoke
     for g, lazy in [(family("complete:12"), True), (Graph.from_text(HUB_TEXT), False)]:
-        nbrs, cum, _ = walks._vertex_tables(g, "uniform", lazy)
+        nbrs, cum, _, _ = walks._vertex_tables(g, "uniform", lazy)
         for v in range(g.n):
             merged: dict[int, Fraction] = {}
             for a, b, w in edge_list(g):
@@ -385,7 +429,7 @@ def test_vertex_tables_hold_running_sums_of_merged_weights():
             probs = [merged[x] / sum(merged.values()) for x in out]
             if lazy:
                 out, probs = out + [v], [p / 2 for p in probs] + [Fraction(1, 2)]
-            assert nbrs[v] == out
+            assert nbrs[v] == out + [g.n + v]  # the sentinel, at index len(cum[v])
             assert cum[v][-1] == 1.0
             running = Fraction(0)
             for c, p in zip(cum[v], probs):
@@ -415,13 +459,13 @@ def _hub_graph(spokes: list[list[float]]) -> Graph:
     st.integers(0, 2**32 - 1),
 )
 def test_bucket_rows_pick_as_the_bisection(spokes, lazy, seed):
-    # hubs of up to 40 spokes, the lazy hold included; every power of two
-    # from 1 to 1024, the resolutions the plan picks among them
-    nbrs, cum, _ = walks._vertex_tables(_hub_graph(spokes), "uniform", lazy)
+    # the oracle rows of hubs of up to 40 spokes, the lazy hold included, at
+    # every power of two from 1 to 1024
+    nbrs, cum, _, _ = walks._vertex_tables(_hub_graph(spokes), "uniform", lazy)
     interior = np.random.default_rng(seed)
     for r in [2**j for j in range(11)]:
         for v in range(len(spokes)):
-            row = walks._bucket_row(cum[v], r)
+            row = bucket_row(cum[v], r)
             assert len(row) == r
             assert row.count(None) <= len(cum[v]) - 1
             edges = np.arange(r + 1) / r
@@ -439,50 +483,103 @@ def test_bucket_rows_pick_as_the_bisection(spokes, lazy, seed):
                 assert row[k] is None or row[k] == bisect_left(cum[v], x), (v, r, x)
 
 
+def _rows_at(nbrs, cum, r):
+    """The plan's rows at r buckets: the cuts that ask for exactly r."""
+    rows, shift = walks._step_tables(nbrs, cum, r / walks._SHARE)[2:]
+    assert 2 ** (64 - int(shift)) == r
+    return rows
+
+
+def _oracle_row(bounds, r):
+    return [len(bounds) if i is None else i for i in bucket_row(bounds, r)]
+
+
+@settings(max_examples=30, deadline=None)
+@given(
+    st.lists(
+        st.lists(st.floats(1e-3, 1e3) | st.integers(1, 5).map(float), min_size=1, max_size=40),
+        min_size=1,
+        max_size=3,
+    ),
+    st.booleans(),
+)
+def test_numpy_rows_are_the_oracle_rows(spokes, lazy):
+    # every resolution a plan can pick, 32 to 2^14 buckets; an impure
+    # bucket holds the sentinel's index, the row's length
+    nbrs, cum, _, _ = walks._vertex_tables(_hub_graph(spokes), "uniform", lazy)
+    for r in [2**j for j in range(5, 15)]:
+        rows = _rows_at(nbrs, cum, r)
+        for v in range(len(cum)):
+            assert rows[v] == _oracle_row(cum[v], r), (v, r)
+            assert nbrs[v][len(cum[v])] == len(cum) + v
+
+
 def test_step_tables_share_one_row_per_distinct_cum_list():
     g = Graph.from_text(HUB_TEXT)
-    nbrs, cum, _ = walks._vertex_tables(g, "uniform", True)
-    tables = walks._step_tables(nbrs, cum)
+    nbrs, cum, _, cuts = walks._vertex_tables(g, "uniform", True)
+    tables = walks._step_tables(nbrs, cum, cuts)
     assert tables[:2] == (nbrs, cum)
     rows, shift = tables[2:]
     r = 2 ** (64 - int(shift))
     for v in range(g.n):
-        assert rows[v] == walks._bucket_row(cum[v], r)
+        assert rows[v] == _oracle_row(cum[v], r)
         for w in range(v):
+            # equal cum lists are one list, and so share one row
+            assert (cum[v] is cum[w]) == (cum[v] == cum[w])
             assert (rows[v] is rows[w]) == (cum[v] == cum[w])
     # a regular graph walked uniformly holds one row however large it is
-    rows = walks._step_tables(*walks._vertex_tables(family("cycle:5000"), "uniform", False)[:2])[2]
+    nbrs, cum, _, cuts = walks._vertex_tables(family("cycle:5000"), "uniform", False)
+    rows = walks._step_tables(nbrs, cum, cuts)[2]
     assert all(row is rows[0] for row in rows)
 
 
-def _resolution(cum):
-    return 2 ** (64 - int(walks._step_tables([None] * len(cum), cum)[3]))
+def _resolution(cum, cuts):
+    return 2 ** (64 - int(walks._step_tables([None] * len(cum), cum, cuts)[3]))
 
 
 @pytest.mark.parametrize(
-    "spec, scheme, r",
+    "spec, scheme, lazy, r",
     [
-        ("path:10", "uniform", 32),  # at most two entries a row
-        ("torus2d:50,40", "uniform", 64),  # four entries at n = 2000
-        ("lollipop:40", "uniform", 512),
-        ("lollipop:40", "mindeg", 512),
-        ("star:3000", "uniform", 1024),  # two distinct rows, one of 2999 entries
+        ("path:10", "uniform", False, 128),  # cuts 8/9: two entries inside, one at each end
+        ("cycle:8", "uniform", False, 128),  # cuts exactly 1
+        ("regular:3", "uniform", False, 256),  # cuts exactly 2 at n = 2000
+        ("torus2d:50,40", "uniform", False, 512),  # cuts exactly 3
+        ("complete:12", "uniform", True, 2048),  # eleven neighbours and the hold
+        ("lollipop:40", "uniform", False, 4096),
+        ("lollipop:40", "mindeg", False, 4096),
+        ("star:3000", "uniform", False, 2**14),  # cuts 1499: capped
     ],
 )
-def test_resolution_follows_the_longest_row_and_the_slot_cap(spec, scheme, r):
-    _, cum, _ = walks._vertex_tables(family(spec), scheme, False)
-    assert _resolution(cum) == r
+def test_resolution_bounds_the_stationary_bisecting_share(spec, scheme, lazy, r):
+    if spec == "regular:3":
+        g = sample_simple(regular_sequence(2000, 3), 1).graph
+    else:
+        g = family(spec)
+    nbrs, cum, pi, cuts = walks._vertex_tables(g, scheme, lazy)
+    assert cuts == pytest.approx(sum(p * (len(c) - 1) for p, c in zip(pi, cum)), rel=1e-12)
+    rows, shift = walks._step_tables(nbrs, cum, cuts)[2:]
+    assert 2 ** (64 - int(shift)) == _resolution(cum, cuts) == r
+    # the least power of two from 32 up whose impure buckets can take at
+    # most 1/128 of the stationary steps, unless it is capped
+    assert walks._SHARE == 128
+    assert cuts <= r / 128 or r == walks._MAX_BUCKETS
+    assert r == 32 or cuts > r / 256
+    # and the impure buckets the rows really have take no more than that
+    share = math.fsum(p * row.count(len(c)) for p, c, row in zip(pi, cum, rows)) / r
+    assert share <= cuts / r * (1 + 1e-12)
 
 
 def test_resolution_halves_for_many_distinct_rows_down_to_32():
-    def wide(count):  # distinct rows of 20 entries, for which 16 x 20 asks 512
+    def wide(count):  # distinct rows of 20 entries
         return [[k / 2**20 + j / 64 for j in range(19)] + [1.0] for k in range(count)]
 
-    assert _resolution(wide(500)) == 512
-    assert _resolution(wide(1000)) == 256  # 512 would pass _SLOTS
-    assert _resolution(wide(9000)) == 32  # past _SLOTS / 32 rows the floor holds
+    # cuts 19 asks for 4096 buckets, which 64 rows hold within _SLOTS
+    assert _resolution(wide(64), 19.0) == 4096
+    assert _resolution(wide(65), 19.0) == 2048  # 4096 would pass _SLOTS
+    assert _resolution(wide(9000), 19.0) == 32  # past _SLOTS / 32 rows the floor holds
     # one distinct row, however many vertices share it
-    assert _resolution([[0.5, 1.0]] * 100_000) == 32
+    assert _resolution([[0.5, 1.0]] * 100_000, 1.0) == 128
+    assert _resolution([[1.0]], 0.0) == 32
 
 
 @pytest.mark.parametrize(
