@@ -149,10 +149,10 @@ def _vertex_tables(g: Graph, scheme: str, lazy: bool):
     the running sums of the probabilities, whatever v's degree. Equal cum
     lists are one list object. An isolated vertex has None in both, since
     no edge leads to it. pi is a list, and laziness does not change it; it
-    needs g to have an edge. cuts = sum_v pi_v (L_v - 1), from pi and the
-    pooled row lengths, counts the entries of cum[v] below its last, each
-    of which can split one bucket of v's row; `_step_tables` sizes the rows
-    by it and adds them.
+    needs g to have an edge. cuts = sum_v pi_v (L_v - 1), taken in numpy
+    from the weighted degrees and the pooled row lengths, weighs the
+    entries of cum[v] below its last, each of which can split one bucket of
+    v's row; `_step_tables` sizes the rows by it and adds them.
     """
     h = apply_scheme(g, scheme)
     n = h.n
@@ -423,10 +423,10 @@ def speedup(g: Graph, trials: int, seed: int, workers: int = 1) -> dict:
     """Ratio of estimated cover times, unweighted walk over min-degree walk.
 
     Both walks start at vertex 0 and run the same trial seeds, each over
-    `workers` processes as `simulate` runs them. The ratio's
-    spread comes from the delta method treating the two means as
-    independent; on a regular graph the kernels coincide, the trajectories
-    are identical, and the ratio is exactly 1 with z-score 0.
+    `workers` processes as `simulate` runs them. The ratio's spread comes
+    from the delta method treating the two means as independent; on a
+    regular graph the kernels coincide, the trajectories are identical,
+    and the ratio is exactly 1 with z-score 0.
     """
     # min-degree first: its plan refuses a graph the scheme cannot weight,
     # before the uniform walks run
