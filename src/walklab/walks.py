@@ -87,11 +87,12 @@ BUFFER = 4096
 _SLOTS = 2**18  # bucket-row entries a plan's rows may hold above 32 buckets a row
 _MAX_BUCKETS = 2**14  # buckets a row may have
 # a stationary step lands in an impure bucket, and bisects, with probability
-# at most 1/_SHARE. At 1/128 a 3-regular graph has 256 buckets a row, whose
-# keys are ints below 256 that tolist() does not allocate: its walk took
-# 67-72 ns a step against 72-112 at 1/64 and 82-85 at 1/256, and lollipop:40
-# took 74-101 ns against 86-151 at 1/64 (2-core Xeon VM, Python 3.11)
-_SHARE = 128
+# at most 1/_SHARE. Past 256 buckets tolist() allocates each key above 256.
+# At 1/128 the n = 2000 3-regular and lollipop:40 cover walks took 72 and
+# 88-113 ns a step against 86 and 108 at 1/64, but the short walks on 20
+# small graphs, 1000 trials each, took 133.2 ms against 120.5 (125.3 with
+# the longest-row rule before); best of interleaved runs, 2-core Xeon VM
+_SHARE = 64
 _ULP = 2.0**-53  # the uniform of a raw Philox word w is (w >> 11) * _ULP
 
 
