@@ -87,12 +87,15 @@ BUFFER = 4096
 _SLOTS = 2**18  # bucket-row entries a plan's rows may hold above 32 buckets a row
 _MAX_BUCKETS = 2**14  # buckets a row may have
 # a stationary step lands in an impure bucket, and bisects, with probability
-# at most 1/_SHARE. Past 256 buckets tolist() allocates each key above 256.
-# At 1/128 the n = 2000 3-regular and lollipop:40 cover walks took 72 and
-# 88-113 ns a step against 86 and 108 at 1/64, but the short walks on 20
-# small graphs, 1000 trials each, took 133.2 ms against 120.5 (125.3 with
-# the longest-row rule before); best of interleaved runs, 2-core Xeon VM
-_SHARE = 64
+# at most 1/_SHARE. Within one process, alternating resolutions, the n = 2000
+# 3-regular cover walk took 68 ns a step at 256 buckets (1/128) against 72
+# at 128 (1/64) and 86 at 512, and lollipop:40's took 76-96 ns at 4096
+# (1/128) against 82-100 at 2048 (1/64), best of 10-20 runs on a 2-core Xeon
+# VM. Keys below 256 are ints tolist() does not allocate, so past 256
+# buckets a short walk on a small dense graph pays more per step than its
+# rarer bisections save: complete:10's 1000 hit walks take about a quarter
+# longer than at its 256 buckets under the longest-row rule before.
+_SHARE = 128
 _ULP = 2.0**-53  # the uniform of a raw Philox word w is (w >> 11) * _ULP
 
 

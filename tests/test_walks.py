@@ -540,13 +540,13 @@ def _resolution(cum, cuts):
 @pytest.mark.parametrize(
     "spec, scheme, lazy, r",
     [
-        ("path:10", "uniform", False, 64),  # cuts 8/9: two entries inside, one at each end
-        ("cycle:8", "uniform", False, 64),  # cuts exactly 1
-        ("regular:3", "uniform", False, 128),  # cuts exactly 2 at n = 2000
-        ("torus2d:50,40", "uniform", False, 256),  # cuts exactly 3
-        ("complete:12", "uniform", True, 1024),  # eleven neighbours and the hold
-        ("lollipop:40", "uniform", False, 2048),
-        ("lollipop:40", "mindeg", False, 2048),
+        ("path:10", "uniform", False, 128),  # cuts 8/9: two entries inside, one at each end
+        ("cycle:8", "uniform", False, 128),  # cuts exactly 1
+        ("regular:3", "uniform", False, 256),  # cuts exactly 2 at n = 2000
+        ("torus2d:50,40", "uniform", False, 512),  # cuts exactly 3
+        ("complete:12", "uniform", True, 2048),  # eleven neighbours and the hold
+        ("lollipop:40", "uniform", False, 4096),
+        ("lollipop:40", "mindeg", False, 4096),
         ("star:3000", "uniform", False, 2**14),  # cuts 1499: capped
     ],
 )
@@ -560,10 +560,10 @@ def test_resolution_bounds_the_stationary_bisecting_share(spec, scheme, lazy, r)
     rows, shift = walks._step_tables(nbrs, cum, cuts)[2:]
     assert 2 ** (64 - int(shift)) == _resolution(cum, cuts) == r
     # the least power of two from 32 up whose impure buckets can take at
-    # most 1/64 of the stationary steps, unless it is capped
-    assert walks._SHARE == 64
-    assert cuts <= r / 64 or r == walks._MAX_BUCKETS
-    assert r == 32 or cuts > r / 128
+    # most 1/128 of the stationary steps, unless it is capped
+    assert walks._SHARE == 128
+    assert cuts <= r / 128 or r == walks._MAX_BUCKETS
+    assert r == 32 or cuts > r / 256
     # and the impure buckets the rows really have take no more than that
     share = math.fsum(p * row.count(len(c)) for p, c, row in zip(pi, cum, rows)) / r
     assert share <= cuts / r * (1 + 1e-12)
@@ -573,12 +573,12 @@ def test_resolution_halves_for_many_distinct_rows_down_to_32():
     def wide(count):  # distinct rows of 20 entries
         return [[k / 2**20 + j / 64 for j in range(19)] + [1.0] for k in range(count)]
 
-    # cuts 19 asks for 2048 buckets, which 128 rows hold within _SLOTS
-    assert _resolution(wide(128), 19.0) == 2048
-    assert _resolution(wide(129), 19.0) == 1024  # 2048 would pass _SLOTS
+    # cuts 19 asks for 4096 buckets, which 64 rows hold within _SLOTS
+    assert _resolution(wide(64), 19.0) == 4096
+    assert _resolution(wide(65), 19.0) == 2048  # 4096 would pass _SLOTS
     assert _resolution(wide(9000), 19.0) == 32  # past _SLOTS / 32 rows the floor holds
     # one distinct row, however many vertices share it
-    assert _resolution([[0.5, 1.0]] * 100_000, 1.0) == 64
+    assert _resolution([[0.5, 1.0]] * 100_000, 1.0) == 128
     assert _resolution([[1.0]], 0.0) == 32
 
 
