@@ -49,7 +49,9 @@ int(u R) = w >> (64 - b), the top b bits of w. R is sized by the
 stationary share of steps that can bisect: a row of length L has at most
 L - 1 impure buckets, so that share is at most sum_v pi_v (L_v - 1) / R,
 and R is the least power of two from 32 up that holds it to 1/_SHARE,
-capped at _MAX_BUCKETS. Rows hold indices, not vertices, so vertices with
+capped at _MAX_BUCKETS, but no more than 256 while the share there is at
+most 1/_STAY, since the keys of a larger R are allocated ints. Rows hold
+indices, not vertices, so vertices with
 equal cum lists share one row: a plan holds a row per distinct list (one
 on a regular graph walked uniformly), not per vertex, and R need not
 shrink as the graph grows.
@@ -89,13 +91,17 @@ _MAX_BUCKETS = 2**14  # buckets a row may have
 # a stationary step lands in an impure bucket, and bisects, with probability
 # at most 1/_SHARE. Within one process, alternating resolutions, the n = 2000
 # 3-regular cover walk took 68 ns a step at 256 buckets (1/128) against 72
-# at 128 (1/64) and 86 at 512, and lollipop:40's took 76-96 ns at 4096
-# (1/128) against 82-100 at 2048 (1/64), best of 10-20 runs on a 2-core Xeon
-# VM. Keys below 256 are ints tolist() does not allocate, so past 256
-# buckets a short walk on a small dense graph pays more per step than its
-# rarer bisections save: complete:10's 1000 hit walks take about a quarter
-# longer than at its 256 buckets under the longest-row rule before.
+# at 128 (1/64), and lollipop:40's took 76-96 ns at 4096 (1/128) against
+# 82-100 at 2048 (1/64); best of 10-20 runs on a 2-core Xeon VM.
 _SHARE = 128
+# CPython keeps one int object for each value up to 256, so tolist() makes
+# the keys of a row of at most 256 buckets without allocating; past that a
+# key costs about 15 ns more, against 250-550 ns for a bisection. So a row
+# grows past 256 buckets only when more than 1/_STAY of the steps could
+# bisect at 256: without this, the short walks on mc-short's small dense
+# graphs (complete:10 at 1024 buckets) ran 17-39 % slower than before.
+_SMALL_INTS = 256
+_STAY = 16
 _ULP = 2.0**-53  # the uniform of a raw Philox word w is (w >> 11) * _ULP
 
 
@@ -211,9 +217,10 @@ def _step_tables(nbrs: list, cum: list, cuts: float) -> tuple:
     A row of length L has at most L - 1 impure buckets, each of probability
     1/r, so a stationary step lands in one with probability at most
     cuts / r (see `_vertex_tables`). r is the least power of two from 32 up
-    with cuts / r at most 1/_SHARE, capped at _MAX_BUCKETS, then halved
-    while the distinct rows would hold more than _SLOTS entries, but never
-    below 32.
+    with cuts / r at most 1/_SHARE, capped at _MAX_BUCKETS; it stays at 256
+    if cuts / 256 is at most 1/_STAY, since keys above 256 cost every step
+    an allocation. It is then halved while the distinct rows would hold
+    more than _SLOTS entries, but never below 32.
 
     Each row comes from two searches of cum[v]: bucket k is pure when its
     first double k/r and its last, the one just below (k + 1)/r, have the
@@ -224,6 +231,8 @@ def _step_tables(nbrs: list, cum: list, cuts: float) -> tuple:
     r = 32
     while cuts > r / _SHARE and r < _MAX_BUCKETS:
         r *= 2
+    if r > _SMALL_INTS and cuts <= _SMALL_INTS / _STAY:
+        r = _SMALL_INTS
     while r > 32 and len(shared) * r > _SLOTS:
         r //= 2
     first = np.arange(r) / r

@@ -504,10 +504,11 @@ def _oracle_row(bounds, r):
     st.booleans(),
 )
 def test_numpy_rows_are_the_oracle_rows(spokes, lazy):
-    # every resolution a plan can pick, 32 to 2^14 buckets; an impure
-    # bucket holds the sentinel's index, the row's length
+    # every resolution a plan can pick: 32 to 256 buckets, and 4096 to 2^14
+    # once more than 1/16 of the steps could bisect at 256; an impure bucket
+    # holds the sentinel's index, the row's length
     nbrs, cum, _, _ = walks._vertex_tables(_hub_graph(spokes), "uniform", lazy)
-    for r in [2**j for j in range(5, 15)]:
+    for r in [32, 64, 128, 256, 4096, 8192, 2**14]:
         rows = _rows_at(nbrs, cum, r)
         for v in range(len(cum)):
             assert rows[v] == _oracle_row(cum[v], r), (v, r)
@@ -543,8 +544,8 @@ def _resolution(cum, cuts):
         ("path:10", "uniform", False, 128),  # cuts 8/9: two entries inside, one at each end
         ("cycle:8", "uniform", False, 128),  # cuts exactly 1
         ("regular:3", "uniform", False, 256),  # cuts exactly 2 at n = 2000
-        ("torus2d:50,40", "uniform", False, 512),  # cuts exactly 3
-        ("complete:12", "uniform", True, 2048),  # eleven neighbours and the hold
+        ("torus2d:50,40", "uniform", False, 256),  # cuts exactly 3: 512 would allocate keys
+        ("complete:12", "uniform", True, 256),  # eleven neighbours and the hold: cuts 11
         ("lollipop:40", "uniform", False, 4096),
         ("lollipop:40", "mindeg", False, 4096),
         ("star:3000", "uniform", False, 2**14),  # cuts 1499: capped
@@ -560,9 +561,12 @@ def test_resolution_bounds_the_stationary_bisecting_share(spec, scheme, lazy, r)
     rows, shift = walks._step_tables(nbrs, cum, cuts)[2:]
     assert 2 ** (64 - int(shift)) == _resolution(cum, cuts) == r
     # the least power of two from 32 up whose impure buckets can take at
-    # most 1/128 of the stationary steps, unless it is capped
-    assert walks._SHARE == 128
-    assert cuts <= r / 128 or r == walks._MAX_BUCKETS
+    # most 1/128 of the stationary steps, unless it is capped, or held at
+    # 256 buckets, whose keys need no allocation, while at most 1/16 of the
+    # steps can bisect there
+    assert (walks._SHARE, walks._SMALL_INTS, walks._STAY) == (128, 256, 16)
+    held = r == 256 and cuts <= 16
+    assert cuts <= r / 128 or r == walks._MAX_BUCKETS or held
     assert r == 32 or cuts > r / 256
     # and the impure buckets the rows really have take no more than that
     share = math.fsum(p * row.count(len(c)) for p, c, row in zip(pi, cum, rows)) / r
