@@ -51,10 +51,9 @@ L - 1 impure buckets, so that share is at most sum_v pi_v (L_v - 1) / R,
 and R is the least power of two from 32 up that holds it to 1/_SHARE,
 capped at _MAX_BUCKETS, but no more than 256 while the share there is at
 most 1/_STAY, since the keys of a larger R are allocated ints. Rows hold
-indices, not vertices, so vertices with
-equal cum lists share one row: a plan holds a row per distinct list (one
-on a regular graph walked uniformly), not per vertex, and R need not
-shrink as the graph grows.
+indices, not vertices, so vertices with equal cum lists share one row: a
+plan holds a row per distinct list (one on a regular graph walked
+uniformly), not per vertex, and R need not shrink as the graph grows.
 """
 
 from __future__ import annotations
@@ -99,7 +98,7 @@ _SHARE = 128
 # key costs about 15 ns more, against 250-550 ns for a bisection. So a row
 # grows past 256 buckets only when more than 1/_STAY of the steps could
 # bisect at 256: without this, the short walks on mc-short's small dense
-# graphs (complete:10 at 1024 buckets) ran 17-39 % slower than before.
+# graphs (complete:10 at 1024 buckets) ran 17-39 % slower than at 256.
 _SMALL_INTS = 256
 _STAY = 16
 _ULP = 2.0**-53  # the uniform of a raw Philox word w is (w >> 11) * _ULP

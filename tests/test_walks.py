@@ -484,10 +484,19 @@ def test_bucket_rows_pick_as_the_bisection(spokes, lazy, seed):
 
 
 def _rows_at(nbrs, cum, r):
-    """The plan's rows at r buckets: the cuts that ask for exactly r."""
-    rows, shift = walks._step_tables(nbrs, cum, r / walks._SHARE)[2:]
+    """The plan's rows at r buckets.
+
+    cuts = r / _SHARE asks for r from 32 to 256 and from 4096 up; 512 to
+    2048 are reached only by halving the capped resolution under _SLOTS, so
+    there distinct one-entry lists pad the plan to _SLOTS / r rows.
+    """
+    pad, cuts = [], r / walks._SHARE
+    if 256 < r < 4096:
+        distinct = len({id(c) for c in cum})
+        pad, cuts = [[1.0] for _ in range(walks._SLOTS // r - distinct)], float(walks._MAX_BUCKETS)
+    rows, shift = walks._step_tables(nbrs + [None] * len(pad), cum + pad, cuts)[2:]
     assert 2 ** (64 - int(shift)) == r
-    return rows
+    return rows[: len(cum)]
 
 
 def _oracle_row(bounds, r):
@@ -504,11 +513,10 @@ def _oracle_row(bounds, r):
     st.booleans(),
 )
 def test_numpy_rows_are_the_oracle_rows(spokes, lazy):
-    # every resolution a plan can pick: 32 to 256 buckets, and 4096 to 2^14
-    # once more than 1/16 of the steps could bisect at 256; an impure bucket
-    # holds the sentinel's index, the row's length
+    # every resolution a plan can pick, from 32 to 2^14 buckets; an impure
+    # bucket holds the sentinel's index, the row's length
     nbrs, cum, _, _ = walks._vertex_tables(_hub_graph(spokes), "uniform", lazy)
-    for r in [32, 64, 128, 256, 4096, 8192, 2**14]:
+    for r in [2**j for j in range(5, 15)]:
         rows = _rows_at(nbrs, cum, r)
         for v in range(len(cum)):
             assert rows[v] == _oracle_row(cum[v], r), (v, r)
