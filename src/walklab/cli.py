@@ -184,11 +184,12 @@ def _ladder(ns: range | list[int], low: int, cap: int, what: str) -> list[int]:
     return list(ns)
 
 
-def _resolve_graph(spec: dict, default: str, screen=None) -> Graph:
+def _resolve_graph(spec: dict, default: str, screen=lambda name, n, m: None) -> Graph:
     """The --family or --graph-file graph, else the default.
 
-    screen(name, n, m) sees the graph's size first: a family's closed form,
-    or a graph file's header line, read before the rest of the file.
+    The graph's size passes the graph-size rule, and then screen(name, n, m),
+    before any edge is built: a family's closed form, or a graph file's
+    header line, read before the rest of the file.
     """
     fam, path_arg = spec.get("family"), spec.get("graph_file")
     if fam is not None and path_arg is not None:
@@ -198,9 +199,8 @@ def _resolve_graph(spec: dict, default: str, screen=None) -> Graph:
         if not p.is_file():
             raise ParameterError(f"--graph-file: no such file {path_arg!r}")
         try:
-            if screen is not None:
-                with p.open(encoding="utf-8") as handle:
-                    screen(p.stem, *text_header(handle))
+            with p.open(encoding="utf-8") as handle:
+                screen(p.stem, *text_header(handle, p.stem))
             text = p.read_text(encoding="utf-8")
         except UnicodeDecodeError:
             raise ParameterError(f"--graph-file: {path_arg!r} is not UTF-8 text") from None
@@ -209,8 +209,7 @@ def _resolve_graph(spec: dict, default: str, screen=None) -> Graph:
         g = Graph.from_text(text, name=p.stem)
     else:
         fam = default if fam is None else fam
-        if screen is not None:
-            screen(*family_size(fam))
+        screen(*family_size(fam))
         g = family(fam)
     spec["graph"] = g.name
     return g
@@ -474,8 +473,6 @@ def _run_degseq_cover(spec: dict, workers: int):
         if spec["n"] is not None:
             raise ParameterError("--n does not apply with a degree file in --degseq; the file fixes n")
         seq = read_degree_file(p)
-        if seq.n > _VERTEX_CAP:
-            raise SizeCapError(f"--degseq: degseq-cover capped at n={_VERTEX_CAP}, got {seq.n}")
         ns = [seq.n]
         seqs = [seq]
     spec["n"] = ns

@@ -198,7 +198,7 @@ def jerrum_sinclair_check(g: Graph) -> dict:
     (P + I) / 2 keeps pi and halves every off-diagonal flow exactly, so
     `phi_lazy` is phi / 2. Both kernels walk g's own edge weights, so a
     weighting is checked on apply_scheme(g, scheme). Margins are reported
-    signed; the check passes when both clear -1e-9.
+    signed, for conductance-survey's `spectral-sandwich-margins` check to judge.
     """
     phi = conductance_exact(build_kernel(g)).phi
     phi_lazy = phi / 2.0
@@ -212,5 +212,4 @@ def jerrum_sinclair_check(g: Graph) -> dict:
         "gap_lazy": gap,
         "lower_margin": lower_margin,
         "upper_margin": upper_margin,
-        "passed": bool(lower_margin >= -1e-9 and upper_margin >= -1e-9),
     }

@@ -33,11 +33,12 @@ import math
 from collections import Counter
 from dataclasses import dataclass
 from functools import cached_property
+from itertools import islice
 
 import numpy as np
 
 from .errors import ParameterError, RejectionFailure, SizeCapError
-from .graph import Graph
+from .graph import _VERTEX_CAP, Graph
 from .rng import _stream_starts, substream
 
 __all__ = [
@@ -131,26 +132,25 @@ def random_band_sequence(n: int, low: int, high: int, seed: int) -> DegreeSequen
 
 
 def read_degree_file(path) -> DegreeSequence:
-    # one degree per line or several per line; blank lines and # comments skipped
+    # one degree per line or several per line; blank lines and # comments
+    # skipped; reading stops one degree past the vertex cap, and such a file
+    # is refused before its degrees are checked: the prefix read may have an odd sum
     try:
         with open(path, encoding="utf-8") as handle:
-            lines = handle.read().split("\n")
+            tokens = (token for line in handle if not line.lstrip().startswith("#") for token in line.split())
+            tokens = list(islice(tokens, _VERTEX_CAP + 1))
     except UnicodeDecodeError:
         raise ParameterError(f"degree file {path}: not UTF-8 text") from None
     except OSError as exc:
         raise ParameterError(f"degree file {path}: cannot read it: {exc.strerror or exc}") from None
+    if len(tokens) > _VERTEX_CAP:
+        raise SizeCapError(f"degree file {path}: more than {_VERTEX_CAP} degrees; degree sequences are capped at n={_VERTEX_CAP}")
     degrees = []
-    for raw in lines:
-        line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
-        for token in line.split():
-            try:
-                degrees.append(int(token))
-            except ValueError:
-                raise ParameterError(
-                    f"degree file {path}: expected an integer, got {token!r}"
-                ) from None
+    for token in tokens:
+        try:
+            degrees.append(int(token))
+        except ValueError:
+            raise ParameterError(f"degree file {path}: expected an integer, got {token!r}") from None
     return DegreeSequence(tuple(degrees))
 
 

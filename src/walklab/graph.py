@@ -30,6 +30,7 @@ Graphs are immutable. Anything that "modifies" a graph builds a new one.
 from __future__ import annotations
 
 import math
+import re
 from functools import cached_property
 from itertools import islice
 from typing import Iterable, Sequence
@@ -64,6 +65,15 @@ __all__ = [
 # 543 MB to build.
 _VERTEX_CAP = 10**6
 _EDGE_CAP = 4 * 10**6
+
+
+def _check_size(name: str, n: int, m: int) -> None:
+    """The one graph-size rule: refuse `name` unless 1 <= n <= _VERTEX_CAP and 0 <= m <= _EDGE_CAP."""
+    if n < 1 or m < 0:
+        raise ParameterError(f"{name} needs at least one vertex, got n={n}" if n < 1 else f"{name} needs a non-negative edge count, got m={m}")
+    for count, cap, what in ((n, _VERTEX_CAP, "vertices, got n"), (m, _EDGE_CAP, "edges, got m")):
+        if count > cap:
+            raise SizeCapError(f"{name}: graphs are capped at {cap} {what}={count}")
 
 
 def _table(edges: Iterable[Sequence]) -> np.ndarray:
@@ -104,11 +114,8 @@ class Graph:
     """
 
     def __init__(self, n: int, edges: Iterable[Sequence], name: str = "") -> None:
-        if n < 1:
-            raise ParameterError(f"graph needs at least one vertex, got n={n}")
-        if n > _VERTEX_CAP:
-            raise SizeCapError(f"graphs are capped at {_VERTEX_CAP} vertices, got n={n}")
         table = _table(edges)
+        _check_size(name or "graph", n, len(table))
         lo, hi = np.minimum(table[:, 0], table[:, 1]), np.maximum(table[:, 0], table[:, 1])
         w = table[:, 2].astype(float) if table.shape[1] == 3 else np.ones(len(table))
         # int(x) is in range when -1 < x < n: checked before a cast could wrap a huge or NaN end
@@ -120,8 +127,6 @@ class Graph:
                 raise ParameterError(f"edge ({u}, {v}) out of range for n={n}")
             raise ParameterError(f"edge ({u}, {v}) weight {w[i]} is not positive and finite")
         lo, hi = lo.astype(np.int64, copy=False), hi.astype(np.int64, copy=False)
-        if len(w) > _EDGE_CAP:
-            raise SizeCapError(f"graphs are capped at {_EDGE_CAP} edges")
         for column in (lo, hi, w):
             column.setflags(write=False)
         self._n = n
@@ -300,14 +305,15 @@ class Graph:
     def from_text(cls, text: str, name: str = "") -> "Graph":
         """Parse the text form: a header line `n m`, then one `u v w` per edge.
 
-        Blank lines and lines starting with # are skipped.
+        Blank lines and lines starting with # are skipped. The header is
+        read, and checked by the size rule, before the body is split.
         """
+        n, m = text_header((piece.group() for piece in re.finditer(".*\n?", text)), name)
         rows = [
             ln
             for ln in (s.strip() for s in text.splitlines())
             if ln and not ln.startswith("#")
         ]
-        n, m = text_header(rows[:1])
         if len(rows) - 1 != m:
             raise ParameterError(
                 f"header promises {m} edges but {len(rows) - 1} lines follow"
@@ -342,12 +348,12 @@ class Graph:
         return Graph(self._n, edges, name=name or self.name)
 
 
-def text_header(lines: Iterable[str]) -> tuple[int, int]:
-    """(n, m) from the header of a graph text, given as its lines.
+def text_header(lines: Iterable[str], name: str = "") -> tuple[int, int]:
+    """(n, m) from the header of the graph text `name`, given as its lines.
 
     The header is the first line that is not blank or a comment (see
-    `Graph.from_text`); the lines are read no further, so a caller can size
-    a graph file before its body is read.
+    `Graph.from_text`), and (n, m) passes the graph-size rule; the lines are
+    read no further, so a graph file is refused before its body is read.
     """
     for line in lines:
         for row in line.splitlines():
@@ -358,9 +364,11 @@ def text_header(lines: Iterable[str]) -> tuple[int, int]:
             if len(head) != 2:
                 raise ParameterError(f"bad header line {row!r}, expected 'n m'")
             try:
-                return int(head[0]), int(head[1])
+                n, m = int(head[0]), int(head[1])
             except ValueError:
                 raise ParameterError(f"bad header line {row!r}, expected integers 'n m'") from None
+            _check_size(name or "graph", n, m)
+            return n, m
     raise ParameterError("empty graph text")
 
 
@@ -373,13 +381,9 @@ def _shape(kind: str, *params: int) -> tuple[str, int, int]:
     _, _, least, size = _FAMILIES[kind]
     if min(params) < least:
         raise ParameterError(f"{kind} needs {'n' if len(params) == 1 else 'rows, cols'} >= {least}")
-    name = f"{kind}:{','.join(map(str, params))}"
-    n, m = size(*params)
-    if n > _VERTEX_CAP:
-        raise SizeCapError(f"family {name!r}: graphs are capped at {_VERTEX_CAP} vertices")
-    if m > _EDGE_CAP:
-        raise SizeCapError(f"{name} has {m} edges; graphs are capped at {_EDGE_CAP} edges")
-    return name, n, m
+    shape = f"{kind}:{','.join(map(str, params))}", *size(*params)
+    _check_size(*shape)
+    return shape
 
 
 def path(n: int) -> Graph:
@@ -510,8 +514,7 @@ def random_connected_graph(
     appear only when enabled. Weights, when requested, are uniform on
     [0.1, 4.0].
     """
-    if n < 1:
-        raise ParameterError("random graph needs at least one vertex")
+    _check_size(f"random:{n}", n, n - 1 + extra)
     # one array draw per kind reads the generator as the scalar draws
     # (one per parent, then u and v per extra pair, one per weight) do
     children = np.arange(1, n)
@@ -543,11 +546,11 @@ def cartesian_product(g: Graph, h: Graph) -> Graph:
     """
     for f in (g, h):
         f.require("a cartesian product", "simple", "unweighted")
-    if g.n * h.n > _VERTEX_CAP or g.n * h.m + h.n * g.m > _EDGE_CAP:
-        raise SizeCapError(f"product of {g.name} and {h.name} passes the graph caps, {_VERTEX_CAP} vertices or {_EDGE_CAP} edges")
+    name = f"({g.name})x({h.name})"
+    _check_size(name, g.n * h.n, g.n * h.m + h.n * g.m)
     nh = h.n
     base = np.arange(g.n)[:, None] * nh
     x = np.arange(nh)
     u = np.concatenate(((base + h.u).ravel(), (g.u[:, None] * nh + x).ravel()))
     v = np.concatenate(((base + h.v).ravel(), (g.v[:, None] * nh + x).ravel()))
-    return Graph(g.n * nh, np.column_stack((u, v)), name=f"({g.name})x({h.name})")
+    return Graph(g.n * nh, np.column_stack((u, v)), name=name)

@@ -12,6 +12,7 @@ import concurrent.futures
 import json
 import os
 import re
+import tempfile
 import time
 import tracemalloc
 import warnings
@@ -19,9 +20,12 @@ from pathlib import Path
 
 import pytest
 from click.testing import CliRunner
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from walklab.cli import EXPERIMENTS, main
 from walklab.configmodel import regular_sequence
+from walklab.graph import Graph
 
 
 @pytest.fixture()
@@ -230,16 +234,19 @@ def test_degseq_cover_caps_a_degree_file(runner, tmp_path, monkeypatch):
     def no_work(*args, **kwargs):
         raise AssertionError("sampling started before the size was checked")
 
-    monkeypatch.setattr("walklab.cli._VERTEX_CAP", 5)
+    # reading stops at the sixth degree, one past the cap, so the junk token
+    # after it is never read, and the cap refuses the file before the odd
+    # sum of the six degrees read could
+    monkeypatch.setattr("walklab.configmodel._VERTEX_CAP", 5)
     monkeypatch.setattr("walklab.cli._connected_simple_sample", no_work)
     degfile = tmp_path / "six.txt"
-    degfile.write_text("3 3 3 3 3 3\n")
+    degfile.write_text("3 3 3 3 3\n4 x\n")
     result = _run(
         runner,
         ["run", "degseq-cover", "--degseq", str(degfile), "--seed", "0", "--out", str(tmp_path / "d")],
     )
     assert result.exit_code == 2
-    assert "capped at n=5, got 6" in result.output
+    assert "more than 5 degrees; degree sequences are capped at n=5" in result.output
 
 
 def test_degseq_cover_builds_each_sequence_when_its_rung_runs(runner, tmp_path, monkeypatch):
@@ -781,34 +788,58 @@ def test_an_empty_flag_value_is_refused_not_defaulted(runner, tmp_path, experime
     assert not (tmp_path / "out.csv").exists()
 
 
+# graph files refused from their header lines; "edges" has one body line
+# where its header promises 4000001, and "twelve" eleven, a full body
+GRAPH_FILES = {
+    "header": "1000001 0\n",
+    "edges": "10 4000001\n0 1 1\n",
+    "negative": "-2000000 -2000000\n",
+    "twelve": "10 11\n" + "0 1 1\n" * 11,
+}
+
+
 @pytest.mark.parametrize(
     "experiment, args, edge_cap, message",
     [
         ("st-connect-demo", ["--family", "grid2d:1001,1000"], None, "capped at 1000000 vertices"),
         ("scheme-speedup", ["--graph-file", "{header}"], None, "capped at 1000000 vertices, got n=1000001"),
         ("st-connect-demo", ["--family", "lollipop:30"], 100, "capped at 100 edges"),
-        ("product-theorem", ["--product", "cycle:1000,cycle:1001"], None, "passes the graph caps"),
+        ("product-theorem", ["--product", "cycle:1000,cycle:1001"], None, "capped at 1000000 vertices, got n=1001000"),
+        *[
+            (experiment, ["--graph-file", f"{{{file}}}"], edge_cap, message)
+            for file, edge_cap, message in [
+                ("edges", None, "capped at 4000000 edges"),
+                ("negative", None, "negative needs at least one vertex, got n=-2000000"),
+                ("twelve", 10, "twelve: graphs are capped at 10 edges, got m=11"),
+            ]
+            for experiment in ("scheme-speedup", "st-connect-demo")
+        ],
     ],
-    ids=["family", "graph-file", "edges", "product"],
+    ids=[
+        "family", "graph-file", "edges", "product",
+        *[f"{file}-header-{experiment}" for file in ("edges", "negative", "twelve") for experiment in ("scheme", "st")],
+    ],
 )
 def test_oversize_graphs_are_refused_before_any_walk(
     runner, tmp_path, monkeypatch, experiment, args, edge_cap, message
 ):
     def no_work(*args, **kwargs):
-        raise AssertionError("a walk started before the graph was checked")
+        raise AssertionError("a walk started, or a graph file's body was parsed, before the graph was checked")
 
     for name in ("simulate", "speedup", "_st_answers"):
         monkeypatch.setattr(f"walklab.cli.{name}", no_work)
+    monkeypatch.setattr(Graph, "from_text", no_work)
     if edge_cap is not None:
         monkeypatch.setattr("walklab.graph._EDGE_CAP", edge_cap)
-    header = tmp_path / "huge.txt"
-    header.write_text("1000001 0\n")
-    args = [a.format(header=header) for a in args]
+    for file, text in GRAPH_FILES.items():
+        (tmp_path / f"{file}.txt").write_text(text)
+    args = [a.format(**{file: tmp_path / f"{file}.txt" for file in GRAPH_FILES}) for a in args]
     started = time.perf_counter()
     result = _run(runner, ["run", experiment, *args, "--seed", "0", "--out", str(tmp_path / "out")])
     assert time.perf_counter() - started < 1.0
     assert result.exit_code == 2
-    assert message in result.output
+    assert "input error: " in result.output and message in result.output
+    assert not (tmp_path / "out.csv").exists() and not (tmp_path / "out.json").exists()
 
 
 def test_an_over_budget_probe_is_refused_before_its_family_is_built(runner, tmp_path):
@@ -864,6 +895,34 @@ def test_a_screened_graph_file_keeps_its_header_messages(runner, tmp_path, text,
     result = _run(runner, ["run", "st-connect-demo", "--graph-file", str(gfile), "--seed", "0", "--out", str(tmp_path / "st")])
     assert result.exit_code == 2
     assert f"input error: {message}\n" in result.output
+
+
+# header counts: signs, the caps and one past them, int64's edge, a number
+# no float holds, and tokens int() refuses or reads in an unusual form
+HEADER_COUNTS = st.sampled_from(
+    [-2000000, -1, 0, 1, 2, 999_999, 1_000_000, 1_000_001, 3_999_999, 4_000_000, 4_000_001, 2**63, 10**30]
+).map(str) | st.sampled_from(["", "x", "1.5", "1e3", "0x10", "1_0", "+3", "\u0663", "nan"])
+# no body line joins vertex 0, the probe's start, so a graph near the
+# vertex cap answers without walking its 8 n m steps
+BODY_LINES = st.lists(st.sampled_from(["1 2 1", "2 1 0.5", "1 1 1", "1 2 x", "1 2", "# note", ""]), max_size=3)
+
+
+@given(n=HEADER_COUNTS, m=HEADER_COUNTS, body=BODY_LINES)
+@settings(max_examples=60, deadline=None)
+def test_any_graph_file_header_keeps_the_exit_code_contract(n, m, body):
+    runner = CliRunner()
+    with tempfile.TemporaryDirectory() as tmp:
+        gfile = Path(tmp) / "g.txt"
+        gfile.write_text("\n".join([f"{n} {m}", *body]) + "\n", encoding="utf-8")
+        for experiment in ("st-connect-demo", "scheme-speedup"):
+            out = Path(tmp) / experiment
+            args = ["run", experiment, "--graph-file", str(gfile), "--trials", "2", "--seed", "0", "--out", str(out)]
+            result = _run(runner, args)
+            assert result.exit_code in (0, 1, 2, 3), result.output
+            assert "Traceback" not in result.output
+            if result.exit_code == 2:
+                assert "input error:" in result.output
+                assert not out.with_suffix(".csv").exists() and not out.with_suffix(".json").exists()
 
 
 def test_family_and_graph_file_conflict(runner, tmp_path):

@@ -1,6 +1,7 @@
 import itertools
 import math
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -322,10 +323,36 @@ def test_from_text_validates():
         ("3 2\n0 1 1.0\n1 3 1.0\n", "edge (1, 3) out of range for n=3"),
         ("2 1\n1 0 -1\n", "edge (1, 0) weight -1.0 is not positive and finite"),
         ("0 0\n", "graph needs at least one vertex, got n=0"),
+        # the header is refused by the size rule before the body is split
+        ("-2000000 -2000000\n", "graph needs at least one vertex, got n=-2000000"),
+        ("# sized\n3 -1\n0 1 1\n", "graph needs a non-negative edge count, got m=-1"),
     ]
     for text, message in refused:
         with pytest.raises(ParameterError, match=re.escape(message)):
             Graph.from_text(text)
+    oversize = [
+        ("1000001 0\n", "graph: graphs are capped at 1000000 vertices, got n=1000001"),
+        ("10 4000001\n0 1 1\n", "graph: graphs are capped at 4000000 edges, got m=4000001"),
+        ("\n  10 4000001  \r\n0 1 1\n", "capped at 4000000 edges, got m=4000001"),
+    ]
+    for text, message in oversize:
+        with pytest.raises(SizeCapError, match=re.escape(message)):
+            Graph.from_text(text)
+    with pytest.raises(SizeCapError, match=re.escape("named: graphs are capped at 1000000 vertices")):
+        Graph.from_text("2000000 1\n", name="named")
+
+
+def test_from_text_refuses_its_header_before_splitting_the_body():
+    # 200 000 body lines would take over 10 MB as split strings
+    text = "# too many\n10 4000001\n" + "0 1 1\n" * 200_000
+    tracemalloc.start()
+    try:
+        with pytest.raises(SizeCapError, match="capped at 4000000 edges"):
+            Graph.from_text(text)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**20
     # int() and float() take underscores, which numpy's parser refuses
     assert Graph.from_text("11 1\n0 1_0 2_5.0\n") == Graph(11, [(0, 10, 25.0)])
 
@@ -350,7 +377,7 @@ def test_graphs_are_refused_above_the_vertex_cap_before_they_are_built():
             family(spec)
     with pytest.raises(ParameterError, match="grid2d needs rows"):
         family("grid2d:-2000,-2000")
-    with pytest.raises(SizeCapError, match="passes the graph caps"):
+    with pytest.raises(SizeCapError, match=re.escape("(path:1001)x(path:1000): graphs are capped at 1000000 vertices")):
         cartesian_product(path(1001), path(1000))
 
 
