@@ -11,12 +11,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from walklab import conductance
+from walklab.cli import EXPERIMENTS
 from walklab.conductance import (
     conductance_exact,
     conductance_sweep,
     jerrum_sinclair_check,
 )
-from walklab.cli import EXPERIMENTS
 from walklab.errors import ParameterError, SizeCapError
 from walklab.graph import Graph, complete, cycle, grid2d, lollipop, path, star, torus2d
 from walklab.spectral import TransitionKernel, build_kernel, kernel_eigenvalues

@@ -340,6 +340,8 @@ def test_from_text_validates():
             Graph.from_text(text)
     with pytest.raises(SizeCapError, match=re.escape("named: graphs are capped at 1000000 vertices")):
         Graph.from_text("2000000 1\n", name="named")
+    # int() and float() take underscores, which numpy's parser refuses
+    assert Graph.from_text("11 1\n0 1_0 2_5.0\n") == Graph(11, [(0, 10, 25.0)])
 
 
 def test_from_text_refuses_its_header_before_splitting_the_body():
@@ -353,8 +355,6 @@ def test_from_text_refuses_its_header_before_splitting_the_body():
     finally:
         tracemalloc.stop()
     assert peak < 2**20
-    # int() and float() take underscores, which numpy's parser refuses
-    assert Graph.from_text("11 1\n0 1_0 2_5.0\n") == Graph(11, [(0, 10, 25.0)])
 
 
 def test_family_dispatcher():
