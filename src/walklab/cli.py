@@ -591,10 +591,12 @@ def _run_st_connect(spec: dict):
 
 # --- registry ---
 
-# `flags` maps each flag an experiment takes to its default, and `checks`
-# maps each check's name to (statistic, comparison, threshold): the one
-# statement of what the experiment asserts, which `_judge` applies to the
-# runner's observed values and `describe` prints.
+# `flags` maps each flag an experiment takes to its default, `caps` a flag
+# to the largest value a run accepts (so a run's size is bounded up front,
+# with exit 2), and `checks` maps each check's name to (statistic,
+# comparison, threshold): the one statement of what the experiment asserts,
+# which `_judge` applies to the runner's observed values and `describe`
+# prints.
 EXPERIMENTS: dict[str, dict] = {
     "closed-forms": {
         "runner": _run_closed_forms,
@@ -624,6 +626,7 @@ EXPERIMENTS: dict[str, dict] = {
     "commute-identity": {
         "runner": _run_commute_identity,
         "flags": {"trials": 200},
+        "caps": {"trials": 100_000},
         "claim": "Round-trip commute time between two vertices equals the graph "
         "volume times the effective resistance between them, on random "
         "weighted multigraphs with loops and parallel edges.",
@@ -641,6 +644,7 @@ EXPERIMENTS: dict[str, dict] = {
     "product-theorem": {
         "runner": _run_product_theorem,
         "flags": {"product": "cycle:4,cycle:16", "trials": 300, "workers": 1},
+        "caps": {"trials": 100_000},
         "claim": "Cover-time bounds for a Cartesian product, computed from "
         "factor statistics alone, bracket a Monte Carlo estimate of the "
         "product's cover time. The upper bracket holds up to an unknown "
@@ -655,6 +659,7 @@ EXPERIMENTS: dict[str, dict] = {
         "runner": _run_degseq_cover,
         # the --n ladder's default is the runner's: a degree file fixes n
         "flags": {"degseq": "regular:3", "n": None, "trials": 200, "scheme": "uniform", "workers": 1},
+        "caps": {"trials": 100_000},
         "claim": "Cover times of random graphs with a prescribed degree "
         "sequence track the predicted (d-1)/(d-2) * (theta/d) * n ln n "
         "growth, where d is the effective minimum degree and theta the "
@@ -670,6 +675,7 @@ EXPERIMENTS: dict[str, dict] = {
     "conductance-survey": {
         "runner": _run_conductance_survey,
         "flags": {"trials": 50},
+        "caps": {"trials": 10_000},
         "claim": "Random simple graphs on 20 vertices with degrees between 3 "
         "and 6 are expanders: the exact conductance exceeds 1/100 and the "
         "lazy spectral gap sits between phi^2/2 and 2 phi. Larger sizes are "
@@ -684,6 +690,7 @@ EXPERIMENTS: dict[str, dict] = {
     "p-simple": {
         "runner": _run_p_simple,
         "flags": {"trials": 10000},
+        "caps": {"trials": 1_000_000},
         "claim": "The fraction of degree-stub pairings that produce a simple "
         "graph matches exp(-nu/2 - nu^2/4), where nu is the sum of d(d-1) "
         "over vertices divided by the edge count.",
@@ -695,6 +702,7 @@ EXPERIMENTS: dict[str, dict] = {
         "runner": _run_scheme_speedup,
         # the default graph is the runner's: --family and --graph-file exclude each other
         "flags": {"family": None, "graph_file": None, "trials": 150, "workers": 1},
+        "caps": {"trials": 100_000},
         "claim": "Weighting every edge by the inverse smaller endpoint degree "
         "speeds up covering graphs with degree imbalance; on a regular graph "
         "the scheme changes nothing and the ratio is exactly 1.",
@@ -705,6 +713,7 @@ EXPERIMENTS: dict[str, dict] = {
     "st-connect-demo": {
         "runner": _run_st_connect,
         "flags": {"family": None, "graph_file": None, "trials": 200},
+        "caps": {"trials": 100_000},
         "claim": "A random walk of 8 n m steps, or of twice the weighted "
         "spanning-tree cover bound when that is larger, decides s-t "
         "connectivity with one-sided error: a yes answer is always correct, "
@@ -775,6 +784,9 @@ def run_command(experiment: str, seed: int, out: str | None, fmt: str, **flags) 
             spec[name] = default if flags[name] is None else flags[name]
         if spec.get("trials", 1) < 1:
             raise ParameterError("--trials must be positive")
+        for name, cap in entry.get("caps", {}).items():
+            if spec[name] > cap:
+                raise SizeCapError(f"{_flag(name)} {spec[name]} is above {experiment}'s cap of {cap}")
         workers = spec.pop("workers", 1)
         if workers < 1:
             raise ParameterError("--workers must be positive")
@@ -847,7 +859,9 @@ def describe_command(experiment: str | None) -> None:
     click.echo(experiment)
     click.echo(f"  claim: {entry['claim']}")
     defaults = "; ".join(f"{_flag(name)} {value}" for name, value in entry["flags"].items() if value is not None)
-    click.echo(f"  inputs: {entry['inputs']}" + (f" Defaults: {defaults}." if defaults else ""))
+    caps = "; ".join(f"{_flag(name)} {cap}" for name, cap in entry.get("caps", {}).items())
+    inputs = entry["inputs"] + (f" Defaults: {defaults}." if defaults else "") + (f" Caps: {caps}." if caps else "")
+    click.echo(f"  inputs: {inputs}")
     click.echo("  pass rule:")
     for name, (statistic, comparison, threshold) in entry["checks"].items():
         click.echo(f"    {name}: {_rule(statistic, comparison, threshold)}")

@@ -248,7 +248,9 @@ class Graph:
 
     @cached_property
     def is_connected(self) -> bool:
-        return bool((self.bfs_distances(0) >= 0).all())
+        # a connected graph has a spanning tree, of n - 1 edges; fewer edges
+        # prove the graph apart without building its adjacency lists
+        return self.m >= self._n - 1 and bool((self.bfs_distances(0) >= 0).all())
 
     def shortest_path(self, source: int, target: int) -> list[int]:
         """One shortest path as a vertex list, lowest-label tie-break.

@@ -49,19 +49,25 @@ def substream(seed: int, index: int = 0) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(key=_key(seed, index)))
 
 
+def _check_streams(seed: int, first: int, count: int) -> None:
+    """Check the keys of streams (seed, first) .. (seed, first + count - 1):
+    the first and the last, since the index word only grows between them."""
+    _key(seed, first)
+    if count:
+        _key(seed, first + count - 1)
+
+
 def _stream_starts(rng: np.random.Generator, seed: int, first: int, count: int):
     """Yield rng `count` times, at the start of streams (seed, first), ...
 
     Before the j-th yield rng's Philox is put at the start of stream
     (seed, first + j) as substream builds it: counter 0, no buffered words
     and no cached 32-bit half, so it draws exactly what
-    `substream(seed, first + j)` draws. The block's first and last key are
-    checked once, when iteration starts; the resets share one state dict
-    and its one key list, whose index word each reset sets.
+    `substream(seed, first + j)` draws. `_check_streams` checks the block's
+    keys once, when iteration starts; the resets share one state dict and
+    its one key list, whose index word each reset sets.
     """
-    _key(seed, first)
-    if count:
-        _key(seed, first + count - 1)
+    _check_streams(seed, first, count)
     bits = rng.bit_generator
     key = [seed, first]
     state = {

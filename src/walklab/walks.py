@@ -6,23 +6,27 @@ reduces the per-trial step counts once, in trial order, with exact
 integer sums. So any scheduling of trials over workers gives
 bit-identical estimates.
 
-Trials are cheap to start: a chunk of trials shares one Philox, reset
-before trial i to key (s, 1 + i) at counter 0 with nothing buffered, which
-is exactly the start of `substream(s, 1 + i)`. A walk draws raw 64-bit
-Philox words, in blocks of 64, 128, 256, ... up to BUFFER = 4096, then 4096
-at a time, never past its budget, so a 30-step walk draws 64 words, not
-4096. Philox is counter-based: each word depends only on the key and its
-counter, so blocks of any sizes read the words of one long draw, and step
-t reads word t. Its uniform is the double rng.random makes of that word w,
-u = (w >> 11) 2^-53.
+In the Python stepper trials are cheap to start: a chunk shares one
+Philox, reset before trial i to key (s, 1 + i) at counter 0 with nothing
+buffered, which is exactly the start of `substream(s, 1 + i)`. A walk
+draws raw 64-bit Philox words, in blocks of 64, 128, 256, ... up to
+BUFFER = 4096, then 4096 at a time, never past its budget, so a 30-step
+walk draws 64 words, not 4096. Philox is counter-based: each word depends
+only on the key and its counter, so blocks of any sizes read the words of
+one long draw, and step t reads word t. Its uniform is the double
+rng.random makes of that word w, u = (w >> 11) 2^-53.
 
-Every walk runs in one loop, `_walk`, driven by per-vertex visit quotas:
-it stops at the first step where each vertex has been visited as often as
-its quota asks (1 everywhere for cover, 1 at the target for hit,
+Every walk follows one rule, driven by per-vertex visit quotas: it stops
+at the first step where each vertex has been visited as often as its
+quota asks (1 everywhere for cover, 1 at the target for hit,
 ceil(C * pi_v) for blanket-cover, C the graph's blanket_cover_reference),
 or is censored at its step budget. The loop counts quotas down: left[v]
 is the number of visits v still owes, and at a vertex where left is 0 the
-quota work is one read.
+quota work is one read. Two steppers implement it. `_KERNEL`, compiled
+from _walk.c when this module is imported (see `_load_kernel`), steps a
+whole chunk of trials in C, reading each trial's Philox words itself; the
+Python loop `_walk` is its reference and steps the trials wherever no
+kernel could be built. Both give the same stopping step for every trial.
 `_plan` alone decides which graphs a run takes: any graph in hit mode, a
 connected one in the modes that put a quota on every vertex, and never an
 isolated start; budgets above WalkConfig().budget are refused.
@@ -58,11 +62,14 @@ uniformly), not per vertex, and R need not shrink as the graph grows.
 
 from __future__ import annotations
 
+import ctypes
 import math
 import os
+import sysconfig
+import zlib
 from bisect import bisect_left
 from dataclasses import dataclass
-from itertools import accumulate
+from itertools import accumulate, chain
 from operator import length_hint
 
 import numpy as np
@@ -70,7 +77,7 @@ import numpy as np
 from .electrical import _kruskal, matthews_upper
 from .errors import ParameterError, SizeCapError, UnsupportedInputError
 from .graph import Graph
-from .rng import _stream_starts, substream
+from .rng import _check_streams, _stream_starts, substream
 from .spectral import COVER_CAP, build_kernel, exact_cover_times, exact_hitting
 from .weighting import apply_scheme
 
@@ -141,6 +148,72 @@ class EstimateRecord:
     var: float
     stderr: float
     censored: int
+
+
+# --- the compiled stepper ---
+
+_SOURCE = os.path.join(os.path.dirname(os.path.abspath(__file__)), "_walk.c")
+_FLAGS = ["-O2", "-shared", "-fPIC"]  # no -ffast-math or -march: every double as Python makes it
+_POINTER, _INT, _WORD = ctypes.c_void_p, ctypes.c_int64, ctypes.c_uint64
+
+
+def _compile(command: list[str], path: str) -> bool:
+    """Build the library at path; False where it cannot be built.
+
+    The compiler runs by os.posix_spawnp, its output sent to os.devnull,
+    so a cached import never loads subprocess (about 5 ms). It writes a
+    name of this process's own, moved into place once whole, so a process
+    racing this one loads either no library or a whole one.
+    """
+    part = f"{path}.{os.getpid()}.part"
+    quiet = [(os.POSIX_SPAWN_OPEN, fd, os.devnull, os.O_WRONLY, 0) for fd in (1, 2)]
+    try:
+        os.makedirs(os.path.dirname(path), exist_ok=True)
+        pid = os.posix_spawnp(command[0], [*command, "-o", part, _SOURCE], os.environ, file_actions=quiet)
+        built = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1]) == 0
+        if built:
+            os.replace(part, path)
+    except (OSError, AttributeError):  # no compiler, no write access, no posix_spawn
+        built = False
+    if not built and os.path.exists(part):
+        os.remove(part)
+    return built
+
+
+def _load_kernel():
+    """The library compiled from _walk.c, or None where it cannot be had.
+
+    It is cached in __pycache__ under the CRC-32 of the source and the
+    compiler command, so an edited source or another compiler builds anew,
+    and a cached import costs a read, a checksum and a dlopen. The compiler
+    is the interpreter's own (sysconfig's CC). With no compiler, an
+    unwritable directory, or a failed build or load, the walks run in
+    `_walk`, which gives the same stopping steps.
+    """
+    try:
+        with open(_SOURCE, "rb") as handle:
+            code = handle.read()
+        command = (sysconfig.get_config_var("CC") or "cc").split() + _FLAGS
+        tag = zlib.crc32(code + " ".join(command).encode())
+        folder = os.path.join(os.path.dirname(_SOURCE), "__pycache__")
+        path = os.path.join(folder, f"_walk-{tag:08x}-{sysconfig.get_platform()}.so")
+        if not os.path.exists(path) and not _compile(command, path):
+            return None
+        lib = ctypes.CDLL(path)
+        lib.walklab_trials.argtypes = (
+            [_INT] + [_POINTER] * 5  # n, then off, nbrs, cum, row and rows
+            + [_INT] * 4 + [_POINTER, _INT]  # buckets, shift, start, budget; owed, remaining
+            + [_WORD, _WORD, _INT, _POINTER]  # seed, first stream index, count; the steps
+        )
+        lib.walklab_trials.restype = ctypes.c_int
+        lib.walklab_words.argtypes = [_WORD, _WORD, _INT, _POINTER]
+        lib.walklab_words.restype = None
+    except (OSError, AttributeError):
+        return None
+    return lib
+
+
+_KERNEL = _load_kernel()
 
 
 # --- sampling tables ---
@@ -246,11 +319,41 @@ def _step_tables(nbrs: list, cum: list, cuts: float) -> tuple:
     return nbrs, cum, rows, np.array(65 - r.bit_length(), dtype=np.uint64)
 
 
+def _flat_tables(tables, left) -> tuple:
+    """The step tables and quotas as the arrays `_KERNEL` walks by.
+
+    Returns (off, nbrs, cum, row, rows, shift, owed). Vertex v's table is
+    entries off[v]..off[v + 1] - 1 of nbrs (int64, its sentinel dropped)
+    and of cum (float64), so L_v = off[v + 1] - off[v]; row[v] is the index
+    of its bucket row in rows, an int64 array of one row per distinct cum
+    list, and 0 for an isolated vertex, which no step reaches. owed holds
+    left's quotas, without the sentinel markers.
+    """
+    nbrs, cum, rows, shift = tables
+    n = len(nbrs)
+    off = np.zeros(n + 1, dtype=np.int64)
+    np.cumsum([0 if c is None else len(c) for c in cum], out=off[1:])
+    total = int(off[-1])
+    listed = [x for x in nbrs if x is not None]
+    ends = np.fromiter(chain.from_iterable(listed), np.int64, total + len(listed))
+    shared = {id(r): r for r in rows if r is not None}
+    order = {key: i for i, key in enumerate(shared)}
+    return (
+        off,
+        ends[ends < n],  # the sentinels are n + v
+        np.fromiter(chain.from_iterable(c for c in cum if c is not None), np.float64, total),
+        np.array([0 if r is None else order[id(r)] for r in rows], dtype=np.int64),
+        np.array(list(shared.values()), dtype=np.int64),
+        int(shift),
+        np.array(left[:n], dtype=np.int64),
+    )
+
+
 # --- the walk ---
 
 
 def _walk(tables, pos, rng, budget, left, remaining) -> int | None:
-    """Walk from pos until no vertex owes a visit; the only stepper.
+    """Walk from pos until no vertex owes a visit; the Python stepper.
 
     tables is (nbrs, cum, rows, shift) from `_step_tables`, over n
     vertices. left[v] > 0 is the number of visits v still owes, and
@@ -323,9 +426,10 @@ def _plan(g: Graph, config: WalkConfig) -> tuple:
     Outside hit mode a disconnected graph raises DisconnectedError; an
     isolated start raises UnsupportedInputError before pi divides by the
     volume. A budget above WalkConfig().budget raises SizeCapError.
-    Returns picklable (tables, start, budget, left, remaining): step tables
-    and bucket rows, the visits each vertex owes at time zero followed by n
-    truthy sentinel markers (see `_walk`), and how many vertices owe any.
+    Returns picklable (tables, start, budget, left, remaining, flat): step
+    tables and bucket rows, the visits each vertex owes at time zero
+    followed by n truthy sentinel markers (see `_walk`), how many vertices
+    owe any, and the same tables and quotas as flat arrays for `_KERNEL`.
     """
     if config.stop not in STOP_MODES:
         raise ParameterError(f"unknown stop mode {config.stop!r}")
@@ -348,27 +452,45 @@ def _plan(g: Graph, config: WalkConfig) -> tuple:
         left[config.target] = 1
     elif config.stop == "blanket-cover":
         reference = blanket_cover_reference(g, config.scheme, config.lazy)
-        left = [max(0, math.ceil(reference * p - 1e-12)) for p in pi]
+        # a quota past the budget is never met, at budget + 1 as at any
+        # larger value, and budget + 1 fits the kernel's int64
+        left = [min(max(0, math.ceil(reference * p - 1e-12)), config.budget + 1) for p in pi]
     else:
         left = [1] * g.n
     left[config.start] = max(0, left[config.start] - 1)  # the visit at time zero
     remaining = sum(q > 0 for q in left)
+    flat = _flat_tables(tables, left)
     left += [True] * g.n
-    return tables, config.start, config.budget, left, remaining
+    return tables, config.start, config.budget, left, remaining, flat
 
 
 def _trial_values(args) -> list[int | None]:
     """Stopping steps (None when censored) of trials lo..hi-1, in index order.
 
-    One Philox serves the chunk: before trial i it is reset to the start
-    of stream (seed, 1 + i), so each trial draws what substream(seed, 1 + i)
-    would, whatever the trial before it left in the generator.
+    The compiled stepper walks the whole chunk in one call, over the plan's
+    flat arrays, reading the words of stream (seed, 1 + i) for trial i.
+    Without it, one Philox serves the chunk in `_walk`: before trial i it
+    is reset to the start of stream (seed, 1 + i), so each trial draws what
+    substream(seed, 1 + i) would, whatever the trial before it left in the
+    generator. Both paths check the chunk's stream keys first.
     """
-    (tables, start, budget, left, remaining), seed, lo, hi = args
-    return [
-        _walk(tables, start, rng, budget, left.copy(), remaining)
-        for rng in _stream_starts(substream(seed, 1 + lo), seed, 1 + lo, hi - lo)
-    ]
+    (tables, start, budget, left, remaining, flat), seed, lo, hi = args
+    if _KERNEL is None:
+        return [
+            _walk(tables, start, rng, budget, left.copy(), remaining)
+            for rng in _stream_starts(substream(seed, 1 + lo), seed, 1 + lo, hi - lo)
+        ]
+    _check_streams(seed, 1 + lo, hi - lo)
+    off, nbrs, cum, row, rows, shift, owed = flat
+    steps = np.empty(hi - lo, dtype=np.int64)
+    failed = _KERNEL.walklab_trials(
+        len(off) - 1, off.ctypes.data, nbrs.ctypes.data, cum.ctypes.data, row.ctypes.data,
+        rows.ctypes.data, rows.shape[1], shift, start, budget, owed.ctypes.data, remaining,
+        seed, 1 + lo, hi - lo, steps.ctypes.data,
+    )
+    if failed:
+        raise MemoryError("no memory for the walk's quotas")
+    return [None if k < 0 else k for k in steps.tolist()]
 
 
 def simulate(

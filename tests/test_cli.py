@@ -9,6 +9,7 @@ at toy sizes to pin behavior, exit codes, and output formats.
 from __future__ import annotations
 
 import concurrent.futures
+import hashlib
 import json
 import os
 import re
@@ -923,6 +924,55 @@ def test_any_graph_file_header_keeps_the_exit_code_contract(n, m, body):
             if result.exit_code == 2:
                 assert "input error:" in result.output
                 assert not out.with_suffix(".csv").exists() and not out.with_suffix(".json").exists()
+
+
+def test_trials_past_the_cap_exit_2_before_any_work(runner, tmp_path):
+    # a trillion trials once died in simulate's chunk list with a MemoryError
+    # traceback and exit 1
+    base = tmp_path / "pt"
+    args = ["run", "product-theorem", "--trials", str(10**12), "--seed", "0", "--out", str(base)]
+    result = _run(runner, args)
+    assert result.exit_code == 2
+    assert result.output.startswith("input error: --trials 1000000000000 is above product-theorem's cap")
+    assert "Traceback" not in result.output
+    assert not base.with_suffix(".csv").exists() and not base.with_suffix(".json").exists()
+
+
+TRIALS_EXPERIMENTS = sorted(name for name, entry in EXPERIMENTS.items() if "trials" in entry["flags"])
+
+
+@pytest.mark.parametrize("experiment", TRIALS_EXPERIMENTS)
+def test_every_trials_flag_is_capped_above_its_default(runner, tmp_path, experiment):
+    entry = EXPERIMENTS[experiment]
+    cap = entry["caps"]["trials"]
+    assert entry["flags"]["trials"] <= cap
+    base = tmp_path / experiment
+    result = _run(runner, ["run", experiment, "--trials", str(cap + 1), "--seed", "0", "--out", str(base)])
+    assert result.exit_code == 2
+    assert result.output.startswith(f"input error: --trials {cap + 1} is above {experiment}'s cap of {cap}")
+    assert not base.with_suffix(".csv").exists()
+    assert f"Caps: --trials {cap}." in _run(runner, ["describe", experiment]).output
+
+
+def test_documented_and_benchmarked_trials_are_inside_every_cap():
+    root = Path(__file__).resolve().parents[1]
+    smallest = min(EXPERIMENTS[name]["caps"]["trials"] for name in TRIALS_EXPERIMENTS)
+    for name in ("README.md", "perfbench/workloads.py"):
+        counts = [int(x) for x in re.findall(r"--trials\W+(\d+)", (root / name).read_text())]
+        assert counts and max(counts) <= smallest, name
+
+
+def test_pinned_bodies_hold_with_the_python_stepper(runner, tmp_path, monkeypatch):
+    # the three walking experiments of tests/default-bodies.sha256, at seed
+    # 0, with the compiled stepper switched off
+    monkeypatch.setattr("walklab.walks._KERNEL", None)
+    root = Path(__file__).resolve().parents[1]
+    pinned = dict(line.split()[::-1] for line in (root / "tests" / "default-bodies.sha256").read_text().splitlines())
+    for experiment in ("st-connect-demo", "degseq-cover", "scheme-speedup"):
+        base = tmp_path / experiment
+        assert _run(runner, ["run", experiment, "--seed", "0", "--out", str(base)]).exit_code == 0
+        body = base.with_suffix(".csv").read_text().split("\n", 1)[1]
+        assert hashlib.sha256(body.encode()).hexdigest() == pinned[f"{experiment}-0.body"], experiment
 
 
 def test_family_and_graph_file_conflict(runner, tmp_path):

@@ -295,6 +295,19 @@ def test_shortest_path_disconnected_raises():
         g.diameter
 
 
+def test_too_few_edges_prove_a_graph_apart_without_a_search():
+    # fewer than n - 1 edges cannot span n vertices, so no adjacency lists
+    # are built: near the vertex cap they cost about half a second
+    g = Graph(999_999, [(1, 2, 1.0)])
+    assert not g.is_connected
+    assert "_adjacency_sets" not in vars(g)
+    # n - 1 edges or more still take the search, loops and parallel edges
+    # counted: a triangle with a loop leaves vertex 3 apart
+    apart = Graph(4, [(0, 1), (1, 2), (2, 0), (3, 3)])
+    assert not apart.is_connected and "_adjacency_sets" in vars(apart)
+    assert Graph(1, []).is_connected and path(5).is_connected
+
+
 def test_text_round_trip_is_byte_identical():
     # weights written with repr parse back to the same doubles, so the text
     # written from the parsed graph is the text read

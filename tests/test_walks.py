@@ -1,7 +1,10 @@
 import concurrent.futures
 import math
+import shutil
+import sysconfig
 from bisect import bisect_left
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -10,8 +13,9 @@ from hypothesis import strategies as st
 
 from walklab import walks
 from walklab.configmodel import regular_sequence, sample_simple
-from walklab.errors import DisconnectedError, ParameterError, SizeCapError
-from walklab.graph import Graph, complete, cycle, family, lollipop, path, star
+from walklab.cli import _standard_small_graphs
+from walklab.errors import DisconnectedError, ParameterError, SizeCapError, WalklabError
+from walklab.graph import Graph, cartesian_product, complete, cycle, family, lollipop, path, star
 from walklab.rng import substream
 from walklab.spectral import build_kernel, exact_cover_time, exact_hitting
 from walklab.walks import (
@@ -22,6 +26,14 @@ from walklab.walks import (
 )
 
 from helpers import bucket_row, edge_list, random_connected_graph, reference_walk
+
+
+def compiled_or_not(compiled, args):
+    """`_trial_values(args)` by the compiled stepper, or with it switched off."""
+    with pytest.MonkeyPatch.context() as patch:
+        if not compiled:
+            patch.setattr(walks, "_KERNEL", None)
+        return walks._trial_values(args)
 
 
 def trial_value(g, config, seed, trial_index):
@@ -48,7 +60,7 @@ def visit_frequencies(g, steps, seed, scheme="uniform", lazy=False, start=0):
     as `_plan` lays them out.
     """
     config = WalkConfig(stop="hit", start=start, target=start, budget=steps + 1, scheme=scheme, lazy=lazy)
-    tables, _, _, planned, _ = walks._plan(g, config)
+    tables, _, _, planned, _, _ = walks._plan(g, config)
     left = [-1] * g.n + planned[g.n :]
     left[start] = -2
     walks._walk(tables, start, substream(seed, 1), steps, left, 1)
@@ -382,14 +394,15 @@ def test_wide_vertex_trials_keep_their_recorded_walks(spec, config, values):
 )
 def test_trials_walk_as_the_reference_walker(graph_seed, n, extra, lazy, stop, seed):
     # weighted multigraphs with loops and parallel edges, walked plain and
-    # lazy, against a walker that bisects at every step
+    # lazy by both steppers, against a walker that bisects at every step
     g = random_connected_graph(
         np.random.default_rng(graph_seed), n, extra=extra, weighted=True, loops=True, parallel=True
     )
     target = n - 1 if stop == "hit" else None
     plan = walks._plan(g, WalkConfig(stop=stop, target=target, lazy=lazy, budget=20_000))
-    got = walks._trial_values((plan, seed, 0, 3))
-    assert got == [reference_walk(g, seed, i, 0, target, lazy, budget=20_000) for i in range(3)]
+    want = [reference_walk(g, seed, i, 0, target, lazy, budget=20_000) for i in range(3)]
+    for compiled in (True, False):
+        assert compiled_or_not(compiled, (plan, seed, 0, 3)) == want, compiled
 
 
 @settings(max_examples=30, deadline=None)
@@ -404,12 +417,14 @@ def test_trials_walk_as_the_reference_walker(graph_seed, n, extra, lazy, stop, s
 )
 def test_hub_trials_walk_as_the_reference_walker(spokes, lazy, seed):
     # hubs of up to 40 unequal spokes, whose rows have many impure buckets;
-    # hit walks from the first hub to its last leaf, censored at 2000 steps
+    # hit walks from the first hub to its last leaf, censored at 2000 steps,
+    # by both steppers
     g = _hub_graph(spokes)
     target = len(spokes) + len(spokes[0]) - 1
     plan = walks._plan(g, WalkConfig(stop="hit", target=target, lazy=lazy, budget=2000))
-    got = walks._trial_values((plan, seed, 0, 3))
-    assert got == [reference_walk(g, seed, i, 0, target, lazy, budget=2000) for i in range(3)]
+    want = [reference_walk(g, seed, i, 0, target, lazy, budget=2000) for i in range(3)]
+    for compiled in (True, False):
+        assert compiled_or_not(compiled, (plan, seed, 0, 3)) == want, compiled
 
 
 def test_vertex_tables_hold_running_sums_of_merged_weights():
@@ -715,7 +730,8 @@ def test_each_trial_of_a_chunk_draws_its_own_substream(monkeypatch, seed, index)
     # the chunk holds the trial with stream key (seed, index) and its
     # in-range neighbours; every fake trial reads 10 000 raw words and then
     # leaves the shared generator part way through a block, with a cached
-    # 32-bit half word, for the next trial to reset
+    # 32-bit half word, for the next trial to reset; the generator is the
+    # Python stepper's, so the compiled one is switched off
     drawn = []
 
     def fake_walk(tables, pos, rng, *rest):
@@ -725,6 +741,7 @@ def test_each_trial_of_a_chunk_draws_its_own_substream(monkeypatch, seed, index)
         return None
 
     monkeypatch.setattr(walks, "_walk", fake_walk)
+    monkeypatch.setattr(walks, "_KERNEL", None)
     plan = walks._plan(path(4), WalkConfig())
     lo, hi = max(0, index - 2), min(index + 1, 2**64 - 1)
     assert walks._trial_values((plan, seed, lo, hi)) == [None] * (hi - lo)
@@ -770,7 +787,91 @@ def test_top_bits_of_a_word_are_its_bucket(b):
     assert keys.tolist() == (np.array(doubles) * 2**b).astype(np.intp).tolist()
 
 
+# --- the compiled stepper ---
+
+needs_kernel = pytest.mark.skipif(walks._KERNEL is None, reason="no C compiler built the walk kernel")
+
+
+def test_the_kernel_is_built_where_the_interpreter_compiler_is_on_path():
+    # so that a machine with a compiler never passes on the Python stepper alone
+    compiler = (sysconfig.get_config_var("CC") or "cc").split()[0]
+    if shutil.which(compiler) is not None:
+        assert walks._KERNEL is not None
+
+
+@needs_kernel
+@pytest.mark.parametrize("seed, index", [(0, 1), (1, 2**63), (2**64 - 1, 2**64 - 1)])
+@pytest.mark.parametrize("count", [1, 3, 6, 301])
+def test_kernel_words_are_numpys_philox_words(seed, index, count):
+    words = np.empty(count, dtype=np.uint64)
+    walks._KERNEL.walklab_words(seed, index, count, words.ctypes.data)
+    assert words.tolist() == substream(seed, index).bit_generator.random_raw(count).tolist()
+
+
+def _sweep_plans():
+    """The plans the two steppers are compared on, with the trials each walks."""
+    schemes = [
+        WalkConfig(),
+        WalkConfig(stop="blanket-cover"),
+        WalkConfig(lazy=True),
+        WalkConfig(scheme="mindeg"),
+        WalkConfig(scheme="ikeda"),
+    ]
+    for g in _standard_small_graphs():
+        for config in schemes + [WalkConfig(stop="hit", target=g.n - 1)]:
+            yield g, config, 12
+    rng = np.random.default_rng(31)
+    for _ in range(40):
+        n = int(rng.integers(2, 12))
+        g = random_connected_graph(rng, n, extra=int(rng.integers(0, 15)), weighted=True, loops=True, parallel=True)
+        yield g, WalkConfig(), 12
+        yield g, WalkConfig(stop="hit", target=n - 1, budget=50), 12  # censors often
+    yield family("lollipop:40"), WalkConfig(), 3
+    yield family("lollipop:40"), WalkConfig(scheme="mindeg"), 3
+    yield sample_simple(regular_sequence(2000, 3), 1).graph, WalkConfig(), 2
+    yield cartesian_product(family("cycle:4"), family("cycle:16")), WalkConfig(), 12
+
+
+@needs_kernel
+def test_kernel_walks_as_the_python_stepper():
+    # the same stopping steps on every plan, chunks at the first trials and
+    # at the last trial indices a stream key admits
+    plans = 0
+    for g, config, trials in _sweep_plans():
+        try:
+            plan = walks._plan(g, config)
+        except WalklabError:  # a scheme that does not take g
+            continue
+        plans += 1
+        top = 2**64 - 1 - trials
+        for lo in (0, top):
+            args = (plan, 3, lo, lo + trials)
+            assert compiled_or_not(True, args) == compiled_or_not(False, args), (g.name, config, lo)
+    assert plans >= 495
+
+
+@needs_kernel
+def test_kernel_checks_stream_keys_as_the_python_stepper():
+    plan = walks._plan(path(6), WalkConfig(stop="hit", target=5))
+    assert compiled_or_not(True, (plan, 7, 2**64 - 4, 2**64 - 1)) == compiled_or_not(
+        False, (plan, 7, 2**64 - 4, 2**64 - 1)
+    )
+    for compiled in (True, False):
+        with pytest.raises(ParameterError):
+            compiled_or_not(compiled, (plan, 7, 2**64 - 4, 2**64))
+        with pytest.raises(ParameterError):
+            compiled_or_not(compiled, (plan, 2**64, 0, 1))
+
+
+def test_the_package_ships_the_kernel_source():
+    assert (Path(walks.__file__).parent / "_walk.c").is_file()
+    tomllib = pytest.importorskip("tomllib")  # Python 3.11 on
+    pyproject = tomllib.loads((Path(__file__).resolve().parents[1] / "pyproject.toml").read_text())
+    assert "_walk.c" in pyproject["tool"]["setuptools"]["package-data"]["walklab"]
+
+
 def test_a_chunk_builds_one_generator(monkeypatch):
+    # the Python stepper's generator; the compiled one builds none
     built = []
 
     def counting_substream(seed, index=0):
@@ -778,6 +879,7 @@ def test_a_chunk_builds_one_generator(monkeypatch):
         return substream(seed, index)
 
     monkeypatch.setattr(walks, "substream", counting_substream)
+    monkeypatch.setattr(walks, "_KERNEL", None)
     simulate(path(6), WalkConfig(stop="cover"), trials=walks.CHUNK + 44, seed=2)
     assert built == [1, 1 + walks.CHUNK]
 
@@ -819,15 +921,27 @@ def test_budgets_above_the_cap_are_refused_before_walking(monkeypatch):
     def no_walk(*args):
         raise AssertionError("walked")
 
+    class NoKernel:
+        walklab_trials = no_walk
+
     monkeypatch.setattr(walks, "_walk", no_walk)
-    # a hit walk to a target in another component would walk its whole budget
-    apart = Graph(4, [(0, 1), (2, 3)], name="two-parts")
-    with pytest.raises(SizeCapError, match="cap"):
-        trial_value(apart, WalkConfig(stop="hit", target=3, budget=10**15), seed=0, trial_index=0)
-    with pytest.raises(SizeCapError, match="cap"):
-        simulate(path(4), WalkConfig(budget=cap + 1), trials=1, seed=0)
-    with pytest.raises(SizeCapError, match="cap"):
-        visit_frequencies(path(4), steps=cap + 1, seed=0)
+    # each stepper in turn: the compiled one as a stand-in that refuses to
+    # walk, then the Python one alone
+    for kernel in (NoKernel(), None):
+        monkeypatch.setattr(walks, "_KERNEL", kernel)
+        # a hit walk to a target in another component would walk its whole budget
+        apart = Graph(4, [(0, 1), (2, 3)], name="two-parts")
+        with pytest.raises(SizeCapError, match="cap"):
+            trial_value(apart, WalkConfig(stop="hit", target=3, budget=10**15), seed=0, trial_index=0)
+        with pytest.raises(SizeCapError, match="cap"):
+            simulate(path(4), WalkConfig(budget=cap + 1), trials=1, seed=0)
+        with pytest.raises(SizeCapError, match="cap"):
+            visit_frequencies(path(4), steps=cap + 1, seed=0)
+    # and the stand-ins do refuse a walk that passes every check
+    for kernel in (NoKernel(), None):
+        monkeypatch.setattr(walks, "_KERNEL", kernel)
+        with pytest.raises(AssertionError, match="walked"):
+            trial_value(path(4), WalkConfig(budget=cap), seed=0, trial_index=0)
 
 
 def test_worker_count_is_clamped_to_chunks_and_cpus(monkeypatch):
