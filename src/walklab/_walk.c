@@ -62,20 +62,27 @@ static int64_t bisect_left(const double *cum, int64_t length, double u)
     return lo;
 }
 
+/* steps a call may take before it returns at the end of a trial, about a
+   second: the caller calls again for the rest, and the interpreter can act
+   on a signal, such as Ctrl-C, in between */
+#define PAUSE ((int64_t)1 << 26)
+
 /* Stopping steps of the count trials on streams (seed, first), (seed,
    first + 1), ... into out, -1 where censored at budget. left holds the
    visits each vertex owes at time zero, and remaining how many owe any.
-   Returns 0, or -1 when the quota copy cannot be allocated. */
-int walklab_trials(
+   Returns the number of trials walked, from 1 up to count (fewer once a
+   call passes PAUSE steps), or -1 when the quota copy cannot be
+   allocated. */
+int64_t walklab_trials(
     int64_t n, const int64_t *off, const int64_t *nbrs, const double *cum,
     const int64_t *row, const int64_t *rows, int64_t buckets, int64_t shift,
     int64_t start, int64_t budget, const int64_t *left, int64_t remaining,
     u64 seed, u64 first, int64_t count, int64_t *out)
 {
-    int64_t *owed = malloc((size_t)(n ? n : 1) * sizeof *owed);
+    int64_t *owed = malloc((size_t)n * sizeof *owed), walked = 0, i = 0;
     if (!owed)
         return -1;
-    for (int64_t i = 0; i < count; i++) {
+    while (i < count && walked < PAUSE) {
         int64_t result = -1, rest = remaining, pos = start, t = 0;
         u64 block[4];
         memcpy(owed, left, (size_t)n * sizeof *owed);
@@ -97,8 +104,9 @@ int walklab_trials(
                 }
             }
         }
-        out[i] = result;
+        out[i++] = result;
+        walked += t;
     }
     free(owed);
-    return 0;
+    return i;
 }

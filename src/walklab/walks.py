@@ -205,7 +205,7 @@ def _load_kernel():
             + [_INT] * 4 + [_POINTER, _INT]  # buckets, shift, start, budget; owed, remaining
             + [_WORD, _WORD, _INT, _POINTER]  # seed, first stream index, count; the steps
         )
-        lib.walklab_trials.restype = ctypes.c_int
+        lib.walklab_trials.restype = _INT
         lib.walklab_words.argtypes = [_WORD, _WORD, _INT, _POINTER]
         lib.walklab_words.restype = None
     except (OSError, AttributeError):
@@ -483,13 +483,16 @@ def _trial_values(args) -> list[int | None]:
     _check_streams(seed, 1 + lo, hi - lo)
     off, nbrs, cum, row, rows, shift, owed = flat
     steps = np.empty(hi - lo, dtype=np.int64)
-    failed = _KERNEL.walklab_trials(
-        len(off) - 1, off.ctypes.data, nbrs.ctypes.data, cum.ctypes.data, row.ctypes.data,
-        rows.ctypes.data, rows.shape[1], shift, start, budget, owed.ctypes.data, remaining,
-        seed, 1 + lo, hi - lo, steps.ctypes.data,
-    )
-    if failed:
-        raise MemoryError("no memory for the walk's quotas")
+    done = 0
+    while done < hi - lo:  # each call returns within about 2^26 steps past a trial's end
+        walked = _KERNEL.walklab_trials(
+            len(off) - 1, off.ctypes.data, nbrs.ctypes.data, cum.ctypes.data, row.ctypes.data,
+            rows.ctypes.data, rows.shape[1], shift, start, budget, owed.ctypes.data, remaining,
+            seed, 1 + lo + done, hi - lo - done, steps[done:].ctypes.data,
+        )
+        if walked < 0:
+            raise MemoryError("no memory for the walk's quotas")
+        done += walked
     return [None if k < 0 else k for k in steps.tolist()]
 
 

@@ -37,12 +37,15 @@ def _fresh(code: str, tmp_path: Path) -> None:
 
 
 def test_import_loads_neither_scipy_nor_the_process_pool(tmp_path):
+    # the test process has built the walk kernel, so this import loads it
+    # from its cache, which must not load subprocess (about 5 ms) either
     _fresh(
         """
         import sys
         import walklab, walklab.cli
         assert "scipy" not in sys.modules
         assert "concurrent.futures.process" not in sys.modules
+        assert "subprocess" not in sys.modules
         """,
         tmp_path,
     )

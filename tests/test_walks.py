@@ -851,6 +851,25 @@ def test_kernel_walks_as_the_python_stepper():
 
 
 @needs_kernel
+def test_kernel_returns_between_trials_after_2_to_the_26_steps(monkeypatch):
+    # so that a long chunk still lets the interpreter take a Ctrl-C: three
+    # walks censored at 2^25 steps are walked two, then one
+    calls = []
+    kernel = walks._KERNEL
+
+    class Counted:
+        def walklab_trials(self, *args):
+            calls.append(args[-2])  # the trials asked for
+            return kernel.walklab_trials(*args)
+
+    monkeypatch.setattr(walks, "_KERNEL", Counted())
+    apart = Graph(4, [(0, 1), (2, 3)], name="two-parts")
+    plan = walks._plan(apart, WalkConfig(stop="hit", target=3, budget=2**25))
+    assert walks._trial_values((plan, 0, 0, 3)) == [None] * 3
+    assert calls == [3, 1]
+
+
+@needs_kernel
 def test_kernel_checks_stream_keys_as_the_python_stepper():
     plan = walks._plan(path(6), WalkConfig(stop="hit", target=5))
     assert compiled_or_not(True, (plan, 7, 2**64 - 4, 2**64 - 1)) == compiled_or_not(
@@ -861,6 +880,42 @@ def test_kernel_checks_stream_keys_as_the_python_stepper():
             compiled_or_not(compiled, (plan, 7, 2**64 - 4, 2**64))
         with pytest.raises(ParameterError):
             compiled_or_not(compiled, (plan, 2**64, 0, 1))
+
+
+def _kernel_source_in(folder, monkeypatch, text=None):
+    """Point the loader at a copy of _walk.c in folder, or at text in its place."""
+    source = folder / "_walk.c"
+    source.write_text(Path(walks._SOURCE).read_text() if text is None else text)
+    monkeypatch.setattr(walks, "_SOURCE", str(source))
+    return folder / "__pycache__"
+
+
+@needs_kernel
+def test_a_built_kernel_is_cached_and_loaded_without_a_compile(tmp_path, monkeypatch):
+    cache = _kernel_source_in(tmp_path, monkeypatch)
+    assert walks._load_kernel() is not None
+    [built] = cache.iterdir()
+    assert built.name.startswith("_walk-") and built.suffix == ".so"
+
+    def no_compile(*args):
+        raise AssertionError("compiled again")
+
+    monkeypatch.setattr(walks, "_compile", no_compile)
+    assert walks._load_kernel() is not None
+    assert list(cache.iterdir()) == [built]
+
+
+@pytest.mark.parametrize("fault", ["no compiler", "no source", "a failed compile"])
+def test_a_kernel_that_cannot_be_built_leaves_the_python_stepper(tmp_path, monkeypatch, fault):
+    # no error and no partial library left behind; _trial_values then walks
+    # in _walk
+    cache = _kernel_source_in(tmp_path, monkeypatch, "this is not C\n" if fault == "a failed compile" else None)
+    if fault == "no compiler":
+        monkeypatch.setattr(walks.sysconfig, "get_config_var", lambda name: "no-such-compiler-for-walklab")
+    elif fault == "no source":
+        (tmp_path / "_walk.c").unlink()
+    assert walks._load_kernel() is None
+    assert not cache.exists() or list(cache.iterdir()) == []
 
 
 def test_the_package_ships_the_kernel_source():
