@@ -1,5 +1,6 @@
-/* The compiled walk stepper: `walks._walk`, step for step, over flat arrays.
+/* walklab's compiled kernel: the walk stepper and the pairing check.
 
+   The walk stepper is `walks._walk`, step for step, over flat arrays.
    Trial i of a run with seed s reads stream (s, 1 + i): step t (from 1)
    reads word t - 1 of that stream, which is word (t - 1) mod 4 of the
    Philox4x64-10 block at counter (t - 1) div 4 + 1 under key (s, 1 + i),
@@ -7,7 +8,13 @@
    index i = rows[row[v] R + (w >> shift)]; if i is L_v, the length of v's
    table, the bucket was impure and i = bisect_left(cum_v, (w >> 11) 2^-53).
    The walk moves to nbrs[off[v] + i], then counts that vertex's quota down
-   as `_walk` does. Built by `walks` with the interpreter's C compiler. */
+   as `_walk` does.
+
+   The pairing check shuffles a configuration-model stub array as numpy's
+   Generator.shuffle does on stream (s, 1 + a) for attempt a, and tells
+   whether the pairs it makes form a simple graph, as
+   `configmodel._simple_rows` does. Built and loaded by `rng` with the
+   interpreter's C compiler. */
 
 #include <stdint.h>
 #include <stdlib.h>
@@ -62,9 +69,10 @@ static int64_t bisect_left(const double *cum, int64_t length, double u)
     return lo;
 }
 
-/* steps a call may take before it returns at the end of a trial, about a
-   second: the caller calls again for the rest, and the interpreter can act
-   on a signal, such as Ctrl-C, in between */
+/* steps (draws, in the pairing check) a call may take before it returns
+   at the end of a trial (a row), about a second: the caller calls again
+   for the rest, and the interpreter can act on a signal, such as Ctrl-C,
+   in between */
 #define PAUSE ((int64_t)1 << 26)
 
 /* Stopping steps of the count trials on streams (seed, first), (seed,
@@ -109,4 +117,141 @@ int64_t walklab_trials(
     }
     free(owed);
     return i;
+}
+
+/* numpy's Philox as a stream of 64-bit words and of 32-bit halves, from a
+   fresh state: counter 0, no buffered words and no cached half */
+typedef struct {
+    u64 seed, index, counter, block[4];
+    int pos, has_half;
+    uint32_t half;
+} stream;
+
+static void stream_start(stream *s, u64 seed, u64 index)
+{
+    s->seed = seed;
+    s->index = index;
+    s->counter = 0;
+    s->pos = 4;
+    s->has_half = 0;
+}
+
+static u64 next64(stream *s)
+{
+    if (s->pos == 4) {
+        philox(++s->counter, s->seed, s->index, s->block);
+        s->pos = 0;
+    }
+    return s->block[s->pos++];
+}
+
+/* a word's low half, then its high half, as numpy's next_uint32 */
+static uint32_t next32(stream *s)
+{
+    if (s->has_half) {
+        s->has_half = 0;
+        return s->half;
+    }
+    u64 w = next64(s);
+    s->has_half = 1;
+    s->half = (uint32_t)(w >> 32);
+    return (uint32_t)w;
+}
+
+/* numpy's random_interval: values under the least all-ones mask >= max
+   until one is at most max, 32-bit while max fits; counts them in drawn */
+static u64 interval(stream *s, u64 max, int64_t *drawn)
+{
+    u64 mask = max, value;
+    for (int bit = 1; bit < 64; bit *= 2)
+        mask |= mask >> bit;
+    do {
+        value = (max <= 0xFFFFFFFFULL ? next32(s) : next64(s)) & mask;
+        ++*drawn;
+    } while (value > max);
+    return value;
+}
+
+/* Fisher-Yates step i of Generator.shuffle: swap x[i] with x[j], j drawn
+   from [0, i] */
+static void shuffle_step(stream *s, int64_t *x, int64_t i, int64_t *drawn)
+{
+    int64_t j = (int64_t)interval(s, (u64)i, drawn), held = x[i];
+    x[i] = x[j];
+    x[j] = held;
+}
+
+/* x shuffled in place as Generator.shuffle shuffles it on a fresh stream
+   (seed, index); for the tests */
+void walklab_shuffle(int64_t *x, int64_t length, u64 seed, u64 index)
+{
+    stream s;
+    int64_t drawn = 0;
+    stream_start(&s, seed, index);
+    for (int64_t i = length - 1; i > 0; i--)
+        shuffle_step(&s, x, i, &drawn);
+}
+
+/* Simplicity flags of count attempts: attempt r shuffles stubs (length
+   entries, the vertices 0..n-1) on stream (seed, first + r), and its pairs
+   are entries (2k, 2k + 1). flags[r] is 1 when no pair is a loop and no
+   two pairs have the same key min n + max. The shuffle runs from index
+   length - 1 down, so pair k is final once it reaches index 2k (index 1
+   for pair 0), and an attempt stops at its first loop or repeated key;
+   the keys are kept in an open-addressing table of at least length slots,
+   whose entries count as empty unless stamped with the attempt's number.
+   Returns the number of attempts checked: all count, or fewer once a call
+   passes PAUSE draws, or up to and including the first simple one when
+   stop is set; -1 when the tables cannot be allocated. */
+int64_t walklab_simple(
+    const int64_t *stubs, int64_t length, int64_t n, u64 seed, u64 first,
+    int64_t count, int64_t stop, uint8_t *flags)
+{
+    int bits = 1;
+    while (((int64_t)1 << bits) < length)
+        bits++;
+    size_t slots = (size_t)1 << bits;
+    int64_t *x = malloc((size_t)length * sizeof *x);
+    int64_t *keys = malloc(slots * sizeof *keys);
+    int64_t *stamps = calloc(slots, sizeof *stamps);
+    int64_t drawn = 0, r = 0;
+    if (!x || !keys || !stamps) {
+        free(x);
+        free(keys);
+        free(stamps);
+        return -1;
+    }
+    while (r < count && drawn < PAUSE) {
+        stream s;
+        int simple = 1;
+        stream_start(&s, seed, first + (u64)r);
+        memcpy(x, stubs, (size_t)length * sizeof *x);
+        for (int64_t i = length - 1; i > 0; i--) {
+            shuffle_step(&s, x, i, &drawn);
+            if (i % 2 && i > 1)
+                continue;
+            int64_t a = x[i & ~(int64_t)1], b = x[(i & ~(int64_t)1) + 1];
+            if (a == b) {
+                simple = 0;
+                break;
+            }
+            int64_t key = a < b ? a * n + b : b * n + a;
+            size_t h = (size_t)(((u64)key * 0x9E3779B97F4A7C15ULL) >> (64 - bits));
+            while (stamps[h] == r + 1 && keys[h] != key)
+                h = (h + 1) & (slots - 1);
+            if (stamps[h] == r + 1) {
+                simple = 0;
+                break;
+            }
+            stamps[h] = r + 1;
+            keys[h] = key;
+        }
+        flags[r++] = (uint8_t)simple;
+        if (simple && stop)
+            break;
+    }
+    free(x);
+    free(keys);
+    free(stamps);
+    return r;
 }

@@ -25,8 +25,7 @@ import numpy as np
 
 from .conductance import conductance_sweep, jerrum_sinclair_check
 from .configmodel import (
-    _pairing_blocks,
-    _simple_rows,
+    _simple_flags,
     check_nice,
     predicted_cover,
     predicted_p_simple,
@@ -557,8 +556,8 @@ def _run_p_simple(spec: dict):
     for k, (r, n) in enumerate([(3, 50), (3, 100), (4, 50), (4, 100)]):
         seq = regular_sequence(n, r)
         cell_seed = _sub_seed(seed, 1000 * k)
-        blocks = _pairing_blocks(seq, cell_seed, attempts, attempts)
-        simple = sum(int(_simple_rows(block, n).sum()) for _, block in blocks)
+        blocks = _simple_flags(seq, cell_seed, attempts, attempts, stop=False)
+        simple = sum(int(flags.sum()) for _, flags in blocks)
         emp = simple / attempts
         pred = predicted_p_simple(seq)
         gap = abs(emp - pred)

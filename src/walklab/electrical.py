@@ -18,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ParameterError, SizeCapError
-from .graph import Graph, grid2d
+from .graph import Graph, _sum_left_to_right, grid2d
 from .spectral import build_kernel, exact_hitting
 
 __all__ = [
@@ -42,8 +42,8 @@ GRID_CAP = 40  # grid_resistance_monitor's largest side k
 
 
 def harmonic_number(k: int) -> float:
-    """h(k) = 1 + 1/2 + ... + 1/k; h(0) = 0."""
-    return float(sum(1.0 / i for i in range(1, k + 1)))
+    """h(k) = 1 + 1/2 + ... + 1/k, added left to right; h(0) = 0."""
+    return _sum_left_to_right(1.0 / i for i in range(1, k + 1))
 
 
 def conductance_matrix(g: Graph) -> np.ndarray:

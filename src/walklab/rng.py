@@ -14,9 +14,22 @@ per block of trials and `_stream_starts` resets its Philox to key
 sets the state from plain Python ints, which numpy's Philox state setter
 casts to the same uint64 words as it would from uint64 arrays, at less than
 half the cost; the keys are checked against [0, 2^64) before any reset.
+
+`_KERNEL` is walklab's compiled kernel, built from _walk.c when this
+module is imported (see `_load_kernel`), or None where it cannot be had.
+It reads these same streams, word for word, in C: `walks` steps whole
+chunks of walk trials in it, and `configmodel` shuffles pairing attempts
+in it as Generator.shuffle does and checks them for simplicity. Both
+callers read `_KERNEL` at call time and fall back to their numpy or
+Python reference when it is None, with the same results.
 """
 
 from __future__ import annotations
+
+import ctypes
+import os
+import sysconfig
+import zlib
 
 import numpy as np
 
@@ -82,3 +95,77 @@ def _stream_starts(rng: np.random.Generator, seed: int, first: int, count: int):
         key[1] = index
         bits.state = state
         yield rng
+
+
+# --- the compiled kernel ---
+
+_SOURCE = os.path.join(os.path.dirname(os.path.abspath(__file__)), "_walk.c")
+_FLAGS = ["-O2", "-shared", "-fPIC"]  # no -ffast-math or -march: every double as Python makes it
+_POINTER, _INT, _WORD = ctypes.c_void_p, ctypes.c_int64, ctypes.c_uint64
+
+
+def _compile(command: list[str], path: str) -> bool:
+    """Build the library at path; False where it cannot be built.
+
+    The compiler runs by os.posix_spawnp, its output sent to os.devnull,
+    so a cached import never loads subprocess (about 5 ms). It writes a
+    name of this process's own, moved into place once whole, so a process
+    racing this one loads either no library or a whole one.
+    """
+    part = f"{path}.{os.getpid()}.part"
+    quiet = [(os.POSIX_SPAWN_OPEN, fd, os.devnull, os.O_WRONLY, 0) for fd in (1, 2)]
+    try:
+        os.makedirs(os.path.dirname(path), exist_ok=True)
+        pid = os.posix_spawnp(command[0], [*command, "-o", part, _SOURCE], os.environ, file_actions=quiet)
+        built = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1]) == 0
+        if built:
+            os.replace(part, path)
+    except (OSError, AttributeError):  # no compiler, no write access, no posix_spawn
+        built = False
+    if not built and os.path.exists(part):
+        os.remove(part)
+    return built
+
+
+def _load_kernel():
+    """The library compiled from _walk.c, or None where it cannot be had.
+
+    It is cached in __pycache__ under the CRC-32 of the source and the
+    compiler command, so an edited source or another compiler builds anew,
+    and a cached import costs a read, a checksum and a dlopen. The compiler
+    is the interpreter's own (sysconfig's CC). With no compiler, an
+    unwritable directory, or a failed build or load, the walks run in
+    `walks._walk` and the pairings are checked by `configmodel._simple_rows`,
+    which give the same results.
+    """
+    try:
+        with open(_SOURCE, "rb") as handle:
+            code = handle.read()
+        command = (sysconfig.get_config_var("CC") or "cc").split() + _FLAGS
+        tag = zlib.crc32(code + " ".join(command).encode())
+        folder = os.path.join(os.path.dirname(_SOURCE), "__pycache__")
+        path = os.path.join(folder, f"_walk-{tag:08x}-{sysconfig.get_platform()}.so")
+        if not os.path.exists(path) and not _compile(command, path):
+            return None
+        lib = ctypes.CDLL(path)
+        lib.walklab_trials.argtypes = (
+            [_INT] + [_POINTER] * 5  # n, then off, nbrs, cum, row and rows
+            + [_INT] * 4 + [_POINTER, _INT]  # buckets, shift, start, budget; owed, remaining
+            + [_WORD, _WORD, _INT, _POINTER]  # seed, first stream index, count; the steps
+        )
+        lib.walklab_trials.restype = _INT
+        lib.walklab_simple.argtypes = (
+            [_POINTER, _INT, _INT]  # the stubs, their number, n
+            + [_WORD, _WORD, _INT, _INT, _POINTER]  # seed, first stream index, count, stop; the flags
+        )
+        lib.walklab_simple.restype = _INT
+        lib.walklab_words.argtypes = [_WORD, _WORD, _INT, _POINTER]
+        lib.walklab_words.restype = None
+        lib.walklab_shuffle.argtypes = [_POINTER, _INT, _WORD, _WORD]
+        lib.walklab_shuffle.restype = None
+    except (OSError, AttributeError):
+        return None
+    return lib
+
+
+_KERNEL = _load_kernel()

@@ -22,11 +22,14 @@ quota asks (1 everywhere for cover, 1 at the target for hit,
 ceil(C * pi_v) for blanket-cover, C the graph's blanket_cover_reference),
 or is censored at its step budget. The loop counts quotas down: left[v]
 is the number of visits v still owes, and at a vertex where left is 0 the
-quota work is one read. Two steppers implement it. `_KERNEL`, compiled
-from _walk.c when this module is imported (see `_load_kernel`), steps a
-whole chunk of trials in C, reading each trial's Philox words itself; the
-Python loop `_walk` is its reference and steps the trials wherever no
-kernel could be built. Both give the same stopping step for every trial.
+quota work is one read. Two steppers implement it. The compiled kernel,
+`rng._KERNEL` (built from _walk.c when walklab is imported, see
+`rng._load_kernel`), steps a whole chunk of trials in C, reading each
+trial's Philox words itself; the Python loop `_walk` is its reference and
+steps the trials wherever no kernel could be built. Both give the same
+stopping step for every trial. `_trial_values` reads `rng._KERNEL` at call
+time, so switching that one attribute off switches off every compiled
+path, this one and the configuration model's pairing check alike.
 `_plan` alone decides which graphs a run takes: any graph in hit mode, a
 connected one in the modes that put a quota on every vertex, and never an
 isolated start; budgets above WalkConfig().budget are refused.
@@ -62,11 +65,8 @@ uniformly), not per vertex, and R need not shrink as the graph grows.
 
 from __future__ import annotations
 
-import ctypes
 import math
 import os
-import sysconfig
-import zlib
 from bisect import bisect_left
 from dataclasses import dataclass
 from itertools import accumulate, chain
@@ -74,9 +74,10 @@ from operator import length_hint
 
 import numpy as np
 
+from . import rng as _rng
 from .electrical import _kruskal, matthews_upper
 from .errors import ParameterError, SizeCapError, UnsupportedInputError
-from .graph import Graph
+from .graph import Graph, _sum_left_to_right
 from .rng import _check_streams, _stream_starts, substream
 from .spectral import COVER_CAP, build_kernel, exact_cover_times, exact_hitting
 from .weighting import apply_scheme
@@ -150,72 +151,6 @@ class EstimateRecord:
     censored: int
 
 
-# --- the compiled stepper ---
-
-_SOURCE = os.path.join(os.path.dirname(os.path.abspath(__file__)), "_walk.c")
-_FLAGS = ["-O2", "-shared", "-fPIC"]  # no -ffast-math or -march: every double as Python makes it
-_POINTER, _INT, _WORD = ctypes.c_void_p, ctypes.c_int64, ctypes.c_uint64
-
-
-def _compile(command: list[str], path: str) -> bool:
-    """Build the library at path; False where it cannot be built.
-
-    The compiler runs by os.posix_spawnp, its output sent to os.devnull,
-    so a cached import never loads subprocess (about 5 ms). It writes a
-    name of this process's own, moved into place once whole, so a process
-    racing this one loads either no library or a whole one.
-    """
-    part = f"{path}.{os.getpid()}.part"
-    quiet = [(os.POSIX_SPAWN_OPEN, fd, os.devnull, os.O_WRONLY, 0) for fd in (1, 2)]
-    try:
-        os.makedirs(os.path.dirname(path), exist_ok=True)
-        pid = os.posix_spawnp(command[0], [*command, "-o", part, _SOURCE], os.environ, file_actions=quiet)
-        built = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1]) == 0
-        if built:
-            os.replace(part, path)
-    except (OSError, AttributeError):  # no compiler, no write access, no posix_spawn
-        built = False
-    if not built and os.path.exists(part):
-        os.remove(part)
-    return built
-
-
-def _load_kernel():
-    """The library compiled from _walk.c, or None where it cannot be had.
-
-    It is cached in __pycache__ under the CRC-32 of the source and the
-    compiler command, so an edited source or another compiler builds anew,
-    and a cached import costs a read, a checksum and a dlopen. The compiler
-    is the interpreter's own (sysconfig's CC). With no compiler, an
-    unwritable directory, or a failed build or load, the walks run in
-    `_walk`, which gives the same stopping steps.
-    """
-    try:
-        with open(_SOURCE, "rb") as handle:
-            code = handle.read()
-        command = (sysconfig.get_config_var("CC") or "cc").split() + _FLAGS
-        tag = zlib.crc32(code + " ".join(command).encode())
-        folder = os.path.join(os.path.dirname(_SOURCE), "__pycache__")
-        path = os.path.join(folder, f"_walk-{tag:08x}-{sysconfig.get_platform()}.so")
-        if not os.path.exists(path) and not _compile(command, path):
-            return None
-        lib = ctypes.CDLL(path)
-        lib.walklab_trials.argtypes = (
-            [_INT] + [_POINTER] * 5  # n, then off, nbrs, cum, row and rows
-            + [_INT] * 4 + [_POINTER, _INT]  # buckets, shift, start, budget; owed, remaining
-            + [_WORD, _WORD, _INT, _POINTER]  # seed, first stream index, count; the steps
-        )
-        lib.walklab_trials.restype = _INT
-        lib.walklab_words.argtypes = [_WORD, _WORD, _INT, _POINTER]
-        lib.walklab_words.restype = None
-    except (OSError, AttributeError):
-        return None
-    return lib
-
-
-_KERNEL = _load_kernel()
-
-
 # --- sampling tables ---
 
 
@@ -256,7 +191,7 @@ def _vertex_tables(g: Graph, scheme: str, lazy: bool):
         if a == b:
             continue
         out = cols[a:b]
-        total = sum(weights[a:b])
+        total = _sum_left_to_right(weights[a:b])
         probs = [w / total for w in weights[a:b]]
         if lazy:
             probs = [0.5 * p for p in probs]
@@ -320,7 +255,7 @@ def _step_tables(nbrs: list, cum: list, cuts: float) -> tuple:
 
 
 def _flat_tables(tables, left) -> tuple:
-    """The step tables and quotas as the arrays `_KERNEL` walks by.
+    """The step tables and quotas as the arrays the kernel walks by.
 
     Returns (off, nbrs, cum, row, rows, shift, owed). Vertex v's table is
     entries off[v]..off[v + 1] - 1 of nbrs (int64, its sentinel dropped)
@@ -429,7 +364,7 @@ def _plan(g: Graph, config: WalkConfig) -> tuple:
     Returns picklable (tables, start, budget, left, remaining, flat): step
     tables and bucket rows, the visits each vertex owes at time zero
     followed by n truthy sentinel markers (see `_walk`), how many vertices
-    owe any, and the same tables and quotas as flat arrays for `_KERNEL`.
+    owe any, and the same tables and quotas as flat arrays for the kernel.
     """
     if config.stop not in STOP_MODES:
         raise ParameterError(f"unknown stop mode {config.stop!r}")
@@ -475,7 +410,8 @@ def _trial_values(args) -> list[int | None]:
     generator. Both paths check the chunk's stream keys first.
     """
     (tables, start, budget, left, remaining, flat), seed, lo, hi = args
-    if _KERNEL is None:
+    kernel = _rng._KERNEL
+    if kernel is None:
         return [
             _walk(tables, start, rng, budget, left.copy(), remaining)
             for rng in _stream_starts(substream(seed, 1 + lo), seed, 1 + lo, hi - lo)
@@ -485,7 +421,7 @@ def _trial_values(args) -> list[int | None]:
     steps = np.empty(hi - lo, dtype=np.int64)
     done = 0
     while done < hi - lo:  # each call returns within about 2^26 steps past a trial's end
-        walked = _KERNEL.walklab_trials(
+        walked = kernel.walklab_trials(
             len(off) - 1, off.ctypes.data, nbrs.ctypes.data, cum.ctypes.data, row.ctypes.data,
             rows.ctypes.data, rows.shape[1], shift, start, budget, owed.ctypes.data, remaining,
             seed, 1 + lo + done, hi - lo - done, steps[done:].ctypes.data,

@@ -13,6 +13,7 @@ import hashlib
 import json
 import os
 import re
+import sys
 import tempfile
 import time
 import tracemalloc
@@ -331,6 +332,7 @@ def test_hopeless_rejection_budget_exits_2(runner, tmp_path, monkeypatch, degree
         raise AssertionError("a pairing was drawn before the budget was checked")
 
     monkeypatch.setattr("walklab.configmodel._pairing_block", no_pairing)
+    monkeypatch.setattr("walklab.configmodel._simple_flags", no_pairing)  # the kernel draws without _pairing_block
     if degrees == ["file"]:
         degfile = tmp_path / "deg.txt"
         degfile.write_text("1000000000000\n1000000000000\n")
@@ -357,6 +359,7 @@ def test_degree_of_n_or_more_exits_2_in_one_line(runner, tmp_path, monkeypatch, 
         raise AssertionError("a pairing was drawn for a degree sequence no simple graph has")
 
     monkeypatch.setattr("walklab.configmodel._pairing_block", no_pairing)
+    monkeypatch.setattr("walklab.configmodel._simple_flags", no_pairing)  # the kernel draws without _pairing_block
     degfile = tmp_path / "deg.txt"
     degfile.write_text(degrees)
     result = _run(
@@ -962,17 +965,58 @@ def test_documented_and_benchmarked_trials_are_inside_every_cap():
         assert counts and max(counts) <= smallest, name
 
 
-def test_pinned_bodies_hold_with_the_python_stepper(runner, tmp_path, monkeypatch):
-    # the three walking experiments of tests/default-bodies.sha256, at seed
-    # 0, with the compiled stepper switched off
-    monkeypatch.setattr("walklab.walks._KERNEL", None)
+def test_pinned_bodies_hold_without_the_kernel(runner, tmp_path, monkeypatch):
+    # the four experiments of tests/default-bodies.sha256, at seed 0, with
+    # the compiled kernel switched off: the walks step in walks._walk and
+    # the pairings are checked by configmodel._simple_rows
+    monkeypatch.setattr("walklab.rng._KERNEL", None)
     root = Path(__file__).resolve().parents[1]
     pinned = dict(line.split()[::-1] for line in (root / "tests" / "default-bodies.sha256").read_text().splitlines())
-    for experiment in ("st-connect-demo", "degseq-cover", "scheme-speedup"):
+    for experiment in ("p-simple", "st-connect-demo", "degseq-cover", "scheme-speedup"):
         base = tmp_path / experiment
         assert _run(runner, ["run", experiment, "--seed", "0", "--out", str(base)]).exit_code == 0
         body = base.with_suffix(".csv").read_text().split("\n", 1)[1]
         assert hashlib.sha256(body.encode()).hexdigest() == pinned[f"{experiment}-0.body"], experiment
+
+
+# one small spec an experiment; together they reach every float reduction
+# the library makes: harmonic numbers, volumes and the walk's row totals
+TRIPWIRE_SPECS = {
+    "closed-forms": ["--n", "2..13"],
+    "bounds-sandwich": [],
+    "commute-identity": ["--trials", "20"],
+    "grid-resistance": ["--n", "2..6"],
+    "product-theorem": ["--trials", "20"],
+    "degseq-cover": ["--n", "40,80", "--trials", "10"],
+    "conductance-survey": ["--trials", "4"],
+    "p-simple": ["--trials", "200"],
+    "scheme-speedup": ["--family", "lollipop:12", "--trials", "30"],
+    "st-connect-demo": ["--family", "path:12", "--trials", "10"],
+}
+
+
+def _sum_of_no_floats(items, start=0):
+    """The builtin sum over ints, refusing a float item: Python 3.12 made the
+    builtin's float sum compensated, so a float summed by it moves the last
+    bits of a CSV cell between Python versions."""
+    total = start
+    for item in items:
+        if isinstance(item, float):
+            raise AssertionError(f"the builtin sum added the float {item!r}")
+        total = total + item
+    return total
+
+
+@pytest.mark.parametrize("experiment", sorted(TRIPWIRE_SPECS))
+def test_no_experiment_adds_floats_with_the_builtin_sum(runner, tmp_path, monkeypatch, experiment):
+    assert sorted(TRIPWIRE_SPECS) == sorted(EXPERIMENTS)
+    for name, module in list(sys.modules.items()):
+        if name == "walklab" or name.startswith("walklab."):
+            monkeypatch.setattr(module, "sum", _sum_of_no_floats, raising=False)
+    base = tmp_path / experiment
+    result = _run(runner, ["run", experiment, *TRIPWIRE_SPECS[experiment], "--seed", "3", "--out", str(base)])
+    assert result.exit_code in (0, 1), result.output
+    assert base.with_suffix(".csv").exists()
 
 
 def test_family_and_graph_file_conflict(runner, tmp_path):

@@ -2,15 +2,20 @@ import dataclasses
 import json
 import math
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from walklab import rng
 from walklab.configmodel import (
     BLOCK_STUBS,
     MAX_DEFAULT_TRIES,
     DegreeSequence,
+    _kernel_flags,
+    _pairing_block,
     _pairing_blocks,
+    _simple_flags,
     _simple_rows,
     check_nice,
     default_max_tries,
@@ -137,6 +142,7 @@ def test_explicit_budget_refuses_a_degree_of_n_or_more_before_any_draw(monkeypat
         raise AssertionError("a pairing was drawn before the degrees were checked")
 
     monkeypatch.setattr("walklab.configmodel._pairing_block", no_pairing)
+    monkeypatch.setattr("walklab.configmodel._simple_flags", no_pairing)  # the kernel draws without _pairing_block
     with pytest.raises(ParameterError, match="or more"):
         sample_simple(DegreeSequence(degrees), seed=1, max_tries=max_tries)
 
@@ -148,6 +154,7 @@ def test_default_budget_is_refused_up_front_above_its_cap(monkeypatch):
     six = regular_sequence(100, 6)  # p = exp(-8.75): about 126 000 attempts, under the cap
     assert default_max_tries(six) == math.ceil(20 / predicted_p_simple(six)) <= MAX_DEFAULT_TRIES
     monkeypatch.setattr("walklab.configmodel._pairing_block", no_pairing)
+    monkeypatch.setattr("walklab.configmodel._simple_flags", no_pairing)  # the kernel draws without _pairing_block
     with pytest.raises(SizeCapError, match="capped at"):
         sample_simple(regular_sequence(16, 15), seed=1)  # p about 5e-25
     sixty = regular_sequence(62, 60)
@@ -359,3 +366,128 @@ def test_configuration_always_realizes_the_degrees(raw, seed):
     g = sample_configuration(seq, seed=seed)
     assert tuple(g.degrees.tolist()) == seq.degrees
     assert g.m == seq.m
+
+
+# --- the compiled pairing check ---
+
+needs_kernel = pytest.mark.skipif(rng._KERNEL is None, reason="no C compiler built the kernel")
+
+TOP = 2**64 - 1
+
+
+def kernel_or_not(compiled, seq, seed, budget, rows, stop):
+    """Every (start, flags) of `_simple_flags`, by the kernel or with it switched off."""
+    with pytest.MonkeyPatch.context() as patch:
+        if not compiled:
+            patch.setattr(rng, "_KERNEL", None)
+        return [(start, flags.tolist()) for start, flags in _simple_flags(seq, seed, budget, rows, stop)]
+
+
+@needs_kernel
+@pytest.mark.parametrize(
+    "seq",
+    [regular_sequence(50, 3), DegreeSequence((1, 3)), DegreeSequence((2,)), random_band_sequence(20, 3, 6, seed=5)],
+    ids=["regular:3,50", "1,3", "2", "band:20,3..6"],
+)
+@pytest.mark.parametrize("seed, start", [(0, 0), (9, 2**40), (TOP, 0), (TOP, TOP - 1)])
+def test_kernel_shuffles_as_numpy(seq, seed, start):
+    # the stub array of attempt start, shuffled on stream (seed, 1 + start)
+    # by the kernel's Fisher-Yates, is the row numpy's Generator.shuffle makes
+    stubs = np.repeat(np.arange(seq.n, dtype=np.int64), seq.degrees)
+    rng._KERNEL.walklab_shuffle(stubs.ctypes.data, stubs.size, seed, 1 + start)
+    assert stubs.tolist() == _pairing_block(seq, seed, start, 1)[0].tolist()
+
+
+@st.composite
+def pairing_sequences(draw):
+    """Degree sequences that pair into loops, parallel edges, or neither."""
+    kind = draw(st.sampled_from(["any", "dense", "matching", "regular"]))
+    if kind == "matching":  # every pairing is simple
+        return DegreeSequence((1,) * (2 * draw(st.integers(1, 40))))
+    if kind == "regular":
+        n = draw(st.integers(4, 60))
+        r = draw(st.integers(1, 4).filter(lambda r: n * r % 2 == 0))
+        return regular_sequence(n, r)
+    n = draw(st.integers(1, 8 if kind == "dense" else 30))
+    top = 9 if kind == "dense" else 5  # degrees at or past n: loops and parallel edges often
+    degrees = draw(st.lists(st.integers(1, top), min_size=n, max_size=n))
+    if sum(degrees) % 2:
+        degrees[0] += 1
+    return DegreeSequence(tuple(degrees))
+
+
+@needs_kernel
+@settings(max_examples=120, deadline=None)
+@given(
+    seq=pairing_sequences(),
+    seed=st.one_of(st.integers(0, TOP), st.integers(TOP - 3, TOP)),
+    start=st.one_of(st.just(0), st.integers(1, 2**40), st.integers(TOP - 2**20, TOP - 2**12)),
+    count=st.integers(1, 300),
+)
+def test_kernel_flags_are_the_numpy_flags(seq, seed, start, count):
+    flags = _kernel_flags(rng._KERNEL, seq, seed, start, count, False).tolist()
+    assert flags == _simple_rows(_pairing_block(seq, seed, start, count), seq.n).tolist()
+    # with stop, the same flags up to and including the first simple attempt
+    first = flags.index(True) + 1 if True in flags else count
+    assert _kernel_flags(rng._KERNEL, seq, seed, start, count, True).tolist() == flags[:first]
+    if start == 0:  # and over the blocks the numpy path draws
+        assert kernel_or_not(True, seq, seed, count, 7, False) == [(0, flags)]
+        blocks = [_simple_rows(block, seq.n).tolist() for _, block in _pairing_blocks(seq, seed, count, 7)]
+        assert sum(blocks, []) == flags
+
+
+@needs_kernel
+@pytest.mark.parametrize(
+    "seq",
+    [
+        regular_sequence(50, 3),
+        regular_sequence(100, 4),
+        regular_sequence(22_000, 3),  # more stubs than a numpy block holds
+        random_band_sequence(20, 3, 6, seed=5),
+        DegreeSequence((2, 2, 2)),
+        DegreeSequence((4, 4, 4, 4, 4)),
+    ],
+    ids=["regular:3,50", "regular:4,100", "regular:3,22000", "band:20,3..6", "2,2,2", "complete:5"],
+)
+@pytest.mark.parametrize("seed", [0, 1, 7, TOP])
+def test_sample_simple_is_the_same_with_the_kernel_on_and_off(seq, seed, monkeypatch):
+    on = sample_simple(seq, seed)
+    monkeypatch.setattr(rng, "_KERNEL", None)
+    off = sample_simple(seq, seed)
+    assert (on.graph, on.graph.name, on.attempts) == (off.graph, off.graph.name, off.attempts)
+    assert edge_list(on.graph) == edge_list(off.graph)
+
+
+@needs_kernel
+def test_a_failed_search_reads_the_same_with_the_kernel_on_and_off(monkeypatch):
+    never = DegreeSequence((3, 3, 1, 1))
+    with pytest.raises(RejectionFailure) as compiled:
+        sample_simple(never, seed=3, max_tries=200)
+    monkeypatch.setattr(rng, "_KERNEL", None)
+    with pytest.raises(RejectionFailure) as reference:
+        sample_simple(never, seed=3, max_tries=200)
+    assert str(compiled.value) == str(reference.value)
+
+
+@needs_kernel
+def test_kernel_returns_between_attempts_after_2_to_the_26_draws(monkeypatch):
+    # so that a long count still lets the interpreter take a Ctrl-C: on a
+    # perfect matching of 4096 stubs every attempt is simple and draws at
+    # least 4095 values, so 20 000 attempts pass 2^26 draws in the first
+    # call, which returns at the end of an attempt; the second checks the rest
+    calls = []
+    kernel = rng._KERNEL
+
+    class Counted:
+        def walklab_simple(self, *args):
+            checked = kernel.walklab_simple(*args)
+            calls.append((args[5], checked))  # the attempts asked for, and checked
+            return checked
+
+    monkeypatch.setattr(rng, "_KERNEL", Counted())
+    matching = DegreeSequence((1,) * 4096)
+    [(start, flags)] = _simple_flags(matching, 0, 20_000, 20_000, stop=False)
+    assert start == 0 and flags.tolist() == [True] * 20_000
+    [(asked, first), rest] = calls
+    assert asked == 20_000 and 2**26 // (2 * 4096) < first < 2**26 // 4095 + 1
+    assert rest == (20_000 - first, 20_000 - first)

@@ -13,6 +13,7 @@ from walklab.electrical import conductance_matrix, resistance_matrix, spanning_t
 from walklab.errors import DisconnectedError, ParameterError, SizeCapError, UnsupportedInputError
 from walklab.graph import (
     Graph,
+    _sum_left_to_right,
     binary_tree,
     cartesian_product,
     complete,
@@ -151,12 +152,26 @@ def test_edge_arrays_refuse_writes():
 
 
 def test_volume_adds_the_weights_left_to_right():
-    # pi and every CSV read the volume, so it is the sum Python's sum builds
-    # in edge order; numpy's pairwise sum differs here in the last bits
+    # pi and every CSV read the volume, so it adds the weights one at a time
+    # in edge order, on every Python; numpy's pairwise sum differs here in
+    # the last bits
     weights = np.random.default_rng(0).uniform(0.1, 4.0, 10000)
     g = path(10001).with_weights(weights)
-    assert g.volume == 2.0 * sum(weights.tolist())
-    assert float(np.sum(weights)) != sum(weights.tolist())
+    total = 0.0
+    for w in weights.tolist():
+        total += w
+    assert g.volume == 2.0 * total
+    assert float(np.sum(weights)) != total
+
+
+@pytest.mark.parametrize("size", [0, 1, 2, 3, 17, 10_000])
+def test_float_sums_add_left_to_right_for_lists_and_arrays(size):
+    values = np.random.default_rng(size).uniform(-3.0, 4.0, size)
+    total = 0.0
+    for x in values.tolist():
+        total += x
+    assert _sum_left_to_right(values) == _sum_left_to_right(values.tolist()) == total
+    assert _sum_left_to_right(iter(values.tolist())) == total
 
 
 def test_family_diameters():

@@ -1,6 +1,9 @@
+from pathlib import Path
+
 import numpy as np
 import pytest
 
+from walklab import rng
 from walklab.errors import ParameterError
 from walklab.rng import _stream_starts, substream
 
@@ -85,3 +88,57 @@ def test_restart_checks_the_key_like_substream():
         assert str(refusal.value) == refused
         assert rng.bit_generator.state["state"]["key"].tolist() == [0, 1]
     assert len(list(_stream_starts(rng, 0, 2**64 - 2, 2))) == 2
+
+
+# --- the kernel's loader ---
+
+needs_kernel = pytest.mark.skipif(rng._KERNEL is None, reason="no C compiler built the kernel")
+
+
+def _kernel_source_in(folder, monkeypatch, text=None):
+    """Point the loader at a copy of _walk.c in folder, or at text in its place."""
+    source = folder / "_walk.c"
+    source.write_text(Path(rng._SOURCE).read_text() if text is None else text)
+    monkeypatch.setattr(rng, "_SOURCE", str(source))
+    return folder / "__pycache__"
+
+
+@needs_kernel
+def test_a_built_kernel_is_cached_and_loaded_without_a_compile(tmp_path, monkeypatch):
+    cache = _kernel_source_in(tmp_path, monkeypatch)
+    assert rng._load_kernel() is not None
+    [built] = cache.iterdir()
+    assert built.name.startswith("_walk-") and built.suffix == ".so"
+
+    def no_compile(*args):
+        raise AssertionError("compiled again")
+
+    monkeypatch.setattr(rng, "_compile", no_compile)
+    assert rng._load_kernel() is not None
+    assert list(cache.iterdir()) == [built]
+
+
+@pytest.mark.parametrize("fault", ["no compiler", "no source", "a failed compile"])
+def test_a_kernel_that_cannot_be_built_leaves_the_python_stepper(tmp_path, monkeypatch, fault):
+    # no error and no partial library left behind; walks._trial_values then
+    # walks in walks._walk, and configmodel._simple_flags checks pairings
+    # with _simple_rows
+    cache = _kernel_source_in(tmp_path, monkeypatch, "this is not C\n" if fault == "a failed compile" else None)
+    if fault == "no compiler":
+        monkeypatch.setattr(rng.sysconfig, "get_config_var", lambda name: "no-such-compiler-for-walklab")
+    elif fault == "no source":
+        (tmp_path / "_walk.c").unlink()
+    assert rng._load_kernel() is None
+    assert not cache.exists() or list(cache.iterdir()) == []
+
+
+
+
+@needs_kernel
+@pytest.mark.parametrize("entry", ["walklab_trials", "walklab_simple"])
+def test_a_library_without_an_entry_point_is_not_loaded(tmp_path, monkeypatch, entry):
+    # a stale or partial source that lacks the walk stepper or the pairing
+    # check leaves both to their references, instead of failing at a call
+    text = Path(rng._SOURCE).read_text().replace(f"{entry}(", f"{entry}_gone(")
+    _kernel_source_in(tmp_path, monkeypatch, text)
+    assert rng._load_kernel() is None
