@@ -3,7 +3,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from walklab import rng
+from walklab import rng as walklab_rng
 from walklab.errors import ParameterError
 from walklab.rng import _stream_starts, substream
 
@@ -92,29 +92,29 @@ def test_restart_checks_the_key_like_substream():
 
 # --- the kernel's loader ---
 
-needs_kernel = pytest.mark.skipif(rng._KERNEL is None, reason="no C compiler built the kernel")
+needs_kernel = pytest.mark.skipif(walklab_rng._KERNEL is None, reason="no C compiler built the kernel")
 
 
 def _kernel_source_in(folder, monkeypatch, text=None):
     """Point the loader at a copy of _walk.c in folder, or at text in its place."""
     source = folder / "_walk.c"
-    source.write_text(Path(rng._SOURCE).read_text() if text is None else text)
-    monkeypatch.setattr(rng, "_SOURCE", str(source))
+    source.write_text(Path(walklab_rng._SOURCE).read_text() if text is None else text)
+    monkeypatch.setattr(walklab_rng, "_SOURCE", str(source))
     return folder / "__pycache__"
 
 
 @needs_kernel
 def test_a_built_kernel_is_cached_and_loaded_without_a_compile(tmp_path, monkeypatch):
     cache = _kernel_source_in(tmp_path, monkeypatch)
-    assert rng._load_kernel() is not None
+    assert walklab_rng._load_kernel() is not None
     [built] = cache.iterdir()
     assert built.name.startswith("_walk-") and built.suffix == ".so"
 
     def no_compile(*args):
         raise AssertionError("compiled again")
 
-    monkeypatch.setattr(rng, "_compile", no_compile)
-    assert rng._load_kernel() is not None
+    monkeypatch.setattr(walklab_rng, "_compile", no_compile)
+    assert walklab_rng._load_kernel() is not None
     assert list(cache.iterdir()) == [built]
 
 
@@ -125,13 +125,11 @@ def test_a_kernel_that_cannot_be_built_leaves_the_python_stepper(tmp_path, monke
     # with _simple_rows
     cache = _kernel_source_in(tmp_path, monkeypatch, "this is not C\n" if fault == "a failed compile" else None)
     if fault == "no compiler":
-        monkeypatch.setattr(rng.sysconfig, "get_config_var", lambda name: "no-such-compiler-for-walklab")
+        monkeypatch.setattr(walklab_rng.sysconfig, "get_config_var", lambda name: "no-such-compiler-for-walklab")
     elif fault == "no source":
         (tmp_path / "_walk.c").unlink()
-    assert rng._load_kernel() is None
+    assert walklab_rng._load_kernel() is None
     assert not cache.exists() or list(cache.iterdir()) == []
-
-
 
 
 @needs_kernel
@@ -139,6 +137,6 @@ def test_a_kernel_that_cannot_be_built_leaves_the_python_stepper(tmp_path, monke
 def test_a_library_without_an_entry_point_is_not_loaded(tmp_path, monkeypatch, entry):
     # a stale or partial source that lacks the walk stepper or the pairing
     # check leaves both to their references, instead of failing at a call
-    text = Path(rng._SOURCE).read_text().replace(f"{entry}(", f"{entry}_gone(")
+    text = Path(walklab_rng._SOURCE).read_text().replace(f"{entry}(", f"{entry}_gone(")
     _kernel_source_in(tmp_path, monkeypatch, text)
-    assert rng._load_kernel() is None
+    assert walklab_rng._load_kernel() is None

@@ -11,7 +11,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from walklab import rng, walks
+from walklab import rng as walklab_rng
+from walklab import walks
 from walklab.configmodel import regular_sequence, sample_simple
 from walklab.cli import _standard_small_graphs
 from walklab.errors import DisconnectedError, ParameterError, SizeCapError, WalklabError
@@ -32,7 +33,7 @@ def compiled_or_not(compiled, args):
     """`_trial_values(args)` by the compiled stepper, or with it switched off."""
     with pytest.MonkeyPatch.context() as patch:
         if not compiled:
-            patch.setattr(rng, "_KERNEL", None)
+            patch.setattr(walklab_rng, "_KERNEL", None)
         return walks._trial_values(args)
 
 
@@ -741,7 +742,7 @@ def test_each_trial_of_a_chunk_draws_its_own_substream(monkeypatch, seed, index)
         return None
 
     monkeypatch.setattr(walks, "_walk", fake_walk)
-    monkeypatch.setattr(rng, "_KERNEL", None)
+    monkeypatch.setattr(walklab_rng, "_KERNEL", None)
     plan = walks._plan(path(4), WalkConfig())
     lo, hi = max(0, index - 2), min(index + 1, 2**64 - 1)
     assert walks._trial_values((plan, seed, lo, hi)) == [None] * (hi - lo)
@@ -789,14 +790,14 @@ def test_top_bits_of_a_word_are_its_bucket(b):
 
 # --- the compiled stepper ---
 
-needs_kernel = pytest.mark.skipif(rng._KERNEL is None, reason="no C compiler built the kernel")
+needs_kernel = pytest.mark.skipif(walklab_rng._KERNEL is None, reason="no C compiler built the kernel")
 
 
 def test_the_kernel_is_built_where_the_interpreter_compiler_is_on_path():
     # so that a machine with a compiler never passes on the Python stepper alone
     compiler = (sysconfig.get_config_var("CC") or "cc").split()[0]
     if shutil.which(compiler) is not None:
-        assert rng._KERNEL is not None
+        assert walklab_rng._KERNEL is not None
 
 
 @needs_kernel
@@ -804,7 +805,7 @@ def test_the_kernel_is_built_where_the_interpreter_compiler_is_on_path():
 @pytest.mark.parametrize("count", [1, 3, 6, 301])
 def test_kernel_words_are_numpys_philox_words(seed, index, count):
     words = np.empty(count, dtype=np.uint64)
-    rng._KERNEL.walklab_words(seed, index, count, words.ctypes.data)
+    walklab_rng._KERNEL.walklab_words(seed, index, count, words.ctypes.data)
     assert words.tolist() == substream(seed, index).bit_generator.random_raw(count).tolist()
 
 
@@ -855,14 +856,14 @@ def test_kernel_returns_between_trials_after_2_to_the_26_steps(monkeypatch):
     # so that a long chunk still lets the interpreter take a Ctrl-C: three
     # walks censored at 2^25 steps are walked two, then one
     calls = []
-    kernel = rng._KERNEL
+    kernel = walklab_rng._KERNEL
 
     class Counted:
         def walklab_trials(self, *args):
             calls.append(args[-2])  # the trials asked for
             return kernel.walklab_trials(*args)
 
-    monkeypatch.setattr(rng, "_KERNEL", Counted())
+    monkeypatch.setattr(walklab_rng, "_KERNEL", Counted())
     apart = Graph(4, [(0, 1), (2, 3)], name="two-parts")
     plan = walks._plan(apart, WalkConfig(stop="hit", target=3, budget=2**25))
     assert walks._trial_values((plan, 0, 0, 3)) == [None] * 3
@@ -898,7 +899,7 @@ def test_a_chunk_builds_one_generator(monkeypatch):
         return substream(seed, index)
 
     monkeypatch.setattr(walks, "substream", counting_substream)
-    monkeypatch.setattr(rng, "_KERNEL", None)
+    monkeypatch.setattr(walklab_rng, "_KERNEL", None)
     simulate(path(6), WalkConfig(stop="cover"), trials=walks.CHUNK + 44, seed=2)
     assert built == [1, 1 + walks.CHUNK]
 
@@ -947,7 +948,7 @@ def test_budgets_above_the_cap_are_refused_before_walking(monkeypatch):
     # each stepper in turn: the compiled one as a stand-in that refuses to
     # walk, then the Python one alone
     for kernel in (NoKernel(), None):
-        monkeypatch.setattr(rng, "_KERNEL", kernel)
+        monkeypatch.setattr(walklab_rng, "_KERNEL", kernel)
         # a hit walk to a target in another component would walk its whole budget
         apart = Graph(4, [(0, 1), (2, 3)], name="two-parts")
         with pytest.raises(SizeCapError, match="cap"):
@@ -958,7 +959,7 @@ def test_budgets_above_the_cap_are_refused_before_walking(monkeypatch):
             visit_frequencies(path(4), steps=cap + 1, seed=0)
     # and the stand-ins do refuse a walk that passes every check
     for kernel in (NoKernel(), None):
-        monkeypatch.setattr(rng, "_KERNEL", kernel)
+        monkeypatch.setattr(walklab_rng, "_KERNEL", kernel)
         with pytest.raises(AssertionError, match="walked"):
             trial_value(path(4), WalkConfig(budget=cap), seed=0, trial_index=0)
 
