@@ -13,9 +13,14 @@
    The pairing check shuffles a configuration-model stub array as numpy's
    Generator.shuffle does on stream (s, 1 + a) for attempt a, and tells
    whether the pairs it makes form a simple graph, as
-   `configmodel._simple_rows` does. Built and loaded by `rng` with the
-   interpreter's C compiler. */
+   `configmodel._simple_rows` does.
 
+   The conductance enumeration scores every vertex subset as
+   `conductance_exact` does, each table entry built by the same additions
+   in the same order, so every ratio is numpy's to the bit. Built and
+   loaded by `rng` with the interpreter's C compiler. */
+
+#include <math.h>
 #include <stdint.h>
 #include <stdlib.h>
 #include <string.h>
@@ -254,4 +259,132 @@ int64_t walklab_simple(
     free(keys);
     free(stamps);
     return r;
+}
+
+/* The best subset so far: its ratio, mask, stationary mass and cut, and
+   the bound past which a cut cannot beat it (see `consider`). */
+typedef struct {
+    double ratio, bound, mass, cut;
+    int64_t mask;
+} best_subset;
+
+/* Scores subset mask of stationary mass p and internal flow inner as
+   `conductance_exact`'s score does: the cut is np.maximum(p - inner, 0.0)
+   (a NaN kept), masses <= 0 or > limit are skipped, and a tie goes to the
+   smaller mask.
+
+   The division is skipped when cut > fl(bound p), where bound is
+   fl(best (1 + 2^-50)) for a best ratio of 0 or a normal double, and
+   infinity otherwise; then fl(cut / p) > best, so the subset would lose.
+   Proof: cut is a double above the double fl(bound p), so it is at least
+   the next double, which is above the midpoint between the two; bound p
+   rounds to fl(bound p), so it is at most that midpoint. So cut > bound p
+   and cut / p > bound, and as rounding is monotone and bound is a double,
+   fl(cut / p) >= bound. For a normal best, best 2^-50 is at least 4 ulps
+   of best, so best (1 + 2^-50) passes the next double above best, and so
+   does its rounding: bound > best. For best = 0, cut > 0 and
+   p <= limit < 1, so cut / p > cut >= 2^-1074 and fl(cut / p) > 0. A
+   subnormal best has ulps too coarse for this, and an infinite bound
+   never skips. */
+static inline void consider(best_subset *best, double limit, int64_t mask, double p, double inner)
+{
+    double cut = p - inner;
+    if (cut < 0)
+        cut = 0.0;
+    if (cut > best->bound * p || p <= 0 || p > limit)
+        return;
+    double ratio = cut / p;
+    if (ratio < best->ratio || (ratio == best->ratio && mask < best->mask)) {
+        best->ratio = ratio;
+        best->mask = mask;
+        best->mass = p;
+        best->cut = cut;
+        best->bound = ratio == 0 || isnormal(ratio) ? ratio * (1 + 0x1p-50) : INFINITY;
+    }
+}
+
+typedef struct {
+    int64_t n, size;
+    const double *pi, *q, *a;
+    double limit;
+    best_subset best;
+} subsets;
+
+/* Scores the children of the high-bit pattern base, depth first: child b
+   (first <= b < n) adds bit b to base, so its pisum is pis + pi[b], its
+   internal flow (inner + cross_b) + q[b, b], and its cross flow to each
+   higher bit b2 cross_b2 + a[b, b2]. pis, inner and the cross rows of
+   bits first..n-1 hold size entries each, over the low-bit patterns; each
+   child's tables are written to spare, its descendants' past them. */
+static void extend(subsets *s, int64_t base, int64_t first, const double *pis,
+                   const double *inner, const double *cross, double *spare)
+{
+    int64_t n = s->n, size = s->size;
+    for (int64_t b = first; b < n; b++) {
+        const double *own = cross + (b - first) * size, *a = s->a + b * n;
+        double pib = s->pi[b], qbb = s->q[b * n + b];
+        double *child_pis = spare, *child_inner = spare + size, *child_cross = spare + 2 * size;
+        int64_t child = base | (int64_t)1 << b, rows = n - 1 - b;
+        best_subset best = s->best;
+        for (int64_t r = 0; r < rows; r++) {
+            const double *from = own + (r + 1) * size;
+            double *to = child_cross + r * size, add = a[b + 1 + r];
+            for (int64_t i = 0; i < size; i++)
+                to[i] = from[i] + add;
+        }
+        if (rows) {
+            for (int64_t i = 0; i < size; i++) {
+                double p = pis[i] + pib, flow = (inner[i] + own[i]) + qbb;
+                child_pis[i] = p;
+                child_inner[i] = flow;
+                consider(&best, s->limit, child | i, p, flow);
+            }
+        } else {  /* the top bit: a leaf, whose tables no child reads */
+            for (int64_t i = 0; i < size; i++)
+                consider(&best, s->limit, child | i, pis[i] + pib, (inner[i] + own[i]) + qbb);
+        }
+        s->best = best;
+        if (rows)
+            extend(s, child, b + 1, child_pis, child_inner, child_cross, child_cross + rows * size);
+    }
+}
+
+/* The exact conductance of the chain on n vertices with stationary law pi,
+   edge flows q and a = q + q^T (row-major n x n): the subset of least
+   cut / pisum among those of mass in (0, limit], ties to the smallest
+   mask. Subsets are scored 2^low at a time, as `conductance_exact` does:
+   first the low-bit patterns, from tables built by doubling over bits
+   0..low-1, then each high-bit pattern depth first (see extend). Writes
+   the ratio, mass and cut to out and returns the mask: 0, with an
+   infinite ratio, when no subset qualifies. Returns -1 when the tables
+   cannot be allocated. */
+int64_t walklab_conductance(int64_t n, int64_t low, const double *pi, const double *q,
+                            const double *a, double limit, double *out)
+{
+    int64_t size = (int64_t)1 << low, rows = 2 + n;
+    for (int64_t b = low; b < n - 1; b++)  /* the top bit's child is a leaf, unstored */
+        rows += 2 + n - 1 - b;
+    double *tables = calloc((size_t)(rows * size), sizeof *tables);
+    if (!tables)
+        return -1;
+    double *pisum = tables, *internal = tables + size, *cross = tables + 2 * size;
+    for (int64_t x = 0; x < low; x++) {
+        int64_t half = (int64_t)1 << x;
+        for (int64_t i = 0; i < half; i++) {
+            internal[half + i] = (internal[i] + cross[x * size + i]) + q[x * n + x];
+            pisum[half + i] = pisum[i] + pi[x];
+        }
+        for (int64_t b = 0; b < n; b++)
+            for (int64_t i = 0; i < half; i++)
+                cross[b * size + half + i] = cross[b * size + i] + a[x * n + b];
+    }
+    subsets s = {n, size, pi, q, a, limit, {INFINITY, INFINITY, 0.0, 0.0, 0}};
+    for (int64_t i = 0; i < size; i++)
+        consider(&s.best, limit, i, pisum[i], internal[i]);
+    extend(&s, 0, low, pisum, internal, cross + low * size, cross + n * size);
+    free(tables);
+    out[0] = s.best.ratio;
+    out[1] = s.best.mass;
+    out[2] = s.best.cut;
+    return s.best.mask;
 }

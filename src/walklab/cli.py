@@ -578,7 +578,8 @@ def _run_st_connect(spec: dict):
     g = _resolve_graph(spec, default="path:32", screen=_st_plain_budget)
     runs, seed = spec["trials"], spec["seed"]
     s, t = 0, g.n - 1
-    reachable = bool(g.bfs_distances(s)[t] >= 0)
+    # an isolated s reaches only itself, known without a BFS
+    reachable = bool(g.bfs_distances(s)[t] >= 0) if g.degrees[s] else s == t
     rows: list[list] = []
     hits = 0
     for i, res in enumerate(_st_answers(g, s, t, seed, 0, runs)):

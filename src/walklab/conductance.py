@@ -10,9 +10,13 @@ exact minimizer is found by enumerating all vertex subsets, which caps the
 graph at 22 vertices; the sweep variant scans prefix cuts of the second
 eigenvector and is an upper bound by construction.
 
-The enumeration scores 4096 subsets at a time. On a 2-core Xeon VM one
-exact call takes about 14 ms and peaks at 2.2 MiB of arrays at n = 20, and
-about 50 ms and 2.9 MiB at the cap, n = 22.
+The enumeration scores 4096 subsets at a time, in C by the compiled
+kernel (walklab_conductance in _walk.c) where `rng` built it, else in
+numpy blocks; both add every table entry's doubles in the same order, so
+they return the same result to the bit. On a 2-core Xeon VM one exact
+call took 2.1-3.4 ms in C and 6.9-8.1 ms in numpy at n = 20, and
+7.7-11 ms and 28 ms at the cap, n = 22; either way its tables take
+2.0-2.2 MiB at n = 20 and 2.7-2.9 MiB at n = 22.
 """
 
 from __future__ import annotations
@@ -22,6 +26,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import rng as _rng
 from .errors import ParameterError, SizeCapError
 from .graph import Graph
 from .spectral import TransitionKernel, _symmetrized, build_kernel, kernel_eigenvalues
@@ -68,11 +73,14 @@ def conductance_exact(kernel: TransitionKernel) -> ConductanceResult:
     crossing flow and so halves the conductance, a weighted kernel uses
     its own stationary law.
 
-    Subsets are scored in blocks of 2^BLOCK_BITS, so no array holds 2^n
-    entries. On a 2-core Xeon VM (tracemalloc peaks) a call takes about
-    14 ms and 2.2 MiB at n = 20, and 50 ms and 2.9 MiB at n = EXACT_CAP =
-    22; whole 2^n-entry tables took 26 ms and 29 MiB, and 90 ms and
-    116 MiB. Time doubles with each vertex; memory grows with n^2.
+    Subsets are scored 2^BLOCK_BITS at a time, so no table holds 2^n
+    entries: in C by `rng._KERNEL` where it was built, else by
+    `_numpy_blocks`, with the same result to the bit. On a 2-core Xeon VM
+    (best of 9 calls) a call took 2.1-3.4 ms in C and 6.9-8.1 ms in numpy
+    at n = 20, and 7.7-11 ms and 28 ms at n = EXACT_CAP = 22; the numpy
+    blocks peak at 2.2 and 2.9 MiB (tracemalloc), and the C tables hold
+    2.0 and 2.7 MiB. Whole 2^n-entry tables took 26 ms and 29 MiB, and
+    90 ms and 116 MiB. Time doubles with each vertex; memory grows with n^2.
     """
     n = kernel.n
     if n < 2:
@@ -83,6 +91,35 @@ def conductance_exact(kernel: TransitionKernel) -> ConductanceResult:
     pi = kernel.stationary
     a = q + q.T
     low = min(n, BLOCK_BITS)
+    compiled = _rng._KERNEL
+    if compiled is None:
+        ratio, mask, mass, flow = _numpy_blocks(n, low, pi, q, a)
+    else:
+        ratio, mask, mass, flow = _compiled_blocks(compiled, n, low, pi, q, a)
+    # every subset of positive mass at most 1/2 scores a finite ratio
+    if ratio == math.inf:
+        raise ParameterError("no subset has stationary mass at most 1/2")
+    members = [v for v in range(n) if mask & (1 << v)]
+    return _result(ratio, members, mass, flow, "exact")
+
+
+def _compiled_blocks(compiled, n: int, low: int, pi, q, a) -> tuple:
+    """(ratio, mask, mass, cut) of the best subset, from walklab_conductance."""
+    out = np.empty(3)
+    tables = [np.ascontiguousarray(x, dtype=float) for x in (pi, q, a)]
+    mask = compiled.walklab_conductance(n, low, *(x.ctypes.data for x in tables), 0.5 + HALF_TOL, out.ctypes.data)
+    if mask < 0:
+        raise MemoryError("no memory for the conductance tables")
+    ratio, mass, flow = out.tolist()
+    return ratio, mask, mass, flow
+
+
+def _numpy_blocks(n: int, low: int, pi, q, a) -> tuple:
+    """(ratio, mask, mass, cut) of the best subset, scored in numpy blocks.
+
+    The reference for walklab_conductance, and the path where no kernel
+    was built; an all-infinite search returns mask 0.
+    """
     size = 1 << low
     # Tables over the low bits, built by doubling: entry index is the
     # bitmask itself. internal[mask] = total flow with both ends inside the
@@ -146,12 +183,7 @@ def conductance_exact(kernel: TransitionKernel) -> ConductanceResult:
             child = base | (1 << b)
             score(child, child_pis, child_inner)
             stack.append((child, enumerate(range(b + 1, n)), child_pis, child_inner, rest))
-    # every subset of positive mass at most 1/2 scores a finite ratio
-    if best[0] == math.inf:
-        raise ParameterError("no subset has stationary mass at most 1/2")
-    ratio, mask, mass, flow = best
-    members = [v for v in range(n) if mask & (1 << v)]
-    return _result(ratio, members, mass, flow, "exact")
+    return tuple(best)
 
 
 def conductance_sweep(kernel: TransitionKernel) -> ConductanceResult:

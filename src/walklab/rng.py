@@ -17,11 +17,13 @@ half the cost; the keys are checked against [0, 2^64) before any reset.
 
 `_KERNEL` is walklab's compiled kernel, built from _walk.c when this
 module is imported (see `_load_kernel`), or None where it cannot be had.
-It reads these same streams, word for word, in C: `walks` steps whole
-chunks of walk trials in it, and `configmodel` shuffles pairing attempts
-in it as Generator.shuffle does and checks them for simplicity. Both
-callers read `_KERNEL` at call time and fall back to their numpy or
-Python reference when it is None, with the same results.
+It has three callers. `walks` steps whole chunks of walk trials in it,
+and `configmodel` shuffles pairing attempts in it as Generator.shuffle
+does and checks them for simplicity; both read these same streams, word
+for word, in C. `conductance` enumerates vertex subsets in it, adding
+each subset's doubles in numpy's order. Every caller reads `_KERNEL` at
+call time and falls back to its numpy or Python reference when it is
+None, with the same results.
 """
 
 from __future__ import annotations
@@ -100,7 +102,12 @@ def _stream_starts(rng: np.random.Generator, seed: int, first: int, count: int):
 # --- the compiled kernel ---
 
 _SOURCE = os.path.join(os.path.dirname(os.path.abspath(__file__)), "_walk.c")
-_FLAGS = ["-O2", "-shared", "-fPIC"]  # no -ffast-math or -march: every double as Python makes it
+# no -ffast-math or -march: every double as Python makes it. And
+# -ffp-contract=off: GCC otherwise fuses a*b + c into one FMA rounding
+# wherever the target has FMA (aarch64, or x86-64 under -march), and the
+# conductance enumeration's doubles are compared with numpy's to the bit
+# (baseline x86-64 has no FMA, so there the flag changes only the cache tag)
+_FLAGS = ["-O2", "-ffp-contract=off", "-shared", "-fPIC"]
 _POINTER, _INT, _WORD = ctypes.c_void_p, ctypes.c_int64, ctypes.c_uint64
 
 
@@ -135,8 +142,9 @@ def _load_kernel():
     and a cached import costs a read, a checksum and a dlopen. The compiler
     is the interpreter's own (sysconfig's CC). With no compiler, an
     unwritable directory, or a failed build or load, the walks run in
-    `walks._walk` and the pairings are checked by `configmodel._simple_rows`,
-    which give the same results.
+    `walks._walk`, the pairings are checked by `configmodel._simple_rows`
+    and the subsets are scored by `conductance._numpy_blocks`, which give
+    the same results.
     """
     try:
         with open(_SOURCE, "rb") as handle:
@@ -163,6 +171,11 @@ def _load_kernel():
         lib.walklab_words.restype = None
         lib.walklab_shuffle.argtypes = [_POINTER, _INT, _WORD, _WORD]
         lib.walklab_shuffle.restype = None
+        lib.walklab_conductance.argtypes = (
+            [_INT, _INT] + [_POINTER] * 3  # n, the low bits; pi, q and a
+            + [ctypes.c_double, _POINTER]  # the mass limit; the ratio, mass and cut
+        )
+        lib.walklab_conductance.restype = _INT
     except (OSError, AttributeError):
         return None
     return lib

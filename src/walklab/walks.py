@@ -569,6 +569,8 @@ def _st_plain_budget(name: str, n: int, m: int) -> int:
 def _st_budget(g: Graph, s: int) -> int:
     """The probe's step budget from s (see _st_answers), refused above the cap."""
     plain, cap = _st_plain_budget(g.name, g.n, g.m), WalkConfig().budget
+    if not g.degrees[s]:  # C = {s} has no tree: no BFS, which lists every vertex's neighbours
+        return plain
     inside = g.bfs_distances(s) >= 0
     rows, cols, weights = g.pooled
     keep = (rows < cols) & inside[rows]  # each pooled pair of C once, loops skipped

@@ -884,6 +884,31 @@ def test_an_over_budget_probe_is_refused_from_its_graph_files_header(runner, tmp
 
 
 @pytest.mark.parametrize(
+    "text, rows, check",
+    [
+        ("999999 0\n", ["0,false,,0", "1,false,,0"], "no-false-positives"),
+        ("4 1\n1 2 1\n", ["0,false,,32", "1,false,,32"], "no-false-positives"),
+        ("1 0\n", ["0,true,0,0", "1,true,0,0"], "success-fraction"),
+    ],
+    ids=["no-edges", "edge-elsewhere", "one-vertex"],
+)
+def test_an_isolated_start_is_answered_without_a_bfs(runner, tmp_path, monkeypatch, text, rows, check):
+    # vertex 0 touches no edge, so its component is {0}: the budget is the
+    # plain 8 n m, and t = n - 1 is reached only when it is 0
+    def no_bfs(self, source):
+        raise AssertionError("an isolated start needs no BFS")
+
+    monkeypatch.setattr(Graph, "bfs_distances", no_bfs)
+    gfile = tmp_path / "apart.txt"
+    gfile.write_text(text)
+    out = tmp_path / "st"
+    result = _run(runner, ["run", "st-connect-demo", "--graph-file", str(gfile), "--trials", "2", "--seed", "0", "--out", str(out)])
+    assert result.exit_code == 0, result.output
+    assert out.with_suffix(".csv").read_text().splitlines()[1:] == ["run,connected,steps,budget", *rows]
+    assert [ch["name"] for ch in json.loads(out.with_suffix(".json").read_text())["checks"]] == [check]
+
+
+@pytest.mark.parametrize(
     "text, message",
     [
         ("", "empty graph text"),

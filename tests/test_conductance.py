@@ -3,22 +3,26 @@ import gc
 import itertools
 import json
 import math
+import os
 import tracemalloc
 
 import numpy as np
 import pytest
+from click.testing import CliRunner
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from walklab import conductance
-from walklab.cli import EXPERIMENTS
+from walklab import rng as walklab_rng
+from walklab.cli import EXPERIMENTS, main
 from walklab.conductance import (
+    EXACT_CAP,
     conductance_exact,
     conductance_sweep,
     jerrum_sinclair_check,
 )
 from walklab.errors import ParameterError, SizeCapError
-from walklab.graph import Graph, complete, cycle, grid2d, lollipop, path, star, torus2d
+from walklab.graph import Graph, complete, cycle, family, grid2d, lollipop, path, star, torus2d
 from walklab.spectral import TransitionKernel, build_kernel, kernel_eigenvalues
 
 from helpers import doubling_conductance, linear_mixing_oracle, mixing_distance, random_connected_graph
@@ -142,19 +146,23 @@ def test_tied_minimisers_go_to_the_smallest_mask(monkeypatch, case, bits, lazy):
 
 
 def test_exact_memory_stays_within_blocks():
-    # whole 2^20-entry tables peaked at 29 MB on this graph; the blocks must
-    # also be freed on return, not left in a reference cycle for the collector
+    # whole 2^20-entry tables peaked at 29 MB on this graph; the numpy blocks
+    # must also be freed on return, not left in a reference cycle for the
+    # collector (the kernel's tables are C's, which tracemalloc does not see)
     k = build_kernel(grid2d(4, 5))
-    gc.disable()
-    tracemalloc.start()
-    try:
-        conductance_exact(k)
-        held, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
-        gc.enable()
-    assert peak <= 8 * 2**20
-    assert held <= 2**18
+    for compiled in (walklab_rng._KERNEL, None):
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(walklab_rng, "_KERNEL", compiled)
+            gc.disable()
+            tracemalloc.start()
+            try:
+                conductance_exact(k)
+                held, peak = tracemalloc.get_traced_memory()
+            finally:
+                tracemalloc.stop()
+                gc.enable()
+        assert peak <= 8 * 2**20
+        assert held <= 2**18
 
 
 @pytest.mark.parametrize("method", [conductance_exact, conductance_sweep])
@@ -297,3 +305,161 @@ def test_property_gap_sandwich(seed):
     gap = float(1.0 - kernel_eigenvalues(k)[1])
     assert gap >= phi * phi / 2.0 - 1e-9
     assert gap <= 2.0 * phi + 1e-9
+
+
+# --- the compiled enumeration: walklab_conductance against the numpy blocks ---
+
+needs_kernel = pytest.mark.skipif(walklab_rng._KERNEL is None, reason="no C compiler built the kernel")
+
+
+def _numpy_only(kernel):
+    """conductance_exact by the numpy blocks, the compiled kernel switched off."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(walklab_rng, "_KERNEL", None)
+        return conductance_exact(kernel)
+
+
+@st.composite
+def transition_kernels(draw, max_n):
+    """Plain or lazy kernels on 2..max_n vertices: a weighted multigraph with
+    loops (a random tree, then extra edges, weights over twelve decades),
+    or a simple unit-weight graph under the mindeg weighting."""
+    n = draw(st.integers(2, max_n))
+    ends = st.integers(0, n - 1)
+    if draw(st.booleans()):
+        weight = st.sampled_from([1.0, 0.5, 3.0]) | st.floats(1e-6, 1e6)
+        edges = [(draw(st.integers(0, v - 1)), v, draw(weight)) for v in range(1, n)]
+        edges += draw(st.lists(st.tuples(ends, ends, weight), max_size=2 * n))
+        g, scheme = Graph(n, edges), "uniform"
+    else:
+        pairs = {(draw(st.integers(0, v - 1)), v) for v in range(1, n)}
+        pairs |= {(min(u, v), max(u, v)) for u, v in draw(st.lists(st.tuples(ends, ends), max_size=2 * n)) if u != v}
+        g, scheme = Graph(n, sorted(pairs)), "mindeg"
+    return build_kernel(g, scheme=scheme, lazy=draw(st.booleans()))
+
+
+@needs_kernel
+@pytest.mark.parametrize("bits", range(1, 13))
+@given(data=st.data())
+@settings(max_examples=8, deadline=None)
+def test_kernel_enumeration_is_the_numpy_enumeration(bits, data):
+    # up to 2^10 high-bit patterns, so the numpy blocks stay fast at every bits
+    k = data.draw(transition_kernels(max_n=min(EXACT_CAP, bits + 10)))
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(conductance, "BLOCK_BITS", bits)
+        assert conductance_exact(k) == _numpy_only(k)
+
+
+@given(transition_kernels(max_n=16))
+@settings(max_examples=40, deadline=None)
+def test_kernel_enumeration_is_the_doubling_oracle(k):
+    assert _as_tuple(conductance_exact(k)) == doubling_conductance(k)
+
+
+def _bridged_cliques():
+    """Two 5-cliques joined by one edge of subnormal weight 1e-310."""
+    halves = [(u + h, v + h) for h in (0, 5) for u, v in itertools.combinations(range(5), 2)]
+    return Graph(10, [*halves, (4, 5, 1e-310)], name="bridged")
+
+
+# Ties and rounding edges. cycle:20, complete:20, star:22 (at the size cap)
+# and torus2d:4,5 tie each minimiser with its images under the graph's
+# symmetries. On the two relabelled cycles below, a tied subset of smaller
+# mask comes after the first one found, with a cut above fl(phi * mass):
+# the division may be skipped only past a bound above phi (lazy kernel for
+# the looped one, plain for the other). The bridged graphs' best cut rounds
+# to 0; on the two weighted pairs (lazy kernel) the mass minus the internal
+# flow is -5.6e-17, which the cut clamps to 0.
+EDGE_CASES = {name: family(name) for name in ("cycle:20", "complete:20", "star:22", "torus2d:4,5")} | {
+    "bridged": _bridged_cliques(),
+    "looped 7-cycle": Graph(
+        7,
+        [(1, 2), (2, 5), (5, 0), (0, 3), (3, 4), (4, 6), (6, 1)] + [(v, v, 1.3) for v in range(7)],
+    ),
+    "alternating 10-cycle": Graph(
+        10,
+        [(8, 9, 3.0), (9, 4, 0.1), (4, 2, 3.0), (2, 6, 0.1), (6, 3, 3.0), (3, 0, 0.1), (0, 5, 3.0), (5, 7, 0.1), (7, 1, 3.0), (1, 8, 0.1)],
+    ),
+    "weighted pairs": Graph(
+        4,
+        [
+            (0, 1, 1.070896764777062), (1, 1, 3.580510500056771), (0, 1, 3.804250758356938),
+            (0, 0, 0.3770048879174419), (1, 1, 2.1439281979969187), (0, 1, 0.8177490094647637),
+            (2, 3, 0.36248550133262103), (2, 3, 1.530547935359838), (3, 3, 3.7931357837850643),
+            (2, 3, 2.058494299028863), (2, 3, 2.273042768179456), (3, 3, 2.4638542953842277),
+            (0, 2, 1e-200),
+        ],
+    ),
+}
+
+
+@needs_kernel
+@pytest.mark.parametrize("lazy", [False, True], ids=["plain", "lazy"])
+@pytest.mark.parametrize("name", sorted(EDGE_CASES))
+def test_kernel_enumeration_keeps_ties_and_rounding_edges(name, lazy):
+    # the numpy blocks give one result at every BLOCK_BITS (the doubling
+    # tests above), so one reference serves each patched size
+    k = build_kernel(EDGE_CASES[name], lazy=lazy)
+    reference = _numpy_only(k)
+    if k.n <= 16:
+        assert _as_tuple(reference) == doubling_conductance(k)
+    for bits in range(1, 13):
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(conductance, "BLOCK_BITS", bits)
+            assert conductance_exact(k) == reference, bits
+
+
+@needs_kernel
+def test_exact_calls_the_kernel_with_the_block_bits(monkeypatch):
+    kernel, calls = walklab_rng._KERNEL, []
+
+    class Counted:
+        def walklab_conductance(self, *args):
+            calls.append(args[:2])  # n and the low bits
+            return kernel.walklab_conductance(*args)
+
+    monkeypatch.setattr(walklab_rng, "_KERNEL", Counted())
+    monkeypatch.setattr(conductance, "BLOCK_BITS", 5)
+    k = build_kernel(cycle(8))
+    assert conductance_exact(k) == _numpy_only(k)
+    assert calls == [(8, 5)]
+
+
+def test_a_kernel_without_memory_raises_memory_error(monkeypatch):
+    class Starved:
+        def walklab_conductance(self, *args):
+            return -1
+
+    monkeypatch.setattr(walklab_rng, "_KERNEL", Starved())
+    with pytest.raises(MemoryError, match="conductance tables"):
+        conductance_exact(build_kernel(cycle(8)))
+
+
+@needs_kernel
+@pytest.mark.skipif(not os.path.exists("/proc/self/statm"), reason="reads the resident size from /proc")
+def test_kernel_enumeration_frees_its_tables():
+    # each n = 16 call allocates 1 MiB of tables; 64 leaked calls would
+    # hold 64 MiB
+    def resident():
+        with open("/proc/self/statm") as handle:
+            return int(handle.read().split()[1]) * os.sysconf("SC_PAGE_SIZE")
+
+    k = build_kernel(cycle(16))
+    conductance_exact(k)
+    before = resident()
+    for _ in range(64):
+        conductance_exact(k)
+    assert resident() - before < 16 * 2**20
+
+
+@needs_kernel
+@pytest.mark.parametrize("seed", ["0", "5"])
+def test_survey_body_is_the_same_with_the_kernel_on_and_off(tmp_path, monkeypatch, seed):
+    bodies = []
+    for compiled in (walklab_rng._KERNEL, None):
+        monkeypatch.setattr(walklab_rng, "_KERNEL", compiled)
+        base = tmp_path / f"survey-{len(bodies)}"
+        result = CliRunner().invoke(main, ["run", "conductance-survey", "--seed", seed, "--out", str(base)], catch_exceptions=False)
+        assert result.exit_code == 0, result.output
+        bodies.append(base.with_suffix(".csv").read_text().split("\n", 1)[1])
+    assert bodies[0] == bodies[1]

@@ -133,10 +133,11 @@ def test_a_kernel_that_cannot_be_built_leaves_the_python_stepper(tmp_path, monke
 
 
 @needs_kernel
-@pytest.mark.parametrize("entry", ["walklab_trials", "walklab_simple"])
+@pytest.mark.parametrize("entry", ["walklab_trials", "walklab_simple", "walklab_conductance"])
 def test_a_library_without_an_entry_point_is_not_loaded(tmp_path, monkeypatch, entry):
-    # a stale or partial source that lacks the walk stepper or the pairing
-    # check leaves both to their references, instead of failing at a call
+    # a stale or partial source that lacks the walk stepper, the pairing
+    # check or the conductance enumeration leaves all three to their
+    # references, instead of failing at a call
     text = Path(walklab_rng._SOURCE).read_text().replace(f"{entry}(", f"{entry}_gone(")
     _kernel_source_in(tmp_path, monkeypatch, text)
     assert walklab_rng._load_kernel() is None
