@@ -23,7 +23,7 @@ from pathlib import Path
 import click
 import numpy as np
 
-from .conductance import conductance_sweep, jerrum_sinclair_check
+from .conductance import _spectral_sandwich, conductance_sweep
 from .configmodel import (
     _simple_flags,
     check_nice,
@@ -515,8 +515,10 @@ def _run_conductance_survey(spec: dict):
     for i in range(count):
         seq = _nice_band_sequence(20, 3, 6, seed, 1000 + i)
         graph, _ = _connected_simple_sample(seq, seed, i)
-        js = jerrum_sinclair_check(graph)
-        sweep = conductance_sweep(build_kernel(graph))
+        # one plain kernel for the exact enumeration and the sweep
+        plain = build_kernel(graph)
+        js = _spectral_sandwich(graph, plain)
+        sweep = conductance_sweep(plain)
         min_phi = min(min_phi, js["phi"])
         min_margin = min(min_margin, js["lower_margin"], js["upper_margin"])
         sweep_excess = max(sweep_excess, js["phi"] - sweep.phi)
@@ -643,13 +645,13 @@ EXPERIMENTS: dict[str, dict] = {
     },
     "product-theorem": {
         "runner": _run_product_theorem,
-        "flags": {"product": "cycle:4,cycle:16", "trials": 300, "workers": 1},
+        "flags": {"product": "cycle:4,cycle:16", "trials": 300, "workers": None},
         "caps": {"trials": 100_000},
         "claim": "Cover-time bounds for a Cartesian product, computed from "
         "factor statistics alone, bracket a Monte Carlo estimate of the "
         "product's cover time. The upper bracket holds up to an unknown "
         "universal constant and is reported, never asserted.",
-        "inputs": "--product two families; --trials; --seed; --workers.",
+        "inputs": "--product two families; --trials; --seed; --workers threads (default every CPU).",
         "checks": {
             "lower-below-mc-cover": ("MC product cover + 4 stderr - factor lower bound", ">=", 0.0),
             "upper-reported-only": ("precondition of the upper bracket, whose constant is unknown", "reported", None),
@@ -658,7 +660,7 @@ EXPERIMENTS: dict[str, dict] = {
     "degseq-cover": {
         "runner": _run_degseq_cover,
         # the --n ladder's default is the runner's: a degree file fixes n
-        "flags": {"degseq": "regular:3", "n": None, "trials": 200, "scheme": "uniform", "workers": 1},
+        "flags": {"degseq": "regular:3", "n": None, "trials": 200, "scheme": "uniform", "workers": None},
         "caps": {"trials": 100_000},
         "claim": "Cover times of random graphs with a prescribed degree "
         "sequence track the predicted (d-1)/(d-2) * (theta/d) * n ln n "
@@ -666,7 +668,7 @@ EXPERIMENTS: dict[str, dict] = {
         "average degree; for random 3-regular graphs this is 2 n ln n.",
         "inputs": "--degseq regular:r or a degree file; --n ladder within "
         "r+1..1000000 (default 500,1000,2000), refused with a degree file, "
-        "which fixes n; --trials per size; --workers.",
+        "which fixes n; --trials per size; --workers threads (default every CPU).",
         "checks": {
             "cover-ratio-n*": ("mean cover / predicted", "in", (0.8, 1.2)),
             "ratio-moves-toward-one": ("|ratio - 1| at the largest n minus at the smallest", "<=", 0.02),
@@ -701,13 +703,13 @@ EXPERIMENTS: dict[str, dict] = {
     "scheme-speedup": {
         "runner": _run_scheme_speedup,
         # the default graph is the runner's: --family and --graph-file exclude each other
-        "flags": {"family": None, "graph_file": None, "trials": 150, "workers": 1},
+        "flags": {"family": None, "graph_file": None, "trials": 150, "workers": None},
         "caps": {"trials": 100_000},
         "claim": "Weighting every edge by the inverse smaller endpoint degree "
         "speeds up covering graphs with degree imbalance; on a regular graph "
         "the scheme changes nothing and the ratio is exactly 1.",
         "inputs": "--family or --graph-file (default lollipop:90); --trials "
-        "cover trials per scheme; --seed; --workers.",
+        "cover trials per scheme; --seed; --workers threads (default every CPU).",
         "checks": {"three-sigma-speedup": ("z-score (ratio - 1) / stderr, ratio uniform / mindeg cover", ">", 3.0)},
     },
     "st-connect-demo": {
@@ -764,7 +766,7 @@ def main() -> None:
 @click.option("--n", default=None, help="Size or ladder: 8, 2..10, or 500,1000,2000.")
 @click.option("--out", default=None, help="Output base path; writes <out>.csv and <out>.json.")
 @click.option("--format", "fmt", type=click.Choice(["csv", "json", "both"]), default="both", help="Which artifacts to write.")
-@click.option("--workers", type=int, default=None, help="Worker processes for Monte Carlo chunks.")
+@click.option("--workers", type=int, default=None, help="Threads that walk a run's trials; default every CPU.")
 def run_command(experiment: str, seed: int, out: str | None, fmt: str, **flags) -> None:
     """Run one experiment; write CSV rows and a JSON summary."""
     started = time.perf_counter()
@@ -787,8 +789,10 @@ def run_command(experiment: str, seed: int, out: str | None, fmt: str, **flags) 
         for name, cap in entry.get("caps", {}).items():
             if spec[name] > cap:
                 raise SizeCapError(f"{_flag(name)} {spec[name]} is above {experiment}'s cap of {cap}")
-        workers = spec.pop("workers", 1)
-        if workers < 1:
+        workers = spec.pop("workers", None)
+        if workers is None:
+            workers = os.cpu_count() or 1
+        elif workers < 1:
             raise ParameterError("--workers must be positive")
         # checked here, not at the first stream: an experiment that draws
         # none would otherwise accept the seed and write it into its spec

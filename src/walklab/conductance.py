@@ -232,7 +232,12 @@ def jerrum_sinclair_check(g: Graph) -> dict:
     weighting is checked on apply_scheme(g, scheme). Margins are reported
     signed, for conductance-survey's `spectral-sandwich-margins` check to judge.
     """
-    phi = conductance_exact(build_kernel(g)).phi
+    return _spectral_sandwich(g, build_kernel(g))
+
+
+def _spectral_sandwich(g: Graph, plain: TransitionKernel) -> dict:
+    """`jerrum_sinclair_check` on g, given its plain kernel."""
+    phi = conductance_exact(plain).phi
     phi_lazy = phi / 2.0
     gap = float(1.0 - kernel_eigenvalues(build_kernel(g, lazy=True))[1])
     lower_margin = gap - phi_lazy * phi_lazy / 2.0

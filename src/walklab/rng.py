@@ -17,11 +17,13 @@ half the cost; the keys are checked against [0, 2^64) before any reset.
 
 `_KERNEL` is walklab's compiled kernel, built from _walk.c when this
 module is imported (see `_load_kernel`), or None where it cannot be had.
-It has three callers. `walks` steps whole chunks of walk trials in it,
-and `configmodel` shuffles pairing attempts in it as Generator.shuffle
-does and checks them for simplicity; both read these same streams, word
-for word, in C. `conductance` enumerates vertex subsets in it, adding
-each subset's doubles in numpy's order. Every caller reads `_KERNEL` at
+It has three callers. `walks` steps walk trials in it, a slice of a run
+on each of several threads at once (ctypes releases the GIL for each
+call, and a call writes only its own memory), and `configmodel`
+shuffles pairing attempts in it as Generator.shuffle does and checks
+them for simplicity; both read these same streams, word for word, in C.
+`conductance` enumerates vertex subsets in it, adding each subset's
+doubles in numpy's order. Every caller reads `_KERNEL` at
 call time and falls back to its numpy or Python reference when it is
 None, with the same results.
 """
@@ -134,13 +136,31 @@ def _compile(command: list[str], path: str) -> bool:
     return built
 
 
+def _remove_stale(path: str, prefix: str, suffix: str) -> None:
+    """Unlink the libraries beside path named prefix + a source CRC + suffix,
+    but path itself: the same compiler command and platform, another
+    source. A library another process still holds stays mapped there, and
+    one that cannot be removed is left."""
+    folder, own = os.path.split(path)
+    for name in os.listdir(folder):
+        tag = name[len(prefix) : -len(suffix)]
+        if name != own and name.startswith(prefix) and name.endswith(suffix) and len(tag) == 8:
+            try:
+                os.remove(os.path.join(folder, name))
+            except OSError:
+                pass
+
+
 def _load_kernel():
     """The library compiled from _walk.c, or None where it cannot be had.
 
-    It is cached in __pycache__ under the CRC-32 of the source and the
-    compiler command, so an edited source or another compiler builds anew,
-    and a cached import costs a read, a checksum and a dlopen. The compiler
-    is the interpreter's own (sysconfig's CC). With no compiler, an
+    It is cached in __pycache__ as _walk-<command>-<source>-<platform>.so,
+    named by the CRC-32 of the compiler command and of the source, so an
+    edited source or another compiler builds anew, and a cached import
+    costs a read, a checksum and a dlopen. The compiler is the
+    interpreter's own (sysconfig's CC). A build removes the libraries it
+    replaces, those of the same command and platform built from another
+    source (see `_remove_stale`). With no compiler, an
     unwritable directory, or a failed build or load, the walks run in
     `walks._walk`, the pairings are checked by `configmodel._simple_rows`
     and the subsets are scored by `conductance._numpy_blocks`, which give
@@ -150,11 +170,14 @@ def _load_kernel():
         with open(_SOURCE, "rb") as handle:
             code = handle.read()
         command = (sysconfig.get_config_var("CC") or "cc").split() + _FLAGS
-        tag = zlib.crc32(code + " ".join(command).encode())
         folder = os.path.join(os.path.dirname(_SOURCE), "__pycache__")
-        path = os.path.join(folder, f"_walk-{tag:08x}-{sysconfig.get_platform()}.so")
-        if not os.path.exists(path) and not _compile(command, path):
-            return None
+        prefix = f"_walk-{zlib.crc32(' '.join(command).encode()):08x}-"
+        suffix = f"-{sysconfig.get_platform()}.so"
+        path = os.path.join(folder, f"{prefix}{zlib.crc32(code):08x}{suffix}")
+        if not os.path.exists(path):
+            if not _compile(command, path):
+                return None
+            _remove_stale(path, prefix, suffix)
         lib = ctypes.CDLL(path)
         lib.walklab_trials.argtypes = (
             [_INT] + [_POINTER] * 5  # n, then off, nbrs, cum, row and rows

@@ -3,10 +3,10 @@
 Determinism contract: trial i of a run with seed s draws from the
 counter-based stream (s, 1 + i) and from nothing else, and `simulate`
 reduces the per-trial step counts once, in trial order, with exact
-integer sums. So any scheduling of trials over workers gives
+integer sums. So any scheduling of trials over threads gives
 bit-identical estimates.
 
-In the Python stepper trials are cheap to start: a chunk shares one
+In the Python stepper trials are cheap to start: a run shares one
 Philox, reset before trial i to key (s, 1 + i) at counter 0 with nothing
 buffered, which is exactly the start of `substream(s, 1 + i)`. A walk
 draws raw 64-bit Philox words, in blocks of 64, 128, 256, ... up to
@@ -24,10 +24,11 @@ or is censored at its step budget. The loop counts quotas down: left[v]
 is the number of visits v still owes, and at a vertex where left is 0 the
 quota work is one read. Two steppers implement it. The compiled kernel,
 `rng._KERNEL` (built from _walk.c when walklab is imported, see
-`rng._load_kernel`), steps a whole chunk of trials in C, reading each
-trial's Philox words itself; the Python loop `_walk` is its reference and
-steps the trials wherever no kernel could be built. Both give the same
-stopping step for every trial. `_trial_values` reads `rng._KERNEL` at call
+`rng._load_kernel`), steps a run's trials in C, reading each trial's
+Philox words itself, and `simulate` walks slices of them on several
+threads at once; the Python loop `_walk` is its reference and steps the
+trials, in one thread, wherever no kernel could be built. Both give the
+same stopping step for every trial. `_trial_values` reads `rng._KERNEL` at call
 time, so switching that one attribute off switches off every compiled
 path, this one and the configuration model's pairing check alike.
 `_plan` alone decides which graphs a run takes: any graph in hit mode, a
@@ -67,6 +68,7 @@ from __future__ import annotations
 
 import math
 import os
+import threading
 from bisect import bisect_left
 from dataclasses import dataclass
 from itertools import accumulate, chain
@@ -91,7 +93,6 @@ __all__ = [
 ]
 
 STOP_MODES = ("cover", "hit", "blanket-cover")
-CHUNK = 256
 BUFFER = 4096
 _SLOTS = 2**18  # bucket-row entries a plan's rows may hold above 32 buckets a row
 _MAX_BUCKETS = 2**14  # buckets a row may have
@@ -361,7 +362,7 @@ def _plan(g: Graph, config: WalkConfig) -> tuple:
     Outside hit mode a disconnected graph raises DisconnectedError; an
     isolated start raises UnsupportedInputError before pi divides by the
     volume. A budget above WalkConfig().budget raises SizeCapError.
-    Returns picklable (tables, start, budget, left, remaining, flat): step
+    Returns (tables, start, budget, left, remaining, flat): step
     tables and bucket rows, the visits each vertex owes at time zero
     followed by n truthy sentinel markers (see `_walk`), how many vertices
     owe any, and the same tables and quotas as flat arrays for the kernel.
@@ -399,17 +400,20 @@ def _plan(g: Graph, config: WalkConfig) -> tuple:
     return tables, config.start, config.budget, left, remaining, flat
 
 
-def _trial_values(args) -> list[int | None]:
+def _trial_values(plan, seed, lo, hi, stop=None) -> list[int | None]:
     """Stopping steps (None when censored) of trials lo..hi-1, in index order.
 
-    The compiled stepper walks the whole chunk in one call, over the plan's
-    flat arrays, reading the words of stream (seed, 1 + i) for trial i.
-    Without it, one Philox serves the chunk in `_walk`: before trial i it
+    The compiled stepper walks them in as few calls as it can, over the
+    plan's flat arrays, reading the words of stream (seed, 1 + i) for
+    trial i. Each call returns within about 2^26 steps past a trial's end;
+    once it has returned with stop set (a threading.Event), the rest are
+    left unwalked and only the trials walked so far are returned. Without
+    the kernel, one Philox serves the trials in `_walk`: before trial i it
     is reset to the start of stream (seed, 1 + i), so each trial draws what
     substream(seed, 1 + i) would, whatever the trial before it left in the
-    generator. Both paths check the chunk's stream keys first.
+    generator. Both paths check the trials' stream keys first.
     """
-    (tables, start, budget, left, remaining, flat), seed, lo, hi = args
+    tables, start, budget, left, remaining, flat = plan
     kernel = _rng._KERNEL
     if kernel is None:
         return [
@@ -420,7 +424,7 @@ def _trial_values(args) -> list[int | None]:
     off, nbrs, cum, row, rows, shift, owed = flat
     steps = np.empty(hi - lo, dtype=np.int64)
     done = 0
-    while done < hi - lo:  # each call returns within about 2^26 steps past a trial's end
+    while done < hi - lo:
         walked = kernel.walklab_trials(
             len(off) - 1, off.ctypes.data, nbrs.ctypes.data, cum.ctypes.data, row.ctypes.data,
             rows.ctypes.data, rows.shape[1], shift, start, budget, owed.ctypes.data, remaining,
@@ -429,7 +433,49 @@ def _trial_values(args) -> list[int | None]:
         if walked < 0:
             raise MemoryError("no memory for the walk's quotas")
         done += walked
-    return [None if k < 0 else k for k in steps.tolist()]
+        if stop is not None and stop.is_set():
+            break
+    return [None if k < 0 else k for k in steps[:done].tolist()]
+
+
+def _threaded_values(plan, seed: int, trials: int, workers: int) -> list[int | None]:
+    """`_trial_values` of trials 0..trials-1, over `workers` threads.
+
+    The trials are cut into `workers` contiguous slices. The calling
+    thread walks the first, and a daemon thread each of the others; ctypes
+    releases the GIL for every kernel call, and a call only reads the
+    plan's arrays, so the slices step at once. They are joined in slice
+    order, which is trial order. A failure in any slice, or an interrupt
+    in the calling thread, sets the shared stop flag, so every other slice
+    stops at its kernel's next return; the caller waits for them and
+    raises the first failure.
+    """
+    bounds = [trials * j // workers for j in range(workers + 1)]
+    parts: list = [None] * workers
+    failures: list = []
+    stop = threading.Event()
+
+    def walk(j: int) -> None:
+        try:
+            parts[j] = _trial_values(plan, seed, bounds[j], bounds[j + 1], stop)
+        except BaseException as exc:  # re-raised in the calling thread
+            failures.append(exc)
+            stop.set()
+
+    threads = [threading.Thread(target=walk, args=(j,), daemon=True) for j in range(1, workers)]
+    for thread in threads:
+        thread.start()
+    try:
+        parts[0] = _trial_values(plan, seed, 0, bounds[1], stop)
+    except BaseException:
+        stop.set()
+        raise
+    finally:
+        for thread in threads:
+            thread.join()
+    if failures:
+        raise failures[0]
+    return [v for part in parts for v in part]
 
 
 def simulate(
@@ -442,28 +488,24 @@ def simulate(
     exact integer sums S1 and S2 of k values: mean = S1 / k and sample
     variance (k S2 - S1^2) / (k (k - 1)), each rounded once. The result is
     therefore a function of (graph, config, trials, seed) alone; workers
-    only change which process computes which slice of trials. Censored
-    trials are counted but excluded from the moments. Disconnected graphs
-    are refused before any walk starts, in hit mode too, and so is an
-    isolated start; the pool never gets more processes than there are
-    chunks of CHUNK trials or CPUs.
+    only change which thread walks which slice of trials. With the
+    compiled kernel the trials are walked on min(workers, trials, CPUs)
+    threads (see `_threaded_values`). Without it the Python stepper walks
+    them all in the calling thread at any `workers`, since threads running
+    Python bytecode share one GIL. Censored trials are counted but
+    excluded from the moments. Disconnected graphs are refused before any
+    walk starts, in hit mode too, and so is an isolated start.
     """
     if trials < 1:
         raise ParameterError("need at least one trial")
     g.require("a simulation", "connected")
     plan = _plan(g, config)
-    chunks = [(plan, seed, lo, min(lo + CHUNK, trials)) for lo in range(0, trials, CHUNK)]
-    workers = min(workers, len(chunks), os.cpu_count() or 1)
-    if workers > 1:
-        # imported here: the pool machinery takes about 20 ms to load, and
-        # most runs are serial
-        from concurrent.futures import ProcessPoolExecutor
-
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            parts = list(pool.map(_trial_values, chunks))
+    workers = min(workers, trials, os.cpu_count() or 1)
+    if _rng._KERNEL is None or workers == 1:
+        walked = _trial_values(plan, seed, 0, trials)
     else:
-        parts = [_trial_values(c) for c in chunks]
-    values = [v for part in parts for v in part if v is not None]
+        walked = _threaded_values(plan, seed, trials, workers)
+    values = [v for v in walked if v is not None]
     k = len(values)
     s1 = sum(values)
     s2 = sum(v * v for v in values)
@@ -495,8 +537,8 @@ def simulate(
 def speedup(g: Graph, trials: int, seed: int, workers: int = 1) -> dict:
     """Ratio of estimated cover times, unweighted walk over min-degree walk.
 
-    Both walks start at vertex 0 and run the same trial seeds, each over
-    `workers` processes as `simulate` runs them. The ratio's spread comes
+    Both walks start at vertex 0 and run the same trial seeds, each on
+    `workers` threads as `simulate` runs them. The ratio's spread comes
     from the delta method treating the two means as independent; on a
     regular graph the kernels coincide, the trajectories are identical,
     and the ratio is exactly 1 with z-score 0.
@@ -551,7 +593,7 @@ def _st_answers(g: Graph, s: int, t: int, seed: int, lo: int, hi: int) -> list[d
     budget = _st_budget(g, s)
     if s != t and g.degrees[s]:
         plan = _plan(g, WalkConfig(stop="hit", start=s, target=t, budget=budget))
-        steps = _trial_values((plan, seed, lo, hi))  # None when censored
+        steps = _trial_values(plan, seed, lo, hi)  # None when censored
     else:
         steps = [0 if s == t else None] * (hi - lo)
     return [{"connected": x is not None, "steps": x, "budget": budget} for x in steps]

@@ -15,6 +15,7 @@ import os
 import re
 import sys
 import tempfile
+import threading
 import time
 import tracemalloc
 import warnings
@@ -25,9 +26,11 @@ from click.testing import CliRunner
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from walklab import rng as walklab_rng
 from walklab.cli import EXPERIMENTS, main
 from walklab.configmodel import regular_sequence
 from walklab.graph import Graph
+from walklab.spectral import build_kernel
 
 
 @pytest.fixture()
@@ -69,7 +72,8 @@ def test_rerun_is_byte_identical_even_across_destinations(runner, tmp_path):
     r2 = _run(runner, args + ["--out", str(b)])
     assert r1.exit_code == 0 and r2.exit_code == 0
     assert a.with_suffix(".csv").read_bytes() == b.with_suffix(".csv").read_bytes()
-    # 300 trials make two chunks of 256, so the second run starts a real pool
+    # with the kernel and two CPUs, the second run walks each of its runs'
+    # 300 trials on two threads
     c, d = tmp_path / "c", tmp_path / "d"
     args = ["run", "product-theorem", "--trials", "300", "--seed", "3"]
     r3 = _run(runner, args + ["--out", str(c)])
@@ -79,24 +83,44 @@ def test_rerun_is_byte_identical_even_across_destinations(runner, tmp_path):
 
 
 def test_scheme_speedup_csv_is_the_same_for_any_worker_count(runner, tmp_path, monkeypatch):
-    # 300 trials make two chunks of 256 for each scheme, so at --workers 2
-    # both walks start a real pool
-    pools = []
-    real = concurrent.futures.ProcessPoolExecutor
+    # every experiment that takes --workers, on a box of two CPUs: the
+    # default and --workers 2 walk each run on two threads wherever the
+    # kernel is built, --workers 1 on one, and no run starts a pool
+    started = []
 
-    def counted(*args, **kwargs):
-        pools.append(kwargs["max_workers"])
-        return real(*args, **kwargs)
+    class Recorded(threading.Thread):
+        def start(self):
+            started.append(self)
+            super().start()
 
-    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", counted)
-    args = ["run", "scheme-speedup", "--family", "lollipop:12", "--trials", "300", "--seed", "3"]
-    one, two = tmp_path / "one", tmp_path / "two"
-    r1 = _run(runner, args + ["--out", str(one)])
-    assert pools == []
-    r2 = _run(runner, args + ["--out", str(two), "--workers", "2"])
-    assert r1.exit_code == r2.exit_code == 0
-    assert pools == ([2, 2] if (os.cpu_count() or 1) > 1 else [])
-    assert one.with_suffix(".csv").read_bytes() == two.with_suffix(".csv").read_bytes()
+    def no_pool(*args, **kwargs):
+        raise AssertionError("a process pool started")
+
+    monkeypatch.setattr("walklab.walks.threading.Thread", Recorded)
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", no_pool)
+    monkeypatch.setattr(os, "cpu_count", lambda: 2)
+    runs = {
+        "scheme-speedup": ["--family", "lollipop:12", "--trials", "300"],
+        "product-theorem": ["--trials", "300"],
+        "degseq-cover": ["--n", "30,60", "--trials", "60"],
+    }
+    assert sorted(runs) == sorted(name for name, entry in EXPERIMENTS.items() if "workers" in entry["flags"])
+    for name, extra in runs.items():
+        bodies, codes, threads = [], [], []
+        for workers in ([], ["--workers", "1"], ["--workers", "2"]):
+            started.clear()
+            base = tmp_path / f"{name}{len(bodies)}"
+            result = _run(runner, ["run", name, "--seed", "3", "--out", str(base), *extra, *workers])
+            bodies.append(base.with_suffix(".csv").read_bytes())
+            codes.append(result.exit_code)
+            threads.append(len(started))
+        assert codes[0] in (0, 1) and codes == [codes[0]] * 3, name
+        assert bodies == [bodies[0]] * 3, name
+        assert not any(thread.is_alive() for thread in started)
+        if walklab_rng._KERNEL is None:
+            assert threads == [0, 0, 0], name
+        else:
+            assert threads[0] == threads[2] > 0 and threads[1] == 0, (name, threads)
 
 
 def test_format_flag_selects_artifacts(runner, tmp_path):
@@ -1080,6 +1104,26 @@ def test_conductance_survey_small(runner, tmp_path):
     assert result.exit_code == 0
     body = (tmp_path / "c.csv").read_text()
     assert "sweep-only" in body  # larger sizes reported without assertion
+
+
+def test_conductance_survey_builds_each_kernel_once(runner, tmp_path, monkeypatch):
+    # each n = 20 sample's plain kernel serves both its exact enumeration
+    # and its sweep, and its lazy kernel the spectral gap; each larger
+    # graph's plain kernel serves its sweep
+    built = []
+
+    def counted(g, scheme="uniform", lazy=False):
+        built.append((g.n, lazy))
+        return build_kernel(g, scheme=scheme, lazy=lazy)
+
+    monkeypatch.setattr("walklab.cli.build_kernel", counted)
+    monkeypatch.setattr("walklab.conductance.build_kernel", counted)
+    result = _run(
+        runner,
+        ["run", "conductance-survey", "--trials", "4", "--seed", "2", "--out", str(tmp_path / "c")],
+    )
+    assert result.exit_code == 0
+    assert sorted(built) == sorted([(20, False), (20, True)] * 4 + [(100, False), (200, False)])
 
 
 def test_p_simple_small(runner, tmp_path):

@@ -1,3 +1,5 @@
+import os
+import shutil
 from pathlib import Path
 
 import numpy as np
@@ -116,6 +118,42 @@ def test_a_built_kernel_is_cached_and_loaded_without_a_compile(tmp_path, monkeyp
     monkeypatch.setattr(walklab_rng, "_compile", no_compile)
     assert walklab_rng._load_kernel() is not None
     assert list(cache.iterdir()) == [built]
+
+
+@needs_kernel
+def test_a_build_removes_the_libraries_of_older_sources(tmp_path, monkeypatch):
+    # _compile stubbed: a copy of the loaded library stands in for each build
+    source = tmp_path / "_walk.c"
+    cache = _kernel_source_in(tmp_path, monkeypatch)
+    library = Path(walklab_rng._KERNEL._name)
+    built = []
+
+    def copy(command, path):
+        built.append(Path(path))
+        os.makedirs(os.path.dirname(path), exist_ok=True)
+        shutil.copyfile(library, path)
+        return True
+
+    monkeypatch.setattr(walklab_rng, "_compile", copy)
+    assert walklab_rng._load_kernel() is not None
+    [old] = built
+    _, command, code, platform = old.stem.split("-", 3)
+    kept = [
+        cache / f"_walk-{command[::-1]}-{code}-{platform}.so",  # another compiler or Python
+        cache / f"_walk-{command}-{code}-other-platform.so",
+        cache / f"{old.name}.4242.part",  # another process's build in progress
+        cache / "walks.cpython-311.pyc",
+    ]
+    for path in kept:
+        shutil.copyfile(library, path)
+    # a stale name that cannot be unlinked: the build still loads
+    stuck = cache / f"_walk-{command}-0badc0de-{platform}.so"
+    stuck.mkdir()
+    source.write_text(source.read_text() + "\n/* edited */\n")
+    assert walklab_rng._load_kernel() is not None
+    new = built[-1]
+    assert len(built) == 2 and new.name.startswith(f"_walk-{command}-") and new != old
+    assert sorted(cache.iterdir()) == sorted([*kept, stuck, new])
 
 
 @pytest.mark.parametrize("fault", ["no compiler", "no source", "a failed compile"])

@@ -1,6 +1,6 @@
-import concurrent.futures
 import math
 import shutil
+import sys
 import sysconfig
 from bisect import bisect_left
 from fractions import Fraction
@@ -30,17 +30,17 @@ from helpers import bucket_row, edge_list, random_connected_graph, reference_wal
 
 
 def compiled_or_not(compiled, args):
-    """`_trial_values(args)` by the compiled stepper, or with it switched off."""
+    """`_trial_values(*args)` by the compiled stepper, or with it switched off."""
     with pytest.MonkeyPatch.context() as patch:
         if not compiled:
             patch.setattr(walklab_rng, "_KERNEL", None)
-        return walks._trial_values(args)
+        return walks._trial_values(*args)
 
 
 def trial_value(g, config, seed, trial_index):
     """(stopping step, censored flag) of trial `trial_index` of a simulate run."""
     plan = walks._plan(g, config)
-    [value] = walks._trial_values((plan, seed, trial_index, trial_index + 1))
+    [value] = walks._trial_values(plan, seed, trial_index, trial_index + 1)
     return (None, True) if value is None else (float(value), False)
 
 
@@ -689,7 +689,7 @@ def test_two_chunk_simulate_keeps_its_recorded_estimate():
         # Welford moments merged per chunk gave mean 9.396999999999998 here
         ("complete:10", WalkConfig(stop="hit", target=9), 1000, 3),
         ("path:6", WalkConfig(stop="cover", budget=40), 300, 13),  # partly censored
-        ("star:12", WalkConfig(stop="cover", lazy=True), 2 * walks.CHUNK + 7, 1),
+        ("star:12", WalkConfig(stop="cover", lazy=True), 519, 1),
     ],
 )
 def test_simulate_moments_are_exact_once_rounded(spec, config, trials, seed):
@@ -745,7 +745,7 @@ def test_each_trial_of_a_chunk_draws_its_own_substream(monkeypatch, seed, index)
     monkeypatch.setattr(walklab_rng, "_KERNEL", None)
     plan = walks._plan(path(4), WalkConfig())
     lo, hi = max(0, index - 2), min(index + 1, 2**64 - 1)
-    assert walks._trial_values((plan, seed, lo, hi)) == [None] * (hi - lo)
+    assert walks._trial_values(plan, seed, lo, hi) == [None] * (hi - lo)
     assert len(drawn) == hi - lo
     for i, values in zip(range(lo, hi), drawn):
         assert values == substream(seed, 1 + i).bit_generator.random_raw(10_000).tolist(), i
@@ -866,7 +866,7 @@ def test_kernel_returns_between_trials_after_2_to_the_26_steps(monkeypatch):
     monkeypatch.setattr(walklab_rng, "_KERNEL", Counted())
     apart = Graph(4, [(0, 1), (2, 3)], name="two-parts")
     plan = walks._plan(apart, WalkConfig(stop="hit", target=3, budget=2**25))
-    assert walks._trial_values((plan, 0, 0, 3)) == [None] * 3
+    assert walks._trial_values(plan, 0, 0, 3) == [None] * 3
     assert calls == [3, 1]
 
 
@@ -890,8 +890,9 @@ def test_the_package_ships_the_kernel_source():
     assert "_walk.c" in pyproject["tool"]["setuptools"]["package-data"]["walklab"]
 
 
-def test_a_chunk_builds_one_generator(monkeypatch):
-    # the Python stepper's generator; the compiled one builds none
+def test_a_run_builds_one_generator(monkeypatch):
+    # the Python stepper's generator, at any worker count; the compiled
+    # one builds none
     built = []
 
     def counting_substream(seed, index=0):
@@ -900,8 +901,11 @@ def test_a_chunk_builds_one_generator(monkeypatch):
 
     monkeypatch.setattr(walks, "substream", counting_substream)
     monkeypatch.setattr(walklab_rng, "_KERNEL", None)
-    simulate(path(6), WalkConfig(stop="cover"), trials=walks.CHUNK + 44, seed=2)
-    assert built == [1, 1 + walks.CHUNK]
+    monkeypatch.setattr(walks.os, "cpu_count", lambda: 8)
+    for workers in (1, 8):
+        built.clear()
+        simulate(path(6), WalkConfig(stop="cover"), trials=300, seed=2, workers=workers)
+        assert built == [1], workers
 
 
 
@@ -964,35 +968,170 @@ def test_budgets_above_the_cap_are_refused_before_walking(monkeypatch):
             trial_value(path(4), WalkConfig(budget=cap), seed=0, trial_index=0)
 
 
-def test_worker_count_is_clamped_to_chunks_and_cpus(monkeypatch):
-    pools = []
+class InPlaceThread:
+    """A stand-in for threading.Thread that runs its target when started,
+    in the calling thread, and records that start in `starts`."""
 
-    class RecordingPool:
-        def __init__(self, max_workers):
-            pools.append(max_workers)
+    starts: list = []
 
-        def __enter__(self):
-            return self
+    def __init__(self, target, args=(), daemon=None):
+        self.target, self.args, self.daemon = target, args, daemon
 
-        def __exit__(self, *exc):
-            return False
+    def start(self):
+        self.starts.append(self)
+        self.target(*self.args)
 
-        def map(self, fn, items):
-            return map(fn, items)
+    def join(self):
+        pass
 
-    # simulate imports the pool class from concurrent.futures when it needs one
-    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingPool)
+
+class DeferredThread(InPlaceThread):
+    """A stand-in for threading.Thread that runs its target when joined."""
+
+    def start(self):
+        self.starts.append(self)
+
+    def join(self):
+        self.target(*self.args)
+
+
+@pytest.fixture
+def stand_in_threads(monkeypatch):
+    """Patch walks' threading.Thread with `cls`, on a box of 8 CPUs; returns
+    the list of threads started."""
+    starts = []
+
+    def use(cls):
+        monkeypatch.setattr(cls, "starts", starts)
+        monkeypatch.setattr(walks.threading, "Thread", cls)
+        return starts
+
+    monkeypatch.setattr(walks.os, "cpu_count", lambda: 8)
+    return use
+
+
+@needs_kernel
+def test_worker_count_is_clamped_to_trials_and_cpus(monkeypatch, stand_in_threads):
+    starts = stand_in_threads(InPlaceThread)
     g = path(4)
     cfg = WalkConfig(stop="cover")
-    trials = 3 * walks.CHUNK + 1  # four chunks
+    trials = 769
     serial = simulate(g, cfg, trials=trials, seed=2, workers=1)
+    assert starts == []
+    # the calling thread walks the first slice, a thread each of the others
+    for cpus, started in [(64, 63), (2, 1), (None, 0)]:
+        starts.clear()
+        monkeypatch.setattr(walks.os, "cpu_count", lambda: cpus)
+        assert simulate(g, cfg, trials=trials, seed=2, workers=100_000) == serial
+        assert len(starts) == started, cpus
+    starts.clear()
     monkeypatch.setattr(walks.os, "cpu_count", lambda: 64)
-    assert simulate(g, cfg, trials=trials, seed=2, workers=100_000) == serial
-    monkeypatch.setattr(walks.os, "cpu_count", lambda: 2)
-    assert simulate(g, cfg, trials=trials, seed=2, workers=100_000) == serial
-    monkeypatch.setattr(walks.os, "cpu_count", lambda: None)
-    assert simulate(g, cfg, trials=trials, seed=2, workers=100_000) == serial
-    assert pools == [4, 2]  # one usable CPU runs in-process
+    few = simulate(g, cfg, trials=3, seed=2, workers=1)
+    assert simulate(g, cfg, trials=3, seed=2, workers=100_000) == few
+    assert len(starts) == 2
+    assert all(thread.daemon for thread in starts)
+
+
+@pytest.mark.parametrize(
+    "spec, config, trials",
+    [
+        ("lollipop:12", WalkConfig(stop="cover"), 200),
+        ("complete:10", WalkConfig(stop="hit", target=9), 301),
+        ("star:12", WalkConfig(stop="blanket-cover", lazy=True), 150),
+        ("path:6", WalkConfig(stop="cover", budget=40), 300),  # partly censored
+    ],
+)
+def test_threads_give_the_serial_records(stand_in_threads, spec, config, trials):
+    starts = stand_in_threads(InPlaceThread)
+    g = family(spec)
+    serial = simulate(g, config, trials=trials, seed=13, workers=1)
+    if config.budget == 40:
+        assert 0 < serial.censored < trials
+    for compiled in (True, False):
+        with pytest.MonkeyPatch.context() as patch:
+            if not compiled:
+                patch.setattr(walklab_rng, "_KERNEL", None)
+            for workers in (1, 2, 3, 8):
+                starts.clear()
+                assert simulate(g, config, trials=trials, seed=13, workers=workers) == serial, workers
+                threaded = compiled and walklab_rng._KERNEL is not None
+                assert len(starts) == (workers - 1 if threaded else 0), (compiled, workers)
+
+
+@needs_kernel
+def test_eight_real_threads_on_a_short_switch_interval_give_the_serial_record(monkeypatch):
+    # more threads than cores, switching as often as the interpreter can
+    monkeypatch.setattr(walks.os, "cpu_count", lambda: 8)
+    g = family("lollipop:12")
+    cfg = WalkConfig(stop="cover")
+    serial = simulate(g, cfg, trials=500, seed=4, workers=1)
+    running = walks.threading.active_count()
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for _ in range(5):
+            assert simulate(g, cfg, trials=500, seed=4, workers=8) == serial
+    finally:
+        sys.setswitchinterval(interval)
+    assert walks.threading.active_count() == running
+
+
+class SliceKernel:
+    """The compiled kernel, walking one trial a call and recording the
+    first stream index of each call; `fail(first)` may replace a call."""
+
+    def __init__(self, fail=lambda first: None):
+        self.kernel, self.fail, self.firsts = walklab_rng._KERNEL, fail, []
+
+    def walklab_trials(self, *args):
+        first = args[-3]
+        self.firsts.append(first)
+        failed = self.fail(first)
+        if failed is not None:
+            return failed
+        return self.kernel.walklab_trials(*args[:-2], 1, args[-1])
+
+
+@needs_kernel
+def test_a_failed_slice_raises_in_the_caller_and_leaves_no_thread(monkeypatch):
+    # 12 trials on 3 threads are slices 0-3, 4-7 and 8-11; slice 1's first
+    # call finds no memory
+    threads = []
+
+    class Recorded(walks.threading.Thread):
+        def start(self):
+            threads.append(self)
+            super().start()
+
+    kernel = SliceKernel(lambda first: -1 if first == 1 + 4 else None)
+    monkeypatch.setattr(walklab_rng, "_KERNEL", kernel)
+    monkeypatch.setattr(walks.threading, "Thread", Recorded)
+    monkeypatch.setattr(walks.os, "cpu_count", lambda: 3)
+    with pytest.raises(MemoryError):
+        simulate(cycle(8), WalkConfig(stop="cover"), trials=12, seed=0, workers=3)
+    assert len(threads) == 2
+    assert not any(thread.is_alive() for thread in threads)
+    assert kernel.firsts.count(1 + 4) == 1
+
+
+@needs_kernel
+def test_an_interrupt_in_the_first_slice_stops_the_others(stand_in_threads, monkeypatch):
+    # the other slices' threads run only once the caller waits for them,
+    # after slice 0's first kernel return raised; each walks one trial of
+    # its 10, and stops at that return
+    starts = stand_in_threads(DeferredThread)
+
+    def interrupt(first):
+        if first == 1:
+            raise KeyboardInterrupt
+        return None
+
+    kernel = SliceKernel(interrupt)
+    monkeypatch.setattr(walklab_rng, "_KERNEL", kernel)
+    with pytest.raises(KeyboardInterrupt):
+        simulate(cycle(8), WalkConfig(stop="cover"), trials=40, seed=0, workers=4)
+    assert len(starts) == 3
+    assert kernel.firsts == [1, 11, 21, 31]
 
 
 def test_visit_frequencies_sum_to_one_and_track_stationary():
