@@ -28,9 +28,10 @@ quota work is one read. Two steppers implement it. The compiled kernel,
 Philox words itself, and `simulate` walks slices of them on several
 threads at once; the Python loop `_walk` is its reference and steps the
 trials, in one thread, wherever no kernel could be built. Both give the
-same stopping step for every trial. `_trial_values` reads `rng._KERNEL` at call
-time, so switching that one attribute off switches off every compiled
-path, this one and the configuration model's pairing check alike.
+same stopping step for every trial. `_trial_values` reads `rng._KERNEL`
+at call time, so switching that one attribute off switches off every
+compiled path, this one and the configuration model's pairing check
+alike.
 `_plan` alone decides which graphs a run takes: any graph in hit mode, a
 connected one in the modes that put a quota on every vertex, and never an
 isolated start; budgets above WalkConfig().budget are refused.
@@ -400,7 +401,9 @@ def _plan(g: Graph, config: WalkConfig) -> tuple:
     return tables, config.start, config.budget, left, remaining, flat
 
 
-def _trial_values(plan, seed, lo, hi, stop=None) -> list[int | None]:
+def _trial_values(
+    plan: tuple, seed: int, lo: int, hi: int, stop: threading.Event | None = None
+) -> list[int | None]:
     """Stopping steps (None when censored) of trials lo..hi-1, in index order.
 
     The compiled stepper walks them in as few calls as it can, over the
@@ -438,7 +441,7 @@ def _trial_values(plan, seed, lo, hi, stop=None) -> list[int | None]:
     return [None if k < 0 else k for k in steps[:done].tolist()]
 
 
-def _threaded_values(plan, seed: int, trials: int, workers: int) -> list[int | None]:
+def _threaded_values(plan: tuple, seed: int, trials: int, workers: int) -> list[int | None]:
     """`_trial_values` of trials 0..trials-1, over `workers` threads.
 
     The trials are cut into `workers` contiguous slices. The calling

@@ -667,7 +667,7 @@ def test_long_walks_keep_their_recorded_values():
 
 
 def test_two_chunk_simulate_keeps_its_recorded_estimate():
-    # 300 trials span two chunks; seven of them walk past 4096 steps
+    # 300 trials, seven of which walk past 4096 steps
     rec = simulate(family("cycle:60"), WalkConfig(stop="cover"), trials=300, seed=3, workers=1)
     assert rec == EstimateRecord(
         quantity="cover",
@@ -728,7 +728,7 @@ def test_trial_index_must_keep_its_stream_key_in_range():
 
 @pytest.mark.parametrize("seed, index", [(0, 1), (7, 2**63), (2**64 - 1, 2**64 - 1)])
 def test_each_trial_of_a_chunk_draws_its_own_substream(monkeypatch, seed, index):
-    # the chunk holds the trial with stream key (seed, index) and its
+    # the trials walked are the one with stream key (seed, index) and its
     # in-range neighbours; every fake trial reads 10 000 raw words and then
     # leaves the shared generator part way through a block, with a cached
     # 32-bit half word, for the next trial to reset; the generator is the
@@ -835,7 +835,7 @@ def _sweep_plans():
 
 @needs_kernel
 def test_kernel_walks_as_the_python_stepper():
-    # the same stopping steps on every plan, chunks at the first trials and
+    # the same stopping steps on every plan, trials at the first and
     # at the last trial indices a stream key admits
     plans = 0
     for g, config, trials in _sweep_plans():
@@ -853,7 +853,7 @@ def test_kernel_walks_as_the_python_stepper():
 
 @needs_kernel
 def test_kernel_returns_between_trials_after_2_to_the_26_steps(monkeypatch):
-    # so that a long chunk still lets the interpreter take a Ctrl-C: three
+    # so that a long run still lets the interpreter take a Ctrl-C: three
     # walks censored at 2^25 steps are walked two, then one
     calls = []
     kernel = walklab_rng._KERNEL
