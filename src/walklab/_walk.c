@@ -1,4 +1,5 @@
-/* walklab's compiled kernel: the walk stepper and the pairing check.
+/* walklab's compiled kernel: the walk stepper, the pairing check, the
+   conductance enumeration and the cover recursion's assembly.
 
    The walk stepper is `walks._walk`, step for step, over flat arrays.
    Trial i of a run with seed s reads stream (s, 1 + i): step t (from 1)
@@ -17,8 +18,14 @@
 
    The conductance enumeration scores every vertex subset as
    `conductance_exact` does, each table entry built by the same additions
-   in the same order, so every ratio is numpy's to the bit. Built and
-   loaded by `rng` with the interpreter's C compiler. */
+   in the same order, so every ratio is numpy's to the bit.
+
+   The cover recursion's assembly enumerates the connected vertex sets as
+   `spectral._connected_sets` does and, one size layer at a time, builds
+   the systems `spectral._numpy_layer` builds, every entry by the same
+   operations in the same order, then stores their solutions; numpy
+   solves them in between. Masks are int64, so n <= 62. Built and loaded
+   by `rng` with the interpreter's C compiler. */
 
 #include <math.h>
 #include <stdint.h>
@@ -387,4 +394,74 @@ int64_t walklab_conductance(int64_t n, int64_t low, const double *pi, const doub
     out[1] = s.best.mass;
     out[2] = s.best.cut;
     return s.best.mask;
+}
+
+/* The nonempty subsets of 0..n-1 connected in the support whose neighbour
+   masks are adj, in ascending mask order, with their sizes, as
+   `spectral._connected_sets` gives them: S is connected when the flood
+   from its lowest vertex through its own vertices reaches all of S.
+   sets and size hold 2^n - 1 entries; returns how many were written. */
+int64_t walklab_connected(int64_t n, const int64_t *adj, int64_t *sets, int8_t *size)
+{
+    int64_t count = 0;
+    for (int64_t s = 1; s < (int64_t)1 << n; s++) {
+        int64_t reach = s & -s, frontier = reach;
+        int8_t k = 0;
+        while (frontier) {
+            int64_t v = __builtin_ctzll((u64)frontier), grown = adj[v] & s & ~reach;
+            frontier = (frontier & (frontier - 1)) | grown;
+            reach |= grown;
+            k++;
+        }
+        if (reach == s) {
+            sets[count] = s;
+            size[count++] = k;
+        }
+    }
+    return count;
+}
+
+/* One size layer of the cover recursion: for each of the count sets of k
+   vertices in masks, the system a x = b of `spectral._cover_remaining`,
+   a = I - P[S, S] (k x k) and b = 1 + sum_w P[S, w] remaining[row[S | w], w]
+   (k), each entry by numpy's operations in numpy's order: one subtraction
+   from the identity's 1.0 or 0.0, and the products added onto 1.0 over
+   ascending w, every w of the n, each product rounded on its own. p is
+   row-major n x n, remaining holds n doubles a row, and row maps each of
+   the 2^n masks to its row of remaining. */
+void walklab_cover_layer(int64_t n, int64_t k, int64_t count, const double *p,
+                         const int64_t *masks, const int64_t *row,
+                         const double *remaining, double *a, double *b)
+{
+    int64_t idx[64];
+    double after[64];
+    for (int64_t c = 0; c < count; c++, a += k * k, b += k) {
+        int64_t s = masks[c];
+        for (int64_t w = 0, i = 0; w < n; w++) {
+            after[w] = remaining[row[s | (int64_t)1 << w] * n + w];
+            if (s >> w & 1)
+                idx[i++] = w;
+        }
+        for (int64_t i = 0; i < k; i++) {
+            const double *from = p + idx[i] * n;
+            double total = 1.0;
+            for (int64_t j = 0; j < k; j++)
+                a[i * k + j] = (i == j ? 1.0 : 0.0) - from[idx[j]];
+            for (int64_t w = 0; w < n; w++)
+                total = total + from[w] * after[w];
+            b[i] = total;
+        }
+    }
+}
+
+/* The solutions x (count rows of k) of one layer into remaining: vertex
+   i of set masks[c], the i-th lowest, takes x[c k + i] in row row[masks[c]]. */
+void walklab_cover_store(int64_t n, int64_t k, int64_t count, const int64_t *masks,
+                         const int64_t *row, const double *x, double *remaining)
+{
+    for (int64_t c = 0; c < count; c++) {
+        double *to = remaining + row[masks[c]] * n;
+        for (int64_t s = masks[c], i = 0; s; s &= s - 1)
+            to[__builtin_ctzll((u64)s)] = x[c * k + i++];
+    }
 }

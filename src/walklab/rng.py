@@ -17,15 +17,18 @@ half the cost; the keys are checked against [0, 2^64) before any reset.
 
 `_KERNEL` is walklab's compiled kernel, built from _walk.c when this
 module is imported (see `_load_kernel`), or None where it cannot be had.
-It has three callers. `walks` steps walk trials in it, a slice of a run
+It has four callers. `walks` steps walk trials in it, a slice of a run
 on each of several threads at once (ctypes releases the GIL for each
 call, and a call writes only its own memory), and `configmodel`
 shuffles pairing attempts in it as Generator.shuffle does and checks
 them for simplicity; both read these same streams, word for word, in C.
 `conductance` enumerates vertex subsets in it, adding each subset's
-doubles in numpy's order. Every caller reads `_KERNEL` at
-call time and falls back to its numpy or Python reference when it is
-None, with the same results.
+doubles in numpy's order, and `spectral` enumerates the cover
+recursion's connected sets and builds and stores each size layer's
+systems in it, every entry by numpy's operations in numpy's order, while
+numpy solves them. Every caller reads `_KERNEL` at call time and falls
+back to its numpy or Python reference when it is None, with the same
+results.
 """
 
 from __future__ import annotations
@@ -107,7 +110,8 @@ _SOURCE = os.path.join(os.path.dirname(os.path.abspath(__file__)), "_walk.c")
 # no -ffast-math or -march: every double as Python makes it. And
 # -ffp-contract=off: GCC otherwise fuses a*b + c into one FMA rounding
 # wherever the target has FMA (aarch64, or x86-64 under -march), and the
-# conductance enumeration's doubles are compared with numpy's to the bit
+# conductance enumeration's and the cover systems' doubles are compared
+# with numpy's to the bit
 # (baseline x86-64 has no FMA, so there the flag changes only the cache tag)
 _FLAGS = ["-O2", "-ffp-contract=off", "-shared", "-fPIC"]
 _POINTER, _INT, _WORD = ctypes.c_void_p, ctypes.c_int64, ctypes.c_uint64
@@ -137,18 +141,26 @@ def _compile(command: list[str], path: str) -> bool:
 
 
 def _remove_stale(path: str, prefix: str, suffix: str) -> None:
-    """Unlink the libraries beside path named prefix + a source CRC + suffix,
-    but path itself: the same compiler command and platform, another
-    source. A library another process still holds stays mapped there, and
-    one that cannot be removed is left."""
+    """Unlink the libraries beside path that this build replaces: those
+    named prefix + a source CRC + suffix but path itself (the same compiler
+    command and platform, another source), and those named _walk- + a CRC +
+    suffix, the name before the command had a CRC of its own, which no
+    loader reads now. A library another process still holds stays mapped
+    there, and one that cannot be removed is left."""
     folder, own = os.path.split(path)
     for name in os.listdir(folder):
-        tag = name[len(prefix) : -len(suffix)]
-        if name != own and name.startswith(prefix) and name.endswith(suffix) and len(tag) == 8:
-            try:
-                os.remove(os.path.join(folder, name))
-            except OSError:
-                pass
+        for head in (prefix, "_walk-"):
+            tag = name[len(head) : -len(suffix)]
+            if name != own and name.startswith(head) and name.endswith(suffix) and _is_crc(tag):
+                try:
+                    os.remove(os.path.join(folder, name))
+                except OSError:
+                    pass
+
+
+def _is_crc(tag: str) -> bool:
+    """Whether tag is a CRC-32 as the loader writes it: eight lower-case hex digits."""
+    return len(tag) == 8 and all(c in "0123456789abcdef" for c in tag)
 
 
 def _load_kernel():
@@ -160,11 +172,13 @@ def _load_kernel():
     costs a read, a checksum and a dlopen. The compiler is the
     interpreter's own (sysconfig's CC). A build removes the libraries it
     replaces, those of the same command and platform built from another
-    source (see `_remove_stale`). With no compiler, an
-    unwritable directory, or a failed build or load, the walks run in
-    `walks._walk`, the pairings are checked by `configmodel._simple_rows`
-    and the subsets are scored by `conductance._numpy_blocks`, which give
-    the same results.
+    source or named in the older one-CRC form (see `_remove_stale`). With
+    no compiler, an unwritable directory, or a failed build or load, the
+    walks run in `walks._walk`, the pairings are checked by
+    `configmodel._simple_rows`, the subsets are scored by
+    `conductance._numpy_blocks` and the cover recursion's sets and systems
+    are built by `spectral._connected_sets` and `spectral._numpy_layer`,
+    which give the same results.
     """
     try:
         with open(_SOURCE, "rb") as handle:
@@ -199,6 +213,15 @@ def _load_kernel():
             + [ctypes.c_double, _POINTER]  # the mass limit; the ratio, mass and cut
         )
         lib.walklab_conductance.restype = _INT
+        lib.walklab_connected.argtypes = [_INT] + [_POINTER] * 3  # n; the neighbour masks, the sets and sizes
+        lib.walklab_connected.restype = _INT
+        lib.walklab_cover_layer.argtypes = (
+            [_INT] * 3 + [_POINTER] * 4  # n, k, the set count; p, the masks, row and remaining
+            + [_POINTER] * 2  # a and b
+        )
+        lib.walklab_cover_layer.restype = None
+        lib.walklab_cover_store.argtypes = [_INT] * 3 + [_POINTER] * 4  # n, k, count; masks, row, x, remaining
+        lib.walklab_cover_store.restype = None
     except (OSError, AttributeError):
         return None
     return lib

@@ -12,7 +12,10 @@ zero row, read through a 2^n int64 row index; the table reaches about
 A walk's visited set is always connected in the support of P, and a term
 P[S, w] that would leave a connected S for a disconnected S | w is
 exactly 0, so the recursion solves the connected sets only: 90 of the
-8190 proper nonempty sets on path:13, all of them on complete:13.
+8190 proper nonempty sets on path:13, all of them on complete:13. The
+compiled kernel (`rng._KERNEL`), where it was built, enumerates those
+sets and assembles and stores each size's systems; numpy.linalg solves
+them on either path.
 
 mindeg_invariant_report checks the min-degree weighting's guarantees on
 one graph; its hitting-time bound needs the exact hitting solve here.
@@ -21,9 +24,11 @@ one graph; its hitting-time bound needs the exact hitting solve here.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
+from . import rng as _rng
 from .errors import ParameterError, SizeCapError, UnsupportedInputError
 from .graph import Graph
 from .rng import substream
@@ -43,7 +48,7 @@ __all__ = [
 
 ROW_SUM_TOL = 1e-12
 STATIONARY_TOL = 1e-10
-COVER_CAP = 13  # the cover recursion visits every subset of the vertices
+COVER_CAP = 13  # the cover recursion's set enumeration and row index hold 2^n entries
 
 
 @dataclass(frozen=True)
@@ -198,6 +203,18 @@ def _connected_sets(support: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return sets[connected], size[connected]
 
 
+def _compiled_sets(compiled, support: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """_connected_sets by walklab_connected: the same masks and sizes, found
+    by a flood from each set's lowest vertex, with no table of 2^n entries
+    but the answer's."""
+    n = support.shape[0]
+    adj = (support.astype(np.int64) << np.arange(n)).sum(axis=1)
+    sets = np.empty((1 << n) - 1, dtype=np.int64)
+    size = np.empty((1 << n) - 1, dtype=np.int8)
+    count = compiled.walklab_connected(n, adj.ctypes.data, sets.ctypes.data, size.ctypes.data)
+    return sets[:count], size[:count]
+
+
 def _cover_remaining(kernel: TransitionKernel) -> tuple[np.ndarray, np.ndarray]:
     """Backward recursion over connected visited sets, one stacked solve per set size.
 
@@ -217,29 +234,62 @@ def _cover_remaining(kernel: TransitionKernel) -> tuple[np.ndarray, np.ndarray]:
     S | w is connected, and so already solved, or every P[S, w] is exactly
     0, so its term adds 0 whichever row it reads. It is the one route to
     exact cover times, from one start or from all.
+
+    Where `rng._KERNEL` was built, the sets are enumerated and each layer's
+    systems assembled and stored in C (`_compiled_sets`, `_compiled_layer`);
+    otherwise in numpy (`_connected_sets`, `_numpy_layer`), with the same
+    values to the bit. The solve is numpy's either way.
     """
     n = kernel.n
-    p = kernel.matrix
+    p = np.ascontiguousarray(kernel.matrix)
     support = p != 0
-    sets, size = _connected_sets(support | support.T)
-    bits = np.arange(n, dtype=np.int64)
+    compiled = _rng._KERNEL
+    if compiled is None:
+        sets, size = _connected_sets(support | support.T)
+        layer = _numpy_layer
+    else:
+        sets, size = _compiled_sets(compiled, support | support.T)
+        layer = partial(_compiled_layer, compiled)
     row = np.zeros(1 << n, dtype=np.int64)
     row[sets] = np.arange(1, len(sets) + 1)
     remaining = np.zeros((len(sets) + 1, n))
     for k in range(n - 1, 0, -1):
-        s = sets[size == k]
-        idx = np.nonzero((s[:, None] >> bits) & 1)[1].reshape(len(s), k)
-        a = np.eye(k) - p[idx[:, :, None], idx[:, None, :]]
-        b = np.ones((len(s), k))
-        # remaining[row[S | w], w] for every w in one read; for w in S the
-        # row is S's own, still all zero, so its term adds an exact 0.0
-        after = remaining[row[s[:, None] | (1 << bits)], bits]
-        # every product p[idx, w] after[:, w] at once, w leading, then
-        # added onto the ones in ascending w
-        for term in p.T[:, idx] * after.T[:, :, None]:
-            b += term
-        remaining[row[s][:, None], idx] = np.linalg.solve(a, b[:, :, None])[:, :, 0]
+        layer(p, sets[size == k], k, remaining, row)
     return remaining, row
+
+
+def _numpy_layer(p: np.ndarray, s: np.ndarray, k: int, remaining: np.ndarray, row: np.ndarray) -> None:
+    """Solve the sets s, all of size k, into remaining, in one stacked solve.
+
+    The reference for walklab_cover_layer and walklab_cover_store, and the
+    path where no kernel was built.
+    """
+    n = p.shape[0]
+    bits = np.arange(n, dtype=np.int64)
+    idx = np.nonzero((s[:, None] >> bits) & 1)[1].reshape(len(s), k)
+    a = np.eye(k) - p[idx[:, :, None], idx[:, None, :]]
+    b = np.ones((len(s), k))
+    # remaining[row[S | w], w] for every w in one read; for w in S the
+    # row is S's own, still all zero, so its term adds an exact 0.0
+    after = remaining[row[s[:, None] | (1 << bits)], bits]
+    # every product p[idx, w] after[:, w] at once, w leading, then
+    # added onto the ones in ascending w
+    for term in p.T[:, idx] * after.T[:, :, None]:
+        b += term
+    remaining[row[s][:, None], idx] = np.linalg.solve(a, b[:, :, None])[:, :, 0]
+
+
+def _compiled_layer(compiled, p: np.ndarray, s: np.ndarray, k: int, remaining: np.ndarray, row: np.ndarray) -> None:
+    """_numpy_layer with a and b built by walklab_cover_layer and the
+    solutions stored by walklab_cover_store, the same values to the bit.
+    p, s, row and remaining are C-contiguous, as C reads them."""
+    n, count = p.shape[0], len(s)
+    a = np.empty((count, k, k))
+    b = np.empty((count, k))
+    masks, rows, table = s.ctypes.data, row.ctypes.data, remaining.ctypes.data
+    compiled.walklab_cover_layer(n, k, count, p.ctypes.data, masks, rows, table, a.ctypes.data, b.ctypes.data)
+    x = np.ascontiguousarray(np.linalg.solve(a, b[:, :, None])[:, :, 0])
+    compiled.walklab_cover_store(n, k, count, masks, rows, x.ctypes.data, table)
 
 
 def exact_cover_time(kernel: TransitionKernel, start: int = 0) -> float:

@@ -1028,6 +1028,23 @@ def test_pinned_bodies_hold_without_the_kernel(runner, tmp_path, monkeypatch):
         assert hashlib.sha256(body.encode()).hexdigest() == pinned[f"{experiment}-0.body"], experiment
 
 
+@pytest.mark.skipif(walklab_rng._KERNEL is None, reason="no C compiler built the kernel")
+@pytest.mark.parametrize("seed", ["0", "5"])
+@pytest.mark.parametrize("experiment", ["closed-forms", "bounds-sandwich"])
+def test_cover_bodies_are_the_same_with_the_kernel_on_and_off(runner, tmp_path, monkeypatch, experiment, seed):
+    # both run the exact cover recursion, whose connected sets and per-layer
+    # systems the kernel builds, and `_connected_sets` and `_numpy_layer` without it
+    extra = {"closed-forms": ["--n", "2..13"], "bounds-sandwich": []}[experiment]
+    bodies, codes = [], []
+    for compiled in (walklab_rng._KERNEL, None):
+        monkeypatch.setattr(walklab_rng, "_KERNEL", compiled)
+        base = tmp_path / f"{experiment}-{len(bodies)}"
+        codes.append(_run(runner, ["run", experiment, "--seed", seed, "--out", str(base), *extra]).exit_code)
+        bodies.append(base.with_suffix(".csv").read_text().split("\n", 1)[1])
+    assert codes == [0, 0]
+    assert bodies[0] == bodies[1]
+
+
 # one small spec an experiment; together they reach every float reduction
 # the library makes: harmonic numbers, volumes and the walk's row totals
 TRIPWIRE_SPECS = {

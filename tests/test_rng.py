@@ -156,6 +156,37 @@ def test_a_build_removes_the_libraries_of_older_sources(tmp_path, monkeypatch):
     assert sorted(cache.iterdir()) == sorted([*kept, stuck, new])
 
 
+@needs_kernel
+def test_a_build_removes_the_one_crc_libraries(tmp_path, monkeypatch):
+    # libraries named _walk-<source CRC>-<platform>.so, the name before the
+    # compiler command had a CRC of its own, are never loaded; a build for
+    # their platform removes them. _compile stubbed, as above
+    cache = _kernel_source_in(tmp_path, monkeypatch)
+    library = Path(walklab_rng._KERNEL._name)
+    built = []
+
+    def copy(command, path):
+        built.append(Path(path))
+        os.makedirs(os.path.dirname(path), exist_ok=True)
+        shutil.copyfile(library, path)
+        return True
+
+    cache.mkdir()
+    platform = library.stem.split("-", 3)[3]
+    stale = [cache / f"_walk-{crc}-{platform}.so" for crc in ("1234abcd", "0badc0de")]
+    kept = [
+        cache / "_walk-1234abcd-other-platform.so",  # another platform's
+        cache / f"_walk-notacrc!-{platform}.so",  # no CRC of eight hex digits
+        cache / f"_walk-1234ABCD-{platform}.so",  # nor one in the loader's lower case
+    ]
+    for path in stale + kept:
+        shutil.copyfile(library, path)
+    monkeypatch.setattr(walklab_rng, "_compile", copy)
+    assert walklab_rng._load_kernel() is not None
+    [new] = built
+    assert sorted(cache.iterdir()) == sorted([*kept, new])
+
+
 @pytest.mark.parametrize("fault", ["no compiler", "no source", "a failed compile"])
 def test_a_kernel_that_cannot_be_built_leaves_the_python_stepper(tmp_path, monkeypatch, fault):
     # no error and no partial library left behind; walks._trial_values then
@@ -171,7 +202,17 @@ def test_a_kernel_that_cannot_be_built_leaves_the_python_stepper(tmp_path, monke
 
 
 @needs_kernel
-@pytest.mark.parametrize("entry", ["walklab_trials", "walklab_simple", "walklab_conductance"])
+@pytest.mark.parametrize(
+    "entry",
+    [
+        "walklab_trials",
+        "walklab_simple",
+        "walklab_conductance",
+        "walklab_connected",
+        "walklab_cover_layer",
+        "walklab_cover_store",
+    ],
+)
 def test_a_library_without_an_entry_point_is_not_loaded(tmp_path, monkeypatch, entry):
     # a stale or partial source that lacks the walk stepper, the pairing
     # check or the conductance enumeration leaves all three to their

@@ -6,11 +6,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from walklab import rng as walklab_rng
+from walklab.cli import _standard_small_graphs
 from walklab.errors import ParameterError, SizeCapError, UnsupportedInputError
 from walklab.graph import Graph, complete, cycle, family, lollipop, path
 from walklab.spectral import (
     COVER_CAP,
     TransitionKernel,
+    _compiled_sets,
     _connected_sets,
     _cover_remaining,
     build_kernel,
@@ -330,15 +333,15 @@ def test_cover_table_holds_a_row_per_connected_set_and_one_zero_row(spec, count)
     assert row[row > 0].tolist() == list(range(1, count + 1))
 
 
-@pytest.mark.parametrize(
-    "spec, count",
-    [
-        ("path:13", 13 * 14 // 2),  # the intervals
-        ("cycle:13", 13 * 12 + 1),  # the arcs, and the whole cycle
-        ("star:13", 2**12 + 12),  # sets holding the centre, and the leaves alone
-        ("complete:9", 2**9 - 1),
-    ],
-)
+SHAPE_COUNTS = [
+    ("path:13", 13 * 14 // 2),  # the intervals
+    ("cycle:13", 13 * 12 + 1),  # the arcs, and the whole cycle
+    ("star:13", 2**12 + 12),  # sets holding the centre, and the leaves alone
+    ("complete:9", 2**9 - 1),
+]
+
+
+@pytest.mark.parametrize("spec, count", SHAPE_COUNTS)
 def test_connected_sets_are_counted_by_their_shapes(spec, count):
     support = build_kernel(family(spec)).matrix != 0
     sets, size = _connected_sets(support | support.T)
@@ -347,12 +350,16 @@ def test_connected_sets_are_counted_by_their_shapes(spec, count):
     assert size.tolist() == [bin(int(s)).count("1") for s in sets]
 
 
-def test_cover_counts_a_tiny_negative_entry_as_a_link():
+def _tiny_negative_kernel() -> TransitionKernel:
     # P[0, 2] = -1e-15 is the most negative entry a kernel admits; the set
     # {0, 2} is connected only through it, and its term moves the last bits
     p = np.array([[0.0, 1.0 + 1e-15, -1e-15], [0.5, 0.0, 0.5], [0.0, 1.0, 0.0]])
-    k = TransitionKernel(matrix=p, stationary=np.array([0.25, 0.5, 0.25]))
-    assert exact_cover_times(k).tolist() == all_sets_cover_times(p).tolist()
+    return TransitionKernel(matrix=p, stationary=np.array([0.25, 0.5, 0.25]))
+
+
+def test_cover_counts_a_tiny_negative_entry_as_a_link():
+    k = _tiny_negative_kernel()
+    assert exact_cover_times(k).tolist() == all_sets_cover_times(k.matrix).tolist()
 
 
 def test_reducible_kernel_still_fails_its_solve():
@@ -361,8 +368,11 @@ def test_reducible_kernel_still_fails_its_solve():
     p = np.zeros((4, 4))
     p[0, 1] = p[1, 0] = p[2, 3] = p[3, 2] = 1.0
     k = TransitionKernel(matrix=p, stationary=np.full(4, 0.25))
-    with pytest.raises(np.linalg.LinAlgError):
-        exact_cover_times(k)
+    for compiled in (walklab_rng._KERNEL, None):  # the kernel on, then off
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(walklab_rng, "_KERNEL", compiled)
+            with pytest.raises(np.linalg.LinAlgError):
+                exact_cover_times(k)
     with pytest.raises(np.linalg.LinAlgError):
         all_sets_cover_times(p)
     # so is I - P + 1 pi^T: the hitting solve raises rather than return inf
@@ -371,18 +381,75 @@ def test_reducible_kernel_still_fails_its_solve():
 
 
 def test_cover_memory_stays_near_the_table():
-    # the (2^13, 13) table is 0.85 MB; solving every set, with a (2^n, n)
-    # membership table beside it, peaked at 3.3 MiB on this graph
+    # cycle:13's table holds 158 rows of 13 doubles (16 KB) beside the
+    # 2^13-entry row index and set arrays; the recursion peaked at 0.17 MiB
+    # with the kernel and 0.32 MiB without it. Solving every set, with a
+    # (2^n, n) membership table beside it, peaked at 3.3 MiB on this graph
     k = build_kernel(cycle(13))
-    gc.disable()
-    tracemalloc.start()
-    try:
-        exact_cover_times(k)
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
-        gc.enable()
-    assert peak <= 2 * 2**20
+    for compiled in (walklab_rng._KERNEL, None):  # the kernel on, then off
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(walklab_rng, "_KERNEL", compiled)
+            gc.disable()
+            tracemalloc.start()
+            try:
+                exact_cover_times(k)
+                _, peak = tracemalloc.get_traced_memory()
+            finally:
+                tracemalloc.stop()
+                gc.enable()
+        assert peak <= 2 * 2**20, compiled
+
+
+# --- the compiled cover recursion: walklab_connected, walklab_cover_layer
+# and walklab_cover_store against the numpy enumeration and layers ---
+
+needs_kernel = pytest.mark.skipif(walklab_rng._KERNEL is None, reason="no C compiler built the kernel")
+
+
+def _on_and_off(function, *args):
+    """[function(*args) with the compiled kernel, function(*args) without]."""
+    results = []
+    for compiled in (walklab_rng._KERNEL, None):
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(walklab_rng, "_KERNEL", compiled)
+            results.append(function(*args))
+    return results
+
+
+def _same_bits(x: np.ndarray, y: np.ndarray) -> bool:
+    return x.dtype == y.dtype and x.shape == y.shape and x.tobytes() == y.tobytes()
+
+
+@needs_kernel
+def test_compiled_cover_recursion_is_the_numpy_recursion():
+    kernels = [
+        build_kernel(g, scheme, lazy)
+        for g in _standard_small_graphs()
+        for scheme in ("uniform", "mindeg")
+        for lazy in (False, True)
+    ]
+    assert len(kernels) == 276
+    skewed = build_kernel(lollipop(9), "mindeg")
+    kernels += [
+        build_kernel(Graph(1, [(0, 0, 1.0)])),
+        _tiny_negative_kernel(),
+        # a kernel over a Fortran-ordered matrix reaches C as a row-major copy
+        TransitionKernel(matrix=np.asfortranarray(skewed.matrix), stationary=skewed.stationary),
+        *(build_kernel(shape(n)) for shape in (path, cycle) for n in (14, 16)),
+    ]
+    for k in kernels:
+        (remaining, row), (reference, reference_row) = _on_and_off(_cover_remaining, k)
+        assert _same_bits(remaining, reference) and _same_bits(row, reference_row)
+
+
+@needs_kernel
+@pytest.mark.parametrize("spec, count", SHAPE_COUNTS)
+def test_compiled_enumeration_is_the_numpy_enumeration(spec, count):
+    support = build_kernel(family(spec)).matrix != 0
+    sets, size = _compiled_sets(walklab_rng._KERNEL, support | support.T)
+    reference, reference_size = _connected_sets(support | support.T)
+    assert len(sets) == count
+    assert _same_bits(sets, reference) and _same_bits(size, reference_size)
 
 
 # --- reversibility round trip ---
