@@ -214,9 +214,10 @@ def test_a_kernel_that_cannot_be_built_leaves_the_python_stepper(tmp_path, monke
     ],
 )
 def test_a_library_without_an_entry_point_is_not_loaded(tmp_path, monkeypatch, entry):
-    # a stale or partial source that lacks the walk stepper, the pairing
-    # check or the conductance enumeration leaves all three to their
-    # references, instead of failing at a call
+    # a stale or partial source that lacks any one entry point (the walk
+    # stepper, the pairing check, the conductance enumeration or a cover
+    # recursion entry) leaves every job to its reference, instead of
+    # failing at a call
     text = Path(walklab_rng._SOURCE).read_text().replace(f"{entry}(", f"{entry}_gone(")
     _kernel_source_in(tmp_path, monkeypatch, text)
     assert walklab_rng._load_kernel() is None
