@@ -1,31 +1,34 @@
 /* walklab's compiled kernel: the walk stepper, the pairing check, the
-   conductance enumeration and the cover recursion's assembly.
+   conductance enumeration and the cover recursion's assembly. walklab
+   needs it for these four jobs and has no other implementation of them;
+   the tests check each against an independent oracle.
 
-   The walk stepper is `walks._walk`, step for step, over flat arrays.
-   Trial i of a run with seed s reads stream (s, 1 + i): step t (from 1)
-   reads word t - 1 of that stream, which is word (t - 1) mod 4 of the
-   Philox4x64-10 block at counter (t - 1) div 4 + 1 under key (s, 1 + i),
-   as numpy's Philox draws it from a fresh state. A step from v takes the
-   index i = rows[row[v] R + (w >> shift)]; if i is L_v, the length of v's
+   The walk stepper walks trials over flat arrays. Trial i of a run with
+   seed s reads stream (s, 1 + i): step t (from 1) reads word t - 1 of
+   that stream, which is word (t - 1) mod 4 of the Philox4x64-10 block at
+   counter (t - 1) div 4 + 1 under key (s, 1 + i), as numpy's Philox draws
+   it from a fresh state. A step from v takes the index
+   i = rows[row[v] R + (w >> shift)]; if i is L_v, the length of v's
    table, the bucket was impure and i = bisect_left(cum_v, (w >> 11) 2^-53).
-   The walk moves to nbrs[off[v] + i], then counts that vertex's quota down
-   as `_walk` does.
+   The walk moves to nbrs[off[v] + i], then counts that vertex's quota
+   down, and stops once no vertex owes a visit.
 
    The pairing check shuffles a configuration-model stub array as numpy's
    Generator.shuffle does on stream (s, 1 + a) for attempt a, and tells
-   whether the pairs it makes form a simple graph, as
-   `configmodel._simple_rows` does.
+   whether the pairs it makes form a simple graph: no loop and no repeated
+   pair.
 
    The conductance enumeration scores every vertex subset as
-   `conductance_exact` does, each table entry built by the same additions
-   in the same order, so every ratio is numpy's to the bit.
+   `conductance_exact` describes, each table entry built by the additions
+   of whole numpy doubling tables in their order, so every ratio is
+   numpy's to the bit.
 
-   The cover recursion's assembly enumerates the connected vertex sets as
-   `spectral._connected_sets` does and, one size layer at a time, builds
-   the systems `spectral._numpy_layer` builds, every entry by the same
-   operations in the same order, then stores their solutions; numpy
-   solves them in between. Masks are int64, so n <= 62. Built and loaded
-   by `rng` with the interpreter's C compiler. */
+   The cover recursion's assembly enumerates the connected vertex sets
+   and, one size layer at a time, builds the systems of
+   `spectral._cover_remaining`, every entry by numpy's operations in
+   numpy's order, then stores their solutions; numpy solves them in
+   between. Masks are int64, so n <= 62. Built and loaded by `rng` with
+   the interpreter's C compiler. */
 
 #include <math.h>
 #include <stdint.h>
@@ -397,9 +400,9 @@ int64_t walklab_conductance(int64_t n, int64_t low, const double *pi, const doub
 }
 
 /* The nonempty subsets of 0..n-1 connected in the support whose neighbour
-   masks are adj, in ascending mask order, with their sizes, as
-   `spectral._connected_sets` gives them: S is connected when the flood
-   from its lowest vertex through its own vertices reaches all of S.
+   masks are adj, in ascending mask order, with their sizes: S is
+   connected when the flood from its lowest vertex through its own
+   vertices reaches all of S.
    sets and size hold 2^n - 1 entries; returns how many were written. */
 int64_t walklab_connected(int64_t n, const int64_t *adj, int64_t *sets, int8_t *size)
 {

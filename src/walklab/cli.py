@@ -9,7 +9,8 @@ check and its observed value into a verdict.
 Wall-clock information appears only in the JSON summary.
 
 Exit codes: 0 every check passed, 1 at least one check failed, 2 bad
-invocation or input (a size cap too), 3 numeric failure.
+invocation or input (a size cap too), 3 numeric failure (an exhausted
+rejection budget, no memory, or no compiled kernel).
 """
 
 from __future__ import annotations
@@ -558,7 +559,7 @@ def _run_p_simple(spec: dict):
     for k, (r, n) in enumerate([(3, 50), (3, 100), (4, 50), (4, 100)]):
         seq = regular_sequence(n, r)
         cell_seed = _sub_seed(seed, 1000 * k)
-        blocks = _simple_flags(seq, cell_seed, attempts, attempts, stop=False)
+        blocks = _simple_flags(seq, cell_seed, attempts, stop=False)
         simple = sum(int(flags.sum()) for _, flags in blocks)
         emp = simple / attempts
         pred = predicted_p_simple(seq)
@@ -818,6 +819,9 @@ def run_command(experiment: str, seed: int, out: str | None, fmt: str, **flags) 
         raise SystemExit(2)
     except NumericError as exc:
         click.echo(f"numeric failure: {exc}", err=True)
+        raise SystemExit(3)
+    except MemoryError as exc:  # a resource blowout, such as a kernel's failed allocation
+        click.echo(f"numeric failure: {exc or 'out of memory'}", err=True)
         raise SystemExit(3)
 
     runtime = time.perf_counter() - started

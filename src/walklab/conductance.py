@@ -10,13 +10,12 @@ exact minimizer is found by enumerating all vertex subsets, which caps the
 graph at 22 vertices; the sweep variant scans prefix cuts of the second
 eigenvector and is an upper bound by construction.
 
-The enumeration scores 4096 subsets at a time, in C by the compiled
-kernel (walklab_conductance in _walk.c) where `rng` built it, else in
-numpy blocks; both add every table entry's doubles in the same order, so
-they return the same result to the bit. On a 2-core Xeon VM one exact
-call took 2.1-3.4 ms in C and 6.9-8.1 ms in numpy at n = 20, and
-7.7-11 ms and 28 ms at the cap, n = 22; either way its tables take
-2.0-2.2 MiB at n = 20 and 2.7-2.9 MiB at n = 22.
+The enumeration scores 4096 subsets at a time in the compiled kernel
+(walklab_conductance in _walk.c), which adds every table entry's doubles
+in numpy's order, so the result is that of whole numpy tables built by
+doubling, to the bit. On a 2-core Xeon VM one exact call took 2.1-3.4 ms
+at n = 20 and 7.7-11 ms at the cap, n = 22; its tables take 2.0 MiB at
+n = 20 and 2.7 MiB at n = 22.
 """
 
 from __future__ import annotations
@@ -73,14 +72,14 @@ def conductance_exact(kernel: TransitionKernel) -> ConductanceResult:
     crossing flow and so halves the conductance, a weighted kernel uses
     its own stationary law.
 
-    Subsets are scored 2^BLOCK_BITS at a time, so no table holds 2^n
-    entries: in C by `rng._KERNEL` where it was built, else by
-    `_numpy_blocks`, with the same result to the bit. On a 2-core Xeon VM
-    (best of 9 calls) a call took 2.1-3.4 ms in C and 6.9-8.1 ms in numpy
-    at n = 20, and 7.7-11 ms and 28 ms at n = EXACT_CAP = 22; the numpy
-    blocks peak at 2.2 and 2.9 MiB (tracemalloc), and the C tables hold
-    2.0 and 2.7 MiB. Whole 2^n-entry tables took 26 ms and 29 MiB, and
-    90 ms and 116 MiB. Time doubles with each vertex; memory grows with n^2.
+    Subsets are scored 2^BLOCK_BITS at a time by `rng._KERNEL`, so no
+    table holds 2^n entries, and every entry gets the additions of whole
+    doubling tables in their order, ties going to the smallest mask. On a
+    2-core Xeon VM (best of 9 calls) a call took 2.1-3.4 ms at n = 20 and
+    7.7-11 ms at n = EXACT_CAP = 22, its tables holding 2.0 and 2.7 MiB.
+    Whole 2^n-entry tables in numpy took 26 ms and 29 MiB, and 90 ms and
+    116 MiB. Time doubles with each vertex; memory grows with n^2. A
+    kernel that finds no memory for its tables raises MemoryError.
     """
     n = kernel.n
     if n < 2:
@@ -90,100 +89,19 @@ def conductance_exact(kernel: TransitionKernel) -> ConductanceResult:
     q = _pair_flow(kernel)
     pi = kernel.stationary
     a = q + q.T
-    low = min(n, BLOCK_BITS)
-    compiled = _rng._KERNEL
-    if compiled is None:
-        ratio, mask, mass, flow = _numpy_blocks(n, low, pi, q, a)
-    else:
-        ratio, mask, mass, flow = _compiled_blocks(compiled, n, low, pi, q, a)
+    out = np.empty(3)
+    tables = [np.ascontiguousarray(x, dtype=float) for x in (pi, q, a)]
+    mask = _rng._KERNEL.walklab_conductance(
+        n, min(n, BLOCK_BITS), *(x.ctypes.data for x in tables), 0.5 + HALF_TOL, out.ctypes.data
+    )
+    if mask < 0:
+        raise MemoryError("no memory for the conductance tables")
+    ratio, mass, flow = out.tolist()
     # every subset of positive mass at most 1/2 scores a finite ratio
     if ratio == math.inf:
         raise ParameterError("no subset has stationary mass at most 1/2")
     members = [v for v in range(n) if mask & (1 << v)]
     return _result(ratio, members, mass, flow, "exact")
-
-
-def _compiled_blocks(compiled, n: int, low: int, pi, q, a) -> tuple:
-    """(ratio, mask, mass, cut) of the best subset, from walklab_conductance."""
-    out = np.empty(3)
-    tables = [np.ascontiguousarray(x, dtype=float) for x in (pi, q, a)]
-    mask = compiled.walklab_conductance(n, low, *(x.ctypes.data for x in tables), 0.5 + HALF_TOL, out.ctypes.data)
-    if mask < 0:
-        raise MemoryError("no memory for the conductance tables")
-    ratio, mass, flow = out.tolist()
-    return ratio, mask, mass, flow
-
-
-def _numpy_blocks(n: int, low: int, pi, q, a) -> tuple:
-    """(ratio, mask, mass, cut) of the best subset, scored in numpy blocks.
-
-    The reference for walklab_conductance, and the path where no kernel
-    was built; an all-infinite search returns mask 0.
-    """
-    size = 1 << low
-    # Tables over the low bits, built by doubling: entry index is the
-    # bitmask itself. internal[mask] = total flow with both ends inside the
-    # mask; cross[b, mask] = flow between the mask and vertex b, summed in
-    # bit order. The masks holding x as top bit are filled from those below
-    # 2^x, in place.
-    pisum = np.zeros(size)
-    internal = np.zeros(size)
-    cross = np.zeros((n, size))
-    for x in range(low):
-        lo, hi = slice(0, 1 << x), slice(1 << x, 2 << x)
-        np.add(internal[lo], cross[x, lo], out=internal[hi])
-        internal[hi] += q[x, x]
-        np.add(pisum[lo], pi[x], out=pisum[hi])
-        np.add(cross[:, lo], a[x][:, None], out=cross[:, hi])
-    # A high-bit pattern extends its parent (the pattern without its top
-    # bit b) exactly as doubling would: pisum + pi[b], internal + cross_b
-    # + q[b, b], and cross_b2 + a[b, b2] for each higher b2. The patterns
-    # are walked depth first, one buffer set per depth.
-    depth = n - low
-    blocks = [
-        (np.empty(size), np.empty(size), np.empty((depth - d, size)))
-        for d in range(1, depth + 1)
-    ]
-    cut = np.empty(size)
-    ratios = np.empty(size)
-    invalid = np.empty(size, dtype=bool)
-    heavy = np.empty(size, dtype=bool)
-    best = [math.inf, 0, 0.0, 0.0]  # ratio, mask, pi mass, cut; mask 0 wins an all-inf tie
-
-    def score(base: int, pis: np.ndarray, inner: np.ndarray) -> None:
-        # row sums of Q are pi, so the cut is the mass minus the internal flow
-        np.maximum(np.subtract(pis, inner, out=cut), 0.0, out=cut)
-        np.less_equal(pis, 0, out=invalid)
-        np.logical_or(invalid, np.greater(pis, 0.5 + HALF_TOL, out=heavy), out=invalid)
-        np.putmask(np.divide(cut, pis, out=ratios), invalid, np.inf)
-        i = int(ratios.argmin())
-        ratio, mask = ratios[i], base | i
-        if ratio < best[0] or (ratio == best[0] and mask < best[1]):
-            best[:] = ratio, mask, pis[i], cut[i]
-
-    with np.errstate(divide="ignore", invalid="ignore"):  # empty and massless sets are masked
-        score(0, pisum, internal)
-        # A frame holds a pattern's mask, its child bits b numbered by their
-        # row k in its cross blocks, and its pisum and internal blocks. The
-        # frames sit on a list: a recursive closure would be a reference
-        # cycle, holding every buffer until the next garbage collection.
-        stack = [(0, enumerate(range(low, n)), pisum, internal, cross[low:])]
-        while stack:
-            base, children, pis, inner, crosses = stack[-1]
-            k, b = next(children, (None, None))
-            if b is None:
-                stack.pop()
-                continue
-            child_pis, child_inner, child_crosses = blocks[len(stack) - 1]
-            np.add(pis, pi[b], out=child_pis)
-            np.add(inner, crosses[k], out=child_inner)
-            child_inner += q[b, b]
-            rest = child_crosses[: n - 1 - b]
-            np.add(crosses[k + 1 :], a[b, b + 1 :, None], out=rest)
-            child = base | (1 << b)
-            score(child, child_pis, child_inner)
-            stack.append((child, enumerate(range(b + 1, n)), child_pis, child_inner, rest))
-    return tuple(best)
 
 
 def conductance_sweep(kernel: TransitionKernel) -> ConductanceResult:

@@ -8,29 +8,18 @@ sampling is exact.
 
 Attempt i shuffles the stub array with stream (seed, 1 + i), and its
 pairs form a simple graph when no pair is a loop and no two pairs share
-the key min*n + max. `_simple_flags` gives each attempt's verdict, by one
-of two paths that agree on every flag:
-- the compiled kernel (`rng._KERNEL`, walklab_simple in _walk.c) shuffles
-  each attempt in C exactly as numpy's Generator.shuffle does on its
-  stream and stops it at its first loop or repeated key. On a 2-core Xeon
-  VM it took 1.6-3.3 us an attempt on p-simple's four sequences (150-400
-  stubs), against 5.0-10.5 us for the numpy path below (best of 7 runs of
-  4000 attempts each);
-- the numpy reference, used wherever no kernel could be built: attempts
-  are drawn in blocks, one (rows, 2m) stub array whose row j is attempt
-  start + j shuffled by `rng.shuffle`, so each shuffle is the one a lone
-  attempt would make. A block holds at most `BLOCK_STUBS` = 2^16 stubs
-  (0.5 MiB) and at least one row, so memory does not grow with the number
-  of attempts and a sequence with more stubs gets one row a block. One
-  vectorised test, `_simple_rows`, gives every row's verdict on the stub
-  array itself.
+the key min*n + max. `_simple_flags` gives each attempt's verdict from the
+compiled kernel (`rng._KERNEL`, walklab_simple in _walk.c), which
+shuffles each attempt in C exactly as numpy's Generator.shuffle does on
+its stream and stops it at its first loop or repeated key. On a 2-core
+Xeon VM it took 1.6-3.3 us an attempt on p-simple's four sequences
+(150-400 stubs), against 5.0-10.5 us for blocks of numpy shuffles tested
+in numpy (best of 7 runs of 4000 attempts each).
 
 `sample_simple` accepts the first simple attempt in attempt order and
 builds its `Graph` from the numpy shuffle of that attempt alone, so the
 graph, the attempt count and a failure's text are those of testing one
-attempt at a time, on either path. Its numpy path starts with about a
-quarter of the expected 1/p attempts in its first block (at least one
-row) and doubles from there. The default attempt budget grows as
+attempt at a time. The default attempt budget grows as
 20 / predicted_p_simple and is refused up front above `MAX_DEFAULT_TRIES`.
 
 The niceness conditions checked here are asymptotic in origin; every o(.)
@@ -51,7 +40,7 @@ import numpy as np
 from . import rng as _rng
 from .errors import ParameterError, RejectionFailure, SizeCapError
 from .graph import _VERTEX_CAP, Graph
-from .rng import _check_streams, _stream_starts, substream
+from .rng import _check_streams, substream
 
 __all__ = [
     "DegreeSequence",
@@ -76,7 +65,6 @@ NICE_KAPPA = 1.0 / 12.0  # below 1/11
 NICE_BIG_O = 10.0
 NICE_AVERAGE_SLACK = 3.0
 MAX_DEFAULT_TRIES = 10**6  # the default rejection budget, 20 / p, is refused above this
-BLOCK_STUBS = 2**16  # a pairing block holds at most this many stubs, or one row
 _KERNEL_ROWS = 2**16  # attempts the kernel checks into one flags array
 
 
@@ -170,58 +158,29 @@ def read_degree_file(path) -> DegreeSequence:
 # --- sampling ---
 
 
-def _pairing_block(seq: DegreeSequence, seed: int, start: int, rows: int) -> np.ndarray:
-    """The (rows, 2m) stub arrays of attempts start, ..., start + rows - 1.
-
-    Row i is the stub array shuffled with stream (seed, 1 + start + i); one
-    Philox serves the block and is reset before each row. Consecutive
-    entries of a row are its pairs.
-    """
-    block = np.tile(np.repeat(np.arange(seq.n), seq.degrees), (rows, 1))
-    rngs = _stream_starts(substream(seed, 1 + start), seed, 1 + start, rows)
-    for row, rng in zip(block, rngs):
-        rng.shuffle(row)
-    return block
+def _pairing(seq: DegreeSequence, seed: int, index: int) -> np.ndarray:
+    """The stub array of attempt index, shuffled with stream (seed, 1 + index);
+    consecutive entries are its pairs."""
+    stubs = np.repeat(np.arange(seq.n), seq.degrees)
+    substream(seed, 1 + index).shuffle(stubs)
+    return stubs
 
 
-def _simple_rows(block: np.ndarray, n: int) -> np.ndarray:
-    """Per row, Graph(n, row pairs).is_simple, read off the stub array: no
-    equal pair (loop) and no repeated key min*n + max (parallel edge)."""
-    u, v = block[:, 0::2], block[:, 1::2]
-    keys = np.minimum(u, v) * n + np.maximum(u, v)
-    keys.sort(axis=1)
-    return ~((u == v).any(axis=1) | (keys[:, 1:] == keys[:, :-1]).any(axis=1))
-
-
-def _pairing_blocks(seq: DegreeSequence, seed: int, budget: int, rows: int):
-    """Yield (start, block) covering attempts 0, ..., budget - 1 in order.
-
-    The first block has `rows` rows and each next one twice as many, all
-    capped by the budget left and by BLOCK_STUBS stubs (one row at least).
-    """
-    cap = max(1, BLOCK_STUBS // (2 * seq.m))
-    start = 0
-    while start < budget:
-        size = min(rows, cap, budget - start)
-        yield start, _pairing_block(seq, seed, start, size)
-        start += size
-        rows *= 2
-
-
-def _kernel_flags(kernel, seq: DegreeSequence, seed: int, start: int, count: int, stop: bool) -> np.ndarray:
+def _kernel_flags(seq: DegreeSequence, seed: int, start: int, count: int, stop: bool) -> np.ndarray:
     """The kernel's verdicts on attempts start, ..., start + count - 1.
 
     Entry i is True when attempt start + i pairs into a simple graph, as
-    `_simple_rows` tells from its `_pairing_block` row. With stop, the
-    array ends at the first simple attempt. A call returns between
-    attempts within about 2^26 draws, so a long count takes several.
+    Graph(seq.n, its pairs).is_simple tells. With stop, the array ends at
+    the first simple attempt. A call returns between attempts within about
+    2^26 draws, so a long count takes several. A kernel that finds no
+    memory for its tables raises MemoryError.
     """
     _check_streams(seed, 1 + start, count)
     stubs = np.repeat(np.arange(seq.n, dtype=np.int64), seq.degrees)
     flags = np.zeros(count, dtype=bool)
     done = 0
     while done < count and not (stop and done and flags[done - 1]):
-        checked = kernel.walklab_simple(
+        checked = _rng._KERNEL.walklab_simple(
             stubs.ctypes.data, stubs.size, seq.n, seed, 1 + start + done, count - done, stop,
             flags[done:].ctypes.data,
         )
@@ -231,22 +190,15 @@ def _kernel_flags(kernel, seq: DegreeSequence, seed: int, start: int, count: int
     return flags[:done]
 
 
-def _simple_flags(seq: DegreeSequence, seed: int, budget: int, rows: int, stop: bool):
+def _simple_flags(seq: DegreeSequence, seed: int, budget: int, stop: bool):
     """Yield (start, flags) covering attempts 0, ..., budget - 1 in order.
 
     flags[i] is True when attempt start + i pairs into a simple graph. The
     kernel checks up to _KERNEL_ROWS attempts a block and, with stop, ends
-    the block at its first simple attempt; without a kernel the blocks are
-    `_pairing_blocks`' (the first one `rows` rows) checked by
-    `_simple_rows`. The flags are the same either way.
+    the block at its first simple attempt.
     """
-    kernel = _rng._KERNEL
-    if kernel is None:
-        for start, block in _pairing_blocks(seq, seed, budget, rows):
-            yield start, _simple_rows(block, seq.n)
-        return
     for start in range(0, budget, _KERNEL_ROWS):
-        yield start, _kernel_flags(kernel, seq, seed, start, min(_KERNEL_ROWS, budget - start), stop)
+        yield start, _kernel_flags(seq, seed, start, min(_KERNEL_ROWS, budget - start), stop)
 
 
 def _configuration_graph(seq: DegreeSequence, pairs: np.ndarray, seed: int, index: int) -> Graph:
@@ -255,7 +207,7 @@ def _configuration_graph(seq: DegreeSequence, pairs: np.ndarray, seed: int, inde
 
 def sample_configuration(seq: DegreeSequence, seed: int, index: int = 0) -> Graph:
     """One uniform configuration; attempt `index` of the stream keyed by seed."""
-    pairs = _pairing_block(seq, seed, index, 1).reshape(-1, 2)
+    pairs = _pairing(seq, seed, index).reshape(-1, 2)
     return _configuration_graph(seq, pairs, seed, index)
 
 
@@ -305,20 +257,14 @@ def sample_simple(seq: DegreeSequence, seed: int, max_tries: int | None = None) 
         max_tries = default_max_tries(seq)
     if max_tries < 1:
         raise ParameterError("max_tries must be positive")
-    # without the kernel, a first block of a quarter of 1/p rows holds a
-    # simple row with probability about 1 - e^(-1/4) = 0.22; doubling keeps
-    # the rows drawn past the first simple one fewer than those before it
-    # plus one block
-    p = predicted_p_simple(seq)
-    rows = max_tries if 4.0 * p * max_tries <= 1.0 else max(1, int(0.25 / p))
-    for start, flags in _simple_flags(seq, seed, max_tries, rows, stop=True):
+    for start, flags in _simple_flags(seq, seed, max_tries, stop=True):
         simple = np.flatnonzero(flags)
         if simple.size:
             attempt = start + int(simple[0])
             return SimpleSample(graph=sample_configuration(seq, seed, attempt), attempts=attempt + 1)
     raise RejectionFailure(
         f"no simple graph in {max_tries} attempts "
-        f"(empirical acceptance 0/{max_tries}, predicted {p:.4g})"
+        f"(empirical acceptance 0/{max_tries}, predicted {predicted_p_simple(seq):.4g})"
     )
 
 

@@ -1,4 +1,4 @@
-"""Deterministic random-stream plumbing.
+"""Deterministic random-stream plumbing and the compiled kernel.
 
 Every stochastic routine in the package draws from a counter-based Philox
 generator keyed by (seed, stream index). Streams with distinct indices are
@@ -6,29 +6,31 @@ independent, and stream `i` produces the same values no matter how many
 other streams were consumed first, which is what makes trial results
 independent of worker count and scheduling order.
 
-`substream` builds a fresh generator for one stream. The walk engine and
-the configuration model run many short trials, so they build one generator
-per block of trials and `_stream_starts` resets its Philox to key
-(seed, 1 + i), counter 0, before trial i: the same draws as
-`substream(seed, 1 + i)` without building a generator per trial. A reset
-sets the state from plain Python ints, which numpy's Philox state setter
-casts to the same uint64 words as it would from uint64 arrays, at less than
-half the cost; the keys are checked against [0, 2^64) before any reset.
+`substream` builds a fresh generator for one stream. `_stream_starts`
+resets one generator's Philox to key (seed, 1 + i), counter 0, before
+each i of a block: the same draws as `substream(seed, 1 + i)` without
+building a generator per stream. A reset sets the state from plain Python
+ints, which numpy's Philox state setter casts to the same uint64 words as
+it would from uint64 arrays, at less than half the cost; the keys are
+checked against [0, 2^64) before any reset.
 
 `_KERNEL` is walklab's compiled kernel, built from _walk.c when this
-module is imported (see `_load_kernel`), or None where it cannot be had.
-It has four callers. `walks` steps walk trials in it, a slice of a run
-on each of several threads at once (ctypes releases the GIL for each
-call, and a call writes only its own memory), and `configmodel`
-shuffles pairing attempts in it as Generator.shuffle does and checks
-them for simplicity; both read these same streams, word for word, in C.
-`conductance` enumerates vertex subsets in it, adding each subset's
-doubles in numpy's order, and `spectral` enumerates the cover
-recursion's connected sets and builds and stores each size layer's
-systems in it, every entry by numpy's operations in numpy's order, while
-numpy solves them. Every caller reads `_KERNEL` at call time and falls
-back to its numpy or Python reference when it is None, with the same
-results.
+module is imported (see `_load_kernel`). It has four callers, which read
+it at call time. `walks` steps walk trials in it, a slice of a run on each
+of several threads at once (ctypes releases the GIL for each call, and a
+call writes only its own memory), and `configmodel` shuffles pairing
+attempts in it as Generator.shuffle does and checks them for simplicity;
+both read these same streams, word for word, in C. `conductance`
+enumerates vertex subsets in it, adding each subset's doubles in numpy's
+order, and `spectral` enumerates the cover recursion's connected sets and
+builds and stores each size layer's systems in it, every entry by numpy's
+operations in numpy's order, while numpy solves them.
+
+The kernel is required for those four jobs, and only for them. Where it
+cannot be built or loaded, `_KERNEL` is a stand-in whose every entry point
+raises NumericError naming the reason, so the package still imports, the
+exact layer that needs no kernel still runs, and a run that needs the
+kernel exits 3 in one line.
 """
 
 from __future__ import annotations
@@ -40,7 +42,7 @@ import zlib
 
 import numpy as np
 
-from .errors import ParameterError
+from .errors import NumericError, ParameterError
 
 __all__ = ["substream"]
 
@@ -115,29 +117,79 @@ _SOURCE = os.path.join(os.path.dirname(os.path.abspath(__file__)), "_walk.c")
 # (baseline x86-64 has no FMA, so there the flag changes only the cache tag)
 _FLAGS = ["-O2", "-ffp-contract=off", "-shared", "-fPIC"]
 _POINTER, _INT, _WORD = ctypes.c_void_p, ctypes.c_int64, ctypes.c_uint64
+# each entry point's argument and result types
+_ENTRIES = {
+    "walklab_trials": (
+        [_INT] + [_POINTER] * 5  # n, then off, nbrs, cum, row and rows
+        + [_INT] * 4 + [_POINTER, _INT]  # buckets, shift, start, budget; owed, remaining
+        + [_WORD, _WORD, _INT, _POINTER],  # seed, first stream index, count; the steps
+        _INT,
+    ),
+    "walklab_simple": (
+        [_POINTER, _INT, _INT]  # the stubs, their number, n
+        + [_WORD, _WORD, _INT, _INT, _POINTER],  # seed, first stream index, count, stop; the flags
+        _INT,
+    ),
+    "walklab_words": ([_WORD, _WORD, _INT, _POINTER], None),
+    "walklab_shuffle": ([_POINTER, _INT, _WORD, _WORD], None),
+    "walklab_conductance": (
+        [_INT, _INT] + [_POINTER] * 3  # n, the low bits; pi, q and a
+        + [ctypes.c_double, _POINTER],  # the mass limit; the ratio, mass and cut
+        _INT,
+    ),
+    "walklab_connected": ([_INT] + [_POINTER] * 3, _INT),  # n; the neighbour masks, the sets and sizes
+    "walklab_cover_layer": (
+        [_INT] * 3 + [_POINTER] * 4  # n, k, the set count; p, the masks, row and remaining
+        + [_POINTER] * 2,  # a and b
+        None,
+    ),
+    "walklab_cover_store": ([_INT] * 3 + [_POINTER] * 4, None),  # n, k, count; masks, row, x, remaining
+}
 
 
-def _compile(command: list[str], path: str) -> bool:
-    """Build the library at path; False where it cannot be built.
+class _Unavailable:
+    """Stands in for a kernel that could not be built or loaded: every
+    entry point raises NumericError naming the reason."""
+
+    def __init__(self, reason: str):
+        self.reason = reason
+
+    def __getattr__(self, name: str):
+        if name.startswith("__"):  # copy, pickle and the like probe these
+            raise AttributeError(name)
+        raise NumericError(f"walklab's compiled kernel is unavailable: {self.reason}")
+
+
+def _compile(command: list[str], path: str) -> str | None:
+    """Build the library at path; None once built, else why it could not be.
 
     The compiler runs by os.posix_spawnp, its output sent to os.devnull,
     so a cached import never loads subprocess (about 5 ms). It writes a
     name of this process's own, moved into place once whole, so a process
     racing this one loads either no library or a whole one.
     """
+    folder = os.path.dirname(path)
     part = f"{path}.{os.getpid()}.part"
-    quiet = [(os.POSIX_SPAWN_OPEN, fd, os.devnull, os.O_WRONLY, 0) for fd in (1, 2)]
     try:
-        os.makedirs(os.path.dirname(path), exist_ok=True)
+        os.makedirs(folder, exist_ok=True)
+    except OSError as exc:
+        return f"cannot create the cache directory {folder}: {exc.strerror or exc}"
+    try:
+        quiet = [(os.POSIX_SPAWN_OPEN, fd, os.devnull, os.O_WRONLY, 0) for fd in (1, 2)]
         pid = os.posix_spawnp(command[0], [*command, "-o", part, _SOURCE], os.environ, file_actions=quiet)
-        built = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1]) == 0
-        if built:
+        status = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
+    except (OSError, AttributeError) as exc:  # no compiler, or no posix_spawn
+        return f"cannot run the C compiler {command[0]!r}: {getattr(exc, 'strerror', None) or exc}"
+    try:
+        if status == 0:
             os.replace(part, path)
-    except (OSError, AttributeError):  # no compiler, no write access, no posix_spawn
-        built = False
-    if not built and os.path.exists(part):
-        os.remove(part)
-    return built
+            return None
+        return f"the C compiler {command[0]!r} failed on {_SOURCE} with exit status {status}"
+    except OSError as exc:
+        return f"cannot write the library {path}: {exc.strerror or exc}"
+    finally:
+        if os.path.exists(part):
+            os.remove(part)
 
 
 def _remove_stale(path: str, prefix: str, suffix: str) -> None:
@@ -164,7 +216,7 @@ def _is_crc(tag: str) -> bool:
 
 
 def _load_kernel():
-    """The library compiled from _walk.c, or None where it cannot be had.
+    """The library compiled from _walk.c, or an `_Unavailable` saying why not.
 
     It is cached in __pycache__ as _walk-<command>-<source>-<platform>.so,
     named by the CRC-32 of the compiler command and of the source, so an
@@ -172,58 +224,35 @@ def _load_kernel():
     costs a read, a checksum and a dlopen. The compiler is the
     interpreter's own (sysconfig's CC). A build removes the libraries it
     replaces, those of the same command and platform built from another
-    source or named in the older one-CRC form (see `_remove_stale`). With
-    no compiler, an unwritable directory, or a failed build or load, the
-    walks run in `walks._walk`, the pairings are checked by
-    `configmodel._simple_rows`, the subsets are scored by
-    `conductance._numpy_blocks` and the cover recursion's sets and systems
-    are built by `spectral._connected_sets` and `spectral._numpy_layer`,
-    which give the same results.
+    source or named in the older one-CRC form (see `_remove_stale`). An
+    unreadable source, no compiler, an unwritable cache, a failed build or
+    load, or a library that lacks any entry point of `_ENTRIES` gives the
+    stand-in, which names the first of these that happened.
     """
     try:
         with open(_SOURCE, "rb") as handle:
             code = handle.read()
-        command = (sysconfig.get_config_var("CC") or "cc").split() + _FLAGS
-        folder = os.path.join(os.path.dirname(_SOURCE), "__pycache__")
-        prefix = f"_walk-{zlib.crc32(' '.join(command).encode()):08x}-"
-        suffix = f"-{sysconfig.get_platform()}.so"
-        path = os.path.join(folder, f"{prefix}{zlib.crc32(code):08x}{suffix}")
-        if not os.path.exists(path):
-            if not _compile(command, path):
-                return None
-            _remove_stale(path, prefix, suffix)
+    except OSError as exc:
+        return _Unavailable(f"cannot read its source {_SOURCE}: {exc.strerror or exc}")
+    command = (sysconfig.get_config_var("CC") or "cc").split() + _FLAGS
+    folder = os.path.join(os.path.dirname(_SOURCE), "__pycache__")
+    prefix = f"_walk-{zlib.crc32(' '.join(command).encode()):08x}-"
+    suffix = f"-{sysconfig.get_platform()}.so"
+    path = os.path.join(folder, f"{prefix}{zlib.crc32(code):08x}{suffix}")
+    if not os.path.exists(path):
+        failure = _compile(command, path)
+        if failure is not None:
+            return _Unavailable(failure)
+        _remove_stale(path, prefix, suffix)
+    try:
         lib = ctypes.CDLL(path)
-        lib.walklab_trials.argtypes = (
-            [_INT] + [_POINTER] * 5  # n, then off, nbrs, cum, row and rows
-            + [_INT] * 4 + [_POINTER, _INT]  # buckets, shift, start, budget; owed, remaining
-            + [_WORD, _WORD, _INT, _POINTER]  # seed, first stream index, count; the steps
-        )
-        lib.walklab_trials.restype = _INT
-        lib.walklab_simple.argtypes = (
-            [_POINTER, _INT, _INT]  # the stubs, their number, n
-            + [_WORD, _WORD, _INT, _INT, _POINTER]  # seed, first stream index, count, stop; the flags
-        )
-        lib.walklab_simple.restype = _INT
-        lib.walklab_words.argtypes = [_WORD, _WORD, _INT, _POINTER]
-        lib.walklab_words.restype = None
-        lib.walklab_shuffle.argtypes = [_POINTER, _INT, _WORD, _WORD]
-        lib.walklab_shuffle.restype = None
-        lib.walklab_conductance.argtypes = (
-            [_INT, _INT] + [_POINTER] * 3  # n, the low bits; pi, q and a
-            + [ctypes.c_double, _POINTER]  # the mass limit; the ratio, mass and cut
-        )
-        lib.walklab_conductance.restype = _INT
-        lib.walklab_connected.argtypes = [_INT] + [_POINTER] * 3  # n; the neighbour masks, the sets and sizes
-        lib.walklab_connected.restype = _INT
-        lib.walklab_cover_layer.argtypes = (
-            [_INT] * 3 + [_POINTER] * 4  # n, k, the set count; p, the masks, row and remaining
-            + [_POINTER] * 2  # a and b
-        )
-        lib.walklab_cover_layer.restype = None
-        lib.walklab_cover_store.argtypes = [_INT] * 3 + [_POINTER] * 4  # n, k, count; masks, row, x, remaining
-        lib.walklab_cover_store.restype = None
-    except (OSError, AttributeError):
-        return None
+    except OSError as exc:
+        return _Unavailable(f"cannot load {path}: {exc}")
+    for name, (arguments, result) in _ENTRIES.items():
+        entry = getattr(lib, name, None)
+        if entry is None:
+            return _Unavailable(f"{path} has no entry point {name}")
+        entry.argtypes, entry.restype = arguments, result
     return lib
 
 

@@ -13,9 +13,8 @@ A walk's visited set is always connected in the support of P, and a term
 P[S, w] that would leave a connected S for a disconnected S | w is
 exactly 0, so the recursion solves the connected sets only: 90 of the
 8190 proper nonempty sets on path:13, all of them on complete:13. The
-compiled kernel (`rng._KERNEL`), where it was built, enumerates those
-sets and assembles and stores each size's systems; numpy.linalg solves
-them on either path.
+compiled kernel (`rng._KERNEL`) enumerates those sets and assembles and
+stores each size's systems; numpy.linalg solves them.
 
 mindeg_invariant_report checks the min-degree weighting's guarantees on
 one graph; its hitting-time bound needs the exact hitting solve here.
@@ -24,8 +23,6 @@ one graph; its hitting-time bound needs the exact hitting solve here.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import partial
-
 import numpy as np
 
 from . import rng as _rng
@@ -176,42 +173,16 @@ def _symmetrized(kernel: TransitionKernel) -> tuple[np.ndarray, np.ndarray]:
 # --- exact cover time ---
 
 
-def _connected_sets(support: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def _connected_masks(support: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """The nonempty vertex sets that induce a connected subgraph of a
-    symmetric boolean support matrix, as ascending bitmasks, with their sizes.
-
-    nbr[S], the union of the neighbour masks of S's vertices, and the size
-    of S are built by doubling over the top bit of S. reach[S] starts at
-    the lowest bit of S and takes in its neighbours within S until it stops
-    growing, at most n rounds of O(2^n); S is connected when reach[S] == S.
-    """
-    n = support.shape[0]
-    adj = (support.astype(np.int64) << np.arange(n)).sum(axis=1)
-    nbr = np.zeros(1 << n, dtype=np.int64)
-    size = np.zeros(1 << n, dtype=np.int8)
-    for j in range(n):
-        nbr[1 << j : 2 << j] = nbr[: 1 << j] | adj[j]
-        size[1 << j : 2 << j] = size[: 1 << j] + 1
-    sets = np.arange(1 << n, dtype=np.int64)
-    reach = sets & -sets
-    while True:
-        grown = (reach | nbr[reach]) & sets
-        if np.array_equal(grown, reach):
-            break
-        reach = grown
-    connected = (reach == sets) & (sets != 0)
-    return sets[connected], size[connected]
-
-
-def _compiled_sets(compiled, support: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """_connected_sets by walklab_connected: the same masks and sizes, found
-    by a flood from each set's lowest vertex, with no table of 2^n entries
-    but the answer's."""
+    symmetric boolean support matrix, as ascending bitmasks, with their
+    sizes (int8), from walklab_connected: S is connected when the flood
+    from its lowest vertex through S's own vertices reaches all of S."""
     n = support.shape[0]
     adj = (support.astype(np.int64) << np.arange(n)).sum(axis=1)
     sets = np.empty((1 << n) - 1, dtype=np.int64)
     size = np.empty((1 << n) - 1, dtype=np.int8)
-    count = compiled.walklab_connected(n, adj.ctypes.data, sets.ctypes.data, size.ctypes.data)
+    count = _rng._KERNEL.walklab_connected(n, adj.ctypes.data, sets.ctypes.data, size.ctypes.data)
     return sets[:count], size[:count]
 
 
@@ -223,8 +194,12 @@ def _cover_remaining(kernel: TransitionKernel) -> tuple[np.ndarray, np.ndarray]:
     S (a bitmask). For fixed S these values solve (I - P[S, S]) x =
     1 + sum_{w not in S} P[S, w] remaining[row[S | w], w], so sets go by
     decreasing size, all sets of one size in one stacked np.linalg.solve.
-    The right side is summed over ascending w, as a per-set loop would, so
-    every value is the same to the bit.
+    walklab_cover_layer builds each size's systems, every entry of I - P[S, S]
+    by the one subtraction np.eye(k) - P makes and every right side summed
+    over ascending w, as a per-set loop in numpy would, so every value is
+    that loop's to the bit; walklab_cover_store puts the solutions in
+    remaining. p, the sets, row and remaining are C-contiguous, as C reads
+    them.
 
     A walk's visited set is connected in the support of P (the nonzero
     entries of P or P^T; a tiny negative entry the kernel admits is a
@@ -234,62 +209,24 @@ def _cover_remaining(kernel: TransitionKernel) -> tuple[np.ndarray, np.ndarray]:
     S | w is connected, and so already solved, or every P[S, w] is exactly
     0, so its term adds 0 whichever row it reads. It is the one route to
     exact cover times, from one start or from all.
-
-    Where `rng._KERNEL` was built, the sets are enumerated and each layer's
-    systems assembled and stored in C (`_compiled_sets`, `_compiled_layer`);
-    otherwise in numpy (`_connected_sets`, `_numpy_layer`), with the same
-    values to the bit. The solve is numpy's either way.
     """
     n = kernel.n
     p = np.ascontiguousarray(kernel.matrix)
     support = p != 0
-    compiled = _rng._KERNEL
-    if compiled is None:
-        sets, size = _connected_sets(support | support.T)
-        layer = _numpy_layer
-    else:
-        sets, size = _compiled_sets(compiled, support | support.T)
-        layer = partial(_compiled_layer, compiled)
+    sets, size = _connected_masks(support | support.T)
     row = np.zeros(1 << n, dtype=np.int64)
     row[sets] = np.arange(1, len(sets) + 1)
     remaining = np.zeros((len(sets) + 1, n))
+    compiled, rows, table = _rng._KERNEL, row.ctypes.data, remaining.ctypes.data
     for k in range(n - 1, 0, -1):
-        layer(p, sets[size == k], k, remaining, row)
+        s = sets[size == k]
+        count, masks = len(s), s.ctypes.data
+        a = np.empty((count, k, k))
+        b = np.empty((count, k))
+        compiled.walklab_cover_layer(n, k, count, p.ctypes.data, masks, rows, table, a.ctypes.data, b.ctypes.data)
+        x = np.ascontiguousarray(np.linalg.solve(a, b[:, :, None])[:, :, 0])
+        compiled.walklab_cover_store(n, k, count, masks, rows, x.ctypes.data, table)
     return remaining, row
-
-
-def _numpy_layer(p: np.ndarray, s: np.ndarray, k: int, remaining: np.ndarray, row: np.ndarray) -> None:
-    """Solve the sets s, all of size k, into remaining, in one stacked solve.
-
-    The reference for walklab_cover_layer and walklab_cover_store, and the
-    path where no kernel was built.
-    """
-    n = p.shape[0]
-    bits = np.arange(n, dtype=np.int64)
-    idx = np.nonzero((s[:, None] >> bits) & 1)[1].reshape(len(s), k)
-    a = np.eye(k) - p[idx[:, :, None], idx[:, None, :]]
-    b = np.ones((len(s), k))
-    # remaining[row[S | w], w] for every w in one read; for w in S the
-    # row is S's own, still all zero, so its term adds an exact 0.0
-    after = remaining[row[s[:, None] | (1 << bits)], bits]
-    # every product p[idx, w] after[:, w] at once, w leading, then
-    # added onto the ones in ascending w
-    for term in p.T[:, idx] * after.T[:, :, None]:
-        b += term
-    remaining[row[s][:, None], idx] = np.linalg.solve(a, b[:, :, None])[:, :, 0]
-
-
-def _compiled_layer(compiled, p: np.ndarray, s: np.ndarray, k: int, remaining: np.ndarray, row: np.ndarray) -> None:
-    """_numpy_layer with a and b built by walklab_cover_layer and the
-    solutions stored by walklab_cover_store, the same values to the bit.
-    p, s, row and remaining are C-contiguous, as C reads them."""
-    n, count = p.shape[0], len(s)
-    a = np.empty((count, k, k))
-    b = np.empty((count, k))
-    masks, rows, table = s.ctypes.data, row.ctypes.data, remaining.ctypes.data
-    compiled.walklab_cover_layer(n, k, count, p.ctypes.data, masks, rows, table, a.ctypes.data, b.ctypes.data)
-    x = np.ascontiguousarray(np.linalg.solve(a, b[:, :, None])[:, :, 0])
-    compiled.walklab_cover_store(n, k, count, masks, rows, x.ctypes.data, table)
 
 
 def exact_cover_time(kernel: TransitionKernel, start: int = 0) -> float:

@@ -6,63 +6,43 @@ reduces the per-trial step counts once, in trial order, with exact
 integer sums. So any scheduling of trials over threads gives
 bit-identical estimates.
 
-In the Python stepper trials are cheap to start: a run shares one
-Philox, reset before trial i to key (s, 1 + i) at counter 0 with nothing
-buffered, which is exactly the start of `substream(s, 1 + i)`. A walk
-draws raw 64-bit Philox words, in blocks of 64, 128, 256, ... up to
-BUFFER = 4096, then 4096 at a time, never past its budget, so a 30-step
-walk draws 64 words, not 4096. Philox is counter-based: each word depends
-only on the key and its counter, so blocks of any sizes read the words of
-one long draw, and step t reads word t. Its uniform is the double
-rng.random makes of that word w, u = (w >> 11) 2^-53.
-
 Every walk follows one rule, driven by per-vertex visit quotas: it stops
 at the first step where each vertex has been visited as often as its
 quota asks (1 everywhere for cover, 1 at the target for hit,
 ceil(C * pi_v) for blanket-cover, C the graph's blanket_cover_reference),
-or is censored at its step budget. The loop counts quotas down: left[v]
-is the number of visits v still owes, and at a vertex where left is 0 the
-quota work is one read. Two steppers implement it. The compiled kernel,
-`rng._KERNEL` (built from _walk.c when walklab is imported, see
-`rng._load_kernel`), steps a run's trials in C, reading each trial's
-Philox words itself, and `simulate` walks slices of them on several
-threads at once; the Python loop `_walk` is its reference and steps the
-trials, in one thread, wherever no kernel could be built. Both give the
-same stopping step for every trial. `_trial_values` reads `rng._KERNEL`
-at call time, so switching that one attribute off switches off every
-compiled path, this one and the configuration model's pairing check
-alike.
+or is censored at its step budget. The compiled kernel, `rng._KERNEL`
+(built from _walk.c when walklab is imported, see `rng._load_kernel`),
+walks a run's trials: it counts the quotas down and reads trial i's raw
+Philox words from stream (s, 1 + i) itself, step t reading its t-th word,
+whose uniform is the double rng.random makes of it, u = (w >> 11) 2^-53
+for the word w. `simulate` walks slices of the trials on several threads
+at once.
 `_plan` alone decides which graphs a run takes: any graph in hit mode, a
 connected one in the modes that put a quota on every vertex, and never an
 isolated start; budgets above WalkConfig().budget are refused.
 
 A step from v with uniform u goes to nbrs[v][bisect_left(cum[v], u)],
-over two flat per-vertex lists: to nbrs[v][i] for u in
+over two per-vertex lists: to nbrs[v][i] for u in
 (cum[v][i - 1], cum[v][i]]. At every vertex these are its distinct
 neighbours, ascending, with the lazy hold last, and the running sums of
 their probabilities, the last sum set to 1.0; so the walk picks exactly as
 bisection over the cumulative weights, at every degree.
 
-The walk seldom bisects. Each vertex also has a bucket row of R entries,
-R = 2^b chosen from the plan's tables: rows[v][int(u R)] is the index
+The walk seldom bisects. Each vertex also has a bucket row of R = 2^b
+entries, chosen from the plan's tables: entry w >> (64 - b) of v's row,
+the key read off the top b bits of the word, is the index
 bisect_left(cum[v], u) for every u in that bucket, or L_v = len(cum[v])
-where a breakpoint of cum[v] splits the bucket. nbrs[v] ends in a
-sentinel at index L_v, the number n + v, so every step is one expression,
-pos = nbrs[pos][rows[pos][int(u R)]]. left has n trailing truthy markers,
-so a step onto a sentinel takes the quota test's rare branch, which
-bisects cum[v] on u, rebuilt from w, and steps on from there. int(u R) is
-an exact floor, and the row is built from exact comparisons, so the
-lookup picks what the bisection picks for every double u. The walk reads
-the key off the word: u R is (w >> 11) 2^(b - 53) exactly, so
-int(u R) = w >> (64 - b), the top b bits of w. R is sized by the
-stationary share of steps that can bisect: a row of length L has at most
-L - 1 impure buckets, so that share is at most sum_v pi_v (L_v - 1) / R,
-and R is the least power of two from 32 up that holds it to 1/_SHARE,
-capped at _MAX_BUCKETS, but no more than 256 while the share there is at
-most 1/_STAY, since the keys of a larger R are allocated ints. Rows hold
-indices, not vertices, so vertices with equal cum lists share one row: a
-plan holds a row per distinct list (one on a regular graph walked
-uniformly), not per vertex, and R need not shrink as the graph grows.
+where a breakpoint of cum[v] splits the bucket, and there the kernel
+bisects. The key is an exact floor, since u R is (w >> 11) 2^(b - 53)
+exactly, so w >> (64 - b) = int(u R); and the row is built from exact
+comparisons, so the lookup picks what the bisection picks for every
+double u. R is sized by the stationary share of steps that can bisect: a
+row of length L has at most L - 1 impure buckets, so that share is at
+most sum_v pi_v (L_v - 1) / R, and R is the least power of two from 32 up
+that holds it to 1/_SHARE, capped at _MAX_BUCKETS. Rows hold indices, not
+vertices, so vertices with equal cum lists share one row: a plan holds a
+row per distinct list (one on a regular graph walked uniformly), not per
+vertex, and R need not shrink as the graph grows.
 """
 
 from __future__ import annotations
@@ -70,10 +50,8 @@ from __future__ import annotations
 import math
 import os
 import threading
-from bisect import bisect_left
 from dataclasses import dataclass
 from itertools import accumulate, chain
-from operator import length_hint
 
 import numpy as np
 
@@ -81,7 +59,7 @@ from . import rng as _rng
 from .electrical import _kruskal, matthews_upper
 from .errors import ParameterError, SizeCapError, UnsupportedInputError
 from .graph import Graph, _sum_left_to_right
-from .rng import _check_streams, _stream_starts, substream
+from .rng import _check_streams
 from .spectral import COVER_CAP, build_kernel, exact_cover_times, exact_hitting
 from .weighting import apply_scheme
 
@@ -94,24 +72,15 @@ __all__ = [
 ]
 
 STOP_MODES = ("cover", "hit", "blanket-cover")
-BUFFER = 4096
 _SLOTS = 2**18  # bucket-row entries a plan's rows may hold above 32 buckets a row
 _MAX_BUCKETS = 2**14  # buckets a row may have
 # a stationary step lands in an impure bucket, and bisects, with probability
 # at most 1/_SHARE. Within one process, alternating resolutions, the n = 2000
 # 3-regular cover walk took 68 ns a step at 256 buckets (1/128) against 72
 # at 128 (1/64), and lollipop:40's took 76-96 ns at 4096 (1/128) against
-# 82-100 at 2048 (1/64); best of 10-20 runs on a 2-core Xeon VM.
+# 82-100 at 2048 (1/64); best of 10-20 runs on a 2-core Xeon VM, measured
+# on the Python loop that stepped walks before the kernel did.
 _SHARE = 128
-# CPython keeps one int object for each value up to 256, so tolist() makes
-# the keys of a row of at most 256 buckets without allocating; past that a
-# key costs about 15 ns more, against 250-550 ns for a bisection. So a row
-# grows past 256 buckets only when more than 1/_STAY of the steps could
-# bisect at 256: without this, the short walks on mc-short's small dense
-# graphs (complete:10 at 1024 buckets) ran 17-39 % slower than at 256.
-_SMALL_INTS = 256
-_STAY = 16
-_ULP = 2.0**-53  # the uniform of a raw Philox word w is (w >> 11) * _ULP
 
 
 @dataclass(frozen=True)
@@ -164,14 +133,14 @@ def _vertex_tables(g: Graph, scheme: str, lazy: bool):
     `Graph.pooled` lists v's distinct neighbours, ascending, with their
     pooled weights; each is picked with its weight over the row's sum.
     nbrs[v] is that row (v itself last when a lazy walk adds its hold),
-    then the sentinel n + v at index L_v = len(cum[v]), and cum[v] holds
-    the running sums of the probabilities, whatever v's degree. Equal cum
-    lists are one list object. An isolated vertex has None in both, since
-    no edge leads to it. pi is a list, and laziness does not change it; it
-    needs g to have an edge. cuts = sum_v pi_v (L_v - 1), taken in numpy
-    from the weighted degrees and the pooled row lengths, weighs the
-    entries of cum[v] below its last, each of which can split one bucket of
-    v's row; `_step_tables` sizes the rows by it and adds them.
+    and cum[v] holds the running sums of the probabilities, whatever v's
+    degree; L_v = len(cum[v]). Equal cum lists are one list object. An
+    isolated vertex has None in both, since no edge leads to it. pi is a
+    list, and laziness does not change it; it needs g to have an edge.
+    cuts = sum_v pi_v (L_v - 1), taken in numpy from the weighted degrees
+    and the pooled row lengths, weighs the entries of cum[v] below its
+    last, each of which can split one bucket of v's row; `_bucket_rows`
+    sizes the rows by it.
     """
     h = apply_scheme(g, scheme)
     n = h.n
@@ -202,7 +171,6 @@ def _vertex_tables(g: Graph, scheme: str, lazy: bool):
             else:
                 out.append(v)
                 probs.append(0.5)
-        out.append(n + v)
         sums = list(accumulate(probs))
         sums[-1] = 1.0
         nbrs[v], cum[v] = out, distinct.setdefault(tuple(sums), sums)
@@ -212,24 +180,24 @@ def _vertex_tables(g: Graph, scheme: str, lazy: bool):
 # --- bucket rows ---
 
 
-def _step_tables(nbrs: list, cum: list, cuts: float) -> tuple:
-    """The tables a walk steps by: (nbrs, cum, rows, shift).
+def _bucket_rows(cum: list, cuts: float) -> tuple:
+    """The bucket rows a walk steps by: (row, rows, shift).
 
-    rows[v] is the bucket row of cum[v] at r buckets: rows[v][k] is the
-    index bisect_left(cum[v], u) for every double u in [k/r, (k+1)/r), or
-    L_v = len(cum[v]), the index of nbrs[v]'s sentinel, where an entry of
-    cum[v] splits the bucket. One row serves every vertex whose cum list is
-    the same object, as `_vertex_tables` makes equal lists; an isolated
-    vertex has None. shift = 64 - log2 r, a 0-d uint64 array, puts a raw
-    Philox word w in bucket w >> shift.
+    rows is an int64 array of one row of r buckets for each distinct cum
+    list, and row[v] the index of cum[v]'s row in it, or 0 for an isolated
+    vertex, which no step reaches; vertices share a row when their cum
+    lists are one object, as `_vertex_tables` makes equal lists.
+    rows[row[v], k] is the index bisect_left(cum[v], u) for every double u
+    in [k/r, (k+1)/r), or L_v = len(cum[v]) where an entry of cum[v] splits
+    the bucket, and there the kernel bisects. shift = 64 - log2 r puts a
+    raw Philox word w in bucket w >> shift.
 
     A row of length L has at most L - 1 impure buckets, each of probability
     1/r, so a stationary step lands in one with probability at most
     cuts / r (see `_vertex_tables`). r is the least power of two from 32 up
-    with cuts / r at most 1/_SHARE, capped at _MAX_BUCKETS; it stays at 256
-    if cuts / 256 is at most 1/_STAY, since keys above 256 cost every step
-    an allocation. It is then halved while the distinct rows would hold
-    more than _SLOTS entries, but never below 32.
+    with cuts / r at most 1/_SHARE, capped at _MAX_BUCKETS. It is then
+    halved while the distinct rows would hold more than _SLOTS entries, but
+    never below 32.
 
     Each row comes from two searches of cum[v]: bucket k is pure when its
     first double k/r and its last, the one just below (k + 1)/r, have the
@@ -240,113 +208,18 @@ def _step_tables(nbrs: list, cum: list, cuts: float) -> tuple:
     r = 32
     while cuts > r / _SHARE and r < _MAX_BUCKETS:
         r *= 2
-    if r > _SMALL_INTS and cuts <= _SMALL_INTS / _STAY:
-        r = _SMALL_INTS
     while r > 32 and len(shared) * r > _SLOTS:
         r //= 2
     first = np.arange(r) / r
     last = np.nextafter(first + 1 / r, 0.0)
-    for key, bounds in shared.items():
+    rows = np.empty((len(shared), r), dtype=np.int64)
+    for i, bounds in enumerate(shared.values()):
         table = np.array(bounds)
         lo = np.searchsorted(table, first)
-        shared[key] = np.where(lo == np.searchsorted(table, last), lo, len(bounds)).tolist()
-    rows = [None if c is None else shared[id(c)] for c in cum]
-    # a 0-d uint64 array: numpy shifts a block by it in about half the time
-    # it takes to shift by a Python int
-    return nbrs, cum, rows, np.array(65 - r.bit_length(), dtype=np.uint64)
-
-
-def _flat_tables(tables, left) -> tuple:
-    """The step tables and quotas as the arrays the kernel walks by.
-
-    Returns (off, nbrs, cum, row, rows, shift, owed). Vertex v's table is
-    entries off[v]..off[v + 1] - 1 of nbrs (int64, its sentinel dropped)
-    and of cum (float64), so L_v = off[v + 1] - off[v]; row[v] is the index
-    of its bucket row in rows, an int64 array of one row per distinct cum
-    list, and 0 for an isolated vertex, which no step reaches. owed holds
-    left's quotas, without the sentinel markers.
-    """
-    nbrs, cum, rows, shift = tables
-    n = len(nbrs)
-    off = np.zeros(n + 1, dtype=np.int64)
-    np.cumsum([0 if c is None else len(c) for c in cum], out=off[1:])
-    total = int(off[-1])
-    listed = [x for x in nbrs if x is not None]
-    ends = np.fromiter(chain.from_iterable(listed), np.int64, total + len(listed))
-    shared = {id(r): r for r in rows if r is not None}
+        rows[i] = np.where(lo == np.searchsorted(table, last), lo, len(bounds))
     order = {key: i for i, key in enumerate(shared)}
-    return (
-        off,
-        ends[ends < n],  # the sentinels are n + v
-        np.fromiter(chain.from_iterable(c for c in cum if c is not None), np.float64, total),
-        np.array([0 if r is None else order[id(r)] for r in rows], dtype=np.int64),
-        np.array(list(shared.values()), dtype=np.int64),
-        int(shift),
-        np.array(left[:n], dtype=np.int64),
-    )
-
-
-# --- the walk ---
-
-
-def _walk(tables, pos, rng, budget, left, remaining) -> int | None:
-    """Walk from pos until no vertex owes a visit; the Python stepper.
-
-    tables is (nbrs, cum, rows, shift) from `_step_tables`, over n
-    vertices. left[v] > 0 is the number of visits v still owes, and
-    remaining the number of vertices that owe any; left[v] < 0 marks a
-    vertex that keeps counting, with -(left[v] + 1) visits so far, the
-    start's visit at time zero included. left is updated in place. Its
-    entries n..2n-1 are truthy markers for the sentinels, never changed.
-    Returns the stopping step, or None once budget steps pass without it.
-
-    Step t reads the t-th raw word w of rng's Philox, whose uniform is the
-    double rng.random makes of it, u = (w >> 11) 2^-53. The words come in
-    blocks of 64, then twice as many each time up to BUFFER, then BUFFER
-    each, never past the budget: a short walk pays for few draws, a long
-    one for few calls. Philox words drawn in blocks of any sizes equal one
-    draw of their total, so the schedule never changes which word a step
-    reads. Each block is turned into bucket keys w >> shift at once, which
-    equal int(u r). A step is pos = nbrs[pos][rows[pos][key]], then one
-    list read tests left. In a pure bucket that is the step. In an impure
-    one it lands on v's sentinel n + v, whose marker in left is truthy, so
-    the test's branch bisects cum[v] on u, rebuilt from w, steps to the
-    neighbour it picks and does that vertex's quota work. The step number
-    is read off the key iterator only at a bisection or a quota event.
-
-    A walk that starts with every vertex counting and remaining = 1 runs
-    its whole budget and counts every visit.
-    """
-    if remaining == 0:
-        return 0
-    nbrs, cum, rows, shift = tables
-    n = len(nbrs)
-    draw = rng.bit_generator.random_raw
-    bisect = bisect_left  # a local: faster than a global lookup
-    t = 0  # steps taken before the current block
-    size = 64
-    while t < budget:
-        block = draw(min(size, budget - t))
-        keys = (block >> shift).tolist()
-        rest = iter(keys)
-        for k in rest:
-            pos = nbrs[pos][rows[pos][k]]
-            if left[pos]:
-                if pos >= n:  # a sentinel: the bucket was impure
-                    v = pos - n
-                    w = block.item(len(keys) - length_hint(rest) - 1)
-                    pos = nbrs[v][bisect(cum[v], (w >> 11) * _ULP)]
-                    if not left[pos]:
-                        continue
-                c = left[pos] - 1
-                left[pos] = c
-                if c == 0:
-                    remaining -= 1
-                    if remaining == 0:
-                        return t + len(keys) - length_hint(rest)
-        t += len(keys)
-        size = min(2 * size, BUFFER)
-    return None
+    row = np.array([0 if c is None else order[id(c)] for c in cum], dtype=np.int64)
+    return row, rows, 65 - r.bit_length()
 
 
 def blanket_cover_reference(g: Graph, scheme: str = "uniform", lazy: bool = False) -> float:
@@ -363,10 +236,12 @@ def _plan(g: Graph, config: WalkConfig) -> tuple:
     Outside hit mode a disconnected graph raises DisconnectedError; an
     isolated start raises UnsupportedInputError before pi divides by the
     volume. A budget above WalkConfig().budget raises SizeCapError.
-    Returns (tables, start, budget, left, remaining, flat): step
-    tables and bucket rows, the visits each vertex owes at time zero
-    followed by n truthy sentinel markers (see `_walk`), how many vertices
-    owe any, and the same tables and quotas as flat arrays for the kernel.
+    Returns the arrays and numbers `walklab_trials` walks by, in its
+    argument order: (off, nbrs, cum, row, rows, shift, start, budget, owed,
+    remaining). Vertex v's table is entries off[v]..off[v + 1] - 1 of nbrs
+    (int64) and of cum (float64), so L_v = off[v + 1] - off[v]; row, rows
+    and shift are `_bucket_rows`'; owed (int64) holds the visits each
+    vertex owes at time zero, and remaining is how many vertices owe any.
     """
     if config.stop not in STOP_MODES:
         raise ParameterError(f"unknown stop mode {config.stop!r}")
@@ -383,7 +258,6 @@ def _plan(g: Graph, config: WalkConfig) -> tuple:
     if not g.degrees[config.start]:
         raise UnsupportedInputError(f"start {config.start} of {g.name} is isolated")
     nbrs, cum, pi, cuts = _vertex_tables(g, config.scheme, config.lazy)
-    tables = _step_tables(nbrs, cum, cuts)
     if config.stop == "hit":
         left = [0] * g.n
         left[config.target] = 1
@@ -395,10 +269,19 @@ def _plan(g: Graph, config: WalkConfig) -> tuple:
     else:
         left = [1] * g.n
     left[config.start] = max(0, left[config.start] - 1)  # the visit at time zero
-    remaining = sum(q > 0 for q in left)
-    flat = _flat_tables(tables, left)
-    left += [True] * g.n
-    return tables, config.start, config.budget, left, remaining, flat
+    off = np.zeros(g.n + 1, dtype=np.int64)
+    np.cumsum([0 if c is None else len(c) for c in cum], out=off[1:])
+    total = int(off[-1])
+    return (
+        off,
+        np.fromiter(chain.from_iterable(x for x in nbrs if x is not None), np.int64, total),
+        np.fromiter(chain.from_iterable(c for c in cum if c is not None), np.float64, total),
+        *_bucket_rows(cum, cuts),
+        config.start,
+        config.budget,
+        np.array(left, dtype=np.int64),
+        sum(q > 0 for q in left),
+    )
 
 
 def _trial_values(
@@ -406,29 +289,20 @@ def _trial_values(
 ) -> list[int | None]:
     """Stopping steps (None when censored) of trials lo..hi-1, in index order.
 
-    The compiled stepper walks them in as few calls as it can, over the
-    plan's flat arrays, reading the words of stream (seed, 1 + i) for
-    trial i. Each call returns within about 2^26 steps past a trial's end;
-    once it has returned with stop set (a threading.Event), the rest are
-    left unwalked and only the trials walked so far are returned. Without
-    the kernel, one Philox serves the trials in `_walk`: before trial i it
-    is reset to the start of stream (seed, 1 + i), so each trial draws what
-    substream(seed, 1 + i) would, whatever the trial before it left in the
-    generator. Both paths check the trials' stream keys first.
+    The kernel walks them in as few calls as it can, over the plan's
+    arrays, reading the words of stream (seed, 1 + i) for trial i, once
+    the trials' stream keys are checked. Each call returns within about
+    2^26 steps past a trial's end; once it has returned with stop set (a
+    threading.Event), the rest are left unwalked and only the trials
+    walked so far are returned. A kernel that finds no memory for its
+    quotas raises MemoryError.
     """
-    tables, start, budget, left, remaining, flat = plan
-    kernel = _rng._KERNEL
-    if kernel is None:
-        return [
-            _walk(tables, start, rng, budget, left.copy(), remaining)
-            for rng in _stream_starts(substream(seed, 1 + lo), seed, 1 + lo, hi - lo)
-        ]
     _check_streams(seed, 1 + lo, hi - lo)
-    off, nbrs, cum, row, rows, shift, owed = flat
+    off, nbrs, cum, row, rows, shift, start, budget, owed, remaining = plan
     steps = np.empty(hi - lo, dtype=np.int64)
     done = 0
     while done < hi - lo:
-        walked = kernel.walklab_trials(
+        walked = _rng._KERNEL.walklab_trials(
             len(off) - 1, off.ctypes.data, nbrs.ctypes.data, cum.ctypes.data, row.ctypes.data,
             rows.ctypes.data, rows.shape[1], shift, start, budget, owed.ctypes.data, remaining,
             seed, 1 + lo + done, hi - lo - done, steps[done:].ctypes.data,
@@ -491,11 +365,9 @@ def simulate(
     exact integer sums S1 and S2 of k values: mean = S1 / k and sample
     variance (k S2 - S1^2) / (k (k - 1)), each rounded once. The result is
     therefore a function of (graph, config, trials, seed) alone; workers
-    only change which thread walks which slice of trials. With the
-    compiled kernel the trials are walked on min(workers, trials, CPUs)
-    threads (see `_threaded_values`). Without it the Python stepper walks
-    them all in the calling thread at any `workers`, since threads running
-    Python bytecode share one GIL. Censored trials are counted but
+    only change which thread walks which slice of trials. The trials are
+    walked on min(workers, trials, CPUs) threads, the calling thread
+    among them (see `_threaded_values`). Censored trials are counted but
     excluded from the moments. Disconnected graphs are refused before any
     walk starts, in hit mode too, and so is an isolated start.
     """
@@ -503,11 +375,7 @@ def simulate(
         raise ParameterError("need at least one trial")
     g.require("a simulation", "connected")
     plan = _plan(g, config)
-    workers = min(workers, trials, os.cpu_count() or 1)
-    if _rng._KERNEL is None or workers == 1:
-        walked = _trial_values(plan, seed, 0, trials)
-    else:
-        walked = _threaded_values(plan, seed, trials, workers)
+    walked = _threaded_values(plan, seed, trials, min(workers, trials, os.cpu_count() or 1))
     values = [v for v in walked if v is not None]
     k = len(values)
     s1 = sum(values)

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import math
 from bisect import bisect_left
-from itertools import combinations
+from itertools import combinations, islice
 
 import numpy as np
 
@@ -104,19 +104,17 @@ def pooled_pairs(g: Graph) -> dict[tuple[int, int], float]:
     return pooled
 
 
-def reference_walk(
-    g: Graph, seed: int, index: int, start: int, target: int | None = None, lazy: bool = False, budget: int = 10**6
-) -> int | None:
-    """Stopping step of one walk from `start`, or None past `budget` steps.
+def _reference_steps(g: Graph, seed: int, index: int, start: int, lazy: bool):
+    """Yield the positions of one endless walk from `start`, one a step.
 
-    The walk covers g when target is None and hits target otherwise. It is
-    trial `index` of a run with `seed`: step t draws the t-th double of
-    substream(seed, 1 + index) with rng.random(). A step from v goes to its
-    neighbour at bisect_left(cum, u), over v's distinct neighbours from
+    It is trial `index` of a run with `seed`: step t uses the t-th double
+    rng.random() draws from substream(seed, 1 + index). A step from v goes to
+    its neighbour at bisect_left(cum, u), over v's distinct neighbours from
     `pooled_pairs`, ascending, and cum the running sums, left to right, of
-    each pooled weight over their `sum`, the last set to 1.0. A lazy walk
-    halves them and holds with probability 1/2: on v's loop when it has
-    one, else as one more neighbour, v itself, last.
+    each pooled weight over their total, itself summed left to right, the
+    last set to 1.0. A lazy walk halves them and holds with probability
+    1/2: on v's loop when it has one, else as one more neighbour, v itself,
+    last.
     """
     rows: dict[int, list[tuple[int, float]]] = {}
     for (u, v), w in sorted(pooled_pairs(g).items()):
@@ -124,7 +122,9 @@ def reference_walk(
     nbrs, cums = {}, {}
     for v, row in rows.items():
         out = [x for x, _ in row]
-        total = sum(w for _, w in row)
+        total = 0.0
+        for _, w in row:
+            total += w
         probs = [w / total for _, w in row]
         if lazy:
             probs = [p / 2 for p in probs]
@@ -140,18 +140,73 @@ def reference_walk(
         cum[-1] = 1.0
         nbrs[v], cums[v] = out, cum
     rng = substream(seed, 1 + index)
-    pos, seen = start, {start}
+    pos = start
+    while True:
+        for u in rng.random(256).tolist():  # the doubles 256 scalar calls would return
+            pos = nbrs[pos][bisect_left(cums[pos], u)]
+            yield pos
 
-    def done() -> bool:
-        return len(seen) == g.n if target is None else pos == target
 
+def reference_walk(
+    g: Graph,
+    seed: int,
+    index: int,
+    start: int,
+    target: int | None = None,
+    lazy: bool = False,
+    budget: int = 10**6,
+    quotas=None,
+) -> int | None:
+    """Stopping step of one walk from `start`, or None past `budget` steps.
+
+    The walk stops at the first step where every vertex v has been
+    visited quotas[v] times, the start's visit at time zero included. The
+    quotas default to covering g when target is None and to hitting target
+    otherwise; blanket cover passes its own. The walk is trial `index` of
+    a run with `seed`, stepped by `_reference_steps`.
+    """
+    if quotas is None:
+        quotas = [1] * g.n if target is None else [int(v == target) for v in range(g.n)]
+    owed = list(quotas)
+    owed[start] -= 1
+    missing = sum(q > 0 for q in owed)
+    steps = _reference_steps(g, seed, index, start, lazy)
     for step in range(budget + 1):
-        if done():
+        if missing == 0:
             return step
         if step == budget:
             return None
-        pos = nbrs[pos][bisect_left(cums[pos], rng.random())]
-        seen.add(pos)
+        pos = next(steps)
+        owed[pos] -= 1
+        missing -= owed[pos] == 0
+    return None
+
+
+def reference_visits(g: Graph, seed: int, steps: int, start: int, lazy: bool = False) -> list[int]:
+    """How often each vertex is visited in `steps` steps of trial 0 of a run
+    with `seed` from `start`, the visit at time zero included."""
+    visits = [0] * g.n
+    visits[start] = 1
+    for pos in islice(_reference_steps(g, seed, 0, start, lazy), steps):
+        visits[pos] += 1
+    return visits
+
+
+def shuffled_stubs(degrees, seed: int, index: int) -> np.ndarray:
+    """Configuration-model attempt `index`: the stub array, vertex v repeated
+    degrees[v] times, shuffled by numpy's Generator.shuffle on
+    substream(seed, 1 + index). Consecutive entries are its pairs."""
+    stubs = np.repeat(np.arange(len(degrees)), degrees)
+    substream(seed, 1 + index).shuffle(stubs)
+    return stubs
+
+
+def first_simple_attempt(degrees, seed: int, budget: int) -> int | None:
+    """The first attempt below budget whose pairs make a simple graph, trying
+    them one at a time with `shuffled_stubs` and Graph.is_simple; None if none."""
+    for index in range(budget):
+        if Graph(len(degrees), shuffled_stubs(degrees, seed, index).reshape(-1, 2)).is_simple:
+            return index
     return None
 
 

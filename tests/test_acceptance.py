@@ -21,8 +21,7 @@ from helpers import censored_kernel, random_connected_graph
 from walklab.cli import _connected_simple_sample, _nice_band_sequence, _standard_small_graphs
 from walklab.conductance import conductance_exact, conductance_sweep, jerrum_sinclair_check
 from walklab.configmodel import (
-    _pairing_blocks,
-    _simple_rows,
+    _simple_flags,
     predicted_cover,
     predicted_p_simple,
     regular_sequence,
@@ -247,10 +246,10 @@ def test_criterion_08_p_simple():
     cells = []
     for k, (r, n) in enumerate([(3, 50), (3, 100), (4, 50), (4, 100)]):
         seq = regular_sequence(n, r)
-        # attempts 0..9999 of the stream, each read off its stub row as
-        # sample_configuration(seq, seed, index=i).is_simple would read it
-        blocks = _pairing_blocks(seq, 808 + 1000 * k, 10_000, 10_000)
-        simple = sum(int(_simple_rows(block, n).sum()) for _, block in blocks)
+        # attempts 0..9999 of the stream, each flagged simple as
+        # sample_configuration(seq, seed, index=i).is_simple would tell
+        blocks = _simple_flags(seq, 808 + 1000 * k, 10_000, stop=False)
+        simple = sum(int(flags.sum()) for _, flags in blocks)
         emp = simple / 10_000
         gap = abs(emp - predicted_p_simple(seq))
         worst = max(worst, gap)

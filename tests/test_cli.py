@@ -30,7 +30,9 @@ from walklab import rng as walklab_rng
 from walklab.cli import EXPERIMENTS, main
 from walklab.configmodel import regular_sequence
 from walklab.graph import Graph
-from walklab.spectral import build_kernel
+from walklab.spectral import build_kernel, exact_cover_times
+
+from helpers import all_sets_cover_times
 
 
 @pytest.fixture()
@@ -117,10 +119,7 @@ def test_scheme_speedup_csv_is_the_same_for_any_worker_count(runner, tmp_path, m
         assert codes[0] in (0, 1) and codes == [codes[0]] * 3, name
         assert bodies == [bodies[0]] * 3, name
         assert not any(thread.is_alive() for thread in started)
-        if walklab_rng._KERNEL is None:
-            assert threads == [0, 0, 0], name
-        else:
-            assert threads[0] == threads[2] > 0 and threads[1] == 0, (name, threads)
+        assert threads[0] == threads[2] > 0 and threads[1] == 0, (name, threads)
 
 
 def test_format_flag_selects_artifacts(runner, tmp_path):
@@ -355,8 +354,8 @@ def test_hopeless_rejection_budget_exits_2(runner, tmp_path, monkeypatch, degree
     def no_pairing(*args, **kwargs):
         raise AssertionError("a pairing was drawn before the budget was checked")
 
-    monkeypatch.setattr("walklab.configmodel._pairing_block", no_pairing)
-    monkeypatch.setattr("walklab.configmodel._simple_flags", no_pairing)  # the kernel draws without _pairing_block
+    monkeypatch.setattr("walklab.configmodel._pairing", no_pairing)
+    monkeypatch.setattr("walklab.configmodel._simple_flags", no_pairing)  # the kernel draws without _pairing
     if degrees == ["file"]:
         degfile = tmp_path / "deg.txt"
         degfile.write_text("1000000000000\n1000000000000\n")
@@ -382,8 +381,8 @@ def test_degree_of_n_or_more_exits_2_in_one_line(runner, tmp_path, monkeypatch, 
     def no_pairing(*args, **kwargs):
         raise AssertionError("a pairing was drawn for a degree sequence no simple graph has")
 
-    monkeypatch.setattr("walklab.configmodel._pairing_block", no_pairing)
-    monkeypatch.setattr("walklab.configmodel._simple_flags", no_pairing)  # the kernel draws without _pairing_block
+    monkeypatch.setattr("walklab.configmodel._pairing", no_pairing)
+    monkeypatch.setattr("walklab.configmodel._simple_flags", no_pairing)  # the kernel draws without _pairing
     degfile = tmp_path / "deg.txt"
     degfile.write_text(degrees)
     result = _run(
@@ -1014,35 +1013,91 @@ def test_documented_and_benchmarked_trials_are_inside_every_cap():
         assert counts and max(counts) <= smallest, name
 
 
-def test_pinned_bodies_hold_without_the_kernel(runner, tmp_path, monkeypatch):
-    # the four experiments of tests/default-bodies.sha256, at seed 0, with
-    # the compiled kernel switched off: the walks step in walks._walk and
-    # the pairings are checked by configmodel._simple_rows
-    monkeypatch.setattr("walklab.rng._KERNEL", None)
+@pytest.mark.parametrize("seed", ["0", "5"])
+def test_pinned_bodies_hold(runner, tmp_path, seed):
+    # the four experiments of tests/default-bodies.sha256, at both pinned
+    # seeds, as CI's digest step runs them
     root = Path(__file__).resolve().parents[1]
     pinned = dict(line.split()[::-1] for line in (root / "tests" / "default-bodies.sha256").read_text().splitlines())
     for experiment in ("p-simple", "st-connect-demo", "degseq-cover", "scheme-speedup"):
         base = tmp_path / experiment
-        assert _run(runner, ["run", experiment, "--seed", "0", "--out", str(base)]).exit_code == 0
+        assert _run(runner, ["run", experiment, "--seed", seed, "--out", str(base)]).exit_code == 0
         body = base.with_suffix(".csv").read_text().split("\n", 1)[1]
-        assert hashlib.sha256(body.encode()).hexdigest() == pinned[f"{experiment}-0.body"], experiment
+        assert hashlib.sha256(body.encode()).hexdigest() == pinned[f"{experiment}-{seed}.body"], experiment
 
 
-@pytest.mark.skipif(walklab_rng._KERNEL is None, reason="no C compiler built the kernel")
 @pytest.mark.parametrize("seed", ["0", "5"])
 @pytest.mark.parametrize("experiment", ["closed-forms", "bounds-sandwich"])
 def test_cover_bodies_are_the_same_with_the_kernel_on_and_off(runner, tmp_path, monkeypatch, experiment, seed):
     # both run the exact cover recursion, whose connected sets and per-layer
-    # systems the kernel builds, and `_connected_sets` and `_numpy_layer` without it
+    # systems the kernel builds; off, helpers.all_sets_cover_times solves
+    # every one of the 2^n sets in numpy in its place
     extra = {"closed-forms": ["--n", "2..13"], "bounds-sandwich": []}[experiment]
     bodies, codes = [], []
-    for compiled in (walklab_rng._KERNEL, None):
-        monkeypatch.setattr(walklab_rng, "_KERNEL", compiled)
+    for cover in (exact_cover_times, lambda kernel: all_sets_cover_times(kernel.matrix)):
+        monkeypatch.setattr("walklab.cli.exact_cover_times", cover)
         base = tmp_path / f"{experiment}-{len(bodies)}"
         codes.append(_run(runner, ["run", experiment, "--seed", seed, "--out", str(base), *extra]).exit_code)
         bodies.append(base.with_suffix(".csv").read_text().split("\n", 1)[1])
     assert codes == [0, 0]
     assert bodies[0] == bodies[1]
+
+
+# one experiment for each job of the kernel: walks, pairing checks, exact
+# conductance and the exact cover recursion
+KERNEL_RUNS = {
+    "st-connect-demo": ["--family", "path:12", "--trials", "10"],
+    "p-simple": ["--trials", "200"],
+    "conductance-survey": ["--trials", "2"],
+    "closed-forms": ["--n", "2..5"],
+}
+
+
+@pytest.mark.parametrize("fault", ["no compiler", "a failed build", "a missing entry point"])
+def test_a_run_without_the_kernel_exits_3_in_one_line(runner, tmp_path, monkeypatch, fault):
+    source = tmp_path / "_walk.c"
+    text = Path(walklab_rng._SOURCE).read_text()
+    source.write_text({"a failed build": "this is not C\n", "a missing entry point": text.replace("walklab_simple(", "walklab_gone(")}.get(fault, text))
+    monkeypatch.setattr(walklab_rng, "_SOURCE", str(source))
+    if fault == "no compiler":
+        monkeypatch.setattr(walklab_rng.sysconfig, "get_config_var", lambda name: "no-such-compiler-for-walklab")
+    kernel = walklab_rng._load_kernel()
+    monkeypatch.setattr(walklab_rng, "_KERNEL", kernel)
+    for experiment, extra in KERNEL_RUNS.items():
+        base = tmp_path / experiment
+        result = _run(runner, ["run", experiment, "--seed", "0", "--out", str(base), *extra])
+        assert result.exit_code == 3, (experiment, result.output)
+        assert result.output == f"numeric failure: walklab's compiled kernel is unavailable: {kernel.reason}\n"
+        assert not base.with_suffix(".csv").exists() and not base.with_suffix(".json").exists()
+
+
+class StarvedKernel:
+    """The kernel, but `entry` finds no memory: it returns -1, as each of
+    walklab_trials, walklab_simple and walklab_conductance does then."""
+
+    def __init__(self, entry):
+        self.kernel, self.entry = walklab_rng._KERNEL, entry
+
+    def __getattr__(self, name):
+        return (lambda *args: -1) if name == self.entry else getattr(self.kernel, name)
+
+
+@pytest.mark.parametrize(
+    "entry, experiment, extra, what",
+    [
+        ("walklab_trials", "scheme-speedup", ["--family", "lollipop:12", "--trials", "30"], "the walk's quotas"),
+        ("walklab_simple", "p-simple", ["--trials", "200"], "the pairing check's tables"),
+        ("walklab_conductance", "conductance-survey", ["--trials", "2"], "the conductance tables"),
+    ],
+    ids=["walks", "pairings", "conductance"],
+)
+def test_a_kernel_without_memory_exits_3_in_one_line(runner, tmp_path, monkeypatch, entry, experiment, extra, what):
+    monkeypatch.setattr(walklab_rng, "_KERNEL", StarvedKernel(entry))
+    base = tmp_path / experiment
+    result = _run(runner, ["run", experiment, "--seed", "0", "--out", str(base), *extra])
+    assert result.exit_code == 3
+    assert result.output == f"numeric failure: no memory for {what}\n"
+    assert not base.with_suffix(".csv").exists() and not base.with_suffix(".json").exists()
 
 
 # one small spec an experiment; together they reach every float reduction

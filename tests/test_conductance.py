@@ -16,7 +16,7 @@ from walklab import conductance
 from walklab import rng as walklab_rng
 from walklab.cli import EXPERIMENTS, main
 from walklab.conductance import (
-    EXACT_CAP,
+    ConductanceResult,
     conductance_exact,
     conductance_sweep,
     jerrum_sinclair_check,
@@ -146,23 +146,22 @@ def test_tied_minimisers_go_to_the_smallest_mask(monkeypatch, case, bits, lazy):
 
 
 def test_exact_memory_stays_within_blocks():
-    # whole 2^20-entry tables peaked at 29 MB on this graph; the numpy blocks
-    # must also be freed on return, not left in a reference cycle for the
-    # collector (the kernel's tables are C's, which tracemalloc does not see)
+    # whole 2^20-entry tables peaked at 29 MB on this graph; what the call
+    # allocates in Python must also be freed on return, not left in a
+    # reference cycle for the collector (the kernel's tables are C's, which
+    # tracemalloc does not see; test_kernel_enumeration_frees_its_tables
+    # checks those)
     k = build_kernel(grid2d(4, 5))
-    for compiled in (walklab_rng._KERNEL, None):
-        with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(walklab_rng, "_KERNEL", compiled)
-            gc.disable()
-            tracemalloc.start()
-            try:
-                conductance_exact(k)
-                held, peak = tracemalloc.get_traced_memory()
-            finally:
-                tracemalloc.stop()
-                gc.enable()
-        assert peak <= 8 * 2**20
-        assert held <= 2**18
+    gc.disable()
+    tracemalloc.start()
+    try:
+        conductance_exact(k)
+        held, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+        gc.enable()
+    assert peak <= 8 * 2**20
+    assert held <= 2**18
 
 
 @pytest.mark.parametrize("method", [conductance_exact, conductance_sweep])
@@ -307,16 +306,13 @@ def test_property_gap_sandwich(seed):
     assert gap <= 2.0 * phi + 1e-9
 
 
-# --- the compiled enumeration: walklab_conductance against the numpy blocks ---
+# --- the compiled enumeration: walklab_conductance against whole numpy
+# tables built by doubling (helpers.doubling_conductance) ---
 
-needs_kernel = pytest.mark.skipif(walklab_rng._KERNEL is None, reason="no C compiler built the kernel")
 
-
-def _numpy_only(kernel):
-    """conductance_exact by the numpy blocks, the compiled kernel switched off."""
-    with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(walklab_rng, "_KERNEL", None)
-        return conductance_exact(kernel)
+def _doubling_result(kernel) -> ConductanceResult:
+    """helpers.doubling_conductance as the ConductanceResult conductance_exact returns."""
+    return ConductanceResult(*doubling_conductance(kernel), method="exact")
 
 
 @st.composite
@@ -338,16 +334,15 @@ def transition_kernels(draw, max_n):
     return build_kernel(g, scheme=scheme, lazy=draw(st.booleans()))
 
 
-@needs_kernel
 @pytest.mark.parametrize("bits", range(1, 13))
 @given(data=st.data())
 @settings(max_examples=8, deadline=None)
 def test_kernel_enumeration_is_the_numpy_enumeration(bits, data):
-    # up to 2^10 high-bit patterns, so the numpy blocks stay fast at every bits
-    k = data.draw(transition_kernels(max_n=min(EXACT_CAP, bits + 10)))
+    # every block size, against whole numpy tables of up to 2^16 entries
+    k = data.draw(transition_kernels(max_n=16))
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(conductance, "BLOCK_BITS", bits)
-        assert conductance_exact(k) == _numpy_only(k)
+        assert conductance_exact(k) == _doubling_result(k)
 
 
 @given(transition_kernels(max_n=16))
@@ -393,23 +388,19 @@ EDGE_CASES = {name: family(name) for name in ("cycle:20", "complete:20", "star:2
 }
 
 
-@needs_kernel
 @pytest.mark.parametrize("lazy", [False, True], ids=["plain", "lazy"])
 @pytest.mark.parametrize("name", sorted(EDGE_CASES))
 def test_kernel_enumeration_keeps_ties_and_rounding_edges(name, lazy):
-    # the numpy blocks give one result at every BLOCK_BITS (the doubling
-    # tests above), so one reference serves each patched size
+    # the whole doubling tables up to n = 20 (8 MiB a table); at star:22
+    # every block size must give the result of the default one
     k = build_kernel(EDGE_CASES[name], lazy=lazy)
-    reference = _numpy_only(k)
-    if k.n <= 16:
-        assert _as_tuple(reference) == doubling_conductance(k)
+    reference = _doubling_result(k) if k.n <= 20 else conductance_exact(k)
     for bits in range(1, 13):
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(conductance, "BLOCK_BITS", bits)
             assert conductance_exact(k) == reference, bits
 
 
-@needs_kernel
 def test_exact_calls_the_kernel_with_the_block_bits(monkeypatch):
     kernel, calls = walklab_rng._KERNEL, []
 
@@ -421,7 +412,7 @@ def test_exact_calls_the_kernel_with_the_block_bits(monkeypatch):
     monkeypatch.setattr(walklab_rng, "_KERNEL", Counted())
     monkeypatch.setattr(conductance, "BLOCK_BITS", 5)
     k = build_kernel(cycle(8))
-    assert conductance_exact(k) == _numpy_only(k)
+    assert conductance_exact(k) == _doubling_result(k)
     assert calls == [(8, 5)]
 
 
@@ -435,7 +426,6 @@ def test_a_kernel_without_memory_raises_memory_error(monkeypatch):
         conductance_exact(build_kernel(cycle(8)))
 
 
-@needs_kernel
 @pytest.mark.skipif(not os.path.exists("/proc/self/statm"), reason="reads the resident size from /proc")
 def test_kernel_enumeration_frees_its_tables():
     # each n = 16 call allocates 1 MiB of tables; 64 leaked calls would
@@ -452,12 +442,13 @@ def test_kernel_enumeration_frees_its_tables():
     assert resident() - before < 16 * 2**20
 
 
-@needs_kernel
 @pytest.mark.parametrize("seed", ["0", "5"])
 def test_survey_body_is_the_same_with_the_kernel_on_and_off(tmp_path, monkeypatch, seed):
+    # the default survey's 50 exact conductances by the kernel, then by
+    # whole doubling tables in its place
     bodies = []
-    for compiled in (walklab_rng._KERNEL, None):
-        monkeypatch.setattr(walklab_rng, "_KERNEL", compiled)
+    for exact in (conductance_exact, _doubling_result):
+        monkeypatch.setattr(conductance, "conductance_exact", exact)
         base = tmp_path / f"survey-{len(bodies)}"
         result = CliRunner().invoke(main, ["run", "conductance-survey", "--seed", seed, "--out", str(base)], catch_exceptions=False)
         assert result.exit_code == 0, result.output

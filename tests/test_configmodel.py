@@ -9,14 +9,10 @@ from hypothesis import strategies as st
 
 from walklab import rng
 from walklab.configmodel import (
-    BLOCK_STUBS,
     MAX_DEFAULT_TRIES,
     DegreeSequence,
     _kernel_flags,
-    _pairing_block,
-    _pairing_blocks,
     _simple_flags,
-    _simple_rows,
     check_nice,
     default_max_tries,
     effective_min_degree,
@@ -32,7 +28,7 @@ from walklab.configmodel import (
 from walklab.errors import ParameterError, RejectionFailure, SizeCapError
 from walklab.graph import Graph, complete, cycle
 
-from helpers import edge_list
+from helpers import edge_list, first_simple_attempt, shuffled_stubs
 
 
 def test_degree_sequence_derived_quantities():
@@ -97,19 +93,17 @@ def test_degrees_are_preserved_exactly():
     ids=["2,2", "1,3", "2,2,2", "4,4,4,4", "band:20,3..6", "regular:3,50"],
 )
 def test_stub_array_simplicity_agrees_with_the_graph(seq):
-    # blocks of 1, 2, 4, ... rows up to the stub cap: 2000 attempts cross
-    # at least ten block boundaries on every sequence
+    # the flags of 2000 attempts against the graphs of numpy's shuffles
     seen = set()
-    blocks = list(_pairing_blocks(seq, 17, 2000, 1))
-    assert len(blocks) >= 10 and sum(len(block) for _, block in blocks) == 2000
-    for start, block in blocks:
-        for i, (row, simple) in enumerate(zip(block, _simple_rows(block, seq.n))):
-            g = Graph(seq.n, row.reshape(-1, 2).tolist())
-            assert simple == g.is_simple
-            loop = any(u == v for u, v, _ in edge_list(g))
-            seen.add((loop, len({(u, v) for u, v, _ in edge_list(g)}) < g.m))
-            if (start + i) % 97 == 0:
-                assert edge_list(sample_configuration(seq, 17, start + i)) == edge_list(g)
+    [(start, flags)] = _simple_flags(seq, 17, 2000, stop=False)
+    assert start == 0 and len(flags) == 2000
+    for i, simple in enumerate(flags.tolist()):
+        g = Graph(seq.n, shuffled_stubs(seq.degrees, 17, i).reshape(-1, 2).tolist())
+        assert simple == g.is_simple
+        loop = any(u == v for u, v, _ in edge_list(g))
+        seen.add((loop, len({(u, v) for u, v, _ in edge_list(g)}) < g.m))
+        if i % 97 == 0:
+            assert edge_list(sample_configuration(seq, 17, i)) == edge_list(g)
     # each sequence meets a loop or a parallel edge; the last two also
     # meet simple pairings and pairings with a parallel edge but no loop
     assert seen - {(False, False)}
@@ -141,8 +135,8 @@ def test_explicit_budget_refuses_a_degree_of_n_or_more_before_any_draw(monkeypat
     def no_pairing(*args, **kwargs):
         raise AssertionError("a pairing was drawn before the degrees were checked")
 
-    monkeypatch.setattr("walklab.configmodel._pairing_block", no_pairing)
-    monkeypatch.setattr("walklab.configmodel._simple_flags", no_pairing)  # the kernel draws without _pairing_block
+    monkeypatch.setattr("walklab.configmodel._pairing", no_pairing)
+    monkeypatch.setattr("walklab.configmodel._simple_flags", no_pairing)  # the kernel draws without _pairing
     with pytest.raises(ParameterError, match="or more"):
         sample_simple(DegreeSequence(degrees), seed=1, max_tries=max_tries)
 
@@ -153,8 +147,8 @@ def test_default_budget_is_refused_up_front_above_its_cap(monkeypatch):
 
     six = regular_sequence(100, 6)  # p = exp(-8.75): about 126 000 attempts, under the cap
     assert default_max_tries(six) == math.ceil(20 / predicted_p_simple(six)) <= MAX_DEFAULT_TRIES
-    monkeypatch.setattr("walklab.configmodel._pairing_block", no_pairing)
-    monkeypatch.setattr("walklab.configmodel._simple_flags", no_pairing)  # the kernel draws without _pairing_block
+    monkeypatch.setattr("walklab.configmodel._pairing", no_pairing)
+    monkeypatch.setattr("walklab.configmodel._simple_flags", no_pairing)  # the kernel draws without _pairing
     with pytest.raises(SizeCapError, match="capped at"):
         sample_simple(regular_sequence(16, 15), seed=1)  # p about 5e-25
     sixty = regular_sequence(62, 60)
@@ -177,11 +171,9 @@ def test_default_budget_is_refused_up_front_above_its_cap(monkeypatch):
 )
 @pytest.mark.parametrize("seed", range(6))
 def test_a_budget_ending_mid_block_keeps_attempts_and_graph(seq, seed):
-    # sample_simple's first block has about a quarter of 1/p rows (28 on
-    # the band sequence, 10 on regular:4,50, 1 on 2,2,2) and each next one
-    # twice as many, so most budgets just before, at and past the first
-    # simple attempt (14-539 on the band, 19-114 on regular:4,50) end
-    # inside a block; the reference tests one attempt at a time
+    # budgets just before, at and past the first simple attempt (14-539 on
+    # the band, 19-114 on regular:4,50) end inside the kernel's first block
+    # of up to 2^16 attempts; the reference tests one attempt at a time
     k = next(i for i in range(2000) if sample_configuration(seq, seed, i).is_simple)
     if k > 0:
         with pytest.raises(RejectionFailure) as failure:
@@ -195,23 +187,6 @@ def test_a_budget_ending_mid_block_keeps_attempts_and_graph(seq, seed):
         out = sample_simple(seq, seed, max_tries=budget)
         assert out.attempts == k + 1
         assert (out.graph, out.graph.name) == (accepted, accepted.name)
-
-
-def test_blocks_are_capped_at_the_stub_limit():
-    small = regular_sequence(50, 3)  # 150 stubs: 436 rows a block
-    sizes = [len(block) for _, block in _pairing_blocks(small, 4, 2000, 300)]
-    assert sizes == [300, 436, 436, 436, 392]
-    assert all(block.size <= BLOCK_STUBS for _, block in _pairing_blocks(small, 4, 2000, 300))
-    # more than BLOCK_STUBS stubs: one row a block, whatever the first size
-    big = regular_sequence(22_000, 3)
-    assert 2 * big.m > BLOCK_STUBS
-    blocks = list(_pairing_blocks(big, 4, 3, 8))
-    assert [(start, block.shape) for start, block in blocks] == [
-        (0, (1, 66_000)), (1, (1, 66_000)), (2, (1, 66_000))
-    ]
-    for start, block in blocks:
-        pairs = block[0].reshape(-1, 2).tolist()
-        assert edge_list(Graph(big.n, pairs)) == edge_list(sample_configuration(big, 4, start))
 
 
 def test_unique_simple_outcomes():
@@ -368,22 +343,11 @@ def test_configuration_always_realizes_the_degrees(raw, seed):
     assert g.m == seq.m
 
 
-# --- the compiled pairing check ---
-
-needs_kernel = pytest.mark.skipif(rng._KERNEL is None, reason="no C compiler built the kernel")
+# --- the compiled pairing check, against numpy's shuffle and Graph.is_simple ---
 
 TOP = 2**64 - 1
 
 
-def kernel_or_not(compiled, seq, seed, budget, rows, stop):
-    """Every (start, flags) of `_simple_flags`, by the kernel or with it switched off."""
-    with pytest.MonkeyPatch.context() as patch:
-        if not compiled:
-            patch.setattr(rng, "_KERNEL", None)
-        return [(start, flags.tolist()) for start, flags in _simple_flags(seq, seed, budget, rows, stop)]
-
-
-@needs_kernel
 @pytest.mark.parametrize(
     "seq",
     [regular_sequence(50, 3), DegreeSequence((1, 3)), DegreeSequence((2,)), random_band_sequence(20, 3, 6, seed=5)],
@@ -392,10 +356,10 @@ def kernel_or_not(compiled, seq, seed, budget, rows, stop):
 @pytest.mark.parametrize("seed, start", [(0, 0), (9, 2**40), (TOP, 0), (TOP, TOP - 1)])
 def test_kernel_shuffles_as_numpy(seq, seed, start):
     # the stub array of attempt start, shuffled on stream (seed, 1 + start)
-    # by the kernel's Fisher-Yates, is the row numpy's Generator.shuffle makes
+    # by the kernel's Fisher-Yates, is the array numpy's Generator.shuffle makes
     stubs = np.repeat(np.arange(seq.n, dtype=np.int64), seq.degrees)
     rng._KERNEL.walklab_shuffle(stubs.ctypes.data, stubs.size, seed, 1 + start)
-    assert stubs.tolist() == _pairing_block(seq, seed, start, 1)[0].tolist()
+    assert stubs.tolist() == shuffled_stubs(seq.degrees, seed, start).tolist()
 
 
 @st.composite
@@ -416,7 +380,6 @@ def pairing_sequences(draw):
     return DegreeSequence(tuple(degrees))
 
 
-@needs_kernel
 @settings(max_examples=120, deadline=None)
 @given(
     seq=pairing_sequences(),
@@ -425,24 +388,22 @@ def pairing_sequences(draw):
     count=st.integers(1, 300),
 )
 def test_kernel_flags_are_the_numpy_flags(seq, seed, start, count):
-    flags = _kernel_flags(rng._KERNEL, seq, seed, start, count, False).tolist()
-    assert flags == _simple_rows(_pairing_block(seq, seed, start, count), seq.n).tolist()
+    flags = _kernel_flags(seq, seed, start, count, False).tolist()
+    pairs = [shuffled_stubs(seq.degrees, seed, start + i).reshape(-1, 2) for i in range(count)]
+    assert flags == [Graph(seq.n, p).is_simple for p in pairs]
     # with stop, the same flags up to and including the first simple attempt
     first = flags.index(True) + 1 if True in flags else count
-    assert _kernel_flags(rng._KERNEL, seq, seed, start, count, True).tolist() == flags[:first]
-    if start == 0:  # and over the blocks the numpy path draws
-        assert kernel_or_not(True, seq, seed, count, 7, False) == [(0, flags)]
-        blocks = [_simple_rows(block, seq.n).tolist() for _, block in _pairing_blocks(seq, seed, count, 7)]
-        assert sum(blocks, []) == flags
+    assert _kernel_flags(seq, seed, start, count, True).tolist() == flags[:first]
+    if start == 0:  # and as _simple_flags yields them
+        assert [(s, f.tolist()) for s, f in _simple_flags(seq, seed, count, False)] == [(0, flags)]
 
 
-@needs_kernel
 @pytest.mark.parametrize(
     "seq",
     [
         regular_sequence(50, 3),
         regular_sequence(100, 4),
-        regular_sequence(22_000, 3),  # more stubs than a numpy block holds
+        regular_sequence(22_000, 3),
         random_band_sequence(20, 3, 6, seed=5),
         DegreeSequence((2, 2, 2)),
         DegreeSequence((4, 4, 4, 4, 4)),
@@ -450,26 +411,27 @@ def test_kernel_flags_are_the_numpy_flags(seq, seed, start, count):
     ids=["regular:3,50", "regular:4,100", "regular:3,22000", "band:20,3..6", "2,2,2", "complete:5"],
 )
 @pytest.mark.parametrize("seed", [0, 1, 7, TOP])
-def test_sample_simple_is_the_same_with_the_kernel_on_and_off(seq, seed, monkeypatch):
+def test_sample_simple_is_the_same_with_the_kernel_on_and_off(seq, seed):
+    # off: the attempts tried one at a time by numpy's shuffle and Graph.is_simple
     on = sample_simple(seq, seed)
-    monkeypatch.setattr(rng, "_KERNEL", None)
-    off = sample_simple(seq, seed)
-    assert (on.graph, on.graph.name, on.attempts) == (off.graph, off.graph.name, off.attempts)
-    assert edge_list(on.graph) == edge_list(off.graph)
+    k = first_simple_attempt(seq.degrees, seed, on.attempts)
+    off = Graph(seq.n, shuffled_stubs(seq.degrees, seed, k).reshape(-1, 2), name=f"cm-{seq.n}v-s{seed}i{k}")
+    assert (on.graph, on.graph.name, on.attempts) == (off, off.name, k + 1)
+    assert edge_list(on.graph) == edge_list(off)
 
 
-@needs_kernel
-def test_a_failed_search_reads_the_same_with_the_kernel_on_and_off(monkeypatch):
+def test_a_failed_search_reads_the_same_with_the_kernel_on_and_off():
+    # off: no attempt of the 200 is simple, one at a time, and the text is
+    # that of a search that tried each
     never = DegreeSequence((3, 3, 1, 1))
     with pytest.raises(RejectionFailure) as compiled:
         sample_simple(never, seed=3, max_tries=200)
-    monkeypatch.setattr(rng, "_KERNEL", None)
-    with pytest.raises(RejectionFailure) as reference:
-        sample_simple(never, seed=3, max_tries=200)
-    assert str(compiled.value) == str(reference.value)
+    assert first_simple_attempt(never.degrees, 3, 200) is None
+    assert str(compiled.value) == (
+        f"no simple graph in 200 attempts (empirical acceptance 0/200, predicted {predicted_p_simple(never):.4g})"
+    )
 
 
-@needs_kernel
 def test_kernel_returns_between_attempts_after_2_to_the_26_draws(monkeypatch):
     # so that a long count still lets the interpreter take a Ctrl-C: on a
     # perfect matching of 4096 stubs every attempt is simple and draws at
@@ -486,7 +448,7 @@ def test_kernel_returns_between_attempts_after_2_to_the_26_draws(monkeypatch):
 
     monkeypatch.setattr(rng, "_KERNEL", Counted())
     matching = DegreeSequence((1,) * 4096)
-    [(start, flags)] = _simple_flags(matching, 0, 20_000, 20_000, stop=False)
+    [(start, flags)] = _simple_flags(matching, 0, 20_000, stop=False)
     assert start == 0 and flags.tolist() == [True] * 20_000
     [(asked, first), rest] = calls
     assert asked == 20_000 and 2**26 // (2 * 4096) < first < 2**26 // 4095 + 1

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from walklab import rng as walklab_rng
-from walklab.errors import ParameterError
+from walklab.errors import NumericError, ParameterError
 from walklab.rng import _stream_starts, substream
 
 KEYS = [(0, 1), (7, 2**63), (7, 2**64 - 1), (2**64 - 1, 1), (2**64 - 1, 2**64 - 1)]
@@ -94,7 +94,8 @@ def test_restart_checks_the_key_like_substream():
 
 # --- the kernel's loader ---
 
-needs_kernel = pytest.mark.skipif(walklab_rng._KERNEL is None, reason="no C compiler built the kernel")
+def _loaded(kernel) -> bool:
+    return not isinstance(kernel, walklab_rng._Unavailable)
 
 
 def _kernel_source_in(folder, monkeypatch, text=None):
@@ -105,10 +106,9 @@ def _kernel_source_in(folder, monkeypatch, text=None):
     return folder / "__pycache__"
 
 
-@needs_kernel
 def test_a_built_kernel_is_cached_and_loaded_without_a_compile(tmp_path, monkeypatch):
     cache = _kernel_source_in(tmp_path, monkeypatch)
-    assert walklab_rng._load_kernel() is not None
+    assert _loaded(walklab_rng._load_kernel())
     [built] = cache.iterdir()
     assert built.name.startswith("_walk-") and built.suffix == ".so"
 
@@ -116,11 +116,10 @@ def test_a_built_kernel_is_cached_and_loaded_without_a_compile(tmp_path, monkeyp
         raise AssertionError("compiled again")
 
     monkeypatch.setattr(walklab_rng, "_compile", no_compile)
-    assert walklab_rng._load_kernel() is not None
+    assert _loaded(walklab_rng._load_kernel())
     assert list(cache.iterdir()) == [built]
 
 
-@needs_kernel
 def test_a_build_removes_the_libraries_of_older_sources(tmp_path, monkeypatch):
     # _compile stubbed: a copy of the loaded library stands in for each build
     source = tmp_path / "_walk.c"
@@ -132,10 +131,9 @@ def test_a_build_removes_the_libraries_of_older_sources(tmp_path, monkeypatch):
         built.append(Path(path))
         os.makedirs(os.path.dirname(path), exist_ok=True)
         shutil.copyfile(library, path)
-        return True
 
     monkeypatch.setattr(walklab_rng, "_compile", copy)
-    assert walklab_rng._load_kernel() is not None
+    assert _loaded(walklab_rng._load_kernel())
     [old] = built
     _, command, code, platform = old.stem.split("-", 3)
     kept = [
@@ -150,13 +148,12 @@ def test_a_build_removes_the_libraries_of_older_sources(tmp_path, monkeypatch):
     stuck = cache / f"_walk-{command}-0badc0de-{platform}.so"
     stuck.mkdir()
     source.write_text(source.read_text() + "\n/* edited */\n")
-    assert walklab_rng._load_kernel() is not None
+    assert _loaded(walklab_rng._load_kernel())
     new = built[-1]
     assert len(built) == 2 and new.name.startswith(f"_walk-{command}-") and new != old
     assert sorted(cache.iterdir()) == sorted([*kept, stuck, new])
 
 
-@needs_kernel
 def test_a_build_removes_the_one_crc_libraries(tmp_path, monkeypatch):
     # libraries named _walk-<source CRC>-<platform>.so, the name before the
     # compiler command had a CRC of its own, are never loaded; a build for
@@ -169,7 +166,6 @@ def test_a_build_removes_the_one_crc_libraries(tmp_path, monkeypatch):
         built.append(Path(path))
         os.makedirs(os.path.dirname(path), exist_ok=True)
         shutil.copyfile(library, path)
-        return True
 
     cache.mkdir()
     platform = library.stem.split("-", 3)[3]
@@ -182,26 +178,41 @@ def test_a_build_removes_the_one_crc_libraries(tmp_path, monkeypatch):
     for path in stale + kept:
         shutil.copyfile(library, path)
     monkeypatch.setattr(walklab_rng, "_compile", copy)
-    assert walklab_rng._load_kernel() is not None
+    assert _loaded(walklab_rng._load_kernel())
     [new] = built
     assert sorted(cache.iterdir()) == sorted([*kept, new])
 
 
-@pytest.mark.parametrize("fault", ["no compiler", "no source", "a failed compile"])
-def test_a_kernel_that_cannot_be_built_leaves_the_python_stepper(tmp_path, monkeypatch, fault):
-    # no error and no partial library left behind; walks._trial_values then
-    # walks in walks._walk, and configmodel._simple_flags checks pairings
-    # with _simple_rows
+BUILD_FAULTS = {
+    "no compiler": "cannot run the C compiler 'no-such-compiler-for-walklab'",
+    "no source": "cannot read its source",
+    "a failed compile": "failed on",
+    "an unwritable cache": "cannot create the cache directory",
+}
+
+
+@pytest.mark.parametrize("fault", sorted(BUILD_FAULTS))
+def test_a_kernel_that_cannot_be_built_raises_one_error_naming_why(tmp_path, monkeypatch, fault):
+    # the loader itself raises nothing and leaves no partial library; the
+    # stand-in it returns raises NumericError at the first kernel call
     cache = _kernel_source_in(tmp_path, monkeypatch, "this is not C\n" if fault == "a failed compile" else None)
     if fault == "no compiler":
         monkeypatch.setattr(walklab_rng.sysconfig, "get_config_var", lambda name: "no-such-compiler-for-walklab")
     elif fault == "no source":
         (tmp_path / "_walk.c").unlink()
-    assert walklab_rng._load_kernel() is None
-    assert not cache.exists() or list(cache.iterdir()) == []
+    elif fault == "an unwritable cache":
+        cache.write_text("a file where the cache directory would go\n")
+    kernel = walklab_rng._load_kernel()
+    assert not _loaded(kernel) and BUILD_FAULTS[fault] in kernel.reason
+    assert not cache.is_dir() or list(cache.iterdir()) == []
+    for entry in ("walklab_trials", "walklab_simple", "walklab_conductance", "walklab_connected"):
+        with pytest.raises(NumericError, match="compiled kernel is unavailable: ") as failure:
+            getattr(kernel, entry)
+        assert str(failure.value).endswith(kernel.reason)
+    with pytest.raises(AttributeError):  # copy and pickle probe dunder names
+        kernel.__deepcopy__
 
 
-@needs_kernel
 @pytest.mark.parametrize(
     "entry",
     [
@@ -216,8 +227,9 @@ def test_a_kernel_that_cannot_be_built_leaves_the_python_stepper(tmp_path, monke
 def test_a_library_without_an_entry_point_is_not_loaded(tmp_path, monkeypatch, entry):
     # a stale or partial source that lacks any one entry point (the walk
     # stepper, the pairing check, the conductance enumeration or a cover
-    # recursion entry) leaves every job to its reference, instead of
-    # failing at a call
+    # recursion entry) gives the stand-in, which names the missing entry,
+    # instead of a library that fails at its first call of that entry
     text = Path(walklab_rng._SOURCE).read_text().replace(f"{entry}(", f"{entry}_gone(")
     _kernel_source_in(tmp_path, monkeypatch, text)
-    assert walklab_rng._load_kernel() is None
+    kernel = walklab_rng._load_kernel()
+    assert not _loaded(kernel) and kernel.reason.endswith(f"has no entry point {entry}")

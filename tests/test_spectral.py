@@ -6,15 +6,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from walklab import rng as walklab_rng
 from walklab.cli import _standard_small_graphs
 from walklab.errors import ParameterError, SizeCapError, UnsupportedInputError
 from walklab.graph import Graph, complete, cycle, family, lollipop, path
 from walklab.spectral import (
     COVER_CAP,
     TransitionKernel,
-    _compiled_sets,
-    _connected_sets,
+    _connected_masks,
     _cover_remaining,
     build_kernel,
     detailed_balance_check,
@@ -344,7 +342,7 @@ SHAPE_COUNTS = [
 @pytest.mark.parametrize("spec, count", SHAPE_COUNTS)
 def test_connected_sets_are_counted_by_their_shapes(spec, count):
     support = build_kernel(family(spec)).matrix != 0
-    sets, size = _connected_sets(support | support.T)
+    sets, size = _connected_masks(support | support.T)
     assert len(sets) == count
     assert (np.diff(sets) > 0).all() and sets[0] >= 1
     assert size.tolist() == [bin(int(s)).count("1") for s in sets]
@@ -368,11 +366,8 @@ def test_reducible_kernel_still_fails_its_solve():
     p = np.zeros((4, 4))
     p[0, 1] = p[1, 0] = p[2, 3] = p[3, 2] = 1.0
     k = TransitionKernel(matrix=p, stationary=np.full(4, 0.25))
-    for compiled in (walklab_rng._KERNEL, None):  # the kernel on, then off
-        with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(walklab_rng, "_KERNEL", compiled)
-            with pytest.raises(np.linalg.LinAlgError):
-                exact_cover_times(k)
+    with pytest.raises(np.linalg.LinAlgError):
+        exact_cover_times(k)
     with pytest.raises(np.linalg.LinAlgError):
         all_sets_cover_times(p)
     # so is I - P + 1 pi^T: the hitting solve raises rather than return inf
@@ -382,46 +377,33 @@ def test_reducible_kernel_still_fails_its_solve():
 
 def test_cover_memory_stays_near_the_table():
     # cycle:13's table holds 158 rows of 13 doubles (16 KB) beside the
-    # 2^13-entry row index and set arrays; the recursion peaked at 0.17 MiB
-    # with the kernel and 0.32 MiB without it. Solving every set, with a
-    # (2^n, n) membership table beside it, peaked at 3.3 MiB on this graph
+    # 2^13-entry row index and set arrays; the recursion peaked at 0.17 MiB.
+    # Solving every set, with a (2^n, n) membership table beside it, peaked
+    # at 3.3 MiB on this graph
     k = build_kernel(cycle(13))
-    for compiled in (walklab_rng._KERNEL, None):  # the kernel on, then off
-        with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(walklab_rng, "_KERNEL", compiled)
-            gc.disable()
-            tracemalloc.start()
-            try:
-                exact_cover_times(k)
-                _, peak = tracemalloc.get_traced_memory()
-            finally:
-                tracemalloc.stop()
-                gc.enable()
-        assert peak <= 2 * 2**20, compiled
+    gc.disable()
+    tracemalloc.start()
+    try:
+        exact_cover_times(k)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+        gc.enable()
+    assert peak <= 2 * 2**20
 
 
 # --- the compiled cover recursion: walklab_connected, walklab_cover_layer
-# and walklab_cover_store against the numpy enumeration and layers ---
-
-needs_kernel = pytest.mark.skipif(walklab_rng._KERNEL is None, reason="no C compiler built the kernel")
-
-
-def _on_and_off(function, *args):
-    """[function(*args) with the compiled kernel, function(*args) without]."""
-    results = []
-    for compiled in (walklab_rng._KERNEL, None):
-        with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(walklab_rng, "_KERNEL", compiled)
-            results.append(function(*args))
-    return results
+# and walklab_cover_store against numpy's enumeration and recursion ---
 
 
 def _same_bits(x: np.ndarray, y: np.ndarray) -> bool:
     return x.dtype == y.dtype and x.shape == y.shape and x.tobytes() == y.tobytes()
 
 
-@needs_kernel
 def test_compiled_cover_recursion_is_the_numpy_recursion():
+    # cover times from every start, against helpers.all_sets_cover_times,
+    # which solves all 2^n sets in numpy, summing each right side in the
+    # same order; past COVER_CAP read off the table itself
     kernels = [
         build_kernel(g, scheme, lazy)
         for g in _standard_small_graphs()
@@ -438,18 +420,33 @@ def test_compiled_cover_recursion_is_the_numpy_recursion():
         *(build_kernel(shape(n)) for shape in (path, cycle) for n in (14, 16)),
     ]
     for k in kernels:
-        (remaining, row), (reference, reference_row) = _on_and_off(_cover_remaining, k)
-        assert _same_bits(remaining, reference) and _same_bits(row, reference_row)
+        starts = np.arange(k.n)
+        remaining, row = _cover_remaining(k)
+        assert _same_bits(remaining[row[1 << starts], starts], all_sets_cover_times(k.matrix))
 
 
-@needs_kernel
+def _numpy_connected(support: np.ndarray) -> np.ndarray:
+    """The connected masks, each tested on its own: S is connected when
+    (I + A_S)^(|S| - 1), A_S its support's block, links S's lowest vertex
+    to every vertex of S."""
+    n = support.shape[0]
+    link = (support | np.eye(n, dtype=bool)).astype(np.int64)
+    found = []
+    for s in range(1, 1 << n):
+        members = np.flatnonzero((s >> np.arange(n)) & 1)
+        power = np.linalg.matrix_power(link[np.ix_(members, members)], len(members) - 1)
+        if (power[0] > 0).all():
+            found.append(s)
+    return np.array(found, dtype=np.int64)
+
+
 @pytest.mark.parametrize("spec, count", SHAPE_COUNTS)
 def test_compiled_enumeration_is_the_numpy_enumeration(spec, count):
     support = build_kernel(family(spec)).matrix != 0
-    sets, size = _compiled_sets(walklab_rng._KERNEL, support | support.T)
-    reference, reference_size = _connected_sets(support | support.T)
+    sets, size = _connected_masks(support | support.T)
     assert len(sets) == count
-    assert _same_bits(sets, reference) and _same_bits(size, reference_size)
+    assert _same_bits(sets, _numpy_connected(support | support.T))
+    assert size.dtype == np.int8 and size.tolist() == [bin(int(s)).count("1") for s in sets]
 
 
 # --- reversibility round trip ---

@@ -19,6 +19,7 @@ from walklab.errors import DisconnectedError, ParameterError, SizeCapError, Walk
 from walklab.graph import Graph, cartesian_product, complete, cycle, family, lollipop, path, star
 from walklab.rng import substream
 from walklab.spectral import build_kernel, exact_cover_time, exact_hitting
+from walklab.weighting import apply_scheme
 from walklab.walks import (
     EstimateRecord,
     WalkConfig,
@@ -26,15 +27,7 @@ from walklab.walks import (
     simulate,
 )
 
-from helpers import bucket_row, edge_list, random_connected_graph, reference_walk
-
-
-def compiled_or_not(compiled, args):
-    """`_trial_values(*args)` by the compiled stepper, or with it switched off."""
-    with pytest.MonkeyPatch.context() as patch:
-        if not compiled:
-            patch.setattr(walklab_rng, "_KERNEL", None)
-        return walks._trial_values(*args)
+from helpers import bucket_row, edge_list, random_connected_graph, reference_visits, reference_walk
 
 
 def trial_value(g, config, seed, trial_index):
@@ -53,20 +46,16 @@ def st_answer(g, s, t, seed, index=0):
 def visit_frequencies(g, steps, seed, scheme="uniform", lazy=False, start=0):
     """Visit frequencies N_v(T) / (T + 1) of one walk of T = steps steps.
 
-    `_plan` builds the tables and checks the start, and it checks T + 1 as a
-    budget, so a negative T or one above the cap is refused and T = 0 is
-    not. A hit set-up whose target is its start owes no visit; `_walk` then
-    counts every vertex, the start at time zero included, for all T steps
-    of stream (seed, 1). The n sentinel markers follow the counts in left,
-    as `_plan` lays them out.
+    `_plan` checks the walk as a hit walk from its start to itself with a
+    budget of T + 1, so a bad start, a negative T or one above the cap is
+    refused and T = 0 is not. The walk is the reference walker's trial 0,
+    on stream (seed, 1), over apply_scheme(g, scheme); the stopping steps
+    of the kernel's trials are the reference walker's on every plan
+    (test_kernel_walks_as_the_python_stepper).
     """
-    config = WalkConfig(stop="hit", start=start, target=start, budget=steps + 1, scheme=scheme, lazy=lazy)
-    tables, _, _, planned, _, _ = walks._plan(g, config)
-    left = [-1] * g.n + planned[g.n :]
-    left[start] = -2
-    walks._walk(tables, start, substream(seed, 1), steps, left, 1)
-    assert left[g.n :] == [True] * g.n
-    return np.array([-c - 1 for c in left[: g.n]]) / float(steps + 1)
+    walks._plan(g, WalkConfig(stop="hit", start=start, target=start, budget=steps + 1, scheme=scheme, lazy=lazy))
+    counts = reference_visits(apply_scheme(g, scheme), seed, steps, start, lazy)
+    return np.array(counts) / float(steps + 1)
 
 
 def test_simulate_is_reproducible():
@@ -395,15 +384,14 @@ def test_wide_vertex_trials_keep_their_recorded_walks(spec, config, values):
 )
 def test_trials_walk_as_the_reference_walker(graph_seed, n, extra, lazy, stop, seed):
     # weighted multigraphs with loops and parallel edges, walked plain and
-    # lazy by both steppers, against a walker that bisects at every step
+    # lazy, against a walker that bisects at every step
     g = random_connected_graph(
         np.random.default_rng(graph_seed), n, extra=extra, weighted=True, loops=True, parallel=True
     )
     target = n - 1 if stop == "hit" else None
     plan = walks._plan(g, WalkConfig(stop=stop, target=target, lazy=lazy, budget=20_000))
     want = [reference_walk(g, seed, i, 0, target, lazy, budget=20_000) for i in range(3)]
-    for compiled in (True, False):
-        assert compiled_or_not(compiled, (plan, seed, 0, 3)) == want, compiled
+    assert walks._trial_values(plan, seed, 0, 3) == want
 
 
 @settings(max_examples=30, deadline=None)
@@ -418,14 +406,12 @@ def test_trials_walk_as_the_reference_walker(graph_seed, n, extra, lazy, stop, s
 )
 def test_hub_trials_walk_as_the_reference_walker(spokes, lazy, seed):
     # hubs of up to 40 unequal spokes, whose rows have many impure buckets;
-    # hit walks from the first hub to its last leaf, censored at 2000 steps,
-    # by both steppers
+    # hit walks from the first hub to its last leaf, censored at 2000 steps
     g = _hub_graph(spokes)
     target = len(spokes) + len(spokes[0]) - 1
     plan = walks._plan(g, WalkConfig(stop="hit", target=target, lazy=lazy, budget=2000))
     want = [reference_walk(g, seed, i, 0, target, lazy, budget=2000) for i in range(3)]
-    for compiled in (True, False):
-        assert compiled_or_not(compiled, (plan, seed, 0, 3)) == want, compiled
+    assert walks._trial_values(plan, seed, 0, 3) == want
 
 
 def test_vertex_tables_hold_running_sums_of_merged_weights():
@@ -445,7 +431,7 @@ def test_vertex_tables_hold_running_sums_of_merged_weights():
             probs = [merged[x] / sum(merged.values()) for x in out]
             if lazy:
                 out, probs = out + [v], [p / 2 for p in probs] + [Fraction(1, 2)]
-            assert nbrs[v] == out + [g.n + v]  # the sentinel, at index len(cum[v])
+            assert nbrs[v] == out
             assert cum[v][-1] == 1.0
             running = Fraction(0)
             for c, p in zip(cum[v], probs):
@@ -499,20 +485,11 @@ def test_bucket_rows_pick_as_the_bisection(spokes, lazy, seed):
                 assert row[k] is None or row[k] == bisect_left(cum[v], x), (v, r, x)
 
 
-def _rows_at(nbrs, cum, r):
-    """The plan's rows at r buckets.
-
-    cuts = r / _SHARE asks for r from 32 to 256 and from 4096 up; 512 to
-    2048 are reached only by halving the capped resolution under _SLOTS, so
-    there distinct one-entry lists pad the plan to _SLOTS / r rows.
-    """
-    pad, cuts = [], r / walks._SHARE
-    if 256 < r < 4096:
-        distinct = len({id(c) for c in cum})
-        pad, cuts = [[1.0] for _ in range(walks._SLOTS // r - distinct)], float(walks._MAX_BUCKETS)
-    rows, shift = walks._step_tables(nbrs + [None] * len(pad), cum + pad, cuts)[2:]
-    assert 2 ** (64 - int(shift)) == r
-    return rows[: len(cum)]
+def _rows_at(cum, r):
+    """Each vertex's row in the plan's rows at r buckets, which cuts = r / _SHARE asks for."""
+    row, rows, shift = walks._bucket_rows(cum, r / walks._SHARE)
+    assert 2 ** (64 - shift) == r
+    return [rows[i].tolist() for i in row]
 
 
 def _oracle_row(bounds, r):
@@ -530,36 +507,34 @@ def _oracle_row(bounds, r):
 )
 def test_numpy_rows_are_the_oracle_rows(spokes, lazy):
     # every resolution a plan can pick, from 32 to 2^14 buckets; an impure
-    # bucket holds the sentinel's index, the row's length
-    nbrs, cum, _, _ = walks._vertex_tables(_hub_graph(spokes), "uniform", lazy)
+    # bucket holds the row's length, where the kernel bisects
+    _, cum, _, _ = walks._vertex_tables(_hub_graph(spokes), "uniform", lazy)
     for r in [2**j for j in range(5, 15)]:
-        rows = _rows_at(nbrs, cum, r)
+        rows = _rows_at(cum, r)
         for v in range(len(cum)):
             assert rows[v] == _oracle_row(cum[v], r), (v, r)
-            assert nbrs[v][len(cum[v])] == len(cum) + v
 
 
 def test_step_tables_share_one_row_per_distinct_cum_list():
     g = Graph.from_text(HUB_TEXT)
-    nbrs, cum, _, cuts = walks._vertex_tables(g, "uniform", True)
-    tables = walks._step_tables(nbrs, cum, cuts)
-    assert tables[:2] == (nbrs, cum)
-    rows, shift = tables[2:]
-    r = 2 ** (64 - int(shift))
+    _, cum, _, cuts = walks._vertex_tables(g, "uniform", True)
+    row, rows, shift = walks._bucket_rows(cum, cuts)
+    r = 2 ** (64 - shift)
+    assert rows.shape == (len({id(c) for c in cum}), r)
     for v in range(g.n):
-        assert rows[v] == _oracle_row(cum[v], r)
+        assert rows[row[v]].tolist() == _oracle_row(cum[v], r)
         for w in range(v):
             # equal cum lists are one list, and so share one row
             assert (cum[v] is cum[w]) == (cum[v] == cum[w])
-            assert (rows[v] is rows[w]) == (cum[v] == cum[w])
+            assert (row[v] == row[w]) == (cum[v] == cum[w])
     # a regular graph walked uniformly holds one row however large it is
-    nbrs, cum, _, cuts = walks._vertex_tables(family("cycle:5000"), "uniform", False)
-    rows = walks._step_tables(nbrs, cum, cuts)[2]
-    assert all(row is rows[0] for row in rows)
+    _, cum, _, cuts = walks._vertex_tables(family("cycle:5000"), "uniform", False)
+    row, rows, _ = walks._bucket_rows(cum, cuts)
+    assert len(rows) == 1 and not row.any()
 
 
 def _resolution(cum, cuts):
-    return 2 ** (64 - int(walks._step_tables([None] * len(cum), cum, cuts)[3]))
+    return 2 ** (64 - walks._bucket_rows(cum, cuts)[2])
 
 
 @pytest.mark.parametrize(
@@ -568,8 +543,8 @@ def _resolution(cum, cuts):
         ("path:10", "uniform", False, 128),  # cuts 8/9: two entries inside, one at each end
         ("cycle:8", "uniform", False, 128),  # cuts exactly 1
         ("regular:3", "uniform", False, 256),  # cuts exactly 2 at n = 2000
-        ("torus2d:50,40", "uniform", False, 256),  # cuts exactly 3: 512 would allocate keys
-        ("complete:12", "uniform", True, 256),  # eleven neighbours and the hold: cuts 11
+        ("torus2d:50,40", "uniform", False, 512),  # cuts exactly 3
+        ("complete:12", "uniform", True, 2048),  # eleven neighbours and the hold: cuts 11
         ("lollipop:40", "uniform", False, 4096),
         ("lollipop:40", "mindeg", False, 4096),
         ("star:3000", "uniform", False, 2**14),  # cuts 1499: capped
@@ -580,20 +555,17 @@ def test_resolution_bounds_the_stationary_bisecting_share(spec, scheme, lazy, r)
         g = sample_simple(regular_sequence(2000, 3), 1).graph
     else:
         g = family(spec)
-    nbrs, cum, pi, cuts = walks._vertex_tables(g, scheme, lazy)
+    _, cum, pi, cuts = walks._vertex_tables(g, scheme, lazy)
     assert cuts == pytest.approx(sum(p * (len(c) - 1) for p, c in zip(pi, cum)), rel=1e-12)
-    rows, shift = walks._step_tables(nbrs, cum, cuts)[2:]
-    assert 2 ** (64 - int(shift)) == _resolution(cum, cuts) == r
+    row, rows, shift = walks._bucket_rows(cum, cuts)
+    assert 2 ** (64 - shift) == _resolution(cum, cuts) == r
     # the least power of two from 32 up whose impure buckets can take at
-    # most 1/128 of the stationary steps, unless it is capped, or held at
-    # 256 buckets, whose keys need no allocation, while at most 1/16 of the
-    # steps can bisect there
-    assert (walks._SHARE, walks._SMALL_INTS, walks._STAY) == (128, 256, 16)
-    held = r == 256 and cuts <= 16
-    assert cuts <= r / 128 or r == walks._MAX_BUCKETS or held
+    # most 1/128 of the stationary steps, unless it is capped
+    assert walks._SHARE == 128
+    assert cuts <= r / 128 or r == walks._MAX_BUCKETS
     assert r == 32 or cuts > r / 256
     # and the impure buckets the rows really have take no more than that
-    share = math.fsum(p * row.count(len(c)) for p, c, row in zip(pi, cum, rows)) / r
+    share = math.fsum(p * rows[i].tolist().count(len(c)) for p, c, i in zip(pi, cum, row)) / r
     assert share <= cuts / r * (1 + 1e-12)
 
 
@@ -655,7 +627,7 @@ def test_hub_of_thousands_keeps_its_recorded_hit_walks():
 
 
 def test_long_walks_keep_their_recorded_values():
-    # walks that read past 8192 uniforms, into the full BUFFER blocks;
+    # walks that read past 8192 words, 2048 Philox blocks;
     # cycle:200's tables have two entries, lollipop:30's clique vertices up
     # to 20
     cycle200 = family("cycle:200")
@@ -727,35 +699,23 @@ def test_trial_index_must_keep_its_stream_key_in_range():
 
 
 @pytest.mark.parametrize("seed, index", [(0, 1), (7, 2**63), (2**64 - 1, 2**64 - 1)])
-def test_each_trial_of_a_chunk_draws_its_own_substream(monkeypatch, seed, index):
-    # the trials walked are the one with stream key (seed, index) and its
-    # in-range neighbours; every fake trial reads 10 000 raw words and then
-    # leaves the shared generator part way through a block, with a cached
-    # 32-bit half word, for the next trial to reset; the generator is the
-    # Python stepper's, so the compiled one is switched off
-    drawn = []
-
-    def fake_walk(tables, pos, rng, *rest):
-        drawn.append(rng.bit_generator.random_raw(10_000).tolist())
-        rng.random(37)
-        rng.integers(2**32, dtype=np.uint32)
-        return None
-
-    monkeypatch.setattr(walks, "_walk", fake_walk)
-    monkeypatch.setattr(walklab_rng, "_KERNEL", None)
-    plan = walks._plan(path(4), WalkConfig())
-    lo, hi = max(0, index - 2), min(index + 1, 2**64 - 1)
-    assert walks._trial_values(plan, seed, lo, hi) == [None] * (hi - lo)
-    assert len(drawn) == hi - lo
-    for i, values in zip(range(lo, hi), drawn):
-        assert values == substream(seed, 1 + i).bit_generator.random_raw(10_000).tolist(), i
+def test_each_trial_of_a_chunk_draws_its_own_substream(seed, index):
+    # the trials walked in one kernel call are the one with stream key
+    # (seed, index) and its in-range neighbours, each the reference
+    # walker's trial on its own stream, (seed, 1 + i) for trial i
+    g = family("lollipop:9")
+    plan = walks._plan(g, WalkConfig())
+    lo, hi = max(0, index - 3), min(index, 2**64 - 2) + 1
+    want = [reference_walk(g, seed, i, 0) for i in range(lo, hi)]
+    assert walks._trial_values(plan, seed, lo, hi) == want
+    assert len(set(want)) > 1
 
 
 def test_growing_blocks_read_the_uniforms_of_one_draw():
-    # the block sizes _walk draws: 64, 128, ..., 4096, then 4096 again, of
-    # raw Philox words, each the source of one uniform
-    sizes = [64 << k for k in range(7)] + [walks.BUFFER]
-    assert sizes[-2:] == [4096, 4096]
+    # raw Philox words drawn in blocks of any sizes, here 64, 128, ...,
+    # 4096 and 4096 again, are the words of one draw: word t of a stream
+    # depends on its counter alone, which is how the kernel computes it
+    sizes = [64 << k for k in range(7)] + [4096]
     blocked = substream(5, 9).bit_generator
     parts = [blocked.random_raw(size) for size in sizes]
     whole = substream(5, 9).bit_generator.random_raw(sum(sizes))
@@ -788,19 +748,16 @@ def test_top_bits_of_a_word_are_its_bucket(b):
     assert keys.tolist() == (np.array(doubles) * 2**b).astype(np.intp).tolist()
 
 
-# --- the compiled stepper ---
-
-needs_kernel = pytest.mark.skipif(walklab_rng._KERNEL is None, reason="no C compiler built the kernel")
+# --- the compiled stepper, against the reference walker ---
 
 
 def test_the_kernel_is_built_where_the_interpreter_compiler_is_on_path():
-    # so that a machine with a compiler never passes on the Python stepper alone
+    # so that a machine with a compiler never goes without the kernel
     compiler = (sysconfig.get_config_var("CC") or "cc").split()[0]
     if shutil.which(compiler) is not None:
-        assert walklab_rng._KERNEL is not None
+        assert not isinstance(walklab_rng._KERNEL, walklab_rng._Unavailable), walklab_rng._KERNEL.reason
 
 
-@needs_kernel
 @pytest.mark.parametrize("seed, index", [(0, 1), (1, 2**63), (2**64 - 1, 2**64 - 1)])
 @pytest.mark.parametrize("count", [1, 3, 6, 301])
 def test_kernel_words_are_numpys_philox_words(seed, index, count):
@@ -810,7 +767,7 @@ def test_kernel_words_are_numpys_philox_words(seed, index, count):
 
 
 def _sweep_plans():
-    """The plans the two steppers are compared on, with the trials each walks."""
+    """The plans the kernel and the reference walker are compared on, with the trials each walks."""
     schemes = [
         WalkConfig(),
         WalkConfig(stop="blanket-cover"),
@@ -833,10 +790,26 @@ def _sweep_plans():
     yield cartesian_product(family("cycle:4"), family("cycle:16")), WalkConfig(), 12
 
 
-@needs_kernel
+def _reference_values(g, config, seed, lo, hi):
+    """The reference walker's stopping steps of trials lo..hi-1 of a run
+    under config, over apply_scheme(g, config.scheme), with the quotas of
+    config's stop mode."""
+    h = apply_scheme(g, config.scheme)
+    quotas = None  # cover, or hit at target
+    if config.stop == "blanket-cover":
+        reference = blanket_cover_reference(g, config.scheme, config.lazy)
+        quotas = [max(0, math.ceil(reference * p - 1e-12)) for p in (h.weighted_degrees / h.volume).tolist()]
+    return [
+        reference_walk(h, seed, i, config.start, config.target, config.lazy, config.budget, quotas)
+        for i in range(lo, hi)
+    ]
+
+
 def test_kernel_walks_as_the_python_stepper():
-    # the same stopping steps on every plan, trials at the first and
-    # at the last trial indices a stream key admits
+    # the stopping steps of helpers.reference_walk, a Python walker that
+    # bisects at every step, on every plan, blanket-cover and the weighting
+    # schemes included, at the first and at the last trial indices a
+    # stream key admits
     plans = 0
     for g, config, trials in _sweep_plans():
         try:
@@ -846,12 +819,11 @@ def test_kernel_walks_as_the_python_stepper():
         plans += 1
         top = 2**64 - 1 - trials
         for lo in (0, top):
-            args = (plan, 3, lo, lo + trials)
-            assert compiled_or_not(True, args) == compiled_or_not(False, args), (g.name, config, lo)
+            got = walks._trial_values(plan, 3, lo, lo + trials)
+            assert got == _reference_values(g, config, 3, lo, lo + trials), (g.name, config, lo)
     assert plans >= 495
 
 
-@needs_kernel
 def test_kernel_returns_between_trials_after_2_to_the_26_steps(monkeypatch):
     # so that a long run still lets the interpreter take a Ctrl-C: three
     # walks censored at 2^25 steps are walked two, then one
@@ -870,17 +842,19 @@ def test_kernel_returns_between_trials_after_2_to_the_26_steps(monkeypatch):
     assert calls == [3, 1]
 
 
-@needs_kernel
 def test_kernel_checks_stream_keys_as_the_python_stepper():
-    plan = walks._plan(path(6), WalkConfig(stop="hit", target=5))
-    assert compiled_or_not(True, (plan, 7, 2**64 - 4, 2**64 - 1)) == compiled_or_not(
-        False, (plan, 7, 2**64 - 4, 2**64 - 1)
-    )
-    for compiled in (True, False):
+    # the last trials a stream key admits walk as the reference walker's,
+    # and one past them is refused as the reference walker's substream
+    # refuses it, and so is a seed past 2^64 - 1
+    g = path(6)
+    plan = walks._plan(g, WalkConfig(stop="hit", target=5))
+    top = 2**64 - 1
+    assert walks._trial_values(plan, 7, top - 3, top) == [reference_walk(g, 7, i, 0, 5) for i in range(top - 3, top)]
+    for seed, lo, hi in [(7, top - 3, top + 1), (2**64, 0, 1)]:
         with pytest.raises(ParameterError):
-            compiled_or_not(compiled, (plan, 7, 2**64 - 4, 2**64))
+            walks._trial_values(plan, seed, lo, hi)
         with pytest.raises(ParameterError):
-            compiled_or_not(compiled, (plan, 2**64, 0, 1))
+            reference_walk(g, seed, hi - 1, 0, 5)
 
 
 def test_the_package_ships_the_kernel_source():
@@ -890,23 +864,15 @@ def test_the_package_ships_the_kernel_source():
     assert "_walk.c" in pyproject["tool"]["setuptools"]["package-data"]["walklab"]
 
 
-def test_a_run_builds_one_generator(monkeypatch):
-    # the Python stepper's generator, at any worker count; the compiled
-    # one builds none
-    built = []
+def test_a_run_builds_no_generator(monkeypatch):
+    # the kernel reads every trial's Philox words itself, at any worker count
+    def no_generator(*args, **kwargs):
+        raise AssertionError("a generator was built")
 
-    def counting_substream(seed, index=0):
-        built.append(index)
-        return substream(seed, index)
-
-    monkeypatch.setattr(walks, "substream", counting_substream)
-    monkeypatch.setattr(walklab_rng, "_KERNEL", None)
+    monkeypatch.setattr(np.random, "Philox", no_generator)  # every walklab stream's bit generator
     monkeypatch.setattr(walks.os, "cpu_count", lambda: 8)
     for workers in (1, 8):
-        built.clear()
         simulate(path(6), WalkConfig(stop="cover"), trials=300, seed=2, workers=workers)
-        assert built == [1], workers
-
 
 
 @pytest.mark.parametrize("kwargs", [{"steps": -1}, {"steps": 10, "start": 9}, {"steps": 10, "start": -1}])
@@ -948,24 +914,19 @@ def test_budgets_above_the_cap_are_refused_before_walking(monkeypatch):
     class NoKernel:
         walklab_trials = no_walk
 
-    monkeypatch.setattr(walks, "_walk", no_walk)
-    # each stepper in turn: the compiled one as a stand-in that refuses to
-    # walk, then the Python one alone
-    for kernel in (NoKernel(), None):
-        monkeypatch.setattr(walklab_rng, "_KERNEL", kernel)
-        # a hit walk to a target in another component would walk its whole budget
-        apart = Graph(4, [(0, 1), (2, 3)], name="two-parts")
-        with pytest.raises(SizeCapError, match="cap"):
-            trial_value(apart, WalkConfig(stop="hit", target=3, budget=10**15), seed=0, trial_index=0)
-        with pytest.raises(SizeCapError, match="cap"):
-            simulate(path(4), WalkConfig(budget=cap + 1), trials=1, seed=0)
-        with pytest.raises(SizeCapError, match="cap"):
-            visit_frequencies(path(4), steps=cap + 1, seed=0)
-    # and the stand-ins do refuse a walk that passes every check
-    for kernel in (NoKernel(), None):
-        monkeypatch.setattr(walklab_rng, "_KERNEL", kernel)
-        with pytest.raises(AssertionError, match="walked"):
-            trial_value(path(4), WalkConfig(budget=cap), seed=0, trial_index=0)
+    # the kernel as a stand-in that refuses to walk
+    monkeypatch.setattr(walklab_rng, "_KERNEL", NoKernel())
+    # a hit walk to a target in another component would walk its whole budget
+    apart = Graph(4, [(0, 1), (2, 3)], name="two-parts")
+    with pytest.raises(SizeCapError, match="cap"):
+        trial_value(apart, WalkConfig(stop="hit", target=3, budget=10**15), seed=0, trial_index=0)
+    with pytest.raises(SizeCapError, match="cap"):
+        simulate(path(4), WalkConfig(budget=cap + 1), trials=1, seed=0)
+    with pytest.raises(SizeCapError, match="cap"):
+        visit_frequencies(path(4), steps=cap + 1, seed=0)
+    # and the stand-in does refuse a walk that passes every check
+    with pytest.raises(AssertionError, match="walked"):
+        trial_value(path(4), WalkConfig(budget=cap), seed=0, trial_index=0)
 
 
 class InPlaceThread:
@@ -1010,7 +971,6 @@ def stand_in_threads(monkeypatch):
     return use
 
 
-@needs_kernel
 def test_worker_count_is_clamped_to_trials_and_cpus(monkeypatch, stand_in_threads):
     starts = stand_in_threads(InPlaceThread)
     g = path(4)
@@ -1047,18 +1007,12 @@ def test_threads_give_the_serial_records(stand_in_threads, spec, config, trials)
     serial = simulate(g, config, trials=trials, seed=13, workers=1)
     if config.budget == 40:
         assert 0 < serial.censored < trials
-    for compiled in (True, False):
-        with pytest.MonkeyPatch.context() as patch:
-            if not compiled:
-                patch.setattr(walklab_rng, "_KERNEL", None)
-            for workers in (1, 2, 3, 8):
-                starts.clear()
-                assert simulate(g, config, trials=trials, seed=13, workers=workers) == serial, workers
-                threaded = compiled and walklab_rng._KERNEL is not None
-                assert len(starts) == (workers - 1 if threaded else 0), (compiled, workers)
+    for workers in (1, 2, 3, 8):
+        starts.clear()
+        assert simulate(g, config, trials=trials, seed=13, workers=workers) == serial, workers
+        assert len(starts) == workers - 1, workers
 
 
-@needs_kernel
 def test_eight_real_threads_on_a_short_switch_interval_give_the_serial_record(monkeypatch):
     # more threads than cores, switching as often as the interpreter can
     monkeypatch.setattr(walks.os, "cpu_count", lambda: 8)
@@ -1092,7 +1046,6 @@ class SliceKernel:
         return self.kernel.walklab_trials(*args[:-2], 1, args[-1])
 
 
-@needs_kernel
 def test_a_failed_slice_raises_in_the_caller_and_leaves_no_thread(monkeypatch):
     # 12 trials on 3 threads are slices 0-3, 4-7 and 8-11; slice 1's first
     # call finds no memory
@@ -1114,7 +1067,6 @@ def test_a_failed_slice_raises_in_the_caller_and_leaves_no_thread(monkeypatch):
     assert kernel.firsts.count(1 + 4) == 1
 
 
-@needs_kernel
 def test_an_interrupt_in_the_first_slice_stops_the_others(stand_in_threads, monkeypatch):
     # the other slices' threads run only once the caller waits for them,
     # after slice 0's first kernel return raised; each walks one trial of
