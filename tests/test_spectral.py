@@ -426,18 +426,21 @@ def test_compiled_cover_recursion_is_the_numpy_recursion():
 
 
 def _numpy_connected(support: np.ndarray) -> np.ndarray:
-    """The connected masks, each tested on its own: S is connected when
+    """The connected masks in ascending order: S is connected when
     (I + A_S)^(|S| - 1), A_S its support's block, links S's lowest vertex
-    to every vertex of S."""
+    to every vertex of S; one stacked matrix power per set size."""
     n = support.shape[0]
     link = (support | np.eye(n, dtype=bool)).astype(np.int64)
+    sets = np.arange(1, 1 << n)
+    member = ((sets[:, None] >> np.arange(n)) & 1).astype(bool)
+    size = member.sum(axis=1)
     found = []
-    for s in range(1, 1 << n):
-        members = np.flatnonzero((s >> np.arange(n)) & 1)
-        power = np.linalg.matrix_power(link[np.ix_(members, members)], len(members) - 1)
-        if (power[0] > 0).all():
-            found.append(s)
-    return np.array(found, dtype=np.int64)
+    for k in range(1, n + 1):
+        s = sets[size == k]
+        idx = np.nonzero(member[size == k])[1].reshape(len(s), k)
+        power = np.linalg.matrix_power(link[idx[:, :, None], idx[:, None, :]], k - 1)
+        found.append(s[(power[:, 0, :] > 0).all(axis=1)])
+    return np.sort(np.concatenate(found))
 
 
 @pytest.mark.parametrize("spec, count", SHAPE_COUNTS)
