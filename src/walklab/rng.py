@@ -6,14 +6,6 @@ independent, and stream `i` produces the same values no matter how many
 other streams were consumed first, which is what makes trial results
 independent of worker count and scheduling order.
 
-`substream` builds a fresh generator for one stream. `_stream_starts`
-resets one generator's Philox to key (seed, 1 + i), counter 0, before
-each i of a block: the same draws as `substream(seed, 1 + i)` without
-building a generator per stream. A reset sets the state from plain Python
-ints, which numpy's Philox state setter casts to the same uint64 words as
-it would from uint64 arrays, at less than half the cost; the keys are
-checked against [0, 2^64) before any reset.
-
 `_KERNEL` is walklab's compiled kernel, built from _walk.c when this
 module is imported (see `_load_kernel`). It has four callers, which read
 it at call time. `walks` steps walk trials in it, a slice of a run on each
@@ -47,7 +39,6 @@ from .errors import NumericError, ParameterError
 __all__ = ["substream"]
 
 _KEY_WORD = 2**64  # Philox keys are two 64-bit words: (seed, index)
-_FRESH = (0, 0, 0, 0)  # counter 0; an empty output buffer
 
 
 def _key(seed: int, index: int) -> np.ndarray:
@@ -77,33 +68,6 @@ def _check_streams(seed: int, first: int, count: int) -> None:
     _key(seed, first)
     if count:
         _key(seed, first + count - 1)
-
-
-def _stream_starts(rng: np.random.Generator, seed: int, first: int, count: int):
-    """Yield rng `count` times, at the start of streams (seed, first), ...
-
-    Before the j-th yield rng's Philox is put at the start of stream
-    (seed, first + j) as substream builds it: counter 0, no buffered words
-    and no cached 32-bit half, so it draws exactly what
-    `substream(seed, first + j)` draws. `_check_streams` checks the block's
-    keys once, when iteration starts; the resets share one state dict and
-    its one key list, whose index word each reset sets.
-    """
-    _check_streams(seed, first, count)
-    bits = rng.bit_generator
-    key = [seed, first]
-    state = {
-        "bit_generator": "Philox",
-        "state": {"counter": _FRESH, "key": key},
-        "buffer": _FRESH,
-        "buffer_pos": 4,
-        "has_uint32": 0,
-        "uinteger": 0,
-    }
-    for index in range(first, first + count):
-        key[1] = index
-        bits.state = state
-        yield rng
 
 
 # --- the compiled kernel ---

@@ -21,27 +21,26 @@ at once.
 connected one in the modes that put a quota on every vertex, and never an
 isolated start; budgets above WalkConfig().budget are refused.
 
-A step from v with uniform u goes to nbrs[v][bisect_left(cum[v], u)],
-over two per-vertex lists: to nbrs[v][i] for u in
-(cum[v][i - 1], cum[v][i]]. At every vertex these are its distinct
-neighbours, ascending, with the lazy hold last, and the running sums of
-their probabilities, the last sum set to 1.0; so the walk picks exactly as
-bisection over the cumulative weights, at every degree.
+A step from v with uniform u bisects v's table, entries off[v] to
+off[v + 1] - 1 of two flat arrays, nbrs and cum: it goes to nbrs[off[v] + i]
+for u in (cum[off[v] + i - 1], cum[off[v] + i]]. At every vertex the table
+holds its distinct neighbours, ascending, with the lazy hold last, and the
+running sums of their probabilities, the last sum set to 1.0; so the walk
+picks exactly as bisection over the cumulative weights, at every degree.
 
-The walk seldom bisects. Each vertex also has a bucket row of R = 2^b
-entries, chosen from the plan's tables: entry w >> (64 - b) of v's row,
-the key read off the top b bits of the word, is the index
-bisect_left(cum[v], u) for every u in that bucket, or L_v = len(cum[v])
-where a breakpoint of cum[v] splits the bucket, and there the kernel
-bisects. The key is an exact floor, since u R is (w >> 11) 2^(b - 53)
-exactly, so w >> (64 - b) = int(u R); and the row is built from exact
-comparisons, so the lookup picks what the bisection picks for every
-double u. R is sized by the stationary share of steps that can bisect: a
-row of length L has at most L - 1 impure buckets, so that share is at
-most sum_v pi_v (L_v - 1) / R, and R is the least power of two from 32 up
+The walk seldom bisects. Each distinct table also has a bucket row of
+R = 2^b entries: entry w >> (64 - b) of v's row, the key read off the top b
+bits of the word, is the index i for every u in that bucket, or
+L_v = off[v + 1] - off[v] where a breakpoint of v's table splits the
+bucket, and there the kernel bisects. The key is an exact floor, since u R
+is (w >> 11) 2^(b - 53) exactly, so w >> (64 - b) = int(u R); and the row is
+built from exact comparisons, so the lookup picks what the bisection picks
+for every double u. R is sized by the stationary share of steps that can
+bisect: a row of length L has at most L - 1 impure buckets, so that share is
+at most sum_v pi_v (L_v - 1) / R, and R is the least power of two from 32 up
 that holds it to 1/_SHARE, capped at _MAX_BUCKETS. Rows hold indices, not
-vertices, so vertices with equal cum lists share one row: a plan holds a
-row per distinct list (one on a regular graph walked uniformly), not per
+vertices, so vertices with equal cum tables share one row: a plan holds a
+row per distinct table (one on a regular graph walked uniformly), not per
 vertex, and R need not shrink as the graph grows.
 """
 
@@ -51,7 +50,7 @@ import math
 import os
 import threading
 from dataclasses import dataclass
-from itertools import accumulate, chain
+from itertools import accumulate
 
 import numpy as np
 
@@ -75,11 +74,12 @@ STOP_MODES = ("cover", "hit", "blanket-cover")
 _SLOTS = 2**18  # bucket-row entries a plan's rows may hold above 32 buckets a row
 _MAX_BUCKETS = 2**14  # buckets a row may have
 # a stationary step lands in an impure bucket, and bisects, with probability
-# at most 1/_SHARE. Within one process, alternating resolutions, the n = 2000
-# 3-regular cover walk took 68 ns a step at 256 buckets (1/128) against 72
-# at 128 (1/64), and lollipop:40's took 76-96 ns at 4096 (1/128) against
-# 82-100 at 2048 (1/64); best of 10-20 runs on a 2-core Xeon VM, measured
-# on the Python loop that stepped walks before the kernel did.
+# at most 1/_SHARE. The kernel is not sensitive to the value: within one
+# process, alternating 1/64, 1/128 and 1/256 (best of 8 runs each, two sets,
+# 2-core Xeon VM), the n = 2000 3-regular cover walk took 13.7-15.0 ns a step
+# at all three, and lollipop:40's 16.3-17.3, 17.8-18.4 and 18.8-19.3 ns. Rows
+# whose every bucket is impure, so that the kernel always bisects, ran those
+# walks and star:3000's about 2, 3-5 and 2 times slower.
 _SHARE = 128
 
 
@@ -125,39 +125,43 @@ class EstimateRecord:
 # --- sampling tables ---
 
 
-def _vertex_tables(g: Graph, scheme: str, lazy: bool):
-    """Per-vertex step tables and the stationary distribution of the weighted walk.
+def _tables(g: Graph, scheme: str, lazy: bool) -> tuple:
+    """The weighted walk's step tables, flat, and its stationary distribution.
 
-    Returns (nbrs, cum, pi, cuts): a step from v goes to
-    nbrs[v][bisect_left(cum[v], u)], and cum[v] ends in 1.0. Row v of
+    Returns (off, nbrs, cum, row, distinct, pi, cuts). Row v of
     `Graph.pooled` lists v's distinct neighbours, ascending, with their
     pooled weights; each is picked with its weight over the row's sum.
-    nbrs[v] is that row (v itself last when a lazy walk adds its hold),
-    and cum[v] holds the running sums of the probabilities, whatever v's
-    degree; L_v = len(cum[v]). Equal cum lists are one list object. An
-    isolated vertex has None in both, since no edge leads to it. pi is a
-    list, and laziness does not change it; it needs g to have an edge.
-    cuts = sum_v pi_v (L_v - 1), taken in numpy from the weighted degrees
-    and the pooled row lengths, weighs the entries of cum[v] below its
-    last, each of which can split one bucket of v's row; `_bucket_rows`
-    sizes the rows by it.
+    Vertex v's table is entries off[v]..off[v + 1] - 1 of nbrs (int64) and
+    cum (float64): that row (v itself last when a lazy walk adds its hold)
+    and the running sums of the probabilities, the last set to 1.0, whatever
+    v's degree; so L_v = off[v + 1] - off[v], and a step from v with uniform
+    u goes to nbrs[off[v] + bisect_left(cum[off[v]:off[v + 1]], u)]. An
+    isolated vertex has an empty table, since no edge leads to it. distinct
+    holds each distinct cum table once, as a tuple, in the order of the
+    first vertex that has it, and row[v] (int64) is the index of v's table
+    in distinct, or 0 for an isolated vertex. pi (float64) does not change
+    with laziness; it needs g to have an edge. cuts = sum_v pi_v (L_v - 1),
+    taken in numpy from the weighted degrees and the pooled row lengths,
+    weighs the entries of v's table below its last, each of which can split
+    one bucket of v's row; `_bucket_rows` sizes the rows by it.
     """
     h = apply_scheme(g, scheme)
     n = h.n
     rows, cols, weights = h.pooled
     starts = np.searchsorted(rows, np.arange(n + 1))
     lengths = np.diff(starts)
-    if lazy:  # the hold is one more entry, unless a loop already leads to v
-        held = np.ones(n, dtype=lengths.dtype)
-        held[rows[rows == cols]] = 0
+    if lazy:  # the hold is one more entry, unless v is isolated or a loop already leads to v
+        held = lengths > 0
+        held[rows[rows == cols]] = False
         lengths += held
     # summed before dividing by the volume, so that a unit-weight d-regular
     # graph has cuts = d - 1 exactly
     cuts = float(np.sum(h.weighted_degrees * (lengths - 1))) / h.volume
+    off = np.zeros(n + 1, dtype=np.int64)
+    np.cumsum(lengths, out=off[1:])
     starts, cols, weights = starts.tolist(), cols.tolist(), weights.tolist()
-    nbrs: list = [None] * n
-    cum: list = [None] * n
-    distinct: dict = {}
+    nbrs, cum, row = [], [], [0] * n
+    distinct: dict = {}  # each distinct cum table, as a tuple: its row index
     for v, a, b in zip(range(n), starts, starts[1:]):
         if a == b:
             continue
@@ -173,53 +177,51 @@ def _vertex_tables(g: Graph, scheme: str, lazy: bool):
                 probs.append(0.5)
         sums = list(accumulate(probs))
         sums[-1] = 1.0
-        nbrs[v], cum[v] = out, distinct.setdefault(tuple(sums), sums)
-    return nbrs, cum, (h.weighted_degrees / h.volume).tolist(), cuts
+        nbrs += out
+        cum += sums
+        row[v] = distinct.setdefault(tuple(sums), len(distinct))
+    nbrs, cum, row = np.array(nbrs, dtype=np.int64), np.array(cum), np.array(row, dtype=np.int64)
+    return off, nbrs, cum, row, list(distinct), h.weighted_degrees / h.volume, cuts
 
 
 # --- bucket rows ---
 
 
-def _bucket_rows(cum: list, cuts: float) -> tuple:
-    """The bucket rows a walk steps by: (row, rows, shift).
+def _bucket_rows(distinct: list, cuts: float) -> tuple:
+    """The bucket rows a walk steps by: (rows, shift).
 
     rows is an int64 array of one row of r buckets for each distinct cum
-    list, and row[v] the index of cum[v]'s row in it, or 0 for an isolated
-    vertex, which no step reaches; vertices share a row when their cum
-    lists are one object, as `_vertex_tables` makes equal lists.
-    rows[row[v], k] is the index bisect_left(cum[v], u) for every double u
-    in [k/r, (k+1)/r), or L_v = len(cum[v]) where an entry of cum[v] splits
-    the bucket, and there the kernel bisects. shift = 64 - log2 r puts a
-    raw Philox word w in bucket w >> shift.
+    table, in the order of distinct (see `_tables`, whose row[v] picks v's
+    row). rows[i, k] is the index bisect_left(distinct[i], u) for every
+    double u in [k/r, (k+1)/r), or L = len(distinct[i]) where an entry of
+    the table splits the bucket, and there the kernel bisects. shift =
+    64 - log2 r puts a raw Philox word w in bucket w >> shift.
 
     A row of length L has at most L - 1 impure buckets, each of probability
     1/r, so a stationary step lands in one with probability at most
-    cuts / r (see `_vertex_tables`). r is the least power of two from 32 up
-    with cuts / r at most 1/_SHARE, capped at _MAX_BUCKETS. It is then
-    halved while the distinct rows would hold more than _SLOTS entries, but
-    never below 32.
+    cuts / r (see `_tables`). r is the least power of two from 32 up with
+    cuts / r at most 1/_SHARE, capped at _MAX_BUCKETS. It is then halved
+    while the distinct rows would hold more than _SLOTS entries, but never
+    below 32.
 
-    Each row comes from two searches of cum[v]: bucket k is pure when its
+    Each row comes from two searches of its table: bucket k is pure when its
     first double k/r and its last, the one just below (k + 1)/r, have the
     same index, since bisect_left only grows with u. r is a power of two,
     so k/r and (k + 1)/r are exact.
     """
-    shared = {id(c): c for c in cum if c is not None}
     r = 32
     while cuts > r / _SHARE and r < _MAX_BUCKETS:
         r *= 2
-    while r > 32 and len(shared) * r > _SLOTS:
+    while r > 32 and len(distinct) * r > _SLOTS:
         r //= 2
     first = np.arange(r) / r
     last = np.nextafter(first + 1 / r, 0.0)
-    rows = np.empty((len(shared), r), dtype=np.int64)
-    for i, bounds in enumerate(shared.values()):
+    rows = np.empty((len(distinct), r), dtype=np.int64)
+    for i, bounds in enumerate(distinct):
         table = np.array(bounds)
         lo = np.searchsorted(table, first)
         rows[i] = np.where(lo == np.searchsorted(table, last), lo, len(bounds))
-    order = {key: i for i, key in enumerate(shared)}
-    row = np.array([0 if c is None else order[id(c)] for c in cum], dtype=np.int64)
-    return row, rows, 65 - r.bit_length()
+    return rows, 65 - r.bit_length()
 
 
 def blanket_cover_reference(g: Graph, scheme: str = "uniform", lazy: bool = False) -> float:
@@ -238,10 +240,9 @@ def _plan(g: Graph, config: WalkConfig) -> tuple:
     volume. A budget above WalkConfig().budget raises SizeCapError.
     Returns the arrays and numbers `walklab_trials` walks by, in its
     argument order: (off, nbrs, cum, row, rows, shift, start, budget, owed,
-    remaining). Vertex v's table is entries off[v]..off[v + 1] - 1 of nbrs
-    (int64) and of cum (float64), so L_v = off[v + 1] - off[v]; row, rows
-    and shift are `_bucket_rows`'; owed (int64) holds the visits each
-    vertex owes at time zero, and remaining is how many vertices owe any.
+    remaining). off, nbrs, cum and row are `_tables`', rows and shift
+    `_bucket_rows`'; owed (int64) holds the visits each vertex owes at time
+    zero, and remaining is how many vertices owe any.
     """
     if config.stop not in STOP_MODES:
         raise ParameterError(f"unknown stop mode {config.stop!r}")
@@ -257,31 +258,21 @@ def _plan(g: Graph, config: WalkConfig) -> tuple:
         g.require(f"a {config.stop} walk", "connected")
     if not g.degrees[config.start]:
         raise UnsupportedInputError(f"start {config.start} of {g.name} is isolated")
-    nbrs, cum, pi, cuts = _vertex_tables(g, config.scheme, config.lazy)
+    off, nbrs, cum, row, distinct, pi, cuts = _tables(g, config.scheme, config.lazy)
     if config.stop == "hit":
-        left = [0] * g.n
-        left[config.target] = 1
+        owed = np.zeros(g.n, dtype=np.int64)
+        owed[config.target] = 1
     elif config.stop == "blanket-cover":
         reference = blanket_cover_reference(g, config.scheme, config.lazy)
         # a quota past the budget is never met, at budget + 1 as at any
         # larger value, and budget + 1 fits the kernel's int64
-        left = [min(max(0, math.ceil(reference * p - 1e-12)), config.budget + 1) for p in pi]
+        owed = np.clip(np.ceil(reference * pi - 1e-12), 0, config.budget + 1).astype(np.int64)
     else:
-        left = [1] * g.n
-    left[config.start] = max(0, left[config.start] - 1)  # the visit at time zero
-    off = np.zeros(g.n + 1, dtype=np.int64)
-    np.cumsum([0 if c is None else len(c) for c in cum], out=off[1:])
-    total = int(off[-1])
-    return (
-        off,
-        np.fromiter(chain.from_iterable(x for x in nbrs if x is not None), np.int64, total),
-        np.fromiter(chain.from_iterable(c for c in cum if c is not None), np.float64, total),
-        *_bucket_rows(cum, cuts),
-        config.start,
-        config.budget,
-        np.array(left, dtype=np.int64),
-        sum(q > 0 for q in left),
-    )
+        owed = np.ones(g.n, dtype=np.int64)
+    if owed[config.start]:  # the visit at time zero
+        owed[config.start] -= 1
+    rows, shift = _bucket_rows(distinct, cuts)
+    return off, nbrs, cum, row, rows, shift, config.start, config.budget, owed, int(np.count_nonzero(owed))
 
 
 def _trial_values(

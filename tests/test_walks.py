@@ -419,8 +419,9 @@ def test_vertex_tables_hold_running_sums_of_merged_weights():
     # weights merged from g's edges: complete:12 lazy (degree 12 with the
     # hold) and the weighted hub with its loop and doubled spoke
     for g, lazy in [(family("complete:12"), True), (Graph.from_text(HUB_TEXT), False)]:
-        nbrs, cum, _, _ = walks._vertex_tables(g, "uniform", lazy)
+        off, nbrs, cum, _, _, _, _ = walks._tables(g, "uniform", lazy)
         for v in range(g.n):
+            table = cum[off[v] : off[v + 1]].tolist()
             merged: dict[int, Fraction] = {}
             for a, b, w in edge_list(g):
                 for end, other in ((a, b), (b, a)):  # a loop adds twice
@@ -431,10 +432,10 @@ def test_vertex_tables_hold_running_sums_of_merged_weights():
             probs = [merged[x] / sum(merged.values()) for x in out]
             if lazy:
                 out, probs = out + [v], [p / 2 for p in probs] + [Fraction(1, 2)]
-            assert nbrs[v] == out
-            assert cum[v][-1] == 1.0
+            assert nbrs[off[v] : off[v + 1]].tolist() == out
+            assert table[-1] == 1.0
             running = Fraction(0)
-            for c, p in zip(cum[v], probs):
+            for c, p in zip(table, probs):
                 running += p
                 assert abs(Fraction(c) - running) <= len(out) * Fraction(2) ** -52, (v, c)
 
@@ -463,17 +464,18 @@ def _hub_graph(spokes: list[list[float]]) -> Graph:
 def test_bucket_rows_pick_as_the_bisection(spokes, lazy, seed):
     # the oracle rows of hubs of up to 40 spokes, the lazy hold included, at
     # every power of two from 1 to 1024
-    nbrs, cum, _, _ = walks._vertex_tables(_hub_graph(spokes), "uniform", lazy)
+    off, _, cum, _, _, _, _ = walks._tables(_hub_graph(spokes), "uniform", lazy)
     interior = np.random.default_rng(seed)
     for r in [2**j for j in range(11)]:
         for v in range(len(spokes)):
-            row = bucket_row(cum[v], r)
+            table = cum[off[v] : off[v + 1]].tolist()
+            row = bucket_row(table, r)
             assert len(row) == r
-            assert row.count(None) <= len(cum[v]) - 1
+            assert row.count(None) <= len(table) - 1
             edges = np.arange(r + 1) / r
             probes = [edges[:-1], np.nextafter(edges[1:], 0.0)]
             probes.append((np.arange(r) + interior.random(r)) / r)
-            up = down = np.array(cum[v])
+            up = down = np.array(table)
             for _ in range(4):
                 up, down = np.nextafter(up, 2.0), np.nextafter(down, -1.0)
                 probes += [up, down]
@@ -482,14 +484,14 @@ def test_bucket_rows_pick_as_the_bisection(spokes, lazy, seed):
             keys = (u * r).astype(np.intp).tolist()  # the walk's keys w >> shift, for u from w
             for x, k in zip(u.tolist(), keys):
                 assert k / r <= x < (k + 1) / r
-                assert row[k] is None or row[k] == bisect_left(cum[v], x), (v, r, x)
+                assert row[k] is None or row[k] == bisect_left(table, x), (v, r, x)
 
 
-def _rows_at(cum, r):
-    """Each vertex's row in the plan's rows at r buckets, which cuts = r / _SHARE asks for."""
-    row, rows, shift = walks._bucket_rows(cum, r / walks._SHARE)
-    assert 2 ** (64 - shift) == r
-    return [rows[i].tolist() for i in row]
+def _rows_at(distinct, r):
+    """The plan's rows of the distinct tables at r buckets, which cuts = r / _SHARE asks for."""
+    rows, shift = walks._bucket_rows(distinct, r / walks._SHARE)
+    assert 2 ** (64 - shift) == r and len(rows) == len(distinct)
+    return rows.tolist()
 
 
 def _oracle_row(bounds, r):
@@ -508,33 +510,48 @@ def _oracle_row(bounds, r):
 def test_numpy_rows_are_the_oracle_rows(spokes, lazy):
     # every resolution a plan can pick, from 32 to 2^14 buckets; an impure
     # bucket holds the row's length, where the kernel bisects
-    _, cum, _, _ = walks._vertex_tables(_hub_graph(spokes), "uniform", lazy)
+    distinct = walks._tables(_hub_graph(spokes), "uniform", lazy)[4]
     for r in [2**j for j in range(5, 15)]:
-        rows = _rows_at(cum, r)
-        for v in range(len(cum)):
-            assert rows[v] == _oracle_row(cum[v], r), (v, r)
+        for table, row in zip(distinct, _rows_at(distinct, r)):
+            assert row == _oracle_row(table, r), (table, r)
 
 
 def test_step_tables_share_one_row_per_distinct_cum_list():
     g = Graph.from_text(HUB_TEXT)
-    _, cum, _, cuts = walks._vertex_tables(g, "uniform", True)
-    row, rows, shift = walks._bucket_rows(cum, cuts)
+    off, _, cum, row, distinct, _, cuts = walks._tables(g, "uniform", True)
+    rows, shift = walks._bucket_rows(distinct, cuts)
     r = 2 ** (64 - shift)
-    assert rows.shape == (len({id(c) for c in cum}), r)
+    tables = [tuple(cum[a:b].tolist()) for a, b in zip(off, off[1:])]
+    # one row per distinct table, in the order of the first vertex that has it
+    assert distinct == list(dict.fromkeys(tables))
+    assert rows.shape == (len(distinct), r)
     for v in range(g.n):
-        assert rows[row[v]].tolist() == _oracle_row(cum[v], r)
+        assert distinct[row[v]] == tables[v]
+        assert rows[row[v]].tolist() == _oracle_row(tables[v], r)
         for w in range(v):
-            # equal cum lists are one list, and so share one row
-            assert (cum[v] is cum[w]) == (cum[v] == cum[w])
-            assert (row[v] == row[w]) == (cum[v] == cum[w])
+            # equal cum tables share one row
+            assert (row[v] == row[w]) == (tables[v] == tables[w])
     # a regular graph walked uniformly holds one row however large it is
-    _, cum, _, cuts = walks._vertex_tables(family("cycle:5000"), "uniform", False)
-    row, rows, _ = walks._bucket_rows(cum, cuts)
+    _, _, _, row, distinct, _, cuts = walks._tables(family("cycle:5000"), "uniform", False)
+    rows, _ = walks._bucket_rows(distinct, cuts)
     assert len(rows) == 1 and not row.any()
 
 
-def _resolution(cum, cuts):
-    return 2 ** (64 - walks._bucket_rows(cum, cuts)[2])
+@pytest.mark.parametrize("lazy", [False, True])
+def test_isolated_vertices_hold_empty_tables_on_row_zero(lazy):
+    # 2 and 5 are isolated; off comes from the row lengths, and a lazy walk
+    # adds no hold to a vertex with no edge
+    g = Graph(6, [(0, 1), (1, 1, 2.0), (3, 4, 0.5), (3, 4, 1.5)])
+    plan = walks._plan(g, WalkConfig(stop="hit", start=0, target=1, lazy=lazy))
+    off, nbrs, cum, row = plan[:4]
+    for v in (2, 5):
+        assert off[v] == off[v + 1] and row[v] == 0
+    assert off[0] == 0 and off[-1] == len(nbrs) == len(cum)
+    assert walks._trial_values(plan, 7, 0, 8) == [reference_walk(g, 7, i, 0, 1, lazy) for i in range(8)]
+
+
+def _resolution(distinct, cuts):
+    return 2 ** (64 - walks._bucket_rows(distinct, cuts)[1])
 
 
 @pytest.mark.parametrize(
@@ -555,17 +572,18 @@ def test_resolution_bounds_the_stationary_bisecting_share(spec, scheme, lazy, r)
         g = sample_simple(regular_sequence(2000, 3), 1).graph
     else:
         g = family(spec)
-    _, cum, pi, cuts = walks._vertex_tables(g, scheme, lazy)
-    assert cuts == pytest.approx(sum(p * (len(c) - 1) for p, c in zip(pi, cum)), rel=1e-12)
-    row, rows, shift = walks._bucket_rows(cum, cuts)
-    assert 2 ** (64 - shift) == _resolution(cum, cuts) == r
+    off, _, _, row, distinct, pi, cuts = walks._tables(g, scheme, lazy)
+    lengths = np.diff(off).tolist()
+    assert cuts == pytest.approx(sum(p * (length - 1) for p, length in zip(pi, lengths)), rel=1e-12)
+    rows, shift = walks._bucket_rows(distinct, cuts)
+    assert 2 ** (64 - shift) == _resolution(distinct, cuts) == r
     # the least power of two from 32 up whose impure buckets can take at
     # most 1/128 of the stationary steps, unless it is capped
     assert walks._SHARE == 128
     assert cuts <= r / 128 or r == walks._MAX_BUCKETS
     assert r == 32 or cuts > r / 256
     # and the impure buckets the rows really have take no more than that
-    share = math.fsum(p * rows[i].tolist().count(len(c)) for p, c, i in zip(pi, cum, row)) / r
+    share = math.fsum(p * rows[i].tolist().count(length) for p, length, i in zip(pi, lengths, row)) / r
     assert share <= cuts / r * (1 + 1e-12)
 
 
@@ -578,7 +596,9 @@ def test_resolution_halves_for_many_distinct_rows_down_to_32():
     assert _resolution(wide(65), 19.0) == 2048  # 4096 would pass _SLOTS
     assert _resolution(wide(9000), 19.0) == 32  # past _SLOTS / 32 rows the floor holds
     # one distinct row, however many vertices share it
-    assert _resolution([[0.5, 1.0]] * 100_000, 1.0) == 128
+    _, _, _, _, distinct, _, cuts = walks._tables(family("cycle:100000"), "uniform", False)
+    assert distinct == [(0.5, 1.0)] and cuts == 1.0
+    assert _resolution(distinct, cuts) == 128
     assert _resolution([[1.0]], 0.0) == 32
 
 
