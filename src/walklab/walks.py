@@ -79,7 +79,7 @@ _MAX_BUCKETS = 2**14  # buckets a row may have
 # 2-core Xeon VM), the n = 2000 3-regular cover walk took 13.7-15.0 ns a step
 # at all three, and lollipop:40's 16.3-17.3, 17.8-18.4 and 18.8-19.3 ns. Rows
 # whose every bucket is impure, so that the kernel always bisects, ran those
-# walks and star:3000's about 2, 3-5 and 2 times slower.
+# walks and star:3000's about 2, 2-5 and 2 times slower.
 _SHARE = 128
 
 

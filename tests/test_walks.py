@@ -542,12 +542,14 @@ def test_isolated_vertices_hold_empty_tables_on_row_zero(lazy):
     # 2 and 5 are isolated; off comes from the row lengths, and a lazy walk
     # adds no hold to a vertex with no edge
     g = Graph(6, [(0, 1), (1, 1, 2.0), (3, 4, 0.5), (3, 4, 1.5)])
-    plan = walks._plan(g, WalkConfig(stop="hit", start=0, target=1, lazy=lazy))
-    off, nbrs, cum, row = plan[:4]
-    for v in (2, 5):
-        assert off[v] == off[v + 1] and row[v] == 0
-    assert off[0] == 0 and off[-1] == len(nbrs) == len(cum)
-    assert walks._trial_values(plan, 7, 0, 8) == [reference_walk(g, 7, i, 0, 1, lazy) for i in range(8)]
+    for start, target in [(1, 0), (4, 3)]:  # in each component
+        plan = walks._plan(g, WalkConfig(stop="hit", start=start, target=target, lazy=lazy))
+        off, nbrs, cum, row = plan[:4]
+        for v in (2, 5):
+            assert off[v] == off[v + 1] and row[v] == 0
+        assert off[0] == 0 and off[-1] == len(nbrs) == len(cum)
+        want = [reference_walk(g, 7, i, start, target, lazy) for i in range(8)]
+        assert walks._trial_values(plan, 7, 0, 8) == want
 
 
 def _resolution(distinct, cuts):
